@@ -1,13 +1,13 @@
 #ifndef QKC_BENCH_BENCH_COMMON_H
 #define QKC_BENCH_BENCH_COMMON_H
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "circuit/circuit.h"
 #include "obs/trace.h"
+#include "server/json.h"
 #include "util/rng.h"
 #include "vqa/workloads.h"
 
@@ -65,73 +65,35 @@ printHeader(const std::string& title, const std::string& columns)
 
 /**
  * One machine-readable line per bench row, printed alongside the human
- * table row: `{"bench": "fig8", "workload": "qaoa", ...}`. JSON lines are
- * the only stdout lines starting with '{' (table rows start with a letter,
+ * table row: `{"bench":"fig8","workload":"qaoa",...}`. JSON lines are the
+ * only stdout lines starting with '{' (table rows start with a letter,
  * headers with '#'), so `grep '^{' > BENCH_fig8.json` recovers the series
- * for trend tracking. Fields keep insertion order; the destructor emits
- * the line, so a chained temporary prints at the end of its statement.
+ * for trend tracking. Serialized by the server's JSON codec: fields keep
+ * insertion order, strings are escaped and a non-finite number (a
+ * degenerate ratio) is written as null. The destructor emits the line, so
+ * a chained temporary prints at the end of its statement.
  */
 class JsonRow {
   public:
-    explicit JsonRow(const char* bench) { appendString("bench", bench); }
+    explicit JsonRow(const char* bench) { row_.set("bench", bench); }
 
     ~JsonRow()
     {
-        std::printf("{%s}\n", body_.c_str());
+        std::printf("%s\n", row_.dump().c_str());
         std::fflush(stdout);
     }
 
     JsonRow(const JsonRow&) = delete;
     JsonRow& operator=(const JsonRow&) = delete;
 
-    JsonRow& field(const char* key, const std::string& v)
+    JsonRow& field(const char* key, server::Json v)
     {
-        appendString(key, v.c_str());
-        return *this;
-    }
-    JsonRow& field(const char* key, const char* v)
-    {
-        appendString(key, v);
-        return *this;
-    }
-    JsonRow& field(const char* key, double v)
-    {
-        char buf[32];
-        // Bare NaN/Inf (a degenerate ratio) is not valid JSON.
-        std::snprintf(buf, sizeof buf, "%.9g", std::isfinite(v) ? v : 0.0);
-        appendRaw(key, buf);
-        return *this;
-    }
-    JsonRow& field(const char* key, std::size_t v)
-    {
-        appendRaw(key, std::to_string(v).c_str());
+        row_.set(key, std::move(v));
         return *this;
     }
 
   private:
-    // Keys and backend labels contain no quotes/backslashes; no escaping.
-    void appendString(const char* key, const char* v)
-    {
-        appendKey(key);
-        body_ += '"';
-        body_ += v;
-        body_ += '"';
-    }
-    void appendRaw(const char* key, const char* v)
-    {
-        appendKey(key);
-        body_ += v;
-    }
-    void appendKey(const char* key)
-    {
-        if (!body_.empty())
-            body_ += ", ";
-        body_ += '"';
-        body_ += key;
-        body_ += "\": ";
-    }
-
-    std::string body_;
+    server::Json row_ = server::Json::object();
 };
 
 } // namespace qkc::bench

@@ -43,6 +43,90 @@ pendingProduct(const Circuit& circuit, const std::vector<std::size_t>& sources,
     return m;
 }
 
+/**
+ * One group's share of materializeFusion: the group's matrix products
+ * replayed against `circuit`. `ok == false` means the recipe
+ * no longer applies at this group (structure or identity-drop mismatch);
+ * `emitted == false` with `ok` means the group is a dropped identity.
+ */
+struct GroupResult {
+    bool ok = false;
+    bool emitted = false;
+    std::optional<Operation> op; ///< set iff emitted
+};
+
+GroupResult
+materializeGroup(const FusionRecipe::Group& g, const Circuit& circuit)
+{
+    GroupResult r;
+    switch (g.kind) {
+      case FusionRecipe::Group::Kind::Channel: {
+        if (g.sources.empty() || g.sources[0] >= circuit.size())
+            return r;
+        const auto* ch =
+            std::get_if<NoiseChannel>(&circuit.operations()[g.sources[0]]);
+        if (!ch || ch->qubits() != g.qubits)
+            return r;
+        r.ok = true;
+        r.emitted = true;
+        r.op = Operation{*ch};
+        return r;
+      }
+      case FusionRecipe::Group::Kind::Passthrough: {
+        if (g.sources.empty())
+            return r;
+        const Gate* gate = gateAt(circuit, g.sources[0], g.qubits);
+        if (!gate)
+            return r;
+        r.ok = true;
+        r.emitted = true;
+        r.op = Operation{*gate};
+        return r;
+      }
+      case FusionRecipe::Group::Kind::Fused1q: {
+        auto m = pendingProduct(circuit, g.sources, g.qubits[0]);
+        if (!m)
+            return r;
+        if (isIdentity(*m) != g.dropped)
+            return r; // drop set changed: re-plan
+        r.ok = true;
+        if (!g.dropped) {
+            r.emitted = true;
+            r.op = Operation{
+                Gate::custom({g.qubits[0]}, std::move(*m), "fused")};
+        }
+        return r;
+      }
+      case FusionRecipe::Group::Kind::Fused2q: {
+        if (g.gateIndices.empty() ||
+            g.pendingHigh.size() != g.gateIndices.size() ||
+            g.pendingLow.size() != g.gateIndices.size())
+            return r;
+        Matrix fusedU = Matrix::identity(4);
+        for (std::size_t s = 0; s < g.gateIndices.size(); ++s) {
+            const auto pa =
+                pendingProduct(circuit, g.pendingHigh[s], g.qubits[0]);
+            const auto pb =
+                pendingProduct(circuit, g.pendingLow[s], g.qubits[1]);
+            const Gate* gate = gateAt(circuit, g.gateIndices[s], g.qubits);
+            if (!pa || !pb || !gate)
+                return r;
+            fusedU = gate->unitary() * pa->kron(*pb) * fusedU;
+        }
+        if (isIdentity(fusedU) != g.dropped)
+            return r;
+        r.ok = true;
+        if (!g.dropped) {
+            r.emitted = true;
+            r.op = Operation{Gate::custom({g.qubits[0], g.qubits[1]},
+                                          std::move(fusedU), "fused2q")};
+        }
+        return r;
+      }
+    }
+    return r;
+}
+
 } // namespace
 
 FusionRecipe
@@ -109,20 +193,9 @@ planFusion(const Circuit& circuit, const FusionOptions& options)
     const auto& ops = circuit.operations();
     for (std::size_t i = 0; i < ops.size(); ++i) {
         if (const auto* ch = std::get_if<NoiseChannel>(&ops[i])) {
-            if (options.barrierChannels) {
-                // Path planners: the channel is a spine barrier for every
-                // wire, so no fusion group may span it (a pending on an
-                // untouched wire would otherwise merge gates from both
-                // sides of the channel into one path node).
-                for (std::size_t q = 0; q < n; ++q) {
-                    closeChain(q);
-                    flush(q);
-                }
-            } else {
-                for (std::size_t q : ch->qubits()) {
-                    closeChain(q);
-                    flush(q);
-                }
+            for (std::size_t q : ch->qubits()) {
+                closeChain(q);
+                flush(q);
             }
             FusionRecipe::Group g;
             g.kind = FusionRecipe::Group::Kind::Channel;
@@ -261,8 +334,8 @@ materializeFusion(const FusionRecipe& recipe, const Circuit& circuit,
     // silently wrong circuit, so callers can treat this as "re-plan
     // needed".
     Circuit out(recipe.numQubits);
-    for (std::size_t gi = 0; gi < recipe.groups.size(); ++gi) {
-        GroupResult r = materializeGroup(recipe, gi, circuit);
+    for (const FusionRecipe::Group& group : recipe.groups) {
+        GroupResult r = materializeGroup(group, circuit);
         if (!r.ok)
             return std::nullopt;
         if (!r.emitted)
@@ -278,115 +351,6 @@ materializeFusion(const FusionRecipe& recipe, const Circuit& circuit,
         stats->gatesOut = out.gateCount();
     }
     return out;
-}
-
-GroupResult
-materializeGroup(const FusionRecipe& recipe, std::size_t groupIndex,
-                 const Circuit& circuit)
-{
-    GroupResult r;
-    if (groupIndex >= recipe.groups.size())
-        return r;
-    const FusionRecipe::Group& g = recipe.groups[groupIndex];
-    switch (g.kind) {
-      case FusionRecipe::Group::Kind::Channel: {
-        if (g.sources.empty() || g.sources[0] >= circuit.size())
-            return r;
-        const auto* ch =
-            std::get_if<NoiseChannel>(&circuit.operations()[g.sources[0]]);
-        if (!ch || ch->qubits() != g.qubits)
-            return r;
-        r.ok = true;
-        r.emitted = true;
-        r.op = Operation{*ch};
-        return r;
-      }
-      case FusionRecipe::Group::Kind::Passthrough: {
-        if (g.sources.empty())
-            return r;
-        const Gate* gate = gateAt(circuit, g.sources[0], g.qubits);
-        if (!gate)
-            return r;
-        r.ok = true;
-        r.emitted = true;
-        r.op = Operation{*gate};
-        return r;
-      }
-      case FusionRecipe::Group::Kind::Fused1q: {
-        auto m = pendingProduct(circuit, g.sources, g.qubits[0]);
-        if (!m)
-            return r;
-        r.products = g.sources.size();
-        if (isIdentity(*m) != g.dropped)
-            return r; // drop set changed: re-plan
-        r.ok = true;
-        if (!g.dropped) {
-            r.emitted = true;
-            r.op = Operation{
-                Gate::custom({g.qubits[0]}, std::move(*m), "fused")};
-        }
-        return r;
-      }
-      case FusionRecipe::Group::Kind::Fused2q: {
-        if (g.gateIndices.empty() ||
-            g.pendingHigh.size() != g.gateIndices.size() ||
-            g.pendingLow.size() != g.gateIndices.size())
-            return r;
-        Matrix fusedU = Matrix::identity(4);
-        for (std::size_t s = 0; s < g.gateIndices.size(); ++s) {
-            const auto pa =
-                pendingProduct(circuit, g.pendingHigh[s], g.qubits[0]);
-            const auto pb =
-                pendingProduct(circuit, g.pendingLow[s], g.qubits[1]);
-            const Gate* gate = gateAt(circuit, g.gateIndices[s], g.qubits);
-            if (!pa || !pb || !gate)
-                return r;
-            fusedU = gate->unitary() * pa->kron(*pb) * fusedU;
-            r.products +=
-                g.pendingHigh[s].size() + g.pendingLow[s].size() + 2;
-        }
-        if (isIdentity(fusedU) != g.dropped)
-            return r;
-        r.ok = true;
-        if (!g.dropped) {
-            r.emitted = true;
-            r.op = Operation{Gate::custom({g.qubits[0], g.qubits[1]},
-                                          std::move(fusedU), "fused2q")};
-        }
-        return r;
-      }
-    }
-    return r;
-}
-
-bool
-groupIsFrozen(const FusionRecipe::Group& group, const Circuit& circuit)
-{
-    if (group.kind == FusionRecipe::Group::Kind::Channel)
-        return false;
-    const auto frozenGate = [&](std::size_t idx) {
-        if (idx >= circuit.size())
-            return false;
-        const Gate* g = std::get_if<Gate>(&circuit.operations()[idx]);
-        return g && !g->isParameterized() &&
-               g->kind() != GateKind::Custom1Q &&
-               g->kind() != GateKind::Custom2Q;
-    };
-    for (std::size_t s : group.sources)
-        if (!frozenGate(s))
-            return false;
-    for (std::size_t s : group.gateIndices)
-        if (!frozenGate(s))
-            return false;
-    for (const auto& stage : group.pendingHigh)
-        for (std::size_t s : stage)
-            if (!frozenGate(s))
-                return false;
-    for (const auto& stage : group.pendingLow)
-        for (std::size_t s : stage)
-            if (!frozenGate(s))
-                return false;
-    return true;
 }
 
 Circuit

@@ -27,18 +27,6 @@ struct FusionOptions {
      * stage. Effective only together with foldIntoTwoQubit.
      */
     bool fuseTwoQubitPairs = true;
-
-    /**
-     * Treat every noise channel as a barrier on ALL wires, not just its
-     * own: pending 1q matrices and open 2q chains anywhere in the circuit
-     * are flushed before the channel is emitted. The default (false)
-     * carries pendings on untouched wires across channels — exact, but it
-     * merges gates from both sides of the channel into one product. Path
-     * planners set this so every fusion group stays inside one channel-free
-     * segment of the simulation path (fusion never crosses a path-node
-     * boundary).
-     */
-    bool barrierChannels = false;
 };
 
 /** What the pass did — reported by benches and asserted by tests. */
@@ -111,33 +99,6 @@ FusionRecipe planFusion(const Circuit& circuit, const FusionOptions& options = {
 std::optional<Circuit> materializeFusion(const FusionRecipe& recipe,
                                          const Circuit& circuit,
                                          FusionStats* stats = nullptr);
-
-/**
- * One group's share of materializeFusion: the matrix products of group
- * `groupIndex` replayed against `circuit`. Groups are independent of each
- * other, so a path-scheduled plan can evaluate them as parallel tree tasks
- * (deterministic: each group's arithmetic is self-contained and the
- * results are appended in group order). `ok == false` means the recipe no
- * longer applies at this group (structure or identity-drop mismatch);
- * `emitted == false` with `ok` means the group is a dropped identity.
- */
-struct GroupResult {
-    bool ok = false;
-    bool emitted = false;
-    std::optional<Operation> op; ///< set iff emitted
-    std::size_t products = 0;    ///< 2x2/4x4 matrix products performed
-};
-GroupResult materializeGroup(const FusionRecipe& recipe,
-                             std::size_t groupIndex, const Circuit& circuit);
-
-/**
- * True when no source gate of the group can change across a parameter
- * rebind of the same structure: every source is non-parameterized and not
- * a Custom gate (custom matrices may differ between structurally-equal
- * circuits). Channels are never frozen. Frozen groups let a rebind keep
- * the previously materialized operator (a cached path subtree).
- */
-bool groupIsFrozen(const FusionRecipe::Group& group, const Circuit& circuit);
 
 /**
  * A fusion recipe bound to concrete gate values: plan once, replay the

@@ -1,6 +1,5 @@
 #include "densitymatrix/densitymatrix_simulator.h"
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 #include <stdexcept>
@@ -12,14 +11,6 @@
 namespace qkc {
 
 namespace {
-
-// Same names as the exec layer's counters: the registry keys metrics by
-// name, so sv and dm path work accumulates into one set of exec.path.*
-// totals.
-obs::Counter dmPathNodesCounter("exec.path.nodes");
-obs::Counter dmPathMmNodesCounter("exec.path.mmNodes");
-obs::Counter dmPathMmProductsCounter("exec.path.mmProducts");
-obs::Counter dmPathCachedCounter("exec.path.cachedSubtrees");
 
 void
 compileDmOps(DmExecutionPlan& plan)
@@ -46,33 +37,6 @@ compileDmOps(DmExecutionPlan& plan)
     }
 }
 
-/** One chunk per fusion group (see exec's groupTaskPolicy). */
-ExecPolicy
-dmGroupTaskPolicy(const ExecPolicy& policy)
-{
-    ExecPolicy p = policy;
-    p.serialThreshold = 2;
-    p.grain = 1;
-    return p;
-}
-
-bool
-dmOpIsFrozen(const Operation& op)
-{
-    const Gate* g = std::get_if<Gate>(&op);
-    return g && !g->isParameterized() && g->kind() != GateKind::Custom1Q &&
-           g->kind() != GateKind::Custom2Q;
-}
-
-void
-dmAppendOperation(Circuit& out, const Operation& op)
-{
-    if (const Gate* g = std::get_if<Gate>(&op))
-        out.append(*g);
-    else
-        out.append(std::get<NoiseChannel>(op));
-}
-
 } // namespace
 
 DmExecutionPlan
@@ -96,142 +60,12 @@ DmExecutionPlan
 planCircuitDm(const Circuit& circuit, const ExecPolicy& policy,
               const PathOptions& pathOptions)
 {
-    if (!pathOptions.active()) {
-        // Linear/Auto: the two-argument plan, annotated with its chain.
-        DmExecutionPlan plan = planCircuitDm(circuit, policy);
-        plan.pathOptions = pathOptions;
-        plan.sourceHash = structureHash(circuit);
-        plan.path = planSimulationPath(plan.circuit, pathOptions);
-        dmPathNodesCounter.add(plan.path.nodes.size());
-        return plan;
-    }
-
-    QKC_SPAN("exec.planDm");
-    DmExecutionPlan plan;
-    plan.numQubits = circuit.numQubits();
-    plan.fusionEnabled = policy.fuseGates;
-    plan.pathOptions = pathOptions;
-    plan.sourceHash = structureHash(circuit);
-
-    if (policy.fuseGates) {
-        FusionOptions fusionOptions;
-        fusionOptions.barrierChannels = true;
-        plan.recipe = planFusion(circuit, fusionOptions);
-
-        const std::size_t numGroups = plan.recipe.groups.size();
-        std::vector<GroupResult> results(numGroups);
-        {
-            QKC_SPAN("exec.mm");
-            parallelForChunks(dmGroupTaskPolicy(policy), numGroups,
-                              [&](std::size_t, std::uint64_t begin,
-                                  std::uint64_t end) {
-                                  for (std::uint64_t g = begin; g < end; ++g)
-                                      results[g] = materializeGroup(
-                                          plan.recipe,
-                                          static_cast<std::size_t>(g),
-                                          circuit);
-                              });
-        }
-
-        plan.frozenGroup.resize(numGroups, false);
-        Circuit fused(plan.numQubits);
-        for (std::size_t g = 0; g < numGroups; ++g) {
-            plan.frozenGroup[g] =
-                groupIsFrozen(plan.recipe.groups[g], circuit);
-            plan.mmProducts += results[g].products;
-            if (!results[g].emitted)
-                continue;
-            plan.frozenOp.push_back(plan.frozenGroup[g]);
-            dmAppendOperation(fused, *results[g].op);
-        }
-        plan.fusion = plan.recipe.stats;
-        plan.fusion.gatesOut = fused.gateCount();
-        plan.circuit = std::move(fused);
-    } else {
-        plan.circuit = circuit;
-        plan.frozenOp.reserve(circuit.size());
-        for (const Operation& op : circuit.operations())
-            plan.frozenOp.push_back(dmOpIsFrozen(op));
-    }
-
-    compileDmOps(plan);
-    plan.path = planSimulationPath(plan.circuit, pathOptions);
-    dmPathNodesCounter.add(plan.path.nodes.size());
-    dmPathMmNodesCounter.add(plan.path.mmNodes);
-    dmPathMmProductsCounter.add(plan.mmProducts);
-    return plan;
+    if (pathOptions.active())
+        throw std::invalid_argument(
+            "planCircuitDm: simulation paths apply to the decision-diagram "
+            "backend only");
+    return planCircuitDm(circuit, policy);
 }
-
-namespace {
-
-/** Rebind of a path-scheduled fused dm plan (see exec's rebindPathPlan). */
-bool
-rebindDmPathPlan(DmExecutionPlan& plan, const Circuit& circuit)
-{
-    if (structureHash(circuit) != plan.sourceHash)
-        return false;
-    const std::size_t numGroups = plan.recipe.groups.size();
-    if (plan.frozenGroup.size() != numGroups ||
-        plan.frozenOp.size() != plan.ops.size())
-        return false;
-
-    std::vector<GroupResult> results(numGroups);
-    {
-        QKC_SPAN("exec.mm");
-        parallelForChunks(dmGroupTaskPolicy({}), numGroups,
-                          [&](std::size_t, std::uint64_t begin,
-                              std::uint64_t end) {
-                              for (std::uint64_t g = begin; g < end; ++g)
-                                  if (!plan.frozenGroup[g])
-                                      results[g] = materializeGroup(
-                                          plan.recipe,
-                                          static_cast<std::size_t>(g),
-                                          circuit);
-                          });
-    }
-
-    Circuit fused(plan.numQubits);
-    std::size_t opIndex = 0;
-    std::size_t products = 0;
-    std::size_t cached = 0;
-    for (std::size_t g = 0; g < numGroups; ++g) {
-        const bool dropped = plan.recipe.groups[g].dropped;
-        if (plan.frozenGroup[g]) {
-            ++cached;
-            if (dropped)
-                continue;
-            if (opIndex >= plan.ops.size())
-                return false;
-            dmAppendOperation(
-                fused, plan.circuit.operations()[plan.ops[opIndex].opIndex]);
-            ++opIndex;
-            continue;
-        }
-        GroupResult& r = results[g];
-        if (!r.ok)
-            return false; // identity boundary crossed: re-plan
-        products += r.products;
-        if (!r.emitted)
-            continue;
-        if (opIndex >= plan.ops.size())
-            return false;
-        dmAppendOperation(fused, *r.op);
-        ++opIndex;
-    }
-    if (opIndex != plan.ops.size())
-        return false;
-
-    plan.circuit = std::move(fused);
-    plan.fusion = plan.recipe.stats;
-    plan.fusion.gatesOut = plan.circuit.gateCount();
-    plan.mmProducts = products;
-    plan.cachedSubtrees = cached;
-    dmPathMmProductsCounter.add(products);
-    dmPathCachedCounter.add(cached);
-    return true;
-}
-
-} // namespace
 
 bool
 tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit)
@@ -241,12 +75,7 @@ tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit)
     if (circuit.numQubits() != plan.numQubits)
         return false;
 
-    const bool pathScheduled = plan.pathScheduled();
-    plan.cachedSubtrees = 0;
-    if (pathScheduled && plan.fusionEnabled) {
-        if (!rebindDmPathPlan(plan, circuit))
-            return false;
-    } else if (plan.fusionEnabled) {
+    if (plan.fusionEnabled) {
         // materializeFusion validates indices, kinds and wires itself.
         auto fused = materializeFusion(plan.recipe, circuit, &plan.fusion);
         if (!fused || fused->size() != plan.circuit.size())
@@ -256,20 +85,9 @@ tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit)
         if (!sameStructure(plan.circuit, circuit))
             return false;
         plan.circuit = circuit;
-        if (pathScheduled) {
-            // Frozen leaves keep their kernels (matrices cannot change).
-            std::size_t cached = 0;
-            for (bool frozen : plan.frozenOp)
-                cached += frozen ? 1 : 0;
-            plan.cachedSubtrees = cached;
-            dmPathCachedCounter.add(cached);
-        }
     }
 
-    for (std::size_t i = 0; i < plan.ops.size(); ++i) {
-        DmPlannedOp& op = plan.ops[i];
-        if (pathScheduled && i < plan.frozenOp.size() && plan.frozenOp[i])
-            continue; // frozen subtree: superkernel kept as-is
+    for (DmPlannedOp& op : plan.ops) {
         const Operation& o = plan.circuit.operations()[op.opIndex];
         if (op.isChannel) {
             const auto* ch = std::get_if<NoiseChannel>(&o);

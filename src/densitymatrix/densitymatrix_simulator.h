@@ -40,31 +40,16 @@ struct DmExecutionPlan {
     FusionStats fusion;       ///< zeros when fusion was disabled
     bool fusionEnabled = false;
     FusionRecipe recipe;      ///< valid when fusionEnabled
-
-    // Simulation-path scheduling (the dm mirror of ExecutionPlan's fields).
-    PathOptions pathOptions;
-    SimulationPath path;
-    std::vector<bool> frozenGroup; ///< per recipe group; path-scheduled only
-    std::vector<bool> frozenOp;    ///< per planned op; path-scheduled only
-    std::uint64_t sourceHash = 0;  ///< structureHash of the source circuit
-    std::size_t mmProducts = 0;    ///< MxM tree products from the last plan/rebind
-    std::size_t cachedSubtrees = 0; ///< frozen subtrees reused by the last rebind
-
-    bool pathScheduled() const { return pathOptions.active(); }
 };
 
 /** Builds the superoperator plan for `circuit` under `policy`. */
 DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy);
 
 /**
- * Path-scheduling overload, the dm counterpart of exec's three-argument
- * planCircuit: an inactive planner (Auto/Linear) produces the two-argument
- * plan bit-for-bit, annotated with its linear chain; an active planner runs
- * fusion with channel barriers (superoperator products never cross a path
- * node boundary) and evaluates each group's MxM products as independent
- * tree tasks on the pool, in per-group slots read back in group order — the
- * plan is identical at every thread count. Frozen groups are skipped on
- * rebind and reported through `cachedSubtrees`.
+ * Forwarder kept for the repository benchmark (vqabench/), its only
+ * caller — the dm counterpart of exec's three-argument planCircuit:
+ * returns the two-argument plan for an inactive planner (auto/linear) and
+ * throws std::invalid_argument for pairwise/bracketN.
  */
 DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy,
                               const PathOptions& pathOptions);

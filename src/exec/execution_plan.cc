@@ -1,16 +1,12 @@
 #include "exec/execution_plan.h"
 
-#include "obs/metrics.h"
+#include <stdexcept>
+
 #include "obs/trace.h"
 
 namespace qkc {
 
 namespace {
-
-obs::Counter pathNodesCounter("exec.path.nodes");
-obs::Counter pathMmNodesCounter("exec.path.mmNodes");
-obs::Counter pathMmProductsCounter("exec.path.mmProducts");
-obs::Counter pathCachedCounter("exec.path.cachedSubtrees");
 
 std::vector<std::uint32_t>
 svBits(const std::vector<std::size_t>& qubits, std::size_t numQubits)
@@ -46,38 +42,6 @@ compilePlannedOps(ExecutionPlan& plan)
     }
 }
 
-/** One chunk per fusion group: the MxM tree tasks are tiny and independent,
- *  so they are never folded together (the default grain would serialize any
- *  realistic group count below the threshold). */
-ExecPolicy
-groupTaskPolicy(const ExecPolicy& policy)
-{
-    ExecPolicy p = policy;
-    p.serialThreshold = 2;
-    p.grain = 1;
-    return p;
-}
-
-/** A gate that cannot change across a same-structure rebind: not
- *  parameterized and not Custom (custom entries are free to differ between
- *  structurally equal circuits). */
-bool
-opIsFrozen(const Operation& op)
-{
-    const Gate* g = std::get_if<Gate>(&op);
-    return g && !g->isParameterized() && g->kind() != GateKind::Custom1Q &&
-           g->kind() != GateKind::Custom2Q;
-}
-
-void
-appendOperation(Circuit& out, const Operation& op)
-{
-    if (const Gate* g = std::get_if<Gate>(&op))
-        out.append(*g);
-    else
-        out.append(std::get<NoiseChannel>(op));
-}
-
 } // namespace
 
 ExecutionPlan
@@ -101,78 +65,11 @@ ExecutionPlan
 planCircuit(const Circuit& circuit, const ExecPolicy& policy,
             const PathOptions& pathOptions)
 {
-    if (!pathOptions.active()) {
-        // Linear/Auto: the two-argument plan, annotated with its chain.
-        ExecutionPlan plan = planCircuit(circuit, policy);
-        plan.pathOptions = pathOptions;
-        plan.sourceHash = structureHash(circuit);
-        plan.path = planSimulationPath(plan.circuit, pathOptions);
-        pathNodesCounter.add(plan.path.nodes.size());
-        return plan;
-    }
-
-    QKC_SPAN("exec.plan");
-    ExecutionPlan plan;
-    plan.numQubits = circuit.numQubits();
-    plan.fusionEnabled = policy.fuseGates;
-    plan.pathOptions = pathOptions;
-    plan.sourceHash = structureHash(circuit);
-
-    if (policy.fuseGates) {
-        FusionOptions fusionOptions;
-        fusionOptions.barrierChannels = true;
-        plan.recipe = planFusion(circuit, fusionOptions);
-
-        // The groups' matrix products are independent tree tasks: evaluate
-        // them on the pool, one group per chunk, into per-group slots. The
-        // emitted stream below reads the slots in group order, so the plan
-        // is bit-identical at every thread count.
-        const std::size_t numGroups = plan.recipe.groups.size();
-        std::vector<GroupResult> results(numGroups);
-        {
-            QKC_SPAN("exec.mm");
-            parallelForChunks(groupTaskPolicy(policy), numGroups,
-                              [&](std::size_t, std::uint64_t begin,
-                                  std::uint64_t end) {
-                                  for (std::uint64_t g = begin; g < end; ++g)
-                                      results[g] = materializeGroup(
-                                          plan.recipe,
-                                          static_cast<std::size_t>(g),
-                                          circuit);
-                              });
-        }
-
-        plan.frozenGroup.resize(numGroups, false);
-        Circuit fused(plan.numQubits);
-        for (std::size_t g = 0; g < numGroups; ++g) {
-            // materializeGroup replays the products the greedy pass just
-            // performed on the very same values, so every result is ok.
-            plan.frozenGroup[g] =
-                groupIsFrozen(plan.recipe.groups[g], circuit);
-            plan.mmProducts += results[g].products;
-            if (!results[g].emitted)
-                continue;
-            plan.frozenOp.push_back(plan.frozenGroup[g]);
-            appendOperation(fused, *results[g].op);
-        }
-        plan.fusion = plan.recipe.stats;
-        plan.fusion.gatesOut = fused.gateCount();
-        plan.circuit = std::move(fused);
-    } else {
-        // No fusion: every op is its own path leaf; frozen leaves still
-        // skip their kernel refresh on rebind.
-        plan.circuit = circuit;
-        plan.frozenOp.reserve(circuit.size());
-        for (const Operation& op : circuit.operations())
-            plan.frozenOp.push_back(opIsFrozen(op));
-    }
-
-    compilePlannedOps(plan);
-    plan.path = planSimulationPath(plan.circuit, pathOptions);
-    pathNodesCounter.add(plan.path.nodes.size());
-    pathMmNodesCounter.add(plan.path.mmNodes);
-    pathMmProductsCounter.add(plan.mmProducts);
-    return plan;
+    if (pathOptions.active())
+        throw std::invalid_argument(
+            "planCircuit: simulation paths apply to the decision-diagram "
+            "backend only");
+    return planCircuit(circuit, policy);
 }
 
 std::uint64_t
@@ -233,84 +130,6 @@ sameStructure(const Circuit& a, const Circuit& b)
     return true;
 }
 
-namespace {
-
-/**
- * Rebind of a path-scheduled fused plan: frozen groups keep their
- * previously materialized operator (a cached path subtree — no products, no
- * kernel refresh), non-frozen groups re-run their MxM tree task on the
- * pool. The frozen-skip is only sound when the new circuit's structure
- * matches the one the freeze decisions were made on, which the structure
- * hash guarantees.
- */
-bool
-rebindPathPlan(ExecutionPlan& plan, const Circuit& circuit)
-{
-    if (structureHash(circuit) != plan.sourceHash)
-        return false;
-    const std::size_t numGroups = plan.recipe.groups.size();
-    if (plan.frozenGroup.size() != numGroups ||
-        plan.frozenOp.size() != plan.ops.size())
-        return false;
-
-    std::vector<GroupResult> results(numGroups);
-    {
-        QKC_SPAN("exec.mm");
-        parallelForChunks(groupTaskPolicy({}), numGroups,
-                          [&](std::size_t, std::uint64_t begin,
-                              std::uint64_t end) {
-                              for (std::uint64_t g = begin; g < end; ++g)
-                                  if (!plan.frozenGroup[g])
-                                      results[g] = materializeGroup(
-                                          plan.recipe,
-                                          static_cast<std::size_t>(g),
-                                          circuit);
-                          });
-    }
-
-    Circuit fused(plan.numQubits);
-    std::size_t opIndex = 0;
-    std::size_t products = 0;
-    std::size_t cached = 0;
-    for (std::size_t g = 0; g < numGroups; ++g) {
-        const bool dropped = plan.recipe.groups[g].dropped;
-        if (plan.frozenGroup[g]) {
-            ++cached;
-            if (dropped)
-                continue;
-            if (opIndex >= plan.ops.size())
-                return false;
-            appendOperation(
-                fused, plan.circuit.operations()[plan.ops[opIndex].opIndex]);
-            ++opIndex;
-            continue;
-        }
-        GroupResult& r = results[g];
-        if (!r.ok)
-            return false; // identity boundary crossed: re-plan
-        products += r.products;
-        if (!r.emitted)
-            continue;
-        if (opIndex >= plan.ops.size())
-            return false;
-        appendOperation(fused, *r.op);
-        ++opIndex;
-    }
-    if (opIndex != plan.ops.size())
-        return false;
-
-    plan.circuit = std::move(fused);
-    plan.fusion = plan.recipe.stats;
-    plan.fusion.gatesOut = plan.circuit.gateCount();
-    plan.mmProducts = products;
-    plan.cachedSubtrees = cached;
-    pathMmProductsCounter.add(products);
-    pathCachedCounter.add(cached);
-    return true;
-}
-
-} // namespace
-
 bool
 tryRebindPlan(ExecutionPlan& plan, const Circuit& circuit)
 {
@@ -319,12 +138,7 @@ tryRebindPlan(ExecutionPlan& plan, const Circuit& circuit)
     if (circuit.numQubits() != plan.numQubits)
         return false;
 
-    const bool pathScheduled = plan.pathScheduled();
-    plan.cachedSubtrees = 0;
-    if (pathScheduled && plan.fusionEnabled) {
-        if (!rebindPathPlan(plan, circuit))
-            return false;
-    } else if (plan.fusionEnabled) {
+    if (plan.fusionEnabled) {
         // materializeFusion validates indices, kinds and wires itself.
         auto fused = materializeFusion(plan.recipe, circuit, &plan.fusion);
         if (!fused || fused->size() != plan.circuit.size())
@@ -334,20 +148,9 @@ tryRebindPlan(ExecutionPlan& plan, const Circuit& circuit)
         if (!sameStructure(plan.circuit, circuit))
             return false;
         plan.circuit = circuit;
-        if (pathScheduled) {
-            // Frozen leaves keep their kernels (matrices cannot change).
-            std::size_t cached = 0;
-            for (bool frozen : plan.frozenOp)
-                cached += frozen ? 1 : 0;
-            plan.cachedSubtrees = cached;
-            pathCachedCounter.add(cached);
-        }
     }
 
-    for (std::size_t i = 0; i < plan.ops.size(); ++i) {
-        PlannedOp& op = plan.ops[i];
-        if (pathScheduled && i < plan.frozenOp.size() && plan.frozenOp[i])
-            continue; // frozen subtree: kernel kept as-is
+    for (PlannedOp& op : plan.ops) {
         const Operation& o = plan.circuit.operations()[op.opIndex];
         if (op.isChannel) {
             const auto* ch = std::get_if<NoiseChannel>(&o);

@@ -39,25 +39,6 @@ struct ExecutionPlan {
     bool fusionEnabled = false;
     FusionRecipe recipe;      ///< valid when fusionEnabled
 
-    /**
-     * Path scheduling state. `pathOptions` records the planner request;
-     * when it is active (pairwise/bracket), fusion runs with channel
-     * barriers, the groups are materialized as parallel MxM tree tasks, and
-     * rebinds skip frozen groups. `path` is the contraction tree over
-     * `circuit` (the fused form), annotated on every plan — a linear chain
-     * for the default planners.
-     */
-    PathOptions pathOptions;
-    SimulationPath path;
-    std::vector<bool> frozenGroup; ///< per recipe group; path-scheduled only
-    std::vector<bool> frozenOp;    ///< per planned op; path-scheduled only
-    std::uint64_t sourceHash = 0;  ///< structureHash of the source circuit
-    std::size_t mmProducts = 0;    ///< MxM products at the last (re)build
-    std::size_t cachedSubtrees = 0; ///< frozen groups kept by the last rebind
-
-    /** True when MxM scheduling (not the linear chain) is in effect. */
-    bool pathScheduled() const { return pathOptions.active(); }
-
     const NoiseChannel& channelAt(const PlannedOp& op) const
     {
         return std::get<NoiseChannel>(circuit.operations()[op.opIndex]);
@@ -73,16 +54,11 @@ struct ExecutionPlan {
 ExecutionPlan planCircuit(const Circuit& circuit, const ExecPolicy& policy);
 
 /**
- * Path-scheduled overload: lowers `circuit` to a SimulationPath under
- * `pathOptions` and builds the plan along it. Linear/Auto planners produce
- * exactly the plan of the two-argument overload (bit-for-bit: same fusion,
- * same kernels) plus the linear path annotation. Active planners
- * (pairwise/bracketN) run fusion with channel barriers — every fusion group
- * stays inside one channel-free path segment — and evaluate the groups' MxM
- * products as independent tree tasks on the shared ThreadPool before the
- * kernels are compiled for the final MxV sweep. Task results land in
- * per-group slots appended in group order, so the planned kernel stream is
- * identical at every thread count.
+ * Forwarder kept for the repository benchmark (vqabench/), its only
+ * caller: returns the two-argument plan for an inactive planner
+ * (auto/linear) and throws std::invalid_argument for pairwise/bracketN —
+ * simulation paths are a decision-diagram feature; dense plans fuse and
+ * compile along the circuit order only.
  */
 ExecutionPlan planCircuit(const Circuit& circuit, const ExecPolicy& policy,
                           const PathOptions& pathOptions);

@@ -93,7 +93,7 @@ class SvSession final : public Session {
     SvSession(const Circuit& circuit, const BackendOptions& options)
         : Session("statevector", circuit), options_(options),
           policy_(execPolicyFrom(options)), sim_(policy_),
-          plan_(planCircuit(circuit, policy_, options.path))
+          plan_(planCircuit(circuit, policy_))
     {
         obsEnabled_ = options.obs;
     }
@@ -127,7 +127,7 @@ class SvSession final : public Session {
         probs_.reset();
         if (sameStructure && tryRebindPlan(plan_, circuit))
             return true;
-        plan_ = planCircuit(circuit, policy_, options_.path);
+        plan_ = planCircuit(circuit, policy_);
         return false;
     }
 
@@ -135,7 +135,6 @@ class SvSession final : public Session {
                                         ResultMeta& meta) override
     {
         meta.fusion = plan_.fusion;
-        stampPath(meta);
         if (circuit_.noiseCount() > 0) {
             QKC_SPAN("sv.trajectories");
             meta.trajectories += shots;
@@ -152,7 +151,6 @@ class SvSession final : public Session {
                          Rng& rng, ResultMeta& meta) override
     {
         meta.fusion = plan_.fusion;
-        stampPath(meta);
         if (circuit_.noiseCount() > 0)
             return sampledExpectation(observable, shots, rng, meta);
 
@@ -186,7 +184,6 @@ class SvSession final : public Session {
         const std::vector<std::uint64_t>& bitstrings,
         ResultMeta& meta) override
     {
-        stampPath(meta);
         if (circuit_.noiseCount() > 0)
             unsupported("Amplitudes",
                         "noisy runs are trajectory mixtures; use dm "
@@ -207,7 +204,6 @@ class SvSession final : public Session {
     std::vector<double> doProbabilities(const std::vector<std::size_t>& qubits,
                                         ResultMeta& meta) override
     {
-        stampPath(meta);
         if (circuit_.noiseCount() > 0)
             unsupported("Probabilities",
                         "the noisy state-vector path is trajectory-sampled; "
@@ -240,16 +236,6 @@ class SvSession final : public Session {
         state_ = sim_.simulatePlanned(plan_);
     }
 
-    /** meta.path from the plan's tree and its last plan/rebind tallies. */
-    void stampPath(ResultMeta& meta) const
-    {
-        meta.path.planner = pathPlannerName(plan_.path.planner);
-        meta.path.nodes = plan_.path.nodes.size();
-        meta.path.mmNodes = plan_.path.mmNodes;
-        meta.path.mmProducts = plan_.mmProducts;
-        meta.path.cachedSubtrees = plan_.cachedSubtrees;
-    }
-
     /** Lazy |amp|^2 vector: only tasks that consume it pay the sweep. */
     void ensureProbs()
     {
@@ -277,7 +263,7 @@ class DmSession final : public Session {
     DmSession(const Circuit& circuit, const BackendOptions& options)
         : Session("densitymatrix", circuit), options_(options),
           policy_(execPolicyFrom(options)), sim_(policy_),
-          plan_(planCircuitDm(circuit, policy_, options.path))
+          plan_(planCircuitDm(circuit, policy_))
     {
         obsEnabled_ = options.obs;
     }
@@ -300,7 +286,7 @@ class DmSession final : public Session {
         // certifies; the old session re-ran both inside every ensureRho).
         if (sameStructure && tryRebindDmPlan(plan_, circuit))
             return true;
-        plan_ = planCircuitDm(circuit, policy_, options_.path);
+        plan_ = planCircuitDm(circuit, policy_);
         return false;
     }
 
@@ -310,7 +296,6 @@ class DmSession final : public Session {
         ensureRho();
         meta.exact = true;
         meta.fusion = plan_.fusion;
-        stampPath(meta);
         QKC_SPAN("dm.sample");
         return StateVectorSimulator::sampleFromDistribution(*probs_, shots,
                                                             rng);
@@ -327,7 +312,6 @@ class DmSession final : public Session {
         ensureRho();
         meta.exact = true;
         meta.fusion = plan_.fusion;
-        stampPath(meta);
         QKC_SPAN("dm.trace");
         double total = 0.0;
         for (const auto& [coeff, pauli] : observable.terms) {
@@ -346,7 +330,6 @@ class DmSession final : public Session {
         ensureRho();
         meta.exact = true;
         meta.fusion = plan_.fusion;
-        stampPath(meta);
         QKC_SPAN("dm.marginal");
         return marginalizeDistribution(*probs_, circuit_.numQubits(), qubits);
     }
@@ -364,16 +347,6 @@ class DmSession final : public Session {
         QKC_SPAN("dm.simulate");
         rho_ = sim_.simulatePlanned(plan_);
         probs_ = rho_->diagonalProbabilities();
-    }
-
-    /** meta.path from the dm plan's tree and its last plan/rebind tallies. */
-    void stampPath(ResultMeta& meta) const
-    {
-        meta.path.planner = pathPlannerName(plan_.path.planner);
-        meta.path.nodes = plan_.path.nodes.size();
-        meta.path.mmNodes = plan_.path.mmNodes;
-        meta.path.mmProducts = plan_.mmProducts;
-        meta.path.cachedSubtrees = plan_.cachedSubtrees;
     }
 
     double traceRhoPauli(const PauliString& pauli) const

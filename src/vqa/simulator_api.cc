@@ -392,7 +392,7 @@ backendRegistry()
     static const std::vector<BackendInfo> registry = {
         {"statevector",
          {"sv"},
-         {"threads", "fuse", "simd", "path", "obs"},
+         {"threads", "fuse", "simd", "obs"},
          "dense 2^n state vector (qsim-style); Kraus trajectories when "
          "noise is present",
          "sample; expectation (exact when ideal, sampled under noise); "
@@ -401,7 +401,7 @@ backendRegistry()
          "ExecutionPlan and rebinds it per binding"},
         {"densitymatrix",
          {"dm"},
-         {"threads", "fuse", "simd", "path", "obs"},
+         {"threads", "fuse", "simd", "obs"},
          "dense 4^n density matrix (Cirq-style); every channel exact",
          "sample; expectation (exact, ideal and noisy); probabilities "
          "(exact, ideal and noisy)",
@@ -545,20 +545,13 @@ parseBackendSpec(const std::string& spec)
             std::find(info->optionKeys.begin(), info->optionKeys.end(),
                       key) != info->optionKeys.end();
         if (!accepted) {
-            // The backends that lack the path option lack it for structural
-            // reasons worth spelling out, not because of a registry gap.
-            if (key == "path" && info->name == "tensornetwork")
+            // Only dd executes along a simulation path; say so instead of
+            // listing the backend's keys.
+            if (key == "path")
                 throw std::invalid_argument(
-                    "makeBackend: backend tensornetwork derives its own "
-                    "contraction order from the network; the path option "
-                    "applies to statevector, densitymatrix and "
-                    "decisiondiagram");
-            if (key == "path" && info->name == "knowledgecompilation")
-                throw std::invalid_argument(
-                    "makeBackend: backend knowledgecompilation compiles the "
-                    "circuit to an arithmetic circuit and has no simulation "
-                    "path; the path option applies to statevector, "
-                    "densitymatrix and decisiondiagram");
+                    "makeBackend: backend " + info->name +
+                    " has no simulation path; the path option applies to "
+                    "decisiondiagram only");
             std::string known;
             for (const std::string& k : info->optionKeys)
                 known += (known.empty() ? "" : ", ") + k;

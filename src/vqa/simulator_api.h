@@ -72,14 +72,12 @@ struct BackendOptions {
     std::size_t gcThreshold = 1u << 16;
 
     /**
-     * Simulation-path planner (sv/dm/dd): how the circuit is lowered to a
+     * Simulation-path planner (dd): how the circuit is lowered to a
      * contraction tree before execution. "auto" (the default) resolves to
-     * linear — today's one-MxV-per-operation behavior. "pairwise" and
-     * "bracketN" group channel-free gate runs into MxM subtrees: the dense
-     * backends materialize them as parallel fusion tree tasks at plan
-     * time, the dd backend fuses each subtree into one matrix DD via
-     * multiplyMM. tn derives its own contraction order and kc has no
-     * simulation path; both reject the option at parse time.
+     * linear — one MxV per operation. "pairwise" and "bracketN" group
+     * channel-free gate runs into MxM subtrees, each fused into one matrix
+     * DD via multiplyMM. Every other backend rejects the option at parse
+     * time: the dense backends' products are placed by gate fusion alone.
      */
     PathOptions path{};
 
@@ -238,12 +236,12 @@ struct BatchStats {
 };
 
 /**
- * Simulation-path execution stats for one task (sv/dm/dd sessions; default
- * values elsewhere). `planner` is the resolved planner name ("linear" when
- * the option was auto/linear); nodes/mmNodes describe the planned tree;
- * mmProducts counts operator-operator products the last plan or rebind
- * evaluated; cachedSubtrees counts frozen subtrees served from cache by the
- * last rebind instead of being re-materialized.
+ * Simulation-path execution stats for one task (dd sessions; default
+ * values elsewhere, which is also what a linear dd run reports). `planner`
+ * is the resolved planner name ("linear" when the option was auto/linear);
+ * nodes/mmNodes describe the planned tree; mmProducts counts
+ * operator-operator products the last run evaluated; cachedSubtrees counts
+ * frozen subtrees served from cache instead of being re-multiplied.
  */
 struct PathMeta {
     std::string planner = "linear";
@@ -286,7 +284,7 @@ struct ResultMeta {
     /** Diagram memory-lifecycle stats (dd sessions; else zeros). */
     DdMemoryStats ddMemory{};
 
-    /** Simulation-path stats (sv/dm/dd sessions; else defaults). */
+    /** Simulation-path stats (dd sessions; else defaults). */
     PathMeta path{};
 
     /** Batch aggregates when the result came from runBatch (else zeros). */

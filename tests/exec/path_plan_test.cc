@@ -1,16 +1,17 @@
 /**
- * Path-scheduled execution plans (ISSUE 10): the linear planner is a pure
- * annotation over the classic plan, active planners materialize fusion
- * groups as MxM tree tasks with a thread-count-invariant kernel stream,
- * and rebinds keep frozen subtrees while refusing structure changes.
+ * The dense plans' path-option forwarders: an inactive planner (auto or
+ * linear) yields exactly the two-argument plan, an active one is refused —
+ * simulation paths are a decision-diagram feature. Also pins the plain
+ * plan's thread-count invariance and its structure-change refusal.
  */
 #include "exec/execution_plan.h"
 
 #include <gtest/gtest.h>
 
-#include "circuit/fusion.h"
+#include <stdexcept>
+
 #include "circuit/simulation_path.h"
-#include "statevector/statevector_simulator.h"
+#include "densitymatrix/densitymatrix_simulator.h"
 
 namespace qkc {
 namespace {
@@ -55,66 +56,29 @@ expectSameKernelStream(const ExecutionPlan& a, const ExecutionPlan& b)
     }
 }
 
-void
-expectSameState(const StateVector& a, const StateVector& b)
-{
-    ASSERT_EQ(a.dimension(), b.dimension());
-    for (std::uint64_t i = 0; i < a.dimension(); ++i)
-        EXPECT_EQ(a.amplitude(i), b.amplitude(i)) << "basis " << i;
-}
-
 TEST(PathPlanTest, LinearOverloadEqualsClassicPlan)
 {
     const Circuit c = frozenPrefixCircuit(0.3);
     ExecPolicy policy;
     const ExecutionPlan classic = planCircuit(c, policy);
     const ExecutionPlan linear = planCircuit(c, policy, pathOf("linear"));
-
-    EXPECT_FALSE(linear.pathScheduled());
-    EXPECT_EQ(linear.path.planner, PathPlanner::Linear);
-    EXPECT_EQ(linear.path.mmNodes, 0u);
-    EXPECT_FALSE(linear.path.empty());
-    EXPECT_EQ(linear.sourceHash, structureHash(c));
     expectSameKernelStream(classic, linear);
     ASSERT_EQ(classic.ops.size(), linear.ops.size());
+
+    EXPECT_THROW(planCircuit(c, policy, pathOf("pairwise")),
+                 std::invalid_argument);
+    EXPECT_THROW(planCircuitDm(c, policy, pathOf("pairwise")),
+                 std::invalid_argument);
 }
 
 TEST(PathPlanTest, AutoResolvesToLinear)
 {
     const Circuit c = frozenPrefixCircuit(0.3);
     ExecPolicy policy;
-    const ExecutionPlan plan = planCircuit(c, policy, PathOptions{});
-    EXPECT_FALSE(plan.pathScheduled());
-    EXPECT_EQ(plan.path.planner, PathPlanner::Linear);
-}
-
-TEST(PathPlanTest, PairwisePlanShape)
-{
-    const Circuit c = frozenPrefixCircuit(0.3);
-    ExecPolicy policy;
-    const ExecutionPlan plan = planCircuit(c, policy, pathOf("pairwise"));
-
-    EXPECT_TRUE(plan.pathScheduled());
-    EXPECT_EQ(plan.path.planner, PathPlanner::Pairwise);
-    EXPECT_GT(plan.mmProducts, 0u);
-    EXPECT_EQ(plan.frozenGroup.size(), plan.recipe.groups.size());
-    EXPECT_EQ(plan.frozenOp.size(), plan.ops.size());
-
-    // The planned circuit is exactly the channel-barrier fusion output.
-    FusionOptions fo;
-    fo.barrierChannels = true;
-    const Circuit fused = fuseGates(c, fo);
-    ASSERT_EQ(plan.circuit.size(), fused.size());
-
-    // The prefix groups are frozen; the Rz groups are not.
-    bool anyFrozen = false;
-    bool anyHot = false;
-    for (std::size_t g = 0; g < plan.frozenGroup.size(); ++g) {
-        anyFrozen = anyFrozen || plan.frozenGroup[g];
-        anyHot = anyHot || !plan.frozenGroup[g];
-    }
-    EXPECT_TRUE(anyFrozen);
-    EXPECT_TRUE(anyHot);
+    expectSameKernelStream(planCircuit(c, policy),
+                           planCircuit(c, policy, PathOptions{}));
+    EXPECT_EQ(planCircuitDm(c, policy).ops.size(),
+              planCircuitDm(c, policy, PathOptions{}).ops.size());
 }
 
 TEST(PathPlanTest, KernelStreamIsThreadCountInvariant)
@@ -124,52 +88,14 @@ TEST(PathPlanTest, KernelStreamIsThreadCountInvariant)
     one.threads = 1;
     ExecPolicy four;
     four.threads = 4;
-    const ExecutionPlan a = planCircuit(c, one, pathOf("pairwise"));
-    const ExecutionPlan b = planCircuit(c, four, pathOf("pairwise"));
-    expectSameKernelStream(a, b);
-}
-
-TEST(PathPlanTest, PairwiseExecutionBitIdenticalToLinear)
-{
-    const Circuit c = frozenPrefixCircuit(0.5);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        ExecPolicy policy;
-        policy.threads = threads;
-        StateVectorSimulator sim(policy);
-        const StateVector linear =
-            sim.simulatePlanned(planCircuit(c, policy, pathOf("linear")));
-        const StateVector pairwise =
-            sim.simulatePlanned(planCircuit(c, policy, pathOf("pairwise")));
-        const StateVector bracket =
-            sim.simulatePlanned(planCircuit(c, policy, pathOf("bracket4")));
-        expectSameState(linear, pairwise);
-        expectSameState(linear, bracket);
-    }
-}
-
-TEST(PathPlanTest, RebindKeepsFrozenSubtrees)
-{
-    ExecPolicy policy;
-    ExecutionPlan plan =
-        planCircuit(frozenPrefixCircuit(0.3), policy, pathOf("pairwise"));
-
-    const Circuit rebound = frozenPrefixCircuit(0.9);
-    ASSERT_TRUE(tryRebindPlan(plan, rebound));
-    EXPECT_GT(plan.cachedSubtrees, 0u);
-
-    // The rebound plan executes exactly like a fresh plan of the new values.
-    StateVectorSimulator sim(policy);
-    const StateVector viaRebind = sim.simulatePlanned(plan);
-    const StateVector viaFresh =
-        sim.simulatePlanned(planCircuit(rebound, policy, pathOf("pairwise")));
-    expectSameState(viaRebind, viaFresh);
+    expectSameKernelStream(planCircuit(c, one), planCircuit(c, four));
 }
 
 TEST(PathPlanTest, RebindRefusesStructureChange)
 {
     ExecPolicy policy;
-    ExecutionPlan plan =
-        planCircuit(frozenPrefixCircuit(0.3), policy, pathOf("pairwise"));
+    ExecutionPlan plan = planCircuit(frozenPrefixCircuit(0.3), policy);
+    ASSERT_TRUE(tryRebindPlan(plan, frozenPrefixCircuit(0.9)));
 
     Circuit other(3);
     other.h(0).h(1).h(2).cnot(0, 1).cnot(1, 2);

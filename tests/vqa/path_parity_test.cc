@@ -1,9 +1,9 @@
 /**
- * Cross-path parity (ISSUE 10): pairwise/bracket planners must not change
- * any dense payload bit (sv/dm), must agree with the dd gate-by-gate build
- * to 1e-9 total variation while measurably reducing apply-table lookups,
- * and the path option must flow through the registry, the sessions'
- * meta.path stamps and the batched rebind cache.
+ * Cross-path parity on dd: pairwise/bracket planners must agree with the
+ * gate-by-gate build to 1e-9 total variation while measurably reducing
+ * apply-table lookups. The path option flows through the registry (dd
+ * only; every other backend rejects it), the sessions' meta.path stamps
+ * and the batched rebind cache.
  */
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "circuit/noise.h"
 #include "util/rng.h"
 #include "vqa/backends.h"
 
@@ -73,56 +72,6 @@ totalVariation(const std::vector<double>& p, const std::vector<double>& q)
     return tv / 2.0;
 }
 
-TEST(PathParityTest, SvPlannersAreBitIdentical)
-{
-    const Circuit c = qaoaLike(5, 0.7, 0.4);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        const std::string base =
-            "statevector:threads=" + std::to_string(threads) + ",path=";
-        const Result linear = runTask(base + "linear", c, Sample{256}, 11);
-        const Result pairwise = runTask(base + "pairwise", c, Sample{256}, 11);
-        const Result bracket = runTask(base + "bracket4", c, Sample{256}, 11);
-        EXPECT_EQ(linear.samples, pairwise.samples) << threads << " threads";
-        EXPECT_EQ(linear.samples, bracket.samples) << threads << " threads";
-
-        const Result lp = runTask(base + "linear", c, Probabilities{}, 12);
-        const Result pp = runTask(base + "pairwise", c, Probabilities{}, 12);
-        ASSERT_EQ(lp.probabilities.size(), pp.probabilities.size());
-        for (std::size_t i = 0; i < lp.probabilities.size(); ++i)
-            EXPECT_EQ(lp.probabilities[i], pp.probabilities[i])
-                << "basis " << i << ", " << threads << " threads";
-    }
-}
-
-TEST(PathParityTest, DmPlannersAreBitIdentical)
-{
-    const Circuit c = qaoaLike(4, 0.5, 0.3);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        const std::string base =
-            "densitymatrix:threads=" + std::to_string(threads) + ",path=";
-        const Result linear = runTask(base + "linear", c, Sample{128}, 21);
-        const Result pairwise = runTask(base + "pairwise", c, Sample{128}, 21);
-        const Result bracket = runTask(base + "bracket4", c, Sample{128}, 21);
-        EXPECT_EQ(linear.samples, pairwise.samples) << threads << " threads";
-        EXPECT_EQ(linear.samples, bracket.samples) << threads << " threads";
-    }
-}
-
-TEST(PathParityTest, DmNoisyPairwiseMatchesLinearDistribution)
-{
-    // With channels in play the planners fuse different segments (barriers
-    // vs carry-across), so the kernel streams differ and parity is
-    // arithmetic, not bitwise.
-    Circuit c = qaoaLike(3, 0.6, 0.2).withNoiseAfterEachGate(
-        NoiseKind::Depolarizing, 0.01);
-    const Result linear =
-        runTask("densitymatrix:path=linear", c, Probabilities{}, 31);
-    const Result pairwise =
-        runTask("densitymatrix:path=pairwise", c, Probabilities{}, 31);
-    EXPECT_LE(totalVariation(linear.probabilities, pairwise.probabilities),
-              1e-9);
-}
-
 TEST(PathParityTest, DdPairwiseMatchesLinearDistribution)
 {
     const Circuit c = qaoaLike(5, 0.7, 0.4);
@@ -142,24 +91,19 @@ TEST(PathParityTest, MetaPathStamps)
 {
     const Circuit c = qaoaLike(4, 0.3, 0.6);
 
-    const Result sv = runTask("statevector:path=pairwise", c, Sample{32}, 51);
-    EXPECT_EQ(sv.meta.path.planner, "pairwise");
-    EXPECT_GT(sv.meta.path.nodes, 0u);
-    EXPECT_GT(sv.meta.path.mmNodes, 0u);
-    EXPECT_GT(sv.meta.path.mmProducts, 0u);
-
-    const Result svLinear = runTask("statevector", c, Sample{32}, 51);
-    EXPECT_EQ(svLinear.meta.path.planner, "linear");
-    EXPECT_EQ(svLinear.meta.path.mmNodes, 0u);
-
-    const Result dm =
-        runTask("densitymatrix:path=bracket4", c, Sample{32}, 52);
-    EXPECT_EQ(dm.meta.path.planner, "bracket");
-    EXPECT_GT(dm.meta.path.mmNodes, 0u);
+    // Dense results carry the default stamp, the same as a linear dd run.
+    const Result sv = runTask("statevector", c, Sample{32}, 51);
+    EXPECT_EQ(sv.meta.path.planner, "linear");
+    EXPECT_EQ(sv.meta.path.nodes, 0u);
 
     const Result dd = runTask("decisiondiagram", c, Sample{32}, 53);
     EXPECT_EQ(dd.meta.path.planner, "linear");
     EXPECT_EQ(dd.meta.path.mmNodes, 0u);
+
+    const Result ddBracket =
+        runTask("decisiondiagram:path=bracket4", c, Sample{32}, 54);
+    EXPECT_EQ(ddBracket.meta.path.planner, "bracket");
+    EXPECT_GT(ddBracket.meta.path.mmNodes, 0u);
 }
 
 TEST(PathParityTest, DdBatchReusesPlanAndFrozenSubtrees)
@@ -219,21 +163,18 @@ TEST(PathParityTest, DdDepth64PairwiseReducesApplyLookups)
 
 TEST(PathParityTest, TnAndKcRejectThePathOption)
 {
-    try {
-        parseBackendSpec("tensornetwork:path=pairwise");
-        FAIL() << "tensornetwork accepted path=";
-    } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find("contraction order"),
-                  std::string::npos)
-            << e.what();
-    }
-    try {
-        parseBackendSpec("knowledgecompilation:path=linear");
-        FAIL() << "knowledgecompilation accepted path=";
-    } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find("no simulation path"),
-                  std::string::npos)
-            << e.what();
+    for (const char* spec :
+         {"tensornetwork:path=pairwise", "knowledgecompilation:path=linear",
+          "statevector:path=pairwise", "densitymatrix:path=bracket4"}) {
+        try {
+            parseBackendSpec(spec);
+            FAIL() << spec << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "applies to decisiondiagram only"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
@@ -243,13 +184,14 @@ TEST(PathParityTest, RegistryAdvertisesPathWhereSupported)
         const bool hasPath =
             std::find(info.optionKeys.begin(), info.optionKeys.end(),
                       "path") != info.optionKeys.end();
-        const bool shouldHave = info.name == "statevector" ||
-                                info.name == "densitymatrix" ||
-                                info.name == "decisiondiagram";
-        EXPECT_EQ(hasPath, shouldHave) << info.name;
+        EXPECT_EQ(hasPath, info.name == "decisiondiagram") << info.name;
     }
-    EXPECT_NO_THROW(parseBackendSpec("statevector:path=bracket8"));
-    EXPECT_THROW(parseBackendSpec("statevector:path=bogus"),
+    EXPECT_NO_THROW(parseBackendSpec("decisiondiagram:path=bracket8"));
+    EXPECT_THROW(parseBackendSpec("decisiondiagram:path=bogus"),
+                 std::invalid_argument);
+    EXPECT_THROW(parseBackendSpec("statevector:path=linear"),
+                 std::invalid_argument);
+    EXPECT_THROW(parseBackendSpec("densitymatrix:path=pairwise"),
                  std::invalid_argument);
 }
 
