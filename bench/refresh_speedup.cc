@@ -90,7 +90,7 @@ sessionRebindRow(const char* spec, std::size_t qubits, std::size_t iterations)
 void
 ddRebindRow(std::size_t qubits, std::size_t iterations)
 {
-    auto backend = makeBackend("dd:gc=1");
+    auto backend = makeBackend("dd");
     Circuit base(qubits);
     base.h(0);
     for (std::size_t q = 1; q < qubits; ++q)

@@ -702,12 +702,11 @@ dropRoot(std::vector<EdgeT>& roots, const NodeT* node, const char* what)
 } // namespace
 
 void
-DdPackage::setGc(bool enabled, std::size_t threshold)
+DdPackage::setGcThreshold(std::size_t threshold)
 {
     if (threshold == 0)
-        throw std::invalid_argument("DdPackage::setGc: threshold must be "
-                                    ">= 1 node");
-    gcEnabled_ = enabled;
+        throw std::invalid_argument("DdPackage::setGcThreshold: threshold "
+                                    "must be >= 1 node");
     gcThreshold_ = threshold;
 }
 
@@ -908,8 +907,7 @@ DdPackage::garbageCollect()
 bool
 DdPackage::maybeGarbageCollect()
 {
-    if (!gcEnabled_ ||
-        stats_.liveVNodes + stats_.liveMNodes < gcThreshold_)
+    if (stats_.liveVNodes + stats_.liveMNodes < gcThreshold_)
         return false;
     garbageCollect();
     // Anti-thrash: when the table was mostly live, the working set has

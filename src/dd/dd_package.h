@@ -75,10 +75,9 @@ class DdPackage {
 
     // -- Memory lifecycle ----------------------------------------------------
 
-    /** Enables/disables the threshold trigger and sets its node count. */
-    void setGc(bool enabled, std::size_t threshold = kDefaultGcThreshold);
+    /** Sets the threshold trigger's node count (>= 1). */
+    void setGcThreshold(std::size_t threshold);
 
-    bool gcEnabled() const { return gcEnabled_; }
     std::size_t gcThreshold() const { return gcThreshold_; }
 
     /**
@@ -322,7 +321,6 @@ class DdPackage {
     void notePeak();
 
     std::size_t numQubits_;
-    bool gcEnabled_ = true;
     std::size_t gcThreshold_ = kDefaultGcThreshold;
     std::uint32_t gcGeneration_ = 0; ///< stamp compared against node marks
     ComplexTable weights_;

@@ -32,12 +32,6 @@ namespace qkc {
  * renormalizes, which is exact in distribution for mixtures and general
  * channels alike.
  */
-/** Package memory-lifecycle knobs (the dd backend's gc/gcthreshold). */
-struct DdGcOptions {
-    bool enabled = true;
-    std::size_t threshold = DdPackage::kDefaultGcThreshold;
-};
-
 /** What one simulatePath() run did — reported up into ResultMeta. */
 struct DdPathStats {
     std::size_t mmProducts = 0;     ///< multiplyMM tree nodes evaluated
@@ -47,7 +41,11 @@ struct DdPathStats {
 class DdSimulator {
   public:
     DdSimulator() = default;
-    explicit DdSimulator(const DdGcOptions& gc) : gc_(gc) {}
+
+    /** Packages this simulator creates collect at `gcThreshold` live nodes. */
+    explicit DdSimulator(std::size_t gcThreshold) : gcThreshold_(gcThreshold)
+    {
+    }
 
     /** Runs the ideal part of `circuit`; throws if it contains noise. */
     VEdge simulate(const Circuit& circuit);
@@ -98,10 +96,9 @@ class DdSimulator {
     /**
      * The package owning every node of the last simulate/sample call. The
      * package persists across calls with the same qubit count (a different
-     * count re-creates it); when garbage collection is enabled, edges a
-     * caller holds across package operations must be protected or
-     * incRef'd to survive the sweeps sampleNoisy triggers between
-     * trajectories.
+     * count re-creates it); edges a caller holds across package
+     * operations must be protected or incRef'd to survive the sweeps
+     * sampleNoisy triggers between trajectories.
      */
     DdPackage& package();
 
@@ -115,8 +112,6 @@ class DdSimulator {
      * The matrix DD for one gate. Parameter-free gates (H, CNOT, ...) are
      * built once per package and kept as protected roots — a rebind into a
      * persistent package re-lowers only the gates whose angles changed.
-     * With GC off every call lowers afresh (nodes are pinned anyway, and
-     * the unique table dedups repeats within one package lifetime).
      */
     MEdge gateDd(const Gate& gate);
 
@@ -129,7 +124,7 @@ class DdSimulator {
     VEdge applyKrausSampled(const std::vector<MEdge>& krausDds, VEdge state,
                             Rng& rng);
 
-    DdGcOptions gc_;
+    std::size_t gcThreshold_ = DdPackage::kDefaultGcThreshold;
     std::unique_ptr<DdPackage> pkg_;
     /** Protected DDs of parameter-free gates, keyed by (kind, qubits). */
     std::map<std::pair<int, std::vector<std::size_t>>, MEdge> fixedGateDds_;

@@ -24,7 +24,7 @@ namespace qkc {
  * form (ar*br - ai*bi, ar*bi + ai*br) with explicit mul/add — no FMA
  * contraction — and matrix-row accumulation is left-to-right starting from
  * the first product (no zero seed). Results are therefore bit-identical
- * across Scalar / Avx2 / Avx512, which is what lets `simd=off` serve as
+ * across Scalar / Avx2 / Avx512, which is what lets `SimdMode::Off` serve as
  * the reference in the parity suite.
  *
  * Pointers may alias only as documented: the streams of one call are
@@ -56,7 +56,7 @@ struct KernelRunOps {
                  std::uint64_t n, const Complex* m);
 };
 
-/** The scalar table — always available, and the `simd=off` reference. */
+/** The scalar table — always available, and the `SimdMode::Off` reference. */
 const KernelRunOps& scalarRunOps();
 
 /** Per-level tables; null when the build lacks the instruction set. */

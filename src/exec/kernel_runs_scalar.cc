@@ -1,6 +1,6 @@
 /**
  * Scalar reference implementation of the contiguous-run kernel primitives.
- * This is both the portable fallback and the `simd=off` half of the
+ * This is both the portable fallback and the `SimdMode::Off` half of the
  * bit-parity contract: the vector levels reproduce exactly these
  * elementwise operations (same products, same addition order), so their
  * results are bit-identical to this file's.

@@ -44,8 +44,9 @@ SimdLevel maxSupportedSimdLevel();
 /**
  * The process-wide dispatch level: maxSupportedSimdLevel() unless the
  * QKC_SIMD environment variable (read once, like QKC_THREADS) or
- * setSimdLevel() lowered it. `simd=...` backend-spec options override this
- * per session via ExecPolicy without touching the process default.
+ * setSimdLevel() lowered it. QKC_SIMD is the only user-facing switch;
+ * ExecPolicy::simd lowers the level per call (the parity suites and the
+ * kernel micro-benchmarks) without touching the process default.
  */
 SimdLevel activeSimdLevel();
 
@@ -53,8 +54,8 @@ SimdLevel activeSimdLevel();
 void setSimdLevel(SimdLevel level);
 
 /**
- * Parses "auto" / "off" / "avx2" / "avx512" (also "0" = off, "1" = auto,
- * mirroring the obs knob's 0/1 form). Returns false on anything else.
+ * Parses "auto" / "off" / "avx2" / "avx512" (also "0" = off, "1" = auto).
+ * Returns false on anything else.
  */
 bool parseSimdMode(const std::string& text, SimdMode* out);
 

@@ -144,9 +144,10 @@ struct ExecPolicy {
 
     /**
      * Vector dispatch level for the kernel sweeps. Auto defers to the
-     * process default (QKC_SIMD clamped by CPUID); an explicit level (e.g.
-     * `sv:simd=off` specs) lowers — never raises — that default. Payloads
-     * are bit-identical at every level, so this is purely a speed knob.
+     * process default (QKC_SIMD clamped by CPUID); an explicit level (set
+     * directly by the SIMD parity suites and kernel micro-benchmarks)
+     * lowers — never raises — that default. Payloads are bit-identical at
+     * every level, so this is purely a speed knob.
      */
     SimdMode simd = SimdMode::Auto;
 

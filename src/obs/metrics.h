@@ -10,11 +10,11 @@
 namespace qkc::obs {
 
 /**
- * Process-wide observability master switch. Defaults to on (the per-event
- * cost of a disabled *session* is one branch; the global switch exists so a
- * bench can rule even that out). Initialized from the QKC_OBS environment
- * variable when set ("0" disables); setEnabled is for single-threaded
- * configuration code (CLI parsing, test setup) only.
+ * Process-wide observability switch — the only one. Defaults to on; off,
+ * a span site costs one branch, counters stop and ResultMeta.profile stays
+ * empty. Initialized from the QKC_OBS environment variable when set ("0"
+ * disables); setEnabled is for single-threaded configuration code (CLI
+ * parsing, test setup) only.
  */
 bool enabled();
 void setEnabled(bool on);

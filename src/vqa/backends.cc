@@ -27,7 +27,6 @@ execPolicyFrom(const BackendOptions& options)
     ExecPolicy policy;
     policy.threads = options.threads;
     policy.fuseGates = options.fuse;
-    policy.simd = options.simd;
     return policy;
 }
 
@@ -95,7 +94,6 @@ class SvSession final : public Session {
           policy_(execPolicyFrom(options)), sim_(policy_),
           plan_(planCircuit(circuit, policy_))
     {
-        obsEnabled_ = options.obs;
     }
 
   protected:
@@ -225,7 +223,6 @@ class SvSession final : public Session {
         : Session("statevector", parent.circuit_), options_(parent.options_),
           policy_(parent.policy_), sim_(parent.policy_), plan_(parent.plan_)
     {
-        obsEnabled_ = parent.obsEnabled_;
     }
 
     void ensureState()
@@ -265,7 +262,6 @@ class DmSession final : public Session {
           policy_(execPolicyFrom(options)), sim_(policy_),
           plan_(planCircuitDm(circuit, policy_))
     {
-        obsEnabled_ = options.obs;
     }
 
   protected:
@@ -378,7 +374,6 @@ class TnSession final : public Session {
         : Session("tensornetwork", circuit), options_(options),
           sampler_(circuit)
     {
-        obsEnabled_ = options.obs;
     }
 
   protected:
@@ -498,19 +493,12 @@ class TnSession final : public Session {
 // Decision diagram
 // ---------------------------------------------------------------------------
 
-DdGcOptions
-ddGcOptions(const BackendOptions& options)
-{
-    return DdGcOptions{options.gc, options.gcThreshold};
-}
-
 class DdSession final : public Session {
   public:
     DdSession(const Circuit& circuit, const BackendOptions& options)
         : Session("decisiondiagram", circuit), options_(options),
-          sim_(ddGcOptions(options))
+          sim_(options.gcThreshold)
     {
-        obsEnabled_ = options.obs;
         if (options_.path.active())
             path_ = planSimulationPath(circuit, options_.path);
     }
@@ -534,13 +522,7 @@ class DdSession final : public Session {
         // the point of a persistent lane — but drop the last binding's
         // state and collect it now: an idle lane pins only its live
         // diagram structure between batches, not a dead state per thread.
-        if (!options_.gc) {
-            dropCaches();
-            return;
-        }
-        releaseState();
-        if (sim_.hasPackage())
-            sim_.package().garbageCollect();
+        collectState();
     }
 
     std::size_t batchThreads() const override { return trajectoryLanes(); }
@@ -552,25 +534,15 @@ class DdSession final : public Session {
         // the frozen-subtree cache the old tree left protected.
         if (options_.path.active() && !sameStructure)
             path_ = planSimulationPath(circuit, options_.path);
-        if (!options_.gc) {
-            // Legacy lifecycle (gc=0): the arena pins every node for the
-            // package lifetime, so carrying one package across a
-            // variational sweep would grow node memory linearly in binds —
-            // rebuild the world instead.
-            dropCaches();
-            return false;
-        }
-        // GC on: the package survives the bind — arena capacity, table
-        // buckets, free lists and cached Pauli-term DDs all stay warm.
-        // The old state is unrooted and collected NOW, not lazily: weight
-        // interning snaps to existing entries within tolerance, so results
-        // must not depend on which bindings this package saw before
-        // (runBatch promises lane payloads bit-identical to a sequential
-        // loop). A full sweep leaves only protected roots, giving every
-        // binding the same deterministic starting table.
-        releaseState();
-        if (sim_.hasPackage())
-            sim_.package().garbageCollect();
+        // The package survives the bind — arena capacity, table buckets,
+        // free lists and cached Pauli-term DDs all stay warm. The old state
+        // is unrooted and collected NOW, not lazily: weight interning snaps
+        // to existing entries within tolerance, so results must not depend
+        // on which bindings this package saw before (runBatch promises lane
+        // payloads bit-identical to a sequential loop). A full sweep leaves
+        // only protected roots, giving every binding the same deterministic
+        // starting table.
+        collectState();
         return sameStructure;
     }
 
@@ -723,7 +695,7 @@ class DdSession final : public Session {
         std::vector<DdSimulator> laneSims;
         laneSims.reserve(lanes);
         for (std::size_t l = 0; l < lanes; ++l)
-            laneSims.emplace_back(ddGcOptions(options_));
+            laneSims.emplace_back(options_.gcThreshold);
 
         // Same exception containment as runBatch: nothing may unwind
         // through the pool; the lowest chunk's error is rethrown.
@@ -783,31 +755,25 @@ class DdSession final : public Session {
     {
         if (built_)
             return;
-        if (options_.gc && sim_.hasPackage())
+        if (sim_.hasPackage())
             sim_.package().maybeGarbageCollect();
         QKC_SPAN("dd.build");
         if (options_.path.active() && circuit_.noiseCount() == 0)
             state_ = sim_.simulatePath(circuit_, path_, &pathStats_);
         else
             state_ = sim_.simulate(circuit_);
-        if (options_.gc)
-            sim_.package().protect(state_);
+        sim_.package().protect(state_);
         built_ = true;
     }
 
-    /** Unroots the bound state (GC path); the next task rebuilds lazily. */
-    void releaseState()
+    /** Unroots the bound state and sweeps it; the next task rebuilds. */
+    void collectState()
     {
-        if (built_ && options_.gc && sim_.hasPackage())
-            sim_.package().unprotect(state_);
-        built_ = false;
-    }
-
-    /** Legacy (gc=0) teardown: fresh package, term-DD cache dies with it. */
-    void dropCaches()
-    {
-        sim_ = DdSimulator(ddGcOptions(options_));
-        termDds_.clear();
+        if (sim_.hasPackage()) {
+            if (built_)
+                sim_.package().unprotect(state_);
+            sim_.package().garbageCollect();
+        }
         built_ = false;
     }
 
@@ -825,8 +791,7 @@ class DdSession final : public Session {
         auto it = termDds_.find(key);
         if (it == termDds_.end()) {
             const MEdge dd = sim_.package().makePauliDd(key);
-            if (options_.gc)
-                sim_.package().protect(dd);
+            sim_.package().protect(dd);
             it = termDds_.emplace(key, dd).first;
         }
         return it->second;
@@ -897,7 +862,6 @@ class KcSession final : public Session {
     KcSession(const Circuit& circuit, const BackendOptions& options)
         : Session("knowledgecompilation", circuit), options_(options)
     {
-        obsEnabled_ = options.obs;
         gibbs_.burnIn = options.burnIn;
         gibbs_.thin = options.thin;
         QKC_SPAN("kc.compile");

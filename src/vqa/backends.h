@@ -99,14 +99,13 @@ class TensorNetworkBackend : public Backend {
  * Pauli-string matrix DD plus a memoized two-diagram walk; noisy circuits
  * run Born-rule Kraus trajectories with collections between them.
  *
- * One DdPackage persists across parameter binds (options gc/gcthreshold):
- * the session protects its live roots — the bound state, parameter-free
- * gate DDs, Pauli-term DDs — and each rebind unroots the old state and
- * runs a full mark-and-sweep, so the next binding starts from warm
- * arenas, free lists and table buckets but a deterministic interning
- * table (runBatch's bit-parity contract). gc=0 restores the legacy
- * rebuild-the-world lifecycle: every bind discards the package, and
- * nodes are pinned for its lifetime.
+ * One DdPackage persists across parameter binds: the session protects its
+ * live roots — the bound state, parameter-free gate DDs, Pauli-term DDs —
+ * and each rebind unroots the old state and runs a full mark-and-sweep, so
+ * the next binding starts from warm arenas, free lists and table buckets
+ * but a deterministic interning table (runBatch's bit-parity contract).
+ * Option gcthreshold sets the live-node count that triggers a collection
+ * between trajectories and before a build.
  */
 class DecisionDiagramBackend : public Backend {
   public:

@@ -86,9 +86,6 @@ struct PauliSum {
     bool isDiagonal() const;
 };
 
-/** Pre-redesign name of PauliSum, kept for source compatibility. */
-using PauliHamiltonian = PauliSum;
-
 } // namespace qkc
 
 #endif // QKC_VQA_PAULI_H

@@ -66,7 +66,7 @@ Session::run(const Task& task, Rng& rng)
             },
             task);
     };
-    if (obsEnabled_ && obs::enabled()) {
+    if (obs::enabled()) {
         // The profile scope doubles as the task timer: its envelope is the
         // run, its phases are the backend's top-level spans, so the phase
         // times sum to (within clock reads) meta.seconds.
@@ -367,12 +367,6 @@ Session::checkObservable(const PauliSum& observable) const
 // Backend
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint64_t>
-Backend::sample(const Circuit& circuit, std::size_t shots, Rng& rng) const
-{
-    return open(circuit)->run(Sample{shots}, rng).samples;
-}
-
 std::vector<Result>
 Backend::runBatch(const std::vector<ParamBinding>& bindings, const Task& task,
                   Rng& rng) const
@@ -392,7 +386,7 @@ backendRegistry()
     static const std::vector<BackendInfo> registry = {
         {"statevector",
          {"sv"},
-         {"threads", "fuse", "simd", "obs"},
+         {"threads", "fuse"},
          "dense 2^n state vector (qsim-style); Kraus trajectories when "
          "noise is present",
          "sample; expectation (exact when ideal, sampled under noise); "
@@ -401,7 +395,7 @@ backendRegistry()
          "ExecutionPlan and rebinds it per binding"},
         {"densitymatrix",
          {"dm"},
-         {"threads", "fuse", "simd", "obs"},
+         {"threads", "fuse"},
          "dense 4^n density matrix (Cirq-style); every channel exact",
          "sample; expectation (exact, ideal and noisy); probabilities "
          "(exact, ideal and noisy)",
@@ -409,7 +403,7 @@ backendRegistry()
          "and the superoperator sweeps already parallelize internally"},
         {"tensornetwork",
          {"tn"},
-         {"obs"},
+         {},
          "qTorch-style tensor-network contraction (ideal circuits only)",
          "sample; expectation (sampled); amplitudes (exact); probabilities "
          "(exact marginals by doubled-network contraction)",
@@ -417,7 +411,7 @@ backendRegistry()
          "during sampling and do not clone cheaply"},
         {"decisiondiagram",
          {"dd"},
-         {"threads", "gc", "gcthreshold", "path", "obs"},
+         {"threads", "gcthreshold", "path"},
          "QMDD decision diagram (DDSIM-style); Kraus trajectories when "
          "noise is present; ref-counted mark-and-sweep node GC",
          "sample; expectation (exact when ideal, via diagram walk); "
@@ -428,7 +422,7 @@ backendRegistry()
          "packages the same way"},
         {"knowledgecompilation",
          {"kc"},
-         {"burnin", "thin", "obs"},
+         {"burnin", "thin"},
          "knowledge compilation (this paper): compile once, refresh "
          "parameter leaves across a variational sweep",
          "sample (Gibbs); expectation (exact within the query-feasibility "
@@ -561,21 +555,8 @@ parseBackendSpec(const std::string& spec)
                 (known.empty() ? " (it accepts no options)"
                                : " (valid: " + known + ")"));
         }
-        // simd takes a named level, not an integer — dispatch before the
-        // integer parse. (parseSimdMode also accepts the 0/1 digit forms,
-        // mirroring the obs knob.)
-        if (key == "simd") {
-            SimdMode mode;
-            if (!parseSimdMode(value, &mode))
-                throw std::invalid_argument(
-                    "makeBackend: option simd must be auto, off, avx2 or "
-                    "avx512, got \"" + value + "\"");
-            result.options.simd = mode;
-            continue;
-        }
         // path takes a planner name (with an optional bracket width glued
-        // on), not an integer — dispatch before the integer parse, like
-        // simd above.
+        // on), not an integer — dispatch before the integer parse.
         if (key == "path") {
             PathOptions path;
             if (!parsePathPlanner(value, &path))
@@ -607,16 +588,6 @@ parseBackendSpec(const std::string& spec)
                 throw std::invalid_argument(
                     "makeBackend: option thin must be >= 1");
             result.options.thin = static_cast<std::size_t>(v);
-        } else if (key == "gc") {
-            if (v != 0 && v != 1)
-                throw std::invalid_argument(
-                    "makeBackend: option gc must be 0 or 1");
-            result.options.gc = v == 1;
-        } else if (key == "obs") {
-            if (v != 0 && v != 1)
-                throw std::invalid_argument(
-                    "makeBackend: option obs must be 0 or 1");
-            result.options.obs = v == 1;
         } else if (key == "gcthreshold") {
             if (v < 1)
                 throw std::invalid_argument(

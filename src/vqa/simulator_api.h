@@ -11,7 +11,6 @@
 #include "circuit/circuit.h"
 #include "circuit/fusion.h"
 #include "circuit/simulation_path.h"
-#include "exec/simd.h"
 #include "linalg/types.h"
 #include "obs/trace.h"
 #include "util/rng.h"
@@ -45,15 +44,6 @@ struct BackendOptions {
     /** Run the greedy gate-fusion pass at plan time (sv/dm). */
     bool fuse = true;
 
-    /**
-     * Vector dispatch level for the dense kernel sweeps (sv/dm):
-     * "auto" (the default — whatever QKC_SIMD and CPUID allow), "off",
-     * "avx2", or "avx512". An explicit level can only lower the process
-     * ceiling, never raise it past QKC_SIMD or the hardware. Purely a speed
-     * knob: payloads are bit-identical at every level.
-     */
-    SimdMode simd = SimdMode::Auto;
-
     /** Gibbs sweeps discarded before the first recorded sample (kc). */
     std::size_t burnIn = 64;
 
@@ -61,14 +51,10 @@ struct BackendOptions {
     std::size_t thin = 1;
 
     /**
-     * Diagram garbage collection (dd). On (the default), the session keeps
-     * one DdPackage across parameter binds and trajectories, collecting
-     * dead nodes at safe points; off restores the old rebuild-the-world
-     * lifecycle (fresh package per bind, nodes pinned until then).
+     * Live-node count that triggers a diagram collection, >= 1 (dd). The
+     * session keeps one DdPackage across parameter binds and trajectories
+     * and collects dead nodes at safe points once this many are live.
      */
-    bool gc = true;
-
-    /** Live-node count that triggers a collection, >= 1 (dd). */
     std::size_t gcThreshold = 1u << 16;
 
     /**
@@ -80,15 +66,6 @@ struct BackendOptions {
      * time: the dense backends' products are placed by gate fusion alone.
      */
     PathOptions path{};
-
-    /**
-     * Per-task observability (all backends): phase spans around the
-     * session's work and a TaskProfile in every ResultMeta. Off, a task
-     * pays one thread-local branch per span site and ResultMeta.profile
-     * stays empty; counters still follow the process-wide obs::enabled()
-     * switch (QKC_OBS=0 rules those out too).
-     */
-    bool obs = true;
 };
 
 /** A parsed backend spec: canonical name plus its typed options. */
@@ -292,9 +269,9 @@ struct ResultMeta {
 
     /**
      * Phase-time breakdown and counter deltas for this task, collected when
-     * the session's obs option is on: the run's top-level spans (bind,
+     * obs::enabled() (QKC_OBS) is on: the run's top-level spans (bind,
      * backend phases, gc pauses) aggregated by name, summing to within a
-     * few percent of `seconds`. Empty when obs is off.
+     * few percent of `seconds`. Empty when it is off.
      */
     obs::TaskProfile profile{};
 };
@@ -394,9 +371,6 @@ class Session {
     std::size_t planBuilds() const { return planBuilds_; }
     std::size_t planReuses() const { return planReuses_; }
 
-    /** Whether this session collects per-task profiles (the obs option). */
-    bool obsEnabled() const { return obsEnabled_; }
-
     /** Cached rotated-basis fallback sub-sessions (one per term signature). */
     std::size_t rotatedSessionCount() const { return rotatedSessions_.size(); }
 
@@ -489,9 +463,6 @@ class Session {
     std::size_t planBuilds_ = 0;
     std::size_t planReuses_ = 0;
 
-    /** Set from BackendOptions::obs by every backend's open/clone path. */
-    bool obsEnabled_ = true;
-
   private:
     /** The cached fallback sub-session for `pauli`'s rotation signature. */
     Session& rotatedSession(const PauliString& pauli);
@@ -541,10 +512,6 @@ class Backend {
 
     /** The options this backend was constructed with (spec string, ctor). */
     virtual const BackendOptions& defaults() const = 0;
-
-    /** Compatibility helper: open(circuit).run(Sample{shots}).samples. */
-    std::vector<std::uint64_t> sample(const Circuit& circuit,
-                                      std::size_t shots, Rng& rng) const;
 
     /**
      * Convenience for one-shot batch callers: opens a session on the first

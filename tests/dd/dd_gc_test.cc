@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <unordered_set>
 
 #include "circuit/gate.h"
@@ -182,8 +183,8 @@ TEST(DdGcTest, SweepReclaimsInternedWeights)
 TEST(DdGcTest, ThresholdTriggerAndKnobValidation)
 {
     DdPackage pkg(4);
-    pkg.setGc(true, 4);
-    EXPECT_TRUE(pkg.gcEnabled());
+    EXPECT_EQ(pkg.gcThreshold(), DdPackage::kDefaultGcThreshold);
+    pkg.setGcThreshold(4);
     EXPECT_EQ(pkg.gcThreshold(), 4u);
 
     VEdge ghz = makeGhz(pkg, 4); // well past 4 live nodes
@@ -191,11 +192,13 @@ TEST(DdGcTest, ThresholdTriggerAndKnobValidation)
     EXPECT_EQ(pkg.stats().gcRuns, 1u);
     (void)ghz; // dead after the sweep by design
 
-    pkg.setGc(false);
+    // Below the trigger, a safe point is a no-op.
+    pkg.setGcThreshold(std::size_t{1} << 20);
+    ghz = makeGhz(pkg, 4);
     EXPECT_FALSE(pkg.maybeGarbageCollect());
     EXPECT_EQ(pkg.stats().gcRuns, 1u);
 
-    EXPECT_THROW(pkg.setGc(true, 0), std::invalid_argument);
+    EXPECT_THROW(pkg.setGcThreshold(0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -228,26 +231,72 @@ runOnce(const std::string& spec, const Circuit& c, const Task& task,
     return session->run(task, rng);
 }
 
+/**
+ * The no-collection reference: a fresh default session, whose threshold
+ * these small circuits never reach — asserted, so the reference provably
+ * never sweeps.
+ */
+Result
+runReference(const Circuit& c, const Task& task, std::uint64_t seed)
+{
+    Result r = runOnce("dd", c, task, seed);
+    EXPECT_EQ(r.meta.ddMemory.gcRuns, 0u);
+    return r;
+}
+
+/**
+ * Rebinds one persistent gcthreshold=1 session across six bindings of
+ * `at(theta)`; each binding's payload (samples or expectation, whichever
+ * the task fills) must match the no-collection reference bit for bit.
+ */
+void
+expectRebindsMatchReference(const std::function<Circuit(double)>& at,
+                            const Task& task, std::uint64_t seed)
+{
+    auto backend = makeBackend("dd:gcthreshold=1");
+    auto session = backend->open(at(0.0));
+    Result persistent;
+    for (int i = 1; i <= 6; ++i) {
+        const Circuit c = at(0.2 * i);
+        session->bind(c);
+        Rng rng(seed);
+        persistent = session->run(task, rng);
+        const Result fresh = runReference(c, task, seed);
+        EXPECT_EQ(persistent.samples, fresh.samples) << "binding " << i;
+        EXPECT_EQ(persistent.expectation, fresh.expectation)
+            << "binding " << i;
+    }
+    EXPECT_GT(persistent.meta.ddMemory.gcRuns, 0u);
+}
+
+Circuit
+noisyAnsatz(double theta)
+{
+    return layeredAnsatz(4, theta).withNoiseAfterEachGate(
+        NoiseKind::Depolarizing, 0.02);
+}
+
 TEST(DdGcTest, AggressiveGcSamplingIsBitIdenticalToGcOff)
 {
     // gcthreshold=1 collects at every safe point; payloads must not move a
-    // bit relative to the legacy gc=0 lifecycle, ideal and noisy alike.
-    const Circuit ideal = layeredAnsatz(5, 0.3);
-    const Circuit noisy =
-        layeredAnsatz(4, 0.7).withNoiseAfterEachGate(NoiseKind::Depolarizing,
-                                                     0.02);
+    // bit relative to a session that never collects, ideal and noisy alike.
+    const auto ideal = [](double theta) { return layeredAnsatz(5, theta); };
     for (std::uint64_t seed : {7u, 42u, 1234u}) {
-        const Result aggressive = runOnce("dd:gc=1,gcthreshold=1", ideal,
-                                          Sample{256}, seed);
-        const Result off = runOnce("dd:gc=0", ideal, Sample{256}, seed);
+        const Result aggressive =
+            runOnce("dd:gcthreshold=1", ideal(0.3), Sample{256}, seed);
+        const Result off = runReference(ideal(0.3), Sample{256}, seed);
         EXPECT_EQ(aggressive.samples, off.samples) << "ideal seed=" << seed;
 
-        const Result aggressiveNoisy = runOnce("dd:gc=1,gcthreshold=1", noisy,
-                                               Sample{128}, seed);
-        const Result offNoisy = runOnce("dd:gc=0", noisy, Sample{128}, seed);
+        const Result aggressiveNoisy =
+            runOnce("dd:gcthreshold=1", noisyAnsatz(0.7), Sample{128}, seed);
+        const Result offNoisy =
+            runReference(noisyAnsatz(0.7), Sample{128}, seed);
         EXPECT_EQ(aggressiveNoisy.samples, offNoisy.samples)
             << "noisy seed=" << seed;
         EXPECT_GT(aggressiveNoisy.meta.ddMemory.gcRuns, 0u);
+
+        expectRebindsMatchReference(ideal, Sample{256}, seed);
+        expectRebindsMatchReference(noisyAnsatz, Sample{128}, seed);
     }
 }
 
@@ -258,18 +307,22 @@ TEST(DdGcTest, ExpectationMatchesAcrossLifecycles)
     h.add(0.5, PauliString("ZZIII"))
         .add(-0.25, PauliString("IXXII"))
         .add(1.5, PauliString("IIIYZ"));
-    const Result a = runOnce("dd:gc=1,gcthreshold=1", c, Expectation{h}, 3);
-    const Result b = runOnce("dd:gc=0", c, Expectation{h}, 3);
+    const Result a = runOnce("dd:gcthreshold=1", c, Expectation{h}, 3);
+    const Result b = runReference(c, Expectation{h}, 3);
     EXPECT_TRUE(a.meta.exact);
     EXPECT_NEAR(a.expectation, b.expectation, 1e-12);
+
+    expectRebindsMatchReference(
+        [](double theta) { return layeredAnsatz(5, theta); }, Expectation{h},
+        3);
 }
 
 TEST(DdGcTest, RebindKeepsOnePackageAndCollectsTheOldState)
 {
-    // The tentpole behavior: with GC on, a variational sweep reuses one
+    // The session's one lifecycle: a variational sweep reuses one
     // package — planReuses grows, live nodes stay bounded by one binding's
     // working set, and collections actually happen.
-    auto backend = makeBackend("dd:gc=1");
+    auto backend = makeBackend("dd");
     auto session = backend->open(layeredAnsatz(5, 0.0));
     Rng rng(9);
 
@@ -289,7 +342,7 @@ TEST(DdGcTest, RebindKeepsOnePackageAndCollectsTheOldState)
     // And the sweep is correct: last binding's distribution matches a
     // fresh session of the same circuit.
     const Result fresh =
-        runOnce("dd:gc=1", layeredAnsatz(5, 1.1), Probabilities{}, 9);
+        runOnce("dd", layeredAnsatz(5, 1.1), Probabilities{}, 9);
     ASSERT_EQ(last.probabilities.size(), fresh.probabilities.size());
     for (std::size_t k = 0; k < fresh.probabilities.size(); ++k)
         EXPECT_NEAR(last.probabilities[k], fresh.probabilities[k], 1e-12);
@@ -304,7 +357,7 @@ TEST(DdGcTest, LongNoisyRunKeepsLiveNodesBounded)
     const Circuit noisy =
         layeredAnsatz(4, 0.5).withNoiseAfterEachGate(NoiseKind::Depolarizing,
                                                      0.01);
-    auto backend = makeBackend("dd:gc=1,gcthreshold=256");
+    auto backend = makeBackend("dd:gcthreshold=256");
     auto session = backend->open(noisy);
     Rng rng(21);
     const Result r = session->run(Sample{5000}, rng);

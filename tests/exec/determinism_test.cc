@@ -116,13 +116,17 @@ TEST(DeterminismTest, BackendSpecThreadsIsAPurePerfKnob)
     const Circuit ideal = benchmarkishCircuit(6);
     const Circuit noisy =
         ideal.withNoiseAfterEachGate(NoiseKind::Depolarizing, 0.01);
+    const auto sample = [](const char* spec, const Circuit& c,
+                           std::size_t shots, Rng& rng) {
+        return makeBackend(spec)->open(c)->run(Sample{shots}, rng).samples;
+    };
     for (const char* spec : {"sv:threads=2", "sv:threads=8"}) {
         Rng rngA(9), rngB(9);
-        EXPECT_EQ(makeBackend("sv:threads=1")->sample(ideal, 300, rngA),
-                  makeBackend(spec)->sample(ideal, 300, rngB));
+        EXPECT_EQ(sample("sv:threads=1", ideal, 300, rngA),
+                  sample(spec, ideal, 300, rngB));
         Rng rngC(11), rngD(11);
-        EXPECT_EQ(makeBackend("sv:threads=1")->sample(noisy, 100, rngC),
-                  makeBackend(spec)->sample(noisy, 100, rngD));
+        EXPECT_EQ(sample("sv:threads=1", noisy, 100, rngC),
+                  sample(spec, noisy, 100, rngD));
     }
 }
 

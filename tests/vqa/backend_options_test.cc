@@ -30,24 +30,19 @@ TEST(BackendOptionsTest, OptionSpecsResolveToCanonicalBackends)
 
 TEST(BackendOptionsTest, DdGcOptionsParse)
 {
-    BackendSpec spec = parseBackendSpec("dd:gc=0");
+    BackendSpec spec = parseBackendSpec("dd:gcthreshold=4096");
     EXPECT_EQ(spec.name, "decisiondiagram");
-    EXPECT_FALSE(spec.options.gc);
-
-    spec = parseBackendSpec("dd:gc=1,gcthreshold=4096");
-    EXPECT_TRUE(spec.options.gc);
     EXPECT_EQ(spec.options.gcThreshold, 4096u);
 
-    // Defaults: GC on, the package's documented threshold.
+    // Default: the package's documented threshold.
     spec = parseBackendSpec("dd");
-    EXPECT_TRUE(spec.options.gc);
     EXPECT_EQ(spec.options.gcThreshold, std::size_t{1} << 16);
 
-    EXPECT_THROW(makeBackend("dd:gc=2"), std::invalid_argument);
     EXPECT_THROW(makeBackend("dd:gcthreshold=0"), std::invalid_argument);
-    // gc is a dd-only knob: the other backends must reject it.
-    EXPECT_THROW(makeBackend("sv:gc=1"), std::invalid_argument);
-    EXPECT_THROW(makeBackend("tn:gcthreshold=8"), std::invalid_argument);
+    // gcthreshold is a dd-only knob: the other backends must reject it.
+    for (const char* other : {"sv:gcthreshold=8", "dm:gcthreshold=8",
+                              "tn:gcthreshold=8", "kc:gcthreshold=8"})
+        EXPECT_THROW(makeBackend(other), std::invalid_argument) << other;
 }
 
 TEST(BackendOptionsTest, UnknownOptionsThrow)
@@ -59,6 +54,19 @@ TEST(BackendOptionsTest, UnknownOptionsThrow)
     EXPECT_THROW(makeBackend("dd:bogus=2"), std::invalid_argument);
     // threads became a dd knob when trajectory lanes landed.
     EXPECT_EQ(makeBackend("dd:threads=2")->name(), "decisiondiagram");
+
+    // Spec keys that only duplicated a process switch (QKC_OBS, QKC_SIMD)
+    // or served as a test oracle (dd:gc) are gone.
+    for (const char* spec : {"sv:obs=0", "dm:simd=off", "dd:gc=0"})
+        EXPECT_THROW(makeBackend(spec), std::invalid_argument) << spec;
+    try {
+        makeBackend("tn:obs=1");
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("accepts no options"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(BackendOptionsTest, MalformedOptionsThrow)
@@ -93,7 +101,8 @@ TEST(BackendOptionsTest, OptionedBackendsSampleCorrectly)
     for (const char* spec :
          {"sv:threads=2,fuse=1", "sv:fuse=0", "dm:threads=2"}) {
         Rng rng(7);
-        auto samples = makeBackend(spec)->sample(c, 400, rng);
+        auto samples =
+            makeBackend(spec)->open(c)->run(Sample{400}, rng).samples;
         std::size_t odd = 0;
         for (auto s : samples) {
             EXPECT_TRUE(s == 0 || s == 3) << "spec " << spec;
@@ -108,7 +117,10 @@ TEST(BackendOptionsTest, KcBurninOptionIsAccepted)
 {
     const Circuit c = bell();
     Rng rng(3);
-    auto samples = makeBackend("kc:burnin=4,thin=1")->sample(c, 50, rng);
+    auto samples = makeBackend("kc:burnin=4,thin=1")
+                       ->open(c)
+                       ->run(Sample{50}, rng)
+                       .samples;
     EXPECT_EQ(samples.size(), 50u);
     for (auto s : samples)
         EXPECT_TRUE(s == 0 || s == 3);
@@ -119,7 +131,8 @@ TEST(BackendOptionsTest, NoisyCircuitsWorkThroughOptionedBackends)
     const Circuit noisy =
         bell().withNoiseAfterEachGate(NoiseKind::Depolarizing, 0.05);
     Rng rng(5);
-    auto samples = makeBackend("sv:threads=2")->sample(noisy, 100, rng);
+    auto samples =
+        makeBackend("sv:threads=2")->open(noisy)->run(Sample{100}, rng).samples;
     EXPECT_EQ(samples.size(), 100u);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "algorithms/algorithms.h"
 #include "statevector/statevector_simulator.h"
@@ -46,7 +47,17 @@ TEST(BackendSpecTest, RegistryCoversEveryBackend)
 {
     EXPECT_EQ(backendRegistry().size(), 5u);
     EXPECT_EQ(backendNames().size(), 5u);
+    // Process-wide settings (QKC_THREADS, QKC_OBS, QKC_SIMD) have no
+    // per-backend spec key beyond threads.
+    const std::map<std::string, std::vector<std::string>> keys = {
+        {"statevector", {"threads", "fuse"}},
+        {"densitymatrix", {"threads", "fuse"}},
+        {"tensornetwork", {}},
+        {"decisiondiagram", {"threads", "gcthreshold", "path"}},
+        {"knowledgecompilation", {"burnin", "thin"}},
+    };
     for (const BackendInfo& info : backendRegistry()) {
+        EXPECT_EQ(info.optionKeys, keys.at(info.name)) << info.name;
         EXPECT_FALSE(info.aliases.empty()) << info.name;
         EXPECT_FALSE(info.summary.empty()) << info.name;
         EXPECT_FALSE(info.tasks.empty()) << info.name;
@@ -80,7 +91,8 @@ TEST(BackendSpecTest, ThreadsZeroIsTheMachineDefault)
     EXPECT_EQ(spec.options.threads, 0u);
     auto backend = makeBackend("dm:threads=0");
     Rng rng(5);
-    EXPECT_EQ(backend->sample(bell(), 20, rng).size(), 20u);
+    EXPECT_EQ(backend->open(bell())->run(Sample{20}, rng).samples.size(),
+              20u);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,17 +267,6 @@ TEST(SessionTest, MarginalQubitOrderIsRespected)
     auto rev = session->run(Probabilities{{1, 0}}, rng).probabilities;
     EXPECT_NEAR(fwd[0b01], 1.0, 1e-12);
     EXPECT_NEAR(rev[0b10], 1.0, 1e-12);
-}
-
-TEST(SessionTest, SampleMatchesLegacyHelper)
-{
-    // Backend::sample is sugar over open + Sample with identical rng use.
-    const Circuit c = bell();
-    auto backend = makeBackend("sv");
-    Rng rngA(21), rngB(21);
-    auto viaHelper = backend->sample(c, 100, rngA);
-    auto viaSession = backend->open(c)->run(Sample{100}, rngB).samples;
-    EXPECT_EQ(viaHelper, viaSession);
 }
 
 TEST(SessionTest, NoisySampleReportsTrajectories)
