@@ -1,5 +1,6 @@
 #include "densitymatrix/density_matrix.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -25,12 +26,35 @@ conjugated(const Matrix& m)
     return c;
 }
 
+/**
+ * The Liouville superoperator S = sum_k E_k (x) conj(E_k) of a channel:
+ * vec(sum_k E_k rho E_k^dagger) = S vec(rho) for row-major vec, so one
+ * kernel on the channel's row and column bits applies the whole channel.
+ */
+Matrix
+liouville(const std::vector<Matrix>& kraus)
+{
+    assert(!kraus.empty());
+    const std::size_t d = kraus[0].rows();
+    Matrix s = Matrix::zero(d * d, d * d);
+    for (const Matrix& e : kraus)
+        s = s + e.kron(conjugated(e));
+    return s;
+}
+
 } // namespace
 
 DensityMatrix::DensityMatrix(std::size_t numQubits)
     : numQubits_(numQubits), dim_(checkedDimension(numQubits)),
       data_(dim_ * dim_)
 {
+    data_[0] = 1.0;
+}
+
+void
+DensityMatrix::reset()
+{
+    std::fill(data_.begin(), data_.end(), Complex{});
     data_[0] = 1.0;
 }
 
@@ -96,6 +120,38 @@ DensityMatrix::applyUnitaryThree(const Matrix& u, std::size_t q0,
     applyUnitary(u, {q0, q1, q2});
 }
 
+GateKernel
+DensityMatrix::compileChannelKernel(const std::vector<Matrix>& kraus,
+                                    const std::vector<std::size_t>& qubits,
+                                    std::size_t numQubits)
+{
+    // Row bits first, then column bits — the same local order as the
+    // factors of E (x) conj(E), so the kernel's local index is (r, c).
+    std::vector<std::uint32_t> bits;
+    bits.reserve(2 * qubits.size());
+    for (std::size_t q : qubits) {
+        assert(q < numQubits);
+        bits.push_back(static_cast<std::uint32_t>(2 * numQubits - 1 - q));
+    }
+    for (std::size_t q : qubits)
+        bits.push_back(static_cast<std::uint32_t>(numQubits - 1 - q));
+    return compileKernel(liouville(kraus), bits);
+}
+
+bool
+DensityMatrix::tryRefreshChannelKernel(GateKernel& k,
+                                       const std::vector<Matrix>& kraus)
+{
+    return tryRefreshKernel(k, liouville(kraus));
+}
+
+void
+DensityMatrix::applyChannelKernel(const GateKernel& k)
+{
+    const std::uint64_t flatDim = static_cast<std::uint64_t>(dim_) * dim_;
+    applyKernel(k, data_.data(), flatDim, policy_);
+}
+
 void
 DensityMatrix::applyChannelSingle(const std::vector<Matrix>& kraus,
                                   std::size_t qubit)
@@ -107,35 +163,7 @@ void
 DensityMatrix::applyChannel(const std::vector<Matrix>& kraus,
                             const std::vector<std::size_t>& qubits)
 {
-    std::vector<SuperKernel> kernels;
-    kernels.reserve(kraus.size());
-    for (const Matrix& e : kraus)
-        kernels.push_back(compileSuperKernel(e, qubits, numQubits_));
-    applyChannelSuper(kernels);
-}
-
-void
-DensityMatrix::applyChannelSuper(const std::vector<SuperKernel>& kraus)
-{
-    const std::uint64_t flatDim = static_cast<std::uint64_t>(dim_) * dim_;
-    AmpVector acc(data_.size(), Complex{});
-    const AmpVector original = data_;
-    for (const SuperKernel& k : kraus) {
-        applySuper(k);
-        parallelFor(policy_, flatDim,
-                    [&](std::uint64_t b, std::uint64_t end) {
-            for (std::uint64_t i = b; i < end; ++i)
-                acc[i] += data_[i];
-        });
-        if (&k != &kraus.back()) {
-            parallelFor(policy_, flatDim,
-                        [&](std::uint64_t b, std::uint64_t end) {
-                for (std::uint64_t i = b; i < end; ++i)
-                    data_[i] = original[i];
-            });
-        }
-    }
-    data_ = std::move(acc);
+    applyChannelKernel(compileChannelKernel(kraus, qubits, numQubits_));
 }
 
 Complex

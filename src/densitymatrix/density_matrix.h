@@ -24,10 +24,18 @@ namespace qkc {
  * Superoperator application reuses the exec gate kernels on the flattened
  * index space: rho is stored row-major, so flat(r, c) = r * 2^n + c and the
  * row/column index spaces are just the high/low n bits of a 2n-bit index.
- * U rho = kernel(U) on the high bits; rho U^dagger = kernel(conj(U)) on the
- * low bits. Both sweeps inherit the kernel specialization (a CZ left-apply
- * is a masked sign flip, not a 4x4 multiply) and the shared-pool
- * parallelism, with deterministic chunking.
+ *
+ *   - A gate is a left/right kernel pair: U rho = kernel(U) on the high
+ *     bits, rho U^dagger = kernel(conj(U)) on the low bits. Both sweeps
+ *     inherit the kernel specialization (a CZ left-apply is a masked sign
+ *     flip, not a 4x4 multiply).
+ *   - A channel is one kernel: its Liouville superoperator
+ *     S = sum_k E_k (x) conj(E_k) on the channel's row bits then column
+ *     bits (4x4 for one qubit, 16x16 for two), so the whole Kraus sum is a
+ *     single sweep in place — no copy of rho, no accumulator.
+ *
+ * Every sweep runs on the shared pool with deterministic chunking, and
+ * rho is the only 4^n buffer.
  *
  * rho index convention matches Circuit (qubit 0 is the most significant bit
  * of a row/column index).
@@ -48,6 +56,9 @@ class DensityMatrix {
 
     /** Initializes |0...0><0...0|. */
     explicit DensityMatrix(std::size_t numQubits);
+
+    /** Returns to |0...0><0...0| in place, keeping the buffer. */
+    void reset();
 
     std::size_t numQubits() const { return numQubits_; }
     std::size_t dimension() const { return dim_; }
@@ -81,7 +92,8 @@ class DensityMatrix {
     /** rho <- sum_k E_k rho E_k^dagger for a single-qubit channel. */
     void applyChannelSingle(const std::vector<Matrix>& kraus, std::size_t qubit);
 
-    /** rho <- sum_k E_k rho E_k^dagger for a one- or two-qubit channel. */
+    /** rho <- sum_k E_k rho E_k^dagger for a one- or two-qubit channel:
+     *  compiles the superoperator, then one sweep. */
     void applyChannel(const std::vector<Matrix>& kraus,
                       const std::vector<std::size_t>& qubits);
 
@@ -105,8 +117,26 @@ class DensityMatrix {
     /** rho <- M rho M^dagger via a precompiled pair. */
     void applySuper(const SuperKernel& k);
 
-    /** rho <- sum_k E_k rho E_k^dagger via precompiled pairs. */
-    void applyChannelSuper(const std::vector<SuperKernel>& kraus);
+    /**
+     * Compiles the Liouville superoperator of the channel with Kraus
+     * operators `kraus` on `qubits` (one or two) into one kernel on the
+     * row bits (2n-1-q) followed by the column bits (n-1-q).
+     */
+    static GateKernel compileChannelKernel(const std::vector<Matrix>& kraus,
+                                           const std::vector<std::size_t>& qubits,
+                                           std::size_t numQubits);
+
+    /**
+     * Refreshes a compiled channel kernel for new Kraus operators on the
+     * same qubits (see tryRefreshKernel). Returns false, kernel unmodified,
+     * when the new superoperator leaves the stored class — e.g. a channel
+     * planned at strength 0 (Identity) rebound to a non-zero strength.
+     */
+    static bool tryRefreshChannelKernel(GateKernel& k,
+                                        const std::vector<Matrix>& kraus);
+
+    /** rho <- sum_k E_k rho E_k^dagger via a precompiled channel kernel. */
+    void applyChannelKernel(const GateKernel& k);
 
     /** Tr(rho). */
     Complex trace() const;

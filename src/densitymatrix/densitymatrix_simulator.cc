@@ -28,10 +28,8 @@ compileDmOps(DmExecutionPlan& plan)
         } else {
             const auto& ch = std::get<NoiseChannel>(ops[i]);
             p.isChannel = true;
-            p.kraus.reserve(ch.krausOperators().size());
-            for (const Matrix& e : ch.krausOperators())
-                p.kraus.push_back(DensityMatrix::compileSuperKernel(
-                    e, ch.qubits(), plan.numQubits));
+            p.channel = DensityMatrix::compileChannelKernel(
+                ch.krausOperators(), ch.qubits(), plan.numQubits);
         }
         plan.ops.push_back(std::move(p));
     }
@@ -91,12 +89,9 @@ tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit)
         const Operation& o = plan.circuit.operations()[op.opIndex];
         if (op.isChannel) {
             const auto* ch = std::get_if<NoiseChannel>(&o);
-            if (!ch || ch->krausOperators().size() != op.kraus.size())
+            if (!ch || !DensityMatrix::tryRefreshChannelKernel(
+                           op.channel, ch->krausOperators()))
                 return false;
-            for (std::size_t k = 0; k < op.kraus.size(); ++k)
-                if (!DensityMatrix::tryRefreshSuperKernel(
-                        op.kraus[k], ch->krausOperators()[k]))
-                    return false;
         } else {
             const Gate* g = std::get_if<Gate>(&o);
             if (!g || !DensityMatrix::tryRefreshSuperKernel(op.gate,
@@ -117,14 +112,25 @@ DensityMatrix
 DensityMatrixSimulator::simulatePlanned(const DmExecutionPlan& plan) const
 {
     DensityMatrix rho(plan.numQubits);
+    simulatePlanned(plan, rho);
+    return rho;
+}
+
+void
+DensityMatrixSimulator::simulatePlanned(const DmExecutionPlan& plan,
+                                        DensityMatrix& rho) const
+{
+    if (rho.numQubits() != plan.numQubits)
+        throw std::invalid_argument(
+            "simulatePlanned: density matrix / plan qubit count mismatch");
+    rho.reset();
     rho.setExecPolicy(policy_);
     for (const auto& op : plan.ops) {
         if (op.isChannel)
-            rho.applyChannelSuper(op.kraus);
+            rho.applyChannelKernel(op.channel);
         else
             rho.applySuper(op.gate);
     }
-    return rho;
 }
 
 std::vector<double>

@@ -15,23 +15,25 @@ namespace qkc {
 
 /**
  * One circuit operation lowered for superoperator execution: a left/right
- * kernel pair per gate, or one pair per Kraus operator for a channel.
- * `opIndex` refers into the owning plan's (possibly fused) circuit.
+ * kernel pair for a gate, or one Liouville-superoperator kernel for a
+ * channel. `opIndex` refers into the owning plan's (possibly fused) circuit.
  */
 struct DmPlannedOp {
     std::size_t opIndex = 0;
     bool isChannel = false;
-    DensityMatrix::SuperKernel gate;               ///< valid when !isChannel
-    std::vector<DensityMatrix::SuperKernel> kraus; ///< valid when isChannel
+    DensityMatrix::SuperKernel gate; ///< valid when !isChannel
+    GateKernel channel;              ///< valid when isChannel
 };
 
 /**
  * A circuit prepared for repeated density-matrix execution — the dm
  * counterpart of exec's ExecutionPlan: fusion has run (if the policy asks
- * for it) and every gate and Kraus matrix has been classified into its
- * left/right superoperator kernel pair exactly once. A session holds one of
- * these per circuit structure and refreshes it across parameter rebinds, so
- * its planReuses metadata corresponds to classification work actually saved.
+ * for it), every gate has been classified into its left/right kernel pair
+ * and every channel compiled into its superoperator kernel exactly once.
+ * Executing it sweeps rho once per channel and twice per gate, in place. A
+ * session holds one of these per circuit structure and refreshes it across
+ * parameter rebinds, so its planReuses metadata corresponds to
+ * classification work actually saved.
  */
 struct DmExecutionPlan {
     std::size_t numQubits = 0;
@@ -57,11 +59,11 @@ DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy,
 /**
  * Rebinds `plan` to a same-structure circuit (the variational fast path):
  * replays the recorded fusion recipe on the new gate values and refreshes
- * every kernel pair in place — no greedy fusion pass, no re-classification.
- * Returns false when the structure differs, a fused product crossed the
- * identity boundary, or a parameter change invalidated a stored kernel
- * class; the plan may then be partially refreshed and the caller must
- * re-plan before executing it.
+ * every gate pair and channel kernel in place — no greedy fusion pass, no
+ * re-classification. Returns false when the structure differs, a fused
+ * product crossed the identity boundary, or a parameter or channel-strength
+ * change invalidated a stored kernel class; the plan may then be partially
+ * refreshed and the caller must re-plan before executing it.
  */
 bool tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit);
 
@@ -94,6 +96,13 @@ class DensityMatrixSimulator {
      * without re-paying fusion or kernel classification.
      */
     DensityMatrix simulatePlanned(const DmExecutionPlan& plan) const;
+
+    /**
+     * The same evolution into a caller-held matrix of plan.numQubits
+     * qubits, reset first: a session re-running its plan per binding
+     * reuses one 16·4^n buffer instead of allocating one per run.
+     */
+    void simulatePlanned(const DmExecutionPlan& plan, DensityMatrix& rho) const;
 
     /** Exact outcome distribution: diagonal of the final density matrix. */
     std::vector<double> distribution(const Circuit& circuit) const;

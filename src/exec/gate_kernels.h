@@ -13,7 +13,8 @@
 namespace qkc {
 
 /**
- * A gate (or Kraus operator) compiled for dense amplitude-array execution.
+ * A gate, Kraus operator or Liouville superoperator compiled for dense
+ * amplitude-array execution.
  *
  * The matrix is inspected once — at circuit load, not per application — and
  * lowered to the cheapest kernel class that reproduces it:
@@ -44,7 +45,9 @@ struct GateKernel {
 
     Op op = Op::Generic;
 
-    /** Original operand count (1..3) and residual target count (0..3). */
+    /** Original operand count (1..4) and residual target count (0..4). A
+     *  four-bit kernel is a two-qubit channel's superoperator on its row and
+     *  column bits; gates use at most three. */
     std::uint8_t arity = 0;
     std::uint8_t targets = 0;
 
@@ -56,18 +59,18 @@ struct GateKernel {
     std::uint64_t ctrlMask = 0;
 
     /** Residual target bit positions, most-significant local bit first. */
-    std::array<std::uint32_t, 3> targetBits{};
+    std::array<std::uint32_t, 4> targetBits{};
 
     /** Original operand bit positions (reference path), local MSB first. */
-    std::array<std::uint32_t, 3> fullBits{};
+    std::array<std::uint32_t, 4> fullBits{};
 
     /** All occupied bit positions, sorted ascending (for index expansion). */
-    std::array<std::uint32_t, 6> occupied{};
+    std::array<std::uint32_t, 4> occupied{};
 
     Complex scalar{1.0, 0.0};         ///< GlobalPhase factor
-    std::array<Complex, 8> diag{};    ///< Diag entries (2^targets used)
-    std::array<std::uint8_t, 8> perm{};  ///< Perm: out[r] = permW[r]*in[perm[r]]
-    std::array<Complex, 8> permW{};
+    std::array<Complex, 16> diag{};   ///< Diag entries (2^targets used)
+    std::array<std::uint8_t, 16> perm{}; ///< Perm: out[r] = permW[r]*in[perm[r]]
+    std::array<Complex, 16> permW{};
     Matrix reduced;                   ///< Generic residual (2^targets square)
     Matrix full;                      ///< the original matrix, always kept
 
@@ -76,9 +79,10 @@ struct GateKernel {
 };
 
 /**
- * Inspects `m` (2^a x 2^a, a = bits.size() in 1..3) acting on the given bit
+ * Inspects `m` (2^a x 2^a, a = bits.size() in 1..4) acting on the given bit
  * positions (local MSB first) and builds the specialized kernel. Matrices
- * need not be unitary — Kraus operators classify too (damping E0 is Diag).
+ * need not be unitary — Kraus operators and channel superoperators classify
+ * too (damping E0 is Diag, a phase-flip superoperator is Diag).
  */
 GateKernel compileKernel(const Matrix& m,
                          const std::vector<std::uint32_t>& bits);

@@ -17,9 +17,10 @@ namespace server {
  * the front door, not discovered as a std::bad_alloc after 16 TiB of
  * amplitude allocation has begun. The per-backend cost model mirrors what
  * the engines actually allocate: sv holds 16·2^n bytes of amplitudes, dm
- * 16·4^n bytes of density matrix, kc enumerates 2^n exact query terms, and
- * dd/tn are structure-dependent (no closed-form bound, so only the generic
- * caps apply).
+ * 16·4^n bytes of density matrix (its whole dense peak: channels sweep rho
+ * in place), kc enumerates 2^n exact query terms, and dd/tn are
+ * structure-dependent (no closed-form bound, so only the generic caps
+ * apply).
  */
 struct AdmissionLimits {
     /** Dense-state budget (sv amplitudes, dm density matrix), bytes. */

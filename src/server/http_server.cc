@@ -141,14 +141,20 @@ HttpServer::stop()
         acceptThread_.join();
     ::close(listenFd_);
 
-    std::vector<std::thread> workers;
+    std::list<Worker> workers;
     {
         std::lock_guard<std::mutex> lock(mu_);
         workers.swap(workers_);
     }
-    for (std::thread& t : workers)
-        if (t.joinable())
-            t.join();
+    for (Worker& w : workers)
+        w.thread.join();
+}
+
+std::size_t
+HttpServer::workerCount() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return workers_.size();
 }
 
 void
@@ -170,7 +176,19 @@ HttpServer::acceptLoop()
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
         std::lock_guard<std::mutex> lock(mu_);
-        workers_.emplace_back([this, fd] { serveConnection(fd); });
+        for (auto it = workers_.begin(); it != workers_.end();) {
+            if (it->done.load()) {
+                it->thread.join(); // already past its last statement
+                it = workers_.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        Worker& w = workers_.emplace_back();
+        w.thread = std::thread([this, fd, &w] {
+            serveConnection(fd);
+            w.done.store(true);
+        });
     }
 }
 

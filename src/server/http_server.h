@@ -3,9 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "server/server_core.h"
 
@@ -18,6 +18,11 @@ namespace server {
  * the daemon binds loopback by default and anything fancier belongs in a
  * reverse proxy). All request semantics live in ServerCore; this layer only
  * parses the request line, headers and body, and writes the response back.
+ *
+ * A connection thread marks itself done when its connection closes; the
+ * accept loop joins and drops done threads before starting a new one, so a
+ * long-lived daemon holds one thread per *open* connection, not one per
+ * connection ever accepted.
  *
  * Connection threads poll a stop flag between reads (SO_RCVTIMEO), so
  * stop() returns once every handler that was mid-request has finished —
@@ -48,6 +53,10 @@ class HttpServer {
     /** True until stop() — the daemon's run loop condition. */
     bool running() const { return !stopping_.load(); }
 
+    /** Connection threads not yet reaped: open connections plus any that
+     *  finished since the last accept. */
+    std::size_t workerCount() const;
+
     /**
      * Stops accepting, wakes idle connection threads, and joins every
      * connection thread — in-flight request handlers run to completion.
@@ -56,6 +65,11 @@ class HttpServer {
     void stop();
 
   private:
+    struct Worker {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+
     void acceptLoop();
     void serveConnection(int fd);
 
@@ -65,8 +79,8 @@ class HttpServer {
     std::atomic<bool> stopping_{false};
     std::thread acceptThread_;
 
-    std::mutex mu_; ///< guards workers_
-    std::vector<std::thread> workers_;
+    mutable std::mutex mu_; ///< guards workers_
+    std::list<Worker> workers_; ///< a list: each thread flags its own entry
 };
 
 } // namespace server

@@ -265,20 +265,19 @@ class DmSession final : public Session {
     }
 
   protected:
-    // cloneForBatch stays at the serializing default: a second 4^n
-    // superoperator plan (and a second 4^n rho in flight) per lane would
-    // multiply peak memory for sweeps that the dense kernels already
+    // cloneForBatch stays at the serializing default: a second 4^n rho in
+    // flight per lane would multiply peak memory (one rho plus the plan's
+    // small kernels) for sweeps that the dense kernels already
     // parallelize internally via the shared pool, so a batched dm task
     // gains little from lane fan-out. runBatch therefore binds and runs on
     // this session in batch order — still one plan, rebound per binding.
 
     bool doBind(const Circuit& circuit, bool sameStructure) override
     {
-        rho_.reset();
         probs_.reset();
         // Same structure: replay the recorded fusion recipe on the new
-        // values and refresh every superoperator kernel pair in place — no
-        // greedy pass, no re-classification (this is what planReuses now
+        // values and refresh every gate pair and channel kernel in place —
+        // no greedy pass, no re-classification (this is what planReuses now
         // certifies; the old session re-ran both inside every ensureRho).
         if (sameStructure && tryRebindDmPlan(plan_, circuit))
             return true;
@@ -338,10 +337,12 @@ class DmSession final : public Session {
   private:
     void ensureRho()
     {
-        if (rho_)
+        if (probs_)
             return;
         QKC_SPAN("dm.simulate");
-        rho_ = sim_.simulatePlanned(plan_);
+        if (!rho_)
+            rho_.emplace(plan_.numQubits); // first run; kept across binds
+        sim_.simulatePlanned(plan_, *rho_);
         probs_ = rho_->diagonalProbabilities();
     }
 
@@ -360,8 +361,11 @@ class DmSession final : public Session {
     ExecPolicy policy_;
     DensityMatrixSimulator sim_;
     DmExecutionPlan plan_;
-    std::optional<DensityMatrix> rho_;   ///< final state (per bind)
-    std::optional<std::vector<double>> probs_;
+    /** Final state of the current binding when probs_ is set. Allocated
+     *  on the first run and reused across binds: one 16·4^n buffer per
+     *  session, not one per evaluation. */
+    std::optional<DensityMatrix> rho_;
+    std::optional<std::vector<double>> probs_; ///< set once rho_ is current
 };
 
 // ---------------------------------------------------------------------------

@@ -92,6 +92,20 @@ TEST(DmExecutionPlanTest, PlannedExecutionMatchesDirectSimulation)
     expectSameRho(sim.simulatePlanned(plan), sim.simulate(c));
 }
 
+TEST(DmExecutionPlanTest, PlannedExecutionIntoHeldMatrixResetsIt)
+{
+    const Circuit c = parameterized(0.4, -0.9);
+    DensityMatrixSimulator sim;
+    const DmExecutionPlan plan = planCircuitDm(c, sim.execPolicy());
+    DensityMatrix rho(3);
+    sim.simulatePlanned(plan, rho);
+    sim.simulatePlanned(plan, rho); // starts again from |000><000|
+    expectSameRho(rho, sim.simulate(c));
+
+    DensityMatrix wrongSize(2);
+    EXPECT_THROW(sim.simulatePlanned(plan, wrongSize), std::invalid_argument);
+}
+
 TEST(DmExecutionPlanTest, RebindRefreshesValuesWithoutReclassification)
 {
     // The ISSUE 5 dm fix: a same-structure rebind replays the fusion recipe

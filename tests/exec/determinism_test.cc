@@ -95,8 +95,15 @@ TEST(DeterminismTest, NoisySamplingIdenticalAcrossThreadCounts)
 
 TEST(DeterminismTest, DensityMatrixBitIdenticalAcrossThreadCounts)
 {
-    const Circuit noisy = benchmarkishCircuit(5).withNoiseAfterEachGate(
+    // A 9-qubit rho (2^18 entries) gives every sweep many chunks per
+    // thread. Depolarizing channels compile to generic 4x4 superoperators,
+    // the two-qubit ones to 16x16 gather kernels.
+    Circuit noisy = benchmarkishCircuit(9).withNoiseAfterEachGate(
         NoiseKind::AmplitudeDamping, 0.05);
+    for (std::size_t q = 0; q < 9; q += 2)
+        noisy.append(NoiseChannel::depolarizing(q, 0.04));
+    noisy.append(NoiseChannel::twoQubitDepolarizing(1, 6, 0.03));
+    noisy.append(NoiseChannel::twoQubitDepolarizing(8, 0, 0.02));
     DensityMatrixSimulator serial(withThreads(1));
     DensityMatrixSimulator parallel(withThreads(4));
     const auto a = serial.simulate(noisy);

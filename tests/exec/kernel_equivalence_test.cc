@@ -313,6 +313,90 @@ TEST(KernelEquivalenceTest, RandomizedCircuitsMatchReferenceEndToEnd)
     }
 }
 
+/** A random 16x16 matrix of the given four-bit kernel shape. */
+Matrix
+randomFourBitMatrix(GateKernel::Op shape, std::uint64_t seed)
+{
+    Rng rng(seed);
+    auto phase = [&] {
+        return std::polar(1.0, rng.uniform(0.1, 2.0 * M_PI - 0.1));
+    };
+    Matrix m(16, 16);
+    switch (shape) {
+      case GateKernel::Op::Diag:
+        for (std::size_t l = 0; l < 16; ++l)
+            m(l, l) = phase();
+        break;
+      case GateKernel::Op::Perm: {
+        // A fixed-point-free permutation, so no bit strips as a control.
+        for (std::size_t r = 0; r < 16; ++r)
+            m(r, (r * 7 + 3) % 16) = phase();
+        break;
+      }
+      default:
+        for (std::size_t r = 0; r < 16; ++r)
+            for (std::size_t c = 0; c < 16; ++c)
+                m(r, c) = Complex(rng.uniform(-0.25, 0.25),
+                                  rng.uniform(-0.25, 0.25));
+        break;
+    }
+    return m;
+}
+
+TEST(FourBitKernelTest, CompileAcceptsOneToFourBits)
+{
+    EXPECT_THROW(compileKernel(Matrix(1, 1), {}), std::invalid_argument);
+    EXPECT_THROW(compileKernel(Matrix::identity(32), {0, 1, 2, 3, 4}),
+                 std::invalid_argument);
+    const GateKernel k = compileKernel(Matrix::identity(16), {0, 1, 2, 3});
+    EXPECT_EQ(k.arity, 4);
+    EXPECT_EQ(k.op, GateKernel::Op::Identity);
+}
+
+TEST(FourBitKernelTest, EveryClassMatchesReference)
+{
+    // Four-bit kernels take the gather sweep; cover operand sets with and
+    // without bit 0 and in non-monotone order.
+    const std::size_t n = 7;
+    const std::vector<std::vector<std::size_t>> operandSets = {
+        {0, 2, 3, 5}, {6, 1, 4, 2}, {3, 4, 5, 6}};
+    const struct {
+        GateKernel::Op op;
+        const char* name;
+    } shapes[] = {{GateKernel::Op::Diag, "diag"},
+                  {GateKernel::Op::Perm, "perm"},
+                  {GateKernel::Op::Generic, "generic"}};
+    std::uint64_t seed = 1600;
+    for (const auto& shape : shapes) {
+        for (const auto& qubits : operandSets) {
+            SCOPED_TRACE(shape.name);
+            const Matrix m = randomFourBitMatrix(shape.op, seed);
+            EXPECT_EQ(std::string(
+                          compileKernel(m, bitsFor(qubits, n)).className()),
+                      shape.name);
+            expectMatchesReference(m, qubits, n, seed++);
+        }
+    }
+}
+
+TEST(FourBitKernelTest, NormAfterMatchesApplyThenNorm)
+{
+    const std::size_t n = 6;
+    const std::uint64_t dim = std::uint64_t{1} << n;
+    const GateKernel kernel =
+        compileKernel(randomFourBitMatrix(GateKernel::Op::Generic, 1700),
+                      bitsFor({4, 0, 2, 5}, n));
+    ASSERT_EQ(kernel.op, GateKernel::Op::Generic);
+    const auto state = randomState(n, 1701);
+    auto applied = state;
+    applyKernel(kernel, applied.data(), dim, ExecPolicy{});
+    double expected = 0.0;
+    for (const auto& a : applied)
+        expected += norm2(a);
+    EXPECT_NEAR(normAfterKernel(kernel, state.data(), dim, ExecPolicy{}),
+                expected, 1e-12);
+}
+
 TEST(KernelRefreshTest, RefreshedKernelMatchesRecompilation)
 {
     // The variational fast path: refresh a kernel's payload with a new

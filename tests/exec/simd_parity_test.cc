@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "circuit/gate.h"
+#include "circuit/noise.h"
+#include "densitymatrix/densitymatrix_simulator.h"
 #include "exec/simd.h"
 #include "linalg/aligned.h"
 #include "util/rng.h"
@@ -250,6 +252,36 @@ TEST(SimdParityTest, RandomizedCircuitsAreBitIdenticalEndToEnd)
                         << "trial " << trial << " index " << i;
                 }
             }
+        }
+    }
+
+    // A noisy density-matrix circuit: gate kernel pairs plus one- and
+    // two-qubit channel superoperators (blocked and gather sweeps) on the
+    // flattened 2n-bit index space.
+    Circuit noisy(5);
+    for (std::size_t q = 0; q < 5; ++q)
+        noisy.h(q).rx(q, rng.uniform(-3, 3));
+    for (std::size_t q = 0; q + 1 < 5; ++q)
+        noisy.cnot(q, q + 1).zz(q, (q + 3) % 5, rng.uniform(-3, 3));
+    noisy = noisy.withNoiseAfterEachGate(NoiseKind::Depolarizing, 0.02);
+    noisy.append(NoiseChannel::amplitudeDamping(4, 0.1));
+    noisy.append(NoiseChannel::twoQubitDepolarizing(3, 0, 0.05));
+    const DensityMatrix rhoBaseline =
+        DensityMatrixSimulator(policyFor(SimdMode::Off, 1)).simulate(noisy);
+    for (SimdMode mode : distinctModes()) {
+        for (int threads : {1, 4}) {
+            const DensityMatrix rho =
+                DensityMatrixSimulator(policyFor(mode, threads))
+                    .simulate(noisy);
+            for (std::uint64_t r = 0; r < rho.dimension(); ++r)
+                for (std::uint64_t c = 0; c < rho.dimension(); ++c) {
+                    ASSERT_EQ(rhoBaseline.at(r, c).real(), rho.at(r, c).real())
+                        << "dm simd=" << simdLevelName(resolveSimdMode(mode))
+                        << " threads=" << threads << " (" << r << ", " << c
+                        << ")";
+                    ASSERT_EQ(rhoBaseline.at(r, c).imag(), rho.at(r, c).imag())
+                        << "dm (" << r << ", " << c << ")";
+                }
         }
     }
 }

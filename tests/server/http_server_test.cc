@@ -99,6 +99,18 @@ TEST(HttpServerTest, HealthzOverLoopback)
     EXPECT_TRUE(parseJson(reply.body).find("ok")->asBool());
 }
 
+TEST(HttpServerTest, FinishedConnectionThreadsAreReaped)
+{
+    // Each request closes its connection; the accept loop joins finished
+    // threads, so the live set stays bounded instead of growing by one
+    // thread per connection ever accepted.
+    ServerCore core;
+    HttpServer http(core, 0);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(httpGet("127.0.0.1", http.port(), "/v1/healthz").status, 200);
+    EXPECT_LE(http.workerCount(), 4u);
+}
+
 TEST(HttpServerTest, RunMatchesDirectCoreHandling)
 {
     ServerCore core;
