@@ -37,9 +37,6 @@ struct Row {
     std::size_t qubits;
 };
 
-/** Qubit ceiling for the dd pairwise row (full-circuit matrix DD). */
-constexpr std::size_t kDdPairwiseMax = 8;
-
 /**
  * One backend row through the session API: open() is the setup column
  * (plan / contraction planning / KC compile), the Sample task's metadata
@@ -67,7 +64,6 @@ runBackendRow(const std::string& spec, const std::string& label,
         .field("qubits", row.qubits)
         .field("backend", label)
         .field("simd", simdLevelName(activeSimdLevel()))
-        .field("path", r.meta.path.planner)
         .field("sample_sec", r.meta.seconds)
         .field("setup_sec", setupSeconds);
 }
@@ -118,7 +114,6 @@ runSvBatchRow(const Row& row, const Circuit& circuit, std::size_t samples,
         .field("qubits", row.qubits)
         .field("backend", label)
         .field("simd", simdLevelName(activeSimdLevel()))
-        .field("path", results.front().meta.path.planner)
         .field("sample_sec", perBinding)
         .field("setup_sec", setupSeconds)
         .field("batch_wall_sec", stats.wallSeconds)
@@ -154,15 +149,6 @@ runRow(const Row& row, const Circuit& circuit, std::size_t samples,
     if (row.qubits <= ddMax) {
         runBackendRow("decisiondiagram", "decisiondiagram", row, circuit,
                       samples, 4);
-        // Linear-vs-pairwise on the same circuit and seed: the only change
-        // is the contraction tree the diagram build follows, so the two
-        // rows isolate what MxM layer fusion buys (or costs) the dd family.
-        // The pairwise tree materializes the whole circuit as one matrix
-        // DD, which is exponential for random-angle QAOA/VQE layers, so
-        // this row stops well below the linear dd cap.
-        if (row.qubits <= kDdPairwiseMax)
-            runBackendRow("decisiondiagram:path=pairwise", "dd+pairwise",
-                          row, circuit, samples, 4);
     }
 
     // The doubled-network contraction blows past the rank limit (or takes

@@ -25,8 +25,6 @@
 #include "bench_common.h"
 #include "circuit/circuit.h"
 #include "circuit/fusion.h"
-#include "circuit/simulation_path.h"
-#include "dd/dd_simulator.h"
 #include "exec/gate_kernels.h"
 #include "exec/simd.h"
 #include "statevector/statevector_simulator.h"
@@ -381,7 +379,6 @@ runSimdComparison(std::size_t n)
                 .field("kernel", c.name)
                 .field("qubits", n)
                 .field("simd", level)
-                .field("path", "linear")
                 .field("sec_per_apply", sec)
                 .field("speedup_vs_scalar", scalarSec / sec);
         }
@@ -418,57 +415,15 @@ runBlockedComparison(std::size_t n)
         .field("kernel", "generic1q_highstride")
         .field("qubits", n)
         .field("simd", level)
-        .field("path", "linear")
         .field("mode", "gather")
         .field("sec_per_apply", gatherSec);
     bench::JsonRow("micro_kernels")
         .field("kernel", "generic1q_highstride")
         .field("qubits", n)
         .field("simd", level)
-        .field("path", "linear")
         .field("mode", "blocked")
         .field("sec_per_apply", blockedSec)
         .field("speedup_vs_gather", gatherSec / blockedSec);
-}
-
-// -- Simulation-path comparison (JSON lines) ---------------------------------
-
-/**
- * The dd build along the linear chain vs the pairwise contraction tree on a
- * structured QAOA ladder: same circuit, same final state, but the pairwise
- * tree fuses whole layers into one matrix DD (multiplyMM) before a single
- * apply touches the state — the row reports the MxM products that cost and
- * the apply-table lookups it saves.
- */
-void
-runPathComparison(std::size_t n)
-{
-    const Circuit c = bench::qaoaCircuit(n, 2, 19);
-    std::printf("# dd simulation-path comparison, %zu qubits, qaoa p=2\n", n);
-    for (const char* planner : {"linear", "pairwise"}) {
-        PathOptions options;
-        parsePathPlanner(planner, &options);
-        const SimulationPath path = planSimulationPath(c, options);
-        DdSimulator sim;
-        DdPathStats stats;
-        const auto start = std::chrono::steady_clock::now();
-        const VEdge state = sim.simulatePath(c, path, &stats);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        (void)state;
-        const DdStats& s = sim.package().stats();
-        const std::uint64_t applyLookups = s.applyHits + s.applyMisses;
-        std::printf("ddpath %-8s %10.4f ms  mm=%zu  apply_lookups=%llu\n",
-                    planner, elapsed.count() * 1e3, stats.mmProducts,
-                    static_cast<unsigned long long>(applyLookups));
-        bench::JsonRow("micro_kernels")
-            .field("kernel", "dd_build")
-            .field("qubits", n)
-            .field("path", planner)
-            .field("build_sec", elapsed.count())
-            .field("mm_products", stats.mmProducts)
-            .field("apply_lookups", applyLookups);
-    }
 }
 
 } // namespace
@@ -483,6 +438,5 @@ main(int argc, char** argv)
     benchmark::Shutdown();
     runSimdComparison(20);
     runBlockedComparison(22);
-    runPathComparison(8);
     return 0;
 }

@@ -94,26 +94,6 @@ DdPackage::AddKeyHash::operator()(const AddKey& k) const
         ddHashMix(h, static_cast<std::uint64_t>(k.ratio.im)));
 }
 
-std::size_t
-DdPackage::MmKeyHash::operator()(const MmKey& k) const
-{
-    std::uint64_t h = ddHashMix(0x9e3779b97f4a7c15ULL,
-                                reinterpret_cast<std::uintptr_t>(k.a));
-    return static_cast<std::size_t>(
-        ddHashMix(h, reinterpret_cast<std::uintptr_t>(k.b)));
-}
-
-std::size_t
-DdPackage::MAddKeyHash::operator()(const MAddKey& k) const
-{
-    std::uint64_t h = ddHashMix(0xd6e8feb86659fd93ULL,
-                                reinterpret_cast<std::uintptr_t>(k.a));
-    h = ddHashMix(h, reinterpret_cast<std::uintptr_t>(k.b));
-    h = ddHashMix(h, static_cast<std::uint64_t>(k.ratio.re));
-    return static_cast<std::size_t>(
-        ddHashMix(h, static_cast<std::uint64_t>(k.ratio.im)));
-}
-
 VEdge
 DdPackage::makeVNode(std::size_t level, const VEdge& e0, const VEdge& e1)
 {
@@ -420,104 +400,6 @@ DdPackage::apply(const MEdge& m, const VEdge& v)
     applyCache_.emplace(key, result);
     result.weight = result.weight * w;
     return negligible(result.weight) ? zeroV() : result;
-}
-
-MEdge
-DdPackage::addMNodes(MNode* a, MNode* b, const Complex& ratio)
-{
-    // Same grid-aliasing guard as the vector addNodes: ratios outside the
-    // quantizer's exact range skip the memo.
-    const bool cacheable = std::abs(ratio.real()) <= 1e6 &&
-                           std::abs(ratio.imag()) <= 1e6;
-    MAddKey key{a, b, ddQuantize(ratio)};
-    if (cacheable) {
-        auto it = mAddCache_.find(key);
-        if (it != mAddCache_.end()) {
-            ++stats_.mAddHits;
-            return it->second;
-        }
-    }
-    ++stats_.mAddMisses;
-
-    std::array<MEdge, 4> c;
-    for (std::size_t i = 0; i < 4; ++i) {
-        const MEdge& ca = a->children[i];
-        MEdge cb = b->children[i];
-        cb.weight = cb.weight * ratio;
-        c[i] = addM(ca, cb);
-    }
-    MEdge result = makeMNode(a->level, c);
-    if (cacheable)
-        mAddCache_.emplace(key, result);
-    return result;
-}
-
-MEdge
-DdPackage::addM(const MEdge& a, const MEdge& b)
-{
-    if (a.isZero() || negligible(a.weight))
-        return negligible(b.weight) ? zeroM() : b;
-    if (b.isZero() || negligible(b.weight))
-        return a;
-
-    if (a.node == b.node) {
-        const Complex w = a.weight + b.weight;
-        return negligible(w) ? zeroM() : MEdge{a.node, w};
-    }
-    if (a.isTerminal() || b.isTerminal() ||
-        a.node->level != b.node->level) {
-        throw std::logic_error("DdPackage::addM: misaligned diagram levels");
-    }
-
-    const Complex ratio = b.weight / a.weight;
-    MEdge r = addMNodes(a.node, b.node, ratio);
-    r.weight = r.weight * a.weight;
-    return negligible(r.weight) ? zeroM() : r;
-}
-
-MEdge
-DdPackage::multiplyMM(const MEdge& a, const MEdge& b)
-{
-    if (a.isZero() || b.isZero() || negligible(a.weight) ||
-        negligible(b.weight)) {
-        return zeroM();
-    }
-
-    const Complex w = a.weight * b.weight;
-    if (a.isTerminal() && b.isTerminal())
-        return MEdge{nullptr, w};
-    if (a.isTerminal() || b.isTerminal() ||
-        a.node->level != b.node->level) {
-        throw std::logic_error(
-            "DdPackage::multiplyMM: misaligned diagram levels");
-    }
-
-    MmKey key{a.node, b.node};
-    auto it = mmCache_.find(key);
-    if (it != mmCache_.end()) {
-        ++stats_.mmHits;
-        MEdge r = it->second;
-        r.weight = r.weight * w;
-        return negligible(r.weight) ? zeroM() : r;
-    }
-    ++stats_.mmMisses;
-
-    // Block 2x2 product over the children: out[r][c] = sum_k a[r][k]*b[k][c]
-    // (children indexed 2*row + col).
-    std::array<MEdge, 4> out;
-    for (std::size_t rb = 0; rb < 2; ++rb) {
-        for (std::size_t cb = 0; cb < 2; ++cb) {
-            MEdge t0 = multiplyMM(a.node->children[2 * rb + 0],
-                                  b.node->children[0 + cb]);
-            MEdge t1 = multiplyMM(a.node->children[2 * rb + 1],
-                                  b.node->children[2 + cb]);
-            out[2 * rb + cb] = addM(t0, t1);
-        }
-    }
-    MEdge result = makeMNode(a.node->level, out);
-    mmCache_.emplace(key, result);
-    result.weight = result.weight * w;
-    return negligible(result.weight) ? zeroM() : result;
 }
 
 Complex
@@ -931,8 +813,6 @@ DdPackage::clearComputeTables()
 {
     applyCache_.clear();
     addCache_.clear();
-    mmCache_.clear();
-    mAddCache_.clear();
 }
 
 void

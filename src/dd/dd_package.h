@@ -31,10 +31,6 @@ struct DdStats {
     std::size_t applyMisses = 0;
     std::size_t addHits = 0;         ///< vector-add compute-table hits
     std::size_t addMisses = 0;
-    std::size_t mmHits = 0;          ///< matrix-matrix compute-table hits
-    std::size_t mmMisses = 0;
-    std::size_t mAddHits = 0;        ///< matrix-add compute-table hits
-    std::size_t mAddMisses = 0;
     std::uint64_t gcNanos = 0;       ///< total garbageCollect() pause time
 };
 
@@ -171,21 +167,6 @@ class DdPackage {
     /** Matrix-vector product m * v (memoized) — one gate application. */
     VEdge apply(const MEdge& m, const VEdge& v);
 
-    /** Element-wise matrix sum a + b (memoized; multiplyMM's reduction). */
-    MEdge addM(const MEdge& a, const MEdge& b);
-
-    /**
-     * Matrix-matrix product a * b (memoized in its own compute table) —
-     * `a` is the operator applied *after* `b`, so a path MM node with
-     * earlier subtree E and later subtree L evaluates multiplyMM(L, E).
-     * The result is a canonical matrix DD: a whole channel-free layer can
-     * be fused into one operator and applied with a single apply() sweep.
-     * Like apply(), the memo key is the node pair with both root weights
-     * factored out, and the cached entry is GC-safe because
-     * clearComputeTables() drops this table alongside the others.
-     */
-    MEdge multiplyMM(const MEdge& a, const MEdge& b);
-
     // -- Queries --------------------------------------------------------------
 
     /** Amplitude of one basis state: the product of weights along its path. */
@@ -284,35 +265,11 @@ class DdPackage {
     struct AddKeyHash {
         std::size_t operator()(const AddKey& k) const;
     };
-    struct MmKey {
-        const MNode* a;
-        const MNode* b;
-        bool operator==(const MmKey& o) const
-        {
-            return a == o.a && b == o.b;
-        }
-    };
-    struct MmKeyHash {
-        std::size_t operator()(const MmKey& k) const;
-    };
-    struct MAddKey {
-        const MNode* a;
-        const MNode* b;
-        QuantizedComplex ratio; ///< b's weight relative to a's (factored out)
-        bool operator==(const MAddKey& o) const
-        {
-            return a == o.a && b == o.b && ratio == o.ratio;
-        }
-    };
-    struct MAddKeyHash {
-        std::size_t operator()(const MAddKey& k) const;
-    };
 
     MEdge buildGateLevel(const Matrix& u,
                          const std::vector<std::size_t>& qubits,
                          std::size_t level, std::size_t row, std::size_t col);
     VEdge addNodes(VNode* a, VNode* b, const Complex& ratio);
-    MEdge addMNodes(MNode* a, MNode* b, const Complex& ratio);
     void countNodes(const VNode* node,
                     std::unordered_set<const VNode*>& seen) const;
 
@@ -334,8 +291,6 @@ class DdPackage {
     std::unordered_map<MKey, MNode*, MKeyHash> mUnique_;
     std::unordered_map<ApplyKey, VEdge, ApplyKeyHash> applyCache_;
     std::unordered_map<AddKey, VEdge, AddKeyHash> addCache_;
-    std::unordered_map<MmKey, MEdge, MmKeyHash> mmCache_;
-    std::unordered_map<MAddKey, MEdge, MAddKeyHash> mAddCache_;
     DdStats stats_;
 };
 

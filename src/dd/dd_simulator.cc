@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "circuit/gate.h"
-#include "obs/trace.h"
 
 namespace qkc {
 
@@ -14,8 +13,6 @@ DdSimulator::packageFor(const Circuit& circuit)
         pkg_ = std::make_unique<DdPackage>(circuit.numQubits());
         pkg_->setGcThreshold(gcThreshold_);
         fixedGateDds_.clear(); // roots died with the old package
-        pathNodeDds_.clear();
-        pathCacheSig_ = 0;
     }
     return *pkg_;
 }
@@ -85,161 +82,6 @@ DdSimulator::simulate(const Circuit& circuit)
         state = pkg.apply(gateDd(*g), state);
     }
     return state;
-}
-
-namespace {
-
-/** True when a rebind of the same structure cannot change this gate. */
-bool
-gateIsFrozen(const Gate& g)
-{
-    return !g.isParameterized() && g.kind() != GateKind::Custom1Q &&
-           g.kind() != GateKind::Custom2Q;
-}
-
-/**
- * Fingerprint of what the frozen-subtree cache depends on: the circuit
- * *structure* (op kinds and wires — values of frozen gates cannot differ
- * under an equal structure) and the path *shape*. FNV-1a, locally defined
- * so the dd layer stays independent of exec's structureHash.
- */
-std::uint64_t
-pathCacheSignature(const Circuit& circuit, const SimulationPath& path)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(circuit.numQubits());
-    mix(circuit.size());
-    for (const Operation& op : circuit.operations()) {
-        mix(op.index());
-        if (const Gate* g = std::get_if<Gate>(&op)) {
-            mix(static_cast<std::uint64_t>(g->kind()));
-            for (std::size_t q : g->qubits())
-                mix(q);
-        } else {
-            const auto& ch = std::get<NoiseChannel>(op);
-            for (std::size_t q : ch.qubits())
-                mix(q);
-            mix(ch.krausOperators().size());
-        }
-    }
-    mix(static_cast<std::uint64_t>(path.planner));
-    mix(path.nodes.size());
-    mix(static_cast<std::uint64_t>(path.root));
-    for (const SimulationPath::Node& n : path.nodes) {
-        mix(static_cast<std::uint64_t>(n.kind));
-        mix(n.opIndex);
-        mix(static_cast<std::uint64_t>(n.left));
-        mix(static_cast<std::uint64_t>(n.right));
-    }
-    return h;
-}
-
-} // namespace
-
-void
-DdSimulator::clearPathCache()
-{
-    if (pkg_) {
-        for (const auto& [index, edge] : pathNodeDds_) {
-            (void)index;
-            pkg_->unprotect(edge);
-        }
-    }
-    pathNodeDds_.clear();
-    pathCacheSig_ = 0;
-}
-
-VEdge
-DdSimulator::simulatePath(const Circuit& circuit, const SimulationPath& path,
-                          DdPathStats* stats)
-{
-    DdPackage& pkg = packageFor(circuit);
-    if (path.empty())
-        return pkg.makeZeroState();
-
-    const std::uint64_t sig = pathCacheSignature(circuit, path);
-    if (sig != pathCacheSig_) {
-        clearPathCache();
-        pathCacheSig_ = sig;
-    }
-
-    const auto& ops = circuit.operations();
-    const std::size_t n = path.nodes.size();
-
-    // Frozen flags bottom-up (children precede parents in `nodes`): an MM
-    // subtree is frozen when every gate below it is rebind-invariant.
-    std::vector<bool> frozen(n, false);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto& node = path.nodes[i];
-        if (node.kind == SimulationPath::Node::Kind::Op) {
-            const Gate* g = std::get_if<Gate>(&ops[node.opIndex]);
-            frozen[i] = g != nullptr && gateIsFrozen(*g);
-        } else if (node.kind == SimulationPath::Node::Kind::MM) {
-            frozen[i] = frozen[static_cast<std::size_t>(node.left)] &&
-                        frozen[static_cast<std::size_t>(node.right)];
-        }
-    }
-
-    DdPathStats local;
-    std::vector<MEdge> mval(n);
-    std::vector<VEdge> vval(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto& node = path.nodes[i];
-        switch (node.kind) {
-        case SimulationPath::Node::Kind::State:
-            vval[i] = pkg.makeZeroState();
-            break;
-        case SimulationPath::Node::Kind::Op: {
-            const Gate* g = std::get_if<Gate>(&ops[node.opIndex]);
-            if (!g) {
-                throw std::invalid_argument(
-                    "DdSimulator::simulatePath: circuit has noise; use "
-                    "simulateTrajectory");
-            }
-            mval[i] = gateDd(*g);
-            break;
-        }
-        case SimulationPath::Node::Kind::MM: {
-            if (frozen[i]) {
-                auto it = pathNodeDds_.find(i);
-                if (it != pathNodeDds_.end()) {
-                    mval[i] = it->second;
-                    ++local.cachedSubtrees;
-                    break;
-                }
-            }
-            const std::size_t l = static_cast<std::size_t>(node.left);
-            const std::size_t r = static_cast<std::size_t>(node.right);
-            {
-                // later * earlier: right is the subtree applied after left.
-                QKC_SPAN("exec.mm");
-                mval[i] = pkg.multiplyMM(mval[r], mval[l]);
-            }
-            ++local.mmProducts;
-            if (frozen[i]) {
-                pkg.protect(mval[i]);
-                pathNodeDds_.emplace(i, mval[i]);
-            }
-            break;
-        }
-        case SimulationPath::Node::Kind::MV:
-            vval[i] = pkg.apply(mval[static_cast<std::size_t>(node.right)],
-                                vval[static_cast<std::size_t>(node.left)]);
-            break;
-        }
-    }
-
-    if (stats)
-        *stats = local;
-    if (path.root < 0 || static_cast<std::size_t>(path.root) >= n)
-        throw std::logic_error("DdSimulator::simulatePath: malformed path");
-    return vval[static_cast<std::size_t>(path.root)];
 }
 
 VEdge

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "circuit/circuit.h"
-#include "circuit/simulation_path.h"
 #include "dd/dd_package.h"
 #include "util/rng.h"
 
@@ -32,12 +31,6 @@ namespace qkc {
  * renormalizes, which is exact in distribution for mixtures and general
  * channels alike.
  */
-/** What one simulatePath() run did — reported up into ResultMeta. */
-struct DdPathStats {
-    std::size_t mmProducts = 0;     ///< multiplyMM tree nodes evaluated
-    std::size_t cachedSubtrees = 0; ///< frozen MM subtrees served from cache
-};
-
 class DdSimulator {
   public:
     DdSimulator() = default;
@@ -49,23 +42,6 @@ class DdSimulator {
 
     /** Runs the ideal part of `circuit`; throws if it contains noise. */
     VEdge simulate(const Circuit& circuit);
-
-    /**
-     * Runs the ideal circuit along a simulation path: MM nodes fuse whole
-     * channel-free layers into one matrix DD via DdPackage::multiplyMM
-     * before a single apply() touches the state, so a structured layer
-     * costs one matrix-vector sweep instead of one per gate. Frozen MM
-     * subtrees (every source gate non-parameterized and non-Custom) are
-     * kept as protected roots and reused across parameter rebinds of the
-     * same circuit structure; a different structure or path shape clears
-     * the cache automatically. Throws if the circuit contains noise (path
-     * execution is ideal-only — the noisy backends keep trajectories).
-     */
-    VEdge simulatePath(const Circuit& circuit, const SimulationPath& path,
-                       DdPathStats* stats = nullptr);
-
-    /** Drops (and unprotects) the frozen path-subtree cache. */
-    void clearPathCache();
 
     /** Runs one noisy trajectory (gates exact, channels Born-sampled). */
     VEdge simulateTrajectory(const Circuit& circuit, Rng& rng);
@@ -128,10 +104,6 @@ class DdSimulator {
     std::unique_ptr<DdPackage> pkg_;
     /** Protected DDs of parameter-free gates, keyed by (kind, qubits). */
     std::map<std::pair<int, std::vector<std::size_t>>, MEdge> fixedGateDds_;
-    /** Protected frozen MM-subtree operators, keyed by path-node index. */
-    std::map<std::size_t, MEdge> pathNodeDds_;
-    /** Fingerprint (structure + path shape) the subtree cache is valid for. */
-    std::uint64_t pathCacheSig_ = 0;
 };
 
 } // namespace qkc

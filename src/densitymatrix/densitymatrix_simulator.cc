@@ -56,12 +56,8 @@ planCircuitDm(const Circuit& circuit, const ExecPolicy& policy)
 
 DmExecutionPlan
 planCircuitDm(const Circuit& circuit, const ExecPolicy& policy,
-              const PathOptions& pathOptions)
+              const PathOptions&)
 {
-    if (pathOptions.active())
-        throw std::invalid_argument(
-            "planCircuitDm: simulation paths apply to the decision-diagram "
-            "backend only");
     return planCircuitDm(circuit, policy);
 }
 

@@ -6,8 +6,8 @@
 
 #include "circuit/circuit.h"
 #include "circuit/fusion.h"
-#include "circuit/simulation_path.h"
 #include "densitymatrix/density_matrix.h"
+#include "exec/execution_plan.h"
 #include "exec/thread_pool.h"
 #include "util/rng.h"
 
@@ -47,12 +47,7 @@ struct DmExecutionPlan {
 /** Builds the superoperator plan for `circuit` under `policy`. */
 DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy);
 
-/**
- * Forwarder kept for the repository benchmark (vqabench/), its only
- * caller — the dm counterpart of exec's three-argument planCircuit:
- * returns the two-argument plan for an inactive planner (auto/linear) and
- * throws std::invalid_argument for pairwise/bracketN.
- */
+/** The dm counterpart of exec's benchmark forwarder: the two-argument plan. */
 DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy,
                               const PathOptions& pathOptions);
 

@@ -1,6 +1,5 @@
 #include "exec/execution_plan.h"
 
-#include <stdexcept>
 
 #include "obs/trace.h"
 
@@ -63,12 +62,8 @@ planCircuit(const Circuit& circuit, const ExecPolicy& policy)
 
 ExecutionPlan
 planCircuit(const Circuit& circuit, const ExecPolicy& policy,
-            const PathOptions& pathOptions)
+            const PathOptions&)
 {
-    if (pathOptions.active())
-        throw std::invalid_argument(
-            "planCircuit: simulation paths apply to the decision-diagram "
-            "backend only");
     return planCircuit(circuit, policy);
 }
 

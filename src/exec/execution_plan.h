@@ -6,7 +6,6 @@
 
 #include "circuit/circuit.h"
 #include "circuit/fusion.h"
-#include "circuit/simulation_path.h"
 #include "exec/gate_kernels.h"
 #include "exec/thread_pool.h"
 
@@ -54,12 +53,13 @@ struct ExecutionPlan {
 ExecutionPlan planCircuit(const Circuit& circuit, const ExecPolicy& policy);
 
 /**
- * Forwarder kept for the repository benchmark (vqabench/), its only
- * caller: returns the two-argument plan for an inactive planner
- * (auto/linear) and throws std::invalid_argument for pairwise/bracketN —
- * simulation paths are a decision-diagram feature; dense plans fuse and
- * compile along the circuit order only.
+ * Empty tag kept only so the repository benchmark (vqabench/) still
+ * compiles its `planCircuit(c, policy, PathOptions{})` calls; it selects
+ * nothing.
  */
+struct PathOptions {};
+
+/** Forwarder for the benchmark's calls: the two-argument plan. */
 ExecutionPlan planCircuit(const Circuit& circuit, const ExecPolicy& policy,
                           const PathOptions& pathOptions);
 

@@ -503,8 +503,6 @@ class DdSession final : public Session {
         : Session("decisiondiagram", circuit), options_(options),
           sim_(options.gcThreshold)
     {
-        if (options_.path.active())
-            path_ = planSimulationPath(circuit, options_.path);
     }
 
   protected:
@@ -531,13 +529,8 @@ class DdSession final : public Session {
 
     std::size_t batchThreads() const override { return trajectoryLanes(); }
 
-    bool doBind(const Circuit& circuit, bool sameStructure) override
+    bool doBind(const Circuit&, bool sameStructure) override
     {
-        // The path tree references ops by index, so it only goes stale on a
-        // structure change; simulatePath's own signature check then retires
-        // the frozen-subtree cache the old tree left protected.
-        if (options_.path.active() && !sameStructure)
-            path_ = planSimulationPath(circuit, options_.path);
         // The package survives the bind — arena capacity, table buckets,
         // free lists and cached Pauli-term DDs all stay warm. The old state
         // is unrooted and collected NOW, not lazily: weight interning snaps
@@ -565,8 +558,13 @@ class DdSession final : public Session {
             std::vector<std::uint64_t> seeds(shots);
             for (auto& s : seeds)
                 s = rng.next();
-            const std::size_t lanes =
+            std::size_t lanes =
                 std::min<std::size_t>(trajectoryLanes(), shots);
+            // The pool never runs more than numWorkers() + 1 lanes at once,
+            // and every lane owns a DdPackage: lanes past that bound only
+            // cost memory, and `threads` comes straight from client specs.
+            if (lanes > 1)
+                lanes = std::min(lanes, sharedPool().numWorkers() + 1);
             if (lanes <= 1) {
                 auto samples = sim_.sampleNoisySeeded(circuit_, seeds);
                 stampDdMemory(meta);
@@ -576,7 +574,6 @@ class DdSession final : public Session {
         }
         ensureState();
         meta.exact = true;
-        stampPath(meta);
         QKC_SPAN("dd.sample");
         std::vector<std::uint64_t> samples;
         samples.reserve(shots);
@@ -603,7 +600,6 @@ class DdSession final : public Session {
         // <psi|phi>.
         ensureState();
         meta.exact = true;
-        stampPath(meta);
         QKC_SPAN("dd.expectation");
         DdPackage& pkg = sim_.package();
         double total = 0.0;
@@ -629,7 +625,6 @@ class DdSession final : public Session {
                         "noisy runs are trajectory mixtures");
         ensureState();
         meta.exact = true;
-        stampPath(meta);
         QKC_SPAN("dd.amplitudes");
         const DdPackage& pkg = sim_.package();
         std::vector<Complex> out;
@@ -655,7 +650,6 @@ class DdSession final : public Session {
                         "trajectory-sampled; use the density-matrix backend");
         ensureState();
         meta.exact = true;
-        stampPath(meta);
         QKC_SPAN("dd.probabilities");
         auto probs = marginalizeDistribution(
             sim_.package().probabilities(state_), circuit_.numQubits(),
@@ -762,10 +756,7 @@ class DdSession final : public Session {
         if (sim_.hasPackage())
             sim_.package().maybeGarbageCollect();
         QKC_SPAN("dd.build");
-        if (options_.path.active() && circuit_.noiseCount() == 0)
-            state_ = sim_.simulatePath(circuit_, path_, &pathStats_);
-        else
-            state_ = sim_.simulate(circuit_);
+        state_ = sim_.simulate(circuit_);
         sim_.package().protect(state_);
         built_ = true;
     }
@@ -812,20 +803,6 @@ class DdSession final : public Session {
         taskStart_ = sim_.hasPackage() ? sim_.package().stats() : DdStats{};
     }
 
-    /** meta.path from the planned tree and the last simulatePath run. */
-    void stampPath(ResultMeta& meta) const
-    {
-        if (!options_.path.active()) {
-            meta.path.planner = pathPlannerName(PathPlanner::Linear);
-            return; // gate-by-gate build == the linear chain
-        }
-        meta.path.planner = pathPlannerName(path_.planner);
-        meta.path.nodes = path_.nodes.size();
-        meta.path.mmNodes = path_.mmNodes;
-        meta.path.mmProducts = pathStats_.mmProducts;
-        meta.path.cachedSubtrees = pathStats_.cachedSubtrees;
-    }
-
     void stampDdMemory(ResultMeta& meta)
     {
         if (!sim_.hasPackage())
@@ -849,8 +826,6 @@ class DdSession final : public Session {
 
     BackendOptions options_;
     DdSimulator sim_;
-    SimulationPath path_;   ///< planned once per structure; empty when inactive
-    DdPathStats pathStats_; ///< what the last simulatePath run did
     DdStats taskStart_{}; ///< package counters at task entry (per-task deltas)
     VEdge state_;
     bool built_ = false;

@@ -411,7 +411,7 @@ backendRegistry()
          "during sampling and do not clone cheaply"},
         {"decisiondiagram",
          {"dd"},
-         {"threads", "gcthreshold", "path"},
+         {"threads", "gcthreshold"},
          "QMDD decision diagram (DDSIM-style); Kraus trajectories when "
          "noise is present; ref-counted mark-and-sweep node GC",
          "sample; expectation (exact when ideal, via diagram walk); "
@@ -539,13 +539,6 @@ parseBackendSpec(const std::string& spec)
             std::find(info->optionKeys.begin(), info->optionKeys.end(),
                       key) != info->optionKeys.end();
         if (!accepted) {
-            // Only dd executes along a simulation path; say so instead of
-            // listing the backend's keys.
-            if (key == "path")
-                throw std::invalid_argument(
-                    "makeBackend: backend " + info->name +
-                    " has no simulation path; the path option applies to "
-                    "decisiondiagram only");
             std::string known;
             for (const std::string& k : info->optionKeys)
                 known += (known.empty() ? "" : ", ") + k;
@@ -554,17 +547,6 @@ parseBackendSpec(const std::string& spec)
                 info->name +
                 (known.empty() ? " (it accepts no options)"
                                : " (valid: " + known + ")"));
-        }
-        // path takes a planner name (with an optional bracket width glued
-        // on), not an integer — dispatch before the integer parse.
-        if (key == "path") {
-            PathOptions path;
-            if (!parsePathPlanner(value, &path))
-                throw std::invalid_argument(
-                    "makeBackend: option path must be auto, linear, "
-                    "pairwise or bracketN (N >= 2), got \"" + value + "\"");
-            result.options.path = path;
-            continue;
         }
         const long v = parseIntOption(key, value);
         if (key == "threads") {

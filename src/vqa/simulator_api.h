@@ -10,7 +10,6 @@
 
 #include "circuit/circuit.h"
 #include "circuit/fusion.h"
-#include "circuit/simulation_path.h"
 #include "linalg/types.h"
 #include "obs/trace.h"
 #include "util/rng.h"
@@ -33,8 +32,9 @@ namespace qkc {
 struct BackendOptions {
     /**
      * Dense-sweep threads for sv/dm, and worker lanes for dd (runBatch
-     * fan-out and the trajectory-parallel noisy Sample); total, including
-     * the caller. 0 = machine default: the QKC_THREADS environment
+     * fan-out and the trajectory-parallel noisy Sample, which builds no
+     * more lanes than the shared pool can run); total, including the
+     * caller. 0 = machine default: the QKC_THREADS environment
      * variable when set (clamped to >= 1), otherwise
      * std::thread::hardware_concurrency(). An explicit value here always
      * wins over both.
@@ -56,16 +56,6 @@ struct BackendOptions {
      * and collects dead nodes at safe points once this many are live.
      */
     std::size_t gcThreshold = 1u << 16;
-
-    /**
-     * Simulation-path planner (dd): how the circuit is lowered to a
-     * contraction tree before execution. "auto" (the default) resolves to
-     * linear — one MxV per operation. "pairwise" and "bracketN" group
-     * channel-free gate runs into MxM subtrees, each fused into one matrix
-     * DD via multiplyMM. Every other backend rejects the option at parse
-     * time: the dense backends' products are placed by gate fusion alone.
-     */
-    PathOptions path{};
 };
 
 /** A parsed backend spec: canonical name plus its typed options. */
@@ -212,22 +202,6 @@ struct BatchStats {
     double imbalance = 0.0;         ///< lane imbalance ratio (>= 1.0)
 };
 
-/**
- * Simulation-path execution stats for one task (dd sessions; default
- * values elsewhere, which is also what a linear dd run reports). `planner`
- * is the resolved planner name ("linear" when the option was auto/linear);
- * nodes/mmNodes describe the planned tree; mmProducts counts
- * operator-operator products the last run evaluated; cachedSubtrees counts
- * frozen subtrees served from cache instead of being re-multiplied.
- */
-struct PathMeta {
-    std::string planner = "linear";
-    std::size_t nodes = 0;
-    std::size_t mmNodes = 0;
-    std::size_t mmProducts = 0;
-    std::size_t cachedSubtrees = 0;
-};
-
 /** Execution metadata carried by every Result. */
 struct ResultMeta {
     std::string backend;        ///< canonical backend name
@@ -260,9 +234,6 @@ struct ResultMeta {
 
     /** Diagram memory-lifecycle stats (dd sessions; else zeros). */
     DdMemoryStats ddMemory{};
-
-    /** Simulation-path stats (dd sessions; else defaults). */
-    PathMeta path{};
 
     /** Batch aggregates when the result came from runBatch (else zeros). */
     BatchStats batch{};

@@ -1,28 +1,17 @@
 /**
- * The dense plans' path-option forwarders: an inactive planner (auto or
- * linear) yields exactly the two-argument plan, an active one is refused —
- * simulation paths are a decision-diagram feature. Also pins the plain
- * plan's thread-count invariance and its structure-change refusal.
+ * The dense execution plan's structural contracts: the compiled kernel
+ * stream does not depend on the thread count, tryRebindPlan refuses a
+ * structure change, and the benchmark's PathOptions forwarders return the
+ * two-argument plans unchanged.
  */
 #include "exec/execution_plan.h"
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
-#include "circuit/simulation_path.h"
 #include "densitymatrix/densitymatrix_simulator.h"
 
 namespace qkc {
 namespace {
-
-PathOptions
-pathOf(const char* spec)
-{
-    PathOptions o;
-    EXPECT_TRUE(parsePathPlanner(spec, &o));
-    return o;
-}
 
 /** Fixed H/CNOT prefix feeding a parameterized Rz suffix. */
 Circuit
@@ -56,32 +45,7 @@ expectSameKernelStream(const ExecutionPlan& a, const ExecutionPlan& b)
     }
 }
 
-TEST(PathPlanTest, LinearOverloadEqualsClassicPlan)
-{
-    const Circuit c = frozenPrefixCircuit(0.3);
-    ExecPolicy policy;
-    const ExecutionPlan classic = planCircuit(c, policy);
-    const ExecutionPlan linear = planCircuit(c, policy, pathOf("linear"));
-    expectSameKernelStream(classic, linear);
-    ASSERT_EQ(classic.ops.size(), linear.ops.size());
-
-    EXPECT_THROW(planCircuit(c, policy, pathOf("pairwise")),
-                 std::invalid_argument);
-    EXPECT_THROW(planCircuitDm(c, policy, pathOf("pairwise")),
-                 std::invalid_argument);
-}
-
-TEST(PathPlanTest, AutoResolvesToLinear)
-{
-    const Circuit c = frozenPrefixCircuit(0.3);
-    ExecPolicy policy;
-    expectSameKernelStream(planCircuit(c, policy),
-                           planCircuit(c, policy, PathOptions{}));
-    EXPECT_EQ(planCircuitDm(c, policy).ops.size(),
-              planCircuitDm(c, policy, PathOptions{}).ops.size());
-}
-
-TEST(PathPlanTest, KernelStreamIsThreadCountInvariant)
+TEST(ExecutionPlanTest, KernelStreamIsThreadCountInvariant)
 {
     const Circuit c = frozenPrefixCircuit(0.4);
     ExecPolicy one;
@@ -91,7 +55,7 @@ TEST(PathPlanTest, KernelStreamIsThreadCountInvariant)
     expectSameKernelStream(planCircuit(c, one), planCircuit(c, four));
 }
 
-TEST(PathPlanTest, RebindRefusesStructureChange)
+TEST(ExecutionPlanTest, RebindRefusesStructureChange)
 {
     ExecPolicy policy;
     ExecutionPlan plan = planCircuit(frozenPrefixCircuit(0.3), policy);
@@ -101,6 +65,23 @@ TEST(PathPlanTest, RebindRefusesStructureChange)
     other.h(0).h(1).h(2).cnot(0, 1).cnot(1, 2);
     other.rx(0, 0.3).rz(1, 0.4).rz(2, 0.5); // rz -> rx at one position
     EXPECT_FALSE(tryRebindPlan(plan, other));
+}
+
+TEST(ExecutionPlanTest, PathOptionsForwardersReturnThePlainPlans)
+{
+    Circuit c = frozenPrefixCircuit(0.3);
+    c.append(NoiseChannel::depolarizing(1, 0.05));
+    ExecPolicy policy;
+    const ExecutionPlan plain = planCircuit(c, policy);
+    const ExecutionPlan forwarded = planCircuit(c, policy, PathOptions{});
+    expectSameKernelStream(plain, forwarded);
+    EXPECT_EQ(plain.ops.size(), forwarded.ops.size());
+
+    const DmExecutionPlan dmPlain = planCircuitDm(c, policy);
+    const DmExecutionPlan dmForwarded =
+        planCircuitDm(c, policy, PathOptions{});
+    ASSERT_EQ(dmPlain.ops.size(), dmForwarded.ops.size());
+    EXPECT_EQ(dmPlain.circuit.size(), dmForwarded.circuit.size());
 }
 
 } // namespace

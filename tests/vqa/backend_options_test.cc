@@ -55,9 +55,10 @@ TEST(BackendOptionsTest, UnknownOptionsThrow)
     // threads became a dd knob when trajectory lanes landed.
     EXPECT_EQ(makeBackend("dd:threads=2")->name(), "decisiondiagram");
 
-    // Spec keys that only duplicated a process switch (QKC_OBS, QKC_SIMD)
-    // or served as a test oracle (dd:gc) are gone.
-    for (const char* spec : {"sv:obs=0", "dm:simd=off", "dd:gc=0"})
+    // Spec keys that only duplicated a process switch (QKC_OBS, QKC_SIMD),
+    // served as a test oracle (dd:gc) or picked a simulation path are gone.
+    for (const char* spec : {"sv:obs=0", "dm:simd=off", "dd:gc=0",
+                             "dd:path=pairwise", "sv:path=linear"})
         EXPECT_THROW(makeBackend(spec), std::invalid_argument) << spec;
     try {
         makeBackend("tn:obs=1");

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <map>
 
+#include <sys/resource.h>
+
 #include "algorithms/algorithms.h"
 #include "statevector/statevector_simulator.h"
 #include "vqa/backends.h"
@@ -53,7 +55,7 @@ TEST(BackendSpecTest, RegistryCoversEveryBackend)
         {"statevector", {"threads", "fuse"}},
         {"densitymatrix", {"threads", "fuse"}},
         {"tensornetwork", {}},
-        {"decisiondiagram", {"threads", "gcthreshold", "path"}},
+        {"decisiondiagram", {"threads", "gcthreshold"}},
         {"knowledgecompilation", {"burnin", "thin"}},
     };
     for (const BackendInfo& info : backendRegistry()) {
@@ -65,13 +67,9 @@ TEST(BackendSpecTest, RegistryCoversEveryBackend)
         // Aliases resolve to the canonical name.
         for (const std::string& alias : info.aliases)
             EXPECT_EQ(parseBackendSpec(alias).name, info.name);
-        // Every advertised option key parses (path takes a planner name,
-        // the rest accept an integer form).
-        for (const std::string& key : info.optionKeys) {
-            const std::string value = key == "path" ? "pairwise" : "1";
-            EXPECT_NO_THROW(
-                parseBackendSpec(info.name + ":" + key + "=" + value));
-        }
+        // Every advertised option key accepts an integer form.
+        for (const std::string& key : info.optionKeys)
+            EXPECT_NO_THROW(parseBackendSpec(info.name + ":" + key + "=1"));
     }
 }
 
@@ -279,6 +277,43 @@ TEST(SessionTest, NoisySampleReportsTrajectories)
     EXPECT_EQ(r.samples.size(), 50u);
     EXPECT_EQ(r.meta.trajectories, 50u);
     EXPECT_FALSE(r.meta.exact);
+}
+
+/** Peak resident set of this process so far, in kilobytes. */
+long
+peakRssKb()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+TEST(SessionTest, DdTrajectoryLanesAreBoundedByThePool)
+{
+    // `threads` is client input (a spec string, possibly from a request
+    // body). Each trajectory lane owns a DdPackage, so lanes beyond what
+    // the pool can run at once must not be built: the payload stays that
+    // of threads=1 and the peak RSS stays flat.
+    Circuit c(8);
+    for (std::size_t q = 0; q < 8; ++q)
+        c.h(q);
+    for (std::size_t q = 0; q < 8; ++q)
+        c.append(NoiseChannel::depolarizing(q, 0.01));
+    for (std::size_t q = 0; q + 1 < 8; ++q)
+        c.cnot(q, q + 1);
+
+    auto run = [&](const std::string& spec) {
+        auto session = makeBackend(spec)->open(c);
+        Rng rng(11);
+        return session->run(Sample{8192}, rng).samples;
+    };
+    const auto serial = run("dd:threads=1");
+    const long before = peakRssKb();
+    const auto wide = run("dd:threads=8192");
+    const long grownKb = peakRssKb() - before;
+    EXPECT_EQ(wide, serial);
+    EXPECT_LT(grownKb, 128L * 1024) << "peak RSS grew by " << grownKb
+                                    << " KB";
 }
 
 // ---------------------------------------------------------------------------
