@@ -14,7 +14,6 @@
 #include "cnf/bn_to_cnf.h"
 #include "knowledge/compiler.h"
 #include "util/cli.h"
-#include "util/timer.h"
 
 using namespace qkc;
 
@@ -29,7 +28,7 @@ struct Config {
 void
 report(const Circuit& circuit, const Config& config)
 {
-    Timer t;
+    obs::TimedSpan t("bench.compile");
     auto bn = circuitToBayesNet(circuit);
     Cnf cnf = bayesNetToCnf(bn, {.unitResolution = config.unitResolution});
     KnowledgeCompiler compiler(config.options);

@@ -18,8 +18,6 @@
  */
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-
 #include "ac/gibbs_sampler.h"
 #include "ac/kc_simulator.h"
 #include "bench_common.h"
@@ -184,7 +182,7 @@ BM_SimulateQaoaFused(benchmark::State& state)
     policy.fuseGates = true;
     StateVectorSimulator sim(policy);
     FusionStats stats;
-    const Circuit fused = fuseGates(c, {}, &stats);
+    const Circuit fused = fuseGates(c, &stats);
     for (auto _ : state)
         benchmark::DoNotOptimize(sim.simulate(c).amplitude(0));
     state.counters["gates"] = static_cast<double>(stats.gatesOut);
@@ -328,12 +326,11 @@ secondsPerApply(const GateKernel& kernel, StateVector& sv,
     const int reps = 10;
     double best = 0.0;
     for (int r = 0; r < reps; ++r) {
-        const auto start = std::chrono::steady_clock::now();
+        const obs::TimedSpan sweep("bench.sweep");
         apply();
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        if (r == 0 || elapsed.count() < best)
-            best = elapsed.count();
+        const double elapsed = sweep.seconds();
+        if (r == 0 || elapsed < best)
+            best = elapsed;
     }
     return best;
 }

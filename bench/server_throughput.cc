@@ -21,7 +21,6 @@
  *        --threads=N (8, burst clients), --shots=N (256), --port=N (0).
  */
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -36,14 +35,6 @@
 using namespace qkc;
 
 namespace {
-
-double
-nowSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /**
  * A hardware-efficient ansatz in QASM text: `depth` layers of per-qubit
@@ -153,21 +144,21 @@ main(int argc, char** argv)
     PhaseStats cold;
     cold.requests = requests;
     {
-        const double t0 = nowSeconds();
+        const obs::TimedSpan phase("bench.cold");
         for (std::size_t i = 0; i < requests; ++i) {
             const std::string body =
                 runBody(ansatzQasm(qubits, depth, i + 1, 7), shots, i);
-            const double r0 = nowSeconds();
+            const obs::TimedSpan request("bench.request");
             const server::HttpReply reply =
                 server::httpPost("127.0.0.1", port, "/v1/run", body);
-            cold.latencies.push_back(nowSeconds() - r0);
+            cold.latencies.push_back(request.seconds());
             if (reply.status != 200) {
                 std::fprintf(stderr, "cold request failed: %s\n",
                              reply.body.c_str());
                 return 1;
             }
         }
-        cold.wallSeconds = nowSeconds() - t0;
+        cold.wallSeconds = phase.seconds();
     }
     report("cold", cold);
 
@@ -175,21 +166,21 @@ main(int argc, char** argv)
     PhaseStats hot;
     hot.requests = requests;
     {
-        const double t0 = nowSeconds();
+        const obs::TimedSpan phase("bench.hot");
         for (std::size_t i = 0; i < requests; ++i) {
             const std::string body = runBody(
                 ansatzQasm(qubits, depth, 0, 1000 + i), shots, 1000 + i);
-            const double r0 = nowSeconds();
+            const obs::TimedSpan request("bench.request");
             const server::HttpReply reply =
                 server::httpPost("127.0.0.1", port, "/v1/run", body);
-            hot.latencies.push_back(nowSeconds() - r0);
+            hot.latencies.push_back(request.seconds());
             if (reply.status != 200) {
                 std::fprintf(stderr, "hot request failed: %s\n",
                              reply.body.c_str());
                 return 1;
             }
         }
-        hot.wallSeconds = nowSeconds() - t0;
+        hot.wallSeconds = phase.seconds();
     }
     report("hot", hot);
 
@@ -199,22 +190,22 @@ main(int argc, char** argv)
     {
         std::vector<std::vector<double>> lanes(threads);
         std::vector<std::thread> clients;
-        const double t0 = nowSeconds();
+        const obs::TimedSpan phase("bench.burst");
         for (std::size_t t = 0; t < threads; ++t) {
             clients.emplace_back([&, t] {
                 for (std::size_t i = 0; i < requests; ++i) {
                     const std::string body =
                         runBody(ansatzQasm(qubits, depth, 0, 5000 + i), shots,
                                 t * 100000 + i);
-                    const double r0 = nowSeconds();
+                    const obs::TimedSpan request("bench.request");
                     server::httpPost("127.0.0.1", port, "/v1/run", body);
-                    lanes[t].push_back(nowSeconds() - r0);
+                    lanes[t].push_back(request.seconds());
                 }
             });
         }
         for (std::thread& c : clients)
             c.join();
-        burst.wallSeconds = nowSeconds() - t0;
+        burst.wallSeconds = phase.seconds();
         for (const auto& lane : lanes)
             burst.latencies.insert(burst.latencies.end(), lane.begin(),
                                    lane.end());

@@ -33,7 +33,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/cli.h"
-#include "util/timer.h"
 #include "vqa/driver.h"
 
 using namespace qkc;
@@ -68,7 +67,7 @@ main(int argc, char** argv)
     if (!tracePath.empty())
         obs::TraceRecorder::instance().start();
 
-    Timer t;
+    obs::TimedSpan t("example.optimize");
     VqaResult result = runQaoaMaxCut(problem, *backend, options);
     double seconds = t.seconds();
 
@@ -125,7 +124,7 @@ main(int argc, char** argv)
             std::vector<double> grad(result.bestParams.size());
             Rng gradRng(99);
             std::vector<double> p = result.bestParams;
-            Timer t;
+            const obs::TimedSpan t("example.sequentialGradient");
             for (std::size_t i = 0; i < p.size(); ++i) {
                 p[i] = result.bestParams[i] + shift;
                 session.bind(makeCircuit(p));
@@ -148,7 +147,7 @@ main(int argc, char** argv)
                     "(%zu evaluations):\n",
                     2 * result.bestParams.size() + 1);
         auto seqSession = backend->open(makeCircuit(result.bestParams));
-        Timer seqTimer;
+        obs::TimedSpan seqTimer("example.sequential");
         const std::vector<double> seqGrad = sequential(*seqSession);
         const double seqSeconds = seqTimer.seconds();
 

@@ -46,7 +46,7 @@
 #include "circuit/qasm.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "server/json.h"
+#include "server/server_core.h"
 #include "util/cli.h"
 #include "util/stats.h"
 #include "vqa/backends.h"
@@ -96,26 +96,7 @@ main(int argc, char** argv)
         // Rendered straight from the registry parseBackendSpec validates
         // against, so this listing cannot drift from what is accepted.
         if (cli.has("json")) {
-            server::Json list = server::Json::array();
-            for (const BackendInfo& info : backendRegistry()) {
-                server::Json b = server::Json::object();
-                b.set("name", info.name);
-                server::Json aliases = server::Json::array();
-                for (const std::string& a : info.aliases)
-                    aliases.push(server::Json(a));
-                b.set("aliases", std::move(aliases));
-                server::Json options = server::Json::array();
-                for (const std::string& k : info.optionKeys)
-                    options.push(server::Json(k));
-                b.set("options", std::move(options));
-                b.set("summary", info.summary);
-                b.set("tasks", info.tasks);
-                b.set("batch", info.batch);
-                list.push(std::move(b));
-            }
-            server::Json out = server::Json::object();
-            out.set("backends", std::move(list));
-            std::printf("%s\n", out.dump().c_str());
+            std::printf("%s\n", server::backendRegistryJson().dump().c_str());
             return 0;
         }
         for (const BackendInfo& info : backendRegistry()) {

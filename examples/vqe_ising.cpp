@@ -13,8 +13,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/trace.h"
 #include "util/cli.h"
-#include "util/timer.h"
 #include "vqa/driver.h"
 
 using namespace qkc;
@@ -51,7 +51,7 @@ main(int argc, char** argv)
         if (name.empty())
             continue;
         auto backend = makeBackend(name);
-        Timer t;
+        const obs::TimedSpan t("example.vqe");
         VqaResult r = runVqeIsing(problem, *backend, options);
         std::printf("[%-20s] best energy %.4f in %.2fs (%zu evaluations, "
                     "%.2fs in backend, compiled %zux, rebound %zux)\n",

@@ -5,13 +5,12 @@
 #include "cnf/bn_to_cnf.h"
 #include "linalg/types.h"
 #include "obs/trace.h"
-#include "util/timer.h"
 
 namespace qkc {
 
 KcSimulator::KcSimulator(const Circuit& circuit, CompileOptions options)
 {
-    Timer timer;
+    const std::uint64_t t0 = obs::nowNs();
     {
         QKC_SPAN("bayesnet.fromCircuit");
         bn_ = circuitToBayesNet(circuit);
@@ -26,7 +25,7 @@ KcSimulator::KcSimulator(const Circuit& circuit, CompileOptions options)
         ac_ = compiler.compile(cnf_);
     }
     compileStats_ = compiler.stats();
-    compileSeconds_ = timer.seconds();
+    compileSeconds_ = static_cast<double>(obs::nowNs() - t0) * 1e-9;
 
     std::vector<std::size_t> cards(bn_.variables().size());
     for (BnVarId v = 0; v < cards.size(); ++v)

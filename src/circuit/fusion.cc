@@ -130,13 +130,12 @@ materializeGroup(const FusionRecipe::Group& g, const Circuit& circuit)
 } // namespace
 
 FusionRecipe
-planFusion(const Circuit& circuit, const FusionOptions& options)
+planFusion(const Circuit& circuit)
 {
     QKC_SPAN("circuit.fuse");
     FusionRecipe recipe;
     recipe.numQubits = circuit.numQubits();
     recipe.numOps = circuit.size();
-    recipe.options = options;
     const std::size_t n = circuit.numQubits();
 
     // pending[q]: source indices of not-yet-emitted 1q gates on wire q (in
@@ -219,7 +218,7 @@ planFusion(const Circuit& circuit, const FusionOptions& options)
             continue;
         }
 
-        if (gate.arity() == 2 && options.foldIntoTwoQubit) {
+        if (gate.arity() == 2) {
             const std::size_t a = gate.qubits()[0];
             const std::size_t b = gate.qubits()[1];
 
@@ -234,7 +233,7 @@ planFusion(const Circuit& circuit, const FusionOptions& options)
 
             // Extend an open chain on the exact ordered pair (a, b).
             const std::ptrdiff_t c = chainOn[a];
-            if (options.fuseTwoQubitPairs && c >= 0 && c == chainOn[b] &&
+            if (c >= 0 && c == chainOn[b] &&
                 chains[static_cast<std::size_t>(c)].a == a &&
                 chains[static_cast<std::size_t>(c)].b == b) {
                 OpenChain& chain = chains[static_cast<std::size_t>(c)];
@@ -281,23 +280,13 @@ planFusion(const Circuit& circuit, const FusionOptions& options)
                 g.qubits = gate.qubits();
                 recipe.groups.push_back(std::move(g));
             }
-            const Matrix accU = gate.unitary() * pa.kron(pb);
-            if (options.fuseTwoQubitPairs) {
-                chainOn[a] = static_cast<std::ptrdiff_t>(chains.size());
-                chainOn[b] = chainOn[a];
-                chains.push_back({a, b, groupIndex, accU});
-            } else if (recipe.groups[groupIndex].kind ==
-                       FusionRecipe::Group::Kind::Fused2q) {
-                // No chain tracking: decide the drop immediately.
-                FusionRecipe::Group& g = recipe.groups[groupIndex];
-                g.dropped = isIdentity(accU);
-                if (g.dropped)
-                    ++recipe.stats.droppedIdentity;
-            }
+            chainOn[a] = static_cast<std::ptrdiff_t>(chains.size());
+            chainOn[b] = chainOn[a];
+            chains.push_back({a, b, groupIndex, gate.unitary() * pa.kron(pb)});
             continue;
         }
 
-        // 2q with folding disabled, or 3q: barrier on the operand wires.
+        // 3q: barrier on the operand wires.
         for (std::size_t q : gate.qubits()) {
             closeChain(q);
             flush(q);
@@ -354,31 +343,12 @@ materializeFusion(const FusionRecipe& recipe, const Circuit& circuit,
 }
 
 Circuit
-fuseGates(const Circuit& circuit, const FusionOptions& options,
-          FusionStats* stats)
+fuseGates(const Circuit& circuit, FusionStats* stats)
 {
-    const FusionRecipe recipe = planFusion(circuit, options);
+    const FusionRecipe recipe = planFusion(circuit);
     // Replaying the recipe on the circuit it was planned from cannot cross
     // an identity boundary.
     return *materializeFusion(recipe, circuit, stats);
-}
-
-void
-FusionCache::build(const Circuit& circuit, const FusionOptions& options)
-{
-    recipe_ = planFusion(circuit, options);
-    fused_ = *materializeFusion(recipe_, circuit, &stats_);
-}
-
-bool
-FusionCache::rebind(const Circuit& circuit)
-{
-    if (auto fused = materializeFusion(recipe_, circuit, &stats_)) {
-        fused_ = std::move(*fused);
-        return true;
-    }
-    build(circuit, recipe_.options);
-    return false;
 }
 
 } // namespace qkc

@@ -10,25 +10,6 @@
 
 namespace qkc {
 
-/** Knobs for the greedy gate-fusion pass. */
-struct FusionOptions {
-    /**
-     * Fold accumulated single-qubit matrices into a following two-qubit
-     * gate (one dense 4x4 sweep instead of up to three passes over the
-     * state). Disable to fuse only 1q-with-1q.
-     */
-    bool foldIntoTwoQubit = true;
-
-    /**
-     * Chain adjacent two-qubit gates on the same ordered wire pair into one
-     * 4x4 kernel (a ZZ ladder rung followed by its CNOT neighbour, repeated
-     * entangler layers, ...). A chain is broken by any operation touching
-     * either wire except further 1q gates on them, which fold into the next
-     * stage. Effective only together with foldIntoTwoQubit.
-     */
-    bool fuseTwoQubitPairs = true;
-};
-
 /** What the pass did — reported by benches and asserted by tests. */
 struct FusionStats {
     std::size_t gatesIn = 0;
@@ -73,7 +54,6 @@ struct FusionRecipe {
     std::size_t numQubits = 0;
     std::size_t numOps = 0;    ///< op count of the planned circuit
     std::vector<Group> groups; ///< emission order, dropped groups in place
-    FusionOptions options;
     FusionStats stats;         ///< gatesOut filled by materializeFusion
 };
 
@@ -84,7 +64,7 @@ struct FusionRecipe {
  * drop decisions made here are recorded so materializeFusion can detect
  * when new parameters invalidate them.
  */
-FusionRecipe planFusion(const Circuit& circuit, const FusionOptions& options = {});
+FusionRecipe planFusion(const Circuit& circuit);
 
 /**
  * Replays `recipe` on `circuit` (same structure as the planned one: op
@@ -101,45 +81,13 @@ std::optional<Circuit> materializeFusion(const FusionRecipe& recipe,
                                          FusionStats* stats = nullptr);
 
 /**
- * A fusion recipe bound to concrete gate values: plan once, replay the
- * recipe on parameter rebinds, rebuild only when the structure (or an
- * identity-drop decision) changes. This is the circuit-level
- * reuse-vs-rebuild state machine shared by backend sessions that pre-fuse
- * the circuit they execute (the kernel-level equivalent for dense plans
- * lives in exec/execution_plan.h).
- */
-class FusionCache {
-  public:
-    /** Plans on `circuit` and materializes the fused form. */
-    void build(const Circuit& circuit, const FusionOptions& options = {});
-
-    /**
-     * Replays the recorded recipe on a same-structure circuit (values
-     * only — no greedy pass). When the recipe no longer applies (identity
-     * boundary crossed, or the structure differs after all), rebuilds from
-     * scratch and returns false; returns true on a pure replay.
-     */
-    bool rebind(const Circuit& circuit);
-
-    /** The fused circuit for the most recent build/rebind. */
-    const Circuit& fused() const { return fused_; }
-
-    const FusionStats& stats() const { return stats_; }
-
-  private:
-    FusionRecipe recipe_;
-    Circuit fused_{1};
-    FusionStats stats_;
-};
-
-/**
  * Greedy gate fusion: adjacent single-qubit gates on the same wire are
- * multiplied into one 2x2 matrix, (optionally) pending 1q matrices are
- * folded into the next two-qubit gate touching their wire, and adjacent
- * two-qubit gates on the same ordered wire pair chain into one 4x4 kernel,
- * so the dense simulators sweep the amplitude array once where the source
- * circuit would have swept it several times. Products that reduce to the
- * identity are dropped entirely.
+ * multiplied into one 2x2 matrix, pending 1q matrices are folded into the
+ * next two-qubit gate touching their wire, and adjacent two-qubit gates on
+ * the same ordered wire pair chain into one 4x4 kernel until another
+ * operation touches either wire, so the dense simulators sweep the
+ * amplitude array once where the source circuit would have swept it
+ * several times. Products that reduce to the identity are dropped entirely.
  *
  * Noise channels and three-qubit gates act as barriers on their wires:
  * pending matrices are flushed before them, so the fused circuit is
@@ -148,8 +96,7 @@ class FusionCache {
  *
  * Equivalent to planFusion + materializeFusion in one call.
  */
-Circuit fuseGates(const Circuit& circuit, const FusionOptions& options = {},
-                  FusionStats* stats = nullptr);
+Circuit fuseGates(const Circuit& circuit, FusionStats* stats = nullptr);
 
 } // namespace qkc
 

@@ -42,6 +42,52 @@ liouville(const std::vector<Matrix>& kraus)
     return s;
 }
 
+/** Row bits (2n-1-q) and column bits (n-1-q) of `qubits` on rho's index. */
+void
+rhoBits(const std::vector<std::size_t>& qubits, std::size_t numQubits,
+        std::vector<std::uint32_t>& rowBits,
+        std::vector<std::uint32_t>& colBits)
+{
+    rowBits.reserve(qubits.size());
+    colBits.reserve(qubits.size());
+    for (std::size_t q : qubits) {
+        assert(q < numQubits);
+        const std::uint32_t s =
+            static_cast<std::uint32_t>(numQubits - 1 - q);
+        rowBits.push_back(s + static_cast<std::uint32_t>(numQubits));
+        colBits.push_back(s);
+    }
+}
+
+/** The left/right pair of rho <- M rho M^dagger: row kernel, column kernel. */
+std::vector<GateKernel>
+compileUnitary(const Matrix& m, const std::vector<std::size_t>& qubits,
+               std::size_t numQubits)
+{
+    std::vector<std::uint32_t> rowBits, colBits;
+    rhoBits(qubits, numQubits, rowBits, colBits);
+    // (rho M^dagger)(., c) = sum_k rho(., k) conj(M(c, k)): the column-space
+    // operator is the elementwise conjugate of M (no transpose).
+    std::vector<GateKernel> kernels;
+    kernels.reserve(2);
+    kernels.push_back(compileKernel(m, rowBits));
+    kernels.push_back(compileKernel(conjugated(m), colBits));
+    return kernels;
+}
+
+/** The channel's Liouville kernel on its row bits, then its column bits. */
+GateKernel
+compileChannel(const std::vector<Matrix>& kraus,
+               const std::vector<std::size_t>& qubits, std::size_t numQubits)
+{
+    // Row bits first, then column bits — the same local order as the
+    // factors of E (x) conj(E), so the kernel's local index is (r, c).
+    std::vector<std::uint32_t> bits, colBits;
+    rhoBits(qubits, numQubits, bits, colBits);
+    bits.insert(bits.end(), colBits.begin(), colBits.end());
+    return compileKernel(liouville(kraus), bits);
+}
+
 } // namespace
 
 DensityMatrix::DensityMatrix(std::size_t numQubits)
@@ -58,112 +104,52 @@ DensityMatrix::reset()
     data_[0] = 1.0;
 }
 
-DensityMatrix::SuperKernel
-DensityMatrix::compileSuperKernel(const Matrix& m,
-                                  const std::vector<std::size_t>& qubits,
-                                  std::size_t numQubits)
+std::vector<GateKernel>
+DensityMatrix::compileOp(const Operation& op, std::size_t numQubits)
 {
-    std::vector<std::uint32_t> rowBits, colBits;
-    rowBits.reserve(qubits.size());
-    colBits.reserve(qubits.size());
-    for (std::size_t q : qubits) {
-        assert(q < numQubits);
-        const std::uint32_t s =
-            static_cast<std::uint32_t>(numQubits - 1 - q);
-        rowBits.push_back(s + static_cast<std::uint32_t>(numQubits));
-        colBits.push_back(s);
-    }
-    // (rho M^dagger)(., c) = sum_k rho(., k) conj(M(c, k)): the column-space
-    // operator is the elementwise conjugate of M (no transpose).
-    return SuperKernel{compileKernel(m, rowBits),
-                       compileKernel(conjugated(m), colBits)};
+    if (const Gate* g = std::get_if<Gate>(&op))
+        return compileUnitary(g->unitary(), g->qubits(), numQubits);
+    const auto& ch = std::get<NoiseChannel>(op);
+    std::vector<GateKernel> kernels;
+    kernels.push_back(
+        compileChannel(ch.krausOperators(), ch.qubits(), numQubits));
+    return kernels;
 }
 
 bool
-DensityMatrix::tryRefreshSuperKernel(SuperKernel& k, const Matrix& m)
+DensityMatrix::tryRefreshOp(std::vector<GateKernel>& kernels,
+                            const Operation& op)
 {
-    return tryRefreshKernel(k.left, m) &&
-           tryRefreshKernel(k.right, conjugated(m));
-}
-
-void
-DensityMatrix::applySuper(const SuperKernel& k)
-{
-    const std::uint64_t flatDim = static_cast<std::uint64_t>(dim_) * dim_;
-    applyKernel(k.left, data_.data(), flatDim, policy_);
-    applyKernel(k.right, data_.data(), flatDim, policy_);
-}
-
-void
-DensityMatrix::applyUnitary(const Matrix& u,
-                            const std::vector<std::size_t>& qubits)
-{
-    applySuper(compileSuperKernel(u, qubits, numQubits_));
-}
-
-void
-DensityMatrix::applyUnitarySingle(const Matrix& u, std::size_t qubit)
-{
-    applyUnitary(u, {qubit});
-}
-
-void
-DensityMatrix::applyUnitaryTwo(const Matrix& u, std::size_t q0, std::size_t q1)
-{
-    applyUnitary(u, {q0, q1});
-}
-
-void
-DensityMatrix::applyUnitaryThree(const Matrix& u, std::size_t q0,
-                                 std::size_t q1, std::size_t q2)
-{
-    applyUnitary(u, {q0, q1, q2});
-}
-
-GateKernel
-DensityMatrix::compileChannelKernel(const std::vector<Matrix>& kraus,
-                                    const std::vector<std::size_t>& qubits,
-                                    std::size_t numQubits)
-{
-    // Row bits first, then column bits — the same local order as the
-    // factors of E (x) conj(E), so the kernel's local index is (r, c).
-    std::vector<std::uint32_t> bits;
-    bits.reserve(2 * qubits.size());
-    for (std::size_t q : qubits) {
-        assert(q < numQubits);
-        bits.push_back(static_cast<std::uint32_t>(2 * numQubits - 1 - q));
+    if (const Gate* g = std::get_if<Gate>(&op)) {
+        const Matrix m = g->unitary();
+        return kernels.size() == 2 && tryRefreshKernel(kernels[0], m) &&
+               tryRefreshKernel(kernels[1], conjugated(m));
     }
-    for (std::size_t q : qubits)
-        bits.push_back(static_cast<std::uint32_t>(numQubits - 1 - q));
-    return compileKernel(liouville(kraus), bits);
-}
-
-bool
-DensityMatrix::tryRefreshChannelKernel(GateKernel& k,
-                                       const std::vector<Matrix>& kraus)
-{
-    return tryRefreshKernel(k, liouville(kraus));
+    const auto& kraus = std::get<NoiseChannel>(op).krausOperators();
+    return kernels.size() == 1 &&
+           tryRefreshKernel(kernels[0], liouville(kraus));
 }
 
 void
-DensityMatrix::applyChannelKernel(const GateKernel& k)
+DensityMatrix::apply(const GateKernel& k)
 {
     const std::uint64_t flatDim = static_cast<std::uint64_t>(dim_) * dim_;
     applyKernel(k, data_.data(), flatDim, policy_);
 }
 
 void
-DensityMatrix::applyChannelSingle(const std::vector<Matrix>& kraus,
-                                  std::size_t qubit)
+DensityMatrix::applyUnitary(const Matrix& u,
+                            const std::vector<std::size_t>& qubits)
 {
-    applyChannel(kraus, {qubit});
+    for (const GateKernel& k : compileUnitary(u, qubits, numQubits_))
+        apply(k);
 }
 
 void
 DensityMatrix::applyChannel(const std::vector<Matrix>& kraus,
                             const std::vector<std::size_t>& qubits)
 {
-    applyChannelKernel(compileChannelKernel(kraus, qubits, numQubits_));
+    apply(compileChannel(kraus, qubits, numQubits_));
 }
 
 Complex

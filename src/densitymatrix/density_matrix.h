@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "circuit/circuit.h"
 #include "exec/gate_kernels.h"
 #include "exec/thread_pool.h"
 #include "linalg/aligned.h"
@@ -42,18 +43,6 @@ namespace qkc {
  */
 class DensityMatrix {
   public:
-    /**
-     * Kernels for one conjugation rho <- M rho M^dagger: `left` acts on the
-     * row bits (flat positions + n), `right` is conj(M) on the column bits.
-     * Compiled once per circuit structure by the dm execution plan (see
-     * densitymatrix_simulator.h) and refreshed in place across parameter
-     * rebinds.
-     */
-    struct SuperKernel {
-        GateKernel left;
-        GateKernel right;
-    };
-
     /** Initializes |0...0><0...0|. */
     explicit DensityMatrix(std::size_t numQubits);
 
@@ -76,67 +65,34 @@ class DensityMatrix {
         return data_[row * dim_ + col];
     }
 
-    /** rho <- U rho U^dagger for a single-qubit unitary on `qubit`. */
-    void applyUnitarySingle(const Matrix& u, std::size_t qubit);
-
-    /** rho <- U rho U^dagger for a two-qubit unitary (q0 high, q1 low). */
-    void applyUnitaryTwo(const Matrix& u, std::size_t q0, std::size_t q1);
-
-    /** rho <- U rho U^dagger for a three-qubit unitary. */
-    void applyUnitaryThree(const Matrix& u, std::size_t q0, std::size_t q1,
-                           std::size_t q2);
-
     /** rho <- U rho U^dagger for a 1-3 qubit unitary. */
     void applyUnitary(const Matrix& u, const std::vector<std::size_t>& qubits);
-
-    /** rho <- sum_k E_k rho E_k^dagger for a single-qubit channel. */
-    void applyChannelSingle(const std::vector<Matrix>& kraus, std::size_t qubit);
 
     /** rho <- sum_k E_k rho E_k^dagger for a one- or two-qubit channel:
      *  compiles the superoperator, then one sweep. */
     void applyChannel(const std::vector<Matrix>& kraus,
                       const std::vector<std::size_t>& qubits);
 
-    /**
-     * Compiles the left/right kernel pair for M acting on `qubits` of an
-     * n-qubit density matrix — the classification work applyUnitary pays
-     * per call, exposed so an execution plan can pay it once per structure.
-     */
-    static SuperKernel compileSuperKernel(const Matrix& m,
-                                          const std::vector<std::size_t>& qubits,
-                                          std::size_t numQubits);
+    /** One sweep of a kernel compiled on rho's flat 2n-bit index. */
+    void apply(const GateKernel& k);
 
     /**
-     * Refreshes a compiled pair for a new matrix on the same qubits without
-     * re-classification (the variational fast path; see tryRefreshKernel).
-     * Returns false — pair unmodified on the left side only at worst — when
-     * the new matrix no longer fits the stored kernel classes.
+     * Lowers one circuit operation to the kernels that apply it to an
+     * n-qubit rho, in order: a gate's left/right pair, or a channel's one
+     * superoperator kernel. The dm execution plan
+     * (densitymatrix_simulator.h) compiles each structure once with this.
      */
-    static bool tryRefreshSuperKernel(SuperKernel& k, const Matrix& m);
-
-    /** rho <- M rho M^dagger via a precompiled pair. */
-    void applySuper(const SuperKernel& k);
+    static std::vector<GateKernel> compileOp(const Operation& op,
+                                             std::size_t numQubits);
 
     /**
-     * Compiles the Liouville superoperator of the channel with Kraus
-     * operators `kraus` on `qubits` (one or two) into one kernel on the
-     * row bits (2n-1-q) followed by the column bits (n-1-q).
+     * Refreshes compileOp's kernels for a same-structure operation without
+     * re-classification (see tryRefreshKernel). Returns false when a new
+     * value leaves a stored class — e.g. a channel planned at strength 0
+     * (Identity) rebound to a non-zero strength.
      */
-    static GateKernel compileChannelKernel(const std::vector<Matrix>& kraus,
-                                           const std::vector<std::size_t>& qubits,
-                                           std::size_t numQubits);
-
-    /**
-     * Refreshes a compiled channel kernel for new Kraus operators on the
-     * same qubits (see tryRefreshKernel). Returns false, kernel unmodified,
-     * when the new superoperator leaves the stored class — e.g. a channel
-     * planned at strength 0 (Identity) rebound to a non-zero strength.
-     */
-    static bool tryRefreshChannelKernel(GateKernel& k,
-                                        const std::vector<Matrix>& kraus);
-
-    /** rho <- sum_k E_k rho E_k^dagger via a precompiled channel kernel. */
-    void applyChannelKernel(const GateKernel& k);
+    static bool tryRefreshOp(std::vector<GateKernel>& kernels,
+                             const Operation& op);
 
     /** Tr(rho). */
     Complex trace() const;

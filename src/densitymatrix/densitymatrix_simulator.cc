@@ -4,36 +4,15 @@
 
 #include <stdexcept>
 
-#include "circuit/fusion.h"
-#include "exec/execution_plan.h"
 #include "statevector/statevector_simulator.h"
 
 namespace qkc {
 
 namespace {
 
-void
-compileDmOps(DmExecutionPlan& plan)
-{
-    const auto& ops = plan.circuit.operations();
-    plan.ops.clear();
-    plan.ops.reserve(ops.size());
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        DmPlannedOp p;
-        p.opIndex = i;
-        if (const Gate* g = std::get_if<Gate>(&ops[i])) {
-            p.gate = DensityMatrix::compileSuperKernel(g->unitary(),
-                                                       g->qubits(),
-                                                       plan.numQubits);
-        } else {
-            const auto& ch = std::get<NoiseChannel>(ops[i]);
-            p.isChannel = true;
-            p.channel = DensityMatrix::compileChannelKernel(
-                ch.krausOperators(), ch.qubits(), plan.numQubits);
-        }
-        plan.ops.push_back(std::move(p));
-    }
-}
+constexpr OpLowering kDmLowering{PlanEngine::DensityMatrix,
+                                 DensityMatrix::compileOp,
+                                 DensityMatrix::tryRefreshOp};
 
 } // namespace
 
@@ -41,17 +20,7 @@ DmExecutionPlan
 planCircuitDm(const Circuit& circuit, const ExecPolicy& policy)
 {
     QKC_SPAN("exec.planDm");
-    DmExecutionPlan plan;
-    plan.numQubits = circuit.numQubits();
-    plan.fusionEnabled = policy.fuseGates;
-    if (policy.fuseGates) {
-        plan.recipe = planFusion(circuit, {});
-        plan.circuit = *materializeFusion(plan.recipe, circuit, &plan.fusion);
-    } else {
-        plan.circuit = circuit;
-    }
-    compileDmOps(plan);
-    return plan;
+    return buildPlan(circuit, policy, kDmLowering);
 }
 
 DmExecutionPlan
@@ -64,38 +33,7 @@ planCircuitDm(const Circuit& circuit, const ExecPolicy& policy,
 bool
 tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit)
 {
-    // On any failure the caller re-plans from scratch, so a partially
-    // refreshed plan is never executed.
-    if (circuit.numQubits() != plan.numQubits)
-        return false;
-
-    if (plan.fusionEnabled) {
-        // materializeFusion validates indices, kinds and wires itself.
-        auto fused = materializeFusion(plan.recipe, circuit, &plan.fusion);
-        if (!fused || fused->size() != plan.circuit.size())
-            return false;
-        plan.circuit = std::move(*fused);
-    } else {
-        if (!sameStructure(plan.circuit, circuit))
-            return false;
-        plan.circuit = circuit;
-    }
-
-    for (DmPlannedOp& op : plan.ops) {
-        const Operation& o = plan.circuit.operations()[op.opIndex];
-        if (op.isChannel) {
-            const auto* ch = std::get_if<NoiseChannel>(&o);
-            if (!ch || !DensityMatrix::tryRefreshChannelKernel(
-                           op.channel, ch->krausOperators()))
-                return false;
-        } else {
-            const Gate* g = std::get_if<Gate>(&o);
-            if (!g || !DensityMatrix::tryRefreshSuperKernel(op.gate,
-                                                            g->unitary()))
-                return false;
-        }
-    }
-    return true;
+    return rebindPlan(plan, circuit, kDmLowering);
 }
 
 DensityMatrix
@@ -116,17 +54,18 @@ void
 DensityMatrixSimulator::simulatePlanned(const DmExecutionPlan& plan,
                                         DensityMatrix& rho) const
 {
+    if (plan.engine != PlanEngine::DensityMatrix)
+        throw std::invalid_argument(
+            "simulatePlanned: the plan was not lowered for a density "
+            "matrix; use planCircuitDm");
     if (rho.numQubits() != plan.numQubits)
         throw std::invalid_argument(
             "simulatePlanned: density matrix / plan qubit count mismatch");
     rho.reset();
     rho.setExecPolicy(policy_);
-    for (const auto& op : plan.ops) {
-        if (op.isChannel)
-            rho.applyChannelKernel(op.channel);
-        else
-            rho.applySuper(op.gate);
-    }
+    for (const PlannedOp& op : plan.ops)
+        for (const GateKernel& k : op.kernels)
+            rho.apply(k);
 }
 
 std::vector<double>

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "circuit/circuit.h"
-#include "circuit/fusion.h"
 #include "densitymatrix/density_matrix.h"
 #include "exec/execution_plan.h"
 #include "exec/thread_pool.h"
@@ -14,52 +13,20 @@
 namespace qkc {
 
 /**
- * One circuit operation lowered for superoperator execution: a left/right
- * kernel pair for a gate, or one Liouville-superoperator kernel for a
- * channel. `opIndex` refers into the owning plan's (possibly fused) circuit.
- */
-struct DmPlannedOp {
-    std::size_t opIndex = 0;
-    bool isChannel = false;
-    DensityMatrix::SuperKernel gate; ///< valid when !isChannel
-    GateKernel channel;              ///< valid when isChannel
-};
-
-/**
- * A circuit prepared for repeated density-matrix execution — the dm
- * counterpart of exec's ExecutionPlan: fusion has run (if the policy asks
- * for it), every gate has been classified into its left/right kernel pair
- * and every channel compiled into its superoperator kernel exactly once.
+ * Builds the density-matrix plan for `circuit` under `policy`: the shared
+ * dense plan (exec/execution_plan.h) lowered by DensityMatrix::compileOp.
  * Executing it sweeps rho once per channel and twice per gate, in place. A
- * session holds one of these per circuit structure and refreshes it across
+ * session holds one per circuit structure and refreshes it across
  * parameter rebinds, so its planReuses metadata corresponds to
  * classification work actually saved.
  */
-struct DmExecutionPlan {
-    std::size_t numQubits = 0;
-    Circuit circuit{1};       ///< the (possibly fused) circuit kernels map to
-    std::vector<DmPlannedOp> ops;
-    FusionStats fusion;       ///< zeros when fusion was disabled
-    bool fusionEnabled = false;
-    FusionRecipe recipe;      ///< valid when fusionEnabled
-};
-
-/** Builds the superoperator plan for `circuit` under `policy`. */
 DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy);
 
 /** The dm counterpart of exec's benchmark forwarder: the two-argument plan. */
 DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy,
                               const PathOptions& pathOptions);
 
-/**
- * Rebinds `plan` to a same-structure circuit (the variational fast path):
- * replays the recorded fusion recipe on the new gate values and refreshes
- * every gate pair and channel kernel in place — no greedy fusion pass, no
- * re-classification. Returns false when the structure differs, a fused
- * product crossed the identity boundary, or a parameter or channel-strength
- * change invalidated a stored kernel class; the plan may then be partially
- * refreshed and the caller must re-plan before executing it.
- */
+/** rebindPlan (exec/execution_plan.h) with the density-matrix lowering. */
 bool tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit);
 
 /**
@@ -88,7 +55,8 @@ class DensityMatrixSimulator {
     /**
      * Evolves |0..0><0..0| through a pre-built plan. Backend sessions plan
      * a circuit structure once and re-execute it across parameter binds
-     * without re-paying fusion or kernel classification.
+     * without re-paying fusion or kernel classification. Throws
+     * std::invalid_argument for a plan planCircuitDm did not build.
      */
     DensityMatrix simulatePlanned(const DmExecutionPlan& plan) const;
 

@@ -1,6 +1,5 @@
 #include "exec/execution_plan.h"
 
-
 #include "obs/trace.h"
 
 namespace qkc {
@@ -17,47 +16,102 @@ svBits(const std::vector<std::size_t>& qubits, std::size_t numQubits)
     return bits;
 }
 
-void
-compilePlannedOps(ExecutionPlan& plan)
+/** State-vector lowering: one kernel per gate, one per Kraus operator. */
+std::vector<GateKernel>
+compileSvOp(const Operation& op, std::size_t numQubits)
 {
-    const auto& ops = plan.circuit.operations();
-    plan.ops.clear();
-    plan.ops.reserve(ops.size());
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        PlannedOp p;
-        p.opIndex = i;
-        if (const Gate* g = std::get_if<Gate>(&ops[i])) {
-            p.gate = compileKernel(g->unitary(),
-                                   svBits(g->qubits(), plan.numQubits));
-        } else {
-            const auto& ch = std::get<NoiseChannel>(ops[i]);
-            p.isChannel = true;
-            const auto bits = svBits(ch.qubits(), plan.numQubits);
-            p.kraus.reserve(ch.krausOperators().size());
-            for (const Matrix& e : ch.krausOperators())
-                p.kraus.push_back(compileKernel(e, bits));
-        }
-        plan.ops.push_back(std::move(p));
+    std::vector<GateKernel> kernels;
+    if (const Gate* g = std::get_if<Gate>(&op)) {
+        kernels.push_back(
+            compileKernel(g->unitary(), svBits(g->qubits(), numQubits)));
+        return kernels;
     }
+    const auto& ch = std::get<NoiseChannel>(op);
+    const auto bits = svBits(ch.qubits(), numQubits);
+    kernels.reserve(ch.krausOperators().size());
+    for (const Matrix& e : ch.krausOperators())
+        kernels.push_back(compileKernel(e, bits));
+    return kernels;
 }
 
+bool
+refreshSvOp(std::vector<GateKernel>& kernels, const Operation& op)
+{
+    if (const Gate* g = std::get_if<Gate>(&op))
+        return kernels.size() == 1 &&
+               tryRefreshKernel(kernels[0], g->unitary());
+    const auto& kraus = std::get<NoiseChannel>(op).krausOperators();
+    if (kraus.size() != kernels.size())
+        return false;
+    for (std::size_t k = 0; k < kernels.size(); ++k)
+        if (!tryRefreshKernel(kernels[k], kraus[k]))
+            return false;
+    return true;
+}
+
+constexpr OpLowering kSvLowering{PlanEngine::StateVector, compileSvOp,
+                                 refreshSvOp};
+
 } // namespace
+
+ExecutionPlan
+buildPlan(const Circuit& circuit, const ExecPolicy& policy,
+          const OpLowering& lowering)
+{
+    ExecutionPlan plan;
+    plan.engine = lowering.engine;
+    plan.numQubits = circuit.numQubits();
+    plan.fusionEnabled = policy.fuseGates;
+    if (policy.fuseGates) {
+        plan.recipe = planFusion(circuit);
+        plan.circuit = *materializeFusion(plan.recipe, circuit, &plan.fusion);
+    } else {
+        plan.circuit = circuit;
+    }
+    const auto& ops = plan.circuit.operations();
+    plan.ops.reserve(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i)
+        plan.ops.push_back({i, std::holds_alternative<NoiseChannel>(ops[i]),
+                            lowering.compile(ops[i], plan.numQubits)});
+    return plan;
+}
+
+bool
+rebindPlan(ExecutionPlan& plan, const Circuit& circuit,
+           const OpLowering& lowering)
+{
+    // On any failure the caller re-plans from scratch, so a partially
+    // refreshed plan is never executed.
+    if (plan.engine != lowering.engine ||
+        circuit.numQubits() != plan.numQubits)
+        return false;
+
+    if (plan.fusionEnabled) {
+        // materializeFusion validates indices, kinds and wires itself.
+        auto fused = materializeFusion(plan.recipe, circuit, &plan.fusion);
+        if (!fused || fused->size() != plan.circuit.size())
+            return false;
+        plan.circuit = std::move(*fused);
+    } else {
+        if (!sameStructure(plan.circuit, circuit))
+            return false;
+        plan.circuit = circuit;
+    }
+
+    for (PlannedOp& op : plan.ops) {
+        const Operation& o = plan.circuit.operations()[op.opIndex];
+        if (std::holds_alternative<NoiseChannel>(o) != op.isChannel ||
+            !lowering.refresh(op.kernels, o))
+            return false;
+    }
+    return true;
+}
 
 ExecutionPlan
 planCircuit(const Circuit& circuit, const ExecPolicy& policy)
 {
     QKC_SPAN("exec.plan");
-    ExecutionPlan plan;
-    plan.numQubits = circuit.numQubits();
-    plan.fusionEnabled = policy.fuseGates;
-    if (policy.fuseGates) {
-        plan.recipe = planFusion(circuit, {});
-        plan.circuit = *materializeFusion(plan.recipe, circuit, &plan.fusion);
-    } else {
-        plan.circuit = circuit;
-    }
-    compilePlannedOps(plan);
-    return plan;
+    return buildPlan(circuit, policy, kSvLowering);
 }
 
 ExecutionPlan
@@ -128,39 +182,7 @@ sameStructure(const Circuit& a, const Circuit& b)
 bool
 tryRebindPlan(ExecutionPlan& plan, const Circuit& circuit)
 {
-    // On any failure the caller re-plans from scratch, so a partially
-    // refreshed plan is never executed.
-    if (circuit.numQubits() != plan.numQubits)
-        return false;
-
-    if (plan.fusionEnabled) {
-        // materializeFusion validates indices, kinds and wires itself.
-        auto fused = materializeFusion(plan.recipe, circuit, &plan.fusion);
-        if (!fused || fused->size() != plan.circuit.size())
-            return false;
-        plan.circuit = std::move(*fused);
-    } else {
-        if (!sameStructure(plan.circuit, circuit))
-            return false;
-        plan.circuit = circuit;
-    }
-
-    for (PlannedOp& op : plan.ops) {
-        const Operation& o = plan.circuit.operations()[op.opIndex];
-        if (op.isChannel) {
-            const auto* ch = std::get_if<NoiseChannel>(&o);
-            if (!ch || ch->krausOperators().size() != op.kraus.size())
-                return false;
-            for (std::size_t k = 0; k < op.kraus.size(); ++k)
-                if (!tryRefreshKernel(op.kraus[k], ch->krausOperators()[k]))
-                    return false;
-        } else {
-            const Gate* g = std::get_if<Gate>(&o);
-            if (!g || !tryRefreshKernel(op.gate, g->unitary()))
-                return false;
-        }
-    }
-    return true;
+    return rebindPlan(plan, circuit, kSvLowering);
 }
 
 } // namespace qkc

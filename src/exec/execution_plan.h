@@ -2,6 +2,7 @@
 #define QKC_EXEC_EXECUTION_PLAN_H
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -12,44 +13,86 @@
 namespace qkc {
 
 /**
- * One circuit operation lowered for dense state-vector execution: either a
- * compiled gate kernel or a noise channel whose Kraus operators have each
- * been compiled (damping E0 classifies as Diag, mixture operators as scaled
- * Paulis, ...). `opIndex` refers into the owning plan's circuit.
+ * One circuit operation lowered to the kernels its engine sweeps (see
+ * OpLowering). `opIndex` refers into the owning plan's circuit.
  */
 struct PlannedOp {
     std::size_t opIndex = 0;
     bool isChannel = false;
-    GateKernel gate;                ///< valid when !isChannel
-    std::vector<GateKernel> kraus;  ///< valid when isChannel
+    std::vector<GateKernel> kernels;
+};
+
+/** The engine whose lowering compiled a plan's kernels. */
+enum class PlanEngine : std::uint8_t { StateVector, DensityMatrix };
+
+/**
+ * How one dense engine lowers a circuit operation to kernels. The plan
+ * builder and rebinder below own everything else (fusion, the recipe
+ * replay or structure check, the per-op loops), so an engine supplies
+ * only these two rules.
+ */
+struct OpLowering {
+    PlanEngine engine;
+    /** The kernels of `op` in a `numQubits`-qubit circuit. */
+    std::vector<GateKernel> (*compile)(const Operation& op,
+                                       std::size_t numQubits);
+    /**
+     * Refreshes `kernels` in place for a same-structure `op` without
+     * re-classification (see tryRefreshKernel); false when a new value no
+     * longer fits a stored kernel class.
+     */
+    bool (*refresh)(std::vector<GateKernel>& kernels, const Operation& op);
 };
 
 /**
  * A circuit prepared for repeated dense execution: fusion has run (if the
- * policy asks for it) and every gate and Kraus matrix has been inspected
- * and classified exactly once. Trajectory sampling re-executes the plan per
- * shot without touching a Matrix again.
+ * policy asks for it) and every gate and channel has been lowered and
+ * classified exactly once.
+ *
+ *  - State vector: a gate is one kernel; a channel is one kernel per Kraus
+ *    operator, and a trajectory picks one. Qubit q lives at bit
+ *    numQubits-1-q, matching the StateVector basis-index layout.
+ *  - Density matrix: a gate is its row kernel then its column kernel; a
+ *    channel is its single Liouville kernel. Every kernel applies in order.
+ *
+ * Trajectory sampling and variational sweeps re-execute the plan without
+ * touching a Matrix again.
  */
 struct ExecutionPlan {
+    PlanEngine engine = PlanEngine::StateVector;
     std::size_t numQubits = 0;
     Circuit circuit{1};       ///< the (possibly fused) circuit kernels map to
     std::vector<PlannedOp> ops;
     FusionStats fusion;       ///< zeros when fusion was disabled
     bool fusionEnabled = false;
     FusionRecipe recipe;      ///< valid when fusionEnabled
-
-    const NoiseChannel& channelAt(const PlannedOp& op) const
-    {
-        return std::get<NoiseChannel>(circuit.operations()[op.opIndex]);
-    }
 };
 
+/** A plan lowered by the density-matrix engine (see planCircuitDm). */
+using DmExecutionPlan = ExecutionPlan;
+
 /**
- * Builds the execution plan for `circuit` under `policy` (fusion honored;
- * thread settings are not consulted here — they matter at apply time).
- * Kernel bit convention: qubit q lives at bit position numQubits-1-q,
- * matching the StateVector basis-index layout.
+ * Builds the plan for `circuit` under `policy` with `lowering` (fusion
+ * honored; thread settings are not consulted here — they matter at apply
+ * time).
  */
+ExecutionPlan buildPlan(const Circuit& circuit, const ExecPolicy& policy,
+                        const OpLowering& lowering);
+
+/**
+ * Rebinds `plan` to a new circuit with the same structure (the variational
+ * fast path): replays the recorded fusion recipe on the new gate values,
+ * or checks sameStructure when fusion is off, and refreshes every op's
+ * kernels in place — no greedy fusion pass, no kernel re-classification.
+ * Returns false when the plan was lowered by another engine, the structure
+ * differs, a fused product crossed the identity boundary, or a new value
+ * invalidated a kernel's stored class; the plan may then be partially
+ * refreshed and the caller must re-plan before executing it.
+ */
+bool rebindPlan(ExecutionPlan& plan, const Circuit& circuit,
+                const OpLowering& lowering);
+
+/** Builds the state-vector plan for `circuit` under `policy`. */
 ExecutionPlan planCircuit(const Circuit& circuit, const ExecPolicy& policy);
 
 /**
@@ -81,15 +124,7 @@ bool sameStructure(const Circuit& a, const Circuit& b);
  */
 std::uint64_t structureHash(const Circuit& circuit);
 
-/**
- * Rebinds `plan` to a new circuit with the same structure (the variational
- * fast path): replays the recorded fusion recipe on the new gate values and
- * refreshes every kernel in place — no greedy fusion pass, no kernel
- * re-classification. Returns false when the structure differs, a fused
- * product crossed the identity boundary, or a parameter change invalidated
- * a kernel's stored class; the plan may then be partially refreshed and the
- * caller must re-plan before executing it.
- */
+/** rebindPlan with the state-vector lowering. */
 bool tryRebindPlan(ExecutionPlan& plan, const Circuit& circuit);
 
 } // namespace qkc

@@ -102,10 +102,10 @@ class Span {
     ::qkc::obs::Span QKC_SPAN_CONCAT(qkcObsSpan_, __LINE__)(name)
 
 /**
- * A span that is also a stopwatch: the bench harnesses' replacement for the
- * ad-hoc util/timer.h timers, so every measured interval shows up in
- * --trace output too. seconds() reads the elapsed time without ending the
- * span; finish() ends it (and is implied by destruction).
+ * A span that is also a stopwatch: the bench harnesses' timer, so every
+ * measured interval shows up in --trace output too. seconds() reads the
+ * elapsed time without ending the span; finish() ends it (and is implied by
+ * destruction).
  */
 class TimedSpan {
   public:

@@ -1,6 +1,5 @@
 #include "server/server_core.h"
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -16,15 +15,6 @@ namespace qkc {
 namespace server {
 
 namespace {
-
-std::uint64_t
-nowNanos()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 // Counter names must be string literals (the registry keeps the pointer).
 obs::Counter&
@@ -471,7 +461,7 @@ void
 ServerCore::execute(CacheEntry& entry, const std::shared_ptr<Waiter>& w)
 {
     std::unique_lock<std::mutex> lock(entry.mu);
-    w->enqueuedNanos = nowNanos();
+    w->enqueuedNanos = obs::nowNs();
     entry.queue.push_back(w);
 
     if (entry.running) {
@@ -498,7 +488,7 @@ ServerCore::execute(CacheEntry& entry, const std::shared_ptr<Waiter>& w)
                 ++it;
             }
         }
-        const std::uint64_t serviceStart = nowNanos();
+        const std::uint64_t serviceStart = obs::nowNs();
         for (const auto& g : group) {
             g->waitNanos = serviceStart - g->enqueuedNanos;
             histQueueWait().record(g->waitNanos);
@@ -559,8 +549,8 @@ ServerCore::execute(CacheEntry& entry, const std::shared_ptr<Waiter>& w)
     entry.running = false;
 }
 
-HttpResult
-ServerCore::backendsResponse() const
+Json
+backendRegistryJson()
 {
     Json list = Json::array();
     for (const BackendInfo& info : backendRegistry()) {
@@ -581,7 +571,13 @@ ServerCore::backendsResponse() const
     }
     Json out = Json::object();
     out.set("backends", std::move(list));
-    return {200, out.dump()};
+    return out;
+}
+
+HttpResult
+ServerCore::backendsResponse() const
+{
+    return {200, backendRegistryJson().dump()};
 }
 
 HttpResult

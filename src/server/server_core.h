@@ -54,6 +54,15 @@ struct ServerConfig {
     JsonLimits json{};
 };
 
+/**
+ * The backend registry as {"backends": [{name, aliases, options, summary,
+ * tasks, batch}, ...]}: the /v1/backends body and the CLI's
+ * --list-backends --json output. Rendered from backendRegistry(), the
+ * table parseBackendSpec validates against, so neither can drift from
+ * what is accepted.
+ */
+Json backendRegistryJson();
+
 /** One HTTP exchange's outcome, transport-agnostic. */
 struct HttpResult {
     int status = 200;

@@ -4,8 +4,22 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace qkc {
+
+namespace {
+
+void
+requireSvPlan(const ExecutionPlan& plan, const char* caller)
+{
+    if (plan.engine != PlanEngine::StateVector)
+        throw std::invalid_argument(
+            std::string(caller) +
+            ": the plan was not lowered for a state vector; use planCircuit");
+}
+
+} // namespace
 
 StateVector
 StateVectorSimulator::simulate(const Circuit& circuit) const
@@ -21,6 +35,7 @@ StateVectorSimulator::simulate(const Circuit& circuit) const
 StateVector
 StateVectorSimulator::simulatePlanned(const ExecutionPlan& plan) const
 {
+    requireSvPlan(plan, "StateVectorSimulator::simulatePlanned");
     StateVector sv(plan.numQubits);
     sv.setExecPolicy(policy_);
     for (const auto& op : plan.ops) {
@@ -29,7 +44,7 @@ StateVectorSimulator::simulatePlanned(const ExecutionPlan& plan) const
                 "StateVectorSimulator::simulatePlanned: plan has channels; "
                 "use sampleNoisyPlanned");
         }
-        sv.apply(op.gate);
+        sv.apply(op.kernels[0]);
     }
     return sv;
 }
@@ -43,22 +58,22 @@ StateVectorSimulator::runTrajectory(const ExecutionPlan& plan, Rng& rng,
     std::vector<double> weights;
     for (const auto& op : plan.ops) {
         if (!op.isChannel) {
-            sv.apply(op.gate);
+            sv.apply(op.kernels[0]);
             continue;
         }
         // Born-rule Kraus selection: p_k = ||E_k psi||^2, computed by a
         // read-only norm kernel (no state copies). The 1/sqrt(w) that used
         // to be a separate normalize() pass is folded into the selected
         // operator's application.
-        weights.resize(op.kraus.size());
-        for (std::size_t k = 0; k < op.kraus.size(); ++k)
-            weights[k] = sv.normAfter(op.kraus[k]);
+        weights.resize(op.kernels.size());
+        for (std::size_t k = 0; k < op.kernels.size(); ++k)
+            weights[k] = sv.normAfter(op.kernels[k]);
         const std::size_t pick = rng.categorical(weights);
         if (weights[pick] > 0.0)
-            sv.apply(op.kraus[pick],
+            sv.apply(op.kernels[pick],
                      Complex{1.0 / std::sqrt(weights[pick]), 0.0});
         else
-            sv.apply(op.kraus[pick]);
+            sv.apply(op.kernels[pick]);
     }
     return sv;
 }
@@ -90,6 +105,7 @@ StateVectorSimulator::sampleNoisyPlanned(const ExecutionPlan& plan,
                                          std::size_t numSamples,
                                          Rng& rng) const
 {
+    requireSvPlan(plan, "StateVectorSimulator::sampleNoisyPlanned");
     if (numSamples == 0)
         return {};
 
@@ -151,9 +167,9 @@ StateVectorSimulator::noisyDistributionExhaustive(const Circuit& circuit) const
         std::size_t chIdx = 0;
         for (const auto& op : plan.ops) {
             if (!op.isChannel) {
-                sv.apply(op.gate);
+                sv.apply(op.kernels[0]);
             } else {
-                sv.apply(op.kraus[choice[chIdx]]);
+                sv.apply(op.kernels[choice[chIdx]]);
                 ++chIdx;
             }
         }
@@ -164,7 +180,7 @@ StateVectorSimulator::noisyDistributionExhaustive(const Circuit& circuit) const
         // Advance the odometer.
         std::size_t pos = 0;
         for (; pos < choice.size(); ++pos) {
-            if (++choice[pos] < plan.ops[channelOps[pos]].kraus.size())
+            if (++choice[pos] < plan.ops[channelOps[pos]].kernels.size())
                 break;
             choice[pos] = 0;
         }

@@ -45,6 +45,7 @@ class StateVectorSimulator {
     /**
      * Runs a pre-built ideal plan (no channels). Backend sessions plan a
      * circuit structure once and re-execute it across parameter binds.
+     * Throws std::invalid_argument for a plan planCircuit did not build.
      */
     StateVector simulatePlanned(const ExecutionPlan& plan) const;
 

@@ -4,7 +4,7 @@
 #include <functional>
 #include <stdexcept>
 
-#include "util/timer.h"
+#include "obs/trace.h"
 
 namespace qkc {
 
@@ -37,12 +37,12 @@ parameterShiftGradient(Session& session, const CircuitBuilder& makeCircuit,
         shifted[i] = params[i];
     }
 
-    Timer timer;
+    const std::uint64_t t0 = obs::nowNs();
     const std::vector<Result> results =
         session.runBatch(bindings, Expectation{observable, shots}, rng);
 
     GradientResult out;
-    out.seconds = timer.seconds();
+    out.seconds = static_cast<double>(obs::nowNs() - t0) * 1e-9;
     out.batchSize = bindings.size();
     out.value = results[0].expectation;
     out.gradient.resize(params.size());
@@ -104,12 +104,12 @@ runLoop(std::size_t numParams,
         // plan/compile, every later one only rebinds parameter values. The
         // bind/open is backend work too, so it counts toward sampleSeconds
         // alongside the task time the Result metadata reports.
-        Timer bindTimer;
+        const std::uint64_t t0 = obs::nowNs();
         if (!session)
             session = backend.open(c);
         else
             session->bind(c);
-        sampleSeconds += bindTimer.seconds();
+        sampleSeconds += static_cast<double>(obs::nowNs() - t0) * 1e-9;
         ++evaluations;
         if (options.exactExpectation) {
             Result r = session->run(
@@ -149,7 +149,7 @@ runLoop(std::size_t numParams,
                                              options.noiseStrength);
             bindings.push_back(std::move(c));
         }
-        Timer batchTimer;
+        const std::uint64_t t0 = obs::nowNs();
         if (!session)
             session = backend.open(bindings.front());
         const Task task =
@@ -158,7 +158,7 @@ runLoop(std::size_t numParams,
                 : Task(Sample{options.samplesPerEvaluation});
         const std::vector<Result> scored =
             session->runBatch(bindings, task, rng);
-        sampleSeconds += batchTimer.seconds();
+        sampleSeconds += static_cast<double>(obs::nowNs() - t0) * 1e-9;
         evaluations += scored.size();
         std::size_t best = 0;
         double bestValue = 0.0;

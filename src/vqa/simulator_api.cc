@@ -9,7 +9,6 @@
 
 #include "exec/execution_plan.h"
 #include "exec/thread_pool.h"
-#include "util/timer.h"
 
 namespace qkc {
 
@@ -75,9 +74,9 @@ Session::run(const Task& task, Rng& rng)
         result.meta.profile = scope.take();
         result.meta.seconds = result.meta.profile.totalSeconds;
     } else {
-        Timer timer;
+        const std::uint64_t t0 = obs::nowNs();
         runTask();
-        result.meta.seconds = timer.seconds();
+        result.meta.seconds = static_cast<double>(obs::nowNs() - t0) * 1e-9;
     }
     result.meta.planBuilds = planBuilds_;
     result.meta.planReuses = planReuses_;
@@ -119,9 +118,11 @@ Session::runBatch(const std::vector<ParamBinding>& bindings, const Task& task,
     // A batch issued from inside pool work would only run inline anyway
     // (the pool's nested-submission guard), so skip the lane setup and
     // serialize outright — this is what makes a batched task safe to issue
-    // from arbitrary calling contexts.
-    const std::size_t lanes =
-        std::min<std::size_t>(batchThreads(), bindings.size());
+    // from arbitrary calling contexts. Lanes beyond the pool's threads
+    // would not run any sooner, but each keeps its own dense state until
+    // the batch ends, so the pool bounds them whatever `threads` asks for.
+    const std::size_t lanes = std::min<std::size_t>(
+        {batchThreads(), bindings.size(), sharedPool().numWorkers() + 1});
     bool parallel =
         lanes > 1 && !batchSerialized_ && !ThreadPool::inParallelRegion();
     if (parallel) {
@@ -361,19 +362,6 @@ Session::checkObservable(const PauliSum& observable) const
                 "Expectation: observable qubit count does not match the "
                 "bound circuit");
     }
-}
-
-// ---------------------------------------------------------------------------
-// Backend
-// ---------------------------------------------------------------------------
-
-std::vector<Result>
-Backend::runBatch(const std::vector<ParamBinding>& bindings, const Task& task,
-                  Rng& rng) const
-{
-    if (bindings.empty())
-        return {};
-    return open(bindings.front())->runBatch(bindings, task, rng);
 }
 
 // ---------------------------------------------------------------------------

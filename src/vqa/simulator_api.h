@@ -31,13 +31,12 @@ namespace qkc {
  */
 struct BackendOptions {
     /**
-     * Dense-sweep threads for sv/dm, and worker lanes for dd (runBatch
-     * fan-out and the trajectory-parallel noisy Sample, which builds no
-     * more lanes than the shared pool can run); total, including the
-     * caller. 0 = machine default: the QKC_THREADS environment
-     * variable when set (clamped to >= 1), otherwise
-     * std::thread::hardware_concurrency(). An explicit value here always
-     * wins over both.
+     * Dense-sweep threads for sv/dm, runBatch worker lanes for sv and dd,
+     * and dd's trajectory-parallel noisy Sample lanes; total, including the
+     * caller. Lanes never outnumber the shared pool's threads. 0 = machine
+     * default: the QKC_THREADS environment variable when set (clamped to
+     * >= 1), otherwise std::thread::hardware_concurrency(). An explicit
+     * value here always wins over both.
      */
     std::size_t threads = 0;
 
@@ -396,7 +395,8 @@ class Session {
      */
     virtual std::unique_ptr<Session> cloneForBatch() const;
 
-    /** Worker lanes runBatch may use (default: the machine/QKC_THREADS). */
+    /** Worker lanes runBatch may use (default: the machine/QKC_THREADS);
+     *  runBatch caps them at the shared pool's worker count plus one. */
     virtual std::size_t batchThreads() const;
 
     /**
@@ -483,15 +483,6 @@ class Backend {
 
     /** The options this backend was constructed with (spec string, ctor). */
     virtual const BackendOptions& defaults() const = 0;
-
-    /**
-     * Convenience for one-shot batch callers: opens a session on the first
-     * binding (paying the structure cost once) and runs the batch through
-     * it. Anything that evaluates batches repeatedly should hold the
-     * Session and call Session::runBatch so lane state persists.
-     */
-    std::vector<Result> runBatch(const std::vector<ParamBinding>& bindings,
-                                 const Task& task, Rng& rng) const;
 };
 
 /**

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/noise.h"
+#include "densitymatrix/densitymatrix_simulator.h"
 #include "statevector/statevector_simulator.h"
 #include "util/rng.h"
 
@@ -29,12 +30,33 @@ expectSameState(const Circuit& a, const Circuit& b, double tol = 1e-10)
             << "index " << i;
 }
 
+/**
+ * Neither dense engine rebinds a fused plan of `a` onto `b`, and a fresh
+ * plan of `b` on either engine fuses exactly as fuseGates does and keeps the
+ * raw circuit's state.
+ */
+void
+expectRebindRefused(const Circuit& a, const Circuit& b)
+{
+    const ExecPolicy policy; // fuseGates defaults to true
+    ExecutionPlan plan = planCircuit(a, policy);
+    EXPECT_FALSE(tryRebindPlan(plan, b));
+    DmExecutionPlan dmPlan = planCircuitDm(a, policy);
+    EXPECT_FALSE(tryRebindDmPlan(dmPlan, b));
+
+    for (const Circuit& fresh :
+         {planCircuit(b, policy).circuit, planCircuitDm(b, policy).circuit}) {
+        EXPECT_EQ(fresh.gateCount(), fuseGates(b).gateCount());
+        expectSameState(b, fresh);
+    }
+}
+
 TEST(FusionTest, MergesAdjacent1qGatesOnOneWire)
 {
     Circuit c(2);
     c.h(0).t(0).s(0).h(1);
     FusionStats stats;
-    Circuit fused = fuseGates(c, {}, &stats);
+    Circuit fused = fuseGates(c, &stats);
     EXPECT_EQ(fused.gateCount(), 2u); // one fused gate per wire
     EXPECT_EQ(stats.merged1q, 2u);
     expectSameState(c, fused);
@@ -45,7 +67,7 @@ TEST(FusionTest, DropsIdentityProducts)
     Circuit c(1);
     c.h(0).h(0);
     FusionStats stats;
-    Circuit fused = fuseGates(c, {}, &stats);
+    Circuit fused = fuseGates(c, &stats);
     EXPECT_EQ(fused.gateCount(), 0u);
     EXPECT_EQ(stats.droppedIdentity, 1u);
 
@@ -59,7 +81,7 @@ TEST(FusionTest, FoldsPending1qIntoFollowing2qGate)
     Circuit c(2);
     c.h(0).t(1).cnot(0, 1);
     FusionStats stats;
-    Circuit fused = fuseGates(c, {}, &stats);
+    Circuit fused = fuseGates(c, &stats);
     EXPECT_EQ(fused.gateCount(), 1u);
     EXPECT_EQ(stats.foldedInto2q, 2u);
     expectSameState(c, fused);
@@ -72,7 +94,7 @@ TEST(FusionTest, ChainsAdjacent2qGatesOnSamePair)
     Circuit c(2);
     c.h(0).zz(0, 1, 0.7).t(1).cnot(0, 1);
     FusionStats stats;
-    Circuit fused = fuseGates(c, {}, &stats);
+    Circuit fused = fuseGates(c, &stats);
     EXPECT_EQ(fused.gateCount(), 1u);
     EXPECT_EQ(stats.merged2q, 1u);
     EXPECT_EQ(stats.foldedInto2q, 2u);
@@ -85,7 +107,7 @@ TEST(FusionTest, ChainDropsIdentityProduct)
     Circuit c(2);
     c.cnot(0, 1).cnot(0, 1);
     FusionStats stats;
-    Circuit fused = fuseGates(c, {}, &stats);
+    Circuit fused = fuseGates(c, &stats);
     EXPECT_EQ(fused.gateCount(), 0u);
     EXPECT_EQ(stats.merged2q, 1u);
     EXPECT_EQ(stats.droppedIdentity, 1u);
@@ -98,7 +120,7 @@ TEST(FusionTest, ChainBrokenByIntermediateOpOnEitherWire)
     Circuit c(3);
     c.cnot(0, 1).ccx(0, 1, 2).cnot(0, 1);
     FusionStats stats;
-    Circuit fused = fuseGates(c, {}, &stats);
+    Circuit fused = fuseGates(c, &stats);
     EXPECT_EQ(fused.gateCount(), 3u);
     EXPECT_EQ(stats.merged2q, 0u);
     expectSameState(c, fused);
@@ -107,7 +129,7 @@ TEST(FusionTest, ChainBrokenByIntermediateOpOnEitherWire)
     Circuit d(2);
     d.cnot(0, 1).cnot(1, 0);
     FusionStats dstats;
-    Circuit dfused = fuseGates(d, {}, &dstats);
+    Circuit dfused = fuseGates(d, &dstats);
     EXPECT_EQ(dfused.gateCount(), 2u);
     EXPECT_EQ(dstats.merged2q, 0u);
     expectSameState(d, dfused);
@@ -120,7 +142,7 @@ TEST(FusionTest, ChainSpansDisjointInterleavedOps)
     Circuit c(4);
     c.zz(0, 1, 0.4).h(2).cnot(2, 3).t(3).cnot(0, 1);
     FusionStats stats;
-    Circuit fused = fuseGates(c, {}, &stats);
+    Circuit fused = fuseGates(c, &stats);
     EXPECT_EQ(stats.merged2q, 1u);
     expectSameState(c, fused);
 }
@@ -143,30 +165,6 @@ TEST(FusionTest, ChainRecipeReplaysNewParameters)
     Circuit ident(2);
     ident.zz(0, 1, 0.8).rx(0, 0.0).zz(0, 1, -0.8);
     EXPECT_FALSE(materializeFusion(recipe, ident).has_value());
-}
-
-TEST(FusionTest, ChainFusionCanBeDisabled)
-{
-    Circuit c(2);
-    c.cnot(0, 1).cnot(0, 1);
-    FusionOptions options;
-    options.fuseTwoQubitPairs = false;
-    FusionStats stats;
-    Circuit fused = fuseGates(c, options, &stats);
-    EXPECT_EQ(fused.gateCount(), 2u);
-    EXPECT_EQ(stats.merged2q, 0u);
-    expectSameState(c, fused);
-}
-
-TEST(FusionTest, FoldingCanBeDisabled)
-{
-    Circuit c(2);
-    c.h(0).cnot(0, 1);
-    FusionOptions options;
-    options.foldIntoTwoQubit = false;
-    Circuit fused = fuseGates(c, options);
-    EXPECT_EQ(fused.gateCount(), 2u);
-    expectSameState(c, fused);
 }
 
 TEST(FusionTest, NoiseChannelsAreBarriers)
@@ -208,7 +206,7 @@ TEST(FusionTest, ThreeQubitGatesAreBarriers)
     Circuit c(3);
     c.h(0).t(1).ccx(0, 1, 2).s(0);
     FusionStats stats;
-    Circuit fused = fuseGates(c, {}, &stats);
+    Circuit fused = fuseGates(c, &stats);
     // h and t flushed before the Toffoli; s pending flushed at the end.
     EXPECT_EQ(fused.gateCount(), 4u);
     expectSameState(c, fused);
@@ -234,7 +232,7 @@ TEST(FusionTest, RandomizedCircuitsFusedEqualsUnfused)
             }
         }
         FusionStats stats;
-        Circuit fused = fuseGates(c, {}, &stats);
+        Circuit fused = fuseGates(c, &stats);
         SCOPED_TRACE("trial " + std::to_string(trial));
         EXPECT_LE(fused.gateCount(), c.gateCount());
         expectSameState(c, fused);
@@ -287,11 +285,7 @@ TEST(FusionTest, RecipeRefusesTrailingOps)
     b.x(1);
     const FusionRecipe recipe = planFusion(a);
     EXPECT_FALSE(materializeFusion(recipe, b).has_value());
-
-    FusionCache cache;
-    cache.build(a);
-    EXPECT_FALSE(cache.rebind(b)); // refused, rebuilt from b internally
-    expectSameState(b, cache.fused());
+    expectRebindRefused(a, b);
 }
 
 TEST(FusionTest, RecipeRefusesWireMismatch)
@@ -303,12 +297,7 @@ TEST(FusionTest, RecipeRefusesWireMismatch)
     Circuit b(2);
     b.rz(1, 0.3).rz(1, 0.4).cnot(0, 1);
     EXPECT_FALSE(materializeFusion(planFusion(a), b).has_value());
-
-    FusionCache cache;
-    cache.build(a);
-    EXPECT_FALSE(cache.rebind(b)); // refused, then rebuilt internally
-    EXPECT_EQ(cache.fused().gateCount(), fuseGates(b).gateCount());
-    expectSameState(b, cache.fused());
+    expectRebindRefused(a, b);
 }
 
 TEST(FusionTest, SimulatorFusionPolicyMatchesExplicitFusion)

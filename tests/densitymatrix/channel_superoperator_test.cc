@@ -161,7 +161,7 @@ TEST(ChannelSuperoperatorTest, IdentityChannelRefusesNonZeroStrength)
         quiet.h(1);
         quiet.append(ch);
         DmExecutionPlan plan = planCircuitDm(quiet, policy);
-        ASSERT_EQ(plan.ops.back().channel.op, GateKernel::Op::Identity);
+        ASSERT_EQ(plan.ops.back().kernels.front().op, GateKernel::Op::Identity);
     }
     DmExecutionPlan plan = planCircuitDm(noisyCircuit(0.0), policy);
     EXPECT_FALSE(tryRebindDmPlan(plan, noisyCircuit(0.05)));

@@ -1,14 +1,18 @@
 /**
  * The dense execution plan's structural contracts: the compiled kernel
  * stream does not depend on the thread count, tryRebindPlan refuses a
- * structure change, and the benchmark's PathOptions forwarders return the
- * two-argument plans unchanged.
+ * structure change, the benchmark's PathOptions forwarders return the
+ * two-argument plans unchanged, and neither engine runs or rebinds a plan
+ * the other engine lowered.
  */
 #include "exec/execution_plan.h"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "densitymatrix/densitymatrix_simulator.h"
+#include "statevector/statevector_simulator.h"
 
 namespace qkc {
 namespace {
@@ -82,6 +86,44 @@ TEST(ExecutionPlanTest, PathOptionsForwardersReturnThePlainPlans)
         planCircuitDm(c, policy, PathOptions{});
     ASSERT_EQ(dmPlain.ops.size(), dmForwarded.ops.size());
     EXPECT_EQ(dmPlain.circuit.size(), dmForwarded.circuit.size());
+}
+
+TEST(ExecutionPlanTest, EachEngineLowersItsOwnKernels)
+{
+    Circuit c(2);
+    c.h(0).cnot(0, 1);
+    c.append(NoiseChannel::depolarizing(1, 0.05));
+    ExecPolicy policy;
+    const ExecutionPlan sv = planCircuit(c, policy);
+    const DmExecutionPlan dm = planCircuitDm(c, policy);
+    ASSERT_EQ(sv.ops.size(), 2u); // one fused gate, one channel
+    ASSERT_EQ(dm.ops.size(), 2u);
+    EXPECT_EQ(sv.ops[0].kernels.size(), 1u);
+    EXPECT_EQ(dm.ops[0].kernels.size(), 2u); // row, then column kernel
+    EXPECT_EQ(sv.ops[1].kernels.size(), 4u); // one per Kraus operator
+    EXPECT_EQ(dm.ops[1].kernels.size(), 1u); // the Liouville kernel
+}
+
+TEST(ExecutionPlanTest, DensityMatrixSimulatorRefusesStateVectorPlan)
+{
+    const Circuit c = frozenPrefixCircuit(0.3);
+    ExecPolicy policy;
+    ExecutionPlan plan = planCircuit(c, policy);
+    const DensityMatrixSimulator sim(policy);
+    EXPECT_THROW(sim.simulatePlanned(plan), std::invalid_argument);
+    EXPECT_FALSE(tryRebindDmPlan(plan, c));
+}
+
+TEST(ExecutionPlanTest, StateVectorSimulatorRefusesDensityMatrixPlan)
+{
+    const Circuit c = frozenPrefixCircuit(0.3);
+    ExecPolicy policy;
+    DmExecutionPlan plan = planCircuitDm(c, policy);
+    const StateVectorSimulator sim(policy);
+    EXPECT_THROW(sim.simulatePlanned(plan), std::invalid_argument);
+    Rng rng(5);
+    EXPECT_THROW(sim.sampleNoisyPlanned(plan, 4, rng), std::invalid_argument);
+    EXPECT_FALSE(tryRebindPlan(plan, c));
 }
 
 } // namespace

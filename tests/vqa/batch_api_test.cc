@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "circuit/noise.h"
@@ -306,19 +307,46 @@ TEST(RunBatchTest, EmptyBatchAndQubitMismatch)
         std::invalid_argument);
 }
 
-TEST(RunBatchTest, BackendConvenienceMatchesSessionBatch)
+TEST(RunBatchTest, OneShotSessionMatchesHeldSessionBatch)
 {
+    // A one-shot batch opens its session on the first binding; a held
+    // session opened on another binding rebinds onto the batch instead.
+    // Both paths must give the same payloads.
     ThreadGuard guard;
     setDefaultThreads(2);
     const auto b = bindingsFor(4, 3);
     auto backend = makeBackend("sv");
     Rng rngA(9), rngB(9);
-    const auto viaBackend = backend->runBatch(b, Sample{32}, rngA);
-    auto session = backend->open(b.front());
-    const auto viaSession = session->runBatch(b, Sample{32}, rngB);
-    ASSERT_EQ(viaBackend.size(), viaSession.size());
-    for (std::size_t i = 0; i < viaBackend.size(); ++i)
-        expectSamePayload(viaBackend[i], viaSession[i], "convenience");
+    const auto oneShot =
+        backend->open(b.front())->runBatch(b, Sample{32}, rngA);
+    auto held = backend->open(b.back());
+    const auto viaHeld = held->runBatch(b, Sample{32}, rngB);
+    ASSERT_EQ(oneShot.size(), viaHeld.size());
+    for (std::size_t i = 0; i < oneShot.size(); ++i)
+        expectSamePayload(oneShot[i], viaHeld[i], "one-shot");
+}
+
+TEST(RunBatchTest, LanesAreCappedAtThePoolSize)
+{
+    // Every lane keeps its own dense state (or diagram package) until the
+    // batch ends, and `threads` comes straight from client specs: lanes past
+    // the pool's threads would only cost memory.
+    const std::size_t pool = sharedPool().numWorkers();
+    const std::size_t wide = pool + 9;
+    const auto b = bindingsFor(4, wide);
+    for (const std::string kind : {"sv", "dd"}) {
+        Rng rngA(21), rngB(21);
+        auto narrow = makeBackend(kind + ":threads=1")->open(b.front());
+        const auto expected = narrow->runBatch(b, Sample{16}, rngA);
+        auto session = makeBackend(kind + ":threads=" + std::to_string(wide))
+                           ->open(b.front());
+        const auto got = session->runBatch(b, Sample{16}, rngB);
+        ASSERT_EQ(got.size(), expected.size()) << kind;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].meta.batch.lanes, pool + 1) << kind;
+            expectSamePayload(got[i], expected[i], kind.c_str());
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
