@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -287,6 +289,41 @@ parallelForChunks(const ExecPolicy& policy, std::uint64_t n,
         return;
     }
     sharedPool().run(n, policy.grain, threads, fn);
+}
+
+std::size_t
+laneCount(std::size_t threads, std::size_t items)
+{
+    ExecPolicy policy;
+    policy.threads = threads;
+    return std::min<std::size_t>(
+        {policy.resolvedThreads(), items, sharedPool().numWorkers() + 1});
+}
+
+void
+parallelForLanes(std::size_t lanes, std::uint64_t items,
+                 const ThreadPool::ChunkFn& fn)
+{
+    if (lanes == 0)
+        throw std::invalid_argument("parallelForLanes: lanes must be >= 1");
+    // A throwing worker chunk would std::terminate, and a throwing caller
+    // chunk would leave the pool's job slot claimed forever.
+    std::vector<std::exception_ptr> errors(lanes);
+    ExecPolicy fanout;
+    fanout.threads = lanes;
+    fanout.serialThreshold = 1;
+    fanout.grain = (items + lanes - 1) / lanes;
+    parallelForChunks(fanout, items,
+                      [&](std::size_t lane, std::uint64_t b, std::uint64_t e) {
+        try {
+            fn(lane, b, e);
+        } catch (...) {
+            errors[lane] = std::current_exception();
+        }
+    });
+    for (const std::exception_ptr& err : errors)
+        if (err)
+            std::rethrow_exception(err);
 }
 
 void

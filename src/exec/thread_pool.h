@@ -183,6 +183,26 @@ ThreadPool& sharedPool();
 void parallelForChunks(const ExecPolicy& policy, std::uint64_t n,
                        const ThreadPool::ChunkFn& fn);
 
+/**
+ * Lanes for a coarse fan-out over `items` independent work items, each lane
+ * owning private state (a session clone, a DdPackage): `threads` resolved
+ * as ExecPolicy::threads (0 = machine default), capped at `items` and at
+ * the shared pool's numWorkers() + 1 — lanes past what the pool runs at
+ * once would only hold memory.
+ */
+std::size_t laneCount(std::size_t threads, std::size_t items);
+
+/**
+ * Runs fn(lane, begin, end) over [0, items) in contiguous blocks of
+ * ceil(items / lanes), one block per lane (lane index == block index, so
+ * lane-private state is driven by one thread at a time; nested in pool
+ * work, the blocks run inline with the same boundaries). No exception
+ * unwinds through the pool: every lane runs to completion, then the lowest
+ * lane's exception is rethrown. `lanes` must be >= 1.
+ */
+void parallelForLanes(std::size_t lanes, std::uint64_t items,
+                      const ThreadPool::ChunkFn& fn);
+
 /** Convenience wrapper when the body does not need the chunk index. */
 void parallelFor(const ExecPolicy& policy, std::uint64_t n,
                  const std::function<void(std::uint64_t, std::uint64_t)>& fn);

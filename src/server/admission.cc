@@ -119,6 +119,29 @@ admitRequest(const BackendSpec& spec, const Circuit& circuit, const Task& task,
                                " terms, past the " +
                                std::to_string(limits.kcMaxExactQubits) +
                                "-qubit enumeration budget");
+        // A Gibbs chain runs burnIn + shots·thin sweeps, and both knobs come
+        // from the client's spec: bound the sweeps like the shots they buy.
+        const auto* sample = std::get_if<Sample>(&task);
+        const auto* expectation = std::get_if<Expectation>(&task);
+        if (sample || expectation) {
+            const std::size_t shots =
+                sample ? sample->shots : expectation->shots;
+            const BackendOptions& o = spec.options;
+            if (o.burnIn > limits.maxShots)
+                return AdmissionVerdict::reject(
+                    "shots", "kc burnin " + std::to_string(o.burnIn) +
+                                 " exceeds the limit of " +
+                                 std::to_string(limits.maxShots) +
+                                 " Gibbs sweeps");
+            // shots·thin > maxShots, without the overflowing product.
+            if (o.thin > 0 && shots > limits.maxShots / o.thin)
+                return AdmissionVerdict::reject(
+                    "shots", std::to_string(shots) + " shots at kc thin " +
+                                 std::to_string(o.thin) +
+                                 " exceed the limit of " +
+                                 std::to_string(limits.maxShots) +
+                                 " Gibbs sweeps");
+        }
     }
     // dd diagrams are structure-dependent with no closed-form bound; the
     // package's own gc threshold is the backstop there.

@@ -30,7 +30,9 @@ struct AdmissionLimits {
      *  amplitude queries past this qubit count (2^n term evaluations). */
     std::size_t kcMaxExactQubits = 16;
 
-    std::size_t maxShots = 1u << 20;        ///< Sample/Expectation shots
+    /** Sample/Expectation shots; on kc also the Gibbs burn-in sweeps and
+     *  the shots·thin sweeps a chain runs to record them. */
+    std::size_t maxShots = 1u << 20;
     std::size_t maxAmplitudes = 4096;       ///< Amplitudes bitstring count
     std::size_t maxMarginalQubits = 16;     ///< Probabilities output 2^k cap
     std::size_t maxObservableTerms = 256;   ///< Expectation Pauli terms

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -13,6 +12,7 @@
 #include "dd/dd_simulator.h"
 #include "densitymatrix/densitymatrix_simulator.h"
 #include "exec/execution_plan.h"
+#include "exec/thread_pool.h"
 #include "obs/trace.h"
 #include "statevector/statevector_simulator.h"
 #include "tensornet/tensornet_simulator.h"
@@ -89,27 +89,20 @@ pauliPhase(const PauliString& pauli, std::size_t n, std::uint64_t y)
 
 class SvSession final : public Session {
   public:
-    SvSession(const Circuit& circuit, const BackendOptions& options)
-        : Session("statevector", circuit), options_(options),
-          policy_(execPolicyFrom(options)), sim_(policy_),
-          plan_(planCircuit(circuit, policy_))
+    SvSession(const BackendInfo& entry, const Circuit& circuit,
+              const BackendOptions& options)
+        : Session(entry, circuit, options), policy_(execPolicyFrom(options)),
+          sim_(policy_), plan_(planCircuit(circuit, policy_))
     {
     }
 
   protected:
     std::unique_ptr<Session> cloneForBatch() const override
     {
-        // The batch strategy ISSUE 5 names for sv: copy the compiled
-        // ExecutionPlan into the lane (kernel classification is *not*
-        // re-run) and let each lane rebind it per binding.
-        auto lane = std::unique_ptr<SvSession>(new SvSession(*this));
-        lane->clearInitialBuild();
-        return lane;
-    }
-
-    std::size_t batchThreads() const override
-    {
-        return policy_.resolvedThreads();
+        // The sv batch strategy: copy the compiled ExecutionPlan into the
+        // lane (kernel classification is *not* re-run) and let each lane
+        // rebind it per binding.
+        return std::unique_ptr<SvSession>(new SvSession(*this));
     }
 
     void trimBatchLane() override
@@ -190,12 +183,8 @@ class SvSession final : public Session {
         meta.exact = true;
         std::vector<Complex> out;
         out.reserve(bitstrings.size());
-        for (std::uint64_t b : bitstrings) {
-            if (b >= state_->dimension())
-                throw std::invalid_argument(
-                    "Amplitudes: bitstring out of range");
+        for (std::uint64_t b : bitstrings)
             out.push_back(state_->amplitude(b));
-        }
         return out;
     }
 
@@ -212,15 +201,10 @@ class SvSession final : public Session {
         return marginalizeDistribution(*probs_, circuit_.numQubits(), qubits);
     }
 
-    std::unique_ptr<Session> openAdHoc(const Circuit& rotated) const override
-    {
-        return std::make_unique<SvSession>(rotated, options_);
-    }
-
   private:
     /** Batch-lane clone: copies the compiled plan instead of re-planning. */
     SvSession(const SvSession& parent)
-        : Session("statevector", parent.circuit_), options_(parent.options_),
+        : Session(parent.entry_, parent.circuit_, parent.options_),
           policy_(parent.policy_), sim_(parent.policy_), plan_(parent.plan_)
     {
     }
@@ -243,7 +227,6 @@ class SvSession final : public Session {
         probs_ = state_->probabilities();
     }
 
-    BackendOptions options_;
     ExecPolicy policy_;
     StateVectorSimulator sim_;
     ExecutionPlan plan_;
@@ -257,10 +240,10 @@ class SvSession final : public Session {
 
 class DmSession final : public Session {
   public:
-    DmSession(const Circuit& circuit, const BackendOptions& options)
-        : Session("densitymatrix", circuit), options_(options),
-          policy_(execPolicyFrom(options)), sim_(policy_),
-          plan_(planCircuitDm(circuit, policy_))
+    DmSession(const BackendInfo& entry, const Circuit& circuit,
+              const BackendOptions& options)
+        : Session(entry, circuit, options), policy_(execPolicyFrom(options)),
+          sim_(policy_), plan_(planCircuitDm(circuit, policy_))
     {
     }
 
@@ -329,11 +312,6 @@ class DmSession final : public Session {
         return marginalizeDistribution(*probs_, circuit_.numQubits(), qubits);
     }
 
-    std::unique_ptr<Session> openAdHoc(const Circuit& rotated) const override
-    {
-        return std::make_unique<DmSession>(rotated, options_);
-    }
-
   private:
     void ensureRho()
     {
@@ -357,7 +335,6 @@ class DmSession final : public Session {
         return total.real();
     }
 
-    BackendOptions options_;
     ExecPolicy policy_;
     DensityMatrixSimulator sim_;
     DmExecutionPlan plan_;
@@ -374,9 +351,9 @@ class DmSession final : public Session {
 
 class TnSession final : public Session {
   public:
-    TnSession(const Circuit& circuit, const BackendOptions& options)
-        : Session("tensornetwork", circuit), options_(options),
-          sampler_(circuit)
+    TnSession(const BackendInfo& entry, const Circuit& circuit,
+              const BackendOptions& options)
+        : Session(entry, circuit, options), sampler_(circuit)
     {
     }
 
@@ -418,13 +395,8 @@ class TnSession final : public Session {
         TensorNetworkSimulator tn;
         std::vector<Complex> out;
         out.reserve(bitstrings.size());
-        const std::uint64_t dim = std::uint64_t{1} << circuit_.numQubits();
-        for (std::uint64_t b : bitstrings) {
-            if (b >= dim)
-                throw std::invalid_argument(
-                    "Amplitudes: bitstring out of range");
+        for (std::uint64_t b : bitstrings)
             out.push_back(tn.amplitude(circuit_, b));
-        }
         return out;
     }
 
@@ -470,13 +442,6 @@ class TnSession final : public Session {
         return out;
     }
 
-    std::unique_ptr<Session> openAdHoc(const Circuit& rotated) const override
-    {
-        // The cached sub-session is the tn fallback's big win: the rotated
-        // network's contraction plans used to be rebuilt per term per call.
-        return std::make_unique<TnSession>(rotated, options_);
-    }
-
   private:
     std::vector<std::size_t> allQubits() const
     {
@@ -486,7 +451,6 @@ class TnSession final : public Session {
         return qs;
     }
 
-    BackendOptions options_;
     TnSampler sampler_;
     std::optional<TnSampler::MarginalPlan> marginal_; ///< last proper subset
     std::vector<std::size_t> marginalQubits_;
@@ -499,23 +463,21 @@ class TnSession final : public Session {
 
 class DdSession final : public Session {
   public:
-    DdSession(const Circuit& circuit, const BackendOptions& options)
-        : Session("decisiondiagram", circuit), options_(options),
-          sim_(options.gcThreshold)
+    DdSession(const BackendInfo& entry, const Circuit& circuit,
+              const BackendOptions& options)
+        : Session(entry, circuit, options), sim_(options.gcThreshold)
     {
     }
 
   protected:
     std::unique_ptr<Session> cloneForBatch() const override
     {
-        // The batch strategy ISSUE 5 names for dd: a DdPackage per lane —
-        // its own arena, unique tables and compute caches; nothing shared
-        // across threads. The lane's package persists across bindings and
-        // batches (GC bounds it), so gate DDs and unique tables amortize
-        // within each lane exactly as they do in the parent session.
-        auto lane = std::make_unique<DdSession>(circuit_, options_);
-        lane->clearInitialBuild(); // construction compiles nothing
-        return lane;
+        // The dd batch strategy: a DdPackage per lane — its own arena,
+        // unique tables and compute caches; nothing shared across threads.
+        // The lane's package persists across bindings and batches (GC
+        // bounds it), so gate DDs and unique tables amortize within each
+        // lane exactly as they do in the parent session.
+        return std::make_unique<DdSession>(entry_, circuit_, options_);
     }
 
     void trimBatchLane() override
@@ -526,8 +488,6 @@ class DdSession final : public Session {
         // diagram structure between batches, not a dead state per thread.
         collectState();
     }
-
-    std::size_t batchThreads() const override { return trajectoryLanes(); }
 
     bool doBind(const Circuit&, bool sameStructure) override
     {
@@ -558,13 +518,7 @@ class DdSession final : public Session {
             std::vector<std::uint64_t> seeds(shots);
             for (auto& s : seeds)
                 s = rng.next();
-            std::size_t lanes =
-                std::min<std::size_t>(trajectoryLanes(), shots);
-            // The pool never runs more than numWorkers() + 1 lanes at once,
-            // and every lane owns a DdPackage: lanes past that bound only
-            // cost memory, and `threads` comes straight from client specs.
-            if (lanes > 1)
-                lanes = std::min(lanes, sharedPool().numWorkers() + 1);
+            const std::size_t lanes = laneCount(options_.threads, shots);
             if (lanes <= 1) {
                 auto samples = sim_.sampleNoisySeeded(circuit_, seeds);
                 stampDdMemory(meta);
@@ -629,13 +583,8 @@ class DdSession final : public Session {
         const DdPackage& pkg = sim_.package();
         std::vector<Complex> out;
         out.reserve(bitstrings.size());
-        const std::uint64_t dim = std::uint64_t{1} << circuit_.numQubits();
-        for (std::uint64_t b : bitstrings) {
-            if (b >= dim)
-                throw std::invalid_argument(
-                    "Amplitudes: bitstring out of range");
+        for (std::uint64_t b : bitstrings)
             out.push_back(pkg.amplitude(state_, b));
-        }
         stampDdMemory(meta);
         return out;
     }
@@ -658,29 +607,14 @@ class DdSession final : public Session {
         return probs;
     }
 
-    std::unique_ptr<Session> openAdHoc(const Circuit& rotated) const override
-    {
-        return std::make_unique<DdSession>(rotated, options_);
-    }
-
   private:
-    /** Worker lanes for runBatch and trajectory fan-out (threads option). */
-    std::size_t trajectoryLanes() const
-    {
-        ExecPolicy p;
-        p.threads = options_.threads;
-        return p.resolvedThreads();
-    }
-
     /**
      * Fans the seeded trajectories over per-lane simulators, each with a
      * private DdPackage (arena, unique and compute tables) — the runBatch
-     * lane strategy applied inside one noisy Sample. Lanes claim contiguous
-     * seed blocks as pool chunks (chunk index == lane index) and outcomes
-     * land at their shot index, so the payload is independent of which
-     * thread ran which block; the serial fallback inside parallelForChunks
-     * replays the same chunk boundaries, so a task issued from within a
-     * batch lane (nested region) reads the same bits. Lane simulators are
+     * lane strategy applied inside one noisy Sample. Each lane runs one
+     * contiguous seed block and outcomes land at their shot index, so the
+     * payload is independent of which thread ran which block, nested in a
+     * batch lane or not. Lane simulators are
      * per-call: a trajectory's state is worthless between tasks — unlike a
      * batch lane's plan — so nothing is worth pinning per thread.
      */
@@ -695,33 +629,17 @@ class DdSession final : public Session {
         for (std::size_t l = 0; l < lanes; ++l)
             laneSims.emplace_back(options_.gcThreshold);
 
-        // Same exception containment as runBatch: nothing may unwind
-        // through the pool; the lowest chunk's error is rethrown.
-        std::vector<std::exception_ptr> chunkErrors(lanes);
-        ExecPolicy fanout;
-        fanout.threads = lanes;
-        fanout.serialThreshold = 1;
-        fanout.grain = (shots + lanes - 1) / lanes;
-        parallelForChunks(
-            fanout, shots,
-            [&](std::size_t chunk, std::uint64_t b, std::uint64_t e) {
-                try {
-                    const std::vector<std::uint64_t> laneSeeds(
-                        seeds.begin() + static_cast<std::ptrdiff_t>(b),
-                        seeds.begin() + static_cast<std::ptrdiff_t>(e));
-                    const auto out =
-                        laneSims[chunk].sampleNoisySeeded(circuit_,
-                                                          laneSeeds);
-                    std::copy(out.begin(), out.end(),
-                              samples.begin() +
-                                  static_cast<std::ptrdiff_t>(b));
-                } catch (...) {
-                    chunkErrors[chunk] = std::current_exception();
-                }
+        parallelForLanes(
+            lanes, shots,
+            [&](std::size_t lane, std::uint64_t b, std::uint64_t e) {
+                const std::vector<std::uint64_t> laneSeeds(
+                    seeds.begin() + static_cast<std::ptrdiff_t>(b),
+                    seeds.begin() + static_cast<std::ptrdiff_t>(e));
+                const auto out =
+                    laneSims[lane].sampleNoisySeeded(circuit_, laneSeeds);
+                std::copy(out.begin(), out.end(),
+                          samples.begin() + static_cast<std::ptrdiff_t>(b));
             });
-        for (const std::exception_ptr& err : chunkErrors)
-            if (err)
-                std::rethrow_exception(err);
 
         // The memory stats readers assert on (gc ran, live nodes bounded)
         // happened in the lane packages: sum the counters, take the peak
@@ -824,7 +742,6 @@ class DdSession final : public Session {
         meta.ddMemory = m;
     }
 
-    BackendOptions options_;
     DdSimulator sim_;
     DdStats taskStart_{}; ///< package counters at task entry (per-task deltas)
     VEdge state_;
@@ -838,8 +755,9 @@ class DdSession final : public Session {
 
 class KcSession final : public Session {
   public:
-    KcSession(const Circuit& circuit, const BackendOptions& options)
-        : Session("knowledgecompilation", circuit), options_(options)
+    KcSession(const BackendInfo& entry, const Circuit& circuit,
+              const BackendOptions& options)
+        : Session(entry, circuit, options)
     {
         gibbs_.burnIn = options.burnIn;
         gibbs_.thin = options.thin;
@@ -850,13 +768,13 @@ class KcSession final : public Session {
   protected:
     std::unique_ptr<Session> cloneForBatch() const override
     {
-        // The batch strategy ISSUE 5 names for kc: each worker lane holds
-        // its own compiled AC and refreshes its parameter leaves per
-        // binding. The compiled structure is pointer-rich (AC nodes,
-        // evaluator tapes), so a lane pays one honest compile — counted as
-        // a planBuild — and amortizes it across every batch this session
-        // runs (lanes persist for the session lifetime).
-        return std::make_unique<KcSession>(circuit_, options_);
+        // The kc batch strategy: each worker lane holds its own compiled AC
+        // and refreshes its parameter leaves per binding. The compiled
+        // structure is pointer-rich (AC nodes, evaluator tapes), so a lane
+        // pays one compile — not counted in planBuilds, which counts binds
+        // — and amortizes it across every batch this session runs (lanes
+        // persist for the session lifetime).
+        return std::make_unique<KcSession>(entry_, circuit_, options_);
     }
 
     void trimBatchLane() override
@@ -946,15 +864,10 @@ class KcSession final : public Session {
                         "amplitudes of noisy circuits require an explicit "
                         "noise-event assignment; query KcSimulator directly");
         meta.exact = true;
-        const std::uint64_t dim = std::uint64_t{1} << circuit_.numQubits();
         std::vector<Complex> out;
         out.reserve(bitstrings.size());
-        for (std::uint64_t b : bitstrings) {
-            if (b >= dim)
-                throw std::invalid_argument(
-                    "Amplitudes: bitstring out of range");
+        for (std::uint64_t b : bitstrings)
             out.push_back(sim_->amplitude(b));
-        }
         return out;
     }
 
@@ -973,14 +886,6 @@ class KcSession final : public Session {
         ensureDistribution();
         meta.exact = true;
         return marginalizeDistribution(*dist_, circuit_.numQubits(), qubits);
-    }
-
-    std::unique_ptr<Session> openAdHoc(const Circuit& rotated) const override
-    {
-        // Gibbs shots are accounted via fallbackShots; caching the rotated
-        // sub-session means the AC for a term signature compiles once per
-        // session instead of once per Expectation call.
-        return std::make_unique<KcSession>(rotated, options_);
     }
 
   private:
@@ -1040,67 +945,92 @@ class KcSession final : public Session {
         return total.real();
     }
 
-    BackendOptions options_;
     GibbsOptions gibbs_;
     std::unique_ptr<KcSimulator> sim_;
     std::optional<std::vector<double>> dist_;
     std::optional<std::vector<Complex>> amps_;
 };
 
+template <class S>
+std::unique_ptr<Session>
+openSession(const BackendInfo& entry, const Circuit& circuit,
+            const BackendOptions& options)
+{
+    return std::make_unique<S>(entry, circuit, options);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Backends
+// Registry
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<Session>
-StateVectorBackend::open(const Circuit& circuit,
-                         const BackendOptions& options) const
+const std::vector<BackendInfo>&
+backendRegistry()
 {
-    return std::make_unique<SvSession>(circuit, options);
-}
-
-std::unique_ptr<Session>
-DensityMatrixBackend::open(const Circuit& circuit,
-                           const BackendOptions& options) const
-{
-    return std::make_unique<DmSession>(circuit, options);
-}
-
-std::unique_ptr<Session>
-TensorNetworkBackend::open(const Circuit& circuit,
-                           const BackendOptions& options) const
-{
-    return std::make_unique<TnSession>(circuit, options);
-}
-
-std::unique_ptr<Session>
-DecisionDiagramBackend::open(const Circuit& circuit,
-                             const BackendOptions& options) const
-{
-    return std::make_unique<DdSession>(circuit, options);
-}
-
-std::unique_ptr<Session>
-KnowledgeCompilationBackend::open(const Circuit& circuit,
-                                  const BackendOptions& options) const
-{
-    return std::make_unique<KcSession>(circuit, options);
+    static const std::vector<BackendInfo> registry = {
+        {"statevector",
+         {"sv"},
+         {"threads", "fuse"},
+         "dense 2^n state vector (qsim-style); Kraus trajectories when "
+         "noise is present",
+         "sample; expectation (exact when ideal, sampled under noise); "
+         "amplitudes (ideal); probabilities (ideal)",
+         "parallel lanes (threads option): each lane clones the compiled "
+         "ExecutionPlan and rebinds it per binding",
+         openSession<SvSession>},
+        {"densitymatrix",
+         {"dm"},
+         {"threads", "fuse"},
+         "dense 4^n density matrix (Cirq-style); every channel exact",
+         "sample; expectation (exact, ideal and noisy); probabilities "
+         "(exact, ideal and noisy)",
+         "serialized: a 4^n plan + rho per lane would multiply peak memory "
+         "and the superoperator sweeps already parallelize internally",
+         openSession<DmSession>},
+        {"tensornetwork",
+         {"tn"},
+         {},
+         "qTorch-style tensor-network contraction (ideal circuits only)",
+         "sample; expectation (sampled); amplitudes (exact); probabilities "
+         "(exact marginals by doubled-network contraction)",
+         "serialized: the sampler's per-prefix contraction caches mutate "
+         "during sampling and do not clone cheaply",
+         openSession<TnSession>},
+        {"decisiondiagram",
+         {"dd"},
+         {"threads", "gcthreshold"},
+         "QMDD decision diagram (DDSIM-style); Kraus trajectories when "
+         "noise is present; ref-counted mark-and-sweep node GC",
+         "sample; expectation (exact when ideal, via diagram walk); "
+         "amplitudes (ideal); probabilities (ideal)",
+         "parallel lanes (threads option): a private DdPackage (arena, "
+         "unique and compute tables) per lane, garbage-collected between "
+         "batches; a noisy Sample fans its trajectories over per-lane "
+         "packages the same way",
+         openSession<DdSession>},
+        {"knowledgecompilation",
+         {"kc"},
+         {"burnin", "thin"},
+         "knowledge compilation (this paper): compile once, refresh "
+         "parameter leaves across a variational sweep",
+         "sample (Gibbs); expectation (exact within the query-feasibility "
+         "limit: ideal circuits and diagonal observables under noise; "
+         "Gibbs-sampled beyond it); amplitudes (ideal); probabilities "
+         "(exact, ideal and noisy, within the same limit)",
+         "parallel lanes (QKC_THREADS): one compiled AC per lane (one "
+         "honest compile each, kept for the session), leaf refresh per "
+         "binding",
+         openSession<KcSession>},
+    };
+    return registry;
 }
 
 std::unique_ptr<Backend>
 makeBackend(const std::string& spec)
 {
     const BackendSpec parsed = parseBackendSpec(spec);
-    if (parsed.name == "statevector")
-        return std::make_unique<StateVectorBackend>(parsed.options);
-    if (parsed.name == "densitymatrix")
-        return std::make_unique<DensityMatrixBackend>(parsed.options);
-    if (parsed.name == "tensornetwork")
-        return std::make_unique<TensorNetworkBackend>(parsed.options);
-    if (parsed.name == "decisiondiagram")
-        return std::make_unique<DecisionDiagramBackend>(parsed.options);
-    return std::make_unique<KnowledgeCompilationBackend>(parsed.options);
+    return std::make_unique<Backend>(backendInfo(parsed.name), parsed.options);
 }
 
 } // namespace qkc

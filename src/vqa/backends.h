@@ -10,86 +10,39 @@ namespace qkc {
 
 /**
  * The five simulator families behind the task-based Session API (see
- * simulator_api.h). Each Backend::open compiles the circuit structure once
- * into a Session; the session then serves Sample / Expectation /
- * Amplitudes / Probabilities tasks and rebinds parameters in place.
- *
- * Capability matrix (what each session serves, and how — "exact" means no
- * Monte-Carlo error; the registry in backendRegistry() carries the same
- * information as data):
- *
- *   backend        Sample          Expectation          Amplitudes  Probabilities
- *   statevector    exact (ideal)   exact (ideal);       ideal       ideal
- *                  trajectories    sampled under noise
- *   densitymatrix  exact           exact (incl. noise)  —           exact (incl. noise)
- *   tensornetwork  exact (ideal)   sampled              exact       exact marginals
- *   decisiondiagram exact (ideal)  exact (ideal);       ideal       ideal
- *                  trajectories    sampled under noise
- *   knowledgecomp. Gibbs (MCMC)    exact (ideal; diag.  ideal       exact (incl. noise)
- *                                  terms under noise)
- *
- * Batched execution (Session::runBatch) fans parameter bindings across
- * thread-pool lanes: sv clones its ExecutionPlan per lane, dd gives each
- * lane a private DdPackage, kc compiles one AC per lane and refreshes its
- * leaves per binding; dm and tn serialize with documented reasons. The
- * per-backend strategy is data in backendRegistry() (the `batch` field).
+ * simulator_api.h). Each family is one entry of backendRegistry() — its
+ * name, aliases, option keys, the tasks it serves, its runBatch strategy,
+ * and the `open` that constructs its session class — plus that session
+ * class, both in backends.cc. The classes below only bind a Backend to
+ * their entry, for callers that name a family in code rather than by spec
+ * string.
  */
 
 /** qsim-style state-vector backend (trajectories when noise is present). */
 class StateVectorBackend : public Backend {
   public:
-    StateVectorBackend() = default;
-    explicit StateVectorBackend(const BackendOptions& defaults)
-        : defaults_(defaults)
+    explicit StateVectorBackend(const BackendOptions& defaults = {})
+        : Backend(backendInfo("statevector"), defaults)
     {
     }
-
-    std::string name() const override { return "statevector"; }
-    std::unique_ptr<Session> open(const Circuit& circuit,
-                                  const BackendOptions& options) const override;
-    using Backend::open;
-    const BackendOptions& defaults() const override { return defaults_; }
-
-  private:
-    BackendOptions defaults_;
 };
 
 /** Cirq-style density-matrix backend (handles all channels exactly). */
 class DensityMatrixBackend : public Backend {
   public:
-    DensityMatrixBackend() = default;
-    explicit DensityMatrixBackend(const BackendOptions& defaults)
-        : defaults_(defaults)
+    explicit DensityMatrixBackend(const BackendOptions& defaults = {})
+        : Backend(backendInfo("densitymatrix"), defaults)
     {
     }
-
-    std::string name() const override { return "densitymatrix"; }
-    std::unique_ptr<Session> open(const Circuit& circuit,
-                                  const BackendOptions& options) const override;
-    using Backend::open;
-    const BackendOptions& defaults() const override { return defaults_; }
-
-  private:
-    BackendOptions defaults_;
 };
 
 /** qTorch-style tensor-network backend (ideal circuits only). */
 class TensorNetworkBackend : public Backend {
   public:
-    TensorNetworkBackend() = default;
-    explicit TensorNetworkBackend(const BackendOptions& defaults)
-        : defaults_(defaults)
+    explicit TensorNetworkBackend(const BackendOptions& defaults = {})
+        : Backend(backendInfo("tensornetwork"), defaults)
     {
     }
-
-    std::string name() const override { return "tensornetwork"; }
-    std::unique_ptr<Session> open(const Circuit& circuit,
-                                  const BackendOptions& options) const override;
-    using Backend::open;
-    const BackendOptions& defaults() const override { return defaults_; }
-
-  private:
-    BackendOptions defaults_;
 };
 
 /**
@@ -109,20 +62,10 @@ class TensorNetworkBackend : public Backend {
  */
 class DecisionDiagramBackend : public Backend {
   public:
-    DecisionDiagramBackend() = default;
-    explicit DecisionDiagramBackend(const BackendOptions& defaults)
-        : defaults_(defaults)
+    explicit DecisionDiagramBackend(const BackendOptions& defaults = {})
+        : Backend(backendInfo("decisiondiagram"), defaults)
     {
     }
-
-    std::string name() const override { return "decisiondiagram"; }
-    std::unique_ptr<Session> open(const Circuit& circuit,
-                                  const BackendOptions& options) const override;
-    using Backend::open;
-    const BackendOptions& defaults() const override { return defaults_; }
-
-  private:
-    BackendOptions defaults_;
 };
 
 /**
@@ -134,20 +77,10 @@ class DecisionDiagramBackend : public Backend {
  */
 class KnowledgeCompilationBackend : public Backend {
   public:
-    KnowledgeCompilationBackend() = default;
-    explicit KnowledgeCompilationBackend(const BackendOptions& defaults)
-        : defaults_(defaults)
+    explicit KnowledgeCompilationBackend(const BackendOptions& defaults = {})
+        : Backend(backendInfo("knowledgecompilation"), defaults)
     {
     }
-
-    std::string name() const override { return "knowledgecompilation"; }
-    std::unique_ptr<Session> open(const Circuit& circuit,
-                                  const BackendOptions& options) const override;
-    using Backend::open;
-    const BackendOptions& defaults() const override { return defaults_; }
-
-  private:
-    BackendOptions defaults_;
 };
 
 } // namespace qkc

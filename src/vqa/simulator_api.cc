@@ -6,6 +6,7 @@
 #include <exception>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "exec/execution_plan.h"
 #include "exec/thread_pool.h"
@@ -16,9 +17,10 @@ namespace qkc {
 // Session
 // ---------------------------------------------------------------------------
 
-Session::Session(std::string backendName, Circuit circuit)
-    : circuit_(std::move(circuit)), planBuilds_(1),
-      backendName_(std::move(backendName))
+Session::Session(const BackendInfo& entry, Circuit circuit,
+                 BackendOptions options)
+    : entry_(entry), options_(std::move(options)),
+      circuit_(std::move(circuit)), planBuilds_(1)
 {
 }
 
@@ -44,7 +46,7 @@ Result
 Session::run(const Task& task, Rng& rng)
 {
     Result result;
-    result.meta.backend = backendName_;
+    result.meta.backend = entry_.name;
     const auto runTask = [&] {
         std::visit(
             [&](const auto& t) {
@@ -56,6 +58,7 @@ Session::run(const Task& task, Rng& rng)
                     result.expectation =
                         doExpectation(t.observable, t.shots, rng, result.meta);
                 } else if constexpr (std::is_same_v<T, Amplitudes>) {
+                    checkBitstrings(t.bitstrings);
                     result.amplitudes =
                         doAmplitudes(t.bitstrings, result.meta);
                 } else {
@@ -118,11 +121,8 @@ Session::runBatch(const std::vector<ParamBinding>& bindings, const Task& task,
     // A batch issued from inside pool work would only run inline anyway
     // (the pool's nested-submission guard), so skip the lane setup and
     // serialize outright — this is what makes a batched task safe to issue
-    // from arbitrary calling contexts. Lanes beyond the pool's threads
-    // would not run any sooner, but each keeps its own dense state until
-    // the batch ends, so the pool bounds them whatever `threads` asks for.
-    const std::size_t lanes = std::min<std::size_t>(
-        {batchThreads(), bindings.size(), sharedPool().numWorkers() + 1});
+    // from arbitrary calling contexts.
+    const std::size_t lanes = laneCount(options_.threads, bindings.size());
     bool parallel =
         lanes > 1 && !batchSerialized_ && !ThreadPool::inParallelRegion();
     if (parallel) {
@@ -135,6 +135,9 @@ Session::runBatch(const std::vector<ParamBinding>& bindings, const Task& task,
                 parallel = false;
                 break;
             }
+            // Lane counters hold only binds not yet folded into this
+            // session; the lane's construction is not one of them.
+            lane->planBuilds_ = 0;
             batchLanes_.push_back(std::move(lane));
         }
     }
@@ -155,32 +158,17 @@ Session::runBatch(const std::vector<ParamBinding>& bindings, const Task& task,
             laneSeconds[0] += results[i].meta.seconds;
         }
     } else {
-        // One clone per lane; lanes claim contiguous blocks as pool chunks
-        // (chunk index == lane index, so each clone is driven by exactly
-        // one thread at a time). Results land at their binding index — the
-        // batch-ordered merge — so payloads are independent of which lane
-        // ran which block.
-        std::vector<std::size_t> laneBuilds(lanes), laneReuses(lanes);
-        for (std::size_t l = 0; l < lanes; ++l) {
-            laneBuilds[l] = batchLanes_[l]->planBuilds_;
-            laneReuses[l] = batchLanes_[l]->planReuses_;
-        }
-        // A task exception must not unwind through the pool (a throwing
-        // worker chunk would std::terminate; a throwing caller chunk would
-        // leave the pool's job slot claimed forever). Each chunk captures
-        // its first exception; the lowest chunk's one is rethrown after the
-        // region completes — deterministic, and the same error the
-        // sequential loop would have surfaced first.
-        std::vector<std::exception_ptr> chunkErrors(lanes);
-        ExecPolicy fanout;
-        fanout.threads = lanes;
-        fanout.serialThreshold = 1;
-        fanout.grain = (bindings.size() + lanes - 1) / lanes;
-        parallelForChunks(
-            fanout, bindings.size(),
-            [&](std::size_t chunk, std::uint64_t b, std::uint64_t e) {
-                try {
-                    Session& lane = *batchLanes_[chunk];
+        // One clone per lane, one contiguous block of bindings per lane.
+        // Results land at their binding index — the batch-ordered merge —
+        // so payloads are independent of which lane ran which block, and
+        // the lowest lane's exception is the one the sequential loop would
+        // have surfaced first.
+        std::exception_ptr laneError;
+        try {
+            parallelForLanes(
+                lanes, bindings.size(),
+                [&](std::size_t l, std::uint64_t b, std::uint64_t e) {
+                    Session& lane = *batchLanes_[l];
                     for (std::uint64_t i = b; i < e; ++i) {
                         const std::uint64_t t0 = obs::nowNs();
                         lane.bind(bindings[i]);
@@ -188,25 +176,24 @@ Session::runBatch(const std::vector<ParamBinding>& bindings, const Task& task,
                         results[i] = lane.run(task, bindingRng);
                         results[i].meta.seconds =
                             static_cast<double>(obs::nowNs() - t0) * 1e-9;
-                        laneSeconds[chunk] += results[i].meta.seconds;
+                        laneSeconds[l] += results[i].meta.seconds;
                     }
-                } catch (...) {
-                    chunkErrors[chunk] = std::current_exception();
-                }
-            });
+                });
+        } catch (...) {
+            laneError = std::current_exception(); // rethrown after the fold
+        }
         // Fold the lanes' bind bookkeeping into this session so the
         // Section 3.2 reuse metadata counts the batch's real work, and
         // drop the lanes' transient payload caches — a lane must not pin a
         // dense state (or diagram arena) per thread between batches; only
         // the per-structure plan is worth keeping.
         for (std::size_t l = 0; l < lanes; ++l) {
-            planBuilds_ += batchLanes_[l]->planBuilds_ - laneBuilds[l];
-            planReuses_ += batchLanes_[l]->planReuses_ - laneReuses[l];
+            planBuilds_ += std::exchange(batchLanes_[l]->planBuilds_, 0);
+            planReuses_ += std::exchange(batchLanes_[l]->planReuses_, 0);
             batchLanes_[l]->trimBatchLane();
         }
-        for (const std::exception_ptr& err : chunkErrors)
-            if (err)
-                std::rethrow_exception(err);
+        if (laneError)
+            std::rethrow_exception(laneError);
         // Sync the session itself onto the final binding — the same
         // observable state the sequential loop leaves behind. The sync
         // repeats work a lane already performed (and counted), so it is
@@ -239,18 +226,6 @@ Session::runBatch(const std::vector<ParamBinding>& bindings, const Task& task,
         r.meta.batch = stats;
     }
     return results;
-}
-
-std::unique_ptr<Session>
-Session::cloneForBatch() const
-{
-    return nullptr;
-}
-
-std::size_t
-Session::batchThreads() const
-{
-    return defaultThreads();
 }
 
 double
@@ -336,7 +311,9 @@ Session::rotatedSession(const PauliString& pauli)
     const Circuit rotated = pauli.withMeasurementBasis(circuit_);
     auto it = rotatedSessions_.find(key);
     if (it == rotatedSessions_.end())
-        it = rotatedSessions_.emplace(key, openAdHoc(rotated)).first;
+        it = rotatedSessions_
+                 .emplace(key, entry_.open(entry_, rotated, options_))
+                 .first;
     else
         it->second->bind(rotated);
     return *it->second;
@@ -346,7 +323,7 @@ void
 Session::unsupported(const char* task, const char* why) const
 {
     throw std::invalid_argument(std::string("Session::run: backend ") +
-                                backendName_ + " cannot serve " + task +
+                                entry_.name + " cannot serve " + task +
                                 " for the bound circuit (" + why + ")");
 }
 
@@ -364,65 +341,18 @@ Session::checkObservable(const PauliSum& observable) const
     }
 }
 
+void
+Session::checkBitstrings(const std::vector<std::uint64_t>& bitstrings) const
+{
+    const std::size_t n = circuit_.numQubits();
+    for (std::uint64_t b : bitstrings)
+        if (n < 64 && (b >> n) != 0)
+            throw std::invalid_argument("Amplitudes: bitstring out of range");
+}
+
 // ---------------------------------------------------------------------------
 // Registry metadata
 // ---------------------------------------------------------------------------
-
-const std::vector<BackendInfo>&
-backendRegistry()
-{
-    static const std::vector<BackendInfo> registry = {
-        {"statevector",
-         {"sv"},
-         {"threads", "fuse"},
-         "dense 2^n state vector (qsim-style); Kraus trajectories when "
-         "noise is present",
-         "sample; expectation (exact when ideal, sampled under noise); "
-         "amplitudes (ideal); probabilities (ideal)",
-         "parallel lanes (threads option): each lane clones the compiled "
-         "ExecutionPlan and rebinds it per binding"},
-        {"densitymatrix",
-         {"dm"},
-         {"threads", "fuse"},
-         "dense 4^n density matrix (Cirq-style); every channel exact",
-         "sample; expectation (exact, ideal and noisy); probabilities "
-         "(exact, ideal and noisy)",
-         "serialized: a 4^n plan + rho per lane would multiply peak memory "
-         "and the superoperator sweeps already parallelize internally"},
-        {"tensornetwork",
-         {"tn"},
-         {},
-         "qTorch-style tensor-network contraction (ideal circuits only)",
-         "sample; expectation (sampled); amplitudes (exact); probabilities "
-         "(exact marginals by doubled-network contraction)",
-         "serialized: the sampler's per-prefix contraction caches mutate "
-         "during sampling and do not clone cheaply"},
-        {"decisiondiagram",
-         {"dd"},
-         {"threads", "gcthreshold"},
-         "QMDD decision diagram (DDSIM-style); Kraus trajectories when "
-         "noise is present; ref-counted mark-and-sweep node GC",
-         "sample; expectation (exact when ideal, via diagram walk); "
-         "amplitudes (ideal); probabilities (ideal)",
-         "parallel lanes (threads option): a private DdPackage (arena, "
-         "unique and compute tables) per lane, garbage-collected between "
-         "batches; a noisy Sample fans its trajectories over per-lane "
-         "packages the same way"},
-        {"knowledgecompilation",
-         {"kc"},
-         {"burnin", "thin"},
-         "knowledge compilation (this paper): compile once, refresh "
-         "parameter leaves across a variational sweep",
-         "sample (Gibbs); expectation (exact within the query-feasibility "
-         "limit: ideal circuits and diagonal observables under noise; "
-         "Gibbs-sampled beyond it); amplitudes (ideal); probabilities "
-         "(exact, ideal and noisy, within the same limit)",
-         "parallel lanes (QKC_THREADS): one compiled AC per lane (one "
-         "honest compile each, kept for the session), leaf refresh per "
-         "binding"},
-    };
-    return registry;
-}
 
 const std::vector<std::string>&
 backendNames()
@@ -467,7 +397,10 @@ parseOptionString(const std::string& spec, std::string& name)
                 "makeBackend: malformed option \"" + item + "\" in \"" +
                 spec + "\" (expected key=value, comma-separated)");
         }
-        options[item.substr(0, eq)] = item.substr(eq + 1);
+        const std::string key = item.substr(0, eq);
+        if (!options.emplace(key, item.substr(eq + 1)).second)
+            throw std::invalid_argument("makeBackend: option \"" + key +
+                                        "\" repeated in \"" + spec + "\"");
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
@@ -489,20 +422,24 @@ parseIntOption(const std::string& key, const std::string& value)
     return v;
 }
 
-const BackendInfo*
-findBackendInfo(const std::string& name)
+} // namespace
+
+const BackendInfo&
+backendInfo(const std::string& name)
 {
     for (const BackendInfo& info : backendRegistry()) {
         if (info.name == name)
-            return &info;
+            return info;
         for (const std::string& alias : info.aliases)
             if (alias == name)
-                return &info;
+                return info;
     }
-    return nullptr;
+    std::string known;
+    for (const std::string& n : backendNames())
+        known += (known.empty() ? "" : ", ") + n;
+    throw std::invalid_argument("makeBackend: unknown backend \"" + name +
+                                "\" (known: " + known + ")");
 }
-
-} // namespace
 
 BackendSpec
 parseBackendSpec(const std::string& spec)
@@ -510,29 +447,22 @@ parseBackendSpec(const std::string& spec)
     std::string name;
     OptionMap options = parseOptionString(spec, name);
 
-    const BackendInfo* info = findBackendInfo(name);
-    if (!info) {
-        std::string known;
-        for (const std::string& n : backendNames())
-            known += (known.empty() ? "" : ", ") + n;
-        throw std::invalid_argument("makeBackend: unknown backend \"" + name +
-                                    "\" (known: " + known + ")");
-    }
+    const BackendInfo& info = backendInfo(name);
 
     BackendSpec result;
-    result.name = info->name;
+    result.name = info.name;
 
     for (const auto& [key, value] : options) {
         const bool accepted =
-            std::find(info->optionKeys.begin(), info->optionKeys.end(),
-                      key) != info->optionKeys.end();
+            std::find(info.optionKeys.begin(), info.optionKeys.end(),
+                      key) != info.optionKeys.end();
         if (!accepted) {
             std::string known;
-            for (const std::string& k : info->optionKeys)
+            for (const std::string& k : info.optionKeys)
                 known += (known.empty() ? "" : ", ") + k;
             throw std::invalid_argument(
                 "makeBackend: unknown option \"" + key + "\" for backend " +
-                info->name +
+                info.name +
                 (known.empty() ? " (it accepts no options)"
                                : " (valid: " + known + ")"));
         }

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -31,12 +32,13 @@ namespace qkc {
  */
 struct BackendOptions {
     /**
-     * Dense-sweep threads for sv/dm, runBatch worker lanes for sv and dd,
-     * and dd's trajectory-parallel noisy Sample lanes; total, including the
-     * caller. Lanes never outnumber the shared pool's threads. 0 = machine
-     * default: the QKC_THREADS environment variable when set (clamped to
-     * >= 1), otherwise std::thread::hardware_concurrency(). An explicit
-     * value here always wins over both.
+     * Threads, total, including the caller: dense sweeps for sv/dm, the
+     * runBatch worker lanes of every family that fans out (sv, dd, kc),
+     * and dd's trajectory-parallel noisy Sample lanes. Lanes never
+     * outnumber the shared pool's threads. 0 = machine default: the
+     * QKC_THREADS environment variable when set (clamped to >= 1),
+     * otherwise std::thread::hardware_concurrency(). An explicit value
+     * here always wins over both.
      */
     std::size_t threads = 0;
 
@@ -74,10 +76,13 @@ BackendSpec parseBackendSpec(const std::string& spec);
 // Registry metadata
 // ---------------------------------------------------------------------------
 
+class Session;
+
 /**
- * One registry entry per simulator family. qkc_cli --list-backends and the
- * README capability matrix render straight from this, so help text cannot
- * drift from what parseBackendSpec actually accepts.
+ * One registry entry per simulator family, and the only description of it:
+ * parseBackendSpec validates against it, makeBackend opens through it, and
+ * qkc_cli --list-backends and the README capability matrix render straight
+ * from it, so help text cannot drift from what the code accepts.
  */
 struct BackendInfo {
     std::string name;                      ///< canonical registry name
@@ -86,10 +91,20 @@ struct BackendInfo {
     std::string summary;                   ///< one-line cost-profile note
     std::string tasks;                     ///< which tasks it serves, and how
     std::string batch;                     ///< runBatch strategy, one line
+
+    /** Compiles `circuit` into a session of this family (the entry is
+     *  passed back so the session can reopen its family). */
+    std::unique_ptr<Session> (*open)(const BackendInfo& entry,
+                                     const Circuit& circuit,
+                                     const BackendOptions& options);
 };
 
 /** The full registry, in presentation order. */
 const std::vector<BackendInfo>& backendRegistry();
+
+/** The entry for a canonical name or alias; throws std::invalid_argument
+ *  listing the known names when there is none. */
+const BackendInfo& backendInfo(const std::string& name);
 
 /** The canonical registry names, in presentation order. */
 const std::vector<std::string>& backendNames();
@@ -146,12 +161,6 @@ using ParamBinding = Circuit;
 // ---------------------------------------------------------------------------
 
 /**
- * Decision-diagram memory-lifecycle counters (dd sessions only; all-zero on
- * the other backends). Mirrors the owning DdPackage's DdStats at the end of
- * the task, so a long noisy run can assert its live-node count stayed
- * bounded while collections actually happened.
- */
-/**
  * One compute table's hit/miss tally. Lifetime values are monotone over the
  * owning package; the per-task copies in DdMemoryStats are deltas over one
  * Session::run, so hitRate() there is an honest per-run rate rather than a
@@ -169,6 +178,12 @@ struct DdComputeTableStats {
     }
 };
 
+/**
+ * Decision-diagram memory-lifecycle counters (dd sessions only; all-zero on
+ * the other backends). Mirrors the owning DdPackage's DdStats at the end of
+ * the task, so a long noisy run can assert its live-node count stayed
+ * bounded while collections actually happened.
+ */
 struct DdMemoryStats {
     std::size_t liveVNodes = 0;     ///< vector nodes live in the unique table
     std::size_t liveMNodes = 0;     ///< matrix nodes live in the unique table
@@ -283,7 +298,7 @@ class Session {
     Session& operator=(const Session&) = delete;
 
     /** Canonical name of the owning backend. */
-    const std::string& backendName() const { return backendName_; }
+    const std::string& backendName() const { return entry_.name; }
 
     /** The currently bound circuit. */
     const Circuit& circuit() const { return circuit_; }
@@ -304,15 +319,16 @@ class Session {
      * Runs one task against every binding and returns the results in batch
      * order — the unit of execution for a parameter-shift gradient or a
      * simplex sweep. The circuit structure is planned once (the session's
-     * cached plan) and the bindings fan out across the exec thread pool:
-     * each worker lane drives its own clone of the per-structure state
+     * cached plan) and the bindings fan out across the exec thread pool in
+     * laneCount(options.threads, bindings) contiguous blocks: each worker
+     * lane drives its own clone of the per-structure state
      * (cloneForBatch) and every binding draws from its own RNG stream,
      * seeded from `rng` in batch order before any parallel work. Payloads
      * are therefore bit-identical for every thread count, and match a
      * sequential bind/run loop driven from the same per-binding seeds.
      *
      * Backends whose per-structure cache cannot be cloned cheaply (dm, tn)
-     * serialize the batch on the session itself — see batchStrategy() in
+     * serialize the batch on the session itself — see BackendInfo::batch in
      * the registry table. A batch issued from inside pool work (a nested
      * parallel region) also serializes, so a batched task can never
      * deadlock a pool already running trajectories.
@@ -345,7 +361,7 @@ class Session {
     std::size_t rotatedSessionCount() const { return rotatedSessions_.size(); }
 
   protected:
-    Session(std::string backendName, Circuit circuit);
+    Session(const BackendInfo& entry, Circuit circuit, BackendOptions options);
 
     /**
      * Backend hook for bind: refresh values for a same-structure circuit
@@ -374,16 +390,6 @@ class Session {
         const std::vector<std::size_t>& qubits, ResultMeta& meta);
 
     /**
-     * Opens a session of this backend family on a structure-modified copy
-     * of the bound circuit (the Expectation fallback appends measurement-
-     * basis rotations). The base class caches one sub-session per rotation
-     * signature and rebinds it across calls, extending the compile-once/
-     * rebind-many discipline to the fallback path; the sub-session's own
-     * metadata accounts the Monte-Carlo cost it incurs.
-     */
-    virtual std::unique_ptr<Session> openAdHoc(const Circuit& rotated) const = 0;
-
-    /**
      * Batch fan-out hook: a fresh session sharing this one's options whose
      * per-structure state was *cloned* (not re-planned) wherever the
      * representation allows it. Returning nullptr (the default) serializes
@@ -393,11 +399,7 @@ class Session {
      * parallelize internally; tn: the sampler's per-prefix contraction
      * caches mutate during sampling).
      */
-    virtual std::unique_ptr<Session> cloneForBatch() const;
-
-    /** Worker lanes runBatch may use (default: the machine/QKC_THREADS);
-     *  runBatch caps them at the shared pool's worker count plus one. */
-    virtual std::size_t batchThreads() const;
+    virtual std::unique_ptr<Session> cloneForBatch() const { return nullptr; }
 
     /**
      * Called on every lane after a batch completes: drop transient payload
@@ -410,19 +412,12 @@ class Session {
     /**
      * Shared CLT fallback: diagonal terms score one batch of computational-
      * basis samples from the session itself; each non-diagonal term pays
-     * `shots` samples from its cached rotated-basis sub-session.
+     * `shots` samples from its cached rotated-basis sub-session — a session
+     * of this family opened on the circuit plus measurement-basis rotations,
+     * whose own metadata accounts the Monte-Carlo cost it incurs.
      */
     double sampledExpectation(const PauliSum& observable, std::size_t shots,
                               Rng& rng, ResultMeta& meta);
-
-    /**
-     * Cancels the nominal first build the Session constructor records.
-     * Called by cloneForBatch implementations whose construction copies an
-     * existing plan instead of compiling one, so the fold of lane counters
-     * back into the parent session stays an honest count of structure
-     * compilations actually performed.
-     */
-    void clearInitialBuild() { planBuilds_ = 0; }
 
     /** Throws std::invalid_argument naming the backend, task and reason. */
     [[noreturn]] void unsupported(const char* task, const char* why) const;
@@ -430,6 +425,11 @@ class Session {
     /** Validates an Expectation observable against the bound circuit. */
     void checkObservable(const PauliSum& observable) const;
 
+    /** Throws std::invalid_argument on a bitstring past 2^n. */
+    void checkBitstrings(const std::vector<std::uint64_t>& bitstrings) const;
+
+    const BackendInfo& entry_;     ///< the family this session belongs to
+    const BackendOptions options_; ///< the options the session was opened with
     Circuit circuit_;
     std::size_t planBuilds_ = 0;
     std::size_t planReuses_ = 0;
@@ -437,8 +437,6 @@ class Session {
   private:
     /** The cached fallback sub-session for `pauli`'s rotation signature. */
     Session& rotatedSession(const PauliString& pauli);
-
-    std::string backendName_;
 
     /**
      * Rotated-basis fallback sub-sessions, keyed by rotation signature (the
@@ -459,37 +457,47 @@ class Session {
 };
 
 /**
- * A simulator family. `open` compiles a circuit structure into a Session;
- * `sample` is the pre-redesign convenience (open + one Sample task) kept
- * for one-shot callers — anything that evaluates repeatedly should hold a
- * Session and bind.
+ * A simulator family: one registry entry plus the options its sessions
+ * open with by default. `open` compiles a circuit structure into a
+ * Session; anything that evaluates repeatedly should hold the Session and
+ * bind.
  */
 class Backend {
   public:
-    virtual ~Backend() = default;
+    explicit Backend(const BackendInfo& entry, BackendOptions defaults = {})
+        : entry_(&entry), defaults_(std::move(defaults))
+    {
+    }
 
     /** Canonical registry name. */
-    virtual std::string name() const = 0;
+    const std::string& name() const { return entry_->name; }
 
     /** Opens a session on `circuit` with explicit options. */
-    virtual std::unique_ptr<Session> open(const Circuit& circuit,
-                                          const BackendOptions& options) const = 0;
+    std::unique_ptr<Session> open(const Circuit& circuit,
+                                  const BackendOptions& options) const
+    {
+        return entry_->open(*entry_, circuit, options);
+    }
 
     /** Opens a session with the backend's configured default options. */
     std::unique_ptr<Session> open(const Circuit& circuit) const
     {
-        return open(circuit, defaults());
+        return open(circuit, defaults_);
     }
 
     /** The options this backend was constructed with (spec string, ctor). */
-    virtual const BackendOptions& defaults() const = 0;
+    const BackendOptions& defaults() const { return defaults_; }
+
+  private:
+    const BackendInfo* entry_;
+    BackendOptions defaults_;
 };
 
 /**
  * The unified backend registry front-end: resolves a string spec
  * ("sv:threads=8,fuse=1", "kc:burnin=64,thin=2", ...) through
- * parseBackendSpec and constructs the backend with those options baked in
- * as its defaults. See backendRegistry() for names, aliases and keys.
+ * parseBackendSpec and binds the entry's family to those options as its
+ * defaults. See backendRegistry() for names, aliases and keys.
  */
 std::unique_ptr<Backend> makeBackend(const std::string& spec);
 

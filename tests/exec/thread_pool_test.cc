@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace qkc {
@@ -159,6 +163,56 @@ TEST(ThreadPoolTest, ManySmallJobsReusePool)
         });
         ASSERT_EQ(count.load(), 64);
     }
+}
+
+TEST(ThreadPoolTest, LaneFanOutRethrowsTheLowestLaneError)
+{
+    const std::size_t poolLanes = sharedPool().numWorkers() + 1;
+    EXPECT_EQ(laneCount(8192, 3), std::min<std::size_t>(3, poolLanes));
+    EXPECT_EQ(laneCount(8192, 1u << 20), poolLanes);
+    EXPECT_EQ(laneCount(1, 100), 1u);
+    EXPECT_EQ(laneCount(0, 1u << 20),
+              std::min(defaultThreads(), poolLanes));
+
+    // 10 items over 4 lanes: blocks of 3, lane index == block index.
+    constexpr std::size_t kLanes = 4;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> blocks(kLanes);
+    std::vector<std::atomic<int>> finished(kLanes);
+    for (auto& f : finished)
+        f.store(0);
+    try {
+        parallelForLanes(kLanes, 10,
+                         [&](std::size_t lane, std::uint64_t b,
+                             std::uint64_t e) {
+            blocks[lane] = {b, e};
+            if (lane == 1 || lane == 3)
+                throw std::runtime_error("lane " + std::to_string(lane));
+            finished[lane].fetch_add(1);
+        });
+        FAIL() << "expected the lane error";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "lane 1");
+    }
+    EXPECT_EQ(finished[0].load(), 1);
+    EXPECT_EQ(finished[2].load(), 1);
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected = {
+        {0, 3}, {3, 6}, {6, 9}, {9, 10}};
+    EXPECT_EQ(blocks, expected);
+
+    // The pool is free again: a clean fan-out covers every item once.
+    std::vector<std::atomic<int>> hits(64);
+    for (auto& h : hits)
+        h.store(0);
+    parallelForLanes(kLanes, hits.size(),
+                     [&](std::size_t, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t i = b; i < e; ++i)
+            hits[i].fetch_add(1);
+    });
+    for (const auto& h : hits)
+        EXPECT_EQ(h.load(), 1);
+    EXPECT_THROW(parallelForLanes(0, 1, [](std::size_t, std::uint64_t,
+                                           std::uint64_t) {}),
+                 std::invalid_argument);
 }
 
 TEST(ThreadPoolTest, ZeroAndEmptyRangesAreNoOps)

@@ -73,6 +73,38 @@ TEST(AdmissionTest, KcExactQueriesAreBudgeted)
         admitRequest(spec, ghz(16), Probabilities{}, limits).admitted);
 }
 
+TEST(AdmissionTest, KcGibbsSweepsAreBudgeted)
+{
+    // A chain runs burnin + shots·thin sweeps; both knobs are client input.
+    AdmissionLimits limits;
+    const AdmissionVerdict thin = admitRequest(
+        parseBackendSpec("kc:thin=4096"), ghz(4), Sample{1024}, limits);
+    EXPECT_FALSE(thin.admitted);
+    EXPECT_EQ(thin.field, "shots");
+    const AdmissionVerdict burnin = admitRequest(
+        parseBackendSpec("kc:burnin=2000000"), ghz(4), Sample{1}, limits);
+    EXPECT_FALSE(burnin.admitted);
+    EXPECT_EQ(burnin.field, "shots");
+
+    Expectation e;
+    e.observable.add(1.0, PauliString("ZZII"));
+    e.shots = 1024;
+    EXPECT_FALSE(
+        admitRequest(parseBackendSpec("kc:thin=4096"), ghz(4), e, limits)
+            .admitted);
+    // A product past 2^64 must reject, not wrap into range.
+    EXPECT_FALSE(admitRequest(parseBackendSpec("kc:thin=4611686018427387904"),
+                              ghz(4), Sample{4}, limits)
+                     .admitted);
+
+    EXPECT_TRUE(admitRequest(parseBackendSpec("kc"), ghz(4),
+                             Sample{limits.maxShots}, limits)
+                    .admitted);
+    EXPECT_TRUE(admitRequest(parseBackendSpec("kc:thin=4"), ghz(4),
+                             Sample{limits.maxShots / 4}, limits)
+                    .admitted);
+}
+
 TEST(AdmissionTest, TensornetRejectsNoise)
 {
     const auto spec = parseBackendSpec("tn");

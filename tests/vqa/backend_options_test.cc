@@ -79,6 +79,9 @@ TEST(BackendOptionsTest, MalformedOptionsThrow)
     EXPECT_THROW(makeBackend("sv:threads=2,,fuse=1"), std::invalid_argument);
     EXPECT_THROW(makeBackend("sv:fuse=2"), std::invalid_argument);
     EXPECT_THROW(makeBackend("kc:thin=0"), std::invalid_argument);
+    // A repeated key is refused, not resolved to its last value.
+    EXPECT_THROW(makeBackend("sv:threads=1,threads=64"),
+                 std::invalid_argument);
     // Overflowing values must be rejected, not clamped to LONG_MAX (a
     // clamped burnin would hang the first Gibbs sample "forever").
     EXPECT_THROW(makeBackend("kc:burnin=644444444444444444444"),

@@ -70,7 +70,24 @@ TEST(BackendSpecTest, RegistryCoversEveryBackend)
         // Every advertised option key accepts an integer form.
         for (const std::string& key : info.optionKeys)
             EXPECT_NO_THROW(parseBackendSpec(info.name + ":" + key + "=1"));
+        // Every alias opens a session of the entry's own family.
+        for (const std::string& alias : info.aliases)
+            EXPECT_EQ(makeBackend(alias)->open(bell())->backendName(),
+                      info.name);
+        EXPECT_EQ(makeBackend(info.name)->name(), info.name);
     }
+
+    // The Expectation fallback reopens the session's own family on the
+    // rotated circuit.
+    auto tn = makeBackend("tn")->open(bell());
+    Expectation xx;
+    xx.observable.add(1.0, PauliString("XX"));
+    xx.shots = 64;
+    Rng rng(3);
+    const Result r = tn->run(xx, rng);
+    EXPECT_EQ(tn->rotatedSessionCount(), 1u);
+    EXPECT_EQ(r.meta.backend, "tensornetwork");
+    EXPECT_EQ(r.meta.fallbackShots, 64u);
 }
 
 TEST(BackendSpecTest, BackendDefaultsComeFromSpec)
@@ -224,6 +241,22 @@ TEST(SessionTest, AmplitudesMatchTheStateVector)
                         exact.amplitude(basis[i]).imag(), 1e-9)
                 << name << " x=" << basis[i];
         }
+    }
+}
+
+TEST(SessionTest, AmplitudesRejectBitstringsPastTheRegister)
+{
+    const Circuit c = ghzCircuit(3);
+    for (const char* name : {"sv", "tn", "dd", "kc"}) {
+        auto session = makeBackend(name)->open(c);
+        Rng rng(1);
+        EXPECT_THROW(session->run(Amplitudes{{1u << 3}}, rng),
+                     std::invalid_argument)
+            << name;
+        EXPECT_EQ(session->run(Amplitudes{{(1u << 3) - 1}}, rng)
+                      .amplitudes.size(),
+                  1u)
+            << name;
     }
 }
 
