@@ -26,6 +26,9 @@
  * machine-readable listing (the same document qkc_serverd's /v1/backends
  * endpoint serves).
  *
+ * Errors (an unreadable or malformed --qasm file, an unknown --backend, a
+ * bad --outcome) print `qkc_cli: <reason>` on stderr and exit with status 2.
+ *
  * Example:
  *   ./build/examples/qkc_cli --qasm=bell.qasm --mode=sample --samples=100
  *   ./build/examples/qkc_cli --qasm=bell.qasm --mode=sample --backend=dd
@@ -39,6 +42,7 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "ac/kc_simulator.h"
@@ -89,7 +93,7 @@ parseOutcome(const std::string& bits, std::size_t numQubits)
 
 int
 main(int argc, char** argv)
-{
+try {
     Cli cli(argc, argv);
 
     if (cli.has("list-backends")) {
@@ -235,4 +239,7 @@ main(int argc, char** argv)
 
     std::fprintf(stderr, "unknown --mode=%s\n", mode.c_str());
     return 1;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "qkc_cli: %s\n", e.what());
+    return 2;
 }

@@ -1,5 +1,6 @@
 #include "ac/evaluator.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -17,6 +18,12 @@ AcEvaluator::AcEvaluator(const ArithmeticCircuit& ac,
     dirty_.assign(n, true);
     derivative_.assign(n, Complex{});
     evidence_.assign(cards_.size(), kFree);
+    std::uint32_t maxArity = 0;
+    for (AcNodeId id = 0; id < n; ++id) {
+        const AcNode& node = ac.node(id);
+        maxArity = std::max(maxArity, node.childEnd - node.childBegin);
+    }
+    siblingScratch_.assign(maxArity, Complex{});
 
     // Locate leaves.
     indicatorLeaf_.resize(cards_.size());
@@ -198,29 +205,22 @@ AcEvaluator::computeDerivatives()
             for (std::uint32_t e = n.childBegin; e < n.childEnd; ++e)
                 derivative_[ac_->edges()[e]] += dr;
         } else if (n.kind == AcNodeKind::Mul) {
-            // Zero-aware product of siblings.
-            std::size_t zeros = 0;
-            Complex prodNonZero{1.0};
-            for (std::uint32_t e = n.childBegin; e < n.childEnd; ++e) {
-                const Complex& v = value_[ac_->edges()[e]];
-                if (v == Complex{})
-                    ++zeros;
-                else
-                    prodNonZero *= v;
+            // Sibling products from a prefix pass over a suffix table:
+            // exact at zero factors, and never a quotient of the full
+            // product, so a child's derivative stays finite and nonzero
+            // when only the full product underflows or overflows.
+            const std::uint32_t arity = n.childEnd - n.childBegin;
+            Complex suffix{1.0};
+            for (std::uint32_t i = arity; i-- > 0;) {
+                siblingScratch_[i] = suffix;
+                suffix *= value_[ac_->edges()[n.childBegin + i]];
             }
-            if (zeros == 0) {
-                for (std::uint32_t e = n.childBegin; e < n.childEnd; ++e) {
-                    AcNodeId c = ac_->edges()[e];
-                    derivative_[c] += dr * (prodNonZero / value_[c]);
-                }
-            } else if (zeros == 1) {
-                for (std::uint32_t e = n.childBegin; e < n.childEnd; ++e) {
-                    AcNodeId c = ac_->edges()[e];
-                    if (value_[c] == Complex{})
-                        derivative_[c] += dr * prodNonZero;
-                }
+            Complex prefix{1.0};
+            for (std::uint32_t i = 0; i < arity; ++i) {
+                const AcNodeId c = ac_->edges()[n.childBegin + i];
+                derivative_[c] += dr * (prefix * siblingScratch_[i]);
+                prefix *= value_[c];
             }
-            // zeros >= 2: every partial derivative is zero.
         }
     }
 }

@@ -97,6 +97,8 @@ class AcEvaluator {
     std::vector<AcNodeId> paramLeaf_;
 
     std::vector<Complex> derivative_;
+    /** Suffix sibling products of one Mul node (sized to the max arity). */
+    std::vector<Complex> siblingScratch_;
 };
 
 } // namespace qkc

@@ -71,13 +71,4 @@ ComplexTable::sweep(const std::unordered_set<const double*>& live)
     liveCount_ = keptCount;
 }
 
-void
-ComplexTable::clear()
-{
-    buckets_.clear();
-    freeSlots_.clear();
-    storage_.clear();
-    liveCount_ = 0;
-}
-
 } // namespace qkc

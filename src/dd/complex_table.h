@@ -56,9 +56,6 @@ class ComplexTable {
      */
     void sweep(const std::unordered_set<const double*>& live);
 
-    /** Drops every entry; previously returned pointers become invalid. */
-    void clear();
-
   private:
     std::deque<double> storage_;
     std::vector<double*> freeSlots_;

@@ -58,17 +58,14 @@ using MEdge = DdEdge<MNode>;
  * weight is real non-negative, so outcome probabilities can be read off
  * edge weights directly during sampling.
  *
- * `ref` is the DDSIM-style reference count maintained by
- * DdPackage::incRef/decRef (recursive over child edges; a count of
- * UINT32_MAX is saturated and pins the node forever). `mark` is the
- * generation stamp of the last mark-and-sweep pass that reached this node;
+ * Lifecycle fields: `mark` is the generation stamp of the last
+ * mark-and-sweep pass that reached this node from a protected root;
  * `nextFree` chains collected nodes on the package's free list for reuse.
  */
 struct VNode {
     std::array<VEdge, 2> children;
     std::size_t level = 0;
     VNode* nextFree = nullptr;
-    std::uint32_t ref = 0;
     std::uint32_t mark = 0;
 };
 
@@ -82,7 +79,6 @@ struct MNode {
     std::array<MEdge, 4> children;
     std::size_t level = 0;
     MNode* nextFree = nullptr;
-    std::uint32_t ref = 0;
     std::uint32_t mark = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -142,7 +141,7 @@ DdPackage::makeVNode(std::size_t level, const VEdge& e0, const VEdge& e1)
         vArena_.emplace_back();
         node = &vArena_.back();
     }
-    *node = VNode{{c0, c1}, level, nullptr, 0, 0};
+    *node = VNode{{c0, c1}, level, nullptr, 0};
     vUnique_.emplace(key, node);
     ++stats_.allocatedVNodes;
     ++stats_.liveVNodes;
@@ -193,7 +192,7 @@ DdPackage::makeMNode(std::size_t level, const std::array<MEdge, 4>& children)
         mArena_.emplace_back();
         node = &mArena_.back();
     }
-    *node = MNode{c, level, nullptr, 0, 0};
+    *node = MNode{c, level, nullptr, 0};
     mUnique_.emplace(key, node);
     ++stats_.allocatedMNodes;
     ++stats_.liveMNodes;
@@ -565,9 +564,6 @@ DdPackage::nodeCount(const MEdge& op) const
 
 namespace {
 
-constexpr std::uint32_t kRefSaturated =
-    std::numeric_limits<std::uint32_t>::max();
-
 /** Removes one root entry matching `node` (registration is per-protect). */
 template <typename EdgeT, typename NodeT>
 void
@@ -593,61 +589,8 @@ DdPackage::setGcThreshold(std::size_t threshold)
 }
 
 void
-DdPackage::incRef(const VEdge& e)
-{
-    VNode* n = e.node;
-    if (n == nullptr || n->ref == kRefSaturated)
-        return;
-    if (n->ref++ == 0) {
-        incRef(n->children[0]);
-        incRef(n->children[1]);
-    }
-}
-
-void
-DdPackage::decRef(const VEdge& e)
-{
-    VNode* n = e.node;
-    if (n == nullptr || n->ref == kRefSaturated)
-        return;
-    if (n->ref == 0)
-        throw std::logic_error("DdPackage::decRef: vector node has no "
-                               "references");
-    if (--n->ref == 0) {
-        decRef(n->children[0]);
-        decRef(n->children[1]);
-    }
-}
-
-void
-DdPackage::incRef(const MEdge& e)
-{
-    MNode* n = e.node;
-    if (n == nullptr || n->ref == kRefSaturated)
-        return;
-    if (n->ref++ == 0)
-        for (const MEdge& c : n->children)
-            incRef(c);
-}
-
-void
-DdPackage::decRef(const MEdge& e)
-{
-    MNode* n = e.node;
-    if (n == nullptr || n->ref == kRefSaturated)
-        return;
-    if (n->ref == 0)
-        throw std::logic_error("DdPackage::decRef: matrix node has no "
-                               "references");
-    if (--n->ref == 0)
-        for (const MEdge& c : n->children)
-            decRef(c);
-}
-
-void
 DdPackage::protect(const VEdge& e)
 {
-    incRef(e);
     if (e.node != nullptr)
         vRoots_.push_back(e);
 }
@@ -658,13 +601,11 @@ DdPackage::unprotect(const VEdge& e)
     if (e.node == nullptr)
         return;
     dropRoot(vRoots_, e.node, "vector");
-    decRef(e);
 }
 
 void
 DdPackage::protect(const MEdge& e)
 {
-    incRef(e);
     if (e.node != nullptr)
         mRoots_.push_back(e);
 }
@@ -675,7 +616,6 @@ DdPackage::unprotect(const MEdge& e)
     if (e.node == nullptr)
         return;
     dropRoot(mRoots_, e.node, "matrix");
-    decRef(e);
 }
 
 void
@@ -706,25 +646,12 @@ DdPackage::garbageCollect()
     // the same interval so DdMemoryStats can report it without obs on.
     QKC_SPAN("dd.gc");
     const std::uint64_t gcStart = qkc::obs::nowNs();
-    // Mark: everything reachable from a protected root or a node some
-    // caller still references. Reference counts are recursive, so marking
-    // each ref > 0 table entry (plus its descendants, which covers
-    // saturated counts) is exactly the live set.
+    // Mark: the live set is exactly what the protected roots reach.
     ++gcGeneration_;
     for (const VEdge& r : vRoots_)
         markV(r.node);
     for (const MEdge& r : mRoots_)
         markM(r.node);
-    for (const auto& [key, node] : vUnique_) {
-        (void)key;
-        if (node->ref > 0)
-            markV(node);
-    }
-    for (const auto& [key, node] : mUnique_) {
-        (void)key;
-        if (node->ref > 0)
-            markM(node);
-    }
 
     // Sweep: evict dead unique-table entries onto the free lists. The
     // compute tables key on raw node pointers — a recycled address would
@@ -813,22 +740,6 @@ DdPackage::clearComputeTables()
 {
     applyCache_.clear();
     addCache_.clear();
-}
-
-void
-DdPackage::reset()
-{
-    clearComputeTables();
-    vUnique_.clear();
-    mUnique_.clear();
-    vArena_.clear();
-    mArena_.clear();
-    vFree_ = nullptr;
-    mFree_ = nullptr;
-    vRoots_.clear();
-    mRoots_.clear();
-    weights_.clear();
-    stats_ = DdStats{};
 }
 
 } // namespace qkc

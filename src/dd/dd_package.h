@@ -41,15 +41,13 @@ struct DdStats {
  * tables.
  *
  * Lifetime model: nodes live in an arena owned by the package and are
- * recycled by a reference-counted mark-and-sweep garbage collector.
- * Callers holding an edge across package operations keep it alive either
- * by protect()/unprotect() (root registration — what sessions use for
- * their state and cached gate DDs) or by incRef()/decRef() (recursive
- * reference counts walking child edges). garbageCollect() marks everything
- * reachable from a protected root or a referenced node, evicts the rest
- * from the unique tables onto per-arena free lists for reuse, invalidates
- * the apply/add compute tables (they key on raw node pointers), and sweeps
- * ComplexTable weights no surviving unique-table key references.
+ * recycled by a mark-and-sweep garbage collector. Callers holding an edge
+ * across package operations keep it alive by protect()/unprotect() (root
+ * registration — what sessions use for their state and cached gate DDs).
+ * garbageCollect() marks everything reachable from a protected root, evicts
+ * the rest from the unique tables onto per-arena free lists for reuse,
+ * invalidates the apply/add compute tables (they key on raw node pointers),
+ * and sweeps ComplexTable weights no surviving unique-table key references.
  *
  * Collection only runs inside garbageCollect()/maybeGarbageCollect() —
  * never spontaneously mid-operation — so unprotected intermediate edges
@@ -77,20 +75,11 @@ class DdPackage {
     std::size_t gcThreshold() const { return gcThreshold_; }
 
     /**
-     * Recursive reference counting: a 0 -> 1 transition increments every
-     * child edge (and so on down), 1 -> 0 symmetrically. A saturated count
-     * (UINT32_MAX) pins the node for the package lifetime.
-     */
-    void incRef(const VEdge& e);
-    void decRef(const VEdge& e);
-    void incRef(const MEdge& e);
-    void decRef(const MEdge& e);
-
-    /**
      * Root registration for session-held edges: a protected edge (and its
-     * descendants) survives every sweep until unprotected. Protecting an
-     * edge twice requires two unprotects; unprotect of an unregistered
-     * edge throws std::logic_error.
+     * descendants) survives every sweep until unprotected. Each protect
+     * adds one root entry, so protecting an edge twice requires two
+     * unprotects; unprotect of an unregistered edge throws
+     * std::logic_error. Neither call walks the diagram.
      */
     void protect(const VEdge& e);
     void unprotect(const VEdge& e);
@@ -104,16 +93,15 @@ class DdPackage {
     }
 
     /**
-     * Mark-and-sweep collection (runs regardless of the enabled flag):
-     * marks from protected roots and referenced nodes, evicts dead unique-
-     * table entries onto the free lists, drops both compute tables and
-     * sweeps unreferenced interned weights. Returns nodes collected.
-     * Only call at safe points — any unprotected, unreferenced edge held
-     * by a caller dangles afterwards.
+     * Mark-and-sweep collection (runs regardless of the threshold): marks
+     * from protected roots only, evicts dead unique-table entries onto the
+     * free lists, drops both compute tables and sweeps unreferenced
+     * interned weights. Returns nodes collected. Only call at safe points —
+     * any unprotected edge held by a caller dangles afterwards.
      */
     std::size_t garbageCollect();
 
-    /** Runs garbageCollect() iff enabled and past the threshold. */
+    /** Runs garbageCollect() iff live nodes have reached gcThreshold(). */
     bool maybeGarbageCollect();
 
     // -- Construction --------------------------------------------------------
@@ -213,9 +201,6 @@ class DdPackage {
 
     /** Drops compute-table memo entries (unique tables and nodes survive). */
     void clearComputeTables();
-
-    /** Frees every node and table; previously returned edges become invalid. */
-    void reset();
 
   private:
     struct VKey {

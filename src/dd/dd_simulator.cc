@@ -77,7 +77,7 @@ DdSimulator::simulate(const Circuit& circuit)
         if (!g) {
             throw std::invalid_argument(
                 "DdSimulator::simulate: circuit has noise; use "
-                "simulateTrajectory");
+                "sampleNoisy");
         }
         state = pkg.apply(gateDd(*g), state);
     }
@@ -104,28 +104,6 @@ DdSimulator::applyKrausSampled(const std::vector<MEdge>& krausDds, VEdge state,
         throw std::logic_error("DdSimulator: selected zero-probability Kraus "
                                "branch");
     return pkg_->normalized(candidates[pick]);
-}
-
-VEdge
-DdSimulator::runTrajectory(const Circuit& circuit,
-                           const std::vector<std::vector<MEdge>>& lowered,
-                           Rng& rng)
-{
-    VEdge state = pkg_->makeZeroState();
-    for (std::size_t i = 0; i < lowered.size(); ++i) {
-        if (std::holds_alternative<Gate>(circuit.operations()[i]))
-            state = pkg_->apply(lowered[i][0], state);
-        else
-            state = applyKrausSampled(lowered[i], state, rng);
-    }
-    return state;
-}
-
-VEdge
-DdSimulator::simulateTrajectory(const Circuit& circuit, Rng& rng)
-{
-    packageFor(circuit);
-    return runTrajectory(circuit, lowerOperations(circuit), rng);
 }
 
 std::vector<std::uint64_t>
@@ -174,6 +152,16 @@ std::vector<std::uint64_t>
 DdSimulator::sampleNoisy(const Circuit& circuit, std::size_t numSamples,
                          Rng& rng)
 {
+    std::vector<std::uint64_t> seeds(numSamples);
+    for (auto& s : seeds)
+        s = rng.next();
+    return sampleNoisySeeded(circuit, seeds);
+}
+
+std::vector<std::uint64_t>
+DdSimulator::sampleNoisySeeded(const Circuit& circuit,
+                               const std::vector<std::uint64_t>& seeds)
+{
     DdPackage& pkg = packageFor(circuit);
     const auto lowered = lowerOperations(circuit);
     // Each trajectory's state dies the moment its outcome is drawn; only
@@ -183,29 +171,17 @@ DdSimulator::sampleNoisy(const Circuit& circuit, std::size_t numSamples,
     LoweredRoots roots(pkg, lowered);
 
     std::vector<std::uint64_t> samples;
-    samples.reserve(numSamples);
-    for (std::size_t s = 0; s < numSamples; ++s) {
-        pkg.maybeGarbageCollect();
-        VEdge state = runTrajectory(circuit, lowered, rng);
-        samples.push_back(pkg.sampleOutcome(state, rng));
-    }
-    return samples;
-}
-
-std::vector<std::uint64_t>
-DdSimulator::sampleNoisySeeded(const Circuit& circuit,
-                               const std::vector<std::uint64_t>& seeds)
-{
-    DdPackage& pkg = packageFor(circuit);
-    const auto lowered = lowerOperations(circuit);
-    LoweredRoots roots(pkg, lowered);
-
-    std::vector<std::uint64_t> samples;
     samples.reserve(seeds.size());
     for (std::size_t s = 0; s < seeds.size(); ++s) {
         pkg.maybeGarbageCollect();
         Rng trajectoryRng(seeds[s]);
-        VEdge state = runTrajectory(circuit, lowered, trajectoryRng);
+        VEdge state = pkg.makeZeroState();
+        for (std::size_t i = 0; i < lowered.size(); ++i) {
+            if (std::holds_alternative<Gate>(circuit.operations()[i]))
+                state = pkg.apply(lowered[i][0], state);
+            else
+                state = applyKrausSampled(lowered[i], state, trajectoryRng);
+        }
         samples.push_back(pkg.sampleOutcome(state, trajectoryRng));
     }
     return samples;

@@ -43,14 +43,14 @@ class DdSimulator {
     /** Runs the ideal part of `circuit`; throws if it contains noise. */
     VEdge simulate(const Circuit& circuit);
 
-    /** Runs one noisy trajectory (gates exact, channels Born-sampled). */
-    VEdge simulateTrajectory(const Circuit& circuit, Rng& rng);
-
     /** Draws `numSamples` outcomes from the ideal circuit (one build). */
     std::vector<std::uint64_t> sample(const Circuit& circuit,
                                       std::size_t numSamples, Rng& rng);
 
-    /** One outcome per trajectory for noisy circuits. */
+    /**
+     * One outcome per trajectory for noisy circuits: draws one seed per
+     * shot from `rng` and runs sampleNoisySeeded on them.
+     */
     std::vector<std::uint64_t> sampleNoisy(const Circuit& circuit,
                                            std::size_t numSamples, Rng& rng);
 
@@ -73,8 +73,8 @@ class DdSimulator {
      * The package owning every node of the last simulate/sample call. The
      * package persists across calls with the same qubit count (a different
      * count re-creates it); edges a caller holds across package
-     * operations must be protected or incRef'd to survive the sweeps
-     * sampleNoisy triggers between trajectories.
+     * operations must be protected to survive the sweeps sampleNoisy
+     * triggers between trajectories.
      */
     DdPackage& package();
 
@@ -94,9 +94,6 @@ class DdSimulator {
     /** One matrix DD per gate, one DD per Kraus operator per channel. */
     std::vector<std::vector<MEdge>> lowerOperations(const Circuit& circuit);
 
-    VEdge runTrajectory(const Circuit& circuit,
-                        const std::vector<std::vector<MEdge>>& lowered,
-                        Rng& rng);
     VEdge applyKrausSampled(const std::vector<MEdge>& krausDds, VEdge state,
                             Rng& rng);
 

@@ -461,6 +461,30 @@ class TnSession final : public Session {
 // Decision diagram
 // ---------------------------------------------------------------------------
 
+/**
+ * The meta.ddMemory view of package counters `now`: lifetime totals, plus
+ * compute-table deltas since `taskStart` (an empty DdStats makes the task
+ * view equal the lifetime one).
+ */
+DdMemoryStats
+ddMemoryStats(const DdStats& now, const DdStats& taskStart)
+{
+    DdMemoryStats m;
+    m.liveVNodes = now.liveVNodes;
+    m.liveMNodes = now.liveMNodes;
+    m.gcRuns = now.gcRuns;
+    m.nodesCollected = now.nodesCollected;
+    m.peakLiveNodes = now.peakLiveNodes;
+    m.gcNanos = now.gcNanos;
+    m.apply = {now.applyHits, now.applyMisses};
+    m.add = {now.addHits, now.addMisses};
+    m.taskApply = {now.applyHits - taskStart.applyHits,
+                   now.applyMisses - taskStart.applyMisses};
+    m.taskAdd = {now.addHits - taskStart.addHits,
+                 now.addMisses - taskStart.addMisses};
+    return m;
+}
+
 class DdSession final : public Session {
   public:
     DdSession(const BackendInfo& entry, const Circuit& circuit,
@@ -645,25 +669,23 @@ class DdSession final : public Session {
         // happened in the lane packages: sum the counters, take the peak
         // across arenas. Lane packages are fresh, so lifetime and per-task
         // tallies coincide.
-        DdMemoryStats m;
+        DdStats sum;
         for (DdSimulator& laneSim : laneSims) {
             if (!laneSim.hasPackage())
                 continue;
             const DdStats& s = laneSim.package().stats();
-            m.liveVNodes += s.liveVNodes;
-            m.liveMNodes += s.liveMNodes;
-            m.gcRuns += s.gcRuns;
-            m.nodesCollected += s.nodesCollected;
-            m.peakLiveNodes = std::max(m.peakLiveNodes, s.peakLiveNodes);
-            m.gcNanos += s.gcNanos;
-            m.apply.hits += s.applyHits;
-            m.apply.misses += s.applyMisses;
-            m.add.hits += s.addHits;
-            m.add.misses += s.addMisses;
+            sum.liveVNodes += s.liveVNodes;
+            sum.liveMNodes += s.liveMNodes;
+            sum.gcRuns += s.gcRuns;
+            sum.nodesCollected += s.nodesCollected;
+            sum.peakLiveNodes = std::max(sum.peakLiveNodes, s.peakLiveNodes);
+            sum.gcNanos += s.gcNanos;
+            sum.applyHits += s.applyHits;
+            sum.applyMisses += s.applyMisses;
+            sum.addHits += s.addHits;
+            sum.addMisses += s.addMisses;
         }
-        m.taskApply = m.apply;
-        m.taskAdd = m.add;
-        meta.ddMemory = m;
+        meta.ddMemory = ddMemoryStats(sum, DdStats{});
         return samples;
     }
 
@@ -723,23 +745,8 @@ class DdSession final : public Session {
 
     void stampDdMemory(ResultMeta& meta)
     {
-        if (!sim_.hasPackage())
-            return;
-        const DdStats& s = sim_.package().stats();
-        DdMemoryStats m;
-        m.liveVNodes = s.liveVNodes;
-        m.liveMNodes = s.liveMNodes;
-        m.gcRuns = s.gcRuns;
-        m.nodesCollected = s.nodesCollected;
-        m.peakLiveNodes = s.peakLiveNodes;
-        m.gcNanos = s.gcNanos;
-        m.apply = {s.applyHits, s.applyMisses};
-        m.add = {s.addHits, s.addMisses};
-        m.taskApply = {s.applyHits - taskStart_.applyHits,
-                       s.applyMisses - taskStart_.applyMisses};
-        m.taskAdd = {s.addHits - taskStart_.addHits,
-                     s.addMisses - taskStart_.addMisses};
-        meta.ddMemory = m;
+        if (sim_.hasPackage())
+            meta.ddMemory = ddMemoryStats(sim_.package().stats(), taskStart_);
     }
 
     DdSimulator sim_;

@@ -100,6 +100,22 @@ TEST(AcEvaluatorTest, DerivativesThroughProductsWithZeros)
     EXPECT_TRUE(approxEqual(eval.derivative(1, 0), Complex{}));
 }
 
+TEST(AcEvaluatorTest, MulDerivativeSurvivesExtremeProducts)
+{
+    // f = p0 * p1: d f / d p0 = p1 even when p0 * p1 underflows to zero or
+    // overflows to infinity. Checked relatively — an absolute tolerance
+    // would accept 0 for 1e-200.
+    ArithmeticCircuit ac;
+    ac.setRoot(ac.mul({ac.param(0), ac.param(1)}));
+    for (double x : {1e-200, 1e200}) {
+        AcEvaluator eval(ac, {}, {Complex{x}, Complex{x}});
+        eval.computeDerivatives();
+        EXPECT_DOUBLE_EQ(eval.paramDerivative(0).real(), x);
+        EXPECT_DOUBLE_EQ(eval.paramDerivative(1).real(), x);
+        EXPECT_EQ(eval.paramDerivative(0).imag(), 0.0);
+    }
+}
+
 TEST(AcEvaluatorTest, MissingIndicatorDerivativeIsZero)
 {
     MiniCircuit mini;

@@ -1,6 +1,7 @@
 /**
- * Memory-lifecycle tests for the QMDD package (ISSUE 6): reference counts,
- * protected roots, mark-and-sweep collection with free-list reuse,
+ * Memory-lifecycle tests for the QMDD package: protected roots (the only
+ * liveness rule — a sweep keeps exactly what they reach, overlapping roots
+ * included), mark-and-sweep collection with free-list reuse,
  * compute-table coherence across sweeps, and the session-level guarantees —
  * aggressive GC never changes payloads, and long noisy runs keep the live
  * node count bounded.
@@ -117,21 +118,40 @@ TEST(DdGcTest, ProtectedRootsAndDescendantsSurviveSweeps)
 
     // Unprotecting an unregistered edge is a logic error, not a crash.
     EXPECT_THROW(pkg.unprotect(ghz), std::logic_error);
-}
 
-TEST(DdGcTest, ReferenceCountsKeepNodesAliveWithoutRoots)
-{
-    DdPackage pkg(4);
-    VEdge state = makeGhz(pkg, 4);
-    pkg.incRef(state);
+    // Overlapping roots: X on qubit 0 swaps the GHZ root's children, so the
+    // flipped state shares both child subdiagrams with the GHZ. Releasing
+    // the GHZ must keep exactly what the remaining roots reach.
+    VEdge first = makeGhz(pkg, 5);
+    MEdge x0 = pkg.makeGateDd(Gate(GateKind::X, {0}).unitary(), {0});
+    VEdge second = pkg.apply(x0, first);
+    pkg.protect(first);
+    pkg.protect(second);
+    pkg.protect(x0);
     pkg.garbageCollect();
-    EXPECT_EQ(pkg.stats().liveVNodes, pkg.nodeCount(state));
-    EXPECT_NEAR(pkg.normSquared(state), 1.0, 1e-12);
+    EXPECT_EQ(pkg.nodeCount(second), 2u * 5u - 1u);
+    EXPECT_EQ(pkg.stats().liveVNodes, 2u * 5u); // one root apart
+    EXPECT_EQ(pkg.stats().liveMNodes, pkg.nodeCount(x0));
 
-    pkg.decRef(state);
+    pkg.unprotect(first);
     pkg.garbageCollect();
+    EXPECT_EQ(pkg.stats().liveVNodes, pkg.nodeCount(second));
+    EXPECT_EQ(pkg.stats().liveMNodes, pkg.nodeCount(x0));
+    EXPECT_NEAR(pkg.amplitude(second, 0b01111).real(), r, 1e-12);
+    EXPECT_NEAR(pkg.amplitude(second, 0b10000).real(), r, 1e-12);
+    EXPECT_NEAR(std::abs(pkg.amplitude(second, 0)), 0.0, 1e-12);
+    EXPECT_NEAR(pkg.normSquared(second), 1.0, 1e-12);
+    // The surviving gate still acts: X undoes itself back to the GHZ.
+    const VEdge back = pkg.apply(x0, second);
+    EXPECT_NEAR(pkg.amplitude(back, 0).real(), r, 1e-12);
+    EXPECT_NEAR(pkg.amplitude(back, 31).real(), r, 1e-12);
+
+    pkg.unprotect(second);
+    pkg.unprotect(x0);
+    pkg.garbageCollect();
+    EXPECT_EQ(pkg.protectedRootCount(), 0u);
     EXPECT_EQ(pkg.stats().liveVNodes, 0u);
-    EXPECT_THROW(pkg.decRef(state), std::logic_error);
+    EXPECT_EQ(pkg.stats().liveMNodes, 0u);
 }
 
 TEST(DdGcTest, ComputeTablesStayCoherentAcrossCollection)
