@@ -10,9 +10,9 @@
 
 #include "ac/kc_simulator.h"
 #include "bench_common.h"
-#include "statevector/statevector_simulator.h"
 #include "util/cli.h"
 #include "util/stats.h"
+#include "vqa/backends.h"
 
 using namespace qkc;
 
@@ -25,12 +25,10 @@ main(int argc, char** argv)
     std::size_t topRanks = static_cast<std::size_t>(cli.getInt("ranks", 64));
 
     Circuit circuit = bench::qaoaCircuit(qubits, 1, 11);
-    StateVectorSimulator sv;
-    auto exact = sv.simulate(circuit).probabilities();
-
+    auto sv = makeBackend("sv")->open(circuit);
     Rng rng(17);
-    auto idealSamples =
-        StateVectorSimulator::sampleFromDistribution(exact, samples, rng);
+    auto exact = sv->run(Probabilities{}, rng).probabilities;
+    auto idealSamples = sv->run(Sample{samples}, rng).samples;
     auto idealEmp = empiricalDistribution(idealSamples, exact.size());
 
     KcSimulator kc(circuit);

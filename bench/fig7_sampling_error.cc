@@ -12,10 +12,9 @@
 
 #include "ac/kc_simulator.h"
 #include "bench_common.h"
-#include "densitymatrix/densitymatrix_simulator.h"
-#include "statevector/statevector_simulator.h"
 #include "util/cli.h"
 #include "util/stats.h"
+#include "vqa/backends.h"
 
 using namespace qkc;
 
@@ -62,11 +61,10 @@ main(int argc, char** argv)
 
     {
         Circuit circuit = bench::qaoaCircuit(idealQubits, 1, 13);
-        StateVectorSimulator sv;
-        auto exact = sv.simulate(circuit).probabilities();
+        auto sv = makeBackend("sv")->open(circuit);
         Rng idealRng(31);
-        auto ideal = StateVectorSimulator::sampleFromDistribution(
-            exact, samples, idealRng);
+        auto exact = sv->run(Probabilities{}, idealRng).probabilities;
+        auto ideal = sv->run(Sample{samples}, idealRng).samples;
         KcSimulator kc(circuit);
         Rng gibbsRng(37);
         GibbsOptions options;
@@ -79,11 +77,10 @@ main(int argc, char** argv)
         Circuit circuit =
             bench::qaoaCircuit(noisyQubits, 1, 13)
                 .withNoiseAfterEachGate(NoiseKind::Depolarizing, 0.005);
-        DensityMatrixSimulator dm;
-        auto exact = dm.distribution(circuit);
+        auto dm = makeBackend("dm")->open(circuit);
         Rng idealRng(41);
-        auto ideal = StateVectorSimulator::sampleFromDistribution(
-            exact, noisySamples, idealRng);
+        auto exact = dm->run(Probabilities{}, idealRng).probabilities;
+        auto ideal = dm->run(Sample{noisySamples}, idealRng).samples;
         KcSimulator kc(circuit);
         Rng gibbsRng(43);
         GibbsOptions options;

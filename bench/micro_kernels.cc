@@ -168,7 +168,8 @@ BM_SimulateQaoaUnfused(benchmark::State& state)
     policy.fuseGates = false;
     StateVectorSimulator sim(policy);
     for (auto _ : state)
-        benchmark::DoNotOptimize(sim.simulate(c).amplitude(0));
+        benchmark::DoNotOptimize(
+            sim.simulatePlanned(planCircuit(c, policy)).amplitude(0));
     state.counters["gates"] = static_cast<double>(c.gateCount());
 }
 BENCHMARK(BM_SimulateQaoaUnfused)->Args({16, 1})->Args({20, 1})->Args({20, 4});
@@ -184,7 +185,8 @@ BM_SimulateQaoaFused(benchmark::State& state)
     FusionStats stats;
     const Circuit fused = fuseGates(c, &stats);
     for (auto _ : state)
-        benchmark::DoNotOptimize(sim.simulate(c).amplitude(0));
+        benchmark::DoNotOptimize(
+            sim.simulatePlanned(planCircuit(c, policy)).amplitude(0));
     state.counters["gates"] = static_cast<double>(stats.gatesOut);
 }
 BENCHMARK(BM_SimulateQaoaFused)->Args({16, 1})->Args({20, 1})->Args({20, 4});

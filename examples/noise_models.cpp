@@ -12,8 +12,8 @@
 
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
-#include "densitymatrix/densitymatrix_simulator.h"
 #include "util/cli.h"
+#include "vqa/backends.h"
 
 using namespace qkc;
 
@@ -57,8 +57,9 @@ main(int argc, char** argv)
             c.cnot(q - 1, q);
 
         KcSimulator kc(c);
-        DensityMatrixSimulator dm;
-        auto exact = dm.distribution(c);
+        Rng rng(0); // Probabilities draws nothing
+        auto exact =
+            makeBackend("dm")->open(c)->run(Probabilities{}, rng).probabilities;
         auto kcDist = kc.outcomeDistribution();
 
         double maxDiff = 0.0;

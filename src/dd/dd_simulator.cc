@@ -77,7 +77,7 @@ DdSimulator::simulate(const Circuit& circuit)
         if (!g) {
             throw std::invalid_argument(
                 "DdSimulator::simulate: circuit has noise; use "
-                "sampleNoisy");
+                "sampleNoisySeeded");
         }
         state = pkg.apply(gateDd(*g), state);
     }
@@ -104,17 +104,6 @@ DdSimulator::applyKrausSampled(const std::vector<MEdge>& krausDds, VEdge state,
         throw std::logic_error("DdSimulator: selected zero-probability Kraus "
                                "branch");
     return pkg_->normalized(candidates[pick]);
-}
-
-std::vector<std::uint64_t>
-DdSimulator::sample(const Circuit& circuit, std::size_t numSamples, Rng& rng)
-{
-    VEdge state = simulate(circuit);
-    std::vector<std::uint64_t> samples;
-    samples.reserve(numSamples);
-    for (std::size_t s = 0; s < numSamples; ++s)
-        samples.push_back(pkg_->sampleOutcome(state, rng));
-    return samples;
 }
 
 namespace {
@@ -149,16 +138,6 @@ class LoweredRoots {
 } // namespace
 
 std::vector<std::uint64_t>
-DdSimulator::sampleNoisy(const Circuit& circuit, std::size_t numSamples,
-                         Rng& rng)
-{
-    std::vector<std::uint64_t> seeds(numSamples);
-    for (auto& s : seeds)
-        s = rng.next();
-    return sampleNoisySeeded(circuit, seeds);
-}
-
-std::vector<std::uint64_t>
 DdSimulator::sampleNoisySeeded(const Circuit& circuit,
                                const std::vector<std::uint64_t>& seeds)
 {
@@ -185,13 +164,6 @@ DdSimulator::sampleNoisySeeded(const Circuit& circuit,
         samples.push_back(pkg.sampleOutcome(state, trajectoryRng));
     }
     return samples;
-}
-
-std::vector<double>
-DdSimulator::distribution(const Circuit& circuit)
-{
-    VEdge state = simulate(circuit);
-    return pkg_->probabilities(state);
 }
 
 } // namespace qkc

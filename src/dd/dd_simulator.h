@@ -14,22 +14,25 @@
 namespace qkc {
 
 /**
- * Decision-diagram quantum circuit simulator — our stand-in for the JKQ
- * DDSIM family of QMDD simulators.
+ * The decision-diagram engine — our stand-in for the JKQ DDSIM family of
+ * QMDD simulators. Circuit-level callers open a session
+ * (makeBackend("dd")->open(circuit), vqa/simulator_api.h); the session
+ * holds one DdSimulator and builds, samples and collects through it, and
+ * its trajectory-parallel noisy Sample builds one more per worker lane.
  *
- * Ideal circuits build the final state as a vector DD by applying one
- * matrix DD per gate; measurement outcomes are then drawn in O(n) per
- * sample by walking the diagram (the per-node normalization invariant makes
- * branch probabilities local). Memory and time track the state's *structure*
- * — GHZ-like and peaked states stay linear in qubits — rather than 2^n,
- * which is why this backend shines on the same workloads as knowledge
- * compilation.
+ * simulate builds an ideal circuit's final state as a vector DD by
+ * applying one matrix DD per gate; the package then draws each outcome in
+ * O(n) by walking the diagram (the per-node normalization invariant makes
+ * branch probabilities local). Memory and time track the state's
+ * *structure* — GHZ-like and peaked states stay linear in qubits — rather
+ * than 2^n, which is why this backend shines on the same workloads as
+ * knowledge compilation.
  *
- * Noisy circuits use Monte-Carlo trajectories exactly like the state-vector
- * backend: each trajectory picks one Kraus operator per channel with the
- * Born probability ||E_k psi||^2 (free to read off the DD root weight) and
- * renormalizes, which is exact in distribution for mixtures and general
- * channels alike.
+ * sampleNoisySeeded runs Monte-Carlo trajectories exactly like the
+ * state-vector engine: each trajectory picks one Kraus operator per
+ * channel with the Born probability ||E_k psi||^2 (free to read off the DD
+ * root weight) and renormalizes, which is exact in distribution for
+ * mixtures and general channels alike.
  */
 class DdSimulator {
   public:
@@ -43,21 +46,10 @@ class DdSimulator {
     /** Runs the ideal part of `circuit`; throws if it contains noise. */
     VEdge simulate(const Circuit& circuit);
 
-    /** Draws `numSamples` outcomes from the ideal circuit (one build). */
-    std::vector<std::uint64_t> sample(const Circuit& circuit,
-                                      std::size_t numSamples, Rng& rng);
-
-    /**
-     * One outcome per trajectory for noisy circuits: draws one seed per
-     * shot from `rng` and runs sampleNoisySeeded on them.
-     */
-    std::vector<std::uint64_t> sampleNoisy(const Circuit& circuit,
-                                           std::size_t numSamples, Rng& rng);
-
     /**
      * One outcome per trajectory, each trajectory drawing every Kraus
      * selection and its final measurement from its own generator seeded
-     * with seeds[i]. Because trajectory i's randomness no longer depends on
+     * with seeds[i]. Because trajectory i's randomness does not depend on
      * how many draws trajectories 0..i-1 consumed, a caller can split the
      * seed list across simulators (one per worker lane) and concatenate
      * the outcomes — the dd session's trajectory-parallel noisy Sample —
@@ -66,19 +58,16 @@ class DdSimulator {
     std::vector<std::uint64_t> sampleNoisySeeded(
         const Circuit& circuit, const std::vector<std::uint64_t>& seeds);
 
-    /** Exact outcome distribution of the ideal circuit (small n). */
-    std::vector<double> distribution(const Circuit& circuit);
-
     /**
-     * The package owning every node of the last simulate/sample call. The
-     * package persists across calls with the same qubit count (a different
-     * count re-creates it); edges a caller holds across package
-     * operations must be protected to survive the sweeps sampleNoisy
-     * triggers between trajectories.
+     * The package owning every node of the last simulate or
+     * sampleNoisySeeded call. The package persists across calls with the
+     * same qubit count (a different count re-creates it); edges a caller
+     * holds across package operations must be protected to survive the
+     * sweeps sampleNoisySeeded triggers between trajectories.
      */
     DdPackage& package();
 
-    /** True once a package exists (after the first simulate/sample). */
+    /** True once a package exists (after the first simulate or trajectory). */
     bool hasPackage() const { return pkg_ != nullptr; }
 
   private:

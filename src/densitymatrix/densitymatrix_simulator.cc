@@ -4,8 +4,6 @@
 
 #include <stdexcept>
 
-#include "statevector/statevector_simulator.h"
-
 namespace qkc {
 
 namespace {
@@ -37,12 +35,6 @@ tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit)
 }
 
 DensityMatrix
-DensityMatrixSimulator::simulate(const Circuit& circuit) const
-{
-    return simulatePlanned(planCircuitDm(circuit, policy_));
-}
-
-DensityMatrix
 DensityMatrixSimulator::simulatePlanned(const DmExecutionPlan& plan) const
 {
     DensityMatrix rho(plan.numQubits);
@@ -66,20 +58,6 @@ DensityMatrixSimulator::simulatePlanned(const DmExecutionPlan& plan,
     for (const PlannedOp& op : plan.ops)
         for (const GateKernel& k : op.kernels)
             rho.apply(k);
-}
-
-std::vector<double>
-DensityMatrixSimulator::distribution(const Circuit& circuit) const
-{
-    return simulate(circuit).diagonalProbabilities();
-}
-
-std::vector<std::uint64_t>
-DensityMatrixSimulator::sample(const Circuit& circuit, std::size_t numSamples,
-                               Rng& rng) const
-{
-    auto probs = distribution(circuit);
-    return StateVectorSimulator::sampleFromDistribution(probs, numSamples, rng);
 }
 
 } // namespace qkc

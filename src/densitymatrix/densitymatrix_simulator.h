@@ -30,9 +30,12 @@ DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy,
 bool tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit);
 
 /**
- * Density matrix circuit simulator — the stand-in for the Cirq
+ * The planned-level density-matrix engine — the stand-in for the Cirq
  * density-matrix baseline in the paper's noisy-circuit evaluation
  * (Figure 9). Handles arbitrary mixtures and channels exactly.
+ * Circuit-level callers open a session (makeBackend("dm")->open(circuit),
+ * vqa/simulator_api.h), which plans the circuit once with planCircuitDm
+ * and evolves rho through this class.
  *
  * Gate fusion and the shared-thread-pool kernels apply here exactly as in
  * the state-vector engine: the ExecPolicy is forwarded to DensityMatrix,
@@ -49,9 +52,6 @@ class DensityMatrixSimulator {
     const ExecPolicy& execPolicy() const { return policy_; }
     void setExecPolicy(const ExecPolicy& policy) { policy_ = policy; }
 
-    /** Evolves |0..0><0..0| through all gates and channels. */
-    DensityMatrix simulate(const Circuit& circuit) const;
-
     /**
      * Evolves |0..0><0..0| through a pre-built plan. Backend sessions plan
      * a circuit structure once and re-execute it across parameter binds
@@ -66,16 +66,6 @@ class DensityMatrixSimulator {
      * reuses one 16·4^n buffer instead of allocating one per run.
      */
     void simulatePlanned(const DmExecutionPlan& plan, DensityMatrix& rho) const;
-
-    /** Exact outcome distribution: diagonal of the final density matrix. */
-    std::vector<double> distribution(const Circuit& circuit) const;
-
-    /**
-     * Draws measurement outcomes. The density matrix is computed once and
-     * outcomes are drawn from its diagonal.
-     */
-    std::vector<std::uint64_t> sample(const Circuit& circuit,
-                                      std::size_t numSamples, Rng& rng) const;
 
   private:
     ExecPolicy policy_;

@@ -22,17 +22,6 @@ requireSvPlan(const ExecutionPlan& plan, const char* caller)
 } // namespace
 
 StateVector
-StateVectorSimulator::simulate(const Circuit& circuit) const
-{
-    if (circuit.noiseCount() > 0) {
-        throw std::invalid_argument(
-            "StateVectorSimulator::simulate: circuit has noise; use "
-            "simulateTrajectory");
-    }
-    return simulatePlanned(planCircuit(circuit, policy_));
-}
-
-StateVector
 StateVectorSimulator::simulatePlanned(const ExecutionPlan& plan) const
 {
     requireSvPlan(plan, "StateVectorSimulator::simulatePlanned");
@@ -78,28 +67,6 @@ StateVectorSimulator::runTrajectory(const ExecutionPlan& plan, Rng& rng,
     return sv;
 }
 
-StateVector
-StateVectorSimulator::simulateTrajectory(const Circuit& circuit, Rng& rng) const
-{
-    const ExecutionPlan plan = planCircuit(circuit, policy_);
-    return runTrajectory(plan, rng, policy_);
-}
-
-std::vector<std::uint64_t>
-StateVectorSimulator::sample(const Circuit& circuit, std::size_t numSamples,
-                             Rng& rng) const
-{
-    StateVector sv = simulate(circuit);
-    return sampleFromDistribution(sv.probabilities(), numSamples, rng);
-}
-
-std::vector<std::uint64_t>
-StateVectorSimulator::sampleNoisy(const Circuit& circuit,
-                                  std::size_t numSamples, Rng& rng) const
-{
-    return sampleNoisyPlanned(planCircuit(circuit, policy_), numSamples, rng);
-}
-
 std::vector<std::uint64_t>
 StateVectorSimulator::sampleNoisyPlanned(const ExecutionPlan& plan,
                                          std::size_t numSamples,
@@ -116,19 +83,17 @@ StateVectorSimulator::sampleNoisyPlanned(const ExecutionPlan& plan,
     for (auto& s : seeds)
         s = rng.next();
 
-    // Parallelism lives at the trajectory level: each trajectory runs its
-    // amplitude sweeps serially (statePolicy.threads = 1) and results land
-    // at their trajectory index, i.e. merged in trajectory order.
+    // Parallelism lives at the trajectory level: trajectories fan out over
+    // contiguous lanes, each running its amplitude sweeps serially
+    // (statePolicy.threads = 1), and results land at their trajectory
+    // index. A throwing trajectory is rethrown here, after every lane ends.
     ExecPolicy statePolicy = policy_;
     if (numSamples > 1)
         statePolicy.threads = 1;
-    ExecPolicy trajPolicy = policy_;
-    trajPolicy.serialThreshold = 1;
-    trajPolicy.grain = 1;
 
     std::vector<std::uint64_t> samples(numSamples);
-    parallelFor(trajPolicy, numSamples,
-                [&](std::uint64_t b, std::uint64_t e) {
+    parallelForLanes(laneCount(policy_.threads, numSamples), numSamples,
+                     [&](std::size_t, std::uint64_t b, std::uint64_t e) {
         for (std::uint64_t i = b; i < e; ++i) {
             Rng trajectoryRng(seeds[i]);
             StateVector sv = runTrajectory(plan, trajectoryRng, statePolicy);
@@ -185,8 +150,6 @@ StateVectorSimulator::noisyDistributionExhaustive(const Circuit& circuit) const
             choice[pos] = 0;
         }
         if (pos == choice.size())
-            break;
-        if (choice.empty())
             break;
     }
     return dist;

@@ -13,23 +13,24 @@
 namespace qkc {
 
 /**
- * State vector quantum circuit simulator — our stand-in for Google's qsim
- * baseline (paper Section 4.1).
+ * The planned-level state-vector engine — our stand-in for Google's qsim
+ * baseline (paper Section 4.1). Circuit-level callers open a session
+ * (makeBackend("sv")->open(circuit), vqa/simulator_api.h), which plans the
+ * circuit once with planCircuit and runs every task through this class.
  *
- * Circuits are lowered once to an execution plan (greedy gate fusion +
- * per-gate kernel classification); the amplitude sweeps then run on the
- * shared thread pool per the simulator's ExecPolicy.
+ * An execution plan (greedy gate fusion + per-gate kernel classification)
+ * drives amplitude sweeps on the shared thread pool per the engine's
+ * ExecPolicy. Ideal plans run exactly: the full 2^n wavefunction is
+ * produced and outcomes are drawn from |psi|^2 by sampleFromDistribution.
  *
- * Ideal circuits run exactly: the full 2^n wavefunction is produced and
- * measurement outcomes are drawn by direct ("ideal") sampling from |psi|^2.
- *
- * Noisy circuits use Monte-Carlo trajectories: each trajectory picks one
+ * Noisy plans use Monte-Carlo trajectories: each trajectory picks one
  * Kraus operator per channel with the Born probability — computed by a
  * read-only norm kernel, no state copies — and folds the 1/sqrt(w)
  * renormalization into the selected operator's application. Trajectories
- * are independent, so sampleNoisy runs them in parallel on per-trajectory
- * RNG streams seeded from the caller's generator; results are merged in
- * trajectory order, making the output independent of the thread count.
+ * are independent, so sampleNoisyPlanned fans them out over worker lanes
+ * on per-trajectory RNG streams seeded from the caller's generator;
+ * results land in trajectory order, making the output independent of the
+ * thread count.
  */
 class StateVectorSimulator {
   public:
@@ -39,9 +40,6 @@ class StateVectorSimulator {
     const ExecPolicy& execPolicy() const { return policy_; }
     void setExecPolicy(const ExecPolicy& policy) { policy_ = policy; }
 
-    /** Runs the ideal part of `circuit`; throws if it contains noise. */
-    StateVector simulate(const Circuit& circuit) const;
-
     /**
      * Runs a pre-built ideal plan (no channels). Backend sessions plan a
      * circuit structure once and re-execute it across parameter binds.
@@ -50,27 +48,13 @@ class StateVectorSimulator {
     StateVector simulatePlanned(const ExecutionPlan& plan) const;
 
     /**
-     * Runs one noisy trajectory: gates apply exactly; every channel chooses
-     * a Kraus operator k with probability ||E_k psi||^2, applies it, and
-     * renormalizes (the scale folded into the application pass).
+     * Draws one outcome per noisy trajectory (the qsim-style noisy sampling
+     * cost model: every sample pays a full re-simulation). Gates apply
+     * exactly; every channel chooses a Kraus operator k with probability
+     * ||E_k psi||^2, applies it, and renormalizes. Trajectories run in
+     * parallel when the policy allows; the sample vector is identical for
+     * every thread count.
      */
-    StateVector simulateTrajectory(const Circuit& circuit, Rng& rng) const;
-
-    /** Draws `numSamples` measurement outcomes from the ideal circuit. */
-    std::vector<std::uint64_t> sample(const Circuit& circuit,
-                                      std::size_t numSamples, Rng& rng) const;
-
-    /**
-     * Draws one outcome per trajectory for noisy circuits (the qsim-style
-     * noisy sampling cost model: every sample pays a full re-simulation).
-     * Trajectories run in parallel when the policy allows; the sample
-     * vector is identical for every thread count.
-     */
-    std::vector<std::uint64_t> sampleNoisy(const Circuit& circuit,
-                                           std::size_t numSamples,
-                                           Rng& rng) const;
-
-    /** Trajectory sampling over a pre-built plan (see simulatePlanned). */
     std::vector<std::uint64_t> sampleNoisyPlanned(const ExecutionPlan& plan,
                                                   std::size_t numSamples,
                                                   Rng& rng) const;

@@ -84,33 +84,6 @@ TensorNetworkSimulator::amplitude(const Circuit& circuit,
     return contractToScalar(std::move(net.tensors));
 }
 
-std::vector<double>
-TensorNetworkSimulator::distribution(const Circuit& circuit) const
-{
-    const std::size_t n = circuit.numQubits();
-    std::vector<double> dist(std::size_t{1} << n);
-    for (std::uint64_t x = 0; x < dist.size(); ++x)
-        dist[x] = norm2(amplitude(circuit, x));
-    return dist;
-}
-
-double
-TensorNetworkSimulator::prefixProbability(const Circuit& circuit,
-                                          std::uint64_t prefixBits,
-                                          std::size_t prefixLen) const
-{
-    TnSampler sampler(circuit);
-    return sampler.prefixProbability(prefixBits, prefixLen);
-}
-
-std::vector<std::uint64_t>
-TensorNetworkSimulator::sample(const Circuit& circuit, std::size_t numSamples,
-                               Rng& rng) const
-{
-    TnSampler sampler(circuit);
-    return sampler.sample(numSamples, rng);
-}
-
 // ---------------------------------------------------------------------------
 // TnSampler
 // ---------------------------------------------------------------------------

@@ -11,35 +11,20 @@
 namespace qkc {
 
 /**
- * Tensor-network contraction simulator for ideal circuits — the stand-in
- * for the qTorch baseline (paper Section 4.1). The circuit is converted to
- * a tensor network (initial-state vectors, gate tensors, measurement
- * vectors) and contracted pairwise with a greedy minimum-result-size order.
- *
- * Amplitude queries contract a single-layer network; sampling draws each
- * output bit from its conditional marginal, computed by contracting the
- * DOUBLED (ket + conjugate bra) network — one contraction per qubit per
- * sample, which is the per-sample cost profile Figure 8 measures against
- * knowledge compilation.
+ * Tensor-network contraction for ideal circuits — the stand-in for the
+ * qTorch baseline (paper Section 4.1). Circuit-level callers open a
+ * session (makeBackend("tn")->open(circuit), vqa/simulator_api.h); this
+ * class builds a circuit's network (initial-state vectors, gate tensors,
+ * measurement vectors) and contracts single amplitudes pairwise with a
+ * greedy minimum-result-size order. Sampling and marginals contract the
+ * DOUBLED (ket + conjugate bra) network through TnSampler — one
+ * contraction per qubit per sample, which is the per-sample cost profile
+ * Figure 8 measures against knowledge compilation.
  */
 class TensorNetworkSimulator {
   public:
     /** Amplitude <bitstring| C |0...0>. Throws on noisy circuits. */
     Complex amplitude(const Circuit& circuit, std::uint64_t bitstring) const;
-
-    /** Full distribution via 2^n amplitude contractions (tests only). */
-    std::vector<double> distribution(const Circuit& circuit) const;
-
-    /**
-     * Probability that the first `prefixLen` qubits measure the leading
-     * bits of `prefixBits` (doubled-network contraction).
-     */
-    double prefixProbability(const Circuit& circuit, std::uint64_t prefixBits,
-                             std::size_t prefixLen) const;
-
-    /** Sequential conditional sampling of full measurement outcomes. */
-    std::vector<std::uint64_t> sample(const Circuit& circuit,
-                                      std::size_t numSamples, Rng& rng) const;
 
     struct Network {
         std::vector<Tensor> tensors;

@@ -4,7 +4,7 @@
 
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
-#include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 #include "util/stats.h"
 
@@ -97,8 +97,7 @@ TEST(GibbsSamplerTest, StateVectorAndGibbsAgreeOnRandomCircuit)
     Rng circuitRng(31);
     Circuit c = testing::randomCircuit(4, 10, circuitRng);
     KcSimulator kc(c);
-    StateVectorSimulator sv;
-    auto exact = sv.simulate(c).probabilities();
+    auto exact = testing::probabilitiesOf("sv", c);
 
     Rng rng(37);
     GibbsOptions options;

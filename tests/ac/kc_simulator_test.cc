@@ -6,8 +6,7 @@
 
 #include "algorithms/algorithms.h"
 #include "bayesnet/variable_elimination.h"
-#include "densitymatrix/densitymatrix_simulator.h"
-#include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 
 namespace qkc {
@@ -70,8 +69,7 @@ TEST_P(AlgorithmSuiteKcTest, DistributionMatchesStateVector)
     const Circuit& c = suite[static_cast<std::size_t>(GetParam())];
 
     KcSimulator kc(c);
-    StateVectorSimulator sv;
-    auto probs = sv.simulate(c).probabilities();
+    auto probs = testing::probabilitiesOf("sv", c);
     auto kcDist = kc.outcomeDistribution();
     ASSERT_EQ(kcDist.size(), probs.size());
     for (std::size_t x = 0; x < probs.size(); ++x)
@@ -85,8 +83,7 @@ TEST(KcSimulatorTest, NoisyDistributionMatchesDensityMatrix)
     Circuit c = ghzCircuit(3).withNoiseAfterEachGate(NoiseKind::Depolarizing,
                                                      0.02);
     KcSimulator kc(c);
-    DensityMatrixSimulator dm;
-    auto exact = dm.distribution(c);
+    auto exact = testing::probabilitiesOf("dm", c);
     auto kcDist = kc.outcomeDistribution();
     for (std::size_t x = 0; x < exact.size(); ++x)
         EXPECT_NEAR(kcDist[x], exact[x], 1e-9) << "x=" << x;
@@ -103,8 +100,7 @@ TEST(KcSimulatorTest, MixedChannelTypesMatchDensityMatrix)
     c.append(NoiseChannel::asymmetricDepolarizing(0, 0.02, 0.03, 0.04));
 
     KcSimulator kc(c);
-    DensityMatrixSimulator dm;
-    auto exact = dm.distribution(c);
+    auto exact = testing::probabilitiesOf("dm", c);
     auto kcDist = kc.outcomeDistribution();
     for (std::size_t x = 0; x < exact.size(); ++x)
         EXPECT_NEAR(kcDist[x], exact[x], 1e-9) << "x=" << x;
@@ -119,8 +115,7 @@ TEST(KcSimulatorTest, RefreshParamsMatchesRecompile)
     reused.refreshParams(c2);
 
     KcSimulator fresh(c2);
-    StateVectorSimulator sv;
-    auto amps = sv.simulate(c2).amplitudes();
+    auto amps = testing::finalState(c2).amplitudes();
     for (std::uint64_t x = 0; x < amps.size(); ++x) {
         EXPECT_TRUE(approxEqual(reused.amplitude(x), amps[x], 1e-9)) << x;
         EXPECT_TRUE(approxEqual(reused.amplitude(x), fresh.amplitude(x), 1e-9));

@@ -5,13 +5,11 @@
 #include <cmath>
 #include <map>
 
-#include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "util/stats.h"
 
 namespace qkc {
 namespace {
-
-StateVectorSimulator gSim;
 
 /** Marginal distribution over a leading block of qubits. */
 std::vector<double>
@@ -26,14 +24,14 @@ marginalOverLeading(const std::vector<double>& probs, std::size_t total,
 
 TEST(AlgorithmsTest, BellState)
 {
-    auto probs = gSim.simulate(bellCircuit()).probabilities();
+    auto probs = testing::probabilitiesOf("sv", bellCircuit());
     EXPECT_NEAR(probs[0], 0.5, 1e-12);
     EXPECT_NEAR(probs[3], 0.5, 1e-12);
 }
 
 TEST(AlgorithmsTest, GhzState)
 {
-    auto probs = gSim.simulate(ghzCircuit(5)).probabilities();
+    auto probs = testing::probabilitiesOf("sv", ghzCircuit(5));
     EXPECT_NEAR(probs[0], 0.5, 1e-12);
     EXPECT_NEAR(probs[31], 0.5, 1e-12);
     double rest = 0.0;
@@ -47,7 +45,7 @@ TEST(AlgorithmsTest, ChshCorrelationIsCosine)
     // E(thetaA, thetaB) = cos(thetaA - thetaB) on a Bell pair.
     for (double a : {0.0, M_PI / 2}) {
         for (double b : {M_PI / 4, -M_PI / 4}) {
-            auto probs = gSim.simulate(chshCircuit(a, b)).probabilities();
+            auto probs = testing::probabilitiesOf("sv", chshCircuit(a, b));
             double e = probs[0] - probs[1] - probs[2] + probs[3];
             EXPECT_NEAR(e, std::cos(a - b), 1e-9);
         }
@@ -58,7 +56,7 @@ TEST(AlgorithmsTest, ChshViolation)
 {
     // S = E(0,pi/4) + E(0,-pi/4) + E(pi/2,pi/4) - E(pi/2,-pi/4) = 2 sqrt(2).
     auto corr = [&](double a, double b) {
-        auto probs = gSim.simulate(chshCircuit(a, b)).probabilities();
+        auto probs = testing::probabilitiesOf("sv", chshCircuit(a, b));
         return probs[0] - probs[1] - probs[2] + probs[3];
     };
     double s = corr(0, M_PI / 4) + corr(0, -M_PI / 4) +
@@ -70,7 +68,8 @@ TEST(AlgorithmsTest, ChshViolation)
 TEST(AlgorithmsTest, TeleportationDeliversState)
 {
     for (double theta : {0.0, 0.4, 1.1, M_PI / 2, 2.7}) {
-        auto probs = gSim.simulate(teleportationCircuit(theta)).probabilities();
+        auto probs =
+            testing::probabilitiesOf("sv", teleportationCircuit(theta));
         // Marginal of qubit 2 (the low bit).
         double p1 = 0.0;
         for (std::size_t i = 0; i < probs.size(); ++i)
@@ -84,7 +83,7 @@ TEST(AlgorithmsTest, TeleportationDeliversState)
 TEST(AlgorithmsTest, DeutschJozsaConstant)
 {
     const std::size_t n = 4;
-    auto probs = gSim.simulate(deutschJozsaCircuit(n, 0)).probabilities();
+    auto probs = testing::probabilitiesOf("sv", deutschJozsaCircuit(n, 0));
     auto marg = marginalOverLeading(probs, n + 1, n);
     EXPECT_NEAR(marg[0], 1.0, 1e-9);
 }
@@ -93,7 +92,8 @@ TEST(AlgorithmsTest, DeutschJozsaBalancedNeverAllZero)
 {
     const std::size_t n = 4;
     for (std::uint64_t mask : {0b1000ULL, 0b0110ULL, 0b1111ULL}) {
-        auto probs = gSim.simulate(deutschJozsaCircuit(n, mask)).probabilities();
+        auto probs =
+            testing::probabilitiesOf("sv", deutschJozsaCircuit(n, mask));
         auto marg = marginalOverLeading(probs, n + 1, n);
         EXPECT_NEAR(marg[0], 0.0, 1e-9) << "mask=" << mask;
     }
@@ -105,7 +105,7 @@ TEST_P(BernsteinVaziraniTest, RecoversHiddenString)
 {
     const std::size_t n = 5;
     std::uint64_t a = GetParam();
-    auto probs = gSim.simulate(bernsteinVaziraniCircuit(n, a)).probabilities();
+    auto probs = testing::probabilitiesOf("sv", bernsteinVaziraniCircuit(n, a));
     auto marg = marginalOverLeading(probs, n + 1, n);
     EXPECT_NEAR(marg[a], 1.0, 1e-9);
 }
@@ -118,7 +118,7 @@ TEST(AlgorithmsTest, SimonOutputsOrthogonalToPeriod)
 {
     const std::size_t n = 4;
     const std::uint64_t s = 0b1010;
-    auto probs = gSim.simulate(simonCircuit(n, s)).probabilities();
+    auto probs = testing::probabilitiesOf("sv", simonCircuit(n, s));
     auto marg = marginalOverLeading(probs, 2 * n, n);
     for (std::uint64_t y = 0; y < (1u << n); ++y) {
         int dot = __builtin_popcountll(y & s) & 1;
@@ -141,7 +141,7 @@ TEST_P(HiddenShiftTest, RecoversShift)
 {
     const std::size_t n = 6;
     std::uint64_t s = GetParam();
-    auto probs = gSim.simulate(hiddenShiftCircuit(n, s)).probabilities();
+    auto probs = testing::probabilitiesOf("sv", hiddenShiftCircuit(n, s));
     EXPECT_NEAR(probs[s], 1.0, 1e-9);
 }
 
@@ -152,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(Shifts, HiddenShiftTest,
 TEST(AlgorithmsTest, QftOfZeroIsUniform)
 {
     const std::size_t n = 4;
-    auto probs = gSim.simulate(qftCircuit(n)).probabilities();
+    auto probs = testing::probabilitiesOf("sv", qftCircuit(n));
     for (double p : probs)
         EXPECT_NEAR(p, 1.0 / 16.0, 1e-9);
 }
@@ -165,7 +165,7 @@ TEST(AlgorithmsTest, QftInverseRoundTrip)
     c.x(1).x(3);
     c.extend(qftCircuit(n));
     c.extend(inverseQftCircuit(n));
-    auto probs = gSim.simulate(c).probabilities();
+    auto probs = testing::probabilitiesOf("sv", c);
     EXPECT_NEAR(probs[basisIndex({0, 1, 0, 1})], 1.0, 1e-9);
 }
 
@@ -176,7 +176,7 @@ TEST(AlgorithmsTest, QftPeriodicStateConcentrates)
     Circuit c(2);
     c.h(0);
     c.extend(qftCircuit(2));
-    auto probs = gSim.simulate(c).probabilities();
+    auto probs = testing::probabilitiesOf("sv", c);
     EXPECT_NEAR(probs[0] + probs[2], 1.0, 1e-9);
 }
 
@@ -188,7 +188,7 @@ TEST_P(GroverTest, FindsMarkedElement)
 {
     auto [n, marked] = GetParam();
     Circuit c = groverCircuit(n, marked);
-    auto probs = gSim.simulate(c).probabilities();
+    auto probs = testing::probabilitiesOf("sv", c);
     auto marg = marginalOverLeading(probs, c.numQubits(), n);
     // Optimal iteration count gives success probability >= ~0.9 for n >= 2.
     EXPECT_GT(marg[marked], 0.8) << "n=" << n << " marked=" << marked;
@@ -219,7 +219,7 @@ TEST_P(ShorTest, PhasePeaksAtMultiplesOfInverseOrder)
     unsigned a = GetParam();
     const std::size_t t = 4;
     Circuit c = shorOrderFindingCircuit(t, a);
-    auto probs = gSim.simulate(c).probabilities();
+    auto probs = testing::probabilitiesOf("sv", c);
     auto marg = marginalOverLeading(probs, c.numQubits(), t);
 
     unsigned r = multiplicativeOrder(a, 15);
@@ -249,7 +249,7 @@ TEST(AlgorithmsTest, RcsShapeAndNormalization)
     Circuit c = rcsCircuit(2, 3, 6, rng);
     EXPECT_EQ(c.numQubits(), 6u);
     EXPECT_GT(c.gateCount(), 6u);
-    auto sv = gSim.simulate(c);
+    auto sv = testing::finalState(c);
     EXPECT_NEAR(sv.norm(), 1.0, 1e-9);
 }
 
@@ -259,8 +259,8 @@ TEST(AlgorithmsTest, RcsIsRandomized)
     Circuit a = rcsCircuit(2, 2, 4, rngA);
     Circuit b = rcsCircuit(2, 2, 4, rngB);
     // Same template, different single-qubit draws: distributions differ.
-    auto pa = gSim.simulate(a).probabilities();
-    auto pb = gSim.simulate(b).probabilities();
+    auto pa = testing::probabilitiesOf("sv", a);
+    auto pb = testing::probabilitiesOf("sv", b);
     double diff = 0.0;
     for (std::size_t i = 0; i < pa.size(); ++i)
         diff += std::abs(pa[i] - pb[i]);

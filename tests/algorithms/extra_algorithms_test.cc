@@ -4,17 +4,15 @@
 
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
-#include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 
 namespace qkc {
 namespace {
 
-StateVectorSimulator gSim;
-
 std::vector<double>
 countingMarginal(const Circuit& c, std::size_t t)
 {
-    auto probs = gSim.simulate(c).probabilities();
+    auto probs = testing::probabilitiesOf("sv", c);
     std::vector<double> marg(std::size_t{1} << t, 0.0);
     std::size_t rest = c.numQubits() - t;
     for (std::size_t i = 0; i < probs.size(); ++i)
@@ -63,7 +61,7 @@ TEST(QpeTest, RunsOnKcBackend)
     Circuit c = phaseEstimationCircuit(3, 3.0 / 8.0);
     KcSimulator kc(c);
     auto dist = kc.outcomeDistribution();
-    auto exact = gSim.simulate(c).probabilities();
+    auto exact = testing::probabilitiesOf("sv", c);
     for (std::size_t x = 0; x < exact.size(); ++x)
         EXPECT_NEAR(dist[x], exact[x], 1e-9);
 }
@@ -73,7 +71,7 @@ class WStateTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(WStateTest, UniformOverWeightOneStrings)
 {
     std::size_t n = GetParam();
-    auto probs = gSim.simulate(wStateCircuit(n)).probabilities();
+    auto probs = testing::probabilitiesOf("sv", wStateCircuit(n));
     for (std::size_t x = 0; x < probs.size(); ++x) {
         int weight = __builtin_popcountll(x);
         EXPECT_NEAR(probs[x], weight == 1 ? 1.0 / static_cast<double>(n) : 0.0,
@@ -86,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, WStateTest, ::testing::Values(2, 3, 4, 5, 6));
 
 TEST(WStateTest, AmplitudesArePositiveUniform)
 {
-    auto amps = gSim.simulate(wStateCircuit(4)).amplitudes();
+    auto amps = testing::finalState(wStateCircuit(4)).amplitudes();
     for (std::uint64_t x : {0b1000u, 0b0100u, 0b0010u, 0b0001u})
         EXPECT_TRUE(approxEqual(amps[x], Complex{0.5}, 1e-9)) << x;
 }
@@ -96,7 +94,7 @@ TEST(WStateTest, KcHandlesDenseChainRuleEncoding)
     // The CRy custom gates take the dense 2-qubit path in the BN builder.
     Circuit c = wStateCircuit(4);
     KcSimulator kc(c);
-    auto exact = gSim.simulate(c).probabilities();
+    auto exact = testing::probabilitiesOf("sv", c);
     auto dist = kc.outcomeDistribution();
     for (std::size_t x = 0; x < exact.size(); ++x)
         EXPECT_NEAR(dist[x], exact[x], 1e-9) << x;

@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/algorithms.h"
-#include "densitymatrix/densitymatrix_simulator.h"
-#include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 
 namespace qkc {
@@ -44,8 +43,7 @@ TEST_P(VeVsStateVectorTest, RandomIdealCircuits)
     Circuit c = testing::randomCircuit(3, 12, rng);
     auto bn = circuitToBayesNet(c);
     VariableElimination ve(bn);
-    StateVectorSimulator sv;
-    auto amps = sv.simulate(c).amplitudes();
+    auto amps = testing::finalState(c).amplitudes();
     for (std::uint64_t x = 0; x < 8; ++x) {
         std::vector<std::size_t> assign{(x >> 2) & 1, (x >> 1) & 1, x & 1};
         EXPECT_TRUE(approxEqual(ve.amplitude(assign), amps[x], 1e-9))
@@ -77,8 +75,7 @@ TEST_P(VeVsDensityMatrixTest, RandomNoisyCircuits)
 
     auto bn = circuitToBayesNet(c);
     VariableElimination ve(bn);
-    DensityMatrixSimulator dm;
-    auto exact = dm.distribution(c);
+    auto exact = testing::probabilitiesOf("dm", c);
     auto viaVe = ve.outcomeDistribution();
     ASSERT_EQ(exact.size(), viaVe.size());
     for (std::size_t x = 0; x < exact.size(); ++x)
@@ -93,8 +90,7 @@ TEST(VariableEliminationTest, DenseGatesAndSwaps)
     Circuit c = testing::randomDenseCircuit(3, 10, rng);
     auto bn = circuitToBayesNet(c);
     VariableElimination ve(bn);
-    StateVectorSimulator sv;
-    auto amps = sv.simulate(c).amplitudes();
+    auto amps = testing::finalState(c).amplitudes();
     for (std::uint64_t x = 0; x < 8; ++x) {
         std::vector<std::size_t> assign{(x >> 2) & 1, (x >> 1) & 1, x & 1};
         EXPECT_TRUE(approxEqual(ve.amplitude(assign), amps[x], 1e-9));

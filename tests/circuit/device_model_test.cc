@@ -6,7 +6,7 @@
 
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
-#include "densitymatrix/densitymatrix_simulator.h"
+#include "testing/session_runs.h"
 
 namespace qkc {
 namespace {
@@ -33,8 +33,7 @@ TEST(DeviceModelTest, PerQubitCalibration)
     c.x(0).x(1);
     Circuit noisy = model.apply(c);
 
-    DensityMatrixSimulator dm;
-    auto dist = dm.distribution(noisy);
+    auto dist = testing::probabilitiesOf("dm", noisy);
     // Qubit 0 relaxes more than qubit 1: P(0 on q0) > P(0 on q1).
     double p0q0 = dist[0b00] + dist[0b01];
     double p0q1 = dist[0b00] + dist[0b10];
@@ -55,9 +54,8 @@ TEST(DeviceModelTest, LongerGatesDecayMore)
     for (int i = 0; i < 9; ++i)
         slow.i(0);
 
-    DensityMatrixSimulator dm;
-    double pFast = dm.distribution(model.apply(fast))[1];
-    double pSlow = dm.distribution(model.apply(slow))[1];
+    double pFast = testing::probabilitiesOf("dm", model.apply(fast))[1];
+    double pSlow = testing::probabilitiesOf("dm", model.apply(slow))[1];
     EXPECT_GT(pFast, pSlow + 1e-6);
 }
 
@@ -94,8 +92,7 @@ TEST(DeviceModelTest, KcSimulatesDeviceNoisyCircuit)
     Circuit noisy = model.apply(bellCircuit());
 
     KcSimulator kc(noisy);
-    DensityMatrixSimulator dm;
-    auto exact = dm.distribution(noisy);
+    auto exact = testing::probabilitiesOf("dm", noisy);
     auto kcDist = kc.outcomeDistribution();
     for (std::size_t x = 0; x < exact.size(); ++x)
         EXPECT_NEAR(kcDist[x], exact[x], 1e-9) << x;

@@ -5,6 +5,7 @@
 #include "circuit/noise.h"
 #include "densitymatrix/densitymatrix_simulator.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "util/rng.h"
 
 namespace qkc {
@@ -16,7 +17,7 @@ simulateRaw(const Circuit& c)
 {
     ExecPolicy policy;
     policy.fuseGates = false;
-    return StateVectorSimulator(policy).simulate(c);
+    return testing::finalState(c, policy);
 }
 
 void
@@ -305,7 +306,7 @@ TEST(FusionTest, SimulatorFusionPolicyMatchesExplicitFusion)
     Circuit c(3);
     c.h(0).t(0).h(1).cnot(0, 1).rz(2, 0.4).h(2).cz(1, 2).s(1);
     ExecPolicy fusedPolicy; // fuseGates defaults to true
-    const StateVector viaPolicy = StateVectorSimulator(fusedPolicy).simulate(c);
+    const StateVector viaPolicy = testing::finalState(c, fusedPolicy);
     const StateVector raw = simulateRaw(c);
     for (std::uint64_t i = 0; i < raw.dimension(); ++i)
         ASSERT_TRUE(approxEqual(viaPolicy.amplitude(i), raw.amplitude(i),

@@ -5,8 +5,7 @@
 #include <cmath>
 
 #include "algorithms/algorithms.h"
-#include "statevector/statevector_simulator.h"
-#include "densitymatrix/densitymatrix_simulator.h"
+#include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 
 namespace qkc {
@@ -19,15 +18,13 @@ expectRoundTrip(const Circuit& c)
     Circuit back = parseQasm(toQasm(c));
     ASSERT_EQ(back.numQubits(), c.numQubits());
     if (c.noiseCount() == 0) {
-        StateVectorSimulator sv;
-        auto a = sv.simulate(c).amplitudes();
-        auto b = sv.simulate(back).amplitudes();
+        auto a = testing::finalState(c).amplitudes();
+        auto b = testing::finalState(back).amplitudes();
         for (std::size_t i = 0; i < a.size(); ++i)
             EXPECT_TRUE(approxEqual(a[i], b[i], 1e-9)) << i;
     } else {
-        DensityMatrixSimulator dm;
-        auto a = dm.distribution(c);
-        auto b = dm.distribution(back);
+        auto a = testing::probabilitiesOf("dm", c);
+        auto b = testing::probabilitiesOf("dm", back);
         for (std::size_t i = 0; i < a.size(); ++i)
             EXPECT_NEAR(a[i], b[i], 1e-9) << i;
     }
@@ -147,8 +144,7 @@ TEST(QasmTest, ParsedCircuitRunsOnKcPipeline)
 {
     // QASM in, knowledge compilation out.
     Circuit c = parseQasm(toQasm(ghzCircuit(3)));
-    StateVectorSimulator sv;
-    auto exact = sv.simulate(c).probabilities();
+    auto exact = testing::probabilitiesOf("sv", c);
     EXPECT_NEAR(exact[0], 0.5, 1e-12);
     EXPECT_NEAR(exact[7], 0.5, 1e-12);
 }

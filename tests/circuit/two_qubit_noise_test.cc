@@ -4,8 +4,8 @@
 #include "algorithms/algorithms.h"
 #include "bayesnet/variable_elimination.h"
 #include "circuit/qasm.h"
-#include "densitymatrix/densitymatrix_simulator.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "util/stats.h"
 
 namespace qkc {
@@ -37,8 +37,7 @@ TEST(TwoQubitNoiseTest, FullStrengthIsMaximallyMixing)
     Circuit c(2);
     c.h(0).cnot(0, 1);
     c.append(NoiseChannel::twoQubitDepolarizing(0, 1, 15.0 / 16.0));
-    DensityMatrixSimulator dm;
-    auto dist = dm.distribution(c);
+    auto dist = testing::probabilitiesOf("dm", c);
     for (double p : dist)
         EXPECT_NEAR(p, 0.25, 1e-9);
 }
@@ -50,15 +49,13 @@ TEST(TwoQubitNoiseTest, DensityMatrixMatchesTrajectoriesAndEnumeration)
     c.append(NoiseChannel::twoQubitDepolarizing(0, 1, 0.3));
     c.ry(1, 0.7);
 
-    DensityMatrixSimulator dm;
-    StateVectorSimulator sv;
-    auto exact = dm.distribution(c);
-    auto enumerated = sv.noisyDistributionExhaustive(c);
+    auto exact = testing::probabilitiesOf("dm", c);
+    auto enumerated = StateVectorSimulator().noisyDistributionExhaustive(c);
     for (std::size_t x = 0; x < exact.size(); ++x)
         EXPECT_NEAR(exact[x], enumerated[x], 1e-9) << x;
 
     Rng rng(5);
-    auto samples = sv.sampleNoisy(c, 20000, rng);
+    auto samples = testing::samplesOf("sv", c, 20000, rng);
     auto emp = empiricalDistribution(samples, exact.size());
     EXPECT_LT(totalVariation(exact, emp), 0.03);
 }
@@ -76,8 +73,7 @@ TEST(TwoQubitNoiseTest, KnowledgeCompilationMatchesDensityMatrix)
     for (BnVarId v : kc.bayesNet().noiseVars())
         EXPECT_EQ(kc.bayesNet().variable(v).cardinality, 16u);
 
-    DensityMatrixSimulator dm;
-    auto exact = dm.distribution(c);
+    auto exact = testing::probabilitiesOf("dm", c);
     auto kcDist = kc.outcomeDistribution();
     for (std::size_t x = 0; x < exact.size(); ++x)
         EXPECT_NEAR(kcDist[x], exact[x], 1e-9) << x;
@@ -92,8 +88,7 @@ TEST(TwoQubitNoiseTest, VariableEliminationAgrees)
 
     KcSimulator kc(c);
     VariableElimination ve(kc.bayesNet());
-    DensityMatrixSimulator dm;
-    auto exact = dm.distribution(c);
+    auto exact = testing::probabilitiesOf("dm", c);
     auto veDist = ve.outcomeDistribution();
     for (std::size_t x = 0; x < exact.size(); ++x)
         EXPECT_NEAR(veDist[x], exact[x], 1e-9) << x;
@@ -106,8 +101,7 @@ TEST(TwoQubitNoiseTest, GibbsSamplerHandles16ValuedNoiseRv)
     c.append(NoiseChannel::twoQubitDepolarizing(0, 1, 0.2));
 
     KcSimulator kc(c);
-    DensityMatrixSimulator dm;
-    auto exact = dm.distribution(c);
+    auto exact = testing::probabilitiesOf("dm", c);
 
     Rng rng(9);
     GibbsOptions options;
@@ -126,9 +120,8 @@ TEST(TwoQubitNoiseTest, QasmRoundTrip)
 
     Circuit back = parseQasm(toQasm(c));
     ASSERT_EQ(back.noiseCount(), 1u);
-    DensityMatrixSimulator dm;
-    auto a = dm.distribution(c);
-    auto b = dm.distribution(back);
+    auto a = testing::probabilitiesOf("dm", c);
+    auto b = testing::probabilitiesOf("dm", back);
     for (std::size_t x = 0; x < a.size(); ++x)
         EXPECT_NEAR(a[x], b[x], 1e-9) << x;
 }
@@ -144,9 +137,8 @@ TEST(TwoQubitNoiseTest, CorrelatedDiffersFromIndependent)
     independent.append(NoiseChannel::depolarizing(0, 0.4));
     independent.append(NoiseChannel::depolarizing(1, 0.4));
 
-    DensityMatrixSimulator dm;
-    auto rhoA = dm.simulate(correlated);
-    auto rhoB = dm.simulate(independent);
+    auto rhoA = testing::finalRho(correlated);
+    auto rhoB = testing::finalRho(independent);
     EXPECT_FALSE(rhoA.toMatrix().approxEqual(rhoB.toMatrix(), 1e-6));
 }
 

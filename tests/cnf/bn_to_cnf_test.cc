@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "algorithms/algorithms.h"
-#include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 
 namespace qkc {
@@ -78,8 +78,7 @@ TEST(BnToCnfTest, BellModelsAreFeynmanPaths)
     auto bn = circuitToBayesNet(bellCircuit());
     Cnf cnf = bayesNetToCnf(bn);
 
-    StateVectorSimulator sv;
-    auto amps = sv.simulate(bellCircuit()).amplitudes();
+    auto amps = testing::finalState(bellCircuit()).amplitudes();
     for (std::uint64_t x = 0; x < 4; ++x) {
         auto ev = freeEvidence(bn);
         ev[bn.finalVars()[0]] = static_cast<int>((x >> 1) & 1);
@@ -188,8 +187,7 @@ TEST(BnToCnfTest, RandomCircuitWmcMatchesStateVector)
         Cnf cnf = bayesNetToCnf(bn);
         if (cnf.numVars() > 24)
             continue;  // keep brute force tractable
-        StateVectorSimulator sv;
-        auto amps = sv.simulate(c).amplitudes();
+        auto amps = testing::finalState(c).amplitudes();
         for (std::uint64_t x = 0; x < 4; ++x) {
             auto ev = freeEvidence(bn);
             ev[bn.finalVars()[0]] = static_cast<int>((x >> 1) & 1);

@@ -13,6 +13,7 @@
 #include "algorithms/algorithms.h"
 #include "dd/dd_simulator.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 
 namespace qkc {
@@ -45,7 +46,7 @@ TEST(DdSimulatorTest, IdealAmplitudesMatchStateVector)
         Rng rng(seed);
         Circuit c = testing::randomCircuit(4, 14, rng, true);
 
-        StateVector exact = StateVectorSimulator().simulate(c);
+        StateVector exact = testing::finalState(c);
         DdSimulator dd;
         VEdge state = dd.simulate(c);
 
@@ -62,8 +63,8 @@ TEST(DdSimulatorTest, DenseAndSwapCircuitsMatchStateVector)
     Rng rng(204);
     Circuit c = testing::randomDenseCircuit(4, 12, rng);
 
-    auto exact = StateVectorSimulator().simulate(c).probabilities();
-    auto ddDist = DdSimulator().distribution(c);
+    auto exact = testing::finalState(c).probabilities();
+    auto ddDist = testing::probabilitiesOf("dd", c);
     ASSERT_EQ(ddDist.size(), exact.size());
     for (std::size_t x = 0; x < exact.size(); ++x)
         EXPECT_NEAR(ddDist[x], exact[x], 1e-9) << "x=" << x;
@@ -74,29 +75,27 @@ TEST(DdSimulatorTest, SimulateRejectsNoise)
     Circuit c = noisyBellCircuit(0.3);
     DdSimulator dd;
     EXPECT_THROW(dd.simulate(c), std::invalid_argument);
-    EXPECT_THROW(dd.distribution(c), std::invalid_argument);
+    EXPECT_THROW(testing::probabilitiesOf("dd", c), std::invalid_argument);
 }
 
 TEST(DdSimulatorTest, SamplingIsDeterministicGivenSeed)
 {
     Circuit c = ghzCircuit(5);
-    DdSimulator a, b;
     Rng rngA(42), rngB(42);
-    EXPECT_EQ(a.sample(c, 64, rngA), b.sample(c, 64, rngB));
+    EXPECT_EQ(testing::samplesOf("dd", c, 64, rngA),
+              testing::samplesOf("dd", c, 64, rngB));
 
     Circuit noisy = c.withNoiseAfterEachGate(NoiseKind::Depolarizing, 0.02);
-    DdSimulator na, nb;
     Rng nRngA(43), nRngB(43);
-    EXPECT_EQ(na.sampleNoisy(noisy, 32, nRngA),
-              nb.sampleNoisy(noisy, 32, nRngB));
+    EXPECT_EQ(testing::samplesOf("dd", noisy, 32, nRngA),
+              testing::samplesOf("dd", noisy, 32, nRngB));
 }
 
 TEST(DdSimulatorTest, IdealGhzSamplesFollowBornRule)
 {
     Circuit c = ghzCircuit(6);
-    DdSimulator dd;
     Rng rng(7);
-    auto samples = dd.sample(c, 4000, rng);
+    auto samples = testing::samplesOf("dd", c, 4000, rng);
 
     std::map<std::uint64_t, std::size_t> counts;
     for (auto s : samples)
@@ -120,9 +119,8 @@ TEST(DdSimulatorTest, NoisyBellTrajectoriesPassChiSquare)
     Circuit c = noisyBellCircuit(0.36);
     auto exact = StateVectorSimulator().noisyDistributionExhaustive(c);
 
-    DdSimulator dd;
     Rng rng(11);
-    auto samples = dd.sampleNoisy(c, 2000, rng);
+    auto samples = testing::samplesOf("dd", c, 2000, rng);
 
     // 3 free outcomes -> chi-square at alpha = 0.001 is 16.27.
     EXPECT_LT(chiSquare(samples, exact), 16.27);
@@ -133,9 +131,8 @@ TEST(DdSimulatorTest, MixtureNoiseTrajectoriesPassChiSquare)
     Circuit c = ghzCircuit(3).withNoiseAfterEachGate(NoiseKind::BitFlip, 0.05);
     auto exact = StateVectorSimulator().noisyDistributionExhaustive(c);
 
-    DdSimulator dd;
     Rng rng(13);
-    auto samples = dd.sampleNoisy(c, 2000, rng);
+    auto samples = testing::samplesOf("dd", c, 2000, rng);
 
     // 7 free outcomes -> chi-square at alpha = 0.001 is 24.32.
     EXPECT_LT(chiSquare(samples, exact), 24.32);
@@ -148,9 +145,8 @@ TEST(DdSimulatorTest, TwoQubitChannelTrajectoriesPassChiSquare)
     c.append(NoiseChannel::twoQubitDepolarizing(0, 1, 0.2));
     auto exact = StateVectorSimulator().noisyDistributionExhaustive(c);
 
-    DdSimulator dd;
     Rng rng(17);
-    auto samples = dd.sampleNoisy(c, 2000, rng);
+    auto samples = testing::samplesOf("dd", c, 2000, rng);
     EXPECT_LT(chiSquare(samples, exact), 16.27);
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "circuit/noise.h"
+#include "testing/session_runs.h"
 #include "util/rng.h"
 #include "vqa/backends.h"
 
@@ -181,7 +182,7 @@ TEST(ChannelSuperoperatorTest, SessionReplansWhenIdentityChannelRebinds)
     const std::vector<double> viaSession =
         session->run(Probabilities{all}, rng).probabilities;
     const std::vector<double> direct =
-        DensityMatrixSimulator().distribution(noisy);
+        testing::finalRho(noisy).diagonalProbabilities();
     ASSERT_EQ(viaSession.size(), direct.size());
     for (std::size_t i = 0; i < direct.size(); ++i)
         EXPECT_EQ(viaSession[i], direct[i]) << "outcome " << i;

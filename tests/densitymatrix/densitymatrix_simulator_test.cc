@@ -4,6 +4,7 @@
 
 #include "algorithms/algorithms.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "util/stats.h"
 
 namespace qkc {
@@ -12,12 +13,10 @@ namespace {
 TEST(DensityMatrixSimulatorTest, IdealCircuitMatchesStateVector)
 {
     // For noise-free circuits, diag(rho) must equal |psi|^2 elementwise.
-    StateVectorSimulator svSim;
-    DensityMatrixSimulator dmSim;
     std::vector<Circuit> circuits{bellCircuit(), ghzCircuit(4)};
     for (const Circuit& c : circuits) {
-        auto svProbs = svSim.simulate(c).probabilities();
-        auto dmProbs = dmSim.distribution(c);
+        auto svProbs = testing::finalState(c).probabilities();
+        auto dmProbs = testing::finalRho(c).diagonalProbabilities();
         ASSERT_EQ(svProbs.size(), dmProbs.size());
         for (std::size_t i = 0; i < svProbs.size(); ++i)
             EXPECT_NEAR(svProbs[i], dmProbs[i], 1e-10);
@@ -30,10 +29,8 @@ TEST(DensityMatrixSimulatorTest, MatchesExhaustiveEnumeration)
     // exact; they must agree on arbitrary noisy circuits.
     Circuit c = ghzCircuit(3).withNoiseAfterEachGate(NoiseKind::Depolarizing,
                                                      0.05);
-    StateVectorSimulator svSim;
-    DensityMatrixSimulator dmSim;
-    auto enumerated = svSim.noisyDistributionExhaustive(c);
-    auto viaRho = dmSim.distribution(c);
+    auto enumerated = StateVectorSimulator().noisyDistributionExhaustive(c);
+    auto viaRho = testing::finalRho(c).diagonalProbabilities();
     for (std::size_t i = 0; i < enumerated.size(); ++i)
         EXPECT_NEAR(enumerated[i], viaRho[i], 1e-9);
 }
@@ -47,10 +44,8 @@ TEST(DensityMatrixSimulatorTest, MatchesEnumerationOnDampingChannels)
     c.append(NoiseChannel::phaseDamping(1, 0.2));
     c.rx(1, 0.6);
 
-    StateVectorSimulator svSim;
-    DensityMatrixSimulator dmSim;
-    auto enumerated = svSim.noisyDistributionExhaustive(c);
-    auto viaRho = dmSim.distribution(c);
+    auto enumerated = StateVectorSimulator().noisyDistributionExhaustive(c);
+    auto viaRho = testing::finalRho(c).diagonalProbabilities();
     for (std::size_t i = 0; i < enumerated.size(); ++i)
         EXPECT_NEAR(enumerated[i], viaRho[i], 1e-9);
 }
@@ -58,8 +53,7 @@ TEST(DensityMatrixSimulatorTest, MatchesEnumerationOnDampingChannels)
 TEST(DensityMatrixSimulatorTest, TraceStaysOneThroughDeepNoisyCircuit)
 {
     Circuit c = ghzCircuit(4).withNoiseAfterEachGate(NoiseKind::BitFlip, 0.02);
-    DensityMatrixSimulator sim;
-    auto rho = sim.simulate(c);
+    auto rho = testing::finalRho(c);
     EXPECT_TRUE(approxEqual(rho.trace(), Complex{1.0}, 1e-9));
 }
 
@@ -89,7 +83,8 @@ TEST(DmExecutionPlanTest, PlannedExecutionMatchesDirectSimulation)
     const Circuit c = parameterized(0.4, -0.9);
     DensityMatrixSimulator sim;
     const DmExecutionPlan plan = planCircuitDm(c, sim.execPolicy());
-    expectSameRho(sim.simulatePlanned(plan), sim.simulate(c));
+    EXPECT_EQ(sim.simulatePlanned(plan).diagonalProbabilities(),
+              testing::probabilitiesOf("dm", c));
 }
 
 TEST(DmExecutionPlanTest, PlannedExecutionIntoHeldMatrixResetsIt)
@@ -100,7 +95,7 @@ TEST(DmExecutionPlanTest, PlannedExecutionIntoHeldMatrixResetsIt)
     DensityMatrix rho(3);
     sim.simulatePlanned(plan, rho);
     sim.simulatePlanned(plan, rho); // starts again from |000><000|
-    expectSameRho(rho, sim.simulate(c));
+    expectSameRho(rho, sim.simulatePlanned(plan));
 
     DensityMatrix wrongSize(2);
     EXPECT_THROW(sim.simulatePlanned(plan, wrongSize), std::invalid_argument);
@@ -116,7 +111,8 @@ TEST(DmExecutionPlanTest, RebindRefreshesValuesWithoutReclassification)
                                          sim.execPolicy());
     const Circuit next = parameterized(-1.3, 0.2);
     ASSERT_TRUE(tryRebindDmPlan(plan, next));
-    expectSameRho(sim.simulatePlanned(plan), sim.simulate(next));
+    expectSameRho(sim.simulatePlanned(plan),
+                  sim.simulatePlanned(planCircuitDm(next, sim.execPolicy())));
 }
 
 TEST(DmExecutionPlanTest, RebindRefusesStructureChange)
@@ -140,15 +136,15 @@ TEST(DmExecutionPlanTest, UnfusedPlanAlsoRebinds)
     DmExecutionPlan plan = planCircuitDm(parameterized(0.1, 0.2), policy);
     const Circuit next = parameterized(0.9, -0.4);
     ASSERT_TRUE(tryRebindDmPlan(plan, next));
-    expectSameRho(sim.simulatePlanned(plan), sim.simulate(next));
+    expectSameRho(sim.simulatePlanned(plan),
+                  sim.simulatePlanned(planCircuitDm(next, policy)));
 }
 
 TEST(DensityMatrixSimulatorTest, SamplesFollowDiagonal)
 {
-    DensityMatrixSimulator sim;
     Rng rng(55);
     Circuit c = noisyBellCircuit(0.36);
-    auto samples = sim.sample(c, 20000, rng);
+    auto samples = testing::samplesOf("dm", c, 20000, rng);
     auto emp = empiricalDistribution(samples, 4);
     EXPECT_NEAR(emp[0], 0.5, 0.02);
     EXPECT_NEAR(emp[3], 0.5, 0.02);

@@ -8,8 +8,8 @@
 
 #include "circuit/circuit.h"
 #include "circuit/noise.h"
-#include "densitymatrix/densitymatrix_simulator.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "util/rng.h"
 #include "vqa/backends.h"
 
@@ -46,11 +46,9 @@ benchmarkishCircuit(std::size_t n)
 TEST(DeterminismTest, AmplitudesBitIdenticalAcrossThreadCounts)
 {
     const Circuit c = benchmarkishCircuit(8);
-    StateVectorSimulator serial(withThreads(1));
-    const StateVector reference = serial.simulate(c);
+    const StateVector reference = testing::finalState(c, withThreads(1));
     for (std::size_t threads : {2u, 4u, 7u}) {
-        StateVectorSimulator parallel(withThreads(threads));
-        const StateVector sv = parallel.simulate(c);
+        const StateVector sv = testing::finalState(c, withThreads(threads));
         for (std::uint64_t i = 0; i < sv.dimension(); ++i) {
             ASSERT_EQ(sv.amplitude(i).real(), reference.amplitude(i).real());
             ASSERT_EQ(sv.amplitude(i).imag(), reference.amplitude(i).imag());
@@ -75,21 +73,22 @@ TEST(DeterminismTest, NormBitIdenticalAcrossThreadCounts)
 TEST(DeterminismTest, IdealSamplingIdenticalAcrossThreadCounts)
 {
     const Circuit c = benchmarkishCircuit(7);
-    StateVectorSimulator serial(withThreads(1));
-    StateVectorSimulator parallel(withThreads(4));
+    const auto sample = [&c](std::size_t threads, Rng& rng) {
+        return StateVectorSimulator::sampleFromDistribution(
+            testing::finalState(c, withThreads(threads)).probabilities(), 500,
+            rng);
+    };
     Rng rngA(12345), rngB(12345);
-    EXPECT_EQ(serial.sample(c, 500, rngA), parallel.sample(c, 500, rngB));
+    EXPECT_EQ(sample(1, rngA), sample(4, rngB));
 }
 
 TEST(DeterminismTest, NoisySamplingIdenticalAcrossThreadCounts)
 {
     const Circuit noisy = benchmarkishCircuit(5).withNoiseAfterEachGate(
         NoiseKind::Depolarizing, 0.02);
-    StateVectorSimulator serial(withThreads(1));
-    StateVectorSimulator parallel(withThreads(4));
     Rng rngA(777), rngB(777);
-    const auto a = serial.sampleNoisy(noisy, 200, rngA);
-    const auto b = parallel.sampleNoisy(noisy, 200, rngB);
+    const auto a = testing::samplesOf("sv:threads=1", noisy, 200, rngA);
+    const auto b = testing::samplesOf("sv:threads=4", noisy, 200, rngB);
     EXPECT_EQ(a, b);
 }
 
@@ -104,10 +103,8 @@ TEST(DeterminismTest, DensityMatrixBitIdenticalAcrossThreadCounts)
         noisy.append(NoiseChannel::depolarizing(q, 0.04));
     noisy.append(NoiseChannel::twoQubitDepolarizing(1, 6, 0.03));
     noisy.append(NoiseChannel::twoQubitDepolarizing(8, 0, 0.02));
-    DensityMatrixSimulator serial(withThreads(1));
-    DensityMatrixSimulator parallel(withThreads(4));
-    const auto a = serial.simulate(noisy);
-    const auto b = parallel.simulate(noisy);
+    const auto a = testing::finalRho(noisy, withThreads(1));
+    const auto b = testing::finalRho(noisy, withThreads(4));
     for (std::uint64_t r = 0; r < a.dimension(); ++r) {
         for (std::uint64_t c2 = 0; c2 < a.dimension(); ++c2) {
             ASSERT_EQ(a.at(r, c2).real(), b.at(r, c2).real());
@@ -123,17 +120,13 @@ TEST(DeterminismTest, BackendSpecThreadsIsAPurePerfKnob)
     const Circuit ideal = benchmarkishCircuit(6);
     const Circuit noisy =
         ideal.withNoiseAfterEachGate(NoiseKind::Depolarizing, 0.01);
-    const auto sample = [](const char* spec, const Circuit& c,
-                           std::size_t shots, Rng& rng) {
-        return makeBackend(spec)->open(c)->run(Sample{shots}, rng).samples;
-    };
     for (const char* spec : {"sv:threads=2", "sv:threads=8"}) {
         Rng rngA(9), rngB(9);
-        EXPECT_EQ(sample("sv:threads=1", ideal, 300, rngA),
-                  sample(spec, ideal, 300, rngB));
+        EXPECT_EQ(testing::samplesOf("sv:threads=1", ideal, 300, rngA),
+                  testing::samplesOf(spec, ideal, 300, rngB));
         Rng rngC(11), rngD(11);
-        EXPECT_EQ(sample("sv:threads=1", noisy, 100, rngC),
-                  sample(spec, noisy, 100, rngD));
+        EXPECT_EQ(testing::samplesOf("sv:threads=1", noisy, 100, rngC),
+                  testing::samplesOf(spec, noisy, 100, rngD));
     }
 }
 
@@ -143,10 +136,9 @@ TEST(DeterminismTest, TrajectorySeedingIndependentOfSampleCount)
     // prefix equals the shorter run.
     const Circuit noisy = benchmarkishCircuit(4).withNoiseAfterEachGate(
         NoiseKind::BitFlip, 0.05);
-    StateVectorSimulator sim(withThreads(2));
     Rng rngA(5), rngB(5);
-    const auto small = sim.sampleNoisy(noisy, 50, rngA);
-    const auto big = sim.sampleNoisy(noisy, 120, rngB);
+    const auto small = testing::samplesOf("sv:threads=2", noisy, 50, rngA);
+    const auto big = testing::samplesOf("sv:threads=2", noisy, 120, rngB);
     for (std::size_t i = 0; i < small.size(); ++i)
         ASSERT_EQ(small[i], big[i]);
 }

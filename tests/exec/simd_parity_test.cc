@@ -17,9 +17,9 @@
 
 #include "circuit/gate.h"
 #include "circuit/noise.h"
-#include "densitymatrix/densitymatrix_simulator.h"
 #include "exec/simd.h"
 #include "linalg/aligned.h"
+#include "testing/session_runs.h"
 #include "util/rng.h"
 
 namespace qkc {
@@ -267,12 +267,11 @@ TEST(SimdParityTest, RandomizedCircuitsAreBitIdenticalEndToEnd)
     noisy.append(NoiseChannel::amplitudeDamping(4, 0.1));
     noisy.append(NoiseChannel::twoQubitDepolarizing(3, 0, 0.05));
     const DensityMatrix rhoBaseline =
-        DensityMatrixSimulator(policyFor(SimdMode::Off, 1)).simulate(noisy);
+        testing::finalRho(noisy, policyFor(SimdMode::Off, 1));
     for (SimdMode mode : distinctModes()) {
         for (int threads : {1, 4}) {
             const DensityMatrix rho =
-                DensityMatrixSimulator(policyFor(mode, threads))
-                    .simulate(noisy);
+                testing::finalRho(noisy, policyFor(mode, threads));
             for (std::uint64_t r = 0; r < rho.dimension(); ++r)
                 for (std::uint64_t c = 0; c < rho.dimension(); ++c) {
                     ASSERT_EQ(rhoBaseline.at(r, c).real(), rho.at(r, c).real())

@@ -1,21 +1,23 @@
 /**
- * Cross-backend equivalence: the knowledge-compilation simulator, the state
- * vector simulator, the density matrix simulator, the tensor network
- * simulator, and the decision-diagram simulator must agree on amplitudes
- * and outcome probabilities for random circuits drawn with fixed seeds and
- * for the GHZ family.
+ * Cross-backend equivalence: every registry backend must agree on
+ * amplitudes and outcome probabilities for random circuits drawn with fixed
+ * seeds and for the GHZ family; under noise, the exact backends (dm, kc)
+ * must match exhaustive Kraus enumeration and the trajectory backends (sv,
+ * dd) must pass a chi-square test against it.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
-#include "dd/dd_simulator.h"
-#include "densitymatrix/densitymatrix_simulator.h"
+#include "circuit/noise.h"
 #include "statevector/statevector_simulator.h"
-#include "tensornet/tensornet_simulator.h"
+#include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 #include "vqa/backends.h"
 
@@ -49,22 +51,21 @@ TEST_P(BackendEquivalenceTest, AmplitudesAgreeAcrossBackends)
     Circuit c =
         testing::randomCircuit(p.numQubits, p.numGates, rng, p.threeQubit);
 
-    StateVectorSimulator sv;
-    StateVector exact = sv.simulate(c);
+    const StateVector exact = testing::finalState(c);
+    std::vector<std::uint64_t> basis(exact.dimension());
+    std::iota(basis.begin(), basis.end(), std::uint64_t{0});
 
-    KcSimulator kc(c);
-    TensorNetworkSimulator tn;
-    DdSimulator dd;
-    VEdge ddState = dd.simulate(c);
-
-    for (std::uint64_t x = 0; x < exact.dimension(); ++x) {
-        const Complex& ref = exact.amplitude(x);
-        EXPECT_TRUE(approxEqual(kc.amplitude(x), ref, 1e-9))
-            << "kc amplitude mismatch at x=" << x;
-        EXPECT_TRUE(approxEqual(tn.amplitude(c, x), ref, 1e-9))
-            << "tn amplitude mismatch at x=" << x;
-        EXPECT_TRUE(approxEqual(dd.package().amplitude(ddState, x), ref, 1e-9))
-            << "dd amplitude mismatch at x=" << x;
+    for (const std::string& name : backendNames()) {
+        if (name == "densitymatrix")
+            continue; // a mixed-state representation holds no amplitudes
+        Rng unused(0);
+        const auto amps =
+            makeBackend(name)->open(c)->run(Amplitudes{basis}, unused)
+                .amplitudes;
+        ASSERT_EQ(amps.size(), basis.size()) << name;
+        for (std::uint64_t x = 0; x < basis.size(); ++x)
+            EXPECT_TRUE(approxEqual(amps[x], exact.amplitude(x), 1e-9))
+                << name << " amplitude mismatch at x=" << x;
     }
 }
 
@@ -75,35 +76,17 @@ TEST_P(BackendEquivalenceTest, ProbabilitiesAgreeAcrossBackends)
     Circuit c =
         testing::randomCircuit(p.numQubits, p.numGates, rng, p.threeQubit);
 
-    StateVectorSimulator sv;
-    auto exact = sv.simulate(c).probabilities();
-
-    KcSimulator kc(c);
-    auto kcDist = kc.outcomeDistribution();
-
-    DensityMatrixSimulator dm;
-    auto dmDist = dm.distribution(c);
-
-    TensorNetworkSimulator tn;
-    auto tnDist = tn.distribution(c);
-
-    DdSimulator dd;
-    auto ddDist = dd.distribution(c);
-
-    ASSERT_EQ(kcDist.size(), exact.size());
-    ASSERT_EQ(dmDist.size(), exact.size());
-    ASSERT_EQ(tnDist.size(), exact.size());
-    ASSERT_EQ(ddDist.size(), exact.size());
-    for (std::uint64_t x = 0; x < exact.size(); ++x) {
-        EXPECT_NEAR(kcDist[x], exact[x], 1e-9) << "kc x=" << x;
-        EXPECT_NEAR(dmDist[x], exact[x], 1e-9) << "dm x=" << x;
-        EXPECT_NEAR(tnDist[x], exact[x], 1e-9) << "tn x=" << x;
-        EXPECT_NEAR(ddDist[x], exact[x], 1e-9) << "dd x=" << x;
+    const auto exact = testing::finalState(c).probabilities();
+    for (const std::string& name : backendNames()) {
+        const auto dist = testing::probabilitiesOf(name, c);
+        ASSERT_EQ(dist.size(), exact.size()) << name;
+        for (std::uint64_t x = 0; x < exact.size(); ++x)
+            EXPECT_NEAR(dist[x], exact[x], 1e-9) << name << " x=" << x;
     }
 
     // The headline acceptance bound: the DD backend is within 1e-9 total
     // variation distance of the exact state-vector distribution.
-    EXPECT_LE(totalVariation(ddDist, exact), 1e-9);
+    EXPECT_LE(totalVariation(testing::probabilitiesOf("dd", c), exact), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -115,6 +98,93 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivalenceCase{105, 4, 16, true},
                       EquivalenceCase{106, 5, 10, false}));
 
+/**
+ * Pearson's chi-square of `samples` against `dist`, with outcomes expected
+ * fewer than 5 times pooled into one bin, compared against the critical
+ * value at alpha = 0.001 (Wilson-Hilferty). An outcome of probability
+ * below 1e-12 must never be drawn.
+ */
+void
+expectChiSquarePasses(const std::vector<std::uint64_t>& samples,
+                      const std::vector<double>& dist, const char* name)
+{
+    std::vector<double> counts(dist.size(), 0.0);
+    for (std::uint64_t s : samples)
+        counts[s] += 1.0;
+    const double n = static_cast<double>(samples.size());
+    double chi2 = 0.0, pooledObserved = 0.0, pooledExpected = 0.0;
+    std::size_t bins = 0;
+    for (std::size_t x = 0; x < dist.size(); ++x) {
+        if (dist[x] < 1e-12) {
+            EXPECT_EQ(counts[x], 0.0) << name << " drew impossible " << x;
+        }
+        const double expected = n * dist[x];
+        if (expected < 5.0) {
+            pooledObserved += counts[x];
+            pooledExpected += expected;
+            continue;
+        }
+        chi2 += (counts[x] - expected) * (counts[x] - expected) / expected;
+        ++bins;
+    }
+    if (pooledExpected >= 5.0) {
+        chi2 += (pooledObserved - pooledExpected) *
+                (pooledObserved - pooledExpected) / pooledExpected;
+        ++bins;
+    }
+    ASSERT_GE(bins, 2u) << name;
+    const double dof = static_cast<double>(bins - 1);
+    const double z = 3.0902; // upper 0.001 normal quantile
+    const double h = 2.0 / (9.0 * dof);
+    const double critical = dof * std::pow(1.0 - h + z * std::sqrt(h), 3.0);
+    EXPECT_LT(chi2, critical) << name << " dof=" << dof;
+}
+
+TEST(BackendEquivalenceTest, NoisyProbabilitiesAgreeAcrossBackends)
+{
+    // Random 3-4 qubit circuits with 3-5 single-qubit channels between
+    // gate blocks plus one two-qubit depolarizing channel. The kinds cycle
+    // from a random start, so no circuit holds more than two depolarizing
+    // channels and kc's exact-evaluation budget (2^16) always holds.
+    const std::vector<double> ps = {0.05, 0.1, 0.2};
+    for (std::uint64_t seed : {701u, 702u, 703u, 704u}) {
+        Rng rng(seed);
+        const std::size_t n = 3 + rng.below(2);
+        const std::size_t channels = 3 + rng.below(3);
+        const std::size_t firstKind = rng.below(4);
+        Circuit c(n);
+        for (std::size_t k = 0; k < channels; ++k) {
+            c.extend(testing::randomCircuit(n, 3, rng, false));
+            const std::size_t q = rng.below(n);
+            const double p = ps[rng.below(ps.size())];
+            switch ((firstKind + k) % 4) {
+              case 0: c.append(NoiseChannel::depolarizing(q, p)); break;
+              case 1: c.append(NoiseChannel::amplitudeDamping(q, p)); break;
+              case 2: c.append(NoiseChannel::phaseDamping(q, p)); break;
+              default: c.append(NoiseChannel::bitFlip(q, p)); break;
+            }
+        }
+        c.extend(testing::randomCircuit(n, 3, rng, false));
+        c.append(NoiseChannel::twoQubitDepolarizing(0, n - 1, 0.1));
+
+        const auto exact =
+            StateVectorSimulator().noisyDistributionExhaustive(c);
+        for (const char* name : {"dm", "kc"}) {
+            const auto dist = testing::probabilitiesOf(name, c);
+            ASSERT_EQ(dist.size(), exact.size()) << name;
+            for (std::uint64_t x = 0; x < exact.size(); ++x)
+                EXPECT_NEAR(dist[x], exact[x], 1e-9)
+                    << name << " seed=" << seed << " x=" << x;
+        }
+        // Distinct shot seeds: sv and dd draw trajectory seeds the same
+        // way, so one shared seed would correlate their two tests.
+        Rng shots(seed * 31);
+        for (const char* name : {"sv", "dd"})
+            expectChiSquarePasses(testing::samplesOf(name, c, 20000, shots),
+                                  exact, name);
+    }
+}
+
 class GhzFamilyEquivalenceTest : public ::testing::TestWithParam<std::size_t> {
 };
 
@@ -123,18 +193,15 @@ TEST_P(GhzFamilyEquivalenceTest, AllBackendsAgreeOnGhz)
     const std::size_t n = GetParam();
     Circuit c = ghzCircuit(n);
 
-    auto exact = StateVectorSimulator().simulate(c).probabilities();
+    auto exact = testing::finalState(c).probabilities();
 
-    DdSimulator dd;
-    auto ddDist = dd.distribution(c);
-    EXPECT_LE(totalVariation(ddDist, exact), 1e-9);
+    EXPECT_LE(totalVariation(testing::probabilitiesOf("dd", c), exact), 1e-9);
 
     KcSimulator kc(c);
     auto kcDist = kc.outcomeDistribution();
     EXPECT_LE(totalVariation(kcDist, exact), 1e-9);
 
-    DensityMatrixSimulator dm;
-    EXPECT_LE(totalVariation(dm.distribution(c), exact), 1e-9);
+    EXPECT_LE(totalVariation(testing::probabilitiesOf("dm", c), exact), 1e-9);
 }
 
 TEST_P(GhzFamilyEquivalenceTest, RegistryBackendsSampleOnlyGhzOutcomes)

@@ -13,9 +13,8 @@
 #include "ac/nnf_io.h"
 #include "algorithms/algorithms.h"
 #include "bayesnet/variable_elimination.h"
-#include "densitymatrix/densitymatrix_simulator.h"
-#include "statevector/statevector_simulator.h"
 #include "tensornet/tensornet_simulator.h"
+#include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 #include "util/stats.h"
 #include "vqa/workloads.h"
@@ -30,15 +29,13 @@ TEST_P(FourWayAgreementTest, AllSimulatorsAgreeOnIdealCircuits)
     Rng rng(4000 + GetParam());
     Circuit c = testing::randomCircuit(4, 12, rng);
 
-    StateVectorSimulator sv;
-    auto exact = sv.simulate(c).probabilities();
+    auto exact = testing::probabilitiesOf("sv", c);
 
     KcSimulator kc(c);
     auto kcDist = kc.outcomeDistribution();
 
     TensorNetworkSimulator tn;
-    DensityMatrixSimulator dm;
-    auto dmDist = dm.distribution(c);
+    auto dmDist = testing::probabilitiesOf("dm", c);
 
     for (std::uint64_t x = 0; x < exact.size(); ++x) {
         EXPECT_NEAR(kcDist[x], exact[x], 1e-9) << "kc x=" << x;
@@ -79,8 +76,7 @@ TEST_P(NoisyChannelAgreementTest, KcVeDmAgree)
     c.append(makeChannel(2));
     c.rx(0, 0.4);
 
-    DensityMatrixSimulator dm;
-    auto exact = dm.distribution(c);
+    auto exact = testing::probabilitiesOf("dm", c);
 
     KcSimulator kc(c);
     auto kcDist = kc.outcomeDistribution();
@@ -108,14 +104,13 @@ TEST(EndToEndTest, VariationalSweepReusesCompilation)
     // evaluation equals a from-scratch compile at those angles.
     Circuit base = testing::ringQaoaCircuit(5, 0.1, 0.1);
     KcSimulator reused(base);
-    StateVectorSimulator sv;
 
     for (int iter = 1; iter <= 5; ++iter) {
         double gamma = 0.15 * iter;
         double beta = 0.1 + 0.08 * iter;
         Circuit c = testing::ringQaoaCircuit(5, gamma, beta);
         reused.refreshParams(c);
-        auto exact = sv.simulate(c).probabilities();
+        auto exact = testing::probabilitiesOf("sv", c);
         for (std::uint64_t x = 0; x < exact.size(); x += 3)
             EXPECT_NEAR(reused.probability(x), exact[x], 1e-9)
                 << "iter=" << iter << " x=" << x;
@@ -158,8 +153,7 @@ TEST(EndToEndTest, GibbsMatchesDensityMatrixOnNoisyQaoa)
     Circuit c = problem.circuit({-0.5, 0.35})
                     .withNoiseAfterEachGate(NoiseKind::Depolarizing, 0.01);
 
-    DensityMatrixSimulator dm;
-    auto exact = dm.distribution(c);
+    auto exact = testing::probabilitiesOf("dm", c);
 
     KcSimulator kc(c);
     Rng rng(77);

@@ -9,6 +9,7 @@
 
 #include "ac/kc_simulator.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 
 namespace qkc {
 namespace {
@@ -45,8 +46,7 @@ TEST_P(GateCoverageTest, KcMatchesStateVectorInContext)
     c.h(1).cnot(1, 2).rx(0, 1.2);
 
     KcSimulator kc(c);
-    StateVectorSimulator sv;
-    auto amps = sv.simulate(c).amplitudes();
+    auto amps = testing::finalState(c).amplitudes();
     for (std::uint64_t x = 0; x < amps.size(); ++x) {
         EXPECT_TRUE(approxEqual(kc.amplitude(x), amps[x], 1e-9))
             << "gate " << makeGate(GetParam()).name() << " x=" << x;

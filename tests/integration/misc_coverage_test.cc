@@ -8,7 +8,7 @@
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
 #include "circuit/device_model.h"
-#include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 #include "util/stats.h"
 
@@ -107,8 +107,7 @@ TEST(MiscCoverageTest, ThreeQubitKernelNonAdjacent)
     // CCX on qubits (4, 1, 3) of a 5-qubit register.
     Circuit c(5);
     c.x(4).x(1).ccx(4, 1, 3);
-    StateVectorSimulator sv;
-    auto probs = sv.simulate(c).probabilities();
+    auto probs = testing::probabilitiesOf("sv", c);
     // Expect |01011>: qubits 1, 3, 4 set.
     EXPECT_NEAR(probs[basisIndex({0, 1, 0, 1, 1})], 1.0, 1e-12);
 

@@ -6,8 +6,7 @@
 
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
-#include "densitymatrix/densitymatrix_simulator.h"
-#include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 
 namespace qkc {
@@ -18,8 +17,7 @@ TEST(RobustnessTest, SingleQubitCircuit)
     Circuit c(1);
     c.h(0).t(0).h(0);
     KcSimulator kc(c);
-    StateVectorSimulator sv;
-    auto exact = sv.simulate(c).probabilities();
+    auto exact = testing::probabilitiesOf("sv", c);
     EXPECT_NEAR(kc.probability(0), exact[0], 1e-12);
     EXPECT_NEAR(kc.probability(1), exact[1], 1e-12);
 }
@@ -57,7 +55,6 @@ TEST(RobustnessTest, IdentityGatesAddNothing)
 
 TEST(RobustnessTest, InverseGateByGate)
 {
-    StateVectorSimulator sv;
     Circuit c(3);
     c.h(0).s(1).t(2).rx(0, 0.7).ry(1, 1.1).rz(2, -0.4).cnot(0, 1);
     c.cz(1, 2).zz(0, 2, 0.9).crz(0, 2, 0.5).cphase(1, 0, -0.3);
@@ -65,21 +62,20 @@ TEST(RobustnessTest, InverseGateByGate)
 
     Circuit echo = c;
     echo.extend(c.inverse());
-    auto probs = sv.simulate(echo).probabilities();
+    auto probs = testing::probabilitiesOf("sv", echo);
     EXPECT_NEAR(probs[0], 1.0, 1e-9);
 }
 
 TEST(RobustnessTest, LoschmidtEchoOnRandomCircuits)
 {
     // C then C^-1 returns |0...0> exactly — checked on the KC pipeline.
-    StateVectorSimulator sv;
     for (int seed = 0; seed < 5; ++seed) {
         Rng rng(9900 + seed);
         Circuit c = testing::randomCircuit(4, 12, rng);
         Circuit echo = c;
         echo.extend(c.inverse());
 
-        auto probs = sv.simulate(echo).probabilities();
+        auto probs = testing::probabilitiesOf("sv", echo);
         EXPECT_NEAR(probs[0], 1.0, 1e-9) << "seed " << seed;
 
         KcSimulator kc(echo);
@@ -97,8 +93,7 @@ TEST(RobustnessTest, DeepCircuitStaysExact)
     Rng rng(321);
     Circuit c = testing::randomCircuit(4, 120, rng);
     KcSimulator kc(c);
-    StateVectorSimulator sv;
-    auto exact = sv.simulate(c).probabilities();
+    auto exact = testing::probabilitiesOf("sv", c);
     auto dist = kc.outcomeDistribution();
     for (std::size_t x = 0; x < exact.size(); ++x)
         EXPECT_NEAR(dist[x], exact[x], 1e-8) << x;

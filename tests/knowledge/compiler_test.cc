@@ -5,7 +5,7 @@
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
 #include "cnf/bn_to_cnf.h"
-#include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 
 namespace qkc {
@@ -17,8 +17,7 @@ expectMatchesStateVector(const Circuit& circuit, CompileOptions options,
                          double eps = 1e-9)
 {
     KcSimulator kc(circuit, options);
-    StateVectorSimulator sv;
-    auto amps = sv.simulate(circuit).amplitudes();
+    auto amps = testing::finalState(circuit).amplitudes();
     for (std::uint64_t x = 0; x < amps.size(); ++x) {
         EXPECT_TRUE(approxEqual(kc.amplitude(x), amps[x], eps))
             << "x=" << x << " kc=" << kc.amplitude(x) << " sv=" << amps[x];

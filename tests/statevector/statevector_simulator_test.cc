@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "algorithms/algorithms.h"
+#include "testing/session_runs.h"
 #include "util/stats.h"
 
 namespace qkc {
@@ -12,9 +14,7 @@ namespace {
 
 TEST(StateVectorSimulatorTest, BellDistribution)
 {
-    StateVectorSimulator sim;
-    auto sv = sim.simulate(bellCircuit());
-    auto probs = sv.probabilities();
+    auto probs = testing::finalState(bellCircuit()).probabilities();
     EXPECT_NEAR(probs[0], 0.5, 1e-12);
     EXPECT_NEAR(probs[3], 0.5, 1e-12);
     EXPECT_NEAR(probs[1], 0.0, 1e-12);
@@ -23,31 +23,18 @@ TEST(StateVectorSimulatorTest, BellDistribution)
 
 TEST(StateVectorSimulatorTest, RejectsNoisyCircuit)
 {
-    StateVectorSimulator sim;
-    EXPECT_THROW(sim.simulate(noisyBellCircuit()), std::invalid_argument);
+    EXPECT_THROW(testing::finalState(noisyBellCircuit()),
+                 std::invalid_argument);
 }
 
 TEST(StateVectorSimulatorTest, SamplingMatchesDistribution)
 {
-    StateVectorSimulator sim;
     Rng rng(99);
-    auto samples = sim.sample(bellCircuit(), 20000, rng);
+    auto samples = testing::samplesOf("sv", bellCircuit(), 20000, rng);
     auto emp = empiricalDistribution(samples, 4);
     EXPECT_NEAR(emp[0], 0.5, 0.02);
     EXPECT_NEAR(emp[3], 0.5, 0.02);
     EXPECT_NEAR(emp[1] + emp[2], 0.0, 1e-12);
-}
-
-TEST(StateVectorSimulatorTest, TrajectoryPreservesNorm)
-{
-    StateVectorSimulator sim;
-    Rng rng(5);
-    Circuit c = bellCircuit().withNoiseAfterEachGate(NoiseKind::Depolarizing,
-                                                     0.2);
-    for (int i = 0; i < 20; ++i) {
-        auto sv = sim.simulateTrajectory(c, rng);
-        EXPECT_NEAR(sv.norm(), 1.0, 1e-9);
-    }
 }
 
 TEST(StateVectorSimulatorTest, TrajectoryAveragesToChannelResult)
@@ -57,11 +44,27 @@ TEST(StateVectorSimulatorTest, TrajectoryAveragesToChannelResult)
     c.x(0);
     c.append(NoiseChannel::bitFlip(0, 0.3));
 
-    StateVectorSimulator sim;
     Rng rng(123);
-    auto samples = sim.sampleNoisy(c, 20000, rng);
+    auto samples = testing::samplesOf("sv", c, 20000, rng);
     auto emp = empiricalDistribution(samples, 2);
     EXPECT_NEAR(emp[1], 0.7, 0.02);
+}
+
+TEST(StateVectorSimulatorTest, ThrowingTrajectoryReachesTheCaller)
+{
+    // A NaN angle makes every Born weight NaN, so Rng::categorical throws
+    // inside each trajectory. The lane fan-out must rethrow that to the
+    // caller rather than let it escape a pool worker, and leave the pool
+    // serving the next fan-out.
+    Circuit c(2);
+    c.rx(0, std::numeric_limits<double>::quiet_NaN());
+    c.append(NoiseChannel::bitFlip(0, 0.1));
+    Rng rng(3);
+    EXPECT_THROW(testing::samplesOf("sv:threads=4", c, 64, rng),
+                 std::invalid_argument);
+
+    c.setGateParam(0, 0.3);
+    EXPECT_EQ(testing::samplesOf("sv:threads=4", c, 64, rng).size(), 64u);
 }
 
 TEST(StateVectorSimulatorTest, ExhaustiveNoisyDistributionBell)
@@ -85,7 +88,7 @@ TEST(StateVectorSimulatorTest, ExhaustiveMatchesTrajectoriesOnAmplitudeDamping)
     auto exact = sim.noisyDistributionExhaustive(c);
 
     Rng rng(7);
-    auto samples = sim.sampleNoisy(c, 30000, rng);
+    auto samples = testing::samplesOf("sv", c, 30000, rng);
     auto emp = empiricalDistribution(samples, 2);
     EXPECT_NEAR(emp[0], exact[0], 0.02);
     EXPECT_NEAR(emp[1], exact[1], 0.02);

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/algorithms.h"
-#include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 #include "util/stats.h"
 
@@ -33,8 +33,7 @@ TEST_P(TnVsStateVectorTest, RandomCircuitAmplitudes)
     Rng rng(600 + GetParam());
     Circuit c = testing::randomCircuit(4, 14, rng);
     TensorNetworkSimulator tn;
-    StateVectorSimulator sv;
-    auto amps = sv.simulate(c).amplitudes();
+    auto amps = testing::finalState(c).amplitudes();
     for (std::uint64_t x = 0; x < amps.size(); ++x)
         EXPECT_TRUE(approxEqual(tn.amplitude(c, x), amps[x], 1e-9)) << x;
 }
@@ -43,40 +42,36 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TnVsStateVectorTest, ::testing::Range(0, 6));
 
 TEST(TensorNetworkSimulatorTest, PrefixProbabilities)
 {
-    Circuit c = ghzCircuit(3);
-    TensorNetworkSimulator tn;
+    TnSampler tn(ghzCircuit(3));
     // GHZ: first qubit is 0 or 1 with probability 1/2 each.
-    EXPECT_NEAR(tn.prefixProbability(c, 0, 1), 0.5, 1e-9);
-    EXPECT_NEAR(tn.prefixProbability(c, 1, 1), 0.5, 1e-9);
+    EXPECT_NEAR(tn.prefixProbability(0, 1), 0.5, 1e-9);
+    EXPECT_NEAR(tn.prefixProbability(1, 1), 0.5, 1e-9);
     // Prefix 01 impossible; 00 has probability 1/2.
-    EXPECT_NEAR(tn.prefixProbability(c, 0b00, 2), 0.5, 1e-9);
-    EXPECT_NEAR(tn.prefixProbability(c, 0b01, 2), 0.0, 1e-9);
-    EXPECT_NEAR(tn.prefixProbability(c, 0b11, 2), 0.5, 1e-9);
+    EXPECT_NEAR(tn.prefixProbability(0b00, 2), 0.5, 1e-9);
+    EXPECT_NEAR(tn.prefixProbability(0b01, 2), 0.0, 1e-9);
+    EXPECT_NEAR(tn.prefixProbability(0b11, 2), 0.5, 1e-9);
 }
 
 TEST(TensorNetworkSimulatorTest, PrefixProbabilityMarginalizesCorrectly)
 {
     Rng rng(61);
     Circuit c = testing::randomCircuit(3, 10, rng);
-    TensorNetworkSimulator tn;
-    StateVectorSimulator sv;
-    auto probs = sv.simulate(c).probabilities();
+    TnSampler tn(c);
+    auto probs = testing::finalState(c).probabilities();
     // P(q0 = 0) from the state vector.
     double p0 = probs[0] + probs[1] + probs[2] + probs[3];
-    EXPECT_NEAR(tn.prefixProbability(c, 0, 1), p0, 1e-9);
+    EXPECT_NEAR(tn.prefixProbability(0, 1), p0, 1e-9);
     // P(q0q1 = 10).
-    EXPECT_NEAR(tn.prefixProbability(c, 0b10, 2), probs[4] + probs[5], 1e-9);
+    EXPECT_NEAR(tn.prefixProbability(0b10, 2), probs[4] + probs[5], 1e-9);
 }
 
 TEST(TensorNetworkSimulatorTest, SamplingMatchesDistribution)
 {
     Circuit c = testing::ringQaoaCircuit(4, 0.7, 0.4);
-    TensorNetworkSimulator tn;
-    StateVectorSimulator sv;
-    auto exact = sv.simulate(c).probabilities();
+    auto exact = testing::finalState(c).probabilities();
 
     Rng rng(67);
-    auto samples = tn.sample(c, 4000, rng);
+    auto samples = testing::samplesOf("tn", c, 4000, rng);
     auto emp = empiricalDistribution(samples, exact.size());
     EXPECT_LT(totalVariation(exact, emp), 0.05);
 }
@@ -103,8 +98,7 @@ TEST(TensorNetworkSimulatorTest, DistributionSumsToOne)
 {
     Rng rng(73);
     Circuit c = testing::randomCircuit(3, 8, rng);
-    TensorNetworkSimulator tn;
-    auto dist = tn.distribution(c);
+    auto dist = testing::probabilitiesOf("tn", c);
     double total = 0.0;
     for (double p : dist)
         total += p;

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "algorithms/algorithms.h"
-#include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "vqa/backends.h"
 
 namespace qkc {
@@ -39,8 +39,7 @@ TEST(PauliStringTest, EigenvalueParity)
 double
 exactExpectation(const Circuit& c, const PauliString& p)
 {
-    StateVectorSimulator sv;
-    auto probs = sv.simulate(p.withMeasurementBasis(c)).probabilities();
+    auto probs = testing::probabilitiesOf("sv", p.withMeasurementBasis(c));
     double e = 0.0;
     for (std::uint64_t x = 0; x < probs.size(); ++x)
         e += probs[x] * p.eigenvalue(x);

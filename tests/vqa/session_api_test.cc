@@ -11,6 +11,7 @@
 
 #include "algorithms/algorithms.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 #include "vqa/backends.h"
 #include "vqa/driver.h"
 
@@ -184,9 +185,8 @@ TEST(SessionTest, TnBindKeepsContractionPlans)
     // outcomes, and the sampled mean cut tracks the exact one.
     Rng rng(13);
     Result r = session->run(Sample{400}, rng);
-    auto exact = StateVectorSimulator()
-                     .simulate(problem.circuit({0.5, 0.5}))
-                     .probabilities();
+    auto exact =
+        testing::probabilitiesOf("sv", problem.circuit({0.5, 0.5}));
     EXPECT_NEAR(problem.expectedCut(r.samples),
                 problem.expectedCutExact(exact), 0.25);
 
@@ -224,7 +224,7 @@ TEST(SessionTest, KcBindRefreshesParameters)
 TEST(SessionTest, AmplitudesMatchTheStateVector)
 {
     const Circuit c = ghzCircuit(3);
-    StateVector exact = StateVectorSimulator().simulate(c);
+    StateVector exact = testing::finalState(c);
     const std::vector<std::uint64_t> basis = {0, 3, 7};
 
     for (const char* name : {"sv", "dd", "kc", "tn"}) {

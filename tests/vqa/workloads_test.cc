@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "statevector/statevector_simulator.h"
+#include "testing/session_runs.h"
 
 namespace qkc {
 namespace {
@@ -55,8 +55,7 @@ TEST(QaoaMaxCutTest, UniformSuperpositionGivesHalfEdges)
     // At gamma=beta=0 the circuit is H^n: every edge is cut w.p. 1/2.
     Rng rng(7);
     auto problem = QaoaMaxCut::randomRegular(6, 3, 1, rng);
-    StateVectorSimulator sv;
-    auto dist = sv.simulate(problem.circuit({0.0, 0.0})).probabilities();
+    auto dist = testing::probabilitiesOf("sv", problem.circuit({0.0, 0.0}));
     double expected = problem.expectedCutExact(dist);
     EXPECT_NEAR(expected, problem.graph().numEdges() / 2.0, 1e-9);
 }
@@ -67,7 +66,6 @@ TEST(QaoaMaxCutTest, OptimizedAnglesBeatUniform)
     // uniform superposition; check a coarse grid finds one.
     Rng rng(9);
     auto problem = QaoaMaxCut::randomRegular(8, 3, 1, rng);
-    StateVectorSimulator sv;
     double uniform = problem.graph().numEdges() / 2.0;
     // With ZZ(theta) = exp(-i theta Z(x)Z / 2), the good p=1 angles sit at
     // negative gamma (equivalently positive gamma with negative beta).
@@ -75,7 +73,7 @@ TEST(QaoaMaxCutTest, OptimizedAnglesBeatUniform)
     for (double gamma : {-0.4, -0.6, -0.7}) {
         for (double beta : {0.3, 0.4, 0.6}) {
             auto dist =
-                sv.simulate(problem.circuit({gamma, beta})).probabilities();
+                testing::probabilitiesOf("sv", problem.circuit({gamma, beta}));
             best = std::max(best, problem.expectedCutExact(dist));
         }
     }
