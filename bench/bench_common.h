@@ -2,6 +2,8 @@
 #define QKC_BENCH_BENCH_COMMON_H
 
 #include <cstdio>
+#include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -95,6 +97,26 @@ class JsonRow {
   private:
     server::Json row_ = server::Json::object();
 };
+
+/**
+ * A driver's main: runs `body` and reports what it throws the way qkc_cli
+ * does, as `<driver>: <what>` on stderr with exit status 2 (a bad size
+ * such as an odd --noisy-qubits for a 3-regular QAOA graph). The driver is
+ * named by argv[0]'s basename.
+ */
+inline int
+runDriver(int argc, char** argv, int (*body)(int, char**))
+{
+    try {
+        return body(argc, argv);
+    } catch (const std::exception& e) {
+        const char* name = argc > 0 ? argv[0] : "bench";
+        if (const char* slash = std::strrchr(name, '/'))
+            name = slash + 1;
+        std::fprintf(stderr, "%s: %s\n", name, e.what());
+        return 2;
+    }
+}
 
 } // namespace qkc::bench
 

@@ -43,7 +43,7 @@ report(const Circuit& circuit, const Config& config)
 } // namespace
 
 int
-main(int argc, char** argv)
+driverMain(int argc, char** argv)
 {
     Cli cli(argc, argv);
     std::size_t qubits = static_cast<std::size_t>(cli.getInt("qubits", 4));
@@ -130,4 +130,10 @@ main(int argc, char** argv)
     std::printf("# equivalence: max |A_before - A_after| over 256 random "
                 "path families = %.2e\n", maxDiff);
     return 0;
+}
+
+int
+main(int argc, char** argv)
+{
+    return bench::runDriver(argc, argv, driverMain);
 }

@@ -17,7 +17,7 @@
 using namespace qkc;
 
 int
-main(int argc, char** argv)
+driverMain(int argc, char** argv)
 {
     Cli cli(argc, argv);
     std::size_t qubits = static_cast<std::size_t>(cli.getInt("qubits", 10));
@@ -62,4 +62,10 @@ main(int argc, char** argv)
     std::printf("# KL(exact || ideal)=%.4f KL(exact || gibbs)=%.4f\n",
                 klDivergence(exact, idealEmp), klDivergence(exact, gibbsEmp));
     return 0;
+}
+
+int
+main(int argc, char** argv)
+{
+    return bench::runDriver(argc, argv, driverMain);
 }

@@ -35,7 +35,7 @@ row(const char* workload, const Circuit& circuit)
 } // namespace
 
 int
-main(int argc, char** argv)
+driverMain(int argc, char** argv)
 {
     Cli cli(argc, argv);
     std::size_t rcsMaxDepth =
@@ -69,4 +69,10 @@ main(int argc, char** argv)
         row("shor", shorOrderFindingCircuit(t, 7));
 
     return 0;
+}
+
+int
+main(int argc, char** argv)
+{
+    return bench::runDriver(argc, argv, driverMain);
 }

@@ -44,7 +44,7 @@ sweepSeries(const char* label, const std::vector<double>& exact,
 } // namespace
 
 int
-main(int argc, char** argv)
+driverMain(int argc, char** argv)
 {
     Cli cli(argc, argv);
     std::size_t idealQubits =
@@ -89,4 +89,10 @@ main(int argc, char** argv)
         sweepSeries("noisy_qaoa", exact, ideal, gibbs);
     }
     return 0;
+}
+
+int
+main(int argc, char** argv)
+{
+    return bench::runDriver(argc, argv, driverMain);
 }

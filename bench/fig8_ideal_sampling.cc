@@ -173,7 +173,7 @@ runRow(const Row& row, const Circuit& circuit, std::size_t samples,
 } // namespace
 
 int
-main(int argc, char** argv)
+driverMain(int argc, char** argv)
 {
     Cli cli(argc, argv);
     const std::size_t samples =
@@ -217,4 +217,10 @@ main(int argc, char** argv)
         }
     }
     return 0;
+}
+
+int
+main(int argc, char** argv)
+{
+    return bench::runDriver(argc, argv, driverMain);
 }

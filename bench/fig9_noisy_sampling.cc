@@ -85,7 +85,7 @@ runRow(const char* workload, std::size_t p, std::size_t qubits,
 } // namespace
 
 int
-main(int argc, char** argv)
+driverMain(int argc, char** argv)
 {
     Cli cli(argc, argv);
     const std::size_t samples =
@@ -125,4 +125,10 @@ main(int argc, char** argv)
         }
     }
     return 0;
+}
+
+int
+main(int argc, char** argv)
+{
+    return bench::runDriver(argc, argv, driverMain);
 }

@@ -428,7 +428,7 @@ runBlockedComparison(std::size_t n)
 } // namespace
 
 int
-main(int argc, char** argv)
+driverMain(int argc, char** argv)
 {
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
@@ -438,4 +438,10 @@ main(int argc, char** argv)
     runSimdComparison(20);
     runBlockedComparison(22);
     return 0;
+}
+
+int
+main(int argc, char** argv)
+{
+    return bench::runDriver(argc, argv, driverMain);
 }

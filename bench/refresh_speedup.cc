@@ -143,7 +143,7 @@ ddRebindRow(std::size_t qubits, std::size_t iterations)
 } // namespace
 
 int
-main(int argc, char** argv)
+driverMain(int argc, char** argv)
 {
     Cli cli(argc, argv);
     const std::size_t iterations =
@@ -207,4 +207,10 @@ main(int argc, char** argv)
                      iterations);
     ddRebindRow(maxQubits, iterations);
     return 0;
+}
+
+int
+main(int argc, char** argv)
+{
+    return bench::runDriver(argc, argv, driverMain);
 }

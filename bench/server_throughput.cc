@@ -119,7 +119,7 @@ report(const char* phase, const PhaseStats& s)
 } // namespace
 
 int
-main(int argc, char** argv)
+driverMain(int argc, char** argv)
 {
     Cli cli(argc, argv);
     const auto qubits = static_cast<std::size_t>(cli.getInt("qubits", 10));
@@ -247,4 +247,10 @@ main(int argc, char** argv)
 
     http.stop();
     return 0;
+}
+
+int
+main(int argc, char** argv)
+{
+    return bench::runDriver(argc, argv, driverMain);
 }

@@ -16,13 +16,14 @@
 
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
+#include "bench_common.h"
 #include "cnf/cnf.h"
 #include "util/cli.h"
 
 using namespace qkc;
 
 int
-main(int argc, char** argv)
+driverMain(int argc, char** argv)
 {
     Cli cli(argc, argv);
     double gamma = cli.getDouble("gamma", 0.36);
@@ -82,4 +83,10 @@ main(int argc, char** argv)
                     (unsigned long long)(x & 1), kc.probability(x));
     std::printf("\nExpected (Equation 3): P(00) = P(11) = 1/2, coherence 0.4\n");
     return 0;
+}
+
+int
+main(int argc, char** argv)
+{
+    return bench::runDriver(argc, argv, driverMain);
 }

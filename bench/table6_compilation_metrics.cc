@@ -31,7 +31,7 @@ row(const char* label, std::size_t p, const Circuit& circuit)
 } // namespace
 
 int
-main(int argc, char** argv)
+driverMain(int argc, char** argv)
 {
     Cli cli(argc, argv);
     std::size_t idealQaoa =
@@ -65,4 +65,10 @@ main(int argc, char** argv)
                 .withNoiseAfterEachGate(NoiseKind::Depolarizing, noise));
     }
     return 0;
+}
+
+int
+main(int argc, char** argv)
+{
+    return bench::runDriver(argc, argv, driverMain);
 }

@@ -1,5 +1,6 @@
 #include "statevector/state_vector.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -22,6 +23,17 @@ StateVector::StateVector(std::size_t numQubits)
     : numQubits_(numQubits), amps_(checkedDimension(numQubits))
 {
     amps_[0] = 1.0;
+}
+
+void
+StateVector::reset()
+{
+    Complex* amps = amps_.data();
+    parallelFor(policy_, amps_.size(),
+                [amps](std::uint64_t b, std::uint64_t e) {
+        std::fill(amps + b, amps + e, Complex{0.0, 0.0});
+    });
+    amps[0] = 1.0;
 }
 
 void

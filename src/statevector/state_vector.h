@@ -34,6 +34,13 @@ class StateVector {
     /** Initializes |00...0>. */
     explicit StateVector(std::size_t numQubits);
 
+    /**
+     * Returns the state to |00...0> in place (a parallel zero fill under
+     * the state's ExecPolicy): re-running a circuit reuses the buffer
+     * instead of allocating a new 2^n one.
+     */
+    void reset();
+
     std::size_t numQubits() const { return numQubits_; }
     std::size_t dimension() const { return amps_.size(); }
 

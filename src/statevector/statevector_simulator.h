@@ -21,7 +21,11 @@ namespace qkc {
  * An execution plan (greedy gate fusion + per-gate kernel classification)
  * drives amplitude sweeps on the shared thread pool per the engine's
  * ExecPolicy. Ideal plans run exactly: the full 2^n wavefunction is
- * produced and outcomes are drawn from |psi|^2 by sampleFromDistribution.
+ * produced, into a caller's state when one is passed (a session keeps one
+ * buffer across binds), and sampleFromState draws outcomes from |psi|^2
+ * straight off the amplitudes: one pass of fixed-size chunk sums, then one
+ * scan of each chunk that holds a draw. No 2^n probability or CDF vector
+ * is built.
  *
  * Noisy plans use Monte-Carlo trajectories: each trajectory picks one
  * Kraus operator per channel with the Born probability — computed by a
@@ -48,6 +52,14 @@ class StateVectorSimulator {
     StateVector simulatePlanned(const ExecutionPlan& plan) const;
 
     /**
+     * Runs the plan into `state`: resets it in place to |0...0>, or
+     * reallocates it when its qubit count differs from the plan's. The
+     * state takes the engine's ExecPolicy. Amplitudes are bit-identical
+     * to the returning form's.
+     */
+    void simulatePlanned(const ExecutionPlan& plan, StateVector& state) const;
+
+    /**
      * Draws one outcome per noisy trajectory (the qsim-style noisy sampling
      * cost model: every sample pays a full re-simulation). Gates apply
      * exactly; every channel chooses a Kraus operator k with probability
@@ -66,11 +78,29 @@ class StateVectorSimulator {
      */
     std::vector<double> noisyDistributionExhaustive(const Circuit& circuit) const;
 
-    /** Draws outcomes from an explicit probability vector (ideal sampling). */
+    /**
+     * Draws outcomes x with probability |amp_x|^2 / norm, reading the
+     * amplitudes in place. One rng.uniform() per shot, in shot order; the
+     * draws are resolved in sorted order against fixed-size chunk sums
+     * (kSampleChunk entries, whatever the thread count), so each chunk
+     * that holds a draw is scanned once. Never returns an outcome of zero
+     * weight. Samples are identical for every thread count.
+     */
+    static std::vector<std::uint64_t> sampleFromState(const StateVector& state,
+                                                      std::size_t numSamples,
+                                                      Rng& rng);
+
+    /** The same sampler over an explicit probability vector. */
     static std::vector<std::uint64_t> sampleFromDistribution(
         const std::vector<double>& probs, std::size_t numSamples, Rng& rng);
 
+    /** Entries per chunk sum of the samplers. */
+    static constexpr std::uint64_t kSampleChunk = std::uint64_t{1} << 8;
+
   private:
+    /** Applies an ideal plan's kernels to a state at |0...0>. */
+    void runIdeal(const ExecutionPlan& plan, StateVector& state) const;
+
     /** One trajectory over a pre-built plan (state policy already set). */
     StateVector runTrajectory(const ExecutionPlan& plan, Rng& rng,
                               const ExecPolicy& statePolicy) const;

@@ -57,6 +57,17 @@ pauliFlipMask(const PauliString& pauli, std::size_t n)
     return flip;
 }
 
+/** Bits whose Z factor flips the eigenvalue sign (qubit 0 = MSB). */
+std::uint64_t
+pauliZMask(const PauliString& pauli, std::size_t n)
+{
+    std::uint64_t mask = 0;
+    for (std::size_t q = 0; q < n; ++q)
+        if (pauli.pauli(q) == 'Z')
+            mask |= std::uint64_t{1} << (n - 1 - q);
+    return mask;
+}
+
 /**
  * f(y) in P|y> = f(y) |y ^ flipMask>: the accumulated Z sign and Y phase.
  * Equivalently the matrix entry P(y ^ flipMask, y) — the form both the
@@ -87,6 +98,14 @@ pauliPhase(const PauliString& pauli, std::size_t n, std::uint64_t y)
 // State vector
 // ---------------------------------------------------------------------------
 
+/**
+ * One planned circuit and one 2^n state per session. The first task
+ * allocates the state; a bind only marks it stale, and the next task
+ * re-runs the plan into the same buffer. Ideal tasks read the amplitudes
+ * directly: Sample reads them once for its chunk sums, Probabilities fills
+ * its payload from them, and the diagonal Expectation terms share one
+ * pass. No other 2^n vector is built.
+ */
 class SvSession final : public Session {
   public:
     SvSession(const BackendInfo& entry, const Circuit& circuit,
@@ -108,14 +127,13 @@ class SvSession final : public Session {
     void trimBatchLane() override
     {
         // Keep the plan (cheap, and the point of the lane); drop the 2^n
-        // state and probability table the last binding left behind.
+        // state the last binding left behind.
         state_.reset();
-        probs_.reset();
+        stateCurrent_ = false;
     }
     bool doBind(const Circuit& circuit, bool sameStructure) override
     {
-        state_.reset();
-        probs_.reset();
+        stateCurrent_ = false; // the buffer stays for the next run
         if (sameStructure && tryRebindPlan(plan_, circuit))
             return true;
         plan_ = planCircuit(circuit, policy_);
@@ -131,11 +149,10 @@ class SvSession final : public Session {
             meta.trajectories += shots;
             return sim_.sampleNoisyPlanned(plan_, shots, rng);
         }
-        ensureProbs();
+        ensureState();
         meta.exact = true;
         QKC_SPAN("sv.sample");
-        return StateVectorSimulator::sampleFromDistribution(*probs_, shots,
-                                                            rng);
+        return StateVectorSimulator::sampleFromState(*state_, shots, rng);
     }
 
     double doExpectation(const PauliSum& observable, std::size_t shots,
@@ -145,12 +162,14 @@ class SvSession final : public Session {
         if (circuit_.noiseCount() > 0)
             return sampledExpectation(observable, shots, rng, meta);
 
-        // Native <psi|P|psi>, no sampling error: diagonal terms read the
-        // cached |amp|^2 vector directly; the rest pay one kernel sweep per
+        // Native <psi|P|psi>, no sampling error: the diagonal terms share
+        // one pass over |amp|^2; the rest pay one kernel sweep per
         // non-identity Pauli plus a deterministic inner product.
         ensureState();
         meta.exact = true;
         QKC_SPAN("sv.expectation");
+        const std::vector<double> diagonal = diagonalExpectations(observable);
+        std::size_t d = 0;
         double total = 0.0;
         for (const auto& [coeff, pauli] : observable.terms) {
             if (pauli.isIdentity()) {
@@ -158,8 +177,7 @@ class SvSession final : public Session {
                 continue;
             }
             if (pauli.isDiagonal()) {
-                ensureProbs();
-                total += coeff * pauli.expectationFromDistribution(*probs_);
+                total += coeff * diagonal[d++];
                 continue;
             }
             StateVector phi = *state_;
@@ -196,9 +214,14 @@ class SvSession final : public Session {
                         "the noisy state-vector path is trajectory-sampled; "
                         "use the density-matrix backend for exact noisy "
                         "distributions");
-        ensureProbs();
+        ensureState();
         meta.exact = true;
-        return marginalizeDistribution(*probs_, circuit_.numQubits(), qubits);
+        QKC_SPAN("sv.probs");
+        if (qubits.empty())
+            return state_->probabilities();
+        const Complex* amps = state_->data();
+        return marginalize(circuit_.numQubits(), qubits,
+                           [amps](std::uint64_t x) { return norm2(amps[x]); });
     }
 
   private:
@@ -211,27 +234,50 @@ class SvSession final : public Session {
 
     void ensureState()
     {
-        if (state_)
+        if (stateCurrent_)
             return;
         QKC_SPAN("sv.simulate");
-        state_ = sim_.simulatePlanned(plan_);
+        if (!state_)
+            state_.emplace(plan_.numQubits);
+        sim_.simulatePlanned(plan_, *state_);
+        stateCurrent_ = true;
     }
 
-    /** Lazy |amp|^2 vector: only tasks that consume it pay the sweep. */
-    void ensureProbs()
+    /**
+     * <psi|P|psi> of every diagonal term, in term order, from one serial
+     * pass over the amplitudes: each term keeps its own accumulator and
+     * adds +-|amp_x|^2 in x order, as expectationFromDistribution would.
+     */
+    std::vector<double> diagonalExpectations(const PauliSum& observable) const
     {
-        ensureState();
-        if (probs_)
-            return;
-        QKC_SPAN("sv.probs");
-        probs_ = state_->probabilities();
+        const std::size_t n = circuit_.numQubits();
+        std::vector<std::uint64_t> zMasks;
+        for (const auto& term : observable.terms)
+            if (!term.second.isIdentity() && term.second.isDiagonal())
+                zMasks.push_back(pauliZMask(term.second, n));
+        std::vector<double> acc(zMasks.size(), 0.0);
+        if (zMasks.empty())
+            return acc;
+        const Complex* amps = state_->data();
+        const std::uint64_t dim = state_->dimension();
+        for (std::uint64_t x = 0; x < dim; ++x) {
+            const double p = norm2(amps[x]);
+            for (std::size_t t = 0; t < zMasks.size(); ++t)
+                acc[t] += __builtin_parityll(x & zMasks[t]) ? -p : p;
+        }
+        return acc;
     }
 
     ExecPolicy policy_;
     StateVectorSimulator sim_;
     ExecutionPlan plan_;
-    std::optional<StateVector> state_;   ///< final ideal state (per bind)
-    std::optional<std::vector<double>> probs_;
+    /**
+     * The session's one 2^n buffer: allocated by the first task, reused in
+     * place by every later run (binds only mark it stale), released only
+     * by trimBatchLane.
+     */
+    std::optional<StateVector> state_;
+    bool stateCurrent_ = false; ///< state_ holds the current binding's state
 };
 
 // ---------------------------------------------------------------------------

@@ -510,13 +510,10 @@ parseBackendSpec(const std::string& spec)
 // Shared helpers
 // ---------------------------------------------------------------------------
 
-std::vector<double>
-marginalizeDistribution(const std::vector<double>& dist,
-                        std::size_t numQubits,
-                        const std::vector<std::size_t>& qubits)
+void
+checkMarginalQubits(std::size_t numQubits,
+                    const std::vector<std::size_t>& qubits)
 {
-    if (qubits.empty())
-        return dist;
     std::uint64_t seen = 0;
     for (std::size_t q : qubits) {
         if (q >= numQubits)
@@ -527,15 +524,17 @@ marginalizeDistribution(const std::vector<double>& dist,
                 "Probabilities: repeated marginal qubit");
         seen |= std::uint64_t{1} << q;
     }
-    std::vector<double> out(std::size_t{1} << qubits.size(), 0.0);
-    for (std::size_t x = 0; x < dist.size(); ++x) {
-        std::size_t idx = 0;
-        for (std::size_t q : qubits)
-            idx = (idx << 1) |
-                  ((x >> (numQubits - 1 - q)) & std::size_t{1});
-        out[idx] += dist[x];
-    }
-    return out;
+}
+
+std::vector<double>
+marginalizeDistribution(const std::vector<double>& dist,
+                        std::size_t numQubits,
+                        const std::vector<std::size_t>& qubits)
+{
+    if (qubits.empty())
+        return dist;
+    return marginalize(numQubits, qubits,
+                       [&dist](std::uint64_t x) { return dist[x]; });
 }
 
 } // namespace qkc

@@ -514,6 +514,33 @@ std::vector<double> marginalizeDistribution(const std::vector<double>& dist,
                                             std::size_t numQubits,
                                             const std::vector<std::size_t>& qubits);
 
+/** Throws unless `qubits` are distinct and below numQubits. */
+void checkMarginalQubits(std::size_t numQubits,
+                         const std::vector<std::size_t>& qubits);
+
+/**
+ * The marginal onto non-empty `qubits` of the weights weight(x), x in
+ * [0, 2^numQubits), accumulated serially in x order: the same sums for
+ * every caller, whether the weights come from a vector or amplitudes.
+ */
+template <class Weight>
+std::vector<double>
+marginalize(std::size_t numQubits, const std::vector<std::size_t>& qubits,
+            const Weight& weight)
+{
+    checkMarginalQubits(numQubits, qubits);
+    std::vector<double> out(std::size_t{1} << qubits.size(), 0.0);
+    const std::uint64_t dim = std::uint64_t{1} << numQubits;
+    for (std::uint64_t x = 0; x < dim; ++x) {
+        std::size_t idx = 0;
+        for (std::size_t q : qubits)
+            idx = (idx << 1) |
+                  ((x >> (numQubits - 1 - q)) & std::uint64_t{1});
+        out[idx] += weight(x);
+    }
+    return out;
+}
+
 } // namespace qkc
 
 #endif // QKC_VQA_SIMULATOR_API_H

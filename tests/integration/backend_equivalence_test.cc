@@ -17,6 +17,7 @@
 #include "algorithms/algorithms.h"
 #include "circuit/noise.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/chi_square.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 #include "vqa/backends.h"
@@ -98,48 +99,6 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivalenceCase{105, 4, 16, true},
                       EquivalenceCase{106, 5, 10, false}));
 
-/**
- * Pearson's chi-square of `samples` against `dist`, with outcomes expected
- * fewer than 5 times pooled into one bin, compared against the critical
- * value at alpha = 0.001 (Wilson-Hilferty). An outcome of probability
- * below 1e-12 must never be drawn.
- */
-void
-expectChiSquarePasses(const std::vector<std::uint64_t>& samples,
-                      const std::vector<double>& dist, const char* name)
-{
-    std::vector<double> counts(dist.size(), 0.0);
-    for (std::uint64_t s : samples)
-        counts[s] += 1.0;
-    const double n = static_cast<double>(samples.size());
-    double chi2 = 0.0, pooledObserved = 0.0, pooledExpected = 0.0;
-    std::size_t bins = 0;
-    for (std::size_t x = 0; x < dist.size(); ++x) {
-        if (dist[x] < 1e-12) {
-            EXPECT_EQ(counts[x], 0.0) << name << " drew impossible " << x;
-        }
-        const double expected = n * dist[x];
-        if (expected < 5.0) {
-            pooledObserved += counts[x];
-            pooledExpected += expected;
-            continue;
-        }
-        chi2 += (counts[x] - expected) * (counts[x] - expected) / expected;
-        ++bins;
-    }
-    if (pooledExpected >= 5.0) {
-        chi2 += (pooledObserved - pooledExpected) *
-                (pooledObserved - pooledExpected) / pooledExpected;
-        ++bins;
-    }
-    ASSERT_GE(bins, 2u) << name;
-    const double dof = static_cast<double>(bins - 1);
-    const double z = 3.0902; // upper 0.001 normal quantile
-    const double h = 2.0 / (9.0 * dof);
-    const double critical = dof * std::pow(1.0 - h + z * std::sqrt(h), 3.0);
-    EXPECT_LT(chi2, critical) << name << " dof=" << dof;
-}
-
 TEST(BackendEquivalenceTest, NoisyProbabilitiesAgreeAcrossBackends)
 {
     // Random 3-4 qubit circuits with 3-5 single-qubit channels between
@@ -180,7 +139,7 @@ TEST(BackendEquivalenceTest, NoisyProbabilitiesAgreeAcrossBackends)
         // way, so one shared seed would correlate their two tests.
         Rng shots(seed * 31);
         for (const char* name : {"sv", "dd"})
-            expectChiSquarePasses(testing::samplesOf(name, c, 20000, shots),
+            testing::expectChiSquarePasses(testing::samplesOf(name, c, 20000, shots),
                                   exact, name);
     }
 }
