@@ -97,39 +97,6 @@ StateVector::normalize()
     });
 }
 
-Complex
-innerProduct(const StateVector& a, const StateVector& b)
-{
-    if (a.dimension() != b.dimension())
-        throw std::invalid_argument("innerProduct: dimension mismatch");
-    const Complex* pa = a.data();
-    const Complex* pb = b.data();
-    const ExecPolicy& policy = a.execPolicy();
-    const std::uint64_t n = a.dimension();
-
-    // One pass for both components (the sum is memory-bandwidth-bound):
-    // per-chunk {re, im} partials combined in chunk order, so the result
-    // is bit-identical for every thread count, exactly like parallelSum.
-    const std::uint64_t grain = policy.grain > 0 ? policy.grain : 1;
-    const std::uint64_t numChunks = n == 0 ? 0 : (n + grain - 1) / grain;
-    std::vector<Complex> partials(numChunks, Complex{0.0, 0.0});
-    parallelForChunks(policy, n,
-                      [&](std::size_t chunk, std::uint64_t s,
-                          std::uint64_t e) {
-        double re = 0.0;
-        double im = 0.0;
-        for (std::uint64_t i = s; i < e; ++i) {
-            re += pa[i].real() * pb[i].real() + pa[i].imag() * pb[i].imag();
-            im += pa[i].real() * pb[i].imag() - pa[i].imag() * pb[i].real();
-        }
-        partials[chunk] = Complex{re, im};
-    });
-    Complex total{0.0, 0.0};
-    for (const Complex& p : partials)
-        total += p;
-    return total;
-}
-
 std::vector<double>
 StateVector::probabilities() const
 {

@@ -97,14 +97,6 @@ class StateVector {
     ExecPolicy policy_;
 };
 
-/**
- * <a|b> = sum_i conj(a_i) b_i, computed with the deterministic chunk-ordered
- * reduction (a's ExecPolicy), so the result is bit-identical for every
- * thread count. This is the primitive behind native <psi|P|psi> expectation
- * values in the state-vector backend session.
- */
-Complex innerProduct(const StateVector& a, const StateVector& b);
-
 } // namespace qkc
 
 #endif // QKC_STATEVECTOR_STATE_VECTOR_H

@@ -148,12 +148,11 @@ StateVectorSimulator::simulatePlanned(const ExecutionPlan& plan,
     runIdeal(plan, state);
 }
 
-StateVector
+void
 StateVectorSimulator::runTrajectory(const ExecutionPlan& plan, Rng& rng,
-                                    const ExecPolicy& statePolicy) const
+                                    StateVector& sv) const
 {
-    StateVector sv(plan.numQubits);
-    sv.setExecPolicy(statePolicy);
+    sv.reset();
     std::vector<double> weights;
     for (const auto& op : plan.ops) {
         if (!op.isChannel) {
@@ -174,7 +173,6 @@ StateVectorSimulator::runTrajectory(const ExecutionPlan& plan, Rng& rng,
         else
             sv.apply(op.kernels[pick]);
     }
-    return sv;
 }
 
 std::vector<std::uint64_t>
@@ -195,8 +193,9 @@ StateVectorSimulator::sampleNoisyPlanned(const ExecutionPlan& plan,
 
     // Parallelism lives at the trajectory level: trajectories fan out over
     // contiguous lanes, each running its amplitude sweeps serially
-    // (statePolicy.threads = 1), and results land at their trajectory
-    // index. A throwing trajectory is rethrown here, after every lane ends.
+    // (statePolicy.threads = 1) in one state it resets per trajectory, and
+    // results land at their trajectory index. A throwing trajectory is
+    // rethrown here, after every lane ends.
     ExecPolicy statePolicy = policy_;
     if (numSamples > 1)
         statePolicy.threads = 1;
@@ -204,9 +203,11 @@ StateVectorSimulator::sampleNoisyPlanned(const ExecutionPlan& plan,
     std::vector<std::uint64_t> samples(numSamples);
     parallelForLanes(laneCount(policy_.threads, numSamples), numSamples,
                      [&](std::size_t, std::uint64_t b, std::uint64_t e) {
+        StateVector sv(plan.numQubits);
+        sv.setExecPolicy(statePolicy);
         for (std::uint64_t i = b; i < e; ++i) {
             Rng trajectoryRng(seeds[i]);
-            StateVector sv = runTrajectory(plan, trajectoryRng, statePolicy);
+            runTrajectory(plan, trajectoryRng, sv);
             samples[i] = sampleFromState(sv, 1, trajectoryRng)[0];
         }
     });

@@ -101,9 +101,9 @@ class StateVectorSimulator {
     /** Applies an ideal plan's kernels to a state at |0...0>. */
     void runIdeal(const ExecutionPlan& plan, StateVector& state) const;
 
-    /** One trajectory over a pre-built plan (state policy already set). */
-    StateVector runTrajectory(const ExecutionPlan& plan, Rng& rng,
-                              const ExecPolicy& statePolicy) const;
+    /** One trajectory over a pre-built plan, run in `sv` from |0...0>. */
+    void runTrajectory(const ExecutionPlan& plan, Rng& rng,
+                       StateVector& sv) const;
 
     ExecPolicy policy_;
 };

@@ -30,68 +30,78 @@ execPolicyFrom(const BackendOptions& options)
     return policy;
 }
 
-const Matrix&
-pauliMatrix(char p)
+/**
+ * A Pauli string as bit masks over basis indices (qubit 0 = MSB):
+ * P|y> = phase(y) |y ^ flip>, with phase(y) = i^nY (-1)^parity(y & sign).
+ */
+struct PauliMasks {
+    std::uint64_t flip = 0; ///< the X and Y factors
+    std::uint64_t sign = 0; ///< the Y and Z factors
+    unsigned nY = 0;        ///< the number of Y factors
+};
+
+PauliMasks
+pauliMasks(const PauliString& pauli, std::size_t n)
 {
-    static const Matrix x = Gate(GateKind::X, {0}).unitary();
-    static const Matrix y = Gate(GateKind::Y, {0}).unitary();
-    static const Matrix z = Gate(GateKind::Z, {0}).unitary();
-    switch (p) {
-      case 'X':
-        return x;
-      case 'Y':
-        return y;
-      default:
-        return z;
+    PauliMasks m;
+    for (std::size_t q = 0; q < n; ++q) {
+        const std::uint64_t bit = std::uint64_t{1} << (n - 1 - q);
+        const char p = pauli.pauli(q);
+        if (p == 'X' || p == 'Y')
+            m.flip |= bit;
+        if (p == 'Y' || p == 'Z')
+            m.sign |= bit;
+        if (p == 'Y')
+            ++m.nY;
     }
-}
-
-/** Bits flipped by the string's X/Y factors (qubit 0 = MSB of the index). */
-std::uint64_t
-pauliFlipMask(const PauliString& pauli, std::size_t n)
-{
-    std::uint64_t flip = 0;
-    for (std::size_t q = 0; q < n; ++q)
-        if (pauli.pauli(q) == 'X' || pauli.pauli(q) == 'Y')
-            flip |= std::uint64_t{1} << (n - 1 - q);
-    return flip;
-}
-
-/** Bits whose Z factor flips the eigenvalue sign (qubit 0 = MSB). */
-std::uint64_t
-pauliZMask(const PauliString& pauli, std::size_t n)
-{
-    std::uint64_t mask = 0;
-    for (std::size_t q = 0; q < n; ++q)
-        if (pauli.pauli(q) == 'Z')
-            mask |= std::uint64_t{1} << (n - 1 - q);
-    return mask;
+    return m;
 }
 
 /**
- * f(y) in P|y> = f(y) |y ^ flipMask>: the accumulated Z sign and Y phase.
- * Equivalently the matrix entry P(y ^ flipMask, y) — the form both the
- * density-matrix trace and the amplitude-vector expectation consume.
+ * Exact <H> = sum_j c_j tr(rho P_j) of an n-qubit state read through
+ * diag(y) = rho(y, y) and entry(y, z) = rho(y, z). One serial pass over y
+ * in increasing order keeps one accumulator per term: a diagonal term adds
+ * +-diag(y); any other adds Re(rho(y, y ^ flip) P(y ^ flip, y)) =
+ * Re(entry(y, y ^ flip) phase(y)). The terms are then summed in term
+ * order, identity terms adding their coefficient. diag is only called when
+ * a diagonal term exists, entry only for the other terms.
  */
-Complex
-pauliPhase(const PauliString& pauli, std::size_t n, std::uint64_t y)
+template <class Diag, class Entry>
+double
+exactExpectation(const PauliSum& observable, std::size_t n, const Diag& diag,
+                 const Entry& entry)
 {
-    Complex f{1.0, 0.0};
-    for (std::size_t q = 0; q < n; ++q) {
-        const bool yq = (y >> (n - 1 - q)) & 1u;
-        switch (pauli.pauli(q)) {
-          case 'Z':
-            if (yq)
-                f = -f;
-            break;
-          case 'Y':
-            f *= yq ? Complex{0.0, -1.0} : Complex{0.0, 1.0};
-            break;
-          default:
-            break; // I and X contribute a factor of 1
+    std::vector<PauliMasks> masks;
+    bool anyDiagonal = false;
+    for (const auto& term : observable.terms) {
+        if (term.second.isIdentity())
+            continue;
+        masks.push_back(pauliMasks(term.second, n));
+        anyDiagonal = anyDiagonal || masks.back().flip == 0;
+    }
+    std::vector<double> acc(masks.size(), 0.0);
+    const std::uint64_t dim = masks.empty() ? 0 : std::uint64_t{1} << n;
+    for (std::uint64_t y = 0; y < dim; ++y) {
+        const double p = anyDiagonal ? diag(y) : 0.0;
+        for (std::size_t t = 0; t < masks.size(); ++t) {
+            const PauliMasks& m = masks[t];
+            const bool odd = __builtin_parityll(y & m.sign);
+            if (m.flip == 0) {
+                acc[t] += odd ? -p : p;
+                continue;
+            }
+            // Re(e i^nY): the real part cycles through re, -im, -re, im.
+            const Complex e = entry(y, y ^ m.flip);
+            const double re = m.nY % 2 == 0 ? e.real() : e.imag();
+            const bool negate = odd != (m.nY % 4 == 1 || m.nY % 4 == 2);
+            acc[t] += negate ? -re : re;
         }
     }
-    return f;
+    double total = 0.0;
+    std::size_t t = 0;
+    for (const auto& [coeff, pauli] : observable.terms)
+        total += pauli.isIdentity() ? coeff : coeff * acc[t++];
+    return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -103,8 +113,8 @@ pauliPhase(const PauliString& pauli, std::size_t n, std::uint64_t y)
  * allocates the state; a bind only marks it stale, and the next task
  * re-runs the plan into the same buffer. Ideal tasks read the amplitudes
  * directly: Sample reads them once for its chunk sums, Probabilities fills
- * its payload from them, and the diagonal Expectation terms share one
- * pass. No other 2^n vector is built.
+ * its payload from them, and every term of an Expectation shares one
+ * pass (exactExpectation). No other 2^n vector is built.
  */
 class SvSession final : public Session {
   public:
@@ -162,31 +172,18 @@ class SvSession final : public Session {
         if (circuit_.noiseCount() > 0)
             return sampledExpectation(observable, shots, rng, meta);
 
-        // Native <psi|P|psi>, no sampling error: the diagonal terms share
-        // one pass over |amp|^2; the rest pay one kernel sweep per
-        // non-identity Pauli plus a deterministic inner product.
+        // Native tr(|psi><psi| P), no sampling error: every term shares one
+        // pass over the amplitudes, and no second state is built.
         ensureState();
         meta.exact = true;
         QKC_SPAN("sv.expectation");
-        const std::vector<double> diagonal = diagonalExpectations(observable);
-        std::size_t d = 0;
-        double total = 0.0;
-        for (const auto& [coeff, pauli] : observable.terms) {
-            if (pauli.isIdentity()) {
-                total += coeff;
-                continue;
-            }
-            if (pauli.isDiagonal()) {
-                total += coeff * diagonal[d++];
-                continue;
-            }
-            StateVector phi = *state_;
-            for (std::size_t q = 0; q < pauli.numQubits(); ++q)
-                if (pauli.pauli(q) != 'I')
-                    phi.applySingleQubit(pauliMatrix(pauli.pauli(q)), q);
-            total += coeff * innerProduct(*state_, phi).real();
-        }
-        return total;
+        const Complex* amps = state_->data();
+        return exactExpectation(
+            observable, circuit_.numQubits(),
+            [amps](std::uint64_t y) { return norm2(amps[y]); },
+            [amps](std::uint64_t y, std::uint64_t z) {
+                return amps[y] * std::conj(amps[z]);
+            });
     }
 
     std::vector<Complex> doAmplitudes(
@@ -241,31 +238,6 @@ class SvSession final : public Session {
             state_.emplace(plan_.numQubits);
         sim_.simulatePlanned(plan_, *state_);
         stateCurrent_ = true;
-    }
-
-    /**
-     * <psi|P|psi> of every diagonal term, in term order, from one serial
-     * pass over the amplitudes: each term keeps its own accumulator and
-     * adds +-|amp_x|^2 in x order, as expectationFromDistribution would.
-     */
-    std::vector<double> diagonalExpectations(const PauliSum& observable) const
-    {
-        const std::size_t n = circuit_.numQubits();
-        std::vector<std::uint64_t> zMasks;
-        for (const auto& term : observable.terms)
-            if (!term.second.isIdentity() && term.second.isDiagonal())
-                zMasks.push_back(pauliZMask(term.second, n));
-        std::vector<double> acc(zMasks.size(), 0.0);
-        if (zMasks.empty())
-            return acc;
-        const Complex* amps = state_->data();
-        const std::uint64_t dim = state_->dimension();
-        for (std::uint64_t x = 0; x < dim; ++x) {
-            const double p = norm2(amps[x]);
-            for (std::size_t t = 0; t < zMasks.size(); ++t)
-                acc[t] += __builtin_parityll(x & zMasks[t]) ? -p : p;
-        }
-        return acc;
     }
 
     ExecPolicy policy_;
@@ -330,22 +302,18 @@ class DmSession final : public Session {
     {
         (void)shots;
         (void)rng;
-        // tr(rho P) is exact for every observable, channels included: for
-        // each row r the only column P can hit is r ^ flipmask, so one
-        // O(2^n * n) traversal per term reads the trace off rho directly.
+        // tr(rho P) is exact for every observable, channels included: the
+        // only entry of row y that P meets is y ^ flip, so one pass over
+        // the rows reads every term off rho.
         ensureRho();
         meta.exact = true;
         meta.fusion = plan_.fusion;
         QKC_SPAN("dm.trace");
-        double total = 0.0;
-        for (const auto& [coeff, pauli] : observable.terms) {
-            if (pauli.isIdentity()) {
-                total += coeff;
-                continue;
-            }
-            total += coeff * traceRhoPauli(pauli);
-        }
-        return total;
+        const DensityMatrix& rho = *rho_;
+        return exactExpectation(
+            observable, circuit_.numQubits(),
+            [&rho](std::uint64_t y) { return rho.at(y, y).real(); },
+            [&rho](std::uint64_t y, std::uint64_t z) { return rho.at(y, z); });
     }
 
     std::vector<double> doProbabilities(const std::vector<std::size_t>& qubits,
@@ -368,17 +336,6 @@ class DmSession final : public Session {
             rho_.emplace(plan_.numQubits); // first run; kept across binds
         sim_.simulatePlanned(plan_, *rho_);
         probs_ = rho_->diagonalProbabilities();
-    }
-
-    double traceRhoPauli(const PauliString& pauli) const
-    {
-        const std::size_t n = circuit_.numQubits();
-        const std::uint64_t flip = pauliFlipMask(pauli, n);
-        Complex total{0.0, 0.0};
-        const std::uint64_t dim = rho_->dimension();
-        for (std::uint64_t r = 0; r < dim; ++r)
-            total += rho_->at(r, r ^ flip) * pauliPhase(pauli, n, r);
-        return total.real();
     }
 
     ExecPolicy policy_;
@@ -877,35 +834,28 @@ class KcSession final : public Session {
         const bool ampsOk =
             circuit_.noiseCount() == 0 &&
             circuit_.numQubits() <= kMaxExactQubits;
-        bool allExact = true;
+        bool needDist = false;
+        bool needAmps = false;
         for (const auto& [coeff, pauli] : observable.terms) {
             (void)coeff;
             if (pauli.isIdentity())
                 continue;
-            if (pauli.isDiagonal() ? !distOk : !ampsOk) {
-                allExact = false;
-                break;
-            }
+            (pauli.isDiagonal() ? needDist : needAmps) = true;
         }
-        if (!allExact)
+        if ((needDist && !distOk) || (needAmps && !ampsOk))
             return sampledExpectation(observable, shots, rng, meta);
 
         meta.exact = true;
-        double total = 0.0;
-        for (const auto& [coeff, pauli] : observable.terms) {
-            if (pauli.isIdentity()) {
-                total += coeff;
-                continue;
-            }
-            if (pauli.isDiagonal()) {
-                ensureDistribution();
-                total += coeff * pauli.expectationFromDistribution(*dist_);
-                continue;
-            }
+        if (needDist)
+            ensureDistribution();
+        if (needAmps)
             ensureAmplitudes();
-            total += coeff * pauliExpectationFromAmplitudes(pauli);
-        }
-        return total;
+        return exactExpectation(
+            observable, circuit_.numQubits(),
+            [this](std::uint64_t y) { return (*dist_)[y]; },
+            [this](std::uint64_t y, std::uint64_t z) {
+                return (*amps_)[y] * std::conj((*amps_)[z]);
+            });
     }
 
     std::vector<Complex> doAmplitudes(
@@ -982,20 +932,6 @@ class KcSession final : public Session {
         for (std::uint64_t x = 0; x < dim; ++x)
             amps.push_back(sim_->amplitude(x));
         amps_ = std::move(amps);
-    }
-
-    /** <psi|P|psi> = sum_x conj(psi_x) psi_{x^flip} f(x^flip). */
-    double pauliExpectationFromAmplitudes(const PauliString& pauli) const
-    {
-        const std::size_t n = circuit_.numQubits();
-        const std::uint64_t flip = pauliFlipMask(pauli, n);
-        Complex total{0.0, 0.0};
-        for (std::uint64_t x = 0; x < amps_->size(); ++x) {
-            const std::uint64_t y = x ^ flip;
-            total += std::conj((*amps_)[x]) * (*amps_)[y] *
-                     pauliPhase(pauli, n, y);
-        }
-        return total.real();
     }
 
     GibbsOptions gibbs_;

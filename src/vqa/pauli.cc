@@ -76,16 +76,6 @@ PauliString::expectationFromSamples(
     return acc / static_cast<double>(samples.size());
 }
 
-double
-PauliString::expectationFromDistribution(
-    const std::vector<double>& distribution) const
-{
-    double acc = 0.0;
-    for (std::uint64_t x = 0; x < distribution.size(); ++x)
-        acc += distribution[x] * eigenvalue(x);
-    return acc;
-}
-
 bool
 PauliSum::isDiagonal() const
 {

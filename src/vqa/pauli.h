@@ -48,13 +48,6 @@ class PauliString {
     double expectationFromSamples(
         const std::vector<std::uint64_t>& samples) const;
 
-    /**
-     * Exact eigenvalue mean under a full outcome distribution (diagonal
-     * strings only make sense here — callers check isDiagonal first).
-     */
-    double expectationFromDistribution(
-        const std::vector<double>& distribution) const;
-
   private:
     std::string text_;
     std::vector<char> paulis_;

@@ -120,10 +120,11 @@ struct Sample {
 
 /**
  * Evaluate <H> for a Pauli-sum observable. Served natively (exactly) where
- * the representation allows it — sv: <psi|P|psi> via the exec kernels,
- * dm: tr(rho P), dd: a diagram walk, kc: AC queries — and estimated from
- * `shots` rotated-basis samples per non-diagonal term otherwise (tn, and
- * noisy trajectory paths). Result::meta.exact records which happened.
+ * the representation allows it — sv, dm and kc: tr(rho P) for every term
+ * in one shared pass over the amplitudes, rho, or the AC's amplitude and
+ * outcome vectors, with no state copy; dd: a diagram walk — and estimated
+ * from `shots` rotated-basis samples per non-diagonal term otherwise (tn,
+ * and noisy trajectory paths). Result::meta.exact records which happened.
  */
 struct Expectation {
     PauliSum observable;

@@ -7,8 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "algorithms/algorithms.h"
+#include "linalg/matrix.h"
+#include "testing/session_runs.h"
+#include "testing/test_circuits.h"
 #include "vqa/backends.h"
 #include "vqa/driver.h"
 
@@ -70,6 +76,150 @@ TEST(ExpectationParityTest, AsymmetricObservablesPinQubitIndexing)
             EXPECT_NEAR(exactExpectation(name, c, h), value, 1e-9)
                 << name << " <" << text << ">";
         }
+    }
+}
+
+/** The dense 2^n x 2^n matrix of a Pauli string (qubit 0 = MSB). */
+Matrix
+denseMatrix(const PauliString& pauli)
+{
+    const Complex i{0.0, 1.0};
+    Matrix m = Matrix::identity(1);
+    for (std::size_t q = 0; q < pauli.numQubits(); ++q) {
+        switch (pauli.pauli(q)) {
+          case 'X': m = m.kron(Matrix{{0.0, 1.0}, {1.0, 0.0}}); break;
+          case 'Y': m = m.kron(Matrix{{0.0, -i}, {i, 0.0}}); break;
+          case 'Z': m = m.kron(Matrix{{1.0, 0.0}, {0.0, -1.0}}); break;
+          default: m = m.kron(Matrix::identity(2)); break;
+        }
+    }
+    return m;
+}
+
+/**
+ * A random n-qubit Pauli sum: one term with exactly 1, 2 and 3 Y factors
+ * each (every i^nY phase), the other factors drawn from I/X/Z, plus an X
+ * term, a Z term and an identity term.
+ */
+PauliSum
+randomPauliSum(std::size_t n, Rng& rng)
+{
+    const auto randomText = [&](std::size_t numY, const char* others) {
+        std::string text(n, 'I');
+        for (std::size_t q = 0; q < n; ++q)
+            text[q] = others[rng.below(3)];
+        for (std::size_t placed = 0; placed < numY;) {
+            const std::size_t q = rng.below(n);
+            if (text[q] != 'Y') {
+                text[q] = 'Y';
+                ++placed;
+            }
+        }
+        return text;
+    };
+    PauliSum h;
+    for (std::size_t numY = 1; numY <= 3; ++numY)
+        h.add(rng.uniform(-1.0, 1.0), PauliString(randomText(numY, "IXZ")));
+    std::string x = randomText(0, "IXZ");
+    x[rng.below(n)] = 'X';
+    h.add(rng.uniform(-1.0, 1.0), PauliString(x));
+    std::string z = randomText(0, "IIZ");
+    z[rng.below(n)] = 'Z';
+    h.add(rng.uniform(-1.0, 1.0), PauliString(z));
+    h.add(rng.uniform(-1.0, 1.0), PauliString(std::string(n, 'I')));
+    return h;
+}
+
+/** psi^dagger P psi from the dense matrix of P. */
+double
+denseExpectation(const StateVector& psi, const PauliString& pauli)
+{
+    const Matrix p = denseMatrix(pauli);
+    Complex value{0.0, 0.0};
+    for (std::uint64_t r = 0; r < psi.dimension(); ++r)
+        for (std::uint64_t c = 0; c < psi.dimension(); ++c)
+            value += std::conj(psi.amplitude(r)) * p(r, c) * psi.amplitude(c);
+    return value.real();
+}
+
+/** tr(rho P) from the dense matrix of P. */
+double
+denseTrace(const DensityMatrix& rho, const PauliString& pauli)
+{
+    const Matrix p = denseMatrix(pauli);
+    Complex trace{0.0, 0.0};
+    for (std::uint64_t r = 0; r < rho.dimension(); ++r)
+        for (std::uint64_t c = 0; c < rho.dimension(); ++c)
+            trace += rho.at(r, c) * p(c, r);
+    return trace.real();
+}
+
+/**
+ * Runs each observable on one session of `spec` and checks the exact value
+ * against the reference within 1e-12.
+ */
+void
+expectExactValues(const std::string& spec, const Circuit& c,
+                  const std::vector<PauliSum>& observables,
+                  const std::vector<double>& references)
+{
+    auto session = makeBackend(spec)->open(c);
+    Rng unused(0);
+    for (std::size_t k = 0; k < observables.size(); ++k) {
+        const Result r = session->run(Expectation{observables[k], 0}, unused);
+        EXPECT_TRUE(r.meta.exact) << spec;
+        EXPECT_NEAR(r.expectation, references[k], 1e-12)
+            << spec << " observable " << k;
+    }
+}
+
+TEST(ExpectationParityTest, EveryPhaseCaseMatchesADenseReference)
+{
+    // psi^dagger P psi (and tr(rho P) under noise) from dense Kronecker
+    // products, term by term and summed: a wrong Y phase, sign mask or
+    // flip convention in the shared expectation pass flips or zeroes at
+    // least one term. Every reference term is checked to be non-zero, so
+    // a sign error cannot hide behind a vanishing value.
+    for (std::uint64_t seed : {801u, 802u, 803u, 804u}) {
+        Rng rng(seed);
+        const std::size_t n = 3 + rng.below(3);
+        // Random single-qubit layers around the random circuit make every
+        // amplitude complex and generic, so no term vanishes by symmetry.
+        Circuit c(n);
+        for (std::size_t q = 0; q < n; ++q)
+            c.ry(q, rng.uniform(0.1, 3.0)).rz(q, rng.uniform(0.1, 3.0));
+        c.extend(testing::randomCircuit(n, 12, rng));
+        for (std::size_t q = 0; q < n; ++q)
+            c.ry(q, rng.uniform(0.1, 3.0)).rz(q, rng.uniform(0.1, 3.0));
+        const Circuit noisy =
+            c.withNoiseAfterEachGate(NoiseKind::Depolarizing, 0.03);
+        const PauliSum h = randomPauliSum(n, rng);
+        const StateVector psi = testing::finalState(c);
+        const DensityMatrix rho = testing::finalRho(noisy);
+
+        std::vector<PauliSum> observables;
+        std::vector<double> ideal;
+        std::vector<double> mixed;
+        double idealSum = 0.0;
+        double mixedSum = 0.0;
+        for (const auto& [coeff, pauli] : h.terms) {
+            observables.emplace_back().add(coeff, pauli);
+            ideal.push_back(coeff * denseExpectation(psi, pauli));
+            mixed.push_back(coeff * denseTrace(rho, pauli));
+            idealSum += ideal.back();
+            mixedSum += mixed.back();
+            EXPECT_GT(std::abs(ideal.back()), 1e-6)
+                << "seed=" << seed << " " << pauli.text();
+            EXPECT_GT(std::abs(mixed.back()), 1e-6)
+                << "seed=" << seed << " " << pauli.text();
+        }
+        observables.push_back(h);
+        ideal.push_back(idealSum);
+        mixed.push_back(mixedSum);
+
+        for (const char* name : kExactBackends)
+            expectExactValues(name, c, observables, ideal);
+        expectExactValues("dm", noisy, observables, mixed);
     }
 }
 

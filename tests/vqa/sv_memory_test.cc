@@ -1,12 +1,15 @@
 /**
  * Peak-memory regression for the sv session, in its own binary so that the
- * process's peak RSS is this test's alone: an evaluation (bind + Sample)
- * reuses the session's one 2^n state and draws the shots from the
- * amplitudes, so no probability or CDF vector of 2^n doubles is built.
+ * process's peak RSS is this test's alone: an evaluation (bind, Sample,
+ * Expectation) reuses the session's one 2^n state, draws the shots from the
+ * amplitudes and reads every Pauli term off them in place, so no
+ * probability or CDF vector of 2^n doubles and no second state is built.
  */
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
+
+#include <string>
 
 #include "vqa/backends.h"
 
@@ -51,12 +54,21 @@ TEST(SvSessionMemoryTest, EvaluationsAllocateNoSecondState)
         warm->run(Sample{100}, rng);
     }
 
+    // <Z0 Z1 + X0 X1 + Y1 Z2>: one diagonal and two non-diagonal terms.
+    PauliSum h;
+    for (const char* head : {"ZZ", "XX", "IYZ"}) {
+        std::string text(kQubits, 'I');
+        text.replace(0, std::string(head).size(), head);
+        h.add(1.0, PauliString(text));
+    }
+
     const long before = peakRssKb();
     auto session = makeBackend("sv")->open(layer(kQubits, 0.3));
     Rng rng(7);
     for (int i = 0; i < 3; ++i) {
         session->bind(layer(kQubits, 0.3 + 0.1 * i));
         ASSERT_EQ(session->run(Sample{1000}, rng).samples.size(), 1000u);
+        ASSERT_TRUE(session->run(Expectation{h}, rng).meta.exact);
     }
     const long grownKb = peakRssKb() - before;
     EXPECT_LT(grownKb, kStateKb * 3 / 2)
