@@ -31,10 +31,8 @@ ThreadPool::inParallelRegion()
 ThreadPool::ThreadPool(std::size_t numWorkers)
 {
     workers_.reserve(numWorkers);
-    // Lane 0 is the caller; worker i owns lane i+1 for the lifetime of the
-    // pool — the stable identity shard affinity keys on.
     for (std::size_t i = 0; i < numWorkers; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i + 1); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -49,68 +47,33 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::runChunks(Job& job, std::size_t lane)
+ThreadPool::runChunks(Job& job)
 {
     RegionScope region;
     static obs::Counter chunksRun("exec.pool.chunks");
     static obs::Counter busyNs("exec.pool.busyNs");
-    static obs::Counter shardSteals("exec.pool.shardSteals");
     const bool track = obs::enabled();
     const std::uint64_t t0 = track ? obs::nowNs() : 0;
     std::uint64_t executed = 0;
-    std::uint64_t steals = 0;
-
-    auto drain = [&](Shard& shard) {
-        for (;;) {
-            const std::uint64_t chunk =
-                shard.next.fetch_add(1, std::memory_order_relaxed);
-            if (chunk >= shard.end)
-                break;
-            const std::uint64_t begin = chunk * job.grain;
-            const std::uint64_t end = std::min(job.n, begin + job.grain);
-            (*job.fn)(static_cast<std::size_t>(chunk), begin, end);
-            job.chunksDone.fetch_add(1, std::memory_order_release);
-            ++executed;
-        }
-    };
-
-    // Own shard first: the lane -> shard map is stable across regions, so
-    // back-to-back sweeps over the same amplitude array put each thread
-    // back on the slice it just warmed.
-    const std::size_t numShards = job.numShards;
-    const std::size_t home = lane % numShards;
-    bool unclaimed = false;
-    if (job.shards[home].claimed.compare_exchange_strong(
-            unclaimed, true, std::memory_order_relaxed))
-        drain(job.shards[home]);
-
-    // Then whole unclaimed shards — lanes whose worker was never woken (or
-    // is still being scheduled) must not strand their slice.
-    for (std::size_t off = 1; off < numShards; ++off) {
-        Shard& shard = job.shards[(home + off) % numShards];
-        bool expected = false;
-        if (shard.claimed.compare_exchange_strong(expected, true,
-                                                  std::memory_order_relaxed)) {
-            ++steals;
-            drain(shard);
-        }
+    for (;;) {
+        const std::uint64_t chunk =
+            job.next.fetch_add(1, std::memory_order_relaxed);
+        if (chunk >= job.numChunks)
+            break;
+        const std::uint64_t begin = chunk * job.grain;
+        const std::uint64_t end = std::min(job.n, begin + job.grain);
+        (*job.fn)(static_cast<std::size_t>(chunk), begin, end);
+        job.chunksDone.fetch_add(1, std::memory_order_release);
+        ++executed;
     }
-
-    // Finally help drain in-flight shards so one straggling lane cannot
-    // serialize the tail. A finished shard costs one fetch_add to skip.
-    for (std::size_t off = 0; off < numShards; ++off)
-        drain(job.shards[(home + off) % numShards]);
-
     if (track && executed > 0) {
         chunksRun.add(executed);
         busyNs.add(obs::nowNs() - t0);
     }
-    if (track && steals > 0)
-        shardSteals.add(steals);
 }
 
 void
-ThreadPool::workerLoop(std::size_t lane)
+ThreadPool::workerLoop()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
@@ -120,7 +83,7 @@ ThreadPool::workerLoop(std::size_t lane)
         --pendingWorkers_;
         ++activeWorkers_;
         lock.unlock();
-        runChunks(job_, lane);
+        runChunks(job_);
         lock.lock();
         --activeWorkers_;
         if (activeWorkers_ == 0)
@@ -170,33 +133,19 @@ ThreadPool::run(std::uint64_t n, std::uint64_t grain, std::size_t maxThreads,
         job_.grain = grain;
         job_.n = n;
         job_.numChunks = numChunks;
-        // One shard per participating lane, each a contiguous chunk range.
-        // Shard *boundaries* depend only on numChunks and the lane count;
-        // block-aligned because chunk boundaries are multiples of grain.
-        const std::size_t lanes = helpers + 1;
-        job_.numShards = lanes;
-        if (job_.shardCapacity < lanes) {
-            job_.shards.reset(new Shard[lanes]);
-            job_.shardCapacity = lanes;
-        }
-        for (std::size_t s = 0; s < lanes; ++s) {
-            job_.shards[s].next.store(s * numChunks / lanes,
-                                      std::memory_order_relaxed);
-            job_.shards[s].end = (s + 1) * numChunks / lanes;
-            job_.shards[s].claimed.store(false, std::memory_order_relaxed);
-        }
+        job_.next.store(0, std::memory_order_relaxed);
         job_.chunksDone.store(0, std::memory_order_relaxed);
         pendingWorkers_ = helpers;
     }
     wakeCv_.notify_all();
 
-    runChunks(job_, 0);
+    runChunks(job_);
 
     std::unique_lock<std::mutex> lock(mutex_);
     // Withdraw the invitation from workers that never woke up, then wait
     // for the ones inside the job to drain. chunksDone is monotonic and
-    // every chunk was claimed (the caller's final help-drain pass exhausted
-    // every shard), so once activeWorkers_ hits zero all chunks completed.
+    // every chunk was claimed (the caller's claim loop ran the counter past
+    // numChunks), so once activeWorkers_ hits zero all chunks completed.
     pendingWorkers_ = 0;
     doneCv_.wait(lock, [this] {
         return activeWorkers_ == 0 &&

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -55,8 +54,9 @@ class ThreadPool {
     /**
      * Runs fn over [0, n) split into ceil(n/grain) chunks, using at most
      * `maxThreads` threads in total (capped by numWorkers() + 1). Blocks
-     * until every chunk has completed. Safe to call from inside a worker:
-     * the nested region simply runs on the calling thread.
+     * until every chunk has completed. Safe to call from inside a worker,
+     * or from another thread while a region is in flight: that region
+     * simply runs on the calling thread.
      */
     void run(std::uint64_t n, std::uint64_t grain, std::size_t maxThreads,
              const ChunkFn& fn);
@@ -75,33 +75,17 @@ class ThreadPool {
     static bool inParallelRegion();
 
   private:
-    /**
-     * One lane's contiguous slice of the chunk space. Lanes claim their own
-     * shard first (stable lane -> shard affinity: successive sweeps over
-     * the same amplitude array revisit the same cache-warm range on the
-     * same thread), then steal whole unclaimed shards, then help drain
-     * stragglers. Chunk *boundaries* stay a function of n and grain alone,
-     * so the sharding changes who executes a chunk — never what a chunk is.
-     */
-    struct Shard {
-        std::atomic<std::uint64_t> next{0};
-        std::uint64_t end = 0;
-        std::atomic<bool> claimed{false};
-    };
-
     struct Job {
         const ChunkFn* fn = nullptr;
         std::uint64_t grain = 0;
         std::uint64_t n = 0;
         std::uint64_t numChunks = 0;
-        std::size_t numShards = 0;
-        std::unique_ptr<Shard[]> shards;
-        std::size_t shardCapacity = 0;
+        std::atomic<std::uint64_t> next{0}; ///< next unclaimed chunk index
         std::atomic<std::uint64_t> chunksDone{0};
     };
 
-    void workerLoop(std::size_t lane);
-    void runChunks(Job& job, std::size_t lane);
+    void workerLoop();
+    void runChunks(Job& job);
 
     std::vector<std::thread> workers_;
     std::mutex mutex_;

@@ -320,42 +320,6 @@ TraceRecorder::writeChromeJson(std::ostream& out) const
     out << "\n]}\n";
 }
 
-void
-TraceRecorder::writeFlatReport(std::ostream& out) const
-{
-    struct Line {
-        const char* name;
-        double seconds = 0.0;
-        std::uint64_t count = 0;
-    };
-    std::vector<Line> lines;
-    for (const SpanEvent& e : drain()) {
-        auto it = std::find_if(lines.begin(), lines.end(), [&](const Line& l) {
-            return std::string(l.name) == e.name;
-        });
-        if (it == lines.end()) {
-            lines.push_back({e.name, 0.0, 0});
-            it = lines.end() - 1;
-        }
-        it->seconds += static_cast<double>(e.durNs) * 1e-9;
-        ++it->count;
-    }
-    std::sort(lines.begin(), lines.end(),
-              [](const Line& a, const Line& b) { return a.seconds > b.seconds; });
-    out << "span                                 total_s      count     mean_ms\n";
-    for (const Line& l : lines) {
-        out << l.name;
-        for (std::size_t pad = std::string(l.name).size(); pad < 36; ++pad)
-            out << ' ';
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%8.4f %10llu %11.4f\n", l.seconds,
-                      static_cast<unsigned long long>(l.count),
-                      l.count ? l.seconds * 1e3 / static_cast<double>(l.count)
-                              : 0.0);
-        out << buf;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Profile report
 // ---------------------------------------------------------------------------

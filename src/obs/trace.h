@@ -162,9 +162,8 @@ class ProfileScope {
 /**
  * The process-wide trace-event store. While collecting, every finished span
  * on every thread is appended to a per-thread buffer; stop()/drain() merge
- * the buffers into start-time order. Export formats: Chrome trace-event
- * JSON (load in chrome://tracing or https://ui.perfetto.dev) and the flat
- * per-name aggregation writeFlatReport prints.
+ * the buffers into start-time order. Export format: Chrome trace-event
+ * JSON (load in chrome://tracing or https://ui.perfetto.dev).
  *
  * Collection is an explicit profiling mode (the --trace=FILE flag, a test
  * fixture): buffers grow unboundedly while on, so callers bracket the
@@ -183,9 +182,6 @@ class TraceRecorder {
 
     /** Chrome trace-event JSON ("X" complete events, µs timestamps). */
     void writeChromeJson(std::ostream& out) const;
-
-    /** Flat text profile: per-name total/count/mean, sorted by total. */
-    void writeFlatReport(std::ostream& out) const;
 
   private:
     TraceRecorder() = default;

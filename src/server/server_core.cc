@@ -333,8 +333,10 @@ renderResult(const Result& r, const std::string& taskName)
 // ---------------------------------------------------------------------------
 
 ServerCore::ServerCore(ServerConfig config)
-    : config_(config), cache_(config.cacheCapacity, config.maxCoalesce)
+    : config_(config), cache_(config.cacheCapacity)
 {
+    if (config_.maxCoalesce == 0)
+        throw std::invalid_argument("ServerCore: maxCoalesce must be >= 1");
 }
 
 HttpResult
@@ -473,14 +475,14 @@ ServerCore::execute(CacheEntry& entry, const std::shared_ptr<Waiter>& w)
 
     entry.running = true;
     while (!entry.queue.empty()) {
-        // Gather the front waiter's task-signature group, up to the
-        // adaptive width cap. The leader serves the whole queue before
+        // Gather the front waiter's task-signature group, up to
+        // maxCoalesce requests. The leader serves the whole queue before
         // releasing `running` — arrivals during a batch coalesce into the
         // next one instead of electing a second leader.
         std::vector<std::shared_ptr<Waiter>> group;
         const std::string sig = entry.queue.front()->taskSig;
         for (auto it = entry.queue.begin();
-             it != entry.queue.end() && group.size() < entry.coalesceCap;) {
+             it != entry.queue.end() && group.size() < config_.maxCoalesce;) {
             if ((*it)->taskSig == sig) {
                 group.push_back(*it);
                 it = entry.queue.erase(it);
@@ -497,7 +499,7 @@ ServerCore::execute(CacheEntry& entry, const std::shared_ptr<Waiter>& w)
 
         lock.unlock();
         // Session work happens outside the lock: only the thread holding
-        // `running` ever touches entry.session or entry.coalesceCap.
+        // `running` ever touches entry.session.
         try {
             QKC_SPAN("server.batch");
             if (!entry.session) {
@@ -525,16 +527,6 @@ ServerCore::execute(CacheEntry& entry, const std::shared_ptr<Waiter>& w)
                 off += g->bindings.size();
                 g->batchWidth = group.size();
             }
-
-            // Adapt the coalescing width to the measured lane imbalance: a
-            // lopsided fan-out means the batch was too wide for the work's
-            // variance, an even one means there is headroom to merge more.
-            const double imbalance = results.front().meta.batch.imbalance;
-            if (imbalance > 1.5 && entry.coalesceCap > 1)
-                entry.coalesceCap = (entry.coalesceCap + 1) / 2;
-            else if (imbalance > 0.0 && imbalance < 1.2 &&
-                     entry.coalesceCap < cache_.maxCoalesce())
-                entry.coalesceCap *= 2;
         } catch (...) {
             for (const auto& g : group) {
                 g->error = std::current_exception();

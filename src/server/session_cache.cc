@@ -17,13 +17,10 @@ entryKey(const std::string& specString, std::uint64_t structure)
 
 } // namespace
 
-SessionCache::SessionCache(std::size_t capacity, std::size_t maxCoalesce)
-    : capacity_(capacity), maxCoalesce_(maxCoalesce)
+SessionCache::SessionCache(std::size_t capacity) : capacity_(capacity)
 {
     if (capacity_ == 0)
         throw std::invalid_argument("SessionCache: capacity must be >= 1");
-    if (maxCoalesce_ == 0)
-        throw std::invalid_argument("SessionCache: maxCoalesce must be >= 1");
 }
 
 std::shared_ptr<CacheEntry>
@@ -47,7 +44,6 @@ SessionCache::acquire(const std::string& specString, std::uint64_t structure,
     auto entry = std::make_shared<CacheEntry>();
     entry->specString = specString;
     entry->structure = structure;
-    entry->coalesceCap = maxCoalesce_;
     lru_.push_front(entry);
     index_[key] = lru_.begin();
 

@@ -44,13 +44,6 @@ struct CacheEntry {
 
     /** Requests served through this entry with a warm session. */
     std::size_t hits = 0;
-
-    /**
-     * Current coalescing width cap, adapted from the lane imbalance of
-     * completed batches: a lopsided fan-out halves it, an even one grows it
-     * back toward maxCoalesce. Read/written only by batch leaders.
-     */
-    std::size_t coalesceCap = 0;
 };
 
 /**
@@ -65,7 +58,7 @@ struct CacheEntry {
  */
 class SessionCache {
   public:
-    explicit SessionCache(std::size_t capacity, std::size_t maxCoalesce = 16);
+    explicit SessionCache(std::size_t capacity);
 
     /**
      * Returns the entry for (spec, structure), creating it (and evicting
@@ -80,12 +73,10 @@ class SessionCache {
 
     std::size_t size() const;
     std::size_t capacity() const { return capacity_; }
-    std::size_t maxCoalesce() const { return maxCoalesce_; }
     std::size_t evictions() const;
 
   private:
     const std::size_t capacity_;
-    const std::size_t maxCoalesce_;
 
     mutable std::mutex mu_;
     /** Most-recently-used at the front. */

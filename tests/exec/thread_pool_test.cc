@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -213,6 +214,54 @@ TEST(ThreadPoolTest, LaneFanOutRethrowsTheLowestLaneError)
     EXPECT_THROW(parallelForLanes(0, 1, [](std::size_t, std::uint64_t,
                                            std::uint64_t) {}),
                  std::invalid_argument);
+}
+
+TEST(ThreadPoolTest, ConcurrentTopLevelRegionsCoverEveryIndexOnce)
+{
+    // A server runs one thread per connection, so regions arrive from
+    // several top-level threads at once: one claims the pool, the others
+    // run inline. Either way every index runs once and sums stay exact.
+    const std::uint64_t n = std::uint64_t{1} << 14;
+    std::vector<double> values(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        values[i] = 1.0 / static_cast<double>(i + 1);
+    auto partial = [&](std::uint64_t b, std::uint64_t e) {
+        double s = 0.0;
+        for (std::uint64_t i = b; i < e; ++i)
+            s += values[i];
+        return s;
+    };
+    const double serialSum = parallelSum(forcedParallel(1), n, partial);
+
+    constexpr int kCallers = 4;
+    constexpr int kRegions = 100;
+    std::vector<int> badRegions(kCallers, 0);
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kCallers; ++t) {
+        callers.emplace_back([&, t] {
+            std::vector<std::atomic<int>> hits(n);
+            for (int r = 0; r < kRegions; ++r) {
+                for (auto& h : hits)
+                    h.store(0, std::memory_order_relaxed);
+                parallelFor(forcedParallel(4), n,
+                            [&](std::uint64_t b, std::uint64_t e) {
+                    for (std::uint64_t i = b; i < e; ++i)
+                        hits[i].fetch_add(1, std::memory_order_relaxed);
+                });
+                const bool once = std::all_of(
+                    hits.begin(), hits.end(),
+                    [](const std::atomic<int>& h) { return h.load() == 1; });
+                const double sum = parallelSum(forcedParallel(4), n, partial);
+                if (!once || sum != serialSum)
+                    ++badRegions[static_cast<std::size_t>(t)];
+            }
+        });
+    }
+    for (auto& c : callers)
+        c.join();
+    for (int t = 0; t < kCallers; ++t)
+        EXPECT_EQ(badRegions[static_cast<std::size_t>(t)], 0)
+            << "caller " << t;
 }
 
 TEST(ThreadPoolTest, ZeroAndEmptyRangesAreNoOps)

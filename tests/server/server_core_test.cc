@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "server/json.h"
@@ -184,6 +185,13 @@ TEST(ServerCoreTest, InflightBoundRejectsWith429)
     EXPECT_EQ(r.status, 429);
     EXPECT_EQ(errorCode(r), "overloaded");
     EXPECT_EQ(core.inflight(), 0u); // the guard released its slot
+}
+
+TEST(ServerCoreTest, CoalesceWidthMustBePositive)
+{
+    ServerConfig config;
+    config.maxCoalesce = 0;
+    EXPECT_THROW(ServerCore{config}, std::invalid_argument);
 }
 
 TEST(ServerCoreTest, DrainingRejectsWith503)

@@ -94,18 +94,9 @@ TEST(SessionCacheTest, ClearEmptiesAndCountsEvictions)
     EXPECT_FALSE(hit);
 }
 
-TEST(SessionCacheTest, CapacityAndCoalesceMustBePositive)
+TEST(SessionCacheTest, CapacityMustBePositive)
 {
     EXPECT_THROW(SessionCache(0), std::invalid_argument);
-    EXPECT_THROW(SessionCache(1, 0), std::invalid_argument);
-}
-
-TEST(SessionCacheTest, NewEntriesStartAtTheMaxCoalesceWidth)
-{
-    SessionCache cache(2, 7);
-    bool hit = false;
-    auto e = cache.acquire("sv", 1, hit);
-    EXPECT_EQ(e->coalesceCap, 7u);
 }
 
 // structureHash is the cache key half the server derives itself; its
