@@ -2,7 +2,6 @@
 #define QKC_ALGORITHMS_ALGORITHMS_H
 
 #include <cstdint>
-#include <vector>
 
 #include "circuit/circuit.h"
 #include "util/rng.h"
@@ -10,19 +9,16 @@
 namespace qkc {
 
 /**
- * The quantum algorithm benchmark suite the paper validates against
- * (Sections 3.2.3, 3.3.1 and artifact appendix A.6.1): Bell / CHSH /
- * teleportation basics, the oracle algorithms (Deutsch-Jozsa,
- * Bernstein-Vazirani, Simon, hidden shift), QFT, Grover, Shor's
- * order finding, and GRCS-style random circuit sampling.
+ * The algorithm circuits the benchmark drivers and examples run: the
+ * paper's noisy Bell example, GHZ, Grover, Shor's order finding and
+ * GRCS-style random circuit sampling (Sections 3.2.3, 3.3.1 and artifact
+ * appendix A.6.1). The rest of the paper's validation suite lives with
+ * the tests (tests/testing/algorithm_circuits.h).
  *
- * Every factory returns a pure-gate circuit (noise is layered on by the
- * caller via Circuit::withNoiseAfterEachGate) and documents the expected
- * measurement outcome used by the validation tests.
+ * Every factory returns a pure-gate circuit apart from noisyBellCircuit
+ * (noise is layered on by the caller via Circuit::withNoiseAfterEachGate)
+ * and documents the expected measurement outcome used by the tests.
  */
-
-/** 2-qubit Bell state (|00> + |11>)/sqrt(2). */
-Circuit bellCircuit();
 
 /**
  * The paper's running example (Figure 2a): Bell state creation with a phase
@@ -34,63 +30,12 @@ Circuit noisyBellCircuit(double gamma = 0.36);
 Circuit ghzCircuit(std::size_t numQubits);
 
 /**
- * CHSH protocol circuit: Bell pair, then measurement-basis rotations
- * Ry(-thetaA) on qubit 0 and Ry(-thetaB) on qubit 1. The Z x Z correlation
- * of the output equals cos(thetaA - thetaB).
- */
-Circuit chshCircuit(double thetaA, double thetaB);
-
-/**
- * Quantum teleportation of the state Ry(theta)|0> from qubit 0 to qubit 2
- * with deferred-measurement corrections. The marginal distribution of qubit
- * 2 is {cos^2(theta/2), sin^2(theta/2)}.
- */
-Circuit teleportationCircuit(double theta);
-
-/**
- * Deutsch-Jozsa on n input qubits + 1 ancilla. If `balancedMask` is zero the
- * oracle is constant; otherwise f(x) = parity(x & balancedMask) (balanced).
- * Measuring the first n qubits yields all zeros iff the oracle is constant.
- */
-Circuit deutschJozsaCircuit(std::size_t n, std::uint64_t balancedMask);
-
-/**
- * Bernstein-Vazirani on n input qubits + 1 ancilla with hidden string `a`
- * (bit i of `a` = qubit i, qubit 0 most significant). The first n qubits
- * measure to exactly `a`.
- */
-Circuit bernsteinVaziraniCircuit(std::size_t n, std::uint64_t a);
-
-/**
- * Simon's problem on 2n qubits with hidden period `s` != 0. Measuring the
- * first n qubits yields y with y . s = 0 (mod 2), uniformly over that
- * subspace.
- */
-Circuit simonCircuit(std::size_t n, std::uint64_t s);
-
-/**
- * Hidden shift for the Maiorana-McFarland bent function
- * f(x) = XOR_i x_{2i} x_{2i+1} on n qubits (n even) with shift `s`.
- * Measures to exactly `s`.
- */
-Circuit hiddenShiftCircuit(std::size_t n, std::uint64_t s);
-
-/** Quantum Fourier transform on n qubits (includes the final swaps). */
-Circuit qftCircuit(std::size_t n);
-
-/** Inverse QFT on n qubits. */
-Circuit inverseQftCircuit(std::size_t n);
-
-/**
  * Grover search over n in [2, 4] qubits for `marked`. n = 4 uses one clean
  * ancilla for the multi-controlled Z (total qubits = n + (n == 4 ? 1 : 0)).
  * `iterations` defaults to the optimal floor(pi/4 * sqrt(2^n)).
  * The first n qubits measure to `marked` with high probability.
  */
 Circuit groverCircuit(std::size_t n, std::uint64_t marked, int iterations = -1);
-
-/** Number of search qubits whose measurement yields the marked element. */
-std::size_t groverSearchQubits(const Circuit& c, std::size_t n);
 
 /**
  * Shor order finding for N = 15 with coprime base a in
@@ -104,24 +49,6 @@ std::size_t groverSearchQubits(const Circuit& c, std::size_t n);
  * multiplicative order r of a mod 15.
  */
 Circuit shorOrderFindingCircuit(std::size_t counting, unsigned a);
-
-/** Multiplicative order of a modulo n (brute force). */
-unsigned multiplicativeOrder(unsigned a, unsigned n);
-
-/**
- * Quantum phase estimation of the single-qubit phase gate U = P(2 pi phi)
- * on its eigenstate |1>, with `counting` estimation qubits. The counting
- * register (qubits [0, counting)) measures to m with m / 2^counting ~ phi;
- * exact when phi is a multiple of 1 / 2^counting.
- */
-Circuit phaseEstimationCircuit(std::size_t counting, double phi);
-
-/**
- * n-qubit W state (uniform superposition of all weight-1 basis strings),
- * built with the cascade of controlled rotations; exercises the dense
- * two-qubit chain-rule encoding in the Bayesian-network front-end.
- */
-Circuit wStateCircuit(std::size_t n);
 
 /**
  * GRCS-style random circuit sampling workload on a rows x cols qubit grid

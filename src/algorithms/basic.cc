@@ -3,14 +3,6 @@
 namespace qkc {
 
 Circuit
-bellCircuit()
-{
-    Circuit c(2);
-    c.h(0).cnot(0, 1);
-    return c;
-}
-
-Circuit
 noisyBellCircuit(double gamma)
 {
     Circuit c(2);
@@ -27,30 +19,6 @@ ghzCircuit(std::size_t numQubits)
     c.h(0);
     for (std::size_t q = 1; q < numQubits; ++q)
         c.cnot(q - 1, q);
-    return c;
-}
-
-Circuit
-chshCircuit(double thetaA, double thetaB)
-{
-    Circuit c = bellCircuit();
-    c.ry(0, -thetaA).ry(1, -thetaB);
-    return c;
-}
-
-Circuit
-teleportationCircuit(double theta)
-{
-    Circuit c(3);
-    // Message on qubit 0.
-    c.ry(0, theta);
-    // Bell pair between qubits 1 (Alice) and 2 (Bob).
-    c.h(1).cnot(1, 2);
-    // Alice's Bell measurement, deferred: the measurement-dependent X and Z
-    // corrections on Bob's qubit become quantum-controlled gates.
-    c.cnot(0, 1).h(0);
-    c.cnot(1, 2);  // X correction controlled on Alice's second qubit
-    c.cz(0, 2);    // Z correction controlled on Alice's first qubit
     return c;
 }
 

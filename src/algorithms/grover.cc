@@ -84,11 +84,4 @@ groverCircuit(std::size_t n, std::uint64_t marked, int iterations)
     return c;
 }
 
-std::size_t
-groverSearchQubits(const Circuit& c, std::size_t n)
-{
-    (void)c;
-    return n;
-}
-
 } // namespace qkc

@@ -46,18 +46,6 @@ controlledMultMod15(Circuit& c, std::size_t ctrl, std::size_t w0, unsigned m)
 
 } // namespace
 
-unsigned
-multiplicativeOrder(unsigned a, unsigned n)
-{
-    unsigned x = a % n;
-    for (unsigned r = 1; r <= n; ++r) {
-        if (x == 1)
-            return r;
-        x = x * (a % n) % n;
-    }
-    throw std::invalid_argument("multiplicativeOrder: a not coprime to n");
-}
-
 Circuit
 shorOrderFindingCircuit(std::size_t counting, unsigned a)
 {

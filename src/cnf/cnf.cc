@@ -1,9 +1,6 @@
 #include "cnf/cnf.h"
 
-#include <istream>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
 
 namespace qkc {
 
@@ -42,91 +39,6 @@ Cnf::writeDimacs(std::ostream& os) const
             os << lit << " ";
         os << "0\n";
     }
-}
-
-Cnf
-Cnf::readDimacs(std::istream& is)
-{
-    Cnf cnf;
-    std::string line;
-    std::size_t expectedVars = 0;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        std::istringstream ls(line);
-        if (line[0] == 'c') {
-            std::string c, tag, kind;
-            ls >> c >> tag;
-            if (tag != "qkc")
-                continue;
-            ls >> kind;
-            if (kind == "ind") {
-                std::size_t idx;
-                CnfVariable v;
-                v.kind = CnfVarKind::BinaryIndicator;
-                int query;
-                ls >> idx >> v.bnVar >> query;
-                v.query = query != 0;
-                if (cnf.vars.size() < idx)
-                    cnf.vars.resize(idx);
-                cnf.vars[idx - 1] = v;
-            } else if (kind == "hot") {
-                std::size_t idx;
-                CnfVariable v;
-                v.kind = CnfVarKind::OneHotIndicator;
-                int query;
-                ls >> idx >> v.bnVar >> v.value >> query;
-                v.query = query != 0;
-                if (cnf.vars.size() < idx)
-                    cnf.vars.resize(idx);
-                cnf.vars[idx - 1] = v;
-            } else if (kind == "par") {
-                std::size_t idx;
-                CnfVariable v;
-                v.kind = CnfVarKind::Param;
-                ls >> idx >> v.paramId;
-                if (cnf.vars.size() < idx)
-                    cnf.vars.resize(idx);
-                cnf.vars[idx - 1] = v;
-            }
-            continue;
-        }
-        if (line[0] == 'p') {
-            std::string p, fmt;
-            std::size_t numClauses;
-            ls >> p >> fmt >> expectedVars >> numClauses;
-            continue;
-        }
-        Clause clause;
-        int lit;
-        while (ls >> lit && lit != 0)
-            clause.push_back(lit);
-        if (!clause.empty())
-            cnf.clauses.push_back(std::move(clause));
-    }
-    if (cnf.vars.size() < expectedVars)
-        cnf.vars.resize(expectedVars);
-
-    // Rebuild the BN-variable -> indicator map.
-    BnVarId maxBn = 0;
-    for (const auto& v : cnf.vars)
-        if (v.kind != CnfVarKind::Param)
-            maxBn = std::max(maxBn, v.bnVar);
-    cnf.bnVarIndicators.assign(maxBn + 1, {});
-    for (std::size_t i = 0; i < cnf.vars.size(); ++i) {
-        const auto& v = cnf.vars[i];
-        if (v.kind == CnfVarKind::Param)
-            continue;
-        auto& slots = cnf.bnVarIndicators[v.bnVar];
-        if (v.kind == CnfVarKind::BinaryIndicator) {
-            slots.assign(1, static_cast<int>(i + 1));
-        } else {
-            if (slots.size() <= v.value)
-                slots.resize(v.value + 1, 0);
-            slots[v.value] = static_cast<int>(i + 1);
-        }
-    }
-    return cnf;
 }
 
 } // namespace qkc

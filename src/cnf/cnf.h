@@ -66,12 +66,9 @@ struct Cnf {
     /**
      * Writes the extended DIMACS format: a standard `p cnf` body plus
      * comment lines carrying variable metadata (`c qkc ind|hot|par ...`)
-     * so the file is consumable by stock model counters and by our reader.
+     * so the file is consumable by stock model counters.
      */
     void writeDimacs(std::ostream& os) const;
-
-    /** Parses the extended DIMACS produced by writeDimacs. */
-    static Cnf readDimacs(std::istream& is);
 };
 
 } // namespace qkc

@@ -136,24 +136,4 @@ Matrix::isUnitary(double eps) const
     return ((*this) * adjoint()).approxEqual(identity(rows_), eps);
 }
 
-bool
-Matrix::isPermutationLike(double eps) const
-{
-    if (rows_ != cols_)
-        return false;
-    for (std::size_t i = 0; i < rows_; ++i) {
-        std::size_t rowNonZero = 0;
-        std::size_t colNonZero = 0;
-        for (std::size_t j = 0; j < cols_; ++j) {
-            if (std::abs((*this)(i, j)) > eps)
-                ++rowNonZero;
-            if (std::abs((*this)(j, i)) > eps)
-                ++colNonZero;
-        }
-        if (rowNonZero != 1 || colNonZero != 1)
-            return false;
-    }
-    return true;
-}
-
 } // namespace qkc

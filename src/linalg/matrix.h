@@ -58,13 +58,6 @@ class Matrix {
     /** True if this * adjoint() == identity within eps. */
     bool isUnitary(double eps = kAmpEps) const;
 
-    /**
-     * True if every row and every column contains exactly one non-zero
-     * entry. Gates with this property admit the compact deterministic
-     * Bayesian-network encoding of Section 3.1.1.
-     */
-    bool isPermutationLike(double eps = kAmpEps) const;
-
   private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;

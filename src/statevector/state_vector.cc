@@ -52,15 +52,6 @@ StateVector::applyTwoQubit(const Matrix& m, std::size_t q0, std::size_t q1)
 }
 
 void
-StateVector::applyThreeQubit(const Matrix& m, std::size_t q0, std::size_t q1,
-                             std::size_t q2)
-{
-    assert(m.rows() == 8 && m.cols() == 8);
-    assert(q0 != q1 && q1 != q2 && q0 != q2);
-    apply(compileKernel(m, {bitOf(q0), bitOf(q1), bitOf(q2)}));
-}
-
-void
 StateVector::apply(const GateKernel& kernel, const Complex& preScale)
 {
     applyKernel(kernel, amps_.data(), amps_.size(), policy_, preScale);

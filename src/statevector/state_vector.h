@@ -61,10 +61,6 @@ class StateVector {
     /** Applies a 4x4 matrix to (q0=high bit, q1=low bit of the local index). */
     void applyTwoQubit(const Matrix& m, std::size_t q0, std::size_t q1);
 
-    /** Applies a 8x8 matrix to three qubits (q0 high ... q2 low). */
-    void applyThreeQubit(const Matrix& m, std::size_t q0, std::size_t q1,
-                         std::size_t q2);
-
     /**
      * Applies a pre-compiled kernel, optionally pre-scaled: the trajectory
      * simulator passes 1/sqrt(w) so Born renormalization after a Kraus pick

@@ -26,33 +26,6 @@ Graph::hasEdge(std::size_t u, std::size_t v) const
     return std::find(nu.begin(), nu.end(), v) != nu.end();
 }
 
-std::vector<std::size_t>
-Graph::connectedComponents() const
-{
-    const std::size_t n = numVertices();
-    std::vector<std::size_t> comp(n, SIZE_MAX);
-    std::size_t next = 0;
-    std::vector<std::size_t> stack;
-    for (std::size_t s = 0; s < n; ++s) {
-        if (comp[s] != SIZE_MAX)
-            continue;
-        comp[s] = next;
-        stack.push_back(s);
-        while (!stack.empty()) {
-            std::size_t v = stack.back();
-            stack.pop_back();
-            for (std::size_t w : adj_[v]) {
-                if (comp[w] == SIZE_MAX) {
-                    comp[w] = next;
-                    stack.push_back(w);
-                }
-            }
-        }
-        ++next;
-    }
-    return comp;
-}
-
 Graph
 randomRegularGraph(std::size_t n, std::size_t d, Rng& rng)
 {

@@ -39,9 +39,6 @@ class Graph {
 
     std::size_t degree(std::size_t v) const { return adj_[v].size(); }
 
-    /** Component id per vertex; ids are dense starting at 0. */
-    std::vector<std::size_t> connectedComponents() const;
-
   private:
     std::vector<std::vector<std::size_t>> adj_;
     std::vector<std::pair<std::size_t, std::size_t>> edges_;

@@ -990,7 +990,7 @@ backendRegistry()
          {"dd"},
          {"threads", "gcthreshold"},
          "QMDD decision diagram (DDSIM-style); Kraus trajectories when "
-         "noise is present; ref-counted mark-and-sweep node GC",
+         "noise is present; mark-and-sweep node GC from protected roots",
          "sample; expectation (exact when ideal, via diagram walk); "
          "amplitudes (ideal); probabilities (ideal)",
          "parallel lanes (threads option): a private DdPackage (arena, "

@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "ac/nnf_io.h"
+#include "testing/readers.h"
 
 namespace qkc {
 namespace {
@@ -88,7 +88,7 @@ TEST(ArithmeticCircuitTest, NnfRoundTrip)
     std::stringstream ss;
     std::size_t bytes = ac.writeNnf(ss);
     EXPECT_GT(bytes, 0u);
-    ArithmeticCircuit back = readNnf(ss);
+    ArithmeticCircuit back = testing::readNnf(ss);
 
     // Same live shape.
     EXPECT_EQ(back.liveNodeCount(), ac.liveNodeCount());
@@ -99,9 +99,9 @@ TEST(ArithmeticCircuitTest, NnfRoundTrip)
 TEST(ArithmeticCircuitTest, NnfRejectsGarbage)
 {
     std::stringstream ss("bogus 1 2\n");
-    EXPECT_THROW(readNnf(ss), std::invalid_argument);
+    EXPECT_THROW(testing::readNnf(ss), std::invalid_argument);
     std::stringstream ss2("qnnf 1 0\nI 0 0\n");  // missing root
-    EXPECT_THROW(readNnf(ss2), std::invalid_argument);
+    EXPECT_THROW(testing::readNnf(ss2), std::invalid_argument);
 }
 
 } // namespace

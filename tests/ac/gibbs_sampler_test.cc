@@ -4,6 +4,7 @@
 
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
+#include "testing/algorithm_circuits.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 #include "util/stats.h"
@@ -13,7 +14,7 @@ namespace {
 
 TEST(GibbsSamplerTest, BellConvergesToHalfHalf)
 {
-    KcSimulator kc(bellCircuit());
+    KcSimulator kc(testing::bellCircuit());
     Rng rng(11);
     auto samples = kc.sample(4000, rng);
     auto emp = empiricalDistribution(samples, 4);
@@ -57,7 +58,7 @@ TEST(GibbsSamplerTest, DeterministicOutcomeFoundBySequentialInit)
     // Hidden shift's output is a single basis state: random restarts almost
     // surely miss it, so initialization must construct it sequentially.
     const std::uint64_t shift = 0b1011;
-    KcSimulator kc(hiddenShiftCircuit(4, shift));
+    KcSimulator kc(testing::hiddenShiftCircuit(4, shift));
     Rng rng(19);
     auto samples = kc.sample(32, rng);
     for (auto s : samples)
@@ -66,8 +67,8 @@ TEST(GibbsSamplerTest, DeterministicOutcomeFoundBySequentialInit)
 
 TEST(GibbsSamplerTest, NoisyDistributionMatchesDensityDiagonal)
 {
-    Circuit c = bellCircuit().withNoiseAfterEachGate(NoiseKind::Depolarizing,
-                                                     0.1);
+    Circuit c = testing::bellCircuit().withNoiseAfterEachGate(
+        NoiseKind::Depolarizing, 0.1);
     KcSimulator kc(c);
     auto exact = kc.outcomeDistribution();
     Rng rng(23);
@@ -81,7 +82,7 @@ TEST(GibbsSamplerTest, NoisyDistributionMatchesDensityDiagonal)
 
 TEST(GibbsSamplerTest, SweepKeepsSupport)
 {
-    KcSimulator kc(bellCircuit());
+    KcSimulator kc(testing::bellCircuit());
     GibbsSampler sampler(kc.bayesNet(), kc.evaluator());
     Rng rng(29);
     ASSERT_TRUE(sampler.init(rng));

@@ -5,9 +5,10 @@
 #include <cmath>
 
 #include "algorithms/algorithms.h"
-#include "bayesnet/variable_elimination.h"
+#include "testing/algorithm_circuits.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
+#include "testing/variable_elimination.h"
 
 namespace qkc {
 namespace {
@@ -54,15 +55,15 @@ TEST_P(AlgorithmSuiteKcTest, DistributionMatchesStateVector)
     // algorithm simulated by the KC backend must reproduce the state-vector
     // distribution exactly.
     std::vector<Circuit> suite{
-        bellCircuit(),
+        testing::bellCircuit(),
         ghzCircuit(4),
-        chshCircuit(0.0, M_PI / 4),
-        teleportationCircuit(1.1),
-        deutschJozsaCircuit(3, 0b101),
-        bernsteinVaziraniCircuit(4, 0b1011),
-        simonCircuit(3, 0b110),
-        hiddenShiftCircuit(4, 0b1001),
-        qftCircuit(3),
+        testing::chshCircuit(0.0, M_PI / 4),
+        testing::teleportationCircuit(1.1),
+        testing::deutschJozsaCircuit(3, 0b101),
+        testing::bernsteinVaziraniCircuit(4, 0b1011),
+        testing::simonCircuit(3, 0b110),
+        testing::hiddenShiftCircuit(4, 0b1001),
+        testing::qftCircuit(3),
         groverCircuit(3, 0b101),
         shorOrderFindingCircuit(3, 7),
     };
@@ -166,7 +167,7 @@ TEST(KcSimulatorTest, VariableEliminationAgreesWithAc)
     Circuit c = testing::randomCircuit(3, 9, rng).withNoiseAfterEachGate(
         NoiseKind::PhaseDamping, 0.1);
     KcSimulator kc(c);
-    VariableElimination ve(kc.bayesNet());
+    testing::VariableElimination ve(kc.bayesNet());
     auto veDist = ve.outcomeDistribution();
     auto acDist = kc.outcomeDistribution();
     for (std::size_t x = 0; x < veDist.size(); ++x)

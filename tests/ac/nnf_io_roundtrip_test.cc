@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "ac/kc_simulator.h"
-#include "ac/nnf_io.h"
+#include "testing/readers.h"
 #include "testing/test_circuits.h"
 
 namespace qkc {
@@ -33,7 +33,7 @@ TEST(NnfRoundTripTest, CountsSurviveRoundTrip)
     std::size_t bytes = kc.ac().writeNnf(first);
     EXPECT_GT(bytes, 0u);
 
-    ArithmeticCircuit back = readNnf(first);
+    ArithmeticCircuit back = testing::readNnf(first);
     EXPECT_EQ(back.liveNodeCount(), kc.ac().liveNodeCount());
     EXPECT_EQ(back.liveEdgeCount(), kc.ac().liveEdgeCount());
 
@@ -52,7 +52,7 @@ TEST(NnfRoundTripTest, EvaluationsSurviveRoundTrip)
 
     std::stringstream nnf;
     kc.ac().writeNnf(nnf);
-    ArithmeticCircuit back = readNnf(nnf);
+    ArithmeticCircuit back = testing::readNnf(nnf);
 
     const QuantumBayesNet& bn = kc.bayesNet();
     AcEvaluator eval(back, cardinalities(bn), bn.paramValues());
@@ -79,7 +79,7 @@ TEST(NnfRoundTripTest, NoisyCircuitRoundTripPreservesEvaluation)
     KcSimulator kc(c);
     std::stringstream nnf;
     kc.ac().writeNnf(nnf);
-    ArithmeticCircuit back = readNnf(nnf);
+    ArithmeticCircuit back = testing::readNnf(nnf);
     EXPECT_EQ(back.liveNodeCount(), kc.ac().liveNodeCount());
     EXPECT_EQ(back.liveEdgeCount(), kc.ac().liveEdgeCount());
 

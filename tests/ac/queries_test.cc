@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "algorithms/algorithms.h"
+#include "testing/algorithm_circuits.h"
 #include "testing/test_circuits.h"
 
 namespace qkc {
@@ -123,8 +124,8 @@ TEST(MpeTest, AnnealedMatchesExactOnMediumInstance)
 
 TEST(MpeTest, MassMatchesAmplitude)
 {
-    Circuit c = bellCircuit().withNoiseAfterEachGate(NoiseKind::PhaseFlip,
-                                                     0.15);
+    Circuit c = testing::bellCircuit().withNoiseAfterEachGate(
+        NoiseKind::PhaseFlip, 0.15);
     KcSimulator kc(c);
     Rng rng(11);
     auto r = mostProbableExplanation(kc, 0b00, rng);

@@ -5,10 +5,11 @@
 #include <cmath>
 #include <map>
 
+#include "testing/algorithm_circuits.h"
 #include "testing/session_runs.h"
 #include "util/stats.h"
 
-namespace qkc {
+namespace qkc::testing {
 namespace {
 
 /** Marginal distribution over a leading block of qubits. */
@@ -277,4 +278,4 @@ TEST(AlgorithmsTest, NoisyBellMatchesPaperExample)
 }
 
 } // namespace
-} // namespace qkc
+} // namespace qkc::testing

@@ -3,10 +3,10 @@
 #include <cmath>
 
 #include "ac/kc_simulator.h"
-#include "algorithms/algorithms.h"
+#include "testing/algorithm_circuits.h"
 #include "testing/session_runs.h"
 
-namespace qkc {
+namespace qkc::testing {
 namespace {
 
 std::vector<double>
@@ -108,4 +108,4 @@ TEST(WStateTest, RejectsTrivialSizes)
 }
 
 } // namespace
-} // namespace qkc
+} // namespace qkc::testing

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "algorithms/algorithms.h"
+#include "testing/algorithm_circuits.h"
 #include "testing/test_circuits.h"
 
 namespace qkc {
@@ -14,7 +15,7 @@ TEST(BayesNetTest, BellStructureMatchesFigure2)
 {
     // Figure 2c: q0m0, q1m0 initial; q0m1 after H; q1m1 after CNOT (the
     // paper labels it q1m3 with global moments; we count per qubit).
-    auto bn = circuitToBayesNet(bellCircuit());
+    auto bn = circuitToBayesNet(testing::bellCircuit());
     ASSERT_EQ(bn.variables().size(), 4u);
     EXPECT_EQ(bn.variable(0).name, "q0m0");
     EXPECT_EQ(bn.variable(0).role, BnVarRole::InitialState);
@@ -54,7 +55,7 @@ TEST(BayesNetTest, HadamardCatIsTransposeOfUnitary)
 TEST(BayesNetTest, CnotIsPureLogic)
 {
     // Table 2c / Table 3: CNOT's deterministic CAT needs no weights.
-    auto bn = circuitToBayesNet(bellCircuit());
+    auto bn = circuitToBayesNet(testing::bellCircuit());
     const BnPotential* cnotPot = nullptr;
     for (const auto& p : bn.potentials())
         if (p.vars.size() == 3)
@@ -190,7 +191,7 @@ TEST(BayesNetTest, QueryVarsAreFinalsThenNoise)
 
 TEST(BayesNetTest, SummaryMentionsVariables)
 {
-    auto bn = circuitToBayesNet(bellCircuit());
+    auto bn = circuitToBayesNet(testing::bellCircuit());
     std::string s = bn.summary();
     EXPECT_NE(s.find("q0m0"), std::string::npos);
     EXPECT_NE(s.find("[final]"), std::string::npos);

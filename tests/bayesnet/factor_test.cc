@@ -1,10 +1,10 @@
-#include "bayesnet/factor.h"
+#include "testing/factor.h"
 
 #include <gtest/gtest.h>
 
-#include "algorithms/algorithms.h"
+#include "testing/algorithm_circuits.h"
 
-namespace qkc {
+namespace qkc::testing {
 namespace {
 
 TEST(FactorTest, ScalarFactor)
@@ -116,4 +116,4 @@ TEST(FactorTest, ValueOutOfScopeThrows)
 }
 
 } // namespace
-} // namespace qkc
+} // namespace qkc::testing

@@ -1,12 +1,13 @@
-#include "bayesnet/variable_elimination.h"
+#include "testing/variable_elimination.h"
 
 #include <gtest/gtest.h>
 
 #include "algorithms/algorithms.h"
+#include "testing/algorithm_circuits.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 
-namespace qkc {
+namespace qkc::testing {
 namespace {
 
 TEST(VariableEliminationTest, BellAmplitudes)
@@ -98,4 +99,4 @@ TEST(VariableEliminationTest, DenseGatesAndSwaps)
 }
 
 } // namespace
-} // namespace qkc
+} // namespace qkc::testing

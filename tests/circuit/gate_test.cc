@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "testing/param_printers.h"
+
 namespace qkc {
 namespace {
 
@@ -100,10 +102,13 @@ TEST(GateTest, ZZIsDiagonalWithPhases)
 TEST(GateTest, CnotPermutation)
 {
     Matrix u = Gate(GateKind::CNOT, {0, 1}).unitary();
-    EXPECT_TRUE(u.isPermutationLike());
     // |10> -> |11>
     EXPECT_TRUE(approxEqual(u(3, 2), Complex{1.0}));
     EXPECT_TRUE(approxEqual(u(2, 3), Complex{1.0}));
+    EXPECT_TRUE(approxEqual(u(2, 2), Complex{}));
+    EXPECT_TRUE(approxEqual(u(3, 3), Complex{}));
+    EXPECT_TRUE(approxEqual(u(0, 0), Complex{1.0}));
+    EXPECT_TRUE(approxEqual(u(1, 1), Complex{1.0}));
 }
 
 TEST(GateTest, CczPhasesOnlyAll1s)

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "algorithms/algorithms.h"
+#include "testing/algorithm_circuits.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 
@@ -32,7 +33,7 @@ expectRoundTrip(const Circuit& c)
 
 TEST(QasmTest, ExportContainsHeaderAndGates)
 {
-    std::string qasm = toQasm(bellCircuit());
+    std::string qasm = toQasm(testing::bellCircuit());
     EXPECT_NE(qasm.find("OPENQASM 2.0;"), std::string::npos);
     EXPECT_NE(qasm.find("qreg q[2];"), std::string::npos);
     EXPECT_NE(qasm.find("h q[0];"), std::string::npos);
@@ -41,7 +42,7 @@ TEST(QasmTest, ExportContainsHeaderAndGates)
 
 TEST(QasmTest, RoundTripBell)
 {
-    expectRoundTrip(bellCircuit());
+    expectRoundTrip(testing::bellCircuit());
 }
 
 TEST(QasmTest, RoundTripAllGateKinds)

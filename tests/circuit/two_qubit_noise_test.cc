@@ -2,10 +2,10 @@
 
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
-#include "bayesnet/variable_elimination.h"
 #include "circuit/qasm.h"
 #include "statevector/statevector_simulator.h"
 #include "testing/session_runs.h"
+#include "testing/variable_elimination.h"
 #include "util/stats.h"
 
 namespace qkc {
@@ -87,7 +87,7 @@ TEST(TwoQubitNoiseTest, VariableEliminationAgrees)
     c.cnot(0, 1);
 
     KcSimulator kc(c);
-    VariableElimination ve(kc.bayesNet());
+    testing::VariableElimination ve(kc.bayesNet());
     auto exact = testing::probabilitiesOf("dm", c);
     auto veDist = ve.outcomeDistribution();
     for (std::size_t x = 0; x < exact.size(); ++x)

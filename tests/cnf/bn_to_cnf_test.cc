@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "algorithms/algorithms.h"
+#include "testing/algorithm_circuits.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 
@@ -75,10 +76,10 @@ freeEvidence(const QuantumBayesNet& bn)
 
 TEST(BnToCnfTest, BellModelsAreFeynmanPaths)
 {
-    auto bn = circuitToBayesNet(bellCircuit());
+    auto bn = circuitToBayesNet(testing::bellCircuit());
     Cnf cnf = bayesNetToCnf(bn);
 
-    auto amps = testing::finalState(bellCircuit()).amplitudes();
+    auto amps = testing::finalState(testing::bellCircuit()).amplitudes();
     for (std::uint64_t x = 0; x < 4; ++x) {
         auto ev = freeEvidence(bn);
         ev[bn.finalVars()[0]] = static_cast<int>((x >> 1) & 1);

@@ -6,6 +6,8 @@
 
 #include "algorithms/algorithms.h"
 #include "cnf/bn_to_cnf.h"
+#include "testing/algorithm_circuits.h"
+#include "testing/readers.h"
 
 namespace qkc {
 namespace {
@@ -27,7 +29,7 @@ TEST(CnfTest, DimacsRoundTrip)
 
     std::stringstream ss;
     cnf.writeDimacs(ss);
-    Cnf back = Cnf::readDimacs(ss);
+    Cnf back = testing::readDimacs(ss);
 
     ASSERT_EQ(back.numVars(), cnf.numVars());
     ASSERT_EQ(back.numClauses(), cnf.numClauses());
@@ -44,7 +46,7 @@ TEST(CnfTest, DimacsRoundTrip)
 
 TEST(CnfTest, DimacsHeaderLine)
 {
-    auto bn = circuitToBayesNet(bellCircuit());
+    auto bn = circuitToBayesNet(testing::bellCircuit());
     Cnf cnf = bayesNetToCnf(bn);
     std::stringstream ss;
     cnf.writeDimacs(ss);

@@ -4,6 +4,7 @@
 
 #include "algorithms/algorithms.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/algorithm_circuits.h"
 #include "testing/session_runs.h"
 #include "util/stats.h"
 
@@ -13,7 +14,7 @@ namespace {
 TEST(DensityMatrixSimulatorTest, IdealCircuitMatchesStateVector)
 {
     // For noise-free circuits, diag(rho) must equal |psi|^2 elementwise.
-    std::vector<Circuit> circuits{bellCircuit(), ghzCircuit(4)};
+    std::vector<Circuit> circuits{testing::bellCircuit(), ghzCircuit(4)};
     for (const Circuit& c : circuits) {
         auto svProbs = testing::finalState(c).probabilities();
         auto dmProbs = testing::finalRho(c).diagonalProbabilities();

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,13 @@ struct EquivalenceCase {
     std::size_t numGates;
     bool threeQubit;
 };
+
+/** Names a case seed_qubits_gates ("101_2q_8g"); the seeds are distinct. */
+void
+PrintTo(const EquivalenceCase& p, std::ostream* os)
+{
+    *os << p.seed << "_" << p.numQubits << "q_" << p.numGates << "g";
+}
 
 class BackendEquivalenceTest
     : public ::testing::TestWithParam<EquivalenceCase> {};

@@ -10,12 +10,13 @@
 #include <sstream>
 
 #include "ac/kc_simulator.h"
-#include "ac/nnf_io.h"
 #include "algorithms/algorithms.h"
-#include "bayesnet/variable_elimination.h"
 #include "tensornet/tensornet_simulator.h"
+#include "testing/param_printers.h"
+#include "testing/readers.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
+#include "testing/variable_elimination.h"
 #include "util/stats.h"
 #include "vqa/workloads.h"
 
@@ -81,7 +82,7 @@ TEST_P(NoisyChannelAgreementTest, KcVeDmAgree)
     KcSimulator kc(c);
     auto kcDist = kc.outcomeDistribution();
 
-    VariableElimination ve(kc.bayesNet());
+    testing::VariableElimination ve(kc.bayesNet());
     auto veDist = ve.outcomeDistribution();
 
     for (std::uint64_t x = 0; x < exact.size(); ++x) {
@@ -125,13 +126,13 @@ TEST(EndToEndTest, DimacsAndNnfArtifactsRoundTrip)
     // CNF round trip.
     std::stringstream dimacs;
     kc.cnf().writeDimacs(dimacs);
-    Cnf cnfBack = Cnf::readDimacs(dimacs);
+    Cnf cnfBack = testing::readDimacs(dimacs);
     EXPECT_EQ(cnfBack.numClauses(), kc.cnf().numClauses());
 
     // AC round trip: the reloaded circuit evaluates identically.
     std::stringstream nnf;
     kc.ac().writeNnf(nnf);
-    ArithmeticCircuit acBack = readNnf(nnf);
+    ArithmeticCircuit acBack = testing::readNnf(nnf);
 
     std::vector<std::size_t> cards(kc.bayesNet().variables().size());
     for (BnVarId v = 0; v < cards.size(); ++v)

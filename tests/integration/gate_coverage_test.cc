@@ -9,6 +9,7 @@
 
 #include "ac/kc_simulator.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/param_printers.h"
 #include "testing/session_runs.h"
 
 namespace qkc {

@@ -1,13 +1,13 @@
 /**
- * Miscellaneous coverage: sampler options, device-model pass-through,
- * evaluator evidence lifecycle, and non-adjacent multi-qubit kernels.
+ * Miscellaneous coverage: sampler options, evaluator evidence lifecycle,
+ * and non-adjacent multi-qubit kernels.
  */
 #include <gtest/gtest.h>
 
 #include "ac/gibbs_sampler.h"
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
-#include "circuit/device_model.h"
+#include "testing/algorithm_circuits.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 #include "util/stats.h"
@@ -17,7 +17,7 @@ namespace {
 
 TEST(MiscCoverageTest, GibbsThinningProducesRequestedCount)
 {
-    KcSimulator kc(bellCircuit());
+    KcSimulator kc(testing::bellCircuit());
     Rng rng(1);
     GibbsOptions options;
     options.burnIn = 8;
@@ -31,7 +31,7 @@ TEST(MiscCoverageTest, IndependenceMovesCanBeDisabled)
     // With independence moves off, Bell's single-site chain cannot leave
     // its initial support component — documenting the reducibility the
     // default configuration fixes.
-    KcSimulator kc(bellCircuit());
+    KcSimulator kc(testing::bellCircuit());
     Rng rng(2);
     GibbsOptions options;
     options.burnIn = 16;
@@ -48,7 +48,7 @@ TEST(MiscCoverageTest, IndependenceMovesCanBeDisabled)
 
 TEST(MiscCoverageTest, IndependenceMoveReportsAcceptance)
 {
-    KcSimulator kc(bellCircuit());
+    KcSimulator kc(testing::bellCircuit());
     GibbsSampler sampler(kc.bayesNet(), kc.evaluator());
     Rng rng(3);
     ASSERT_TRUE(sampler.init(rng));
@@ -57,25 +57,6 @@ TEST(MiscCoverageTest, IndependenceMoveReportsAcceptance)
         accepted += sampler.independenceMove(rng);
     // Bell's two support states have equal mass: proposals always accept.
     EXPECT_EQ(accepted, 50u);
-}
-
-TEST(MiscCoverageTest, DeviceModelPreservesExistingChannels)
-{
-    DeviceModel model;
-    Circuit c = noisyBellCircuit(0.36);
-    Circuit out = model.apply(c);
-    // The original phase damping channel survives alongside the inserted
-    // calibration channels.
-    std::size_t phaseDamp036 = 0;
-    for (const auto& op : out.operations()) {
-        if (const NoiseChannel* ch = std::get_if<NoiseChannel>(&op)) {
-            if (ch->kind() == NoiseKind::PhaseDamping &&
-                ch->name() == "PhaseDamp(0.36)")
-                ++phaseDamp036;
-        }
-    }
-    EXPECT_EQ(phaseDamp036, 1u);
-    EXPECT_GT(out.noiseCount(), c.noiseCount());
 }
 
 TEST(MiscCoverageTest, EvaluatorEvidenceLifecycle)

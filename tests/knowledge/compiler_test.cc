@@ -5,6 +5,8 @@
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
 #include "cnf/bn_to_cnf.h"
+#include "testing/algorithm_circuits.h"
+#include "testing/param_printers.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 
@@ -30,7 +32,7 @@ TEST_P(HeuristicTest, BellAndGhzExact)
 {
     CompileOptions options;
     options.heuristic = GetParam();
-    expectMatchesStateVector(bellCircuit(), options);
+    expectMatchesStateVector(testing::bellCircuit(), options);
     expectMatchesStateVector(ghzCircuit(4), options);
 }
 

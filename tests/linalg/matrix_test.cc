@@ -102,16 +102,25 @@ TEST(MatrixTest, NonUnitaryDetected)
 
 TEST(MatrixTest, PermutationLike)
 {
+    // CNOT swaps |10> and |11>: one unit entry per row and column.
     Matrix cnot{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 0, 1}, {0, 0, 1, 0}};
-    EXPECT_TRUE(cnot.isPermutationLike());
+    EXPECT_TRUE(approxEqual(cnot(2, 3), Complex{1.0}));
+    EXPECT_TRUE(approxEqual(cnot(3, 2), Complex{1.0}));
+    EXPECT_TRUE(approxEqual(cnot(2, 2), Complex{}));
+    EXPECT_TRUE(approxEqual(cnot(3, 3), Complex{}));
 
+    // H has two non-zero entries in every row.
     double s = 1.0 / std::sqrt(2.0);
     Matrix h{{s, s}, {s, -s}};
-    EXPECT_FALSE(h.isPermutationLike());
+    EXPECT_GT(std::abs(h(0, 1)), kAmpEps);
+    EXPECT_GT(std::abs(h(1, 0)), kAmpEps);
 
-    // Diagonal with phases is permutation-like.
+    // Diagonal with phases: unit-modulus diagonal, zero off-diagonal.
     Matrix rz{{std::exp(-kI * 0.3), 0.0}, {0.0, std::exp(kI * 0.3)}};
-    EXPECT_TRUE(rz.isPermutationLike());
+    EXPECT_NEAR(std::abs(rz(0, 0)), 1.0, kAmpEps);
+    EXPECT_NEAR(std::abs(rz(1, 1)), 1.0, kAmpEps);
+    EXPECT_TRUE(approxEqual(rz(0, 1), Complex{}));
+    EXPECT_TRUE(approxEqual(rz(1, 0), Complex{}));
 }
 
 TEST(MatrixTest, ApproxEqualRejectsShapeMismatch)

@@ -62,7 +62,8 @@ TEST(StateVectorTest, ToffoliKernel)
     StateVector sv(3);
     sv.applySingleQubit(Gate(GateKind::X, {0}).unitary(), 0);
     sv.applySingleQubit(Gate(GateKind::X, {1}).unitary(), 1);
-    sv.applyThreeQubit(Gate(GateKind::CCX, {0, 1, 2}).unitary(), 0, 1, 2);
+    sv.apply(compileKernel(Gate(GateKind::CCX, {0, 1, 2}).unitary(),
+                           {sv.bitOf(0), sv.bitOf(1), sv.bitOf(2)}));
     EXPECT_TRUE(approxEqual(sv.amplitude(7), Complex{1.0}));
 }
 

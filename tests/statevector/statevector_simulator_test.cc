@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "algorithms/algorithms.h"
+#include "testing/algorithm_circuits.h"
 #include "testing/chi_square.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
@@ -16,7 +17,7 @@ namespace {
 
 TEST(StateVectorSimulatorTest, BellDistribution)
 {
-    auto probs = testing::finalState(bellCircuit()).probabilities();
+    auto probs = testing::finalState(testing::bellCircuit()).probabilities();
     EXPECT_NEAR(probs[0], 0.5, 1e-12);
     EXPECT_NEAR(probs[3], 0.5, 1e-12);
     EXPECT_NEAR(probs[1], 0.0, 1e-12);
@@ -32,7 +33,7 @@ TEST(StateVectorSimulatorTest, RejectsNoisyCircuit)
 TEST(StateVectorSimulatorTest, SamplingMatchesDistribution)
 {
     Rng rng(99);
-    auto samples = testing::samplesOf("sv", bellCircuit(), 20000, rng);
+    auto samples = testing::samplesOf("sv", testing::bellCircuit(), 20000, rng);
     auto emp = empiricalDistribution(samples, 4);
     EXPECT_NEAR(emp[0], 0.5, 0.02);
     EXPECT_NEAR(emp[3], 0.5, 0.02);
@@ -241,9 +242,10 @@ TEST(StateVectorSamplerTest, ZeroShotsReturnAnEmptyPayload)
 {
     Rng rng(3);
     const Rng before = rng;
-    EXPECT_TRUE(testing::samplesOf("sv", bellCircuit(), 0, rng).empty());
+    EXPECT_TRUE(
+        testing::samplesOf("sv", testing::bellCircuit(), 0, rng).empty());
     EXPECT_TRUE(StateVectorSimulator::sampleFromState(
-                    testing::finalState(bellCircuit()), 0, rng)
+                    testing::finalState(testing::bellCircuit()), 0, rng)
                     .empty());
     Rng untouched = before;
     EXPECT_EQ(rng.next(), untouched.next()); // no draw consumed

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/algorithms.h"
+#include "testing/algorithm_circuits.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 #include "util/stats.h"
@@ -14,7 +15,7 @@ TEST(TensorNetworkSimulatorTest, BellAmplitudes)
 {
     TensorNetworkSimulator tn;
     double s = 1.0 / std::sqrt(2.0);
-    Circuit c = bellCircuit();
+    Circuit c = testing::bellCircuit();
     EXPECT_TRUE(approxEqual(tn.amplitude(c, 0), Complex{s}));
     EXPECT_TRUE(approxEqual(tn.amplitude(c, 3), Complex{s}));
     EXPECT_TRUE(approxEqual(tn.amplitude(c, 1), Complex{}));

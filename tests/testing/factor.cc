@@ -1,10 +1,10 @@
-#include "bayesnet/factor.h"
+#include "testing/factor.h"
 
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
-namespace qkc {
+namespace qkc::testing {
 
 Factor::Factor(Complex scalar) : values_{scalar} {}
 
@@ -178,4 +178,4 @@ Factor::scalar() const
     return values_[0];
 }
 
-} // namespace qkc
+} // namespace qkc::testing

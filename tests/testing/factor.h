@@ -1,12 +1,12 @@
-#ifndef QKC_BAYESNET_FACTOR_H
-#define QKC_BAYESNET_FACTOR_H
+#ifndef QKC_TESTS_TESTING_FACTOR_H
+#define QKC_TESTS_TESTING_FACTOR_H
 
 #include <vector>
 
 #include "bayesnet/bayes_net.h"
 #include "linalg/types.h"
 
-namespace qkc {
+namespace qkc::testing {
 
 /**
  * A dense complex-valued factor over a set of Bayesian-network variables,
@@ -59,6 +59,6 @@ class Factor {
     std::vector<Complex> values_;
 };
 
-} // namespace qkc
+} // namespace qkc::testing
 
-#endif // QKC_BAYESNET_FACTOR_H
+#endif // QKC_TESTS_TESTING_FACTOR_H

@@ -1,11 +1,17 @@
-#ifndef QKC_AC_NNF_IO_H
-#define QKC_AC_NNF_IO_H
+#ifndef QKC_TESTS_TESTING_READERS_H
+#define QKC_TESTS_TESTING_READERS_H
 
 #include <iosfwd>
 
 #include "ac/arithmetic_circuit.h"
+#include "cnf/cnf.h"
 
-namespace qkc {
+namespace qkc::testing {
+
+/**
+ * Readers for the text formats the library writes, so tests can check a
+ * writer by round trip.
+ */
 
 /**
  * Reads an arithmetic circuit from the qnnf text format produced by
@@ -15,6 +21,9 @@ namespace qkc {
  */
 ArithmeticCircuit readNnf(std::istream& is);
 
-} // namespace qkc
+/** Parses the extended DIMACS produced by Cnf::writeDimacs. */
+Cnf readDimacs(std::istream& is);
 
-#endif // QKC_AC_NNF_IO_H
+} // namespace qkc::testing
+
+#endif // QKC_TESTS_TESTING_READERS_H

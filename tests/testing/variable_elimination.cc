@@ -1,14 +1,14 @@
-#include "bayesnet/variable_elimination.h"
+#include "testing/variable_elimination.h"
 
 #include <algorithm>
 #include <cassert>
 
-#include "bayesnet/factor.h"
 #include "linalg/types.h"
+#include "testing/factor.h"
 #include "util/graph.h"
 #include "util/min_fill.h"
 
-namespace qkc {
+namespace qkc::testing {
 
 namespace {
 
@@ -123,4 +123,4 @@ VariableElimination::outcomeDistribution() const
     return dist;
 }
 
-} // namespace qkc
+} // namespace qkc::testing

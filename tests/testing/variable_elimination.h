@@ -1,5 +1,5 @@
-#ifndef QKC_BAYESNET_VARIABLE_ELIMINATION_H
-#define QKC_BAYESNET_VARIABLE_ELIMINATION_H
+#ifndef QKC_TESTS_TESTING_VARIABLE_ELIMINATION_H
+#define QKC_TESTS_TESTING_VARIABLE_ELIMINATION_H
 
 #include <cstdint>
 #include <vector>
@@ -7,7 +7,7 @@
 #include "bayesnet/bayes_net.h"
 #include "linalg/types.h"
 
-namespace qkc {
+namespace qkc::testing {
 
 /**
  * Exact inference on complex-valued quantum Bayesian networks via variable
@@ -44,6 +44,6 @@ class VariableElimination {
     const QuantumBayesNet* bn_;
 };
 
-} // namespace qkc
+} // namespace qkc::testing
 
-#endif // QKC_BAYESNET_VARIABLE_ELIMINATION_H
+#endif // QKC_TESTS_TESTING_VARIABLE_ELIMINATION_H

@@ -26,19 +26,6 @@ TEST(GraphTest, IgnoresSelfLoopsAndDuplicates)
     EXPECT_EQ(g.degree(0), 1u);
 }
 
-TEST(GraphTest, ConnectedComponents)
-{
-    Graph g(5);
-    g.addEdge(0, 1);
-    g.addEdge(3, 4);
-    auto comp = g.connectedComponents();
-    EXPECT_EQ(comp[0], comp[1]);
-    EXPECT_EQ(comp[3], comp[4]);
-    EXPECT_NE(comp[0], comp[2]);
-    EXPECT_NE(comp[0], comp[3]);
-    EXPECT_NE(comp[2], comp[3]);
-}
-
 TEST(GraphTest, RandomRegularDegrees)
 {
     Rng rng(5);

@@ -267,9 +267,13 @@ TEST(ExpectationParityTest, KcFallsBackToGibbsBeyondTheFeasibilityLimit)
     // A heavily-noised VQE circuit has too many noise assignments for the
     // exact AC sweep: the kc session must degrade to Gibbs shots (flagged
     // non-exact) instead of hanging on the enumeration, and the estimate
-    // must still land near the exact dm value.
+    // must still land near the exact dm value. Two qubits with a channel on
+    // each wire of each of the 7 gates (8 channels) need 2^2 * 4^8 =
+    // 262144 evaluations, four times the 2^16 limit. Almost all of the
+    // test's time is the Gibbs shots, not the AC compile, and they cost in
+    // proportion to the circuit, so it is kept this small.
     Rng modelRng(5);
-    VqeIsing problem(2, 2, 1, modelRng);
+    VqeIsing problem(1, 2, 1, modelRng);
     const Circuit noisy =
         problem.circuit({0.37, 0.81})
             .withNoiseAfterEachGate(NoiseKind::Depolarizing, 0.01);

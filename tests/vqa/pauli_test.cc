@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "algorithms/algorithms.h"
+#include "testing/algorithm_circuits.h"
 #include "testing/session_runs.h"
 #include "vqa/backends.h"
 
@@ -49,7 +49,7 @@ exactExpectation(const Circuit& c, const PauliString& p)
 TEST(PauliStringTest, BellStateStabilizers)
 {
     // |Phi+> is stabilized by XX and ZZ, and <XZ> = <ZX> = 0, <YY> = -1.
-    Circuit bell = bellCircuit();
+    Circuit bell = testing::bellCircuit();
     EXPECT_NEAR(exactExpectation(bell, PauliString("XX")), 1.0, 1e-9);
     EXPECT_NEAR(exactExpectation(bell, PauliString("ZZ")), 1.0, 1e-9);
     EXPECT_NEAR(exactExpectation(bell, PauliString("YY")), -1.0, 1e-9);
@@ -91,7 +91,7 @@ TEST(PauliSumTest, SessionExpectationMatchesBellValues)
         .add(1.5, PauliString("II"));
 
     StateVectorBackend backend;
-    auto session = backend.open(bellCircuit());
+    auto session = backend.open(testing::bellCircuit());
     Rng rng(3);
     Result r = session->run(Expectation{h, 0}, rng);
     EXPECT_TRUE(r.meta.exact);
@@ -105,7 +105,7 @@ TEST(PauliSumTest, KcSessionServesNonDiagonalTermsExactly)
     PauliSum h;
     h.add(1.0, PauliString("XX")).add(1.0, PauliString("ZZ"));
     KnowledgeCompilationBackend kc;
-    auto session = kc.open(bellCircuit());
+    auto session = kc.open(testing::bellCircuit());
     Rng rng(5);
     Result r = session->run(Expectation{h, 0}, rng);
     EXPECT_TRUE(r.meta.exact);
@@ -122,7 +122,7 @@ TEST(PauliSumTest, TnSessionFallsBackToSampling)
     PauliSum h;
     h.add(0.5, PauliString("XX")).add(0.25, PauliString("ZZ"));
     TensorNetworkBackend tn;
-    auto session = tn.open(bellCircuit());
+    auto session = tn.open(testing::bellCircuit());
     Rng rng(7);
     Result r = session->run(Expectation{h, 4000}, rng);
     EXPECT_FALSE(r.meta.exact);
@@ -132,7 +132,7 @@ TEST(PauliSumTest, TnSessionFallsBackToSampling)
 
 TEST(PauliStringTest, QubitCountMismatchThrows)
 {
-    EXPECT_THROW(PauliString("X").withMeasurementBasis(bellCircuit()),
+    EXPECT_THROW(PauliString("X").withMeasurementBasis(testing::bellCircuit()),
                  std::invalid_argument);
 }
 
