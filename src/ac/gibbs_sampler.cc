@@ -8,6 +8,13 @@
 
 namespace qkc {
 
+namespace {
+
+/** Random restarts init() tries before the sequential construction. */
+constexpr std::size_t kInitTries = 64;
+
+} // namespace
+
 GibbsSampler::GibbsSampler(const QuantumBayesNet& bn, AcEvaluator& eval,
                            GibbsOptions options)
     : bn_(&bn), eval_(&eval), options_(options), queryVars_(bn.queryVars())
@@ -61,7 +68,7 @@ bool
 GibbsSampler::init(Rng& rng)
 {
     // Phase 1: random restarts.
-    for (std::size_t attempt = 0; attempt < options_.initTries; ++attempt) {
+    for (std::size_t attempt = 0; attempt < kInitTries; ++attempt) {
         for (std::size_t i = 0; i < state_.size(); ++i)
             state_[i] = static_cast<int>(rng.below(cards_[i]));
         applyState();
@@ -176,14 +183,9 @@ GibbsSampler::run(std::size_t numSamples, Rng& rng)
     if (!init(rng))
         throw std::runtime_error(
             "GibbsSampler: could not find a support state");
-    std::size_t sweepCount = 0;
     auto advance = [&] {
         sweep(rng);
-        ++sweepCount;
-        if (options_.independenceInterval != 0 &&
-            sweepCount % options_.independenceInterval == 0) {
-            independenceMove(rng);
-        }
+        independenceMove(rng);
     };
     for (std::size_t i = 0; i < options_.burnIn; ++i)
         advance();

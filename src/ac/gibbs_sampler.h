@@ -16,18 +16,6 @@ struct GibbsOptions {
     std::size_t burnIn = 64;
     /** Sweeps between recorded samples (1 = record every sweep). */
     std::size_t thin = 1;
-    /** Attempts at finding a nonzero-amplitude initial state. */
-    std::size_t initTries = 64;
-    /**
-     * Every this many sweeps, attempt one Metropolized independence move
-     * (a fresh sequential-conditional proposal accepted with the
-     * Metropolis-Hastings ratio). Single-site Gibbs alone is not
-     * irreducible on GHZ/Bell-like wavefunctions whose support states
-     * differ in several bits with zero-amplitude states in between; the
-     * independence move restores irreducibility while preserving the
-     * |amplitude|^2 target exactly. 0 disables.
-     */
-    std::size_t independenceInterval = 1;
 };
 
 /**
@@ -70,8 +58,12 @@ class GibbsSampler {
 
     /**
      * Runs the full chain: init, burn-in, then records `numSamples`
-     * measurement outcomes (one per `thin` sweeps). Throws if no support
-     * is found during initialization.
+     * measurement outcomes (one per `thin` sweeps). Every sweep is followed
+     * by one independence move: single-site Gibbs alone is not irreducible
+     * on GHZ/Bell-like wavefunctions whose support states differ in several
+     * bits with zero-amplitude states in between, and the move restores
+     * irreducibility while preserving the |amplitude|^2 target exactly.
+     * Throws if no support is found during initialization.
      */
     std::vector<std::uint64_t> run(std::size_t numSamples, Rng& rng);
 

@@ -80,51 +80,6 @@ Circuit::withNoiseAfterEachGate(NoiseKind kind, double p) const
     return noisy;
 }
 
-Circuit
-Circuit::inverse() const
-{
-    Circuit inv(numQubits_);
-    for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
-        const Gate* g = std::get_if<Gate>(&*it);
-        if (!g)
-            throw std::invalid_argument(
-                "Circuit::inverse: noise channels are not invertible");
-        switch (g->kind()) {
-          case GateKind::S:
-            inv.append(Gate(GateKind::Sdg, g->qubits()));
-            break;
-          case GateKind::Sdg:
-            inv.append(Gate(GateKind::S, g->qubits()));
-            break;
-          case GateKind::T:
-            inv.append(Gate(GateKind::Tdg, g->qubits()));
-            break;
-          case GateKind::Tdg:
-            inv.append(Gate(GateKind::T, g->qubits()));
-            break;
-          case GateKind::Rx:
-          case GateKind::Ry:
-          case GateKind::Rz:
-          case GateKind::PhaseZ:
-          case GateKind::CRz:
-          case GateKind::CPhase:
-          case GateKind::ZZ:
-            inv.append(Gate(g->kind(), g->qubits(), -g->param()));
-            break;
-          case GateKind::Custom1Q:
-          case GateKind::Custom2Q:
-            inv.append(Gate::custom(g->qubits(), g->unitary().adjoint(),
-                                    g->name() + "^-1"));
-            break;
-          default:
-            // Self-inverse: I, X, Y, Z, H, CNOT, CZ, SWAP, CCX, CCZ, CSWAP.
-            inv.append(*g);
-            break;
-        }
-    }
-    return inv;
-}
-
 std::vector<std::size_t>
 Circuit::parameterizedGateIndices() const
 {

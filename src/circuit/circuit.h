@@ -88,14 +88,6 @@ class Circuit {
     /** Updates the angle of the gate at operation index `opIndex`. */
     void setGateParam(std::size_t opIndex, double theta);
 
-    /**
-     * The inverse circuit: operations reversed with each gate inverted
-     * (rotations negate their angle, S/T swap with their daggers, custom
-     * gates use the adjoint). Throws if the circuit contains noise —
-     * channels are not invertible.
-     */
-    Circuit inverse() const;
-
     /** Multi-line ASCII rendering for debugging and examples. */
     std::string toString() const;
 

@@ -642,8 +642,7 @@ std::size_t
 DdPackage::garbageCollect()
 {
     // The pause shows up as a span (nested under dd.build / dd.trimBatchLane
-    // in traces) and feeds the pause-duration histogram; gcNanos accumulates
-    // the same interval so DdMemoryStats can report it without obs on.
+    // in traces) and feeds the pause-duration histogram.
     QKC_SPAN("dd.gc");
     const std::uint64_t gcStart = qkc::obs::nowNs();
     // Mark: the live set is exactly what the protected roots reach.
@@ -705,7 +704,6 @@ DdPackage::garbageCollect()
     ++stats_.gcRuns;
     stats_.nodesCollected += collected;
     const std::uint64_t pause = qkc::obs::nowNs() - gcStart;
-    stats_.gcNanos += pause;
     static qkc::obs::Histogram gcPause("dd.gc.pauseNs");
     gcPause.record(pause);
     static qkc::obs::Counter gcCollected("dd.gc.nodesCollected");

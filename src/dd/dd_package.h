@@ -31,7 +31,6 @@ struct DdStats {
     std::size_t applyMisses = 0;
     std::size_t addHits = 0;         ///< vector-add compute-table hits
     std::size_t addMisses = 0;
-    std::uint64_t gcNanos = 0;       ///< total garbageCollect() pause time
 };
 
 /**

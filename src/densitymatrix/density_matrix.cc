@@ -137,21 +137,6 @@ DensityMatrix::apply(const GateKernel& k)
     applyKernel(k, data_.data(), flatDim, policy_);
 }
 
-void
-DensityMatrix::applyUnitary(const Matrix& u,
-                            const std::vector<std::size_t>& qubits)
-{
-    for (const GateKernel& k : compileUnitary(u, qubits, numQubits_))
-        apply(k);
-}
-
-void
-DensityMatrix::applyChannel(const std::vector<Matrix>& kraus,
-                            const std::vector<std::size_t>& qubits)
-{
-    apply(compileChannel(kraus, qubits, numQubits_));
-}
-
 Complex
 DensityMatrix::trace() const
 {
@@ -168,16 +153,6 @@ DensityMatrix::diagonalProbabilities() const
     for (std::uint64_t i = 0; i < dim_; ++i)
         probs[i] = at(i, i).real();
     return probs;
-}
-
-Matrix
-DensityMatrix::toMatrix() const
-{
-    Matrix m(dim_, dim_);
-    for (std::uint64_t r = 0; r < dim_; ++r)
-        for (std::uint64_t c = 0; c < dim_; ++c)
-            m(r, c) = at(r, c);
-    return m;
 }
 
 } // namespace qkc

@@ -65,14 +65,6 @@ class DensityMatrix {
         return data_[row * dim_ + col];
     }
 
-    /** rho <- U rho U^dagger for a 1-3 qubit unitary. */
-    void applyUnitary(const Matrix& u, const std::vector<std::size_t>& qubits);
-
-    /** rho <- sum_k E_k rho E_k^dagger for a one- or two-qubit channel:
-     *  compiles the superoperator, then one sweep. */
-    void applyChannel(const std::vector<Matrix>& kraus,
-                      const std::vector<std::size_t>& qubits);
-
     /** One sweep of a kernel compiled on rho's flat 2n-bit index. */
     void apply(const GateKernel& k);
 
@@ -99,9 +91,6 @@ class DensityMatrix {
 
     /** Measurement probabilities: the (real parts of the) diagonal. */
     std::vector<double> diagonalProbabilities() const;
-
-    /** Extracts the full matrix (tests / small instances only). */
-    Matrix toMatrix() const;
 
   private:
     std::size_t numQubits_;

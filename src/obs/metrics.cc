@@ -284,18 +284,6 @@ MetricsSnapshot::histogram(const std::string& name) const
     return nullptr;
 }
 
-std::vector<CounterDelta>
-counterDeltas(const MetricsSnapshot& base, const MetricsSnapshot& now)
-{
-    std::vector<CounterDelta> out;
-    for (const CounterValue& c : now.counters) {
-        const std::uint64_t before = base.counter(c.name);
-        if (c.value > before)
-            out.push_back({c.name, c.value - before});
-    }
-    return out;
-}
-
 void
 writeMetricsReport(std::ostream& out, const MetricsSnapshot& snapshot)
 {

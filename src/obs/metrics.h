@@ -57,16 +57,6 @@ struct MetricsSnapshot {
     const HistogramValue* histogram(const std::string& name) const;
 };
 
-/** One counter that moved between two snapshots. */
-struct CounterDelta {
-    const char* name = nullptr;
-    std::uint64_t delta = 0;
-};
-
-/** Counters in `now` that grew relative to `base`, name order. */
-std::vector<CounterDelta> counterDeltas(const MetricsSnapshot& base,
-                                        const MetricsSnapshot& now);
-
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------

@@ -163,8 +163,7 @@ TimedSpan::seconds() const
 // ProfileScope
 // ---------------------------------------------------------------------------
 
-ProfileScope::ProfileScope(const char* name, bool withCounters)
-    : withCounters_(withCounters)
+ProfileScope::ProfileScope(const char* name)
 {
     if (!enabled())
         return;
@@ -178,8 +177,6 @@ ProfileScope::ProfileScope(const char* name, bool withCounters)
     envelopeName_ = name;
     startNs_ = nowNs();
     t.collectors.push_back(collector_);
-    if (withCounters_)
-        baseCounters_ = MetricsRegistry::instance().snapshot();
 }
 
 TaskProfile
@@ -200,10 +197,6 @@ ProfileScope::take()
     // Close the envelope span now that the collector is gone (the envelope
     // must not be credited to itself; an outer scope still sees it).
     deliverSpan(t, envelopeName_, depth, startNs_, end - startNs_);
-    if (withCounters_) {
-        profile.counters = counterDeltas(
-            baseCounters_, MetricsRegistry::instance().snapshot());
-    }
     return profile;
 }
 
@@ -345,15 +338,6 @@ writeProfileReport(std::ostream& out, const TaskProfile& profile)
                           : 0.0,
                       static_cast<unsigned long long>(p.count));
         out << buf;
-    }
-    if (!profile.counters.empty()) {
-        out << "counters (this task):\n";
-        for (const CounterDelta& c : profile.counters) {
-            out << "  " << c.name;
-            for (std::size_t pad = std::string(c.name).size(); pad < 36; ++pad)
-                out << ' ';
-            out << c.delta << "\n";
-        }
     }
 }
 

@@ -40,15 +40,13 @@ struct ProfilePhase {
 
 /**
  * The per-task profile a ProfileScope collects: the task's top-level span
- * phases (non-overlapping, so their sum approximates the task wall time)
- * plus the process counters that moved while the task ran. Cheap to carry
- * in every ResultMeta — names are interned literals, and an unprofiled run
- * leaves both vectors empty.
+ * phases (non-overlapping, so their sum approximates the task wall time).
+ * Cheap to carry in every ResultMeta — names are interned literals, and an
+ * unprofiled run leaves the vector empty.
  */
 struct TaskProfile {
-    std::vector<ProfilePhase> phases;   ///< first-seen order (deterministic)
-    std::vector<CounterDelta> counters; ///< counters that grew during the task
-    double totalSeconds = 0.0;          ///< the profiled scope's wall time
+    std::vector<ProfilePhase> phases; ///< first-seen order (deterministic)
+    double totalSeconds = 0.0;        ///< the profiled scope's wall time
 
     bool empty() const { return phases.empty() && totalSeconds == 0.0; }
 
@@ -136,7 +134,7 @@ class TimedSpan {
  */
 class ProfileScope {
   public:
-    explicit ProfileScope(const char* name, bool withCounters = true);
+    explicit ProfileScope(const char* name);
     ~ProfileScope();
 
     ProfileScope(const ProfileScope&) = delete;
@@ -149,10 +147,8 @@ class ProfileScope {
 
   private:
     Collector* collector_ = nullptr;
-    MetricsSnapshot baseCounters_;
     const char* envelopeName_ = nullptr;
     std::uint64_t startNs_ = 0;
-    bool withCounters_ = false;
 };
 
 // ---------------------------------------------------------------------------

@@ -214,56 +214,6 @@ StateVectorSimulator::sampleNoisyPlanned(const ExecutionPlan& plan,
     return samples;
 }
 
-std::vector<double>
-StateVectorSimulator::noisyDistributionExhaustive(const Circuit& circuit) const
-{
-    // Collect channel positions so we can enumerate Kraus-choice vectors.
-    const ExecutionPlan plan = planCircuit(circuit, policy_);
-    std::vector<std::size_t> channelOps;
-    for (std::size_t i = 0; i < plan.ops.size(); ++i) {
-        if (plan.ops[i].isChannel)
-            channelOps.push_back(i);
-    }
-    if (channelOps.size() > 20) {
-        throw std::invalid_argument(
-            "noisyDistributionExhaustive: too many channels to enumerate");
-    }
-
-    std::vector<double> dist(std::size_t{1} << circuit.numQubits(), 0.0);
-    std::vector<std::size_t> choice(channelOps.size(), 0);
-
-    // Odometer-style enumeration over all Kraus index combinations. Each
-    // combination is one unnormalized branch; its squared amplitudes already
-    // carry the branch probability, so plain accumulation is exact.
-    for (;;) {
-        StateVector sv(circuit.numQubits());
-        sv.setExecPolicy(policy_);
-        std::size_t chIdx = 0;
-        for (const auto& op : plan.ops) {
-            if (!op.isChannel) {
-                sv.apply(op.kernels[0]);
-            } else {
-                sv.apply(op.kernels[choice[chIdx]]);
-                ++chIdx;
-            }
-        }
-        const auto probs = sv.probabilities();
-        for (std::size_t i = 0; i < dist.size(); ++i)
-            dist[i] += probs[i];
-
-        // Advance the odometer.
-        std::size_t pos = 0;
-        for (; pos < choice.size(); ++pos) {
-            if (++choice[pos] < plan.ops[channelOps[pos]].kernels.size())
-                break;
-            choice[pos] = 0;
-        }
-        if (pos == choice.size())
-            break;
-    }
-    return dist;
-}
-
 std::vector<std::uint64_t>
 StateVectorSimulator::sampleFromState(const StateVector& state,
                                       std::size_t numSamples, Rng& rng)

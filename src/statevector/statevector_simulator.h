@@ -72,13 +72,6 @@ class StateVectorSimulator {
                                                   Rng& rng) const;
 
     /**
-     * Exact outcome distribution of a noisy circuit by enumerating every
-     * combination of Kraus choices. Exponential in the channel count; meant
-     * for validation at small sizes.
-     */
-    std::vector<double> noisyDistributionExhaustive(const Circuit& circuit) const;
-
-    /**
      * Draws outcomes x with probability |amp_x|^2 / norm, reading the
      * amplitudes in place. One rng.uniform() per shot, in shot order; the
      * draws are resolved in sorted order against fixed-size chunk sums

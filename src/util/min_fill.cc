@@ -90,16 +90,4 @@ minFillOrdering(const Graph& g)
     return order;
 }
 
-std::size_t
-inducedWidth(const Graph& g, const std::vector<std::size_t>& order)
-{
-    AdjSets adj = toAdjSets(g);
-    std::size_t width = 0;
-    for (std::size_t v : order) {
-        width = std::max(width, adj[v].size());
-        eliminate(adj, v);
-    }
-    return width;
-}
-
 } // namespace qkc

@@ -22,13 +22,6 @@ class Graph;
  */
 std::vector<std::size_t> minFillOrdering(const Graph& g);
 
-/**
- * Induced treewidth of an elimination order (max clique size - 1 during
- * elimination). Used by tests and by the tensor-network contraction planner
- * to score candidate orders.
- */
-std::size_t inducedWidth(const Graph& g, const std::vector<std::size_t>& order);
-
 } // namespace qkc
 
 #endif // QKC_UTIL_MIN_FILL_H

@@ -1,7 +1,6 @@
 #include "util/rng.h"
 
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 namespace qkc {
@@ -76,23 +75,6 @@ bool
 Rng::bernoulli(double p)
 {
     return uniform() < p;
-}
-
-double
-Rng::normal()
-{
-    if (haveSpare_) {
-        haveSpare_ = false;
-        return spare_;
-    }
-    double u = 0.0;
-    while (u == 0.0)
-        u = uniform();
-    double v = uniform();
-    double mag = std::sqrt(-2.0 * std::log(u));
-    spare_ = mag * std::sin(2.0 * M_PI * v);
-    haveSpare_ = true;
-    return mag * std::cos(2.0 * M_PI * v);
 }
 
 std::size_t

@@ -33,9 +33,6 @@ class Rng {
     /** Bernoulli draw with success probability p. */
     bool bernoulli(double p);
 
-    /** Standard normal via Box-Muller. */
-    double normal();
-
     /**
      * Draws an index from an unnormalized non-negative weight vector; only
      * positive-weight indices can be returned (if floating-point
@@ -57,8 +54,6 @@ class Rng {
 
   private:
     std::uint64_t state_[4];
-    bool haveSpare_ = false;
-    double spare_ = 0.0;
 };
 
 } // namespace qkc

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -153,7 +152,6 @@ class SvSession final : public Session {
     std::vector<std::uint64_t> doSample(std::size_t shots, Rng& rng,
                                         ResultMeta& meta) override
     {
-        meta.fusion = plan_.fusion;
         if (circuit_.noiseCount() > 0) {
             QKC_SPAN("sv.trajectories");
             meta.trajectories += shots;
@@ -168,7 +166,6 @@ class SvSession final : public Session {
     double doExpectation(const PauliSum& observable, std::size_t shots,
                          Rng& rng, ResultMeta& meta) override
     {
-        meta.fusion = plan_.fusion;
         if (circuit_.noiseCount() > 0)
             return sampledExpectation(observable, shots, rng, meta);
 
@@ -291,7 +288,6 @@ class DmSession final : public Session {
     {
         ensureRho();
         meta.exact = true;
-        meta.fusion = plan_.fusion;
         QKC_SPAN("dm.sample");
         return StateVectorSimulator::sampleFromDistribution(*probs_, shots,
                                                             rng);
@@ -307,7 +303,6 @@ class DmSession final : public Session {
         // the rows reads every term off rho.
         ensureRho();
         meta.exact = true;
-        meta.fusion = plan_.fusion;
         QKC_SPAN("dm.trace");
         const DensityMatrix& rho = *rho_;
         return exactExpectation(
@@ -321,7 +316,6 @@ class DmSession final : public Session {
     {
         ensureRho();
         meta.exact = true;
-        meta.fusion = plan_.fusion;
         QKC_SPAN("dm.marginal");
         return marginalizeDistribution(*probs_, circuit_.numQubits(), qubits);
     }
@@ -352,6 +346,7 @@ class DmSession final : public Session {
 // Tensor network
 // ---------------------------------------------------------------------------
 
+/** qTorch-style tensor-network session (ideal circuits only). */
 class TnSession final : public Session {
   public:
     TnSession(const BackendInfo& entry, const Circuit& circuit,
@@ -465,29 +460,20 @@ class TnSession final : public Session {
 // ---------------------------------------------------------------------------
 
 /**
- * The meta.ddMemory view of package counters `now`: lifetime totals, plus
- * compute-table deltas since `taskStart` (an empty DdStats makes the task
- * view equal the lifetime one).
+ * DDSIM-style decision-diagram (QMDD) session. Ideal sessions build the
+ * final state as a diagram and serve samples in O(n) per shot, amplitudes
+ * by path walks and expectation values by one apply of each term's
+ * Pauli-string matrix DD plus a memoized two-diagram walk; noisy circuits
+ * run Born-rule Kraus trajectories with collections between them.
+ *
+ * One DdPackage persists across parameter binds: the session protects its
+ * live roots — the bound state and parameter-free gate DDs — and each
+ * rebind unroots the old state and runs a full mark-and-sweep, so the next
+ * binding starts from warm arenas, free lists and table buckets but a
+ * deterministic interning table (runBatch's bit-parity contract). Option
+ * gcthreshold sets the live-node count that triggers a collection between
+ * trajectories and before a build.
  */
-DdMemoryStats
-ddMemoryStats(const DdStats& now, const DdStats& taskStart)
-{
-    DdMemoryStats m;
-    m.liveVNodes = now.liveVNodes;
-    m.liveMNodes = now.liveMNodes;
-    m.gcRuns = now.gcRuns;
-    m.nodesCollected = now.nodesCollected;
-    m.peakLiveNodes = now.peakLiveNodes;
-    m.gcNanos = now.gcNanos;
-    m.apply = {now.applyHits, now.applyMisses};
-    m.add = {now.addHits, now.addMisses};
-    m.taskApply = {now.applyHits - taskStart.applyHits,
-                   now.applyMisses - taskStart.applyMisses};
-    m.taskAdd = {now.addHits - taskStart.addHits,
-                 now.addMisses - taskStart.addMisses};
-    return m;
-}
-
 class DdSession final : public Session {
   public:
     DdSession(const BackendInfo& entry, const Circuit& circuit,
@@ -518,14 +504,14 @@ class DdSession final : public Session {
 
     bool doBind(const Circuit&, bool sameStructure) override
     {
-        // The package survives the bind — arena capacity, table buckets,
-        // free lists and cached Pauli-term DDs all stay warm. The old state
-        // is unrooted and collected NOW, not lazily: weight interning snaps
-        // to existing entries within tolerance, so results must not depend
-        // on which bindings this package saw before (runBatch promises lane
-        // payloads bit-identical to a sequential loop). A full sweep leaves
-        // only protected roots, giving every binding the same deterministic
-        // starting table.
+        // The package survives the bind — arena capacity, table buckets and
+        // free lists all stay warm. The old state is unrooted and collected
+        // NOW, with any Pauli-term DDs the last tasks built, not lazily:
+        // weight interning snaps to existing entries within tolerance, so
+        // results must not depend on which bindings this package saw before
+        // (runBatch promises lane payloads bit-identical to a sequential
+        // loop). A full sweep leaves only protected roots, giving every
+        // binding the same deterministic starting table.
         collectState();
         return sameStructure;
     }
@@ -533,7 +519,6 @@ class DdSession final : public Session {
     std::vector<std::uint64_t> doSample(std::size_t shots, Rng& rng,
                                         ResultMeta& meta) override
     {
-        markTaskStart();
         if (circuit_.noiseCount() > 0) {
             QKC_SPAN("dd.trajectories");
             meta.trajectories += shots;
@@ -567,7 +552,6 @@ class DdSession final : public Session {
     double doExpectation(const PauliSum& observable, std::size_t shots,
                          Rng& rng, ResultMeta& meta) override
     {
-        markTaskStart();
         if (circuit_.noiseCount() > 0) {
             const double est = sampledExpectation(observable, shots, rng,
                                                   meta);
@@ -576,9 +560,9 @@ class DdSession final : public Session {
         }
 
         // Native diagram walk: phi = P psi via ONE apply of the term's
-        // n-qubit Pauli-string matrix DD (linear-size, cached across calls
-        // and binds), then the memoized two-diagram inner product
-        // <psi|phi>.
+        // n-qubit Pauli-string matrix DD (linear-size), then the memoized
+        // two-diagram inner product <psi|phi>. The term DD stays unrooted:
+        // no collection runs before the walk, and the next bind sweeps it.
         ensureState();
         meta.exact = true;
         QKC_SPAN("dd.expectation");
@@ -589,7 +573,10 @@ class DdSession final : public Session {
                 total += coeff;
                 continue;
             }
-            const VEdge phi = pkg.apply(termDd(pauli), state_);
+            std::string key(circuit_.numQubits(), 'I');
+            for (std::size_t q = 0; q < pauli.numQubits(); ++q)
+                key[q] = pauli.pauli(q);
+            const VEdge phi = pkg.apply(pkg.makePauliDd(key), state_);
             total += coeff * pkg.innerProduct(state_, phi).real();
         }
         stampDdMemory(meta);
@@ -600,7 +587,6 @@ class DdSession final : public Session {
         const std::vector<std::uint64_t>& bitstrings,
         ResultMeta& meta) override
     {
-        markTaskStart();
         if (circuit_.noiseCount() > 0)
             unsupported("Amplitudes",
                         "noisy runs are trajectory mixtures");
@@ -619,7 +605,6 @@ class DdSession final : public Session {
     std::vector<double> doProbabilities(const std::vector<std::size_t>& qubits,
                                         ResultMeta& meta) override
     {
-        markTaskStart();
         if (circuit_.noiseCount() > 0)
             unsupported("Probabilities",
                         "the noisy decision-diagram path is "
@@ -670,9 +655,8 @@ class DdSession final : public Session {
 
         // The memory stats readers assert on (gc ran, live nodes bounded)
         // happened in the lane packages: sum the counters, take the peak
-        // across arenas. Lane packages are fresh, so lifetime and per-task
-        // tallies coincide.
-        DdStats sum;
+        // across arenas.
+        DdMemoryStats sum;
         for (DdSimulator& laneSim : laneSims) {
             if (!laneSim.hasPackage())
                 continue;
@@ -682,13 +666,8 @@ class DdSession final : public Session {
             sum.gcRuns += s.gcRuns;
             sum.nodesCollected += s.nodesCollected;
             sum.peakLiveNodes = std::max(sum.peakLiveNodes, s.peakLiveNodes);
-            sum.gcNanos += s.gcNanos;
-            sum.applyHits += s.applyHits;
-            sum.applyMisses += s.applyMisses;
-            sum.addHits += s.addHits;
-            sum.addMisses += s.addMisses;
         }
-        meta.ddMemory = ddMemoryStats(sum, DdStats{});
+        meta.ddMemory = sum;
         return samples;
     }
 
@@ -715,54 +694,31 @@ class DdSession final : public Session {
         built_ = false;
     }
 
-    /**
-     * The cached matrix DD for a Pauli term. Pauli matrices carry no
-     * parameters, so the cache survives rebinds as long as the package
-     * does; each entry is protected so collections keep it (and its
-     * chain) alive, with the unprotect implicit in the package teardown.
-     */
-    const MEdge& termDd(const PauliString& pauli)
-    {
-        std::string key(circuit_.numQubits(), 'I');
-        for (std::size_t q = 0; q < pauli.numQubits(); ++q)
-            key[q] = pauli.pauli(q);
-        auto it = termDds_.find(key);
-        if (it == termDds_.end()) {
-            const MEdge dd = sim_.package().makePauliDd(key);
-            sim_.package().protect(dd);
-            it = termDds_.emplace(key, dd).first;
-        }
-        return it->second;
-    }
-
-    /**
-     * Snapshots the package counters at task entry so stampDdMemory can
-     * report per-task compute-table deltas (hit rates undiluted by the
-     * session's history). Zeros when no package exists yet — a first task
-     * then deltas against a fresh package, which is also correct.
-     */
-    void markTaskStart()
-    {
-        taskStart_ = sim_.hasPackage() ? sim_.package().stats() : DdStats{};
-    }
-
     void stampDdMemory(ResultMeta& meta)
     {
-        if (sim_.hasPackage())
-            meta.ddMemory = ddMemoryStats(sim_.package().stats(), taskStart_);
+        if (!sim_.hasPackage())
+            return;
+        const DdStats& s = sim_.package().stats();
+        meta.ddMemory = {s.liveVNodes, s.liveMNodes, s.gcRuns,
+                         s.nodesCollected, s.peakLiveNodes};
     }
 
     DdSimulator sim_;
-    DdStats taskStart_{}; ///< package counters at task entry (per-task deltas)
     VEdge state_;
     bool built_ = false;
-    std::map<std::string, MEdge> termDds_; ///< per-term Pauli-string DDs
 };
 
 // ---------------------------------------------------------------------------
 // Knowledge compilation
 // ---------------------------------------------------------------------------
 
+/**
+ * The knowledge-compilation session (this paper's system). Opening it
+ * compiles circuit -> Bayesian network -> CNF -> arithmetic circuit once;
+ * bind() only refreshes parameter leaves — the variational reuse that
+ * headlines Section 3.2 — and tasks query the compiled AC (Gibbs sampling,
+ * exact expectation values, amplitude and probability queries).
+ */
 class KcSession final : public Session {
   public:
     KcSession(const BackendInfo& entry, const Circuit& circuit,

@@ -55,25 +55,6 @@ parameterShiftGradient(Session& session, const CircuitBuilder& makeCircuit,
     return out;
 }
 
-std::vector<double>
-batchedExpectationSweep(Session& session, const CircuitBuilder& makeCircuit,
-                        const PauliSum& observable,
-                        const std::vector<std::vector<double>>& points,
-                        Rng& rng, std::size_t shots)
-{
-    std::vector<ParamBinding> bindings;
-    bindings.reserve(points.size());
-    for (const auto& p : points)
-        bindings.push_back(makeCircuit(p));
-    const std::vector<Result> results =
-        session.runBatch(bindings, Expectation{observable, shots}, rng);
-    std::vector<double> values;
-    values.reserve(results.size());
-    for (const Result& r : results)
-        values.push_back(r.expectation);
-    return values;
-}
-
 namespace {
 
 /**

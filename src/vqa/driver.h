@@ -47,17 +47,6 @@ GradientResult parameterShiftGradient(Session& session,
                                       double shift = 1.5707963267948966,
                                       std::size_t shots = 4096);
 
-/**
- * Scores a whole population of parameter vectors — a simplex, a multi-start
- * seed set, a line search — in one batched Expectation call. Returns one
- * <H> value per point, in point order.
- */
-std::vector<double> batchedExpectationSweep(
-    Session& session, const CircuitBuilder& makeCircuit,
-    const PauliSum& observable,
-    const std::vector<std::vector<double>>& points, Rng& rng,
-    std::size_t shots = 4096);
-
 /** Configuration of one hybrid quantum-classical run. */
 struct VqaOptions {
     std::size_t samplesPerEvaluation = 256;

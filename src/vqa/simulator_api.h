@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "circuit/circuit.h"
-#include "circuit/fusion.h"
 #include "linalg/types.h"
 #include "obs/trace.h"
 #include "util/rng.h"
@@ -162,24 +161,6 @@ using ParamBinding = Circuit;
 // ---------------------------------------------------------------------------
 
 /**
- * One compute table's hit/miss tally. Lifetime values are monotone over the
- * owning package; the per-task copies in DdMemoryStats are deltas over one
- * Session::run, so hitRate() there is an honest per-run rate rather than a
- * number diluted by the session's history.
- */
-struct DdComputeTableStats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-
-    std::size_t lookups() const { return hits + misses; }
-    double hitRate() const
-    {
-        const std::size_t n = lookups();
-        return n ? static_cast<double>(hits) / static_cast<double>(n) : 0.0;
-    }
-};
-
-/**
  * Decision-diagram memory-lifecycle counters (dd sessions only; all-zero on
  * the other backends). Mirrors the owning DdPackage's DdStats at the end of
  * the task, so a long noisy run can assert its live-node count stayed
@@ -191,12 +172,6 @@ struct DdMemoryStats {
     std::size_t gcRuns = 0;         ///< completed mark-and-sweep collections
     std::size_t nodesCollected = 0; ///< total unique-table evictions
     std::size_t peakLiveNodes = 0;  ///< high-water mark of live nodes
-    std::uint64_t gcNanos = 0;      ///< total collection pause time
-
-    DdComputeTableStats apply{};    ///< apply cache, package lifetime
-    DdComputeTableStats add{};      ///< add cache, package lifetime
-    DdComputeTableStats taskApply{};///< apply cache, this task only
-    DdComputeTableStats taskAdd{};  ///< add cache, this task only
 };
 
 /**
@@ -244,9 +219,6 @@ struct ResultMeta {
     /** Payload computed without Monte-Carlo error. */
     bool exact = false;
 
-    /** Gate-fusion stats of the active plan (dense backends; else zeros). */
-    FusionStats fusion{};
-
     /** Diagram memory-lifecycle stats (dd sessions; else zeros). */
     DdMemoryStats ddMemory{};
 
@@ -254,7 +226,7 @@ struct ResultMeta {
     BatchStats batch{};
 
     /**
-     * Phase-time breakdown and counter deltas for this task, collected when
+     * Phase-time breakdown for this task, collected when
      * obs::enabled() (QKC_OBS) is on: the run's top-level spans (bind,
      * backend phases, gc pauses) aggregated by name, summing to within a
      * few percent of `seconds`. Empty when it is off.

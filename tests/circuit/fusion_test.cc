@@ -5,6 +5,7 @@
 #include "circuit/noise.h"
 #include "densitymatrix/densitymatrix_simulator.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/oracles.h"
 #include "testing/session_runs.h"
 #include "util/rng.h"
 
@@ -194,9 +195,9 @@ TEST(FusionTest, NoisyDistributionsUnchangedByFusion)
     ExecPolicy fusedPolicy;
     fusedPolicy.fuseGates = true;
     const auto exactUnfused =
-        StateVectorSimulator(unfusedPolicy).noisyDistributionExhaustive(c);
+        testing::noisyDistributionExhaustive(c, unfusedPolicy);
     const auto exactFused =
-        StateVectorSimulator(fusedPolicy).noisyDistributionExhaustive(c);
+        testing::noisyDistributionExhaustive(c, fusedPolicy);
     ASSERT_EQ(exactUnfused.size(), exactFused.size());
     for (std::size_t i = 0; i < exactUnfused.size(); ++i)
         EXPECT_NEAR(exactUnfused[i], exactFused[i], 1e-10);

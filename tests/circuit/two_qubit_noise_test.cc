@@ -4,6 +4,7 @@
 #include "algorithms/algorithms.h"
 #include "circuit/qasm.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/oracles.h"
 #include "testing/session_runs.h"
 #include "testing/variable_elimination.h"
 #include "util/stats.h"
@@ -50,7 +51,7 @@ TEST(TwoQubitNoiseTest, DensityMatrixMatchesTrajectoriesAndEnumeration)
     c.ry(1, 0.7);
 
     auto exact = testing::probabilitiesOf("dm", c);
-    auto enumerated = StateVectorSimulator().noisyDistributionExhaustive(c);
+    auto enumerated = testing::noisyDistributionExhaustive(c);
     for (std::size_t x = 0; x < exact.size(); ++x)
         EXPECT_NEAR(exact[x], enumerated[x], 1e-9) << x;
 
@@ -139,7 +140,7 @@ TEST(TwoQubitNoiseTest, CorrelatedDiffersFromIndependent)
 
     auto rhoA = testing::finalRho(correlated);
     auto rhoB = testing::finalRho(independent);
-    EXPECT_FALSE(rhoA.toMatrix().approxEqual(rhoB.toMatrix(), 1e-6));
+    EXPECT_FALSE(testing::toMatrix(rhoA).approxEqual(testing::toMatrix(rhoB), 1e-6));
 }
 
 } // namespace

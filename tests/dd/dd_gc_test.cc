@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 #include <unordered_set>
 
 #include "circuit/gate.h"
@@ -366,6 +367,36 @@ TEST(DdGcTest, RebindKeepsOnePackageAndCollectsTheOldState)
     ASSERT_EQ(last.probabilities.size(), fresh.probabilities.size());
     for (std::size_t k = 0; k < fresh.probabilities.size(); ++k)
         EXPECT_NEAR(last.probabilities[k], fresh.probabilities[k], 1e-12);
+}
+
+TEST(DdGcTest, DistinctObservablesDoNotGrowTheSession)
+{
+    // Expectation builds each term's Pauli-string DD without rooting it, so
+    // the next bind's collection frees it: after a bind, a session that
+    // served 200 distinct observables holds no more live matrix nodes than
+    // one that served a single observable.
+    constexpr std::size_t n = 10;
+    const char kPaulis[] = {'I', 'X', 'Y', 'Z'};
+    PauliSum z;
+    z.add(1.0, PauliString("Z" + std::string(n - 1, 'I')));
+    auto liveMNodesAfter = [&](std::size_t observables) {
+        auto session = makeBackend("dd")->open(layeredAnsatz(n, 0.3));
+        Rng rng(5);
+        for (std::size_t i = 1; i <= observables; ++i) {
+            // Term i spells i in base 4 over the qubits: all distinct.
+            std::string term(n, 'I');
+            for (std::size_t q = 0, k = i; k > 0; ++q, k /= 4)
+                term[q] = kPaulis[k % 4];
+            PauliSum h;
+            h.add(1.0, PauliString(term));
+            EXPECT_TRUE(session->run(Expectation{h}, rng).meta.exact);
+        }
+        session->bind(layeredAnsatz(n, 0.4));
+        return session->run(Expectation{z}, rng).meta.ddMemory.liveMNodes;
+    };
+    const std::size_t one = liveMNodesAfter(1);
+    EXPECT_GT(one, 0u);
+    EXPECT_LE(liveMNodesAfter(200), one + 8);
 }
 
 TEST(DdGcTest, LongNoisyRunKeepsLiveNodesBounded)

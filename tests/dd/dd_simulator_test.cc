@@ -13,6 +13,7 @@
 #include "algorithms/algorithms.h"
 #include "dd/dd_simulator.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/oracles.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 
@@ -117,7 +118,7 @@ TEST(DdSimulatorTest, NoisyBellTrajectoriesPassChiSquare)
     // (non-unitary Kraus operators), so this exercises the Born-weighted
     // branch selection, not just mixture-of-unitaries sampling.
     Circuit c = noisyBellCircuit(0.36);
-    auto exact = StateVectorSimulator().noisyDistributionExhaustive(c);
+    auto exact = testing::noisyDistributionExhaustive(c);
 
     Rng rng(11);
     auto samples = testing::samplesOf("dd", c, 2000, rng);
@@ -129,7 +130,7 @@ TEST(DdSimulatorTest, NoisyBellTrajectoriesPassChiSquare)
 TEST(DdSimulatorTest, MixtureNoiseTrajectoriesPassChiSquare)
 {
     Circuit c = ghzCircuit(3).withNoiseAfterEachGate(NoiseKind::BitFlip, 0.05);
-    auto exact = StateVectorSimulator().noisyDistributionExhaustive(c);
+    auto exact = testing::noisyDistributionExhaustive(c);
 
     Rng rng(13);
     auto samples = testing::samplesOf("dd", c, 2000, rng);
@@ -143,7 +144,7 @@ TEST(DdSimulatorTest, TwoQubitChannelTrajectoriesPassChiSquare)
     Circuit c(2);
     c.h(0).cnot(0, 1);
     c.append(NoiseChannel::twoQubitDepolarizing(0, 1, 0.2));
-    auto exact = StateVectorSimulator().noisyDistributionExhaustive(c);
+    auto exact = testing::noisyDistributionExhaustive(c);
 
     Rng rng(17);
     auto samples = testing::samplesOf("dd", c, 2000, rng);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "circuit/noise.h"
+#include "testing/oracles.h"
 #include "testing/session_runs.h"
 #include "util/rng.h"
 #include "vqa/backends.h"
@@ -105,7 +106,7 @@ TEST(ChannelSuperoperatorTest, EveryChannelMatchesKrausSumAtEveryPosition)
                 for (std::uint64_t r = 0; r < rho.dimension(); ++r)
                     for (std::uint64_t c = 0; c < rho.dimension(); ++c)
                         rho.at(r, c) = rho0(r, c);
-                rho.applyChannel(ch.krausOperators(), ch.qubits());
+                testing::applyOp(rho, ch);
 
                 Matrix expected = Matrix::zero(rho0.rows(), rho0.cols());
                 for (const Matrix& e : ch.krausOperators()) {

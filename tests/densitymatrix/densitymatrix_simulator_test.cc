@@ -5,6 +5,7 @@
 #include "algorithms/algorithms.h"
 #include "statevector/statevector_simulator.h"
 #include "testing/algorithm_circuits.h"
+#include "testing/oracles.h"
 #include "testing/session_runs.h"
 #include "util/stats.h"
 
@@ -30,7 +31,7 @@ TEST(DensityMatrixSimulatorTest, MatchesExhaustiveEnumeration)
     // exact; they must agree on arbitrary noisy circuits.
     Circuit c = ghzCircuit(3).withNoiseAfterEachGate(NoiseKind::Depolarizing,
                                                      0.05);
-    auto enumerated = StateVectorSimulator().noisyDistributionExhaustive(c);
+    auto enumerated = testing::noisyDistributionExhaustive(c);
     auto viaRho = testing::finalRho(c).diagonalProbabilities();
     for (std::size_t i = 0; i < enumerated.size(); ++i)
         EXPECT_NEAR(enumerated[i], viaRho[i], 1e-9);
@@ -45,7 +46,7 @@ TEST(DensityMatrixSimulatorTest, MatchesEnumerationOnDampingChannels)
     c.append(NoiseChannel::phaseDamping(1, 0.2));
     c.rx(1, 0.6);
 
-    auto enumerated = StateVectorSimulator().noisyDistributionExhaustive(c);
+    auto enumerated = testing::noisyDistributionExhaustive(c);
     auto viaRho = testing::finalRho(c).diagonalProbabilities();
     for (std::size_t i = 0; i < enumerated.size(); ++i)
         EXPECT_NEAR(enumerated[i], viaRho[i], 1e-9);

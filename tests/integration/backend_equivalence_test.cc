@@ -19,6 +19,7 @@
 #include "circuit/noise.h"
 #include "statevector/statevector_simulator.h"
 #include "testing/chi_square.h"
+#include "testing/oracles.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 #include "vqa/backends.h"
@@ -135,7 +136,7 @@ TEST(BackendEquivalenceTest, NoisyProbabilitiesAgreeAcrossBackends)
         c.append(NoiseChannel::twoQubitDepolarizing(0, n - 1, 0.1));
 
         const auto exact =
-            StateVectorSimulator().noisyDistributionExhaustive(c);
+            testing::noisyDistributionExhaustive(c);
         for (const char* name : {"dm", "kc"}) {
             const auto dist = testing::probabilitiesOf(name, c);
             ASSERT_EQ(dist.size(), exact.size()) << name;

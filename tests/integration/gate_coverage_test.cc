@@ -9,6 +9,7 @@
 
 #include "ac/kc_simulator.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/oracles.h"
 #include "testing/param_printers.h"
 #include "testing/session_runs.h"
 
@@ -92,8 +93,7 @@ TEST_P(ChannelCoverageTest, EveryChannelOnEveryEncodingPath)
     auto kcDist = kc.outcomeDistribution();
 
     // Independent exact reference.
-    StateVectorSimulator sv;
-    auto exact = sv.noisyDistributionExhaustive(c);
+    auto exact = testing::noisyDistributionExhaustive(c);
     for (std::size_t x = 0; x < exact.size(); ++x)
         EXPECT_NEAR(kcDist[x], exact[x], 1e-9)
             << ch.name() << " x=" << x;

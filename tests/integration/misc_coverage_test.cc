@@ -28,21 +28,20 @@ TEST(MiscCoverageTest, GibbsThinningProducesRequestedCount)
 
 TEST(MiscCoverageTest, IndependenceMovesCanBeDisabled)
 {
-    // With independence moves off, Bell's single-site chain cannot leave
-    // its initial support component — documenting the reducibility the
-    // default configuration fixes.
+    // With sweeps alone (no independence moves between them), Bell's
+    // single-site chain cannot leave its initial support component —
+    // documenting the reducibility the moves in run() fix.
     KcSimulator kc(testing::bellCircuit());
+    GibbsSampler sampler(kc.bayesNet(), kc.evaluator());
     Rng rng(2);
-    GibbsOptions options;
-    options.burnIn = 16;
-    options.independenceInterval = 0;
-    auto samples = kc.sample(500, rng, options);
+    ASSERT_TRUE(sampler.init(rng));
     std::size_t zeros = 0, ones = 0;
-    for (auto s : samples) {
-        zeros += s == 0b00;
-        ones += s == 0b11;
+    for (int i = 0; i < 500; ++i) {
+        sampler.sweep(rng);
+        zeros += sampler.outcome() == 0b00;
+        ones += sampler.outcome() == 0b11;
     }
-    EXPECT_EQ(zeros + ones, samples.size());
+    EXPECT_EQ(zeros + ones, 500u);
     EXPECT_TRUE(zeros == 0 || ones == 0);  // stuck in one mode
 }
 

@@ -6,6 +6,7 @@
 
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
+#include "testing/oracles.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 
@@ -61,7 +62,7 @@ TEST(RobustnessTest, InverseGateByGate)
     c.ccx(0, 1, 2).ccz(0, 1, 2).swap(0, 2).phase(1, 0.8);
 
     Circuit echo = c;
-    echo.extend(c.inverse());
+    echo.extend(testing::inverse(c));
     auto probs = testing::probabilitiesOf("sv", echo);
     EXPECT_NEAR(probs[0], 1.0, 1e-9);
 }
@@ -73,7 +74,7 @@ TEST(RobustnessTest, LoschmidtEchoOnRandomCircuits)
         Rng rng(9900 + seed);
         Circuit c = testing::randomCircuit(4, 12, rng);
         Circuit echo = c;
-        echo.extend(c.inverse());
+        echo.extend(testing::inverse(c));
 
         auto probs = testing::probabilitiesOf("sv", echo);
         EXPECT_NEAR(probs[0], 1.0, 1e-9) << "seed " << seed;
@@ -85,7 +86,7 @@ TEST(RobustnessTest, LoschmidtEchoOnRandomCircuits)
 
 TEST(RobustnessTest, InverseRejectsNoise)
 {
-    EXPECT_THROW(noisyBellCircuit().inverse(), std::invalid_argument);
+    EXPECT_THROW(testing::inverse(noisyBellCircuit()), std::invalid_argument);
 }
 
 TEST(RobustnessTest, DeepCircuitStaysExact)

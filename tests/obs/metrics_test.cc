@@ -100,20 +100,6 @@ TEST_F(MetricsTest, SnapshotIsNameSorted)
                                }));
 }
 
-TEST_F(MetricsTest, CounterDeltasReportOnlyMovement)
-{
-    static obs::Counter moved("test.metrics.moved");
-    static obs::Counter still("test.metrics.still");
-    still.add(5);
-    const auto base = obs::MetricsRegistry::instance().snapshot();
-    moved.add(3);
-    const auto deltas =
-        obs::counterDeltas(base, obs::MetricsRegistry::instance().snapshot());
-    ASSERT_EQ(deltas.size(), 1u);
-    EXPECT_EQ(std::string(deltas[0].name), "test.metrics.moved");
-    EXPECT_EQ(deltas[0].delta, 3u);
-}
-
 /**
  * The tentpole's concurrency claim: writers on N pool threads, each adding
  * to its own thread-local shard, merge to the exact arithmetic total for

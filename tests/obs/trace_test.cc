@@ -75,7 +75,7 @@ TEST_F(TraceTest, SpanOutsideCollectionIsFree)
 
 TEST_F(TraceTest, ProfileScopeAggregatesTopLevelPhases)
 {
-    obs::ProfileScope scope("test.task", /*withCounters=*/false);
+    obs::ProfileScope scope("test.task");
     {
         QKC_SPAN("test.phaseA");
         QKC_SPAN("test.nested"); // a child of phaseA, not a phase
@@ -93,28 +93,12 @@ TEST_F(TraceTest, ProfileScopeAggregatesTopLevelPhases)
     EXPECT_LE(profile.accountedSeconds(), profile.totalSeconds * 1.5);
 }
 
-TEST_F(TraceTest, ProfileScopeCapturesCounterDeltas)
-{
-    static obs::Counter c("test.trace.scoped");
-    obs::ProfileScope scope("test.task");
-    c.add(9);
-    const obs::TaskProfile profile = scope.take();
-    bool found = false;
-    for (const obs::CounterDelta& d : profile.counters) {
-        if (std::string(d.name) == "test.trace.scoped") {
-            EXPECT_EQ(d.delta, 9u);
-            found = true;
-        }
-    }
-    EXPECT_TRUE(found);
-}
-
 TEST_F(TraceTest, NestedProfileScopesCreditInnermost)
 {
-    obs::ProfileScope outer("test.outerTask", false);
+    obs::ProfileScope outer("test.outerTask");
     obs::TaskProfile innerProfile;
     {
-        obs::ProfileScope inner("test.innerTask", false);
+        obs::ProfileScope inner("test.innerTask");
         { QKC_SPAN("test.work"); }
         innerProfile = inner.take();
     }

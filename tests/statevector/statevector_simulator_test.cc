@@ -8,6 +8,7 @@
 #include "algorithms/algorithms.h"
 #include "testing/algorithm_circuits.h"
 #include "testing/chi_square.h"
+#include "testing/oracles.h"
 #include "testing/session_runs.h"
 #include "testing/test_circuits.h"
 #include "util/stats.h"
@@ -74,8 +75,7 @@ TEST(StateVectorSimulatorTest, ExhaustiveNoisyDistributionBell)
 {
     // The paper's noisy Bell example keeps outcome probabilities 1/2, 1/2
     // (phase damping does not change populations).
-    StateVectorSimulator sim;
-    auto dist = sim.noisyDistributionExhaustive(noisyBellCircuit(0.36));
+    auto dist = testing::noisyDistributionExhaustive(noisyBellCircuit(0.36));
     EXPECT_NEAR(dist[0], 0.5, 1e-12);
     EXPECT_NEAR(dist[3], 0.5, 1e-12);
     EXPECT_NEAR(dist[1], 0.0, 1e-12);
@@ -87,8 +87,7 @@ TEST(StateVectorSimulatorTest, ExhaustiveMatchesTrajectoriesOnAmplitudeDamping)
     c.h(0);
     c.append(NoiseChannel::amplitudeDamping(0, 0.4));
 
-    StateVectorSimulator sim;
-    auto exact = sim.noisyDistributionExhaustive(c);
+    auto exact = testing::noisyDistributionExhaustive(c);
 
     Rng rng(7);
     auto samples = testing::samplesOf("sv", c, 30000, rng);
@@ -101,8 +100,7 @@ TEST(StateVectorSimulatorTest, ExhaustiveDistributionSumsToOne)
 {
     Circuit c = ghzCircuit(3).withNoiseAfterEachGate(NoiseKind::Depolarizing,
                                                      0.05);
-    StateVectorSimulator sim;
-    auto dist = sim.noisyDistributionExhaustive(c);
+    auto dist = testing::noisyDistributionExhaustive(c);
     double total = 0.0;
     for (double p : dist)
         total += p;

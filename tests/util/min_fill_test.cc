@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "testing/oracles.h"
 #include "util/graph.h"
 
 namespace qkc {
@@ -27,7 +28,7 @@ TEST(MinFillTest, TreeHasWidthOne)
     for (std::size_t v = 0; v + 1 < 6; ++v)
         g.addEdge(v, v + 1);
     auto order = minFillOrdering(g);
-    EXPECT_EQ(inducedWidth(g, order), 1u);
+    EXPECT_EQ(testing::inducedWidth(g, order), 1u);
 }
 
 TEST(MinFillTest, CliqueWidthIsNMinusOne)
@@ -37,7 +38,7 @@ TEST(MinFillTest, CliqueWidthIsNMinusOne)
         for (std::size_t v = u + 1; v < 5; ++v)
             g.addEdge(u, v);
     auto order = minFillOrdering(g);
-    EXPECT_EQ(inducedWidth(g, order), 4u);
+    EXPECT_EQ(testing::inducedWidth(g, order), 4u);
 }
 
 TEST(MinFillTest, GridWidthMatchesKnownBound)
@@ -45,8 +46,8 @@ TEST(MinFillTest, GridWidthMatchesKnownBound)
     // Treewidth of an n x n grid is n; min-fill achieves it on small grids.
     Graph g = gridGraph(3, 3);
     auto order = minFillOrdering(g);
-    EXPECT_LE(inducedWidth(g, order), 3u);
-    EXPECT_GE(inducedWidth(g, order), 2u);
+    EXPECT_LE(testing::inducedWidth(g, order), 3u);
+    EXPECT_GE(testing::inducedWidth(g, order), 2u);
 }
 
 TEST(MinFillTest, BeatsBadOrderOnGrid)
@@ -56,7 +57,7 @@ TEST(MinFillTest, BeatsBadOrderOnGrid)
     std::vector<std::size_t> lex(16);
     for (std::size_t i = 0; i < 16; ++i)
         lex[i] = i;
-    EXPECT_LE(inducedWidth(g, mf), inducedWidth(g, lex));
+    EXPECT_LE(testing::inducedWidth(g, mf), testing::inducedWidth(g, lex));
 }
 
 TEST(MinFillTest, EmptyGraph)
@@ -72,7 +73,7 @@ TEST(MinFillTest, DisconnectedGraph)
     g.addEdge(2, 3);
     auto order = minFillOrdering(g);
     EXPECT_EQ(order.size(), 4u);
-    EXPECT_EQ(inducedWidth(g, order), 1u);
+    EXPECT_EQ(testing::inducedWidth(g, order), 1u);
 }
 
 } // namespace

@@ -85,20 +85,6 @@ TEST(RngTest, BernoulliFrequency)
     EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.01);
 }
 
-TEST(RngTest, NormalMoments)
-{
-    Rng rng(17);
-    const int kN = 100000;
-    double sum = 0.0, sumSq = 0.0;
-    for (int i = 0; i < kN; ++i) {
-        double x = rng.normal();
-        sum += x;
-        sumSq += x * x;
-    }
-    EXPECT_NEAR(sum / kN, 0.0, 0.02);
-    EXPECT_NEAR(sumSq / kN, 1.0, 0.03);
-}
-
 TEST(RngTest, CategoricalMatchesWeights)
 {
     Rng rng(23);

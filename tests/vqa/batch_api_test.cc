@@ -420,30 +420,6 @@ TEST(GradientTest, GradientBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(grads[0], grads[1]); // bit-identical, no tolerance
 }
 
-TEST(GradientTest, BatchedSweepScoresEveryPoint)
-{
-    Rng gr(3);
-    auto problem = QaoaMaxCut::randomRegular(6, 3, 1, gr);
-    const PauliSum h = problem.cutObservable();
-    auto makeCircuit = [&](const std::vector<double>& p) {
-        return problem.circuit(p);
-    };
-    const std::vector<std::vector<double>> points = {
-        {0.1, 0.2}, {0.5, 0.9}, {1.1, 0.3}};
-    auto session = makeBackend("sv")->open(makeCircuit(points[0]));
-    Rng rng(2);
-    const auto values =
-        batchedExpectationSweep(*session, makeCircuit, h, points, rng, 0);
-    ASSERT_EQ(values.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        auto s = makeBackend("sv")->open(makeCircuit(points[i]));
-        Rng r(1);
-        EXPECT_NEAR(values[i], s->run(Expectation{h, 0}, r).expectation,
-                    1e-12)
-            << "point " << i;
-    }
-}
-
 TEST(GradientTest, BatchedStartsDriveTheOptimizer)
 {
     Rng gr(7);

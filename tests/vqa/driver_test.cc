@@ -21,8 +21,8 @@ TEST(VqaDriverTest, QaoaImprovesOverUniformWithKc)
 {
     Rng rng(3);
     auto problem = QaoaMaxCut::randomRegular(6, 3, 1, rng);
-    KnowledgeCompilationBackend backend;
-    auto result = runQaoaMaxCut(problem, backend, smallRun(5));
+    auto backend = makeBackend("kc");
+    auto result = runQaoaMaxCut(problem, *backend, smallRun(5));
     // Uniform superposition cuts half the edges on average.
     double uniform = problem.graph().numEdges() / 2.0;
     EXPECT_LT(result.bestObjective, -(uniform + 0.1));
@@ -36,8 +36,8 @@ TEST(VqaDriverTest, KcSessionCompilesOnce)
     // paper's central reuse claim, reported by the driver's metadata.
     Rng rng(7);
     auto problem = QaoaMaxCut::randomRegular(6, 3, 1, rng);
-    KnowledgeCompilationBackend backend;
-    auto result = runQaoaMaxCut(problem, backend, smallRun(9));
+    auto backend = makeBackend("kc");
+    auto result = runQaoaMaxCut(problem, *backend, smallRun(9));
     EXPECT_EQ(result.planBuilds, 1u);
     EXPECT_EQ(result.planReuses, result.circuitEvaluations - 1);
     EXPECT_GT(result.circuitEvaluations, 10u);
@@ -60,9 +60,9 @@ TEST(VqaDriverTest, StateVectorAndKcFindSimilarOptima)
 {
     Rng rng(11);
     auto problem = QaoaMaxCut::randomRegular(6, 3, 1, rng);
-    KnowledgeCompilationBackend kc;
+    auto kc = makeBackend("kc");
     StateVectorBackend sv;
-    auto rKc = runQaoaMaxCut(problem, kc, smallRun(13));
+    auto rKc = runQaoaMaxCut(problem, *kc, smallRun(13));
     auto rSv = runQaoaMaxCut(problem, sv, smallRun(13));
     EXPECT_NEAR(rKc.bestObjective, rSv.bestObjective, 0.8);
 }
@@ -71,8 +71,8 @@ TEST(VqaDriverTest, VqeLowersEnergy)
 {
     Rng rng(17);
     VqeIsing problem(2, 2, 1, rng);
-    KnowledgeCompilationBackend backend;
-    auto result = runVqeIsing(problem, backend, smallRun(19));
+    auto backend = makeBackend("kc");
+    auto result = runVqeIsing(problem, *backend, smallRun(19));
     // The uniform superposition has expected energy ~0 (random signs);
     // the optimizer should find something decidedly below it and above the
     // ground state.
@@ -122,9 +122,6 @@ TEST(VqaDriverTest, BackendNames)
 {
     EXPECT_EQ(StateVectorBackend().name(), "statevector");
     EXPECT_EQ(DensityMatrixBackend().name(), "densitymatrix");
-    EXPECT_EQ(TensorNetworkBackend().name(), "tensornetwork");
-    EXPECT_EQ(DecisionDiagramBackend().name(), "decisiondiagram");
-    EXPECT_EQ(KnowledgeCompilationBackend().name(), "knowledgecompilation");
 }
 
 TEST(VqaDriverTest, MakeBackendResolvesEveryRegistryName)

@@ -104,8 +104,7 @@ TEST(PauliSumTest, KcSessionServesNonDiagonalTermsExactly)
     // queries on ideal circuits — no rotated-basis sampling, no recompile.
     PauliSum h;
     h.add(1.0, PauliString("XX")).add(1.0, PauliString("ZZ"));
-    KnowledgeCompilationBackend kc;
-    auto session = kc.open(testing::bellCircuit());
+    auto session = makeBackend("kc")->open(testing::bellCircuit());
     Rng rng(5);
     Result r = session->run(Expectation{h, 0}, rng);
     EXPECT_TRUE(r.meta.exact);
@@ -121,8 +120,7 @@ TEST(PauliSumTest, TnSessionFallsBackToSampling)
     // flagged as non-exact.
     PauliSum h;
     h.add(0.5, PauliString("XX")).add(0.25, PauliString("ZZ"));
-    TensorNetworkBackend tn;
-    auto session = tn.open(testing::bellCircuit());
+    auto session = makeBackend("tn")->open(testing::bellCircuit());
     Rng rng(7);
     Result r = session->run(Expectation{h, 4000}, rng);
     EXPECT_FALSE(r.meta.exact);

@@ -128,7 +128,6 @@ TEST(SessionTest, SvBindReusesThePlan)
             problem.circuit({0.3 + shift, 0.7, 0.9 - shift, 0.2}));
         Result r = session->run(Sample{64}, rng);
         EXPECT_EQ(r.meta.planBuilds, 1u);
-        EXPECT_GT(r.meta.fusion.gatesIn, 0u);
     }
     EXPECT_EQ(session->planBuilds(), 1u);
     EXPECT_EQ(session->planReuses(), 3u);
@@ -175,8 +174,7 @@ TEST(SessionTest, TnBindKeepsContractionPlans)
 {
     Rng graphRng(3);
     auto problem = QaoaMaxCut::randomRegular(4, 3, 1, graphRng);
-    TensorNetworkBackend backend;
-    auto session = backend.open(problem.circuit({0.4, 0.6}));
+    auto session = makeBackend("tn")->open(problem.circuit({0.4, 0.6}));
     session->bind(problem.circuit({0.5, 0.5}));
     EXPECT_EQ(session->planBuilds(), 1u);
     EXPECT_EQ(session->planReuses(), 1u);
@@ -209,8 +207,7 @@ TEST(SessionTest, KcBindRefreshesParameters)
 {
     Rng graphRng(3);
     auto problem = QaoaMaxCut::randomRegular(5, 2, 1, graphRng);
-    KnowledgeCompilationBackend backend;
-    auto session = backend.open(problem.circuit({0.4, 0.6}));
+    auto session = makeBackend("kc")->open(problem.circuit({0.4, 0.6}));
     session->bind(problem.circuit({0.7, 0.1}));
     session->bind(problem.circuit({0.2, 0.9}));
     EXPECT_EQ(session->planBuilds(), 1u);
