@@ -14,7 +14,8 @@
  * compares the scalar, AVX2 and AVX-512 sweeps per kernel class and the
  * cache-blocked run sweep against the PR 7 gather-only sweep on a
  * high-stride target — `ratio(off, avx2)` on generic1q is the ISSUE-8
- * acceptance number.
+ * acceptance number. Its last rows time generic kernels on index bits 0
+ * and 1, which only the gather sweep serves.
  */
 #include <benchmark/benchmark.h>
 
@@ -389,7 +390,7 @@ runSimdComparison(std::size_t n)
  * >= 20): the blocked sweep streams unit-stride runs where the gather
  * sweep strides 2^bit through the array.
  */
-void
+double
 runBlockedComparison(std::size_t n)
 {
     // Qubit 1 of n maps to bit n-2: 22 qubits puts the target at bit 20,
@@ -423,6 +424,56 @@ runBlockedComparison(std::size_t n)
         .field("mode", "blocked")
         .field("sec_per_apply", blockedSec)
         .field("speedup_vs_gather", gatherSec / blockedSec);
+    return blockedSec / amps;
+}
+
+/**
+ * Generic kernels on the lowest index bits, next to the bit-20 row above:
+ * their runs are shorter than the blocked sweep's minimum, so applyKernel
+ * takes the gather sweep (one index-gather per residual group). These are
+ * the shapes of a dm kernel on qubit n-1 or n-2, whose column bit is 0 or
+ * 1. `secPerAmpHighStride` is the blocked bit-20 sweep's time per amp.
+ */
+void
+runLowBitRows(std::size_t n, double secPerAmpHighStride)
+{
+    const Matrix h = Gate(GateKind::H, {0}).unitary();
+    const Matrix dense2q =
+        h.kron(Gate(GateKind::Ry, {0}, 0.3).unitary()) *
+        Gate(GateKind::CNOT, {0, 1}).unitary();
+    struct Case {
+        const char* name;
+        GateKernel kernel;
+    };
+    const Case cases[] = {
+        {"generic1q_bit0", compileKernel(h, {0})},
+        {"generic1q_bit1", compileKernel(h, {1})},
+        {"generic2q_bits10", compileKernel(dense2q, {1, 0})},
+    };
+    StateVector sv(n);
+    ExecPolicy policy;
+    policy.threads = 1;
+    const char* level = simdLevelName(policy.resolvedSimd());
+    const double amps = static_cast<double>(std::uint64_t{1} << n);
+
+    std::printf("# low-bit kernels (gather sweep), %zu qubits\n", n);
+    for (const Case& c : cases) {
+        const double sec = secondsPerApply(c.kernel, sv, policy, true);
+        const double groups = amps / static_cast<double>(1u << c.kernel.targets);
+        std::printf("sweep %-17s %-7s %8.3f ns/amp %8.3f ns/group  "
+                    "x%.2f vs bit-20 blocked\n",
+                    c.name, level, sec / amps * 1e9, sec / groups * 1e9,
+                    sec / amps / secPerAmpHighStride);
+        bench::JsonRow("micro_kernels")
+            .field("kernel", c.name)
+            .field("qubits", n)
+            .field("simd", level)
+            .field("mode", "gather")
+            .field("sec_per_apply", sec)
+            .field("ns_per_group", sec / groups * 1e9)
+            .field("slowdown_vs_highstride_blocked",
+                   sec / amps / secPerAmpHighStride);
+    }
 }
 
 } // namespace
@@ -436,7 +487,7 @@ driverMain(int argc, char** argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     runSimdComparison(20);
-    runBlockedComparison(22);
+    runLowBitRows(22, runBlockedComparison(22));
     return 0;
 }
 

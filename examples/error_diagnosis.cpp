@@ -11,6 +11,7 @@
  * Usage: error_diagnosis [--qubits=4] [--flip=0.08]
  */
 #include <cstdio>
+#include <exception>
 
 #include "ac/queries.h"
 #include "algorithms/algorithms.h"
@@ -20,7 +21,7 @@ using namespace qkc;
 
 int
 main(int argc, char** argv)
-{
+try {
     Cli cli(argc, argv);
     std::size_t n = static_cast<std::size_t>(cli.getInt("qubits", 4));
     double flip = cli.getDouble("flip", 0.08);
@@ -70,4 +71,7 @@ main(int argc, char** argv)
                     sens[i].derivative.imag(), sens[i].influence);
     }
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error_diagnosis: %s\n", e.what());
+    return 2;
 }

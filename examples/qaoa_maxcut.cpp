@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 
@@ -39,7 +40,7 @@ using namespace qkc;
 
 int
 main(int argc, char** argv)
-{
+try {
     Cli cli(argc, argv);
     std::size_t vertices = static_cast<std::size_t>(cli.getInt("vertices", 10));
     std::size_t p = static_cast<std::size_t>(cli.getInt("iterations", 1));
@@ -180,4 +181,7 @@ main(int argc, char** argv)
                     recorder.drain().size());
     }
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "qaoa_maxcut: %s\n", e.what());
+    return 2;
 }

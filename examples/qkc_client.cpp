@@ -38,11 +38,12 @@ main(int argc, char** argv)
     using namespace qkc;
     Cli cli(argc, argv);
 
-    const std::string host = cli.getString("host", "127.0.0.1");
-    const auto port = static_cast<std::uint16_t>(cli.getInt("port", 7411));
-    const std::string path = cli.getString("path", "/v1/run");
-
     try {
+        const std::string host = cli.getString("host", "127.0.0.1");
+        const auto port =
+            static_cast<std::uint16_t>(cli.getInt("port", 7411));
+        const std::string path = cli.getString("path", "/v1/run");
+
         server::HttpReply reply;
         if (path != "/v1/run" && path != "/v1/shutdown") {
             reply = server::httpGet(host, port, path);

@@ -11,6 +11,7 @@
  *                                        on sv/dd)
  */
 #include <cstdio>
+#include <exception>
 #include <sstream>
 
 #include "obs/trace.h"
@@ -21,7 +22,7 @@ using namespace qkc;
 
 int
 main(int argc, char** argv)
-{
+try {
     Cli cli(argc, argv);
     std::size_t rows = static_cast<std::size_t>(cli.getInt("rows", 2));
     std::size_t cols = static_cast<std::size_t>(cli.getInt("cols", 3));
@@ -60,4 +61,7 @@ main(int argc, char** argv)
                     r.planReuses);
     }
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "vqe_ising: %s\n", e.what());
+    return 2;
 }

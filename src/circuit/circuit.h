@@ -15,6 +15,15 @@ namespace qkc {
 /** One time-ordered circuit element: a unitary gate or a noise channel. */
 using Operation = std::variant<Gate, NoiseChannel>;
 
+/** The wires a gate or channel acts on, first operand first. */
+inline const std::vector<std::size_t>&
+operandsOf(const Operation& op)
+{
+    if (const Gate* g = std::get_if<Gate>(&op))
+        return g->qubits();
+    return std::get<NoiseChannel>(op).qubits();
+}
+
 /**
  * A quantum circuit: a fixed number of qubits (all initialized to |0>) and a
  * time-ordered list of gates and noise channels. All qubits are measured in

@@ -75,17 +75,45 @@ compileUnitary(const Matrix& m, const std::vector<std::size_t>& qubits,
     return kernels;
 }
 
-/** The channel's Liouville kernel on its row bits, then its column bits. */
+/** A superoperator's one kernel on its row bits, then its column bits. */
 GateKernel
-compileChannel(const std::vector<Matrix>& kraus,
-               const std::vector<std::size_t>& qubits, std::size_t numQubits)
+compileSuperoperator(const Matrix& s, const std::vector<std::size_t>& qubits,
+                     std::size_t numQubits)
 {
     // Row bits first, then column bits — the same local order as the
     // factors of E (x) conj(E), so the kernel's local index is (r, c).
     std::vector<std::uint32_t> bits, colBits;
     rhoBits(qubits, numQubits, bits, colBits);
     bits.insert(bits.end(), colBits.begin(), colBits.end());
-    return compileKernel(liouville(kraus), bits);
+    return compileKernel(s, bits);
+}
+
+/** What a run applies to rho: the product of its ops, first-applied last. */
+struct RunProduct {
+    bool unitary = true; ///< every op is a gate; `m` is then their unitary
+    Matrix m;            ///< the unitary product, or the superoperator
+};
+
+RunProduct
+runProduct(const Circuit& circuit, const std::vector<std::size_t>& run)
+{
+    assert(!run.empty());
+    const auto& ops = circuit.operations();
+    RunProduct p;
+    for (std::size_t i : run)
+        p.unitary = p.unitary && std::holds_alternative<Gate>(ops[i]);
+    for (std::size_t i : run) {
+        Matrix f;
+        if (const Gate* g = std::get_if<Gate>(&ops[i])) {
+            f = g->unitary();
+            if (!p.unitary)
+                f = f.kron(conjugated(f));
+        } else {
+            f = liouville(std::get<NoiseChannel>(ops[i]).krausOperators());
+        }
+        p.m = p.m.rows() == 0 ? std::move(f) : f * p.m;
+    }
+    return p;
 }
 
 } // namespace
@@ -105,29 +133,39 @@ DensityMatrix::reset()
 }
 
 std::vector<GateKernel>
-DensityMatrix::compileOp(const Operation& op, std::size_t numQubits)
+DensityMatrix::compileRun(const Circuit& circuit,
+                          const std::vector<std::size_t>& run)
 {
-    if (const Gate* g = std::get_if<Gate>(&op))
-        return compileUnitary(g->unitary(), g->qubits(), numQubits);
-    const auto& ch = std::get<NoiseChannel>(op);
-    std::vector<GateKernel> kernels;
-    kernels.push_back(
-        compileChannel(ch.krausOperators(), ch.qubits(), numQubits));
-    return kernels;
+    const std::size_t n = circuit.numQubits();
+    const auto& qubits = operandsOf(circuit.operations()[run.front()]);
+    const RunProduct p = runProduct(circuit, run);
+    if (!p.unitary)
+        return {compileSuperoperator(p.m, qubits, n)};
+    if (qubits.size() > 1)
+        return compileUnitary(p.m, qubits, n);
+    // A 2-target Perm (X, Y, ...: U (x) conj(U) of an anti-diagonal U) has
+    // no blocked-sweep primitive, but each kernel of its row/column pair
+    // does, so such a run keeps the pair.
+    GateKernel k =
+        compileSuperoperator(p.m.kron(conjugated(p.m)), qubits, n);
+    if (k.op == GateKernel::Op::Perm && k.targets > 1)
+        return compileUnitary(p.m, qubits, n);
+    return {std::move(k)};
 }
 
 bool
-DensityMatrix::tryRefreshOp(std::vector<GateKernel>& kernels,
-                            const Operation& op)
+DensityMatrix::tryRefreshRun(std::vector<GateKernel>& kernels,
+                             const Circuit& circuit,
+                             const std::vector<std::size_t>& run)
 {
-    if (const Gate* g = std::get_if<Gate>(&op)) {
-        const Matrix m = g->unitary();
-        return kernels.size() == 2 && tryRefreshKernel(kernels[0], m) &&
-               tryRefreshKernel(kernels[1], conjugated(m));
-    }
-    const auto& kraus = std::get<NoiseChannel>(op).krausOperators();
-    return kernels.size() == 1 &&
-           tryRefreshKernel(kernels[0], liouville(kraus));
+    const RunProduct p = runProduct(circuit, run);
+    if (p.unitary && kernels.size() == 2)
+        return tryRefreshKernel(kernels[0], p.m) &&
+               tryRefreshKernel(kernels[1], conjugated(p.m));
+    if (kernels.size() != 1)
+        return false;
+    return tryRefreshKernel(kernels[0], p.unitary ? p.m.kron(conjugated(p.m))
+                                                  : p.m);
 }
 
 void

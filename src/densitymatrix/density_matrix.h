@@ -26,14 +26,20 @@ namespace qkc {
  * index space: rho is stored row-major, so flat(r, c) = r * 2^n + c and the
  * row/column index spaces are just the high/low n bits of a 2n-bit index.
  *
- *   - A gate is a left/right kernel pair: U rho = kernel(U) on the high
- *     bits, rho U^dagger = kernel(conj(U)) on the low bits. Both sweeps
- *     inherit the kernel specialization (a CZ left-apply is a masked sign
- *     flip, not a 4x4 multiply).
- *   - A channel is one kernel: its Liouville superoperator
- *     S = sum_k E_k (x) conj(E_k) on the channel's row bits then column
- *     bits (4x4 for one qubit, 16x16 for two), so the whole Kraus sum is a
- *     single sweep in place — no copy of rho, no accumulator.
+ *   - A wire run — the one-qubit gates and channels on a wire between two
+ *     multi-qubit ops — is one kernel: the product of its superoperators
+ *     (U (x) conj(U) per gate, S = sum_k E_k (x) conj(E_k) per channel) on
+ *     the qubit's row bit then column bit, a single 4x4 sweep in place
+ *     whatever its length and Kraus counts. A run of gates whose product is
+ *     a permutation (X, Y) keeps the row/column pair below instead: a
+ *     2-target permutation kernel has no cache-blocked sweep.
+ *   - A multi-qubit gate is a left/right kernel pair: U rho = kernel(U) on
+ *     the high bits, rho U^dagger = kernel(conj(U)) on the low bits. Both
+ *     sweeps inherit the kernel specialization (a CZ left-apply is a masked
+ *     sign flip, not a 4x4 multiply).
+ *   - A multi-qubit channel is one kernel: its Liouville superoperator on
+ *     its row bits then column bits (16x16 for two qubits), so the whole
+ *     Kraus sum is a single sweep — no copy of rho, no accumulator.
  *
  * Every sweep runs on the shared pool with deterministic chunking, and
  * rho is the only 4^n buffer.
@@ -69,22 +75,25 @@ class DensityMatrix {
     void apply(const GateKernel& k);
 
     /**
-     * Lowers one circuit operation to the kernels that apply it to an
-     * n-qubit rho, in order: a gate's left/right pair, or a channel's one
-     * superoperator kernel. The dm execution plan
-     * (densitymatrix_simulator.h) compiles each structure once with this.
+     * Lowers the ops at `run` in `circuit` — one multi-qubit op, or a run
+     * of one-qubit gates and channels on one wire, first-applied first —
+     * to the kernels that apply them to rho, in order (see the class
+     * comment). The dm execution plan (densitymatrix_simulator.h) compiles
+     * each structure once with this.
      */
-    static std::vector<GateKernel> compileOp(const Operation& op,
-                                             std::size_t numQubits);
+    static std::vector<GateKernel> compileRun(
+        const Circuit& circuit, const std::vector<std::size_t>& run);
 
     /**
-     * Refreshes compileOp's kernels for a same-structure operation without
-     * re-classification (see tryRefreshKernel). Returns false when a new
-     * value leaves a stored class — e.g. a channel planned at strength 0
-     * (Identity) rebound to a non-zero strength.
+     * Refreshes compileRun's kernels for a same-structure circuit without
+     * re-classification: recomputes the run's product and hands it to
+     * tryRefreshKernel. Returns false when a new value leaves a stored
+     * class — e.g. a channel planned at strength 0 (Identity) rebound to a
+     * non-zero strength.
      */
-    static bool tryRefreshOp(std::vector<GateKernel>& kernels,
-                             const Operation& op);
+    static bool tryRefreshRun(std::vector<GateKernel>& kernels,
+                              const Circuit& circuit,
+                              const std::vector<std::size_t>& run);
 
     /** Tr(rho). */
     Complex trace() const;

@@ -14,11 +14,16 @@ namespace qkc {
 
 /**
  * Builds the density-matrix plan for `circuit` under `policy`: the shared
- * dense plan (exec/execution_plan.h) lowered by DensityMatrix::compileOp.
- * Executing it sweeps rho once per channel and twice per gate, in place. A
- * session holds one per circuit structure and refreshes it across
- * parameter rebinds, so its planReuses metadata corresponds to
- * classification work actually saved.
+ * dense plan (exec/execution_plan.h) lowered by DensityMatrix::compileRun.
+ * Each wire's maximal run of one-qubit gates and channels becomes one
+ * planned op, placed just before the multi-qubit op that ends it (runs
+ * open at the circuit's end follow in wire order); every multi-qubit op is
+ * its own. Executing the plan sweeps rho once per run (twice for a
+ * permutation run), twice per multi-qubit gate and once per multi-qubit
+ * channel, in place. Without fusion every op is its own run. A session
+ * holds one plan per circuit structure and refreshes it across parameter
+ * rebinds, so its planReuses metadata corresponds to classification work
+ * actually saved.
  */
 DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy);
 
@@ -26,7 +31,13 @@ DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy);
 DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy,
                               const PathOptions& pathOptions);
 
-/** rebindPlan (exec/execution_plan.h) with the density-matrix lowering. */
+/**
+ * Rebinds a dm plan to a same-structure circuit (rebindPlanCircuit,
+ * exec/execution_plan.h), then recomputes each run's product and refreshes
+ * its kernels in place (DensityMatrix::tryRefreshRun). False when the
+ * structure differs or a new value leaves a stored kernel class; the
+ * caller must then re-plan.
+ */
 bool tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit);
 
 /**

@@ -49,17 +49,14 @@ refreshSvOp(std::vector<GateKernel>& kernels, const Operation& op)
     return true;
 }
 
-constexpr OpLowering kSvLowering{PlanEngine::StateVector, compileSvOp,
-                                 refreshSvOp};
-
 } // namespace
 
 ExecutionPlan
-buildPlan(const Circuit& circuit, const ExecPolicy& policy,
-          const OpLowering& lowering)
+preparePlan(const Circuit& circuit, const ExecPolicy& policy,
+            PlanEngine engine)
 {
     ExecutionPlan plan;
-    plan.engine = lowering.engine;
+    plan.engine = engine;
     plan.numQubits = circuit.numQubits();
     plan.fusionEnabled = policy.fuseGates;
     if (policy.fuseGates) {
@@ -68,22 +65,16 @@ buildPlan(const Circuit& circuit, const ExecPolicy& policy,
     } else {
         plan.circuit = circuit;
     }
-    const auto& ops = plan.circuit.operations();
-    plan.ops.reserve(ops.size());
-    for (std::size_t i = 0; i < ops.size(); ++i)
-        plan.ops.push_back({i, std::holds_alternative<NoiseChannel>(ops[i]),
-                            lowering.compile(ops[i], plan.numQubits)});
     return plan;
 }
 
 bool
-rebindPlan(ExecutionPlan& plan, const Circuit& circuit,
-           const OpLowering& lowering)
+rebindPlanCircuit(ExecutionPlan& plan, const Circuit& circuit,
+                  PlanEngine engine)
 {
     // On any failure the caller re-plans from scratch, so a partially
     // refreshed plan is never executed.
-    if (plan.engine != lowering.engine ||
-        circuit.numQubits() != plan.numQubits)
+    if (plan.engine != engine || circuit.numQubits() != plan.numQubits)
         return false;
 
     if (plan.fusionEnabled) {
@@ -97,13 +88,6 @@ rebindPlan(ExecutionPlan& plan, const Circuit& circuit,
             return false;
         plan.circuit = circuit;
     }
-
-    for (PlannedOp& op : plan.ops) {
-        const Operation& o = plan.circuit.operations()[op.opIndex];
-        if (std::holds_alternative<NoiseChannel>(o) != op.isChannel ||
-            !lowering.refresh(op.kernels, o))
-            return false;
-    }
     return true;
 }
 
@@ -111,7 +95,14 @@ ExecutionPlan
 planCircuit(const Circuit& circuit, const ExecPolicy& policy)
 {
     QKC_SPAN("exec.plan");
-    return buildPlan(circuit, policy, kSvLowering);
+    ExecutionPlan plan =
+        preparePlan(circuit, policy, PlanEngine::StateVector);
+    const auto& ops = plan.circuit.operations();
+    plan.ops.reserve(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i)
+        plan.ops.push_back({{i}, std::holds_alternative<NoiseChannel>(ops[i]),
+                            compileSvOp(ops[i], plan.numQubits)});
+    return plan;
 }
 
 ExecutionPlan
@@ -182,7 +173,15 @@ sameStructure(const Circuit& a, const Circuit& b)
 bool
 tryRebindPlan(ExecutionPlan& plan, const Circuit& circuit)
 {
-    return rebindPlan(plan, circuit, kSvLowering);
+    if (!rebindPlanCircuit(plan, circuit, PlanEngine::StateVector))
+        return false;
+    for (PlannedOp& op : plan.ops) {
+        const Operation& o = plan.circuit.operations()[op.opIndices[0]];
+        if (std::holds_alternative<NoiseChannel>(o) != op.isChannel ||
+            !refreshSvOp(op.kernels, o))
+            return false;
+    }
+    return true;
 }
 
 } // namespace qkc

@@ -13,36 +13,22 @@
 namespace qkc {
 
 /**
- * One circuit operation lowered to the kernels its engine sweeps (see
- * OpLowering). `opIndex` refers into the owning plan's circuit.
+ * Circuit operations lowered to the kernels their engine sweeps, in order.
+ * `opIndices` lists the source ops in the owning plan's circuit,
+ * first-applied first: exactly one for a state-vector op; a density-matrix
+ * wire run (densitymatrix_simulator.h) lists every one-qubit gate and
+ * channel it merges.
  */
 struct PlannedOp {
-    std::size_t opIndex = 0;
+    std::vector<std::size_t> opIndices;
+    /** A source op is a noise channel (sv: its kernels are the Kraus
+     *  operators a trajectory picks from). */
     bool isChannel = false;
     std::vector<GateKernel> kernels;
 };
 
 /** The engine whose lowering compiled a plan's kernels. */
 enum class PlanEngine : std::uint8_t { StateVector, DensityMatrix };
-
-/**
- * How one dense engine lowers a circuit operation to kernels. The plan
- * builder and rebinder below own everything else (fusion, the recipe
- * replay or structure check, the per-op loops), so an engine supplies
- * only these two rules.
- */
-struct OpLowering {
-    PlanEngine engine;
-    /** The kernels of `op` in a `numQubits`-qubit circuit. */
-    std::vector<GateKernel> (*compile)(const Operation& op,
-                                       std::size_t numQubits);
-    /**
-     * Refreshes `kernels` in place for a same-structure `op` without
-     * re-classification (see tryRefreshKernel); false when a new value no
-     * longer fits a stored kernel class.
-     */
-    bool (*refresh)(std::vector<GateKernel>& kernels, const Operation& op);
-};
 
 /**
  * A circuit prepared for repeated dense execution: fusion has run (if the
@@ -52,8 +38,10 @@ struct OpLowering {
  *  - State vector: a gate is one kernel; a channel is one kernel per Kraus
  *    operator, and a trajectory picks one. Qubit q lives at bit
  *    numQubits-1-q, matching the StateVector basis-index layout.
- *  - Density matrix: a gate is its row kernel then its column kernel; a
- *    channel is its single Liouville kernel. Every kernel applies in order.
+ *  - Density matrix: each wire's run of one-qubit gates and channels is
+ *    one 4x4 superoperator kernel; a multi-qubit gate is its row kernel
+ *    then its column kernel, and a multi-qubit channel its single
+ *    Liouville kernel. Every kernel applies in order.
  *
  * Trajectory sampling and variational sweeps re-execute the plan without
  * touching a Matrix again.
@@ -72,25 +60,26 @@ struct ExecutionPlan {
 using DmExecutionPlan = ExecutionPlan;
 
 /**
- * Builds the plan for `circuit` under `policy` with `lowering` (fusion
- * honored; thread settings are not consulted here — they matter at apply
- * time).
+ * The engine-independent half of planning: an `engine` plan whose circuit
+ * is `circuit` fused under `policy` (when it asks for fusion), with no op
+ * lowered yet. Thread settings are not consulted here — they matter at
+ * apply time.
  */
-ExecutionPlan buildPlan(const Circuit& circuit, const ExecPolicy& policy,
-                        const OpLowering& lowering);
+ExecutionPlan preparePlan(const Circuit& circuit, const ExecPolicy& policy,
+                          PlanEngine engine);
 
 /**
- * Rebinds `plan` to a new circuit with the same structure (the variational
- * fast path): replays the recorded fusion recipe on the new gate values,
- * or checks sameStructure when fusion is off, and refreshes every op's
- * kernels in place — no greedy fusion pass, no kernel re-classification.
- * Returns false when the plan was lowered by another engine, the structure
- * differs, a fused product crossed the identity boundary, or a new value
- * invalidated a kernel's stored class; the plan may then be partially
- * refreshed and the caller must re-plan before executing it.
+ * The engine-independent half of a rebind to a circuit with the same
+ * structure (the variational fast path): replays the recorded fusion
+ * recipe on the new gate values, or checks sameStructure when fusion is
+ * off, into plan.circuit — no greedy fusion pass. The engine then
+ * refreshes every op's kernels in place without re-classification.
+ * Returns false when `engine` did not lower the plan, the structure
+ * differs, or a fused product crossed the identity boundary; the caller
+ * must then re-plan before executing it.
  */
-bool rebindPlan(ExecutionPlan& plan, const Circuit& circuit,
-                const OpLowering& lowering);
+bool rebindPlanCircuit(ExecutionPlan& plan, const Circuit& circuit,
+                       PlanEngine engine);
 
 /** Builds the state-vector plan for `circuit` under `policy`. */
 ExecutionPlan planCircuit(const Circuit& circuit, const ExecPolicy& policy);
@@ -124,7 +113,11 @@ bool sameStructure(const Circuit& a, const Circuit& b);
  */
 std::uint64_t structureHash(const Circuit& circuit);
 
-/** rebindPlan with the state-vector lowering. */
+/**
+ * Rebinds a state-vector plan (see rebindPlanCircuit) and refreshes its
+ * kernels; false when a new value leaves a stored kernel class, and the
+ * plan may then be partially refreshed.
+ */
 bool tryRebindPlan(ExecutionPlan& plan, const Circuit& circuit);
 
 } // namespace qkc

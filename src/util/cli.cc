@@ -1,6 +1,9 @@
 #include "util/cli.h"
 
+#include <cerrno>
+#include <cctype>
 #include <cstdlib>
+#include <stdexcept>
 #include <string_view>
 
 namespace qkc {
@@ -33,18 +36,50 @@ Cli::getString(const std::string& name, const std::string& dflt) const
     return it == args_.end() ? dflt : it->second;
 }
 
+namespace {
+
+/**
+ * Parses the whole of `value` with `parse` (a strtoll/strtod wrapper):
+ * empty input, leading blanks, trailing characters and out-of-range
+ * values are refused as `--name=value: not a number`.
+ */
+template <class T, class Parse>
+T
+parseNumber(const std::string& name, const std::string& value, Parse parse)
+{
+    const char* begin = value.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const T v = parse(begin, &end);
+    if (value.empty() || std::isspace(static_cast<unsigned char>(value[0])) ||
+        end != begin + value.size() || errno == ERANGE)
+        throw std::invalid_argument("--" + name + "=" + value +
+                                    ": not a number");
+    return v;
+}
+
+} // namespace
+
 std::int64_t
 Cli::getInt(const std::string& name, std::int64_t dflt) const
 {
     auto it = args_.find(name);
-    return it == args_.end() ? dflt : std::strtoll(it->second.c_str(), nullptr, 10);
+    if (it == args_.end())
+        return dflt;
+    return parseNumber<std::int64_t>(
+        name, it->second,
+        [](const char* s, char** end) { return std::strtoll(s, end, 10); });
 }
 
 double
 Cli::getDouble(const std::string& name, double dflt) const
 {
     auto it = args_.find(name);
-    return it == args_.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
+    if (it == args_.end())
+        return dflt;
+    return parseNumber<double>(name, it->second, [](const char* s, char** end) {
+        return std::strtod(s, end);
+    });
 }
 
 } // namespace qkc

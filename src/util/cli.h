@@ -20,6 +20,14 @@ class Cli {
     bool has(const std::string& name) const;
 
     std::string getString(const std::string& name, const std::string& dflt) const;
+
+    /**
+     * The flag's value as a number, or `dflt` when the flag is absent. The
+     * whole value must parse: an empty value, trailing characters
+     * (`--samples=1e3` for an integer, `--x=12abc`), a non-number or an
+     * out-of-range value throws std::invalid_argument
+     * ("--name=value: not a number").
+     */
     std::int64_t getInt(const std::string& name, std::int64_t dflt) const;
     double getDouble(const std::string& name, double dflt) const;
 

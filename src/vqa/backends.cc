@@ -274,9 +274,10 @@ class DmSession final : public Session {
     {
         probs_.reset();
         // Same structure: replay the recorded fusion recipe on the new
-        // values and refresh every gate pair and channel kernel in place —
-        // no greedy pass, no re-classification (this is what planReuses now
-        // certifies; the old session re-ran both inside every ensureRho).
+        // values and refresh every wire run's and gate pair's kernels in
+        // place — no greedy pass, no re-classification (this is what
+        // planReuses now certifies; the old session re-ran both inside
+        // every ensureRho).
         if (sameStructure && tryRebindDmPlan(plan_, circuit))
             return true;
         plan_ = planCircuitDm(circuit, policy_);

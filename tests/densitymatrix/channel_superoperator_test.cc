@@ -156,11 +156,13 @@ TEST(ChannelSuperoperatorTest, IdentityChannelRefusesNonZeroStrength)
 {
     // At p = 0 every channel's superoperator is the identity, and its
     // kernel classifies as Identity; a non-zero strength no longer fits.
+    // The two-qubit gate ends the wire run before the channel, so the
+    // channel's kernel is its own.
     ExecPolicy policy;
     for (const NoiseChannel& ch : everyChannelOn(1, 3, 0.0)) {
         SCOPED_TRACE(ch.name());
         Circuit quiet(kQubits);
-        quiet.h(1);
+        quiet.cnot(1, 3);
         quiet.append(ch);
         DmExecutionPlan plan = planCircuitDm(quiet, policy);
         ASSERT_EQ(plan.ops.back().kernels.front().op, GateKernel::Op::Identity);

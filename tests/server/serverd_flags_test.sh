@@ -6,7 +6,8 @@
 # bounds a daemon that wrongly starts serving instead.
 serverd=$1
 for flag in --cache=0 --coalesce=0 --cache=-1 --coalesce=-1 --inflight=-1 \
-            --memory-gb=-1 --port=65536 --port=-1; do
+            --memory-gb=-1 --port=65536 --port=-1 --cache=abc --port=12abc \
+            --memory-gb=1e3 --inflight=; do
     status=0
     err=$(timeout 10 "$serverd" --port=0 "$flag" 2>&1 >/dev/null) || status=$?
     if [ "$status" -ne 2 ]; then

@@ -134,7 +134,9 @@ inducedWidth(const Graph& g, const std::vector<std::size_t>& order)
 void
 applyOp(DensityMatrix& rho, const Operation& op)
 {
-    for (const GateKernel& k : DensityMatrix::compileOp(op, rho.numQubits()))
+    Circuit c(rho.numQubits());
+    std::visit([&c](const auto& o) { c.append(o); }, op);
+    for (const GateKernel& k : DensityMatrix::compileRun(c, {0}))
         rho.apply(k);
 }
 

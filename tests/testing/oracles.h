@@ -35,7 +35,7 @@ Circuit inverse(const Circuit& circuit);
  */
 std::size_t inducedWidth(const Graph& g, const std::vector<std::size_t>& order);
 
-/** rho <- op(rho): the kernels DensityMatrix::compileOp lowers `op` to. */
+/** rho <- op(rho): the kernels DensityMatrix::compileRun lowers `op` to. */
 void applyOp(DensityMatrix& rho, const Operation& op);
 
 /** The full 2^n x 2^n matrix of rho (small instances only). */
