@@ -14,8 +14,11 @@
  * compares the scalar, AVX2 and AVX-512 sweeps per kernel class and the
  * cache-blocked run sweep against the PR 7 gather-only sweep on a
  * high-stride target — `ratio(off, avx2)` on generic1q is the ISSUE-8
- * acceptance number. Its last rows time generic kernels on index bits 0
- * and 1, which only the gather sweep serves.
+ * acceptance number. Then come generic kernels on index bits 0 and 1,
+ * which only the gather sweep serves; X then CNOT on the top bit pair as
+ * two blocked sweeps against their product's one gather sweep; and one
+ * 24-qubit QAOA cost layer as one diagonal-run sweep against its per-gate
+ * kernels.
  */
 #include <benchmark/benchmark.h>
 
@@ -24,9 +27,11 @@
 #include "bench_common.h"
 #include "circuit/circuit.h"
 #include "circuit/fusion.h"
+#include "exec/execution_plan.h"
 #include "exec/gate_kernels.h"
 #include "exec/simd.h"
 #include "statevector/statevector_simulator.h"
+#include "vqa/workloads.h"
 
 using namespace qkc;
 
@@ -312,21 +317,16 @@ BENCHMARK(BM_CircuitToBayesNet);
 
 // -- SIMD dispatch-level comparison (JSON lines) -----------------------------
 
+/**
+ * One warm-up call, then the minimum over `reps` timed calls — the minimum
+ * rejects scheduler noise; the payloads are unitary so the state stays
+ * finite across reps.
+ */
+template <class F>
 double
-secondsPerApply(const GateKernel& kernel, StateVector& sv,
-                const ExecPolicy& policy, bool blocked)
+bestSeconds(const F& apply, int reps)
 {
-    // One warm-up pass, then the minimum over `reps` timed applies — the
-    // minimum rejects scheduler noise; the payloads are unitary so the
-    // state stays finite across reps.
-    const auto apply = [&] {
-        if (blocked)
-            applyKernel(kernel, sv.data(), sv.dimension(), policy);
-        else
-            applyKernelUnblocked(kernel, sv.data(), sv.dimension(), policy);
-    };
     apply();
-    const int reps = 10;
     double best = 0.0;
     for (int r = 0; r < reps; ++r) {
         const obs::TimedSpan sweep("bench.sweep");
@@ -336,6 +336,18 @@ secondsPerApply(const GateKernel& kernel, StateVector& sv,
             best = elapsed;
     }
     return best;
+}
+
+double
+secondsPerApply(const GateKernel& kernel, StateVector& sv,
+                const ExecPolicy& policy, bool blocked)
+{
+    return bestSeconds([&] {
+        if (blocked)
+            applyKernel(kernel, sv.data(), sv.dimension(), policy);
+        else
+            applyKernelUnblocked(kernel, sv.data(), sv.dimension(), policy);
+    }, 10);
 }
 
 /** One row per (kernel class, simd level): ns/amp + speedup vs scalar. */
@@ -476,6 +488,113 @@ runLowBitRows(std::size_t n, double secPerAmpHighStride)
     }
 }
 
+/**
+ * X then CNOT on the top bit pair, two ways: the two kernels fusion now
+ * emits, each a blocked sweep, against their product, a 2-target
+ * permutation that only the gather sweep serves.
+ */
+void
+runFlipBeforeCnotRows(std::size_t n)
+{
+    const Gate x(GateKind::X, {0});
+    const Gate cnot(GateKind::CNOT, {0, 1});
+    const GateKernel kx = kernelFor(x, n);
+    const GateKernel kcnot = kernelFor(cnot, n);
+    const GateKernel folded = kernelFor(
+        Gate::custom({0, 1}, cnot.unitary() *
+                                 x.unitary().kron(Matrix::identity(2))),
+        n);
+    StateVector sv(n);
+    ExecPolicy policy;
+    policy.threads = 1;
+    const char* level = simdLevelName(policy.resolvedSimd());
+    const double amps = static_cast<double>(std::uint64_t{1} << n);
+    const double twoSec = bestSeconds([&] {
+        applyKernel(kx, sv.data(), sv.dimension(), policy);
+        applyKernel(kcnot, sv.data(), sv.dimension(), policy);
+    }, 10);
+    const double oneSec = secondsPerApply(folded, sv, policy, true);
+
+    std::printf("# x then cnot on bits (%zu, %zu), %zu qubits, threads=1\n",
+                n - 1, n - 2, n);
+    std::printf("sweep x+cnot    two blocked %-7s %8.3f ns/amp  x%.2f\n",
+                level, twoSec / amps * 1e9, oneSec / twoSec);
+    std::printf("sweep x*cnot    one gather  %-7s %8.3f ns/amp\n", level,
+                oneSec / amps * 1e9);
+    bench::JsonRow("micro_kernels")
+        .field("kernel", "x_cnot_highbits")
+        .field("qubits", n)
+        .field("simd", level)
+        .field("mode", "two_blocked")
+        .field("sec_per_apply", twoSec)
+        .field("speedup_vs_one_gather", oneSec / twoSec);
+    bench::JsonRow("micro_kernels")
+        .field("kernel", "x_cnot_highbits")
+        .field("qubits", n)
+        .field("simd", level)
+        .field("mode", "one_gather")
+        .field("sec_per_apply", oneSec);
+}
+
+/**
+ * One QAOA cost layer (a ZZ per edge of a 3-regular graph) at the host's
+ * thread count, two ways: one diagonal-run table sweep, and one kernel per
+ * gate as a plan without runs sweeps it. GB/s counts a read and a write of
+ * every amplitude per sweep.
+ */
+void
+runCostLayerRows(std::size_t n)
+{
+    Rng rng(1001);
+    const QaoaMaxCut problem = QaoaMaxCut::randomRegular(n, 3, 1, rng);
+    std::vector<GateKernel> perGate;
+    std::vector<DiagFactor> factors;
+    for (const auto& [u, v] : problem.graph().edges()) {
+        const Gate zz(GateKind::ZZ, {u, v}, 0.4);
+        perGate.push_back(kernelFor(zz, n));
+        factors.push_back(diagFactorOf(
+            zz, {static_cast<std::uint32_t>(n - 1 - u),
+                 static_cast<std::uint32_t>(n - 1 - v)}));
+    }
+    const GateKernel run = compileDiagRun(std::move(factors));
+    const ExecPolicy policy;
+    StateVector sv(n, policy);
+    const double amps = static_cast<double>(std::uint64_t{1} << n);
+    const double runSec = bestSeconds([&] {
+        applyKernel(run, sv.data(), sv.dimension(), policy);
+    }, 3);
+    const double gateSec = bestSeconds([&] {
+        for (const GateKernel& k : perGate)
+            applyKernel(k, sv.data(), sv.dimension(), policy);
+    }, 3);
+
+    const char* level = simdLevelName(policy.resolvedSimd());
+    std::printf("# qaoa cost layer, %zu ZZ, %zu qubits, threads=%zu\n",
+                perGate.size(), n, policy.resolvedThreads());
+    const struct {
+        const char* mode;
+        double sec;
+        std::size_t sweeps;
+    } rows[] = {{"diag_run", runSec, 1}, {"per_gate", gateSec, perGate.size()}};
+    for (const auto& r : rows) {
+        const double gbps = static_cast<double>(r.sweeps) * 32.0 * amps /
+                            r.sec / 1e9;
+        std::printf("layer %-9s %-7s %8.3f ns/amp %7.1f GB/s  x%.2f\n",
+                    r.mode, level, r.sec / amps * 1e9, gbps, gateSec / r.sec);
+        bench::JsonRow("micro_kernels")
+            .field("kernel", "qaoa_cost_layer")
+            .field("qubits", n)
+            .field("gates", perGate.size())
+            .field("threads", policy.resolvedThreads())
+            .field("simd", level)
+            .field("mode", r.mode)
+            .field("sec_per_apply", r.sec)
+            .field("ns_per_amp", r.sec / amps * 1e9)
+            .field("gbps", gbps)
+            .field("speedup_vs_per_gate", gateSec / r.sec);
+    }
+}
+
 } // namespace
 
 int
@@ -488,6 +607,8 @@ driverMain(int argc, char** argv)
     benchmark::Shutdown();
     runSimdComparison(20);
     runLowBitRows(22, runBlockedComparison(22));
+    runFlipBeforeCnotRows(22);
+    runCostLayerRows(24);
     return 0;
 }
 

@@ -1,5 +1,6 @@
 #include "circuit/fusion.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/trace.h"
@@ -44,64 +45,51 @@ pendingProduct(const Circuit& circuit, const std::vector<std::size_t>& sources,
 }
 
 /**
- * One group's share of materializeFusion: the group's matrix products
- * replayed against `circuit`. `ok == false` means the recipe
- * no longer applies at this group (structure or identity-drop mismatch);
- * `emitted == false` with `ok` means the group is a dropped identity.
+ * One group's share of materializeFusion: replays the group's matrix
+ * products against `circuit` and appends what it emits to `out` (nothing
+ * for a dropped identity). False when the recipe no longer applies at this
+ * group (structure or identity-drop mismatch); `out` is then to be
+ * discarded.
  */
-struct GroupResult {
-    bool ok = false;
-    bool emitted = false;
-    std::optional<Operation> op; ///< set iff emitted
-};
-
-GroupResult
-materializeGroup(const FusionRecipe::Group& g, const Circuit& circuit)
+bool
+materializeGroup(const FusionRecipe::Group& g, const Circuit& circuit,
+                 Circuit& out)
 {
-    GroupResult r;
     switch (g.kind) {
       case FusionRecipe::Group::Kind::Channel: {
         if (g.sources.empty() || g.sources[0] >= circuit.size())
-            return r;
+            return false;
         const auto* ch =
             std::get_if<NoiseChannel>(&circuit.operations()[g.sources[0]]);
         if (!ch || ch->qubits() != g.qubits)
-            return r;
-        r.ok = true;
-        r.emitted = true;
-        r.op = Operation{*ch};
-        return r;
+            return false;
+        out.append(*ch);
+        return true;
       }
       case FusionRecipe::Group::Kind::Passthrough: {
         if (g.sources.empty())
-            return r;
+            return false;
         const Gate* gate = gateAt(circuit, g.sources[0], g.qubits);
         if (!gate)
-            return r;
-        r.ok = true;
-        r.emitted = true;
-        r.op = Operation{*gate};
-        return r;
+            return false;
+        out.append(*gate);
+        return true;
       }
       case FusionRecipe::Group::Kind::Fused1q: {
         auto m = pendingProduct(circuit, g.sources, g.qubits[0]);
         if (!m)
-            return r;
+            return false;
         if (isIdentity(*m) != g.dropped)
-            return r; // drop set changed: re-plan
-        r.ok = true;
-        if (!g.dropped) {
-            r.emitted = true;
-            r.op = Operation{
-                Gate::custom({g.qubits[0]}, std::move(*m), "fused")};
-        }
-        return r;
+            return false; // drop set changed: re-plan
+        if (!g.dropped)
+            out.append(Gate::custom({g.qubits[0]}, std::move(*m), "fused"));
+        return true;
       }
       case FusionRecipe::Group::Kind::Fused2q: {
         if (g.gateIndices.empty() ||
             g.pendingHigh.size() != g.gateIndices.size() ||
             g.pendingLow.size() != g.gateIndices.size())
-            return r;
+            return false;
         Matrix fusedU = Matrix::identity(4);
         for (std::size_t s = 0; s < g.gateIndices.size(); ++s) {
             const auto pa =
@@ -110,21 +98,91 @@ materializeGroup(const FusionRecipe::Group& g, const Circuit& circuit)
                 pendingProduct(circuit, g.pendingLow[s], g.qubits[1]);
             const Gate* gate = gateAt(circuit, g.gateIndices[s], g.qubits);
             if (!pa || !pb || !gate)
-                return r;
+                return false;
             fusedU = gate->unitary() * pa->kron(*pb) * fusedU;
         }
         if (isIdentity(fusedU) != g.dropped)
-            return r;
-        r.ok = true;
-        if (!g.dropped) {
-            r.emitted = true;
-            r.op = Operation{Gate::custom({g.qubits[0], g.qubits[1]},
-                                          std::move(fusedU), "fused2q")};
+            return false;
+        if (!g.dropped)
+            out.append(Gate::custom({g.qubits[0], g.qubits[1]},
+                                    std::move(fusedU), "fused2q"));
+        return true;
+      }
+      case FusionRecipe::Group::Kind::DiagonalRun: {
+        std::size_t wire = 0; // next entry of g.qubits
+        for (std::size_t s : g.sources) {
+            if (s >= circuit.size())
+                return false;
+            const Gate* gate = std::get_if<Gate>(&circuit.operations()[s]);
+            if (!gate || !gate->isDiagonal() ||
+                wire + gate->arity() > g.qubits.size() ||
+                !std::equal(gate->qubits().begin(), gate->qubits().end(),
+                            g.qubits.begin() +
+                                static_cast<std::ptrdiff_t>(wire)))
+                return false;
+            wire += gate->arity();
+            out.append(*gate);
         }
-        return r;
+        return wire == g.qubits.size();
+      }
+      case FusionRecipe::Group::Kind::Kron1q: {
+        if (g.qubits.size() != 2 || g.pendingHigh.size() != 1 ||
+            g.pendingLow.size() != 1)
+            return false;
+        const auto pa = pendingProduct(circuit, g.pendingHigh[0], g.qubits[0]);
+        const auto pb = pendingProduct(circuit, g.pendingLow[0], g.qubits[1]);
+        // Either factor turning into the identity changes the drop set.
+        if (!pa || !pb || isIdentity(*pa) || isIdentity(*pb))
+            return false;
+        out.append(Gate::custom(g.qubits, pa->kron(*pb), "kron"));
+        return true;
       }
     }
-    return r;
+    return false;
+}
+
+/**
+ * Marks the diagonal runs: runEnd[i] > i when a run spans ops [i,
+ * runEnd[i]). A run is a maximal stretch of consecutive diagonal gates with
+ * at least two two-qubit gates; shorter stretches (one-qubit phases, or one
+ * two-qubit gate with phases around it) fuse per wire as before.
+ */
+std::vector<std::size_t>
+diagonalRunEnds(const Circuit& circuit)
+{
+    const auto& ops = circuit.operations();
+    std::vector<std::size_t> runEnd(ops.size(), 0);
+    std::size_t i = 0;
+    while (i < ops.size()) {
+        std::size_t j = i;
+        std::size_t twoQubit = 0;
+        for (; j < ops.size(); ++j) {
+            const Gate* g = std::get_if<Gate>(&ops[j]);
+            if (!g || !g->isDiagonal())
+                break;
+            twoQubit += g->arity() == 2;
+        }
+        if (twoQubit >= 2)
+            runEnd[i] = j;
+        i = std::max(j, i + 1);
+    }
+    return runEnd;
+}
+
+/** Two-qubit kinds that an X or Y folded into would make a 2-target Perm. */
+bool
+isPermOrDiagonal2q(const Gate& g)
+{
+    switch (g.kind()) {
+      case GateKind::CNOT:
+      case GateKind::CZ:
+      case GateKind::CRz:
+      case GateKind::CPhase:
+      case GateKind::ZZ:
+        return true;
+      default:
+        return false;
+    }
 }
 
 } // namespace
@@ -142,6 +200,10 @@ planFusion(const Circuit& circuit)
     // application order) and their running product (for the identity check).
     std::vector<std::vector<std::size_t>> pending(n);
     std::vector<Matrix> pendingM(n);
+    const auto& ops = circuit.operations();
+    const std::vector<std::size_t> runEnd = diagonalRunEnds(circuit);
+    const bool anyRun = std::any_of(runEnd.begin(), runEnd.end(),
+                                    [](std::size_t e) { return e != 0; });
 
     auto flush = [&](std::size_t q) {
         if (pending[q].empty())
@@ -155,6 +217,49 @@ planFusion(const Circuit& circuit)
             ++recipe.stats.droppedIdentity;
         recipe.groups.push_back(std::move(g));
         pending[q].clear();
+    };
+
+    // Flushes the pendings on `wires` (ascending) together: identity
+    // products drop as in flush, the rest go out two at a time as one
+    // Kron1q group, an odd one out on its own.
+    auto flushPaired = [&](const std::vector<std::size_t>& wires) {
+        std::vector<std::size_t> kept;
+        for (std::size_t q : wires) {
+            if (pending[q].empty())
+                continue;
+            if (isIdentity(pendingM[q]))
+                flush(q);
+            else
+                kept.push_back(q);
+        }
+        std::size_t k = 0;
+        for (; k + 1 < kept.size(); k += 2) {
+            const std::size_t a = kept[k];
+            const std::size_t b = kept[k + 1];
+            FusionRecipe::Group g;
+            g.kind = FusionRecipe::Group::Kind::Kron1q;
+            g.pendingHigh.push_back(std::move(pending[a]));
+            g.pendingLow.push_back(std::move(pending[b]));
+            g.qubits = {a, b};
+            recipe.groups.push_back(std::move(g));
+            pending[a].clear();
+            pending[b].clear();
+            ++recipe.stats.kronPairs;
+        }
+        if (k < kept.size())
+            flush(kept[k]);
+    };
+
+    // A pending product of X and Y gates on q, which must not fold into
+    // `gate` (see fuseGates).
+    auto isHeldFlip = [&](std::size_t q, const Gate& gate) {
+        if (pending[q].empty() || !isPermOrDiagonal2q(gate))
+            return false;
+        return std::all_of(pending[q].begin(), pending[q].end(),
+                           [&](std::size_t s) {
+            const GateKind k = std::get<Gate>(ops[s]).kind();
+            return k == GateKind::X || k == GateKind::Y;
+        });
     };
 
     // One open 2q chain per ordered wire pair: the last-emitted 2q group on
@@ -189,8 +294,33 @@ planFusion(const Circuit& circuit)
         chainOn[ch.b] = -1;
     };
 
-    const auto& ops = circuit.operations();
     for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (runEnd[i] > i) {
+            // A diagonal run: one barrier on every wire it touches.
+            FusionRecipe::Group g;
+            g.kind = FusionRecipe::Group::Kind::DiagonalRun;
+            std::vector<bool> touched(n, false);
+            for (std::size_t j = i; j < runEnd[i]; ++j) {
+                g.sources.push_back(j);
+                for (std::size_t q : std::get<Gate>(ops[j]).qubits()) {
+                    g.qubits.push_back(q);
+                    touched[q] = true;
+                }
+            }
+            std::vector<std::size_t> wires;
+            for (std::size_t q = 0; q < n; ++q) {
+                if (touched[q]) {
+                    closeChain(q);
+                    wires.push_back(q);
+                }
+            }
+            flushPaired(wires);
+            recipe.stats.gatesIn += g.sources.size();
+            ++recipe.stats.diagonalRuns;
+            recipe.groups.push_back(std::move(g));
+            i = runEnd[i] - 1;
+            continue;
+        }
         if (const auto* ch = std::get_if<NoiseChannel>(&ops[i])) {
             for (std::size_t q : ch->qubits()) {
                 closeChain(q);
@@ -221,6 +351,19 @@ planFusion(const Circuit& circuit)
         if (gate.arity() == 2) {
             const std::size_t a = gate.qubits()[0];
             const std::size_t b = gate.qubits()[1];
+
+            // A held X/Y product goes out on its own, after any chain on
+            // its wire (whose gates it follows).
+            const bool holdA = isHeldFlip(a, gate);
+            const bool holdB = isHeldFlip(b, gate);
+            if (holdA || holdB) {
+                closeChain(a);
+                closeChain(b);
+                if (holdA)
+                    flush(a);
+                if (holdB)
+                    flush(b);
+            }
 
             // The pendings act first: U' = U * (Pa (x) Pb), with a the
             // MSB of the gate's local basis (the Gate convention).
@@ -298,9 +441,18 @@ planFusion(const Circuit& circuit)
         recipe.groups.push_back(std::move(g));
     }
 
-    for (std::size_t q = 0; q < n; ++q) {
-        closeChain(q);
-        flush(q);
+    if (anyRun) {
+        std::vector<std::size_t> wires(n);
+        for (std::size_t q = 0; q < n; ++q) {
+            closeChain(q);
+            wires[q] = q;
+        }
+        flushPaired(wires);
+    } else {
+        for (std::size_t q = 0; q < n; ++q) {
+            closeChain(q);
+            flush(q);
+        }
     }
 
     return recipe;
@@ -324,15 +476,8 @@ materializeFusion(const FusionRecipe& recipe, const Circuit& circuit,
     // needed".
     Circuit out(recipe.numQubits);
     for (const FusionRecipe::Group& group : recipe.groups) {
-        GroupResult r = materializeGroup(group, circuit);
-        if (!r.ok)
+        if (!materializeGroup(group, circuit, out))
             return std::nullopt;
-        if (!r.emitted)
-            continue;
-        if (const Gate* gate = std::get_if<Gate>(&*r.op))
-            out.append(*gate);
-        else
-            out.append(std::get<NoiseChannel>(*r.op));
     }
 
     if (stats) {

@@ -18,6 +18,8 @@ struct FusionStats {
     std::size_t foldedInto2q = 0;   ///< 1q matrices folded into a 2q gate
     std::size_t merged2q = 0;       ///< 2q gates chained into a same-pair 4x4
     std::size_t droppedIdentity = 0; ///< fused products equal to identity
+    std::size_t diagonalRuns = 0;    ///< diagonal runs kept as one group
+    std::size_t kronPairs = 0;       ///< pairs of 1q products as one 2q gate
 };
 
 /**
@@ -34,18 +36,24 @@ struct FusionRecipe {
             Channel,     ///< a noise channel copied verbatim
             Fused1q,     ///< product of 1q gates on one wire
             Fused2q,     ///< same-pair 2q chain with pending 1q folded in
+            DiagonalRun, ///< a diagonal run's gates, each copied verbatim
+            Kron1q,      ///< two wires' 1q products as one 2q gate Pa (x) Pb
         };
         Kind kind = Kind::Passthrough;
-        /** Fused1q: the 1q source ops on `qubits[0]`, first-applied first. */
+        /** Fused1q: the 1q source ops on `qubits[0]`, first-applied first.
+         *  DiagonalRun: the run's gates in op order (the engines sweep them
+         *  as one pass, see loweringUnits in exec/execution_plan.h). */
         std::vector<std::size_t> sources;
         /** Fused2q: the chained 2q gates' op indices, first-applied first
          *  (one entry for a plain fold, several for a same-pair chain). */
         std::vector<std::size_t> gateIndices;
         /** Fused2q: per-stage pending 1q sources, first-applied first;
-         *  pendingHigh[s]/pendingLow[s] act before gateIndices[s]. */
+         *  pendingHigh[s]/pendingLow[s] act before gateIndices[s]. Kron1q:
+         *  one stage, the 1q sources of each wire. */
         std::vector<std::vector<std::size_t>> pendingHigh; ///< qubits[0] (MSB)
         std::vector<std::vector<std::size_t>> pendingLow;  ///< qubits[1] (LSB)
-        /** Operand wires of the emitted operation. */
+        /** Operand wires of the emitted operation; DiagonalRun: the
+         *  operand wires of every gate, concatenated in op order. */
         std::vector<std::size_t> qubits;
         /** The fused product was the identity; nothing is emitted. */
         bool dropped = false;
@@ -88,6 +96,18 @@ std::optional<Circuit> materializeFusion(const FusionRecipe& recipe,
  * operation touches either wire, so the dense simulators sweep the
  * amplitude array once where the source circuit would have swept it
  * several times. Products that reduce to the identity are dropped entirely.
+ * A pending product of X and Y gates is not folded into a CNOT, CZ, CRz,
+ * CPhase or ZZ: the result would be a two-target permutation, which only
+ * the gather sweep serves, so it is emitted on its own.
+ *
+ * Diagonal runs: a maximal stretch of consecutive diagonal gates
+ * (Gate::isDiagonal) holding at least two two-qubit gates is kept verbatim
+ * as one group, which the dense engines sweep once. The run is a barrier
+ * on its wires: the pending products there are flushed ahead of it, never
+ * folded into its gates. Products flushed together — ahead of a run, or at
+ * the end of a circuit that has a run — are emitted two at a time, on
+ * consecutive wires in ascending order, as one 2q gate Pa (x) Pb. A
+ * circuit without a run fuses exactly as if runs did not exist.
  *
  * Noise channels and three-qubit gates act as barriers on their wires:
  * pending matrices are flushed before them, so the fused circuit is

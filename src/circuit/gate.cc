@@ -114,6 +114,27 @@ Gate::isParameterized() const
     }
 }
 
+bool
+Gate::isDiagonal() const
+{
+    switch (kind_) {
+      case GateKind::Z:
+      case GateKind::S:
+      case GateKind::Sdg:
+      case GateKind::T:
+      case GateKind::Tdg:
+      case GateKind::Rz:
+      case GateKind::PhaseZ:
+      case GateKind::CZ:
+      case GateKind::CRz:
+      case GateKind::CPhase:
+      case GateKind::ZZ:
+        return true;
+      default:
+        return false;
+    }
+}
+
 Matrix
 Gate::unitary() const
 {

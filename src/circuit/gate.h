@@ -72,6 +72,13 @@ class Gate {
     /** True for Rx/Ry/Rz/PhaseZ/CRz/CPhase/ZZ. */
     bool isParameterized() const;
 
+    /**
+     * True for the kinds whose unitary is diagonal at every angle:
+     * Z/S/Sdg/T/Tdg/Rz/PhaseZ and the two-qubit CZ/CRz/CPhase/ZZ. Decided
+     * by kind alone, so fusion's diagonal runs are structural.
+     */
+    bool isDiagonal() const;
+
     /** The full 2^arity x 2^arity unitary in the gate's local basis. */
     Matrix unitary() const;
 

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "exec/execution_plan.h"
+
 namespace qkc {
 
 namespace {
@@ -122,7 +124,7 @@ DensityMatrix::DensityMatrix(std::size_t numQubits)
     : numQubits_(numQubits), dim_(checkedDimension(numQubits)),
       data_(dim_ * dim_)
 {
-    data_[0] = 1.0;
+    reset();
 }
 
 void
@@ -151,6 +153,26 @@ DensityMatrix::compileRun(const Circuit& circuit,
     if (k.op == GateKernel::Op::Perm && k.targets > 1)
         return compileUnitary(p.m, qubits, n);
     return {std::move(k)};
+}
+
+std::vector<DiagFactor>
+DensityMatrix::diagRunFactors(const Circuit& circuit,
+                              const std::vector<std::size_t>& run)
+{
+    const std::size_t n = circuit.numQubits();
+    std::vector<DiagFactor> factors;
+    factors.reserve(2 * run.size());
+    for (std::size_t i : run) {
+        const Gate& g = std::get<Gate>(circuit.operations()[i]);
+        std::vector<std::uint32_t> rowBits, colBits;
+        rhoBits(g.qubits(), n, rowBits, colBits);
+        factors.push_back(diagFactorOf(g, rowBits));
+        DiagFactor col = diagFactorOf(g, colBits);
+        for (Complex& d : col.diag)
+            d = std::conj(d);
+        factors.push_back(col);
+    }
+    return factors;
 }
 
 bool

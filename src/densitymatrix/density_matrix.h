@@ -33,6 +33,8 @@ namespace qkc {
  *     whatever its length and Kraus counts. A run of gates whose product is
  *     a permutation (X, Y) keeps the row/column pair below instead: a
  *     2-target permutation kernel has no cache-blocked sweep.
+ *   - A diagonal run of gates (loweringUnits, exec/execution_plan.h) is
+ *     one DiagRun kernel: rho(r, c) *= D(r) conj(D(c)), one sweep.
  *   - A multi-qubit gate is a left/right kernel pair: U rho = kernel(U) on
  *     the high bits, rho U^dagger = kernel(conj(U)) on the low bits. Both
  *     sweeps inherit the kernel specialization (a CZ left-apply is a masked
@@ -82,6 +84,15 @@ class DensityMatrix {
      * each structure once with this.
      */
     static std::vector<GateKernel> compileRun(
+        const Circuit& circuit, const std::vector<std::size_t>& run);
+
+    /**
+     * The factors of rho <- D rho D^dagger for the diagonal run of gates
+     * at `run`: each gate's diagonal on its row bits, then its conjugate
+     * on its column bits. compileDiagRun (exec/gate_kernels.h) makes them
+     * one sweep of rho.
+     */
+    static std::vector<DiagFactor> diagRunFactors(
         const Circuit& circuit, const std::vector<std::size_t>& run);
 
     /**

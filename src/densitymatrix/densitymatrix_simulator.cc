@@ -8,34 +8,41 @@ namespace qkc {
 
 namespace {
 
+/** One dm planned op's source ops; `diagonal` marks a diagonal run. */
+struct DmUnit {
+    std::vector<std::size_t> ops;
+    bool diagonal = false;
+};
+
 /**
- * The source-op lists of the dm plan's ops, in execution order. A
- * multi-qubit op is its own; with `merge`, each wire's maximal run of
- * one-qubit ops is one, placed just before the multi-qubit op that ends
- * it (runs still open at the end follow in wire order). Without it every
- * op is its own.
+ * The dm plan's ops in execution order, from the plan's lowering units
+ * (loweringUnits, exec/execution_plan.h). A multi-qubit op or a diagonal
+ * run is its own; with `merge`, each wire's maximal run of one-qubit ops
+ * is one, placed just before the op that ends it (runs still open at the
+ * end follow in wire order). Without it every op is its own.
  */
-std::vector<std::vector<std::size_t>>
-wireRuns(const Circuit& circuit, bool merge)
+std::vector<DmUnit>
+wireRuns(const DmExecutionPlan& plan, bool merge)
 {
-    const auto& ops = circuit.operations();
-    std::vector<std::vector<std::size_t>> out;
-    std::vector<std::vector<std::size_t>> open(circuit.numQubits());
+    const auto& ops = plan.circuit.operations();
+    std::vector<DmUnit> out;
+    std::vector<std::vector<std::size_t>> open(plan.numQubits);
     const auto close = [&](std::size_t q) {
         if (!open[q].empty()) {
-            out.push_back(std::move(open[q]));
+            out.push_back({std::move(open[q]), false});
             open[q].clear();
         }
     };
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const auto& qubits = operandsOf(ops[i]);
-        if (merge && qubits.size() == 1) {
-            open[qubits[0]].push_back(i);
+    for (auto& unit : loweringUnits(plan)) {
+        const bool diagonal = unit.size() > 1;
+        if (merge && !diagonal && operandsOf(ops[unit[0]]).size() == 1) {
+            open[operandsOf(ops[unit[0]])[0]].push_back(unit[0]);
             continue;
         }
-        for (std::size_t q : qubits)
-            close(q);
-        out.push_back({i});
+        for (std::size_t i : unit)
+            for (std::size_t q : operandsOf(ops[i]))
+                close(q);
+        out.push_back({std::move(unit), diagonal});
     }
     for (std::size_t q = 0; q < open.size(); ++q)
         close(q);
@@ -51,13 +58,17 @@ planCircuitDm(const Circuit& circuit, const ExecPolicy& policy)
     DmExecutionPlan plan =
         preparePlan(circuit, policy, PlanEngine::DensityMatrix);
     const auto& ops = plan.circuit.operations();
-    for (auto& run : wireRuns(plan.circuit, policy.fuseGates)) {
+    for (DmUnit& unit : wireRuns(plan, policy.fuseGates)) {
         PlannedOp op;
-        for (std::size_t i : run)
+        for (std::size_t i : unit.ops)
             op.isChannel =
                 op.isChannel || std::holds_alternative<NoiseChannel>(ops[i]);
-        op.kernels = DensityMatrix::compileRun(plan.circuit, run);
-        op.opIndices = std::move(run);
+        if (unit.diagonal)
+            op.kernels.push_back(compileDiagRun(
+                DensityMatrix::diagRunFactors(plan.circuit, unit.ops)));
+        else
+            op.kernels = DensityMatrix::compileRun(plan.circuit, unit.ops);
+        op.opIndices = std::move(unit.ops);
         plan.ops.push_back(std::move(op));
     }
     return plan;
@@ -75,10 +86,17 @@ tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit)
 {
     if (!rebindPlanCircuit(plan, circuit, PlanEngine::DensityMatrix))
         return false;
-    for (PlannedOp& op : plan.ops)
-        if (!DensityMatrix::tryRefreshRun(op.kernels, plan.circuit,
-                                          op.opIndices))
+    for (PlannedOp& op : plan.ops) {
+        const bool ok =
+            op.kernels[0].op == GateKernel::Op::DiagRun
+                ? tryRefreshDiagRun(op.kernels[0],
+                                    DensityMatrix::diagRunFactors(
+                                        plan.circuit, op.opIndices))
+                : DensityMatrix::tryRefreshRun(op.kernels, plan.circuit,
+                                               op.opIndices);
+        if (!ok)
             return false;
+    }
     return true;
 }
 

@@ -18,12 +18,14 @@ namespace qkc {
  * Each wire's maximal run of one-qubit gates and channels becomes one
  * planned op, placed just before the multi-qubit op that ends it (runs
  * open at the circuit's end follow in wire order); every multi-qubit op is
- * its own. Executing the plan sweeps rho once per run (twice for a
- * permutation run), twice per multi-qubit gate and once per multi-qubit
- * channel, in place. Without fusion every op is its own run. A session
- * holds one plan per circuit structure and refreshes it across parameter
- * rebinds, so its planReuses metadata corresponds to classification work
- * actually saved.
+ * its own, and so is each diagonal run of gates (loweringUnits). Executing
+ * the plan sweeps rho once per run (twice for a permutation run), once per
+ * diagonal run (one DiagRun kernel with the row factors and the
+ * conjugated column factors), twice per multi-qubit gate and once per
+ * multi-qubit channel, in place. Without fusion every op is its own run.
+ * A session holds one plan per circuit structure and refreshes it across
+ * parameter rebinds, so its planReuses metadata corresponds to
+ * classification work actually saved.
  */
 DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy);
 
@@ -34,7 +36,8 @@ DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy,
 /**
  * Rebinds a dm plan to a same-structure circuit (rebindPlanCircuit,
  * exec/execution_plan.h), then recomputes each run's product and refreshes
- * its kernels in place (DensityMatrix::tryRefreshRun). False when the
+ * its kernels in place (DensityMatrix::tryRefreshRun; a diagonal run
+ * refreshes its factors' entries with tryRefreshDiagRun). False when the
  * structure differs or a new value leaves a stored kernel class; the
  * caller must then re-plan.
  */

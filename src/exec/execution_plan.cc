@@ -1,5 +1,7 @@
 #include "exec/execution_plan.h"
 
+#include <stdexcept>
+
 #include "obs/trace.h"
 
 namespace qkc {
@@ -32,6 +34,20 @@ compileSvOp(const Operation& op, std::size_t numQubits)
     for (const Matrix& e : ch.krausOperators())
         kernels.push_back(compileKernel(e, bits));
     return kernels;
+}
+
+/** The diagonal factors of the gates at `unit`, on their sv bits. */
+std::vector<DiagFactor>
+svDiagFactors(const Circuit& circuit, const std::vector<std::size_t>& unit)
+{
+    const std::size_t n = circuit.numQubits();
+    std::vector<DiagFactor> factors;
+    factors.reserve(unit.size());
+    for (std::size_t i : unit) {
+        const Gate& g = std::get<Gate>(circuit.operations()[i]);
+        factors.push_back(diagFactorOf(g, svBits(g.qubits(), n)));
+    }
+    return factors;
 }
 
 bool
@@ -91,6 +107,46 @@ rebindPlanCircuit(ExecutionPlan& plan, const Circuit& circuit,
     return true;
 }
 
+std::vector<std::vector<std::size_t>>
+loweringUnits(const ExecutionPlan& plan)
+{
+    std::vector<std::vector<std::size_t>> units;
+    if (!plan.fusionEnabled) {
+        for (std::size_t i = 0; i < plan.circuit.size(); ++i)
+            units.push_back({i});
+        return units;
+    }
+    std::size_t next = 0; // the next op of plan.circuit
+    for (const FusionRecipe::Group& g : plan.recipe.groups) {
+        if (g.dropped)
+            continue;
+        if (g.kind != FusionRecipe::Group::Kind::DiagonalRun) {
+            units.push_back({next++});
+            continue;
+        }
+        std::vector<std::size_t> run(g.sources.size());
+        for (std::size_t& i : run)
+            i = next++;
+        units.push_back(std::move(run));
+    }
+    return units;
+}
+
+DiagFactor
+diagFactorOf(const Gate& gate, const std::vector<std::uint32_t>& bits)
+{
+    if (!gate.isDiagonal() || bits.size() != gate.arity())
+        throw std::invalid_argument("diagFactorOf: not a diagonal gate");
+    const Matrix u = gate.unitary();
+    DiagFactor f;
+    f.arity = static_cast<std::uint8_t>(bits.size());
+    for (std::size_t b = 0; b < bits.size(); ++b)
+        f.bits[b] = bits[b];
+    for (std::size_t l = 0; l < u.rows(); ++l)
+        f.diag[l] = u(l, l);
+    return f;
+}
+
 ExecutionPlan
 planCircuit(const Circuit& circuit, const ExecPolicy& policy)
 {
@@ -98,10 +154,18 @@ planCircuit(const Circuit& circuit, const ExecPolicy& policy)
     ExecutionPlan plan =
         preparePlan(circuit, policy, PlanEngine::StateVector);
     const auto& ops = plan.circuit.operations();
-    plan.ops.reserve(ops.size());
-    for (std::size_t i = 0; i < ops.size(); ++i)
-        plan.ops.push_back({{i}, std::holds_alternative<NoiseChannel>(ops[i]),
-                            compileSvOp(ops[i], plan.numQubits)});
+    for (auto& unit : loweringUnits(plan)) {
+        PlannedOp op;
+        if (unit.size() > 1) {
+            op.kernels.push_back(
+                compileDiagRun(svDiagFactors(plan.circuit, unit)));
+        } else {
+            op.isChannel = std::holds_alternative<NoiseChannel>(ops[unit[0]]);
+            op.kernels = compileSvOp(ops[unit[0]], plan.numQubits);
+        }
+        op.opIndices = std::move(unit);
+        plan.ops.push_back(std::move(op));
+    }
     return plan;
 }
 
@@ -176,6 +240,12 @@ tryRebindPlan(ExecutionPlan& plan, const Circuit& circuit)
     if (!rebindPlanCircuit(plan, circuit, PlanEngine::StateVector))
         return false;
     for (PlannedOp& op : plan.ops) {
+        if (op.opIndices.size() > 1) {
+            if (!tryRefreshDiagRun(op.kernels[0],
+                                   svDiagFactors(plan.circuit, op.opIndices)))
+                return false;
+            continue;
+        }
         const Operation& o = plan.circuit.operations()[op.opIndices[0]];
         if (std::holds_alternative<NoiseChannel>(o) != op.isChannel ||
             !refreshSvOp(op.kernels, o))

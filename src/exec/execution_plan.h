@@ -15,9 +15,11 @@ namespace qkc {
 /**
  * Circuit operations lowered to the kernels their engine sweeps, in order.
  * `opIndices` lists the source ops in the owning plan's circuit,
- * first-applied first: exactly one for a state-vector op; a density-matrix
- * wire run (densitymatrix_simulator.h) lists every one-qubit gate and
- * channel it merges.
+ * first-applied first: a diagonal run (see loweringUnits) lists its gates
+ * and sweeps as one DiagRun kernel on either engine; any other
+ * state-vector op lists exactly one; a density-matrix wire run
+ * (densitymatrix_simulator.h) lists every one-qubit gate and channel it
+ * merges.
  */
 struct PlannedOp {
     std::vector<std::size_t> opIndices;
@@ -35,9 +37,10 @@ enum class PlanEngine : std::uint8_t { StateVector, DensityMatrix };
  * policy asks for it) and every gate and channel has been lowered and
  * classified exactly once.
  *
- *  - State vector: a gate is one kernel; a channel is one kernel per Kraus
- *    operator, and a trajectory picks one. Qubit q lives at bit
- *    numQubits-1-q, matching the StateVector basis-index layout.
+ *  - State vector: a gate is one kernel; a diagonal run of gates is one
+ *    DiagRun kernel; a channel is one kernel per Kraus operator, and a
+ *    trajectory picks one. Qubit q lives at bit numQubits-1-q, matching
+ *    the StateVector basis-index layout.
  *  - Density matrix: each wire's run of one-qubit gates and channels is
  *    one 4x4 superoperator kernel; a multi-qubit gate is its row kernel
  *    then its column kernel, and a multi-qubit channel its single
@@ -80,6 +83,21 @@ ExecutionPlan preparePlan(const Circuit& circuit, const ExecPolicy& policy,
  */
 bool rebindPlanCircuit(ExecutionPlan& plan, const Circuit& circuit,
                        PlanEngine engine);
+
+/**
+ * plan.circuit's ops grouped as the engines lower them, in order: the
+ * gates of each diagonal run (a FusionRecipe DiagonalRun group) form one
+ * unit, and every other op is a unit of its own. Without fusion every op
+ * is its own unit.
+ */
+std::vector<std::vector<std::size_t>> loweringUnits(const ExecutionPlan& plan);
+
+/**
+ * A diagonal gate (Gate::isDiagonal) as one DiagRun factor on `bits`
+ * (local MSB first). Throws std::invalid_argument for any other gate.
+ */
+DiagFactor diagFactorOf(const Gate& gate,
+                        const std::vector<std::uint32_t>& bits);
 
 /** Builds the state-vector plan for `circuit` under `policy`. */
 ExecutionPlan planCircuit(const Circuit& circuit, const ExecPolicy& policy);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "exec/kernel_runs.h"
 #include "obs/metrics.h"
@@ -133,6 +134,8 @@ GateKernel::className() const
         return ctrlMask ? "ctrl-perm" : "perm";
       case Op::Generic:
         return ctrlMask ? "ctrl-generic" : "generic";
+      case Op::DiagRun:
+        return "diag-run";
     }
     return "?";
 }
@@ -254,6 +257,34 @@ compileKernel(const Matrix& m, const std::vector<std::uint32_t>& bits)
     return k;
 }
 
+GateKernel
+compileDiagRun(std::vector<DiagFactor> factors)
+{
+    for (const DiagFactor& f : factors)
+        if (f.arity < 1 || f.arity > 2 ||
+            (f.arity == 2 && f.bits[0] == f.bits[1]))
+            throw std::invalid_argument(
+                "compileDiagRun: a factor needs one or two distinct bits");
+    GateKernel k;
+    k.op = GateKernel::Op::DiagRun;
+    k.factors = std::move(factors);
+    return k;
+}
+
+bool
+tryRefreshDiagRun(GateKernel& k, const std::vector<DiagFactor>& factors)
+{
+    if (k.op != GateKernel::Op::DiagRun || k.factors.size() != factors.size())
+        return false;
+    for (std::size_t i = 0; i < factors.size(); ++i)
+        if (factors[i].arity != k.factors[i].arity ||
+            factors[i].bits != k.factors[i].bits)
+            return false;
+    for (std::size_t i = 0; i < factors.size(); ++i)
+        k.factors[i].diag = factors[i].diag;
+    return true;
+}
+
 bool
 tryRefreshKernel(GateKernel& k, const Matrix& m)
 {
@@ -333,6 +364,8 @@ tryRefreshKernel(GateKernel& k, const Matrix& m)
                 k.reduced(r, c) = w[r * td + c];
         break;
       }
+      case GateKernel::Op::DiagRun:
+        return false; // refreshed by its factors (tryRefreshDiagRun)
     }
     k.full = m;
     return true;
@@ -349,6 +382,7 @@ kernelClassCounter(GateKernel::Op op)
     static obs::Counter diag("exec.kernel.diag");
     static obs::Counter perm("exec.kernel.perm");
     static obs::Counter generic("exec.kernel.generic");
+    static obs::Counter diagRun("exec.kernel.diagRun");
     switch (op) {
       case GateKernel::Op::Identity:
         return identity;
@@ -358,6 +392,8 @@ kernelClassCounter(GateKernel::Op op)
         return diag;
       case GateKernel::Op::Perm:
         return perm;
+      case GateKernel::Op::DiagRun:
+        return diagRun;
       default:
         return generic;
     }
@@ -526,6 +562,7 @@ gatherSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
       }
       case GateKernel::Op::Identity:
       case GateKernel::Op::GlobalPhase:
+      case GateKernel::Op::DiagRun:
         return; // callers handle these before sweeping
     }
 }
@@ -623,8 +660,122 @@ blockedSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
       }
       case GateKernel::Op::Identity:
       case GateKernel::Op::GlobalPhase:
+      case GateKernel::Op::DiagRun:
         return; // callers handle these before sweeping
     }
+}
+
+/** Table bits of the DiagRun sweep: a 2^12-entry (64 KiB) block table. */
+constexpr unsigned kDiagRunTableBits = 12;
+
+/** A factor's local basis state at amplitude index `i`. */
+inline unsigned
+localState(const DiagFactor& f, std::uint64_t i)
+{
+    unsigned l = static_cast<unsigned>(i >> f.bits[0]) & 1u;
+    if (f.arity == 2)
+        l = (l << 1) | (static_cast<unsigned>(i >> f.bits[1]) & 1u);
+    return l;
+}
+
+/**
+ * The DiagRun sweep (see compileDiagRun): per block of 2^k amplitudes,
+ * table = preScale * (high factors) expanded by doubling over the mixed
+ * factors' per-bit diagonals, times the shared low table; then one pass
+ * amp *= table. Every product is taken in factor order, then bit order,
+ * whichever lane builds the table, and the `ops` primitives share one
+ * arithmetic, so the result is bit-identical for every thread count and
+ * simd level.
+ */
+void
+diagRunSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
+             const ExecPolicy& policy, const Complex& preScale,
+             const KernelRunOps& ops)
+{
+    unsigned m = 0;
+    while ((std::uint64_t{1} << m) < dim)
+        ++m;
+    const unsigned kb = std::min(kDiagRunTableBits, m);
+    const std::uint64_t block = std::uint64_t{1} << kb;
+
+    // A mixed factor with its high bit fixed is a one-bit diagonal on
+    // lowBit: (d[lowFirst ? h : 2h], d[lowFirst ? 2 + h : 2h + 1]).
+    struct Mixed {
+        const DiagFactor* f;
+        unsigned lowBit;
+        unsigned highBit;
+        bool lowFirst;
+    };
+    std::vector<const DiagFactor*> low;
+    std::vector<const DiagFactor*> high;
+    std::vector<Mixed> mixed;
+    for (const DiagFactor& f : k.factors) {
+        const bool low0 = f.bits[0] < kb;
+        const bool low1 = f.arity == 1 || f.bits[1] < kb;
+        const bool high1 = f.arity == 1 || f.bits[1] >= kb;
+        if (low0 && low1)
+            low.push_back(&f);
+        else if (!low0 && high1)
+            high.push_back(&f);
+        else if (low0)
+            mixed.push_back({&f, f.bits[0], f.bits[1], true});
+        else
+            mixed.push_back({&f, f.bits[1], f.bits[0], false});
+    }
+
+    std::vector<Complex> lowTable;
+    if (!low.empty()) {
+        lowTable.resize(block);
+        for (std::uint64_t j = 0; j < block; ++j) {
+            Complex acc = low[0]->diag[localState(*low[0], j)];
+            for (std::size_t f = 1; f < low.size(); ++f)
+                acc = cmul(acc, low[f]->diag[localState(*low[f], j)]);
+            lowTable[j] = acc;
+        }
+    }
+
+    ExecPolicy perBlock = policy;
+    perBlock.grain = std::max<std::uint64_t>(1, policy.grain >> kb);
+    perBlock.serialThreshold = policy.serialThreshold >> kb;
+    parallelFor(perBlock, dim >> kb, [&](std::uint64_t b0, std::uint64_t b1) {
+        std::vector<Complex> table(block);
+        std::array<std::array<Complex, 2>, kDiagRunTableBits> bitDiag{};
+        std::array<bool, kDiagRunTableBits> hasBit{};
+        for (std::uint64_t b = b0; b < b1; ++b) {
+            const std::uint64_t base = b << kb;
+            Complex scale = preScale;
+            for (const DiagFactor* f : high)
+                scale = cmul(scale, f->diag[localState(*f, base)]);
+            hasBit.fill(false);
+            for (const Mixed& x : mixed) {
+                const unsigned h =
+                    static_cast<unsigned>(base >> x.highBit) & 1u;
+                const Complex e0 = x.f->diag[x.lowFirst ? h : 2 * h];
+                const Complex e1 = x.f->diag[x.lowFirst ? 2 + h : 2 * h + 1];
+                std::array<Complex, 2>& d = bitDiag[x.lowBit];
+                if (hasBit[x.lowBit]) {
+                    d[0] = cmul(d[0], e0);
+                    d[1] = cmul(d[1], e1);
+                } else {
+                    d = {e0, e1};
+                    hasBit[x.lowBit] = true;
+                }
+            }
+            table[0] = scale;
+            for (unsigned bit = 0; bit < kb; ++bit) {
+                const std::uint64_t half = std::uint64_t{1} << bit;
+                std::copy(table.data(), table.data() + half,
+                          table.data() + half);
+                if (hasBit[bit]) {
+                    ops.scale(table.data(), half, bitDiag[bit][0]);
+                    ops.scale(table.data() + half, half, bitDiag[bit][1]);
+                }
+            }
+            if (!lowTable.empty())
+                ops.mul(table.data(), lowTable.data(), block);
+            ops.mul(amps + base, table.data(), block);
+        }
+    });
 }
 
 } // namespace
@@ -657,6 +808,11 @@ applyKernel(const GateKernel& k, Complex* amps, std::uint64_t dim,
     const KernelRunOps& ops = kernelRunOps(policy.resolvedSimd());
     recordSimdLevel(ops.level);
 
+    if (k.op == GateKernel::Op::DiagRun) {
+        diagRunSweep(k, amps, dim, policy, preScale, ops);
+        return;
+    }
+
     if (k.op == GateKernel::Op::GlobalPhase) {
         const Complex s = k.scalar * preScale;
         parallelFor(policy, dim, [&](std::uint64_t b, std::uint64_t e) {
@@ -684,6 +840,10 @@ void
 applyKernelUnblocked(const GateKernel& k, Complex* amps, std::uint64_t dim,
                      const ExecPolicy& policy, const Complex& preScale)
 {
+    if (k.op == GateKernel::Op::DiagRun) {
+        diagRunSweep(k, amps, dim, policy, preScale, scalarRunOps());
+        return;
+    }
     const bool scaled = preScale != Complex{1.0, 0.0};
 
     if (!scaled && k.op == GateKernel::Op::Identity)
@@ -713,6 +873,9 @@ double
 normAfterKernel(const GateKernel& k, const Complex* amps, std::uint64_t dim,
                 const ExecPolicy& policy)
 {
+    if (k.op == GateKernel::Op::DiagRun)
+        throw std::invalid_argument(
+            "normAfterKernel: a diagonal run is a gate, not a Kraus operator");
     const unsigned a = k.arity;
     const unsigned ad = 1u << a;
     const std::uint64_t nGroups = dim >> a;
@@ -748,6 +911,12 @@ normAfterKernel(const GateKernel& k, const Complex* amps, std::uint64_t dim,
 void
 applyKernelReference(const GateKernel& k, Complex* amps, std::uint64_t dim)
 {
+    if (k.op == GateKernel::Op::DiagRun) {
+        for (std::uint64_t i = 0; i < dim; ++i)
+            for (const DiagFactor& f : k.factors)
+                amps[i] *= f.diag[localState(f, i)];
+        return;
+    }
     const unsigned a = k.arity;
     const unsigned ad = 1u << a;
     const std::uint64_t nGroups = dim >> a;

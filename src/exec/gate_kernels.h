@@ -13,8 +13,18 @@
 namespace qkc {
 
 /**
+ * One gate of a diagonal run: its diagonal on one or two bit positions
+ * (local MSB first), diag[l] for local basis state l.
+ */
+struct DiagFactor {
+    std::uint8_t arity = 1;
+    std::array<std::uint32_t, 2> bits{};
+    std::array<Complex, 4> diag{};
+};
+
+/**
  * A gate, Kraus operator or Liouville superoperator compiled for dense
- * amplitude-array execution.
+ * amplitude-array execution — or a diagonal run of gates (Op::DiagRun).
  *
  * The matrix is inspected once — at circuit load, not per application — and
  * lowered to the cheapest kernel class that reproduces it:
@@ -41,6 +51,7 @@ struct GateKernel {
         Diag,        ///< diagonal residual: multiply, no amplitude mixing
         Perm,        ///< one non-zero per row/col: weighted index shuffle
         Generic,     ///< dense residual matrix fallback
+        DiagRun,     ///< product of `factors`' diagonals: one table sweep
     };
 
     Op op = Op::Generic;
@@ -72,7 +83,8 @@ struct GateKernel {
     std::array<std::uint8_t, 16> perm{}; ///< Perm: out[r] = permW[r]*in[perm[r]]
     std::array<Complex, 16> permW{};
     Matrix reduced;                   ///< Generic residual (2^targets square)
-    Matrix full;                      ///< the original matrix, always kept
+    Matrix full;                      ///< the original matrix (not DiagRun)
+    std::vector<DiagFactor> factors;  ///< DiagRun: the gates, first-applied first
 
     /** Kernel-class mnemonic for logs and benches, e.g. "ctrl-perm". */
     const char* className() const;
@@ -101,6 +113,28 @@ GateKernel compileKernel(const Matrix& m,
 bool tryRefreshKernel(GateKernel& k, const Matrix& m);
 
 /**
+ * Lowers a run of diagonal gates to one DiagRun kernel: a single sweep
+ * multiplies each amplitude by the product of the factors' diagonals. The
+ * index splits at bit k = min(12, log2 dim). For each 2^k-amplitude block
+ * the sweep builds one table from three parts: the factors on bits below k
+ * (one table shared by every block), the factors on bits k and above (one
+ * scalar per block), and the mixed two-bit factors, which with their high
+ * bit fixed are one-bit diagonals on their low bit (expanded by doubling).
+ * One pass over the block then applies the table. The tables are built
+ * inside the sweep, never here, and the arithmetic is the four-product
+ * complex multiply without FMA in a fixed order, so payloads are
+ * bit-identical for every thread count and simd level.
+ */
+GateKernel compileDiagRun(std::vector<DiagFactor> factors);
+
+/**
+ * Replaces a DiagRun kernel's diagonal entries with `factors`' (the
+ * variational rebind). False, with nothing changed, when `k` is not a
+ * DiagRun or the factors' count, arities or bits differ.
+ */
+bool tryRefreshDiagRun(GateKernel& k, const std::vector<DiagFactor>& factors);
+
+/**
  * Applies the kernel in place to `amps[0..dim)`, parallelized per `policy`
  * with deterministic chunking. `preScale` is folded into the kernel's
  * constants before the sweep — the trajectory simulator passes 1/sqrt(w) so
@@ -115,7 +149,8 @@ void applyKernel(const GateKernel& k, Complex* amps, std::uint64_t dim,
  * path — one index-gather per residual group, scalar arithmetic, same
  * classification and deterministic chunking. This is the PR 7 execution
  * shape, kept callable as the blocked-vs-unblocked bench baseline (and as
- * the internal fallback for shapes with no run primitive).
+ * the internal fallback for shapes with no run primitive). A DiagRun
+ * kernel has one sweep only, the table sweep.
  */
 void applyKernelUnblocked(const GateKernel& k, Complex* amps,
                           std::uint64_t dim, const ExecPolicy& policy,
@@ -133,6 +168,7 @@ double normAfterKernel(const GateKernel& k, const Complex* amps,
  * The pre-kernel reference path: serial dense application of the full
  * matrix, exactly as the seed StateVector::apply* loops computed it. Used
  * by the kernel-equivalence tests and the micro benchmarks as the baseline.
+ * A DiagRun kernel multiplies each amplitude by its factors one at a time.
  */
 void applyKernelReference(const GateKernel& k, Complex* amps,
                           std::uint64_t dim);

@@ -54,6 +54,9 @@ struct KernelRunOps {
     /** Dense 4x4 on four streams, m row-major (fused 2q kernels). */
     void (*mat4)(Complex* a0, Complex* a1, Complex* a2, Complex* a3,
                  std::uint64_t n, const Complex* m);
+
+    /** a[i] *= b[i] (the DiagRun table sweep); a and b do not overlap. */
+    void (*mul)(Complex* a, const Complex* b, std::uint64_t n);
 };
 
 /** The scalar table — always available, and the `SimdMode::Off` reference. */

@@ -98,6 +98,13 @@ mat4Scalar(Complex* a0, Complex* a1, Complex* a2, Complex* a3,
     }
 }
 
+void
+mulScalar(Complex* a, const Complex* b, std::uint64_t n)
+{
+    for (std::uint64_t i = 0; i < n; ++i)
+        a[i] = cmul(a[i], b[i]);
+}
+
 } // namespace
 
 const KernelRunOps&
@@ -105,7 +112,7 @@ scalarRunOps()
 {
     static const KernelRunOps ops = {
         SimdLevel::Scalar, scaleScalar, diag2Scalar, diag4Scalar,
-        swap2Scalar,       mat2Scalar,  mat4Scalar,
+        swap2Scalar,       mat2Scalar,  mat4Scalar,  mulScalar,
     };
     return ops;
 }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "linalg/types.h"
@@ -44,6 +45,22 @@ struct AlignedAllocator {
     void deallocate(T* p, std::size_t) noexcept
     {
         ::operator delete(p, static_cast<std::align_val_t>(Align));
+    }
+
+    /**
+     * Value-initialization (vector(n), resize(n)) leaves the storage
+     * untouched: every owner of a 2^n buffer fills it itself, in parallel,
+     * so its pages are first touched by the lanes that sweep them.
+     */
+    template <typename U>
+    void construct(U*) noexcept
+    {
+    }
+
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args)
+    {
+        ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
     }
 
     friend bool operator==(const AlignedAllocator&, const AlignedAllocator&)

@@ -19,10 +19,11 @@ checkedDimension(std::size_t numQubits)
 
 } // namespace
 
-StateVector::StateVector(std::size_t numQubits)
-    : numQubits_(numQubits), amps_(checkedDimension(numQubits))
+StateVector::StateVector(std::size_t numQubits, const ExecPolicy& policy)
+    : numQubits_(numQubits), amps_(checkedDimension(numQubits)),
+      policy_(policy)
 {
-    amps_[0] = 1.0;
+    reset();
 }
 
 void

@@ -31,8 +31,13 @@ namespace qkc {
  */
 class StateVector {
   public:
-    /** Initializes |00...0>. */
-    explicit StateVector(std::size_t numQubits);
+    /**
+     * Initializes |00...0> under `policy`: the buffer is allocated without
+     * a serial zero fill, and reset() fills it in parallel, so each page is
+     * first touched by a pool lane.
+     */
+    explicit StateVector(std::size_t numQubits,
+                         const ExecPolicy& policy = ExecPolicy{});
 
     /**
      * Returns the state to |00...0> in place (a parallel zero fill under

@@ -127,8 +127,7 @@ StateVector
 StateVectorSimulator::simulatePlanned(const ExecutionPlan& plan) const
 {
     requireSvPlan(plan, "StateVectorSimulator::simulatePlanned");
-    StateVector sv(plan.numQubits);
-    sv.setExecPolicy(policy_);
+    StateVector sv(plan.numQubits, policy_);
     runIdeal(plan, sv);
     return sv;
 }
@@ -139,8 +138,7 @@ StateVectorSimulator::simulatePlanned(const ExecutionPlan& plan,
 {
     requireSvPlan(plan, "StateVectorSimulator::simulatePlanned");
     if (state.numQubits() != plan.numQubits) {
-        state = StateVector(plan.numQubits);
-        state.setExecPolicy(policy_);
+        state = StateVector(plan.numQubits, policy_);
     } else {
         state.setExecPolicy(policy_);
         state.reset();
@@ -203,8 +201,7 @@ StateVectorSimulator::sampleNoisyPlanned(const ExecutionPlan& plan,
     std::vector<std::uint64_t> samples(numSamples);
     parallelForLanes(laneCount(policy_.threads, numSamples), numSamples,
                      [&](std::size_t, std::uint64_t b, std::uint64_t e) {
-        StateVector sv(plan.numQubits);
-        sv.setExecPolicy(statePolicy);
+        StateVector sv(plan.numQubits, statePolicy);
         for (std::uint64_t i = b; i < e; ++i) {
             Rng trajectoryRng(seeds[i]);
             runTrajectory(plan, trajectoryRng, sv);

@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "ac/kc_simulator.h"
@@ -12,6 +13,7 @@
 #include "densitymatrix/densitymatrix_simulator.h"
 #include "exec/execution_plan.h"
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "statevector/statevector_simulator.h"
 #include "tensornet/tensornet_simulator.h"
@@ -562,11 +564,13 @@ class DdSession final : public Session {
 
         // Native diagram walk: phi = P psi via ONE apply of the term's
         // n-qubit Pauli-string matrix DD (linear-size), then the memoized
-        // two-diagram inner product <psi|phi>. The term DD stays unrooted:
-        // no collection runs before the walk, and the next bind sweeps it.
+        // two-diagram inner product <psi|phi>. Term DDs are cached, rooted,
+        // until the next collectState (bind or lane trim), so a repeated
+        // observable builds none and a bind frees them all.
         ensureState();
         meta.exact = true;
         QKC_SPAN("dd.expectation");
+        static obs::Counter termDdBuilds("dd.termDdBuilds");
         DdPackage& pkg = sim_.package();
         double total = 0.0;
         for (const auto& [coeff, pauli] : observable.terms) {
@@ -577,7 +581,14 @@ class DdSession final : public Session {
             std::string key(circuit_.numQubits(), 'I');
             for (std::size_t q = 0; q < pauli.numQubits(); ++q)
                 key[q] = pauli.pauli(q);
-            const VEdge phi = pkg.apply(pkg.makePauliDd(key), state_);
+            auto it = termDds_.find(key);
+            if (it == termDds_.end()) {
+                termDdBuilds.add();
+                const MEdge term = pkg.makePauliDd(key);
+                pkg.protect(term);
+                it = termDds_.emplace(std::move(key), term).first;
+            }
+            const VEdge phi = pkg.apply(it->second, state_);
             total += coeff * pkg.innerProduct(state_, phi).real();
         }
         stampDdMemory(meta);
@@ -684,14 +695,18 @@ class DdSession final : public Session {
         built_ = true;
     }
 
-    /** Unroots the bound state and sweeps it; the next task rebuilds. */
+    /** Unroots the bound state and the cached term DDs and sweeps them;
+     *  the next task rebuilds. */
     void collectState()
     {
         if (sim_.hasPackage()) {
             if (built_)
                 sim_.package().unprotect(state_);
+            for (const auto& [key, term] : termDds_)
+                sim_.package().unprotect(term);
             sim_.package().garbageCollect();
         }
+        termDds_.clear();
         built_ = false;
     }
 
@@ -707,6 +722,9 @@ class DdSession final : public Session {
     DdSimulator sim_;
     VEdge state_;
     bool built_ = false;
+    /** Expectation's Pauli-string DDs by string, protected until the next
+     *  collectState. */
+    std::unordered_map<std::string, MEdge> termDds_;
 };
 
 // ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ TEST(QasmAdversarialTest, EmptyAndBinaryGarbage)
 {
     expectRejected("");
     expectRejected("\n\n\n");
-    expectRejected(std::string("\x00\xff\xfe\x01garbage\x7f", 15));
+    const char binary[] = "\x00\xff\xfe\x01garbage\x7f";
+    expectRejected(std::string(binary, sizeof binary - 1));
     expectRejected("qreg"); // truncated mid-declaration
 }
 

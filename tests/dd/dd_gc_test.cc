@@ -15,6 +15,7 @@
 
 #include "circuit/gate.h"
 #include "dd/dd_package.h"
+#include "obs/metrics.h"
 #include "vqa/simulator_api.h"
 
 namespace qkc {
@@ -397,6 +398,34 @@ TEST(DdGcTest, DistinctObservablesDoNotGrowTheSession)
     const std::size_t one = liveMNodesAfter(1);
     EXPECT_GT(one, 0u);
     EXPECT_LE(liveMNodesAfter(200), one + 8);
+}
+
+TEST(DdGcTest, RepeatedExpectationReusesTermDdsUntilTheNextBind)
+{
+    // Term DDs live until the next bind: a second identical Expectation
+    // builds none and returns the same value; after a bind each term is
+    // built once more.
+    constexpr std::size_t n = 8;
+    PauliSum h;
+    h.add(0.5, PauliString("ZZ" + std::string(n - 2, 'I')));
+    h.add(-1.0, PauliString("X" + std::string(n - 2, 'I') + "Y"));
+    h.add(0.25, PauliString(std::string(n, 'I')));
+    h.add(2.0, PauliString(std::string(n - 1, 'I') + "Z"));
+    obs::setEnabled(true);
+    obs::MetricsRegistry::instance().reset();
+    const auto builds = [] {
+        return obs::MetricsRegistry::instance().snapshot().counter(
+            "dd.termDdBuilds");
+    };
+    auto session = makeBackend("dd")->open(layeredAnsatz(n, 0.3));
+    Rng rng(5);
+    const double first = session->run(Expectation{h}, rng).expectation;
+    EXPECT_EQ(builds(), 3u);
+    EXPECT_EQ(session->run(Expectation{h}, rng).expectation, first);
+    EXPECT_EQ(builds(), 3u);
+    session->bind(layeredAnsatz(n, 0.4));
+    session->run(Expectation{h}, rng);
+    EXPECT_EQ(builds(), 6u);
 }
 
 TEST(DdGcTest, LongNoisyRunKeepsLiveNodesBounded)

@@ -247,9 +247,8 @@ TEST(WireRunTest, NoGatherSweepOffTheLowColumnBits)
     // Qubits n-1 and n-2 own column bits 0 and 1, the only bits whose runs
     // are too short for the blocked sweep. A circuit that leaves them idle
     // never takes the gather sweep, lone X and Y runs included. (Two-qubit
-    // channels, and fused two-qubit permutations such as X folded into a
-    // CNOT, take it anywhere: 4-target and 2-target Perm kernels have no
-    // run primitive.)
+    // channels and two-qubit permutations such as SWAP take it anywhere:
+    // 4-target and 2-target Perm kernels have no run primitive.)
     constexpr std::size_t n = 5;
     Circuit c(n);
     c.h(1);
@@ -272,6 +271,76 @@ TEST(WireRunTest, NoGatherSweepOffTheLowColumnBits)
         EXPECT_GT(snap.counter("exec.kernel.blockedSweeps"), 0u);
         EXPECT_EQ(snap.counter("exec.kernel.gatherSweeps"), 0u);
     }
+}
+
+/** Ideal QAOA p=2 on a 3-regular graph (no channels, so runs form). */
+Circuit
+idealQaoa(std::size_t n, std::uint64_t seed, const std::vector<double>& angles)
+{
+    Rng rng(seed);
+    return QaoaMaxCut::randomRegular(n, 3, 2, rng).circuit(angles);
+}
+
+TEST(WireRunTest, DiagonalRunIsOneSweep)
+{
+    // 8 qubits: 4 H pairs, a run of 12 ZZ, 4 Rx pairs, a run, 4 Rx pairs.
+    // Each pair is a row/column kernel pair; each run one DiagRun kernel.
+    const Circuit c = idealQaoa(8, 3, {0.3, -0.7, 1.1, 0.4});
+    const DmExecutionPlan plan = planCircuitDm(c, ExecPolicy{});
+    std::size_t runs = 0;
+    for (const PlannedOp& op : plan.ops)
+        runs += op.kernels[0].op == GateKernel::Op::DiagRun;
+    EXPECT_EQ(runs, 2u);
+    EXPECT_EQ(sweepsOf(plan), 26u);
+
+    ExecPolicy raw;
+    raw.fuseGates = false;
+    const DensityMatrix expected =
+        DensityMatrixSimulator(raw).simulatePlanned(planCircuitDm(c, raw));
+    const DensityMatrix rho =
+        DensityMatrixSimulator(ExecPolicy{}).simulatePlanned(plan);
+    for (std::uint64_t r = 0; r < rho.dimension(); ++r)
+        for (std::uint64_t col = 0; col < rho.dimension(); ++col)
+            ASSERT_TRUE(approxEqual(rho.at(r, col), expected.at(r, col), 1e-12))
+                << r << "," << col;
+}
+
+TEST(WireRunTest, DiagonalRunIsBitIdenticalAcrossThreadsSimdAndRebinds)
+{
+    std::vector<SimdMode> modes = {SimdMode::Off};
+    if (activeSimdLevel() >= SimdLevel::Avx2)
+        modes.push_back(SimdMode::Avx2);
+    if (activeSimdLevel() >= SimdLevel::Avx512)
+        modes.push_back(SimdMode::Avx512);
+
+    const Circuit c = idealQaoa(8, 3, {-0.45, 0.36, 0.8, -1.2});
+    ExecPolicy reference;
+    reference.simd = SimdMode::Off;
+    reference.threads = 1;
+    const DensityMatrix expected = DensityMatrixSimulator(reference)
+        .simulatePlanned(planCircuitDm(c, reference));
+    for (SimdMode mode : modes) {
+        for (std::size_t threads : {1, 4}) {
+            SCOPED_TRACE("simd " + std::to_string(static_cast<int>(mode)) +
+                         " threads " + std::to_string(threads));
+            ExecPolicy policy;
+            policy.simd = mode;
+            policy.threads = threads;
+            if (threads > 1) {
+                policy.serialThreshold = 1;
+                policy.grain = 32;
+            }
+            expectSameRho(DensityMatrixSimulator(policy).simulatePlanned(
+                              planCircuitDm(c, policy)),
+                          expected);
+        }
+    }
+
+    DmExecutionPlan plan =
+        planCircuitDm(idealQaoa(8, 3, {0.3, -0.7, 1.1, 0.4}), reference);
+    ASSERT_TRUE(tryRebindDmPlan(plan, c));
+    expectSameRho(DensityMatrixSimulator(reference).simulatePlanned(plan),
+                  expected);
 }
 
 TEST(WireRunTest, WithoutFusionEachOpIsItsOwnRun)

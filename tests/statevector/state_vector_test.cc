@@ -18,6 +18,26 @@ TEST(StateVectorTest, InitialState)
         EXPECT_TRUE(approxEqual(sv.amplitude(i), Complex{}));
 }
 
+TEST(StateVectorTest, ConstructorFillsZeroAtEveryThreadCount)
+{
+    // The buffer is allocated unfilled and reset() fills it: a state built
+    // where a dirtied one of the same size was freed must still be |0...0>.
+    for (std::size_t threads : {1, 4}) {
+        ExecPolicy policy;
+        policy.threads = threads;
+        {
+            StateVector dirty(20, policy);
+            for (std::uint64_t i = 0; i < dirty.dimension(); ++i)
+                dirty.amplitude(i) = Complex{0.5, -0.25};
+        }
+        const StateVector sv(20, policy);
+        EXPECT_EQ(sv.execPolicy().threads, threads);
+        ASSERT_EQ(sv.amplitude(0), (Complex{1.0, 0.0}));
+        for (std::uint64_t i = 1; i < sv.dimension(); ++i)
+            ASSERT_EQ(sv.amplitude(i), (Complex{})) << i;
+    }
+}
+
 TEST(StateVectorTest, HadamardOnQubit0)
 {
     StateVector sv(2);
