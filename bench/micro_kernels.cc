@@ -11,7 +11,7 @@
  * is the ISSUE-3 acceptance number.
  *
  * After the google-benchmark tables, a JSON-lines section (grep '^{')
- * compares the scalar, AVX2 and AVX-512 sweeps per kernel class and the
+ * compares the scalar and AVX2 sweeps per kernel class and the
  * cache-blocked run sweep against the PR 7 gather-only sweep on a
  * high-stride target — `ratio(off, avx2)` on generic1q is the ISSUE-8
  * acceptance number. Then come generic kernels on index bits 0 and 1,
@@ -365,11 +365,9 @@ runSimdComparison(std::size_t n)
         {"perm1q", Gate(GateKind::X, {1})},
         {"ctrlperm", Gate(GateKind::CNOT, {1, 2})},
     };
-    std::vector<SimdMode> modes = {SimdMode::Off};
+    std::vector<SimdLevel> levels = {SimdLevel::Scalar};
     if (activeSimdLevel() >= SimdLevel::Avx2)
-        modes.push_back(SimdMode::Avx2);
-    if (activeSimdLevel() >= SimdLevel::Avx512)
-        modes.push_back(SimdMode::Avx512);
+        levels.push_back(SimdLevel::Avx2);
 
     std::printf("# simd sweep comparison, %zu qubits, threads=1\n", n);
     const double amps = static_cast<double>(std::uint64_t{1} << n);
@@ -377,20 +375,20 @@ runSimdComparison(std::size_t n)
     for (const Case& c : cases) {
         const GateKernel kernel = kernelFor(c.gate, n);
         double scalarSec = 0.0;
-        for (SimdMode mode : modes) {
+        for (SimdLevel level : levels) {
             ExecPolicy policy;
             policy.threads = 1;
-            policy.simd = mode;
+            policy.simd = level;
             const double sec = secondsPerApply(kernel, sv, policy, true);
-            if (mode == SimdMode::Off)
+            if (level == SimdLevel::Scalar)
                 scalarSec = sec;
-            const char* level = simdLevelName(resolveSimdMode(mode));
+            const char* name = simdLevelName(level);
             std::printf("simd %-10s %-7s %8.3f ns/amp  x%.2f\n", c.name,
-                        level, sec / amps * 1e9, scalarSec / sec);
+                        name, sec / amps * 1e9, scalarSec / sec);
             bench::JsonRow("micro_kernels")
                 .field("kernel", c.name)
                 .field("qubits", n)
-                .field("simd", level)
+                .field("simd", name)
                 .field("sec_per_apply", sec)
                 .field("speedup_vs_scalar", scalarSec / sec);
         }

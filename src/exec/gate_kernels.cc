@@ -402,7 +402,7 @@ kernelClassCounter(GateKernel::Op op)
 /**
  * Records the dispatch level of the first sweep once per process, so a
  * profile or bench dump states which instruction set actually ran
- * (0 = off/scalar, 1 = avx2, 2 = avx512).
+ * (0 = off/scalar, 1 = avx2).
  */
 void
 recordSimdLevel(SimdLevel level)

@@ -24,8 +24,8 @@ namespace qkc {
  * form (ar*br - ai*bi, ar*bi + ai*br) with explicit mul/add — no FMA
  * contraction — and matrix-row accumulation is left-to-right starting from
  * the first product (no zero seed). Results are therefore bit-identical
- * across Scalar / Avx2 / Avx512, which is what lets `SimdMode::Off` serve as
- * the reference in the parity suite.
+ * across Scalar / Avx2, which is what lets `SimdLevel::Scalar` serve as the
+ * reference in the parity suite.
  *
  * Pointers may alias only as documented: the streams of one call are
  * disjoint (they differ by target-bit strides).
@@ -59,14 +59,17 @@ struct KernelRunOps {
     void (*mul)(Complex* a, const Complex* b, std::uint64_t n);
 };
 
-/** The scalar table — always available, and the `SimdMode::Off` reference. */
+/**
+ * The scalar table — always available, the `SimdLevel::Scalar` reference,
+ * and the remainder loop of the vector tables (a run tail shorter than a
+ * vector goes through the same scalar expression).
+ */
 const KernelRunOps& scalarRunOps();
 
-/** Per-level tables; null when the build lacks the instruction set. */
+/** The AVX2 table; null when the build lacks the instruction set. */
 const KernelRunOps* avx2RunOps();
-const KernelRunOps* avx512RunOps();
 
-/** The table for a resolved level (falls back toward scalar if absent). */
+/** The table for a resolved level (falls back to scalar if absent). */
 const KernelRunOps& kernelRunOps(SimdLevel level);
 
 } // namespace qkc

@@ -5,10 +5,9 @@
  * Bit-parity with the scalar table is engineered, not hoped for: a complex
  * multiply is the same four products combined with one subtraction and one
  * addition (`vmulpd` x2 + `vaddsubpd`), never an FMA — the TU is compiled
- * with -ffp-contract=off and the FMA instruction sets banned outright
- * (-mno-fma -mno-avx512f, see src/exec/CMakeLists.txt) so the compiler
- * cannot contract either — and run tails shorter than a vector execute the
- * identical scalar expression.
+ * with -ffp-contract=off and every FMA instruction form banned outright
+ * (see src/exec/CMakeLists.txt) so the compiler cannot contract either —
+ * and run tails shorter than a vector go through the scalar table.
  *
  * Compiled with -mavx2 only when the toolchain supports it (see
  * src/exec/CMakeLists.txt); otherwise the QKC_SIMD_AVX2 guard leaves just
@@ -59,13 +58,6 @@ cmulvv(__m256d a, __m256d b)
     return _mm256_addsub_pd(t1, t2);
 }
 
-inline Complex
-cmul(const Complex& a, const Complex& b)
-{
-    return Complex(a.real() * b.real() - a.imag() * b.imag(),
-                   a.real() * b.imag() + a.imag() * b.real());
-}
-
 void
 scaleAvx2(Complex* a, std::uint64_t n, const Complex& s)
 {
@@ -74,8 +66,8 @@ scaleAvx2(Complex* a, std::uint64_t n, const Complex& s)
     std::uint64_t i = 0;
     for (; i + 2 <= n; i += 2, p += 4)
         _mm256_storeu_pd(p, cmulv(_mm256_loadu_pd(p), c));
-    for (; i < n; ++i)
-        a[i] = cmul(a[i], s);
+    if (i < n)
+        scalarRunOps().scale(a + i, n - i, s);
 }
 
 void
@@ -91,10 +83,8 @@ diag2Avx2(Complex* a0, Complex* a1, std::uint64_t n, const Complex& d0,
         _mm256_storeu_pd(p0, cmulv(_mm256_loadu_pd(p0), c0));
         _mm256_storeu_pd(p1, cmulv(_mm256_loadu_pd(p1), c1));
     }
-    for (; i < n; ++i) {
-        a0[i] = cmul(a0[i], d0);
-        a1[i] = cmul(a1[i], d1);
-    }
+    if (i < n)
+        scalarRunOps().diag2(a0 + i, a1 + i, n - i, d0, d1);
 }
 
 void
@@ -116,12 +106,8 @@ diag4Avx2(Complex* a0, Complex* a1, Complex* a2, Complex* a3,
         _mm256_storeu_pd(p2, cmulv(_mm256_loadu_pd(p2), c2));
         _mm256_storeu_pd(p3, cmulv(_mm256_loadu_pd(p3), c3));
     }
-    for (; i < n; ++i) {
-        a0[i] = cmul(a0[i], d[0]);
-        a1[i] = cmul(a1[i], d[1]);
-        a2[i] = cmul(a2[i], d[2]);
-        a3[i] = cmul(a3[i], d[3]);
-    }
+    if (i < n)
+        scalarRunOps().diag4(a0 + i, a1 + i, a2 + i, a3 + i, n - i, d);
 }
 
 void
@@ -139,11 +125,8 @@ swap2Avx2(Complex* a0, Complex* a1, std::uint64_t n, const Complex& w0,
         _mm256_storeu_pd(p0, cmulv(v1, c0));
         _mm256_storeu_pd(p1, cmulv(v0, c1));
     }
-    for (; i < n; ++i) {
-        const Complex in0 = a0[i];
-        a0[i] = cmul(w0, a1[i]);
-        a1[i] = cmul(w1, in0);
-    }
+    if (i < n)
+        scalarRunOps().swap2(a0 + i, a1 + i, n - i, w0, w1);
 }
 
 void
@@ -176,12 +159,8 @@ mat2Avx2(Complex* a0, Complex* a1, std::uint64_t n, const Complex* m)
         _mm256_storeu_pd(p0, _mm256_add_pd(cmulv(x, c00), cmulv(y, c01)));
         _mm256_storeu_pd(p1, _mm256_add_pd(cmulv(x, c10), cmulv(y, c11)));
     }
-    for (; i < n; ++i) {
-        const Complex x = a0[i];
-        const Complex y = a1[i];
-        a0[i] = cmul(m[0], x) + cmul(m[1], y);
-        a1[i] = cmul(m[2], x) + cmul(m[3], y);
-    }
+    if (i < n)
+        scalarRunOps().mat2(a0 + i, a1 + i, n - i, m);
 }
 
 void
@@ -211,20 +190,8 @@ mat4Avx2(Complex* a0, Complex* a1, Complex* a2, Complex* a3,
             p[r] += 4;
         }
     }
-    for (; i < n; ++i) {
-        const Complex x0 = a0[i];
-        const Complex x1 = a1[i];
-        const Complex x2 = a2[i];
-        const Complex x3 = a3[i];
-        a0[i] = ((cmul(m[0], x0) + cmul(m[1], x1)) + cmul(m[2], x2)) +
-                cmul(m[3], x3);
-        a1[i] = ((cmul(m[4], x0) + cmul(m[5], x1)) + cmul(m[6], x2)) +
-                cmul(m[7], x3);
-        a2[i] = ((cmul(m[8], x0) + cmul(m[9], x1)) + cmul(m[10], x2)) +
-                cmul(m[11], x3);
-        a3[i] = ((cmul(m[12], x0) + cmul(m[13], x1)) + cmul(m[14], x2)) +
-                cmul(m[15], x3);
-    }
+    if (i < n)
+        scalarRunOps().mat4(a0 + i, a1 + i, a2 + i, a3 + i, n - i, m);
 }
 
 void
@@ -235,8 +202,8 @@ mulAvx2(Complex* a, const Complex* b, std::uint64_t n)
     std::uint64_t i = 0;
     for (; i + 2 <= n; i += 2, pa += 4, pb += 4)
         _mm256_storeu_pd(pa, cmulvv(_mm256_loadu_pd(pa), _mm256_loadu_pd(pb)));
-    for (; i < n; ++i)
-        a[i] = cmul(a[i], b[i]);
+    if (i < n)
+        scalarRunOps().mul(a + i, b + i, n - i);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * Scalar reference implementation of the contiguous-run kernel primitives.
- * This is both the portable fallback and the `SimdMode::Off` half of the
- * bit-parity contract: the vector levels reproduce exactly these
- * elementwise operations (same products, same addition order), so their
- * results are bit-identical to this file's.
+ * This is the portable fallback, the `SimdLevel::Scalar` half of the
+ * bit-parity contract and the vector table's remainder loop: the vector
+ * loops reproduce exactly these elementwise operations (same products,
+ * same addition order), so their results are bit-identical to this file's.
  */
 #include "exec/kernel_runs.h"
 
@@ -120,11 +120,6 @@ scalarRunOps()
 const KernelRunOps&
 kernelRunOps(SimdLevel level)
 {
-    if (level == SimdLevel::Avx512) {
-        if (const KernelRunOps* ops = avx512RunOps())
-            return *ops;
-        level = SimdLevel::Avx2;
-    }
     if (level == SimdLevel::Avx2) {
         if (const KernelRunOps* ops = avx2RunOps())
             return *ops;

@@ -1,6 +1,7 @@
 #include "exec/simd.h"
 
-#include <atomic>
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 #include "exec/kernel_runs.h"
@@ -15,11 +16,8 @@ detectSimdLevel()
 {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
     // __builtin_cpu_supports checks CPUID *and* the XCR0 OS-enabled state,
-    // so an AVX-512-capable core under an OS that does not save ZMM state
-    // correctly reports unsupported.
-    if (avx512RunOps() && __builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512dq"))
-        return SimdLevel::Avx512;
+    // so a core whose OS does not save YMM state correctly reports
+    // unsupported.
     if (avx2RunOps() && __builtin_cpu_supports("avx2"))
         return SimdLevel::Avx2;
 #endif
@@ -29,28 +27,19 @@ detectSimdLevel()
 SimdLevel
 initialActiveLevel()
 {
-    SimdLevel level = maxSupportedSimdLevel();
+    SimdLevel level = detectSimdLevel();
     if (const char* env = std::getenv("QKC_SIMD")) {
-        SimdMode mode;
-        if (parseSimdMode(env, &mode) && mode != SimdMode::Auto) {
-            const SimdLevel requested =
-                mode == SimdMode::Off
-                    ? SimdLevel::Scalar
-                    : (mode == SimdMode::Avx2 ? SimdLevel::Avx2
-                                              : SimdLevel::Avx512);
-            if (requested < level)
-                level = requested;
+        SimdLevel requested;
+        if (parseSimdLevel(env, &requested)) {
+            level = std::min(level, requested);
+        } else {
+            // A typo must not abort a run, but it must not pass unseen.
+            std::fprintf(stderr,
+                         "qkc: QKC_SIMD=%s: expected auto, off or avx2; "
+                         "using auto\n",
+                         env);
         }
-        // Unparsable values fall through to auto rather than aborting a
-        // run over a typo; the CLI-facing parse path reports them loudly.
     }
-    return level;
-}
-
-std::atomic<SimdLevel>&
-activeLevelState()
-{
-    static std::atomic<SimdLevel> level{initialActiveLevel()};
     return level;
 }
 
@@ -64,69 +53,30 @@ simdLevelName(SimdLevel level)
         return "off";
       case SimdLevel::Avx2:
         return "avx2";
-      case SimdLevel::Avx512:
-        return "avx512";
     }
     return "?";
 }
 
 SimdLevel
-maxSupportedSimdLevel()
+activeSimdLevel()
 {
-    static const SimdLevel level = detectSimdLevel();
+    static const SimdLevel level = initialActiveLevel();
     return level;
 }
 
-SimdLevel
-activeSimdLevel()
-{
-    return activeLevelState().load(std::memory_order_relaxed);
-}
-
-void
-setSimdLevel(SimdLevel level)
-{
-    if (level > maxSupportedSimdLevel())
-        level = maxSupportedSimdLevel();
-    activeLevelState().store(level, std::memory_order_relaxed);
-}
-
 bool
-parseSimdMode(const std::string& text, SimdMode* out)
+parseSimdLevel(const std::string& text, SimdLevel* out)
 {
     if (text == "auto" || text == "1") {
-        *out = SimdMode::Auto;
+        *out = kMaxSimdLevel;
     } else if (text == "off" || text == "0" || text == "scalar") {
-        *out = SimdMode::Off;
+        *out = SimdLevel::Scalar;
     } else if (text == "avx2") {
-        *out = SimdMode::Avx2;
-    } else if (text == "avx512") {
-        *out = SimdMode::Avx512;
+        *out = SimdLevel::Avx2;
     } else {
         return false;
     }
     return true;
-}
-
-SimdLevel
-resolveSimdMode(SimdMode mode)
-{
-    // QKC_SIMD is the master switch (mirroring QKC_OBS): an explicit
-    // spec-level request never raises the dispatch above the process-wide
-    // active level, only lowers it.
-    const SimdLevel ceiling = activeSimdLevel();
-    switch (mode) {
-      case SimdMode::Auto:
-        return ceiling;
-      case SimdMode::Off:
-        return SimdLevel::Scalar;
-      case SimdMode::Avx2:
-        return ceiling >= SimdLevel::Avx2 ? SimdLevel::Avx2
-                                          : ceiling;
-      case SimdMode::Avx512:
-        return ceiling;
-    }
-    return SimdLevel::Scalar;
 }
 
 } // namespace qkc

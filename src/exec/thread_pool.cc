@@ -203,7 +203,7 @@ ExecPolicy::resolvedThreads() const
 SimdLevel
 ExecPolicy::resolvedSimd() const
 {
-    return resolveSimdMode(simd);
+    return std::min(simd, activeSimdLevel());
 }
 
 ThreadPool&

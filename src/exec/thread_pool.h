@@ -110,7 +110,7 @@ struct ExecPolicy {
      * defaultThreads(). Precedence, highest first:
      *
      *   1. an explicit non-zero value here (e.g. `sv:threads=8` specs);
-     *   2. setDefaultThreads(n), if configuration code called it;
+     *   2. setDefaultThreads(n), if it was called (only tests call it);
      *   3. the QKC_THREADS environment variable, read once at the first
      *      defaultThreads() call (values < 1 clamp to 1);
      *   4. std::thread::hardware_concurrency().
@@ -127,27 +127,26 @@ struct ExecPolicy {
     bool fuseGates = true;
 
     /**
-     * Vector dispatch level for the kernel sweeps. Auto defers to the
-     * process default (QKC_SIMD clamped by CPUID); an explicit level (set
-     * directly by the SIMD parity suites and kernel micro-benchmarks)
-     * lowers — never raises — that default. Payloads are bit-identical at
-     * every level, so this is purely a speed knob.
+     * Cap on the vector dispatch level for the kernel sweeps. The default,
+     * the highest level, leaves the process default (QKC_SIMD clamped by
+     * CPUID) in force; a lower cap (set by the SIMD parity suites and
+     * kernel micro-benchmarks) lowers — never raises — it. Payloads are
+     * bit-identical at every level, so this is purely a speed knob.
      */
-    SimdMode simd = SimdMode::Auto;
+    SimdLevel simd = kMaxSimdLevel;
 
     /** The thread count after resolving 0 against the global default. */
     std::size_t resolvedThreads() const;
 
-    /** The dispatch level after resolving `simd` against the process
-     *  default and hardware/build support. */
+    /** The dispatch level: min(simd, activeSimdLevel()). */
     SimdLevel resolvedSimd() const;
 };
 
 /**
  * Process-wide default thread count: initialized from the QKC_THREADS
  * environment variable if set (values < 1 clamp to 1), otherwise from
- * std::thread::hardware_concurrency(). Thread-safe to read; setDefaultThreads
- * is for single-threaded configuration code (CLI parsing) only.
+ * std::thread::hardware_concurrency(). Thread-safe to read. Only tests call
+ * setDefaultThreads, to pin the default for a case and restore it after.
  */
 std::size_t defaultThreads();
 void setDefaultThreads(std::size_t threads);

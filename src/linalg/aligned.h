@@ -13,9 +13,9 @@ namespace qkc {
 
 /**
  * Minimal aligned allocator for amplitude buffers. 64 bytes covers a full
- * cache line and the widest vector width in use (AVX-512 zmm), so a
- * contiguous run of amplitudes never starts on a split line and vector
- * loads in the kernel sweeps stay within naturally aligned lines.
+ * cache line (and two AVX2 ymm vectors), so a contiguous run of amplitudes
+ * never starts on a split line and vector loads in the kernel sweeps stay
+ * within naturally aligned lines.
  */
 template <typename T, std::size_t Align = 64>
 struct AlignedAllocator {

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -258,6 +259,7 @@ Session::sampledExpectation(const PauliSum& observable, std::size_t shots,
     // rotated-basis sub-session (one per rotation signature, rebound across
     // calls — the fallback no longer re-pays structure planning per call).
     std::vector<std::uint64_t> baseSamples;
+    std::set<std::string> usedSignatures;
     bool haveBase = false;
     bool sampled = false;
     for (const auto& [coeff, pauli] : observable.terms) {
@@ -281,12 +283,22 @@ Session::sampledExpectation(const PauliSum& observable, std::size_t shots,
             }
             total += coeff * pauli.expectationFromSamples(baseSamples);
         } else {
-            const Result r = rotatedSession(pauli).run(Sample{shots}, rng);
+            const Result r =
+                rotatedSession(pauli, usedSignatures).run(Sample{shots}, rng);
             meta.trajectories += r.meta.trajectories;
             meta.fallbackShots += shots;
             total += coeff * pauli.expectationFromSamples(r.samples);
         }
         sampled = true;
+    }
+    // Keep only the sub-sessions this call drew from: a repeated observable
+    // still reuses its own, and a client that keeps sending new ones cannot
+    // grow the session without bound.
+    for (auto it = rotatedSessions_.begin(); it != rotatedSessions_.end();) {
+        if (usedSignatures.count(it->first) != 0)
+            ++it;
+        else
+            it = rotatedSessions_.erase(it);
     }
     // Set last (a doSample hook above may flag its own draw as exact): the
     // estimate is exact only if no term actually needed samples.
@@ -295,7 +307,8 @@ Session::sampledExpectation(const PauliSum& observable, std::size_t shots,
 }
 
 Session&
-Session::rotatedSession(const PauliString& pauli)
+Session::rotatedSession(const PauliString& pauli,
+                        std::set<std::string>& usedSignatures)
 {
     // Key on the rotation pattern: the X/Y factors determine the appended
     // basis-change gates (H for X, Sdg-then-H for Y); Z and I add nothing.
@@ -308,6 +321,7 @@ Session::rotatedSession(const PauliString& pauli)
         if (p == 'X' || p == 'Y')
             key[q] = p;
     }
+    usedSignatures.insert(key);
     const Circuit rotated = pauli.withMeasurementBasis(circuit_);
     auto it = rotatedSessions_.find(key);
     if (it == rotatedSessions_.end())

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <variant>
@@ -330,7 +331,8 @@ class Session {
     std::size_t planBuilds() const { return planBuilds_; }
     std::size_t planReuses() const { return planReuses_; }
 
-    /** Cached rotated-basis fallback sub-sessions (one per term signature). */
+    /** Cached rotated-basis fallback sub-sessions (one per term signature
+     *  of the last sampled Expectation). */
     std::size_t rotatedSessionCount() const { return rotatedSessions_.size(); }
 
   protected:
@@ -408,13 +410,16 @@ class Session {
     std::size_t planReuses_ = 0;
 
   private:
-    /** The cached fallback sub-session for `pauli`'s rotation signature. */
-    Session& rotatedSession(const PauliString& pauli);
+    /** The cached fallback sub-session for `pauli`'s rotation signature,
+     *  which it adds to `usedSignatures`. */
+    Session& rotatedSession(const PauliString& pauli,
+                            std::set<std::string>& usedSignatures);
 
     /**
      * Rotated-basis fallback sub-sessions, keyed by rotation signature (the
      * X/Y pattern of the term — Z and I need no basis change, so terms
-     * sharing the pattern share one sub-session and only rebind it).
+     * sharing the pattern share one sub-session and only rebind it). Only
+     * the signatures of the last sampledExpectation call are kept.
      */
     std::map<std::string, std::unique_ptr<Session>> rotatedSessions_;
 

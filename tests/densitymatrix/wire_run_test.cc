@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "circuit/noise.h"
-#include "exec/simd.h"
 #include "obs/metrics.h"
 #include "testing/oracles.h"
+#include "testing/simd_levels.h"
 #include "util/rng.h"
 #include "vqa/workloads.h"
 
@@ -176,25 +176,19 @@ TEST(WireRunTest, MatchesKrausEnumeration)
 
 TEST(WireRunTest, BitIdenticalAcrossThreadsAndSimdLevels)
 {
-    std::vector<SimdMode> modes = {SimdMode::Off};
-    if (activeSimdLevel() >= SimdLevel::Avx2)
-        modes.push_back(SimdMode::Avx2);
-    if (activeSimdLevel() >= SimdLevel::Avx512)
-        modes.push_back(SimdMode::Avx512);
-
     Rng rng(17);
     const Circuit c = randomNoisyCircuit(6, 60, 20, rng);
     ExecPolicy reference;
-    reference.simd = SimdMode::Off;
+    reference.simd = SimdLevel::Scalar;
     reference.threads = 1;
     const DensityMatrix expected = DensityMatrixSimulator(reference)
         .simulatePlanned(planCircuitDm(c, reference));
-    for (SimdMode mode : modes) {
+    for (SimdLevel level : testing::simdLevels()) {
         for (std::size_t threads : {1, 4}) {
-            SCOPED_TRACE("simd " + std::to_string(static_cast<int>(mode)) +
+            SCOPED_TRACE(std::string("simd ") + simdLevelName(level) +
                          " threads " + std::to_string(threads));
             ExecPolicy policy;
-            policy.simd = mode;
+            policy.simd = level;
             policy.threads = threads;
             if (threads > 1) {
                 policy.serialThreshold = 1;
@@ -307,24 +301,18 @@ TEST(WireRunTest, DiagonalRunIsOneSweep)
 
 TEST(WireRunTest, DiagonalRunIsBitIdenticalAcrossThreadsSimdAndRebinds)
 {
-    std::vector<SimdMode> modes = {SimdMode::Off};
-    if (activeSimdLevel() >= SimdLevel::Avx2)
-        modes.push_back(SimdMode::Avx2);
-    if (activeSimdLevel() >= SimdLevel::Avx512)
-        modes.push_back(SimdMode::Avx512);
-
     const Circuit c = idealQaoa(8, 3, {-0.45, 0.36, 0.8, -1.2});
     ExecPolicy reference;
-    reference.simd = SimdMode::Off;
+    reference.simd = SimdLevel::Scalar;
     reference.threads = 1;
     const DensityMatrix expected = DensityMatrixSimulator(reference)
         .simulatePlanned(planCircuitDm(c, reference));
-    for (SimdMode mode : modes) {
+    for (SimdLevel level : testing::simdLevels()) {
         for (std::size_t threads : {1, 4}) {
-            SCOPED_TRACE("simd " + std::to_string(static_cast<int>(mode)) +
+            SCOPED_TRACE(std::string("simd ") + simdLevelName(level) +
                          " threads " + std::to_string(threads));
             ExecPolicy policy;
-            policy.simd = mode;
+            policy.simd = level;
             policy.threads = threads;
             if (threads > 1) {
                 policy.serialThreshold = 1;

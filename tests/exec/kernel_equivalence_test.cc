@@ -14,8 +14,8 @@
 #include "circuit/circuit.h"
 #include "circuit/gate.h"
 #include "circuit/noise.h"
-#include "exec/simd.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/simd_levels.h"
 #include "util/rng.h"
 
 namespace qkc {
@@ -81,18 +81,18 @@ expectMatchesReference(const Matrix& m, const std::vector<std::size_t>& qubits,
     }
 
     // And every SIMD dispatch level must agree bitwise with the default.
-    for (SimdMode mode : {SimdMode::Off, SimdMode::Avx2, SimdMode::Avx512}) {
+    for (SimdLevel level : testing::simdLevels()) {
         ExecPolicy leveled;
-        leveled.simd = mode;
+        leveled.simd = level;
         auto atLevel = randomState(n, seed);
         applyKernel(kernel, atLevel.data(), dim, leveled);
         for (std::uint64_t i = 0; i < dim; ++i) {
             ASSERT_EQ(specializedSerial[i].real(), atLevel[i].real())
-                << kernel.className() << " simd="
-                << simdLevelName(resolveSimdMode(mode)) << " index " << i;
+                << kernel.className() << " simd=" << simdLevelName(level)
+                << " index " << i;
             ASSERT_EQ(specializedSerial[i].imag(), atLevel[i].imag())
-                << kernel.className() << " simd="
-                << simdLevelName(resolveSimdMode(mode)) << " index " << i;
+                << kernel.className() << " simd=" << simdLevelName(level)
+                << " index " << i;
         }
     }
 }

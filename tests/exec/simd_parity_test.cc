@@ -20,6 +20,7 @@
 #include "exec/simd.h"
 #include "linalg/aligned.h"
 #include "testing/session_runs.h"
+#include "testing/simd_levels.h"
 #include "util/rng.h"
 
 namespace qkc {
@@ -50,23 +51,11 @@ bitsFor(const std::vector<std::size_t>& qubits, std::size_t n)
     return bits;
 }
 
-/** The SIMD modes whose resolved level is actually distinct on this host. */
-std::vector<SimdMode>
-distinctModes()
-{
-    std::vector<SimdMode> modes = {SimdMode::Off};
-    if (activeSimdLevel() >= SimdLevel::Avx2)
-        modes.push_back(SimdMode::Avx2);
-    if (activeSimdLevel() >= SimdLevel::Avx512)
-        modes.push_back(SimdMode::Avx512);
-    return modes;
-}
-
 ExecPolicy
-policyFor(SimdMode mode, int threads)
+policyFor(SimdLevel level, int threads)
 {
     ExecPolicy p;
-    p.simd = mode;
+    p.simd = level;
     p.threads = threads;
     if (threads > 1) {
         p.serialThreshold = 1;
@@ -87,21 +76,20 @@ expectBitParity(const GateKernel& kernel, std::size_t n, std::uint64_t seed)
     const std::uint64_t dim = input.size();
 
     AmpVector baseline = input;
-    applyKernel(kernel, baseline.data(), dim, policyFor(SimdMode::Off, 1));
+    applyKernel(kernel, baseline.data(), dim,
+                policyFor(SimdLevel::Scalar, 1));
 
-    for (SimdMode mode : distinctModes()) {
+    for (SimdLevel level : testing::simdLevels()) {
         for (int threads : {1, 4}) {
             AmpVector out = input;
-            applyKernel(kernel, out.data(), dim, policyFor(mode, threads));
+            applyKernel(kernel, out.data(), dim, policyFor(level, threads));
             for (std::uint64_t i = 0; i < dim; ++i) {
                 ASSERT_EQ(baseline[i].real(), out[i].real())
-                    << kernel.className() << " simd="
-                    << simdLevelName(resolveSimdMode(mode)) << " threads="
-                    << threads << " index " << i;
+                    << kernel.className() << " simd=" << simdLevelName(level)
+                    << " threads=" << threads << " index " << i;
                 ASSERT_EQ(baseline[i].imag(), out[i].imag())
-                    << kernel.className() << " simd="
-                    << simdLevelName(resolveSimdMode(mode)) << " threads="
-                    << threads << " index " << i;
+                    << kernel.className() << " simd=" << simdLevelName(level)
+                    << " threads=" << threads << " index " << i;
             }
         }
     }
@@ -115,25 +103,25 @@ kernelFor(const Gate& g, std::size_t n)
 
 TEST(SimdDispatchTest, ResolutionClampsToHostCeiling)
 {
-    // Auto resolves to the active level; explicit requests never exceed it.
-    EXPECT_EQ(resolveSimdMode(SimdMode::Auto), activeSimdLevel());
-    EXPECT_EQ(resolveSimdMode(SimdMode::Off), SimdLevel::Scalar);
-    EXPECT_LE(resolveSimdMode(SimdMode::Avx2), activeSimdLevel());
-    EXPECT_LE(resolveSimdMode(SimdMode::Avx512), activeSimdLevel());
+    // The default cap resolves to the active level; a cap never exceeds it.
+    ExecPolicy policy;
+    EXPECT_EQ(policy.resolvedSimd(), activeSimdLevel());
+    policy.simd = SimdLevel::Scalar;
+    EXPECT_EQ(policy.resolvedSimd(), SimdLevel::Scalar);
+    policy.simd = SimdLevel::Avx2;
+    EXPECT_LE(policy.resolvedSimd(), activeSimdLevel());
     if (activeSimdLevel() >= SimdLevel::Avx2) {
-        EXPECT_EQ(resolveSimdMode(SimdMode::Avx2), SimdLevel::Avx2);
+        EXPECT_EQ(policy.resolvedSimd(), SimdLevel::Avx2);
     }
 
-    SimdMode mode = SimdMode::Auto;
-    EXPECT_TRUE(parseSimdMode("off", &mode));
-    EXPECT_EQ(mode, SimdMode::Off);
-    EXPECT_TRUE(parseSimdMode("avx2", &mode));
-    EXPECT_EQ(mode, SimdMode::Avx2);
-    EXPECT_TRUE(parseSimdMode("avx512", &mode));
-    EXPECT_EQ(mode, SimdMode::Avx512);
-    EXPECT_TRUE(parseSimdMode("auto", &mode));
-    EXPECT_EQ(mode, SimdMode::Auto);
-    EXPECT_FALSE(parseSimdMode("sse9", &mode));
+    SimdLevel level = SimdLevel::Scalar;
+    EXPECT_TRUE(parseSimdLevel("off", &level));
+    EXPECT_EQ(level, SimdLevel::Scalar);
+    EXPECT_TRUE(parseSimdLevel("avx2", &level));
+    EXPECT_EQ(level, SimdLevel::Avx2);
+    EXPECT_TRUE(parseSimdLevel("auto", &level));
+    EXPECT_EQ(level, kMaxSimdLevel);
+    EXPECT_FALSE(parseSimdLevel("sse9", &level));
 }
 
 TEST(SimdParityTest, KernelClassesAreBitIdenticalAcrossLevels)
@@ -162,10 +150,9 @@ TEST(SimdParityTest, KernelClassesAreBitIdenticalAcrossLevels)
 
 TEST(SimdParityTest, TailRunsAndStrideBoundaryTargets)
 {
-    // Run length is 2^(lowest residual bit): bit 0 gives length-1 runs
-    // (gather path), bit 1 gives length-2 runs (a pure tail for the 4-wide
-    // AVX-512 loop), bit 2 length-4, and the top bit one maximal run. All
-    // must agree bitwise with scalar.
+    // Run length is 2^(lowest residual bit): bits 0 and 1 give runs of 1
+    // and 2 (gather path), bit 2 length-4 (one unrolled AVX2 mat2 step),
+    // and the top bit one maximal run. All must agree bitwise with scalar.
     const std::size_t n = 7; // odd qubit count, dim 128
     std::uint64_t seed = 5000;
     for (std::size_t q = 0; q < n; ++q) {
@@ -236,18 +223,18 @@ TEST(SimdParityTest, RandomizedCircuitsAreBitIdenticalEndToEnd)
         const std::uint64_t dim = input.size();
         AmpVector baseline = input;
         for (const auto& k : kernels)
-            applyKernel(k, baseline.data(), dim, policyFor(SimdMode::Off, 1));
+            applyKernel(k, baseline.data(), dim,
+                        policyFor(SimdLevel::Scalar, 1));
 
-        for (SimdMode mode : distinctModes()) {
+        for (SimdLevel level : testing::simdLevels()) {
             for (int threads : {1, 4}) {
                 AmpVector out = input;
                 for (const auto& k : kernels)
-                    applyKernel(k, out.data(), dim, policyFor(mode, threads));
+                    applyKernel(k, out.data(), dim, policyFor(level, threads));
                 for (std::uint64_t i = 0; i < dim; ++i) {
                     ASSERT_EQ(baseline[i].real(), out[i].real())
-                        << "trial " << trial << " simd="
-                        << simdLevelName(resolveSimdMode(mode)) << " threads="
-                        << threads << " index " << i;
+                        << "trial " << trial << " simd=" << simdLevelName(level)
+                        << " threads=" << threads << " index " << i;
                     ASSERT_EQ(baseline[i].imag(), out[i].imag())
                         << "trial " << trial << " index " << i;
                 }
@@ -267,15 +254,15 @@ TEST(SimdParityTest, RandomizedCircuitsAreBitIdenticalEndToEnd)
     noisy.append(NoiseChannel::amplitudeDamping(4, 0.1));
     noisy.append(NoiseChannel::twoQubitDepolarizing(3, 0, 0.05));
     const DensityMatrix rhoBaseline =
-        testing::finalRho(noisy, policyFor(SimdMode::Off, 1));
-    for (SimdMode mode : distinctModes()) {
+        testing::finalRho(noisy, policyFor(SimdLevel::Scalar, 1));
+    for (SimdLevel level : testing::simdLevels()) {
         for (int threads : {1, 4}) {
             const DensityMatrix rho =
-                testing::finalRho(noisy, policyFor(mode, threads));
+                testing::finalRho(noisy, policyFor(level, threads));
             for (std::uint64_t r = 0; r < rho.dimension(); ++r)
                 for (std::uint64_t c = 0; c < rho.dimension(); ++c) {
                     ASSERT_EQ(rhoBaseline.at(r, c).real(), rho.at(r, c).real())
-                        << "dm simd=" << simdLevelName(resolveSimdMode(mode))
+                        << "dm simd=" << simdLevelName(level)
                         << " threads=" << threads << " (" << r << ", " << c
                         << ")";
                     ASSERT_EQ(rhoBaseline.at(r, c).imag(), rho.at(r, c).imag())
@@ -306,17 +293,17 @@ TEST(SimdParityTest, BlockedSweepMatchesGatherSweepBitwise)
         const GateKernel kernel = kernelFor(g, n);
         const AmpVector input = randomState(n, seed++);
         const std::uint64_t dim = input.size();
-        for (SimdMode mode : distinctModes()) {
+        for (SimdLevel level : testing::simdLevels()) {
             AmpVector blocked = input;
             AmpVector gathered = input;
-            applyKernel(kernel, blocked.data(), dim, policyFor(mode, 1),
+            applyKernel(kernel, blocked.data(), dim, policyFor(level, 1),
                         preScale);
             applyKernelUnblocked(kernel, gathered.data(), dim,
-                                 policyFor(mode, 1), preScale);
+                                 policyFor(level, 1), preScale);
             for (std::uint64_t i = 0; i < dim; ++i) {
                 ASSERT_EQ(blocked[i].real(), gathered[i].real())
-                    << g.name() << " simd="
-                    << simdLevelName(resolveSimdMode(mode)) << " index " << i;
+                    << g.name() << " simd=" << simdLevelName(level)
+                    << " index " << i;
                 ASSERT_EQ(blocked[i].imag(), gathered[i].imag())
                     << g.name() << " index " << i;
             }

@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "exec/simd.h"
 #include "testing/session_runs.h"
+#include "testing/simd_levels.h"
 #include "util/rng.h"
 
 namespace qkc {
@@ -107,26 +107,20 @@ TEST(DiagonalRunSweepTest, RandomRunsMatchTheUnfusedState)
 
 TEST(DiagonalRunSweepTest, BitIdenticalAcrossThreadsAndSimdLevels)
 {
-    std::vector<SimdMode> modes = {SimdMode::Off};
-    if (activeSimdLevel() >= SimdLevel::Avx2)
-        modes.push_back(SimdMode::Avx2);
-    if (activeSimdLevel() >= SimdLevel::Avx512)
-        modes.push_back(SimdMode::Avx512);
-
     Rng rng(99);
     const Circuit c = randomRunCircuit(15, rng);
     ExecPolicy reference;
-    reference.simd = SimdMode::Off;
+    reference.simd = SimdLevel::Scalar;
     reference.threads = 1;
     const StateVector expected =
         StateVectorSimulator(reference).simulatePlanned(
             planCircuit(c, reference));
-    for (SimdMode mode : modes) {
+    for (SimdLevel level : testing::simdLevels()) {
         for (std::size_t threads : {1, 4}) {
-            SCOPED_TRACE("simd " + std::to_string(static_cast<int>(mode)) +
+            SCOPED_TRACE(std::string("simd ") + simdLevelName(level) +
                          " threads " + std::to_string(threads));
             ExecPolicy policy;
-            policy.simd = mode;
+            policy.simd = level;
             policy.threads = threads;
             if (threads > 1) {
                 policy.serialThreshold = 1;

@@ -471,6 +471,32 @@ TEST(SessionTest, RotatedFallbackSubSessionIsCachedPerSignature)
     EXPECT_EQ(session->rotatedSessionCount(), 2u);
 }
 
+TEST(SessionTest, RotatedSubSessionsDoNotAccumulateAcrossObservables)
+{
+    // A client that keeps sending new observables must not grow a cached
+    // session: only the signatures of the last Expectation stay cached.
+    const std::size_t n = 5;
+    Circuit base(n);
+    for (std::size_t q = 0; q < n; ++q)
+        base.h(q).rz(q, 0.1 * static_cast<double>(q + 1));
+    for (std::size_t q = 0; q + 1 < n; ++q)
+        base.cnot(q, q + 1);
+
+    auto session = makeBackend("tn")->open(base);
+    Rng rng(11);
+    for (std::size_t i = 1; i <= 20; ++i) {
+        // The base-3 digits of i pick I, X or Y per qubit: 20 distinct
+        // signatures, each with at least one X or Y.
+        std::string term(n, 'I');
+        for (std::size_t q = 0, v = i; q < n; ++q, v /= 3)
+            term[q] = "IXY"[v % 3];
+        PauliSum h;
+        h.add(1.0, PauliString(term));
+        session->run(Expectation{h, 16}, rng);
+        EXPECT_EQ(session->rotatedSessionCount(), 1u) << term;
+    }
+}
+
 TEST(SessionTest, RotatedFallbackAccountsShotsAndTrajectories)
 {
     // The noisy sv fallback runs trajectories inside the cached sub-session;
