@@ -20,12 +20,11 @@ namespace {
 /**
  * The same ablation through the Session API, for the dense backends: the
  * per-iteration *structure* cost of reopening a session — greedy fusion
- * plus kernel classification — versus rebinding one open session, which
- * replays the recorded fusion recipe and refreshes the compiled kernels
- * in place. Task execution time is identical either way, so the loops
- * time open/bind alone: exactly the work a planReuses increment certifies
- * was skipped. The dm row is the point of the ISSUE 5 fix — it previously
- * claimed reuse while re-running both inside every simulate call.
+ * plus kernel lowering — versus rebinding one open session, which replays
+ * the recorded fusion recipe and lowers every kernel again. Task execution
+ * time is identical either way, so the loops time open/bind alone; the gap
+ * is the greedy fusion pass a planReuses increment certifies was skipped
+ * (classification runs on both sides).
  */
 void
 sessionRebindRow(const char* spec, std::size_t qubits, std::size_t iterations)
@@ -202,7 +201,7 @@ driverMain(int argc, char** argv)
     sessionRebindRow("sv:threads=1", std::min<std::size_t>(maxQubits, 16),
                      iterations);
     // dm at 8 qubits: past this the 4^n superoperator sweeps drown the
-    // classification cost the rebind saves, understating the plan's value.
+    // fusion cost the rebind saves, understating the plan's value.
     sessionRebindRow("dm:threads=1", std::min<std::size_t>(maxQubits, 8),
                      iterations);
     ddRebindRow(maxQubits, iterations);

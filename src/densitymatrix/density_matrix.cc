@@ -175,21 +175,6 @@ DensityMatrix::diagRunFactors(const Circuit& circuit,
     return factors;
 }
 
-bool
-DensityMatrix::tryRefreshRun(std::vector<GateKernel>& kernels,
-                             const Circuit& circuit,
-                             const std::vector<std::size_t>& run)
-{
-    const RunProduct p = runProduct(circuit, run);
-    if (p.unitary && kernels.size() == 2)
-        return tryRefreshKernel(kernels[0], p.m) &&
-               tryRefreshKernel(kernels[1], conjugated(p.m));
-    if (kernels.size() != 1)
-        return false;
-    return tryRefreshKernel(kernels[0], p.unitary ? p.m.kron(conjugated(p.m))
-                                                  : p.m);
-}
-
 void
 DensityMatrix::apply(const GateKernel& k)
 {

@@ -95,17 +95,6 @@ class DensityMatrix {
     static std::vector<DiagFactor> diagRunFactors(
         const Circuit& circuit, const std::vector<std::size_t>& run);
 
-    /**
-     * Refreshes compileRun's kernels for a same-structure circuit without
-     * re-classification: recomputes the run's product and hands it to
-     * tryRefreshKernel. Returns false when a new value leaves a stored
-     * class — e.g. a channel planned at strength 0 (Identity) rebound to a
-     * non-zero strength.
-     */
-    static bool tryRefreshRun(std::vector<GateKernel>& kernels,
-                              const Circuit& circuit,
-                              const std::vector<std::size_t>& run);
-
     /** Tr(rho). */
     Complex trace() const;
 

@@ -49,6 +49,23 @@ wireRuns(const DmExecutionPlan& plan, bool merge)
     return out;
 }
 
+/**
+ * Lowers `op` from its source ops in plan.circuit: sets its dm kernels, one
+ * DiagRun kernel for a diagonal run and DensityMatrix::compileRun's for any
+ * other op.
+ */
+void
+lowerDmOp(const DmExecutionPlan& plan, PlannedOp& op, bool diagonal)
+{
+    if (!diagonal) {
+        op.kernels = DensityMatrix::compileRun(plan.circuit, op.opIndices);
+        return;
+    }
+    op.kernels.clear();
+    op.kernels.push_back(compileDiagRun(
+        DensityMatrix::diagRunFactors(plan.circuit, op.opIndices)));
+}
+
 } // namespace
 
 DmExecutionPlan
@@ -63,12 +80,8 @@ planCircuitDm(const Circuit& circuit, const ExecPolicy& policy)
         for (std::size_t i : unit.ops)
             op.isChannel =
                 op.isChannel || std::holds_alternative<NoiseChannel>(ops[i]);
-        if (unit.diagonal)
-            op.kernels.push_back(compileDiagRun(
-                DensityMatrix::diagRunFactors(plan.circuit, unit.ops)));
-        else
-            op.kernels = DensityMatrix::compileRun(plan.circuit, unit.ops);
         op.opIndices = std::move(unit.ops);
+        lowerDmOp(plan, op, unit.diagonal);
         plan.ops.push_back(std::move(op));
     }
     return plan;
@@ -86,17 +99,8 @@ tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit)
 {
     if (!rebindPlanCircuit(plan, circuit, PlanEngine::DensityMatrix))
         return false;
-    for (PlannedOp& op : plan.ops) {
-        const bool ok =
-            op.kernels[0].op == GateKernel::Op::DiagRun
-                ? tryRefreshDiagRun(op.kernels[0],
-                                    DensityMatrix::diagRunFactors(
-                                        plan.circuit, op.opIndices))
-                : DensityMatrix::tryRefreshRun(op.kernels, plan.circuit,
-                                               op.opIndices);
-        if (!ok)
-            return false;
-    }
+    for (PlannedOp& op : plan.ops)
+        lowerDmOp(plan, op, op.kernels[0].op == GateKernel::Op::DiagRun);
     return true;
 }
 

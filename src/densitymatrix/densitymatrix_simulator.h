@@ -23,9 +23,9 @@ namespace qkc {
  * diagonal run (one DiagRun kernel with the row factors and the
  * conjugated column factors), twice per multi-qubit gate and once per
  * multi-qubit channel, in place. Without fusion every op is its own run.
- * A session holds one plan per circuit structure and refreshes it across
- * parameter rebinds, so its planReuses metadata corresponds to
- * classification work actually saved.
+ * A session holds one plan per circuit structure and rebinds it across
+ * parameter binds (tryRebindDmPlan), so its planReuses metadata counts
+ * greedy fusion passes saved; the kernels are lowered again on every bind.
  */
 DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy);
 
@@ -35,11 +35,10 @@ DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy,
 
 /**
  * Rebinds a dm plan to a same-structure circuit (rebindPlanCircuit,
- * exec/execution_plan.h), then recomputes each run's product and refreshes
- * its kernels in place (DensityMatrix::tryRefreshRun; a diagonal run
- * refreshes its factors' entries with tryRefreshDiagRun). False when the
- * structure differs or a new value leaves a stored kernel class; the
- * caller must then re-plan.
+ * exec/execution_plan.h), then lowers every run again as planCircuitDm
+ * does, so on success its ops equal those of a fresh planCircuitDm of
+ * `circuit` under the same policy, kernel for kernel. False, with the plan
+ * unchanged, when rebindPlanCircuit refuses; the caller must then re-plan.
  */
 bool tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit);
 
@@ -69,7 +68,7 @@ class DensityMatrixSimulator {
     /**
      * Evolves |0..0><0..0| through a pre-built plan. Backend sessions plan
      * a circuit structure once and re-execute it across parameter binds
-     * without re-paying fusion or kernel classification. Throws
+     * without re-paying the greedy fusion pass. Throws
      * std::invalid_argument for a plan planCircuitDm did not build.
      */
     DensityMatrix simulatePlanned(const DmExecutionPlan& plan) const;

@@ -50,19 +50,18 @@ svDiagFactors(const Circuit& circuit, const std::vector<std::size_t>& unit)
     return factors;
 }
 
-bool
-refreshSvOp(std::vector<GateKernel>& kernels, const Operation& op)
+/** Lowers `op` from its source ops in plan.circuit: sets its sv kernels. */
+void
+lowerSvOp(const ExecutionPlan& plan, PlannedOp& op)
 {
-    if (const Gate* g = std::get_if<Gate>(&op))
-        return kernels.size() == 1 &&
-               tryRefreshKernel(kernels[0], g->unitary());
-    const auto& kraus = std::get<NoiseChannel>(op).krausOperators();
-    if (kraus.size() != kernels.size())
-        return false;
-    for (std::size_t k = 0; k < kernels.size(); ++k)
-        if (!tryRefreshKernel(kernels[k], kraus[k]))
-            return false;
-    return true;
+    if (op.opIndices.size() == 1) {
+        op.kernels = compileSvOp(plan.circuit.operations()[op.opIndices[0]],
+                                 plan.numQubits);
+        return;
+    }
+    op.kernels.clear();
+    op.kernels.push_back(
+        compileDiagRun(svDiagFactors(plan.circuit, op.opIndices)));
 }
 
 } // namespace
@@ -75,6 +74,7 @@ preparePlan(const Circuit& circuit, const ExecPolicy& policy,
     plan.engine = engine;
     plan.numQubits = circuit.numQubits();
     plan.fusionEnabled = policy.fuseGates;
+    plan.source = circuit;
     if (policy.fuseGates) {
         plan.recipe = planFusion(circuit);
         plan.circuit = *materializeFusion(plan.recipe, circuit, &plan.fusion);
@@ -88,20 +88,16 @@ bool
 rebindPlanCircuit(ExecutionPlan& plan, const Circuit& circuit,
                   PlanEngine engine)
 {
-    // On any failure the caller re-plans from scratch, so a partially
-    // refreshed plan is never executed.
-    if (plan.engine != engine || circuit.numQubits() != plan.numQubits)
+    if (plan.engine != engine || !sameStructure(plan.source, circuit))
         return false;
-
     if (plan.fusionEnabled) {
-        // materializeFusion validates indices, kinds and wires itself.
-        auto fused = materializeFusion(plan.recipe, circuit, &plan.fusion);
-        if (!fused || fused->size() != plan.circuit.size())
+        FusionStats stats;
+        auto fused = materializeFusion(plan.recipe, circuit, &stats);
+        if (!fused)
             return false;
         plan.circuit = std::move(*fused);
+        plan.fusion = stats;
     } else {
-        if (!sameStructure(plan.circuit, circuit))
-            return false;
         plan.circuit = circuit;
     }
     return true;
@@ -156,14 +152,10 @@ planCircuit(const Circuit& circuit, const ExecPolicy& policy)
     const auto& ops = plan.circuit.operations();
     for (auto& unit : loweringUnits(plan)) {
         PlannedOp op;
-        if (unit.size() > 1) {
-            op.kernels.push_back(
-                compileDiagRun(svDiagFactors(plan.circuit, unit)));
-        } else {
-            op.isChannel = std::holds_alternative<NoiseChannel>(ops[unit[0]]);
-            op.kernels = compileSvOp(ops[unit[0]], plan.numQubits);
-        }
+        op.isChannel = unit.size() == 1 &&
+                       std::holds_alternative<NoiseChannel>(ops[unit[0]]);
         op.opIndices = std::move(unit);
+        lowerSvOp(plan, op);
         plan.ops.push_back(std::move(op));
     }
     return plan;
@@ -239,18 +231,8 @@ tryRebindPlan(ExecutionPlan& plan, const Circuit& circuit)
 {
     if (!rebindPlanCircuit(plan, circuit, PlanEngine::StateVector))
         return false;
-    for (PlannedOp& op : plan.ops) {
-        if (op.opIndices.size() > 1) {
-            if (!tryRefreshDiagRun(op.kernels[0],
-                                   svDiagFactors(plan.circuit, op.opIndices)))
-                return false;
-            continue;
-        }
-        const Operation& o = plan.circuit.operations()[op.opIndices[0]];
-        if (std::holds_alternative<NoiseChannel>(o) != op.isChannel ||
-            !refreshSvOp(op.kernels, o))
-            return false;
-    }
+    for (PlannedOp& op : plan.ops)
+        lowerSvOp(plan, op);
     return true;
 }
 

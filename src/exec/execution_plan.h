@@ -34,8 +34,9 @@ enum class PlanEngine : std::uint8_t { StateVector, DensityMatrix };
 
 /**
  * A circuit prepared for repeated dense execution: fusion has run (if the
- * policy asks for it) and every gate and channel has been lowered and
- * classified exactly once.
+ * policy asks for it) and every gate and channel has been lowered to its
+ * engine's kernels. A rebind (rebindPlanCircuit) replays the fusion recipe
+ * and lowers every op again, so a rebound plan's ops equal a fresh plan's.
  *
  *  - State vector: a gate is one kernel; a diagonal run of gates is one
  *    DiagRun kernel; a channel is one kernel per Kraus operator, and a
@@ -52,6 +53,10 @@ enum class PlanEngine : std::uint8_t { StateVector, DensityMatrix };
 struct ExecutionPlan {
     PlanEngine engine = PlanEngine::StateVector;
     std::size_t numQubits = 0;
+    /** The circuit the plan was built from. A rebind checks its circuit's
+     *  structure against this and keeps it, so only its structure is
+     *  current. */
+    Circuit source{1};
     Circuit circuit{1};       ///< the (possibly fused) circuit kernels map to
     std::vector<PlannedOp> ops;
     FusionStats fusion;       ///< zeros when fusion was disabled
@@ -73,13 +78,13 @@ ExecutionPlan preparePlan(const Circuit& circuit, const ExecPolicy& policy,
 
 /**
  * The engine-independent half of a rebind to a circuit with the same
- * structure (the variational fast path): replays the recorded fusion
- * recipe on the new gate values, or checks sameStructure when fusion is
- * off, into plan.circuit — no greedy fusion pass. The engine then
- * refreshes every op's kernels in place without re-classification.
- * Returns false when `engine` did not lower the plan, the structure
- * differs, or a fused product crossed the identity boundary; the caller
- * must then re-plan before executing it.
+ * structure (the variational fast path): checks sameStructure against
+ * plan.source, then replays the recorded fusion recipe on the new gate
+ * values into plan.circuit — no greedy fusion pass. The engine then
+ * lowers every planned op again from its source ops, as planning does.
+ * Returns false, with the plan unchanged, when `engine` did not lower the
+ * plan, the structure differs, or a fused product crossed the identity
+ * boundary; the caller must then re-plan.
  */
 bool rebindPlanCircuit(ExecutionPlan& plan, const Circuit& circuit,
                        PlanEngine engine);
@@ -132,9 +137,10 @@ bool sameStructure(const Circuit& a, const Circuit& b);
 std::uint64_t structureHash(const Circuit& circuit);
 
 /**
- * Rebinds a state-vector plan (see rebindPlanCircuit) and refreshes its
- * kernels; false when a new value leaves a stored kernel class, and the
- * plan may then be partially refreshed.
+ * Rebinds a state-vector plan (see rebindPlanCircuit) and lowers its ops
+ * again as planCircuit does, so on success its ops equal those of a fresh
+ * planCircuit of `circuit` under the same policy, kernel for kernel.
+ * False, with the plan unchanged, when rebindPlanCircuit refuses.
  */
 bool tryRebindPlan(ExecutionPlan& plan, const Circuit& circuit);
 

@@ -271,106 +271,6 @@ compileDiagRun(std::vector<DiagFactor> factors)
     return k;
 }
 
-bool
-tryRefreshDiagRun(GateKernel& k, const std::vector<DiagFactor>& factors)
-{
-    if (k.op != GateKernel::Op::DiagRun || k.factors.size() != factors.size())
-        return false;
-    for (std::size_t i = 0; i < factors.size(); ++i)
-        if (factors[i].arity != k.factors[i].arity ||
-            factors[i].bits != k.factors[i].bits)
-            return false;
-    for (std::size_t i = 0; i < factors.size(); ++i)
-        k.factors[i].diag = factors[i].diag;
-    return true;
-}
-
-bool
-tryRefreshKernel(GateKernel& k, const Matrix& m)
-{
-    const std::size_t dim = std::size_t{1} << k.arity;
-    if (m.rows() != dim || m.cols() != dim)
-        return false;
-
-    // Strip the *stored* controls (no greedy search): every bit recorded in
-    // ctrlMask must still verify as a control of the new matrix.
-    std::vector<Complex> w(dim * dim);
-    for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t c = 0; c < dim; ++c)
-            w[r * dim + c] = m(r, c);
-    std::vector<std::uint32_t> left(k.fullBits.begin(),
-                                    k.fullBits.begin() + k.arity);
-    std::uint64_t remaining = k.ctrlMask;
-    while (remaining != 0) {
-        bool strippedOne = false;
-        for (std::size_t j = 0; j < left.size(); ++j) {
-            if (!(remaining & (std::uint64_t{1} << left[j])))
-                continue;
-            if (!isControlQubit(w, left.size(), j))
-                return false;
-            remaining &= ~(std::uint64_t{1} << left[j]);
-            w = stripControl(w, left.size(), j);
-            left.erase(left.begin() + static_cast<std::ptrdiff_t>(j));
-            strippedOne = true;
-            break;
-        }
-        if (!strippedOne)
-            return false; // a ctrl bit is not among the operand bits
-    }
-    if (left.size() != k.targets)
-        return false;
-
-    const std::size_t td = std::size_t{1} << k.targets;
-    switch (k.op) {
-      case GateKernel::Op::Identity:
-        for (std::size_t r = 0; r < td; ++r)
-            for (std::size_t c = 0; c < td; ++c)
-                if (r == c ? !nearOne(w[r * td + c])
-                           : !nearZero(w[r * td + c]))
-                    return false;
-        break;
-      case GateKernel::Op::GlobalPhase: {
-        for (std::size_t r = 0; r < td; ++r)
-            for (std::size_t c = 0; c < td; ++c)
-                if (r == c ? !nearEqual(w[r * td + c], w[0])
-                           : !nearZero(w[r * td + c]))
-                    return false;
-        k.scalar = w[0];
-        break;
-      }
-      case GateKernel::Op::Diag: {
-        for (std::size_t r = 0; r < td; ++r)
-            for (std::size_t c = 0; c < td; ++c)
-                if (r != c && !nearZero(w[r * td + c]))
-                    return false;
-        for (std::size_t l = 0; l < td; ++l)
-            k.diag[l] = w[l * td + l];
-        break;
-      }
-      case GateKernel::Op::Perm: {
-        // The stored pattern must still cover every non-zero entry (a
-        // pattern entry itself going to zero is fine — the sweep writes 0).
-        for (std::size_t r = 0; r < td; ++r)
-            for (std::size_t c = 0; c < td; ++c)
-                if (c != k.perm[r] && !nearZero(w[r * td + c]))
-                    return false;
-        for (std::size_t r = 0; r < td; ++r)
-            k.permW[r] = w[r * td + k.perm[r]];
-        break;
-      }
-      case GateKernel::Op::Generic: {
-        for (std::size_t r = 0; r < td; ++r)
-            for (std::size_t c = 0; c < td; ++c)
-                k.reduced(r, c) = w[r * td + c];
-        break;
-      }
-      case GateKernel::Op::DiagRun:
-        return false; // refreshed by its factors (tryRefreshDiagRun)
-    }
-    k.full = m;
-    return true;
-}
-
 namespace {
 
 /** Per-class invocation counters — the kernel mix a profile reports. */

@@ -26,8 +26,8 @@ struct DiagFactor {
  * A gate, Kraus operator or Liouville superoperator compiled for dense
  * amplitude-array execution — or a diagonal run of gates (Op::DiagRun).
  *
- * The matrix is inspected once — at circuit load, not per application — and
- * lowered to the cheapest kernel class that reproduces it:
+ * The matrix is inspected once per plan or rebind — not per application —
+ * and lowered to the cheapest kernel class that reproduces it:
  *
  *   - control qubits are stripped greedily: a qubit whose |0> subspace is
  *     untouched and decoupled becomes a bit in `ctrlMask`, halving the
@@ -94,23 +94,12 @@ struct GateKernel {
  * Inspects `m` (2^a x 2^a, a = bits.size() in 1..4) acting on the given bit
  * positions (local MSB first) and builds the specialized kernel. Matrices
  * need not be unitary — Kraus operators and channel superoperators classify
- * too (damping E0 is Diag, a phase-flip superoperator is Diag).
+ * too (damping E0 is Diag, a phase-flip superoperator is Diag). Execution
+ * plans classify every kernel with this on each plan and each rebind, so a
+ * new parameter value always gets the class a fresh plan would give it.
  */
 GateKernel compileKernel(const Matrix& m,
                          const std::vector<std::uint32_t>& bits);
-
-/**
- * Refreshes a compiled kernel's numeric payload for a new matrix on the
- * same bit positions *without re-running classification*: the variational
- * fast path (a parameter sweep changes Rz(theta)'s entries but never its
- * diagonal-ness). The stored class, control mask and permutation pattern
- * are *verified* against `m` — if the new matrix no longer fits (a
- * parameter crossed a structural boundary, e.g. Rx(2pi) -> Rx(0.3) turns a
- * global phase into a dense matrix), nothing is modified and false is
- * returned; the caller should recompile. A Generic kernel accepts any
- * matrix, so refresh can only fail for specialized classes.
- */
-bool tryRefreshKernel(GateKernel& k, const Matrix& m);
 
 /**
  * Lowers a run of diagonal gates to one DiagRun kernel: a single sweep
@@ -126,13 +115,6 @@ bool tryRefreshKernel(GateKernel& k, const Matrix& m);
  * bit-identical for every thread count and simd level.
  */
 GateKernel compileDiagRun(std::vector<DiagFactor> factors);
-
-/**
- * Replaces a DiagRun kernel's diagonal entries with `factors`' (the
- * variational rebind). False, with nothing changed, when `k` is not a
- * DiagRun or the factors' count, arities or bits differ.
- */
-bool tryRefreshDiagRun(GateKernel& k, const std::vector<DiagFactor>& factors);
 
 /**
  * Applies the kernel in place to `amps[0..dim)`, parallelized per `policy`

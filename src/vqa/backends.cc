@@ -130,7 +130,7 @@ class SvSession final : public Session {
     std::unique_ptr<Session> cloneForBatch() const override
     {
         // The sv batch strategy: copy the compiled ExecutionPlan into the
-        // lane (kernel classification is *not* re-run) and let each lane
+        // lane (the greedy fusion pass is *not* re-run) and let each lane
         // rebind it per binding.
         return std::unique_ptr<SvSession>(new SvSession(*this));
     }
@@ -145,6 +145,9 @@ class SvSession final : public Session {
     bool doBind(const Circuit& circuit, bool sameStructure) override
     {
         stateCurrent_ = false; // the buffer stays for the next run
+        // Same structure: replay the fusion recipe and lower every op again
+        // (tryRebindPlan); planReuses certifies the skipped greedy pass, not
+        // skipped classification.
         if (sameStructure && tryRebindPlan(plan_, circuit))
             return true;
         plan_ = planCircuit(circuit, policy_);
@@ -276,10 +279,9 @@ class DmSession final : public Session {
     {
         probs_.reset();
         // Same structure: replay the recorded fusion recipe on the new
-        // values and refresh every wire run's and gate pair's kernels in
-        // place — no greedy pass, no re-classification (this is what
-        // planReuses now certifies; the old session re-ran both inside
-        // every ensureRho).
+        // values and lower every wire run and gate again (tryRebindDmPlan).
+        // planReuses certifies the skipped greedy pass; the kernels are
+        // classified afresh, as a new plan's would be.
         if (sameStructure && tryRebindDmPlan(plan_, circuit))
             return true;
         plan_ = planCircuitDm(circuit, policy_);

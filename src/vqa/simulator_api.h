@@ -208,7 +208,12 @@ struct ResultMeta {
      */
     std::size_t planBuilds = 0;
 
-    /** Parameter binds served by refreshing the cached structure. */
+    /**
+     * Parameter binds served by the cached structure. On sv/dm this
+     * certifies that the greedy fusion pass was skipped (its recipe is
+     * replayed) while every kernel was lowered again, not that
+     * classification was skipped.
+     */
     std::size_t planReuses = 0;
 
     /** Noisy Monte-Carlo trajectories run for this task. */
@@ -279,10 +284,12 @@ class Session {
 
     /**
      * Rebinds the session to `circuit`. Same structure (gate kinds and
-     * wires; only parameters/values differ): the cached plan is refreshed
-     * in place and planReuses increments. Different structure on the same
-     * qubit count: the session transparently re-plans (planBuilds
-     * increments). A different qubit count throws std::invalid_argument.
+     * wires; only parameters/values differ): the cached structure is reused
+     * and planReuses increments — sv/dm replay the fusion recipe and lower
+     * every kernel again, kc refreshes its AC leaves. Different structure
+     * on the same qubit count: the session transparently re-plans
+     * (planBuilds increments). A different qubit count throws
+     * std::invalid_argument.
      */
     void bind(const Circuit& circuit);
 
@@ -343,8 +350,9 @@ class Session {
      * (sameStructure == true) or rebuild for a new structure. Returns true
      * when the cached structure was reused; false when a full rebuild
      * happened (structure change, or a parameter crossed a structural
-     * boundary such as a kernel class). The public wrapper maintains the
-     * planBuilds/planReuses counters from the return value.
+     * boundary such as a fused product becoming the identity). The public
+     * wrapper maintains the planBuilds/planReuses counters from the return
+     * value.
      */
     virtual bool doBind(const Circuit& circuit, bool sameStructure) = 0;
 

@@ -13,6 +13,7 @@
 
 #include "circuit/noise.h"
 #include "testing/oracles.h"
+#include "testing/plan_compare.h"
 #include "testing/session_runs.h"
 #include "util/rng.h"
 #include "vqa/backends.h"
@@ -152,12 +153,12 @@ TEST(ChannelSuperoperatorTest, StrengthRebindMatchesFreshPlanBitForBit)
     }
 }
 
-TEST(ChannelSuperoperatorTest, IdentityChannelRefusesNonZeroStrength)
+TEST(ChannelSuperoperatorTest, IdentityChannelRebindsToNonZeroStrength)
 {
     // At p = 0 every channel's superoperator is the identity, and its
-    // kernel classifies as Identity; a non-zero strength no longer fits.
-    // The two-qubit gate ends the wire run before the channel, so the
-    // channel's kernel is its own.
+    // kernel classifies as Identity. The two-qubit gate ends the wire run
+    // before the channel, so the channel's kernel is its own. A non-zero
+    // strength rebinds to the kernel a fresh plan gives it.
     ExecPolicy policy;
     for (const NoiseChannel& ch : everyChannelOn(1, 3, 0.0)) {
         SCOPED_TRACE(ch.name());
@@ -167,11 +168,17 @@ TEST(ChannelSuperoperatorTest, IdentityChannelRefusesNonZeroStrength)
         DmExecutionPlan plan = planCircuitDm(quiet, policy);
         ASSERT_EQ(plan.ops.back().kernels.front().op, GateKernel::Op::Identity);
     }
+    const DensityMatrixSimulator sim(policy);
     DmExecutionPlan plan = planCircuitDm(noisyCircuit(0.0), policy);
-    EXPECT_FALSE(tryRebindDmPlan(plan, noisyCircuit(0.05)));
+    const Circuit noisy = noisyCircuit(0.05);
+    ASSERT_TRUE(tryRebindDmPlan(plan, noisy));
+    const DmExecutionPlan fresh = planCircuitDm(noisy, policy);
+    testing::expectSamePlan(plan, fresh);
+    EXPECT_NE(plan.ops.back().kernels.front().op, GateKernel::Op::Identity);
+    expectSameRho(sim.simulatePlanned(plan), sim.simulatePlanned(fresh));
 }
 
-TEST(ChannelSuperoperatorTest, SessionReplansWhenIdentityChannelRebinds)
+TEST(ChannelSuperoperatorTest, SessionReusesPlanWhenIdentityChannelRebinds)
 {
     DensityMatrixBackend backend;
     auto session = backend.open(noisyCircuit(0.0));
@@ -180,7 +187,8 @@ TEST(ChannelSuperoperatorTest, SessionReplansWhenIdentityChannelRebinds)
     session->run(Probabilities{all}, rng); // evolves the session's rho once
     const Circuit noisy = noisyCircuit(0.05);
     session->bind(noisy);
-    EXPECT_EQ(session->planBuilds(), 2u);
+    EXPECT_EQ(session->planBuilds(), 1u);
+    EXPECT_EQ(session->planReuses(), 1u);
 
     const std::vector<double> viaSession =
         session->run(Probabilities{all}, rng).probabilities;

@@ -106,8 +106,8 @@ TEST(DmExecutionPlanTest, PlannedExecutionIntoHeldMatrixResetsIt)
 TEST(DmExecutionPlanTest, RebindRefreshesValuesWithoutReclassification)
 {
     // The ISSUE 5 dm fix: a same-structure rebind replays the fusion recipe
-    // and refreshes the compiled superoperator kernels in place; executing
-    // the rebound plan must be bit-identical to planning from scratch.
+    // and lowers the superoperator kernels again; executing the rebound
+    // plan must be bit-identical to planning from scratch.
     DensityMatrixSimulator sim;
     DmExecutionPlan plan = planCircuitDm(parameterized(0.4, -0.9),
                                          sim.execPolicy());

@@ -15,6 +15,7 @@
 #include "circuit/noise.h"
 #include "obs/metrics.h"
 #include "testing/oracles.h"
+#include "testing/plan_compare.h"
 #include "testing/simd_levels.h"
 #include "util/rng.h"
 #include "vqa/workloads.h"
@@ -99,12 +100,13 @@ randomNoisyCircuit(std::size_t n, std::size_t numOps, std::size_t channels,
 
 /** The noisy_dm shape: QAOA p=1 on a 3-regular graph, noise after gates. */
 Circuit
-noisyQaoa(std::size_t n, std::uint64_t seed, double gamma, double beta)
+noisyQaoa(std::size_t n, std::uint64_t seed, double gamma, double beta,
+          double p = 0.01)
 {
     Rng rng(seed);
     return QaoaMaxCut::randomRegular(n, 3, 1, rng)
         .circuit({gamma, beta})
-        .withNoiseAfterEachGate(NoiseKind::Depolarizing, 0.01);
+        .withNoiseAfterEachGate(NoiseKind::Depolarizing, p);
 }
 
 TEST(WireRunTest, RunOfGatesAndChannelsIsOneKernel)
@@ -203,16 +205,31 @@ TEST(WireRunTest, BitIdenticalAcrossThreadsAndSimdLevels)
 
 TEST(WireRunTest, RebindToNewAnglesMatchesFreshPlanBitForBit)
 {
+    // The last three bindings cross kernel classes: at p = 0 each closing
+    // Rx run goes from Rx(pi), a permutation, to Rx(0.3), a dense kernel;
+    // then the depolarizing strength goes from 0, where every channel is
+    // the identity, to 0.05.
+    constexpr double halfPi = 1.57079632679489661923;
+    struct Binding {
+        double gamma, beta, p;
+    };
     ExecPolicy policy;
     const DensityMatrixSimulator sim(policy);
     DmExecutionPlan plan =
         planCircuitDm(noisyQaoa(6, 5, -0.55, 0.3), policy);
-    for (const auto& [gamma, beta] :
-         std::vector<std::pair<double, double>>{{-0.47, 0.36}, {0.9, -1.2}}) {
-        const Circuit next = noisyQaoa(6, 5, gamma, beta);
+    for (const Binding& b : std::vector<Binding>{{-0.47, 0.36, 0.01},
+                                                 {0.9, -1.2, 0.01},
+                                                 {0.9, halfPi, 0.0},
+                                                 {0.9, 0.15, 0.0},
+                                                 {0.9, 0.15, 0.05}}) {
+        const Circuit next = noisyQaoa(6, 5, b.gamma, b.beta, b.p);
         ASSERT_TRUE(tryRebindDmPlan(plan, next));
-        expectSameRho(sim.simulatePlanned(plan),
-                      sim.simulatePlanned(planCircuitDm(next, policy)));
+        const DmExecutionPlan fresh = planCircuitDm(next, policy);
+        testing::expectSamePlan(plan, fresh);
+        EXPECT_EQ(plan.ops.back().kernels[0].op,
+                  b.beta == halfPi ? GateKernel::Op::Perm
+                                   : GateKernel::Op::Generic);
+        expectSameRho(sim.simulatePlanned(plan), sim.simulatePlanned(fresh));
     }
 }
 

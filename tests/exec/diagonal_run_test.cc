@@ -2,7 +2,7 @@
  * Diagonal-run lowering: the ideal_sv QAOA circuit plans to one table sweep
  * per cost layer plus paired one-qubit kernels, plans without a run keep
  * their kernel counts, a DiagRun kernel agrees with its per-factor
- * reference, and rebinds refresh its entries bit for bit.
+ * reference, and a rebound plan equals a fresh one bit for bit.
  */
 #include "exec/execution_plan.h"
 
@@ -14,6 +14,7 @@
 #include "densitymatrix/densitymatrix_simulator.h"
 #include "obs/metrics.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/plan_compare.h"
 #include "testing/session_runs.h"
 #include "util/rng.h"
 #include "vqa/workloads.h"
@@ -91,16 +92,26 @@ TEST(DiagonalRunTest, ServeMixAnsatzKeepsItsTwentyTwoKernels)
 
 TEST(DiagonalRunTest, RebindMatchesAFreshPlanBitForBit)
 {
+    // The last two bindings take every Rx from 0.3 to pi and back: -iX
+    // pairs lower to Perm kernels, Rx(0.3) pairs to Generic ones.
+    constexpr double halfPi = 1.57079632679489661923;
     const ExecPolicy policy;
     const StateVectorSimulator sim(policy);
     ExecutionPlan plan = planCircuit(qaoa(14, 9, {0.3, -0.7, 1.1, 0.4}),
                                      policy);
     for (const auto& angles : std::vector<std::vector<double>>{
-             {-0.45, 0.36, 0.8, -1.2}, {2.1, 0.05, -0.3, 0.9}}) {
+             {-0.45, 0.36, 0.8, -1.2}, {2.1, 0.05, -0.3, 0.9},
+             {0.3, 0.15, 1.1, 0.15}, {0.3, halfPi, 1.1, halfPi},
+             {0.3, 0.15, 1.1, 0.15}}) {
         const Circuit next = qaoa(14, 9, angles);
         ASSERT_TRUE(tryRebindPlan(plan, next));
+        const ExecutionPlan fresh = planCircuit(next, policy);
+        testing::expectSamePlan(plan, fresh);
+        EXPECT_EQ(plan.ops.back().kernels[0].op,
+                  angles[3] == halfPi ? GateKernel::Op::Perm
+                                      : GateKernel::Op::Generic);
         expectBitwiseEqual(sim.simulatePlanned(plan),
-                           sim.simulatePlanned(planCircuit(next, policy)));
+                           sim.simulatePlanned(fresh));
     }
 }
 
@@ -158,20 +169,9 @@ TEST(DiagonalRunTest, RefreshKeepsTheShape)
     f.arity = 2;
     f.bits = {3, 1};
     f.diag = {Complex{1.0}, Complex{-1.0}, Complex{-1.0}, Complex{1.0}};
-    GateKernel k = compileDiagRun({f});
-
-    DiagFactor g = f;
-    g.diag[0] = Complex{0.0, 1.0};
-    ASSERT_TRUE(tryRefreshDiagRun(k, {g}));
-    EXPECT_EQ(k.factors[0].diag[0], (Complex{0.0, 1.0}));
-
-    DiagFactor moved = g;
-    moved.bits = {3, 2};
-    EXPECT_FALSE(tryRefreshDiagRun(k, {moved}));
-    EXPECT_FALSE(tryRefreshDiagRun(k, {g, g}));
-    EXPECT_FALSE(tryRefreshKernel(k, Matrix::identity(4)));
-    GateKernel z = compileKernel(Matrix::identity(2), {0});
-    EXPECT_FALSE(tryRefreshDiagRun(z, {g}));
+    const GateKernel k = compileDiagRun({f});
+    ASSERT_EQ(k.factors.size(), 1u);
+    EXPECT_EQ(k.factors[0].bits, f.bits);
 
     DiagFactor same = f;
     same.bits = {2, 2};

@@ -397,76 +397,5 @@ TEST(FourBitKernelTest, NormAfterMatchesApplyThenNorm)
                 expected, 1e-12);
 }
 
-TEST(KernelRefreshTest, RefreshedKernelMatchesRecompilation)
-{
-    // The variational fast path: refresh a kernel's payload with a new
-    // parameter value and verify it applies identically to a recompiled
-    // kernel — for a diag (Rz), a controlled-diag (CRz) and a generic (Rx).
-    struct Case {
-        GateKind kind;
-        std::vector<std::size_t> qubits;
-    };
-    const Case cases[] = {
-        {GateKind::Rz, {1}}, {GateKind::CRz, {0, 2}}, {GateKind::Rx, {2}}};
-    for (const Case& c : cases) {
-        std::vector<std::uint32_t> bits;
-        for (std::size_t q : c.qubits)
-            bits.push_back(static_cast<std::uint32_t>(2 - q));
-        GateKernel k =
-            compileKernel(Gate(c.kind, c.qubits, 0.4).unitary(), bits);
-        const GateKernel fresh =
-            compileKernel(Gate(c.kind, c.qubits, 1.7).unitary(), bits);
-        ASSERT_TRUE(tryRefreshKernel(k, Gate(c.kind, c.qubits, 1.7).unitary()));
-        EXPECT_EQ(k.op, fresh.op);
-        EXPECT_EQ(k.ctrlMask, fresh.ctrlMask);
-
-        auto state = randomState(3, 99);
-        auto viaRefresh = state;
-        auto viaCompile = state;
-        ExecPolicy serial;
-        serial.threads = 1;
-        applyKernel(k, viaRefresh.data(), state.size(), serial);
-        applyKernel(fresh, viaCompile.data(), state.size(), serial);
-        for (std::size_t i = 0; i < state.size(); ++i)
-            ASSERT_TRUE(approxEqual(viaRefresh[i], viaCompile[i], kTol));
-    }
-}
-
-TEST(KernelRefreshTest, RefusesStructuralClassChanges)
-{
-    const std::vector<std::uint32_t> bit = {0};
-
-    // Rx(2pi) = -I classifies as a global phase; Rx(0.3) is dense — the
-    // stored class no longer fits and refresh must refuse.
-    GateKernel phase = compileKernel(
-        Gate(GateKind::Rx, {0}, 2.0 * 3.14159265358979323846).unitary(), bit);
-    EXPECT_EQ(phase.op, GateKernel::Op::GlobalPhase);
-    EXPECT_FALSE(
-        tryRefreshKernel(phase, Gate(GateKind::Rx, {0}, 0.3).unitary()));
-
-    // A diagonal kernel refuses a dense matrix.
-    GateKernel diag =
-        compileKernel(Gate(GateKind::Rz, {0}, 0.4).unitary(), bit);
-    EXPECT_EQ(diag.op, GateKernel::Op::Diag);
-    EXPECT_FALSE(
-        tryRefreshKernel(diag, Gate(GateKind::H, {0}).unitary()));
-
-    // A stripped control must still verify: CRz -> CNOT flips the residual
-    // class behind the control, CRz -> SWAP breaks the control itself.
-    const std::vector<std::uint32_t> pair = {1, 0};
-    GateKernel crz =
-        compileKernel(Gate(GateKind::CRz, {0, 1}, 0.4).unitary(), pair);
-    EXPECT_NE(crz.ctrlMask, 0u);
-    EXPECT_FALSE(
-        tryRefreshKernel(crz, Gate(GateKind::SWAP, {0, 1}).unitary()));
-
-    // Generic kernels accept anything (the dense fallback is universal).
-    GateKernel generic =
-        compileKernel(Gate(GateKind::Rx, {0}, 0.3).unitary(), bit);
-    EXPECT_EQ(generic.op, GateKernel::Op::Generic);
-    EXPECT_TRUE(
-        tryRefreshKernel(generic, Gate(GateKind::H, {0}).unitary()));
-}
-
 } // namespace
 } // namespace qkc

@@ -46,8 +46,8 @@ TEST(VqaDriverTest, KcSessionCompilesOnce)
 TEST(VqaDriverTest, StateVectorSessionPlansOnce)
 {
     // The redesign generalizes the reuse story beyond kc: the sv session
-    // runs circuit fusion + kernel classification once per structure and
-    // every later evaluation rebinds parameters in place.
+    // runs the greedy fusion pass once per structure and every later
+    // evaluation rebinds its plan.
     Rng rng(7);
     auto problem = QaoaMaxCut::randomRegular(6, 3, 1, rng);
     StateVectorBackend backend;

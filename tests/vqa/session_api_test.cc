@@ -136,8 +136,8 @@ TEST(SessionTest, SvBindReusesThePlan)
 TEST(SessionTest, QaoaP2NelderMeadPlansExactlyOnce)
 {
     // The ISSUE 4 acceptance bound: a QAOA p=2 Nelder-Mead run on sv
-    // performs circuit fusion + kernel classification exactly once per
-    // circuit structure, asserted via the Result reuse metadata.
+    // runs the greedy fusion pass exactly once per circuit structure,
+    // asserted via the Result reuse metadata.
     Rng graphRng(11);
     auto problem = QaoaMaxCut::randomRegular(6, 3, 2, graphRng);
     StateVectorBackend backend;

@@ -87,6 +87,18 @@ TEST(SvSessionReuseTest, EveryBindMatchesAFreshSession)
         session->bind(third);
         expectMatchesFreshSession(spec, *session, third, "second rebind");
 
+        // Rx(0.3) -> Rx(pi) -> Rx(0.3): the Rx pairs cross from dense
+        // kernels to permutations and back, and every bind reuses the plan.
+        for (const double beta : {0.15, 1.57079632679489661923, 0.15}) {
+            const Circuit crossing =
+                testing::ringQaoaCircuit(kQubits, 0.2, beta);
+            session->bind(crossing);
+            expectMatchesFreshSession(spec, *session, crossing,
+                                      "class-crossing rebind");
+        }
+        EXPECT_EQ(session->planBuilds(), 1u) << spec;
+        EXPECT_EQ(session->planReuses(), 5u) << spec;
+
         const std::size_t builds = session->planBuilds();
         const Circuit other = otherStructure(0.37);
         session->bind(other);
