@@ -18,61 +18,10 @@ using namespace qkc;
 namespace {
 
 /**
- * The same ablation through the Session API, for the dense backends: the
- * per-iteration *structure* cost of reopening a session — greedy fusion
- * plus kernel lowering — versus rebinding one open session, which replays
- * the recorded fusion recipe and lowers every kernel again. Task execution
- * time is identical either way, so the loops time open/bind alone; the gap
- * is the greedy fusion pass a planReuses increment certifies was skipped
- * (classification runs on both sides).
- */
-void
-sessionRebindRow(const char* spec, std::size_t qubits, std::size_t iterations)
-{
-    auto backend = makeBackend(spec);
-    Circuit base = bench::qaoaCircuit(qubits, 2, 19);
-    const auto paramIdx = base.parameterizedGateIndices();
-
-    auto bindingAt = [&](std::size_t it) {
-        Circuit c = base;
-        for (std::size_t idx : paramIdx)
-            c.setGateParam(idx, -0.5 + 0.01 * static_cast<double>(it));
-        return c;
-    };
-
-    // Strategy A: reopen (re-plan) each iteration.
-    obs::TimedSpan tA("bench.reopen");
-    for (std::size_t it = 0; it < iterations; ++it)
-        backend->open(bindingAt(it));
-    const double reopen = tA.seconds();
-    tA.finish();
-
-    // Strategy B: open once, rebind parameters.
-    auto session = backend->open(base);
-    obs::TimedSpan tB("bench.rebind");
-    for (std::size_t it = 0; it < iterations; ++it)
-        session->bind(bindingAt(it));
-    const double rebind = tB.seconds();
-    tB.finish();
-
-    std::printf("%-14s %zu\t%.3f\t%.3f\t%.1fx\t(planBuilds=%zu "
-                "planReuses=%zu)\n",
-                backend->name().c_str(), qubits, reopen, rebind,
-                reopen / rebind, session->planBuilds(),
-                session->planReuses());
-    bench::JsonRow("refresh_speedup")
-        .field("section", "session_rebind")
-        .field("backend", backend->name())
-        .field("qubits", qubits)
-        .field("reopen_sec", reopen)
-        .field("rebind_sec", rebind)
-        .field("speedup", reopen / rebind);
-}
-
-/**
- * The dd flavor of the rebind ablation. Diagram contents are
- * value-dependent, so a dd bind is lazy — open/bind alone measures
- * nothing. Each iteration therefore runs one cheap task (a single
+ * The same ablation through the Session API, on dd (sv and dm plan every
+ * binding afresh, so for them a rebind is a reopen without the session
+ * allocation). Diagram contents are value-dependent, so a dd bind is lazy
+ * — open/bind alone measures nothing. Each iteration therefore runs one cheap task (a single
  * amplitude), forcing the state build either into a brand-new package
  * (reopen) or into the session's persistent, garbage-collected package
  * (rebind), where collected nodes come back through the free lists and
@@ -83,8 +32,7 @@ sessionRebindRow(const char* spec, std::size_t qubits, std::size_t iterations)
  * The workload is a GHZ ladder with parameterized rotation layers — the
  * structured, linear-size-diagram regime dd exists for. On a dense-state
  * workload (QAOA on a random graph) the 2^n-path diagram build dominates
- * both strategies identically and the structural saving is invisible,
- * the same reason the dm row caps its qubit count above.
+ * both strategies identically and the structural saving is invisible.
  */
 void
 ddRebindRow(std::size_t qubits, std::size_t iterations)
@@ -195,15 +143,9 @@ driverMain(int argc, char** argv)
     }
 
     bench::printHeader(
-        "Session rebind vs reopen, dense backends (" +
-            std::to_string(iterations) + " iterations)",
+        "Session rebind vs reopen, dd (" + std::to_string(iterations) +
+            " iterations)",
         "backend        qubits\treopen_s\trebind_s\tspeedup");
-    sessionRebindRow("sv:threads=1", std::min<std::size_t>(maxQubits, 16),
-                     iterations);
-    // dm at 8 qubits: past this the 4^n superoperator sweeps drown the
-    // fusion cost the rebind saves, understating the plan's value.
-    sessionRebindRow("dm:threads=1", std::min<std::size_t>(maxQubits, 8),
-                     iterations);
     ddRebindRow(maxQubits, iterations);
     return 0;
 }

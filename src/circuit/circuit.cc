@@ -12,6 +12,14 @@ Circuit::Circuit(std::size_t numQubits) : numQubits_(numQubits)
         throw std::invalid_argument("Circuit: qubit count must be in [1, 63]");
 }
 
+Circuit::Circuit(std::size_t numQubits, std::vector<Operation> ops)
+    : Circuit(numQubits)
+{
+    for (const Operation& op : ops)
+        checkQubits(operandsOf(op));
+    ops_ = std::move(ops);
+}
+
 std::size_t
 Circuit::gateCount() const
 {

@@ -40,6 +40,9 @@ class Circuit {
   public:
     explicit Circuit(std::size_t numQubits);
 
+    /** A circuit of `ops`, in order; every op's wires are checked. */
+    Circuit(std::size_t numQubits, std::vector<Operation> ops);
+
     std::size_t numQubits() const { return numQubits_; }
     const std::vector<Operation>& operations() const { return ops_; }
     std::size_t size() const { return ops_.size(); }

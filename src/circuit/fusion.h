@@ -2,8 +2,6 @@
 #define QKC_CIRCUIT_FUSION_H
 
 #include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -22,71 +20,11 @@ struct FusionStats {
     std::size_t kronPairs = 0;       ///< pairs of 1q products as one 2q gate
 };
 
-/**
- * The structural outcome of one fusion pass, separated from the matrix
- * arithmetic so that a variational sweep can re-run the arithmetic on new
- * gate parameters without re-running the greedy pass. Each group names the
- * source operation indices that fuse into one emitted operation (or into a
- * dropped identity); `materializeFusion` replays the products.
- */
-struct FusionRecipe {
-    struct Group {
-        enum class Kind : std::uint8_t {
-            Passthrough, ///< one op copied verbatim (2q/3q gate, no pendings)
-            Channel,     ///< a noise channel copied verbatim
-            Fused1q,     ///< product of 1q gates on one wire
-            Fused2q,     ///< same-pair 2q chain with pending 1q folded in
-            DiagonalRun, ///< a diagonal run's gates, each copied verbatim
-            Kron1q,      ///< two wires' 1q products as one 2q gate Pa (x) Pb
-        };
-        Kind kind = Kind::Passthrough;
-        /** Fused1q: the 1q source ops on `qubits[0]`, first-applied first.
-         *  DiagonalRun: the run's gates in op order (the engines sweep them
-         *  as one pass, see loweringUnits in exec/execution_plan.h). */
-        std::vector<std::size_t> sources;
-        /** Fused2q: the chained 2q gates' op indices, first-applied first
-         *  (one entry for a plain fold, several for a same-pair chain). */
-        std::vector<std::size_t> gateIndices;
-        /** Fused2q: per-stage pending 1q sources, first-applied first;
-         *  pendingHigh[s]/pendingLow[s] act before gateIndices[s]. Kron1q:
-         *  one stage, the 1q sources of each wire. */
-        std::vector<std::vector<std::size_t>> pendingHigh; ///< qubits[0] (MSB)
-        std::vector<std::vector<std::size_t>> pendingLow;  ///< qubits[1] (LSB)
-        /** Operand wires of the emitted operation; DiagonalRun: the
-         *  operand wires of every gate, concatenated in op order. */
-        std::vector<std::size_t> qubits;
-        /** The fused product was the identity; nothing is emitted. */
-        bool dropped = false;
-    };
-
-    std::size_t numQubits = 0;
-    std::size_t numOps = 0;    ///< op count of the planned circuit
-    std::vector<Group> groups; ///< emission order, dropped groups in place
-    FusionStats stats;         ///< gatesOut filled by materializeFusion
+/** A span of a circuit's ops, [begin, end). */
+struct OpSpan {
+    std::size_t begin = 0;
+    std::size_t end = 0;
 };
-
-/**
- * Runs the greedy pass on `circuit` and records which ops fuse into which
- * emitted operation. The grouping decisions are structural (wires and
- * arities) except for identity drops, which depend on the gate values; the
- * drop decisions made here are recorded so materializeFusion can detect
- * when new parameters invalidate them.
- */
-FusionRecipe planFusion(const Circuit& circuit);
-
-/**
- * Replays `recipe` on `circuit` (same structure as the planned one: op
- * count, kinds, arities and wires must match — parameters and matrix
- * values are free to differ). Returns the fused circuit, or std::nullopt
- * when the recipe no longer applies: a product crossed the identity
- * boundary (a previously-dropped product is no longer the identity, or
- * vice versa), or the circuit's structure does not match the plan (checked
- * defensively — indices, op kinds and arities are validated before use).
- * Either way the caller should re-plan.
- */
-std::optional<Circuit> materializeFusion(const FusionRecipe& recipe,
-                                         const Circuit& circuit,
-                                         FusionStats* stats = nullptr);
 
 /**
  * Greedy gate fusion: adjacent single-qubit gates on the same wire are
@@ -114,9 +52,12 @@ std::optional<Circuit> materializeFusion(const FusionRecipe& recipe,
  * operation-for-operation equivalent to the original (same final state,
  * including global phase; channels see exactly the state they saw before).
  *
- * Equivalent to planFusion + materializeFusion in one call.
+ * One pass: each fused product is emitted as the pass decides it,
+ * accumulated from the identity in application order. `runs`, when given,
+ * receives the diagonal runs' spans in the fused circuit, in order.
  */
-Circuit fuseGates(const Circuit& circuit, FusionStats* stats = nullptr);
+Circuit fuseGates(const Circuit& circuit, FusionStats* stats = nullptr,
+                  std::vector<OpSpan>* runs = nullptr);
 
 } // namespace qkc
 

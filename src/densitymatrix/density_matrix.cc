@@ -39,8 +39,13 @@ liouville(const std::vector<Matrix>& kraus)
     assert(!kraus.empty());
     const std::size_t d = kraus[0].rows();
     Matrix s = Matrix::zero(d * d, d * d);
+    // s += e.kron(conjugated(e)) per operator, entry by entry in place.
     for (const Matrix& e : kraus)
-        s = s + e.kron(conjugated(e));
+        for (std::size_t i = 0; i < d; ++i)
+            for (std::size_t j = 0; j < d; ++j)
+                for (std::size_t k = 0; k < d; ++k)
+                    for (std::size_t l = 0; l < d; ++l)
+                        s(i * d + k, j * d + l) += e(i, j) * std::conj(e(k, l));
     return s;
 }
 

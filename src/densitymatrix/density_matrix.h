@@ -33,7 +33,7 @@ namespace qkc {
  *     whatever its length and Kraus counts. A run of gates whose product is
  *     a permutation (X, Y) keeps the row/column pair below instead: a
  *     2-target permutation kernel has no cache-blocked sweep.
- *   - A diagonal run of gates (loweringUnits, exec/execution_plan.h) is
+ *   - A diagonal run of gates (preparePlan, exec/execution_plan.h) is
  *     one DiagRun kernel: rho(r, c) *= D(r) conj(D(c)), one sweep.
  *   - A multi-qubit gate is a left/right kernel pair: U rho = kernel(U) on
  *     the high bits, rho U^dagger = kernel(conj(U)) on the low bits. Both
@@ -80,8 +80,8 @@ class DensityMatrix {
      * Lowers the ops at `run` in `circuit` — one multi-qubit op, or a run
      * of one-qubit gates and channels on one wire, first-applied first —
      * to the kernels that apply them to rho, in order (see the class
-     * comment). The dm execution plan (densitymatrix_simulator.h) compiles
-     * each structure once with this.
+     * comment). The dm execution plan (densitymatrix_simulator.h) lowers
+     * every binding with this.
      */
     static std::vector<GateKernel> compileRun(
         const Circuit& circuit, const std::vector<std::size_t>& run);

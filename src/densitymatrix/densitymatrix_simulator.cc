@@ -16,16 +16,18 @@ struct DmUnit {
 
 /**
  * The dm plan's ops in execution order, from the plan's lowering units
- * (loweringUnits, exec/execution_plan.h). A multi-qubit op or a diagonal
+ * (preparePlan, exec/execution_plan.h). A multi-qubit op or a diagonal
  * run is its own; with `merge`, each wire's maximal run of one-qubit ops
  * is one, placed just before the op that ends it (runs still open at the
  * end follow in wire order). Without it every op is its own.
  */
 std::vector<DmUnit>
-wireRuns(const DmExecutionPlan& plan, bool merge)
+wireRuns(const DmExecutionPlan& plan, const std::vector<OpSpan>& units,
+         bool merge)
 {
     const auto& ops = plan.circuit.operations();
     std::vector<DmUnit> out;
+    out.reserve(units.size());
     std::vector<std::vector<std::size_t>> open(plan.numQubits);
     const auto close = [&](std::size_t q) {
         if (!open[q].empty()) {
@@ -33,16 +35,21 @@ wireRuns(const DmExecutionPlan& plan, bool merge)
             open[q].clear();
         }
     };
-    for (auto& unit : loweringUnits(plan)) {
-        const bool diagonal = unit.size() > 1;
-        if (merge && !diagonal && operandsOf(ops[unit[0]]).size() == 1) {
-            open[operandsOf(ops[unit[0]])[0]].push_back(unit[0]);
+    for (const OpSpan& unit : units) {
+        const bool diagonal = unit.end - unit.begin > 1;
+        const auto& wires = operandsOf(ops[unit.begin]);
+        if (merge && !diagonal && wires.size() == 1) {
+            open[wires[0]].push_back(unit.begin);
             continue;
         }
-        for (std::size_t i : unit)
+        DmUnit next{{}, diagonal};
+        next.ops.reserve(unit.end - unit.begin);
+        for (std::size_t i = unit.begin; i < unit.end; ++i) {
             for (std::size_t q : operandsOf(ops[i]))
                 close(q);
-        out.push_back({std::move(unit), diagonal});
+            next.ops.push_back(i);
+        }
+        out.push_back(std::move(next));
     }
     for (std::size_t q = 0; q < open.size(); ++q)
         close(q);
@@ -72,10 +79,13 @@ DmExecutionPlan
 planCircuitDm(const Circuit& circuit, const ExecPolicy& policy)
 {
     QKC_SPAN("exec.planDm");
+    std::vector<OpSpan> units;
     DmExecutionPlan plan =
-        preparePlan(circuit, policy, PlanEngine::DensityMatrix);
+        preparePlan(circuit, policy, PlanEngine::DensityMatrix, units);
     const auto& ops = plan.circuit.operations();
-    for (DmUnit& unit : wireRuns(plan, policy.fuseGates)) {
+    std::vector<DmUnit> runs = wireRuns(plan, units, policy.fuseGates);
+    plan.ops.reserve(runs.size());
+    for (DmUnit& unit : runs) {
         PlannedOp op;
         for (std::size_t i : unit.ops)
             op.isChannel =
@@ -97,10 +107,9 @@ planCircuitDm(const Circuit& circuit, const ExecPolicy& policy,
 bool
 tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit)
 {
-    if (!rebindPlanCircuit(plan, circuit, PlanEngine::DensityMatrix))
-        return false;
-    for (PlannedOp& op : plan.ops)
-        lowerDmOp(plan, op, op.kernels[0].op == GateKernel::Op::DiagRun);
+    ExecPolicy policy;
+    policy.fuseGates = plan.fusionEnabled;
+    plan = planCircuitDm(circuit, policy);
     return true;
 }
 

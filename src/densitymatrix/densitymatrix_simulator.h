@@ -18,14 +18,12 @@ namespace qkc {
  * Each wire's maximal run of one-qubit gates and channels becomes one
  * planned op, placed just before the multi-qubit op that ends it (runs
  * open at the circuit's end follow in wire order); every multi-qubit op is
- * its own, and so is each diagonal run of gates (loweringUnits). Executing
+ * its own, and so is each diagonal run of gates (preparePlan). Executing
  * the plan sweeps rho once per run (twice for a permutation run), once per
  * diagonal run (one DiagRun kernel with the row factors and the
  * conjugated column factors), twice per multi-qubit gate and once per
  * multi-qubit channel, in place. Without fusion every op is its own run.
- * A session holds one plan per circuit structure and rebinds it across
- * parameter binds (tryRebindDmPlan), so its planReuses metadata counts
- * greedy fusion passes saved; the kernels are lowered again on every bind.
+ * A session plans afresh on every bind.
  */
 DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy);
 
@@ -34,11 +32,9 @@ DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy,
                               const PathOptions& pathOptions);
 
 /**
- * Rebinds a dm plan to a same-structure circuit (rebindPlanCircuit,
- * exec/execution_plan.h), then lowers every run again as planCircuitDm
- * does, so on success its ops equal those of a fresh planCircuitDm of
- * `circuit` under the same policy, kernel for kernel. False, with the plan
- * unchanged, when rebindPlanCircuit refuses; the caller must then re-plan.
+ * Shim kept only for the repository benchmark (vqabench/), like
+ * PathOptions: plans `circuit` afresh into `plan`, fused when `plan` was,
+ * and returns true.
  */
 bool tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit);
 
@@ -47,8 +43,8 @@ bool tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit);
  * density-matrix baseline in the paper's noisy-circuit evaluation
  * (Figure 9). Handles arbitrary mixtures and channels exactly.
  * Circuit-level callers open a session (makeBackend("dm")->open(circuit),
- * vqa/simulator_api.h), which plans the circuit once with planCircuitDm
- * and evolves rho through this class.
+ * vqa/simulator_api.h), which plans each binding with planCircuitDm and
+ * evolves rho through this class.
  *
  * Gate fusion and the shared-thread-pool kernels apply here exactly as in
  * the state-vector engine: the ExecPolicy is forwarded to DensityMatrix,
@@ -66,9 +62,7 @@ class DensityMatrixSimulator {
     void setExecPolicy(const ExecPolicy& policy) { policy_ = policy; }
 
     /**
-     * Evolves |0..0><0..0| through a pre-built plan. Backend sessions plan
-     * a circuit structure once and re-execute it across parameter binds
-     * without re-paying the greedy fusion pass. Throws
+     * Evolves |0..0><0..0| through a pre-built plan. Throws
      * std::invalid_argument for a plan planCircuitDm did not build.
      */
     DensityMatrix simulatePlanned(const DmExecutionPlan& plan) const;

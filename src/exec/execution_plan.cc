@@ -1,5 +1,6 @@
 #include "exec/execution_plan.h"
 
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/trace.h"
@@ -68,64 +69,28 @@ lowerSvOp(const ExecutionPlan& plan, PlannedOp& op)
 
 ExecutionPlan
 preparePlan(const Circuit& circuit, const ExecPolicy& policy,
-            PlanEngine engine)
+            PlanEngine engine, std::vector<OpSpan>& units)
 {
     ExecutionPlan plan;
     plan.engine = engine;
     plan.numQubits = circuit.numQubits();
     plan.fusionEnabled = policy.fuseGates;
-    plan.source = circuit;
-    if (policy.fuseGates) {
-        plan.recipe = planFusion(circuit);
-        plan.circuit = *materializeFusion(plan.recipe, circuit, &plan.fusion);
-    } else {
+    std::vector<OpSpan> runs;
+    if (policy.fuseGates)
+        plan.circuit = fuseGates(circuit, &plan.fusion, &runs);
+    else
         plan.circuit = circuit;
+    units.reserve(plan.circuit.size());
+    std::size_t i = 0;
+    for (const OpSpan& run : runs) {
+        for (; i < run.begin; ++i)
+            units.push_back({i, i + 1});
+        units.push_back(run);
+        i = run.end;
     }
+    for (; i < plan.circuit.size(); ++i)
+        units.push_back({i, i + 1});
     return plan;
-}
-
-bool
-rebindPlanCircuit(ExecutionPlan& plan, const Circuit& circuit,
-                  PlanEngine engine)
-{
-    if (plan.engine != engine || !sameStructure(plan.source, circuit))
-        return false;
-    if (plan.fusionEnabled) {
-        FusionStats stats;
-        auto fused = materializeFusion(plan.recipe, circuit, &stats);
-        if (!fused)
-            return false;
-        plan.circuit = std::move(*fused);
-        plan.fusion = stats;
-    } else {
-        plan.circuit = circuit;
-    }
-    return true;
-}
-
-std::vector<std::vector<std::size_t>>
-loweringUnits(const ExecutionPlan& plan)
-{
-    std::vector<std::vector<std::size_t>> units;
-    if (!plan.fusionEnabled) {
-        for (std::size_t i = 0; i < plan.circuit.size(); ++i)
-            units.push_back({i});
-        return units;
-    }
-    std::size_t next = 0; // the next op of plan.circuit
-    for (const FusionRecipe::Group& g : plan.recipe.groups) {
-        if (g.dropped)
-            continue;
-        if (g.kind != FusionRecipe::Group::Kind::DiagonalRun) {
-            units.push_back({next++});
-            continue;
-        }
-        std::vector<std::size_t> run(g.sources.size());
-        for (std::size_t& i : run)
-            i = next++;
-        units.push_back(std::move(run));
-    }
-    return units;
 }
 
 DiagFactor
@@ -147,14 +112,17 @@ ExecutionPlan
 planCircuit(const Circuit& circuit, const ExecPolicy& policy)
 {
     QKC_SPAN("exec.plan");
+    std::vector<OpSpan> units;
     ExecutionPlan plan =
-        preparePlan(circuit, policy, PlanEngine::StateVector);
+        preparePlan(circuit, policy, PlanEngine::StateVector, units);
     const auto& ops = plan.circuit.operations();
-    for (auto& unit : loweringUnits(plan)) {
+    plan.ops.reserve(units.size());
+    for (const OpSpan& unit : units) {
         PlannedOp op;
-        op.isChannel = unit.size() == 1 &&
-                       std::holds_alternative<NoiseChannel>(ops[unit[0]]);
-        op.opIndices = std::move(unit);
+        op.isChannel = unit.end - unit.begin == 1 &&
+                       std::holds_alternative<NoiseChannel>(ops[unit.begin]);
+        op.opIndices.resize(unit.end - unit.begin);
+        std::iota(op.opIndices.begin(), op.opIndices.end(), unit.begin);
         lowerSvOp(plan, op);
         plan.ops.push_back(std::move(op));
     }
@@ -229,10 +197,9 @@ sameStructure(const Circuit& a, const Circuit& b)
 bool
 tryRebindPlan(ExecutionPlan& plan, const Circuit& circuit)
 {
-    if (!rebindPlanCircuit(plan, circuit, PlanEngine::StateVector))
-        return false;
-    for (PlannedOp& op : plan.ops)
-        lowerSvOp(plan, op);
+    ExecPolicy policy;
+    policy.fuseGates = plan.fusionEnabled;
+    plan = planCircuit(circuit, policy);
     return true;
 }
 

@@ -15,7 +15,7 @@ namespace qkc {
 /**
  * Circuit operations lowered to the kernels their engine sweeps, in order.
  * `opIndices` lists the source ops in the owning plan's circuit,
- * first-applied first: a diagonal run (see loweringUnits) lists its gates
+ * first-applied first: a diagonal run (see preparePlan) lists its gates
  * and sweeps as one DiagRun kernel on either engine; any other
  * state-vector op lists exactly one; a density-matrix wire run
  * (densitymatrix_simulator.h) lists every one-qubit gate and channel it
@@ -35,8 +35,8 @@ enum class PlanEngine : std::uint8_t { StateVector, DensityMatrix };
 /**
  * A circuit prepared for repeated dense execution: fusion has run (if the
  * policy asks for it) and every gate and channel has been lowered to its
- * engine's kernels. A rebind (rebindPlanCircuit) replays the fusion recipe
- * and lowers every op again, so a rebound plan's ops equal a fresh plan's.
+ * engine's kernels. A plan is built for one binding; a new binding is
+ * planned afresh (sessions re-plan on every bind).
  *
  *  - State vector: a gate is one kernel; a diagonal run of gates is one
  *    DiagRun kernel; a channel is one kernel per Kraus operator, and a
@@ -47,21 +47,16 @@ enum class PlanEngine : std::uint8_t { StateVector, DensityMatrix };
  *    then its column kernel, and a multi-qubit channel its single
  *    Liouville kernel. Every kernel applies in order.
  *
- * Trajectory sampling and variational sweeps re-execute the plan without
- * touching a Matrix again.
+ * Trajectory sampling re-executes the plan without touching a Matrix
+ * again.
  */
 struct ExecutionPlan {
     PlanEngine engine = PlanEngine::StateVector;
     std::size_t numQubits = 0;
-    /** The circuit the plan was built from. A rebind checks its circuit's
-     *  structure against this and keeps it, so only its structure is
-     *  current. */
-    Circuit source{1};
     Circuit circuit{1};       ///< the (possibly fused) circuit kernels map to
     std::vector<PlannedOp> ops;
     FusionStats fusion;       ///< zeros when fusion was disabled
     bool fusionEnabled = false;
-    FusionRecipe recipe;      ///< valid when fusionEnabled
 };
 
 /** A plan lowered by the density-matrix engine (see planCircuitDm). */
@@ -70,32 +65,13 @@ using DmExecutionPlan = ExecutionPlan;
 /**
  * The engine-independent half of planning: an `engine` plan whose circuit
  * is `circuit` fused under `policy` (when it asks for fusion), with no op
- * lowered yet. Thread settings are not consulted here — they matter at
- * apply time.
+ * lowered yet. `units` receives plan.circuit's ops grouped as the engines
+ * lower them, in order: each diagonal run (fuseGates' runs) is one unit,
+ * and every other op is a unit of its own. Thread settings are not
+ * consulted here — they matter at apply time.
  */
 ExecutionPlan preparePlan(const Circuit& circuit, const ExecPolicy& policy,
-                          PlanEngine engine);
-
-/**
- * The engine-independent half of a rebind to a circuit with the same
- * structure (the variational fast path): checks sameStructure against
- * plan.source, then replays the recorded fusion recipe on the new gate
- * values into plan.circuit — no greedy fusion pass. The engine then
- * lowers every planned op again from its source ops, as planning does.
- * Returns false, with the plan unchanged, when `engine` did not lower the
- * plan, the structure differs, or a fused product crossed the identity
- * boundary; the caller must then re-plan.
- */
-bool rebindPlanCircuit(ExecutionPlan& plan, const Circuit& circuit,
-                       PlanEngine engine);
-
-/**
- * plan.circuit's ops grouped as the engines lower them, in order: the
- * gates of each diagonal run (a FusionRecipe DiagonalRun group) form one
- * unit, and every other op is a unit of its own. Without fusion every op
- * is its own unit.
- */
-std::vector<std::vector<std::size_t>> loweringUnits(const ExecutionPlan& plan);
+                          PlanEngine engine, std::vector<OpSpan>& units);
 
 /**
  * A diagonal gate (Gate::isDiagonal) as one DiagRun factor on `bits`
@@ -110,7 +86,8 @@ ExecutionPlan planCircuit(const Circuit& circuit, const ExecPolicy& policy);
 /**
  * Empty tag kept only so the repository benchmark (vqabench/) still
  * compiles its `planCircuit(c, policy, PathOptions{})` calls; it selects
- * nothing.
+ * nothing. It goes with the benchmark's next revision, as do the rebind
+ * shims (tryRebindPlan, tryRebindDmPlan).
  */
 struct PathOptions {};
 
@@ -121,8 +98,9 @@ ExecutionPlan planCircuit(const Circuit& circuit, const ExecPolicy& policy,
 /**
  * True when `a` and `b` share a circuit *structure*: same qubit count and
  * op sequence (gate kinds, operand wires, channel shapes); gate parameters,
- * custom-gate entries and Kraus values are free to differ. This is the
- * precondition for rebinding an execution plan or an open backend session.
+ * custom-gate entries and Kraus values are free to differ. An open backend
+ * session reuses its per-structure state (kc, tn, dd) only across binds
+ * that keep the structure.
  */
 bool sameStructure(const Circuit& a, const Circuit& b);
 
@@ -131,16 +109,15 @@ bool sameStructure(const Circuit& a, const Circuit& b);
  * count, op sequence, gate kinds and wires, channel wires and Kraus
  * counts. sameStructure(a, b) implies structureHash(a) == structureHash(b),
  * so the hash can key a session cache (the server's LRU) without consulting
- * circuit contents; colliding structures are still correct — a bind onto a
- * cached session transparently re-plans when the structures differ.
+ * circuit contents; colliding structures are still correct, since
+ * Session::bind compares the structures itself.
  */
 std::uint64_t structureHash(const Circuit& circuit);
 
 /**
- * Rebinds a state-vector plan (see rebindPlanCircuit) and lowers its ops
- * again as planCircuit does, so on success its ops equal those of a fresh
- * planCircuit of `circuit` under the same policy, kernel for kernel.
- * False, with the plan unchanged, when rebindPlanCircuit refuses.
+ * Shim kept only for the repository benchmark (vqabench/), like
+ * PathOptions: plans `circuit` afresh into `plan`, fused when `plan` was,
+ * and returns true.
  */
 bool tryRebindPlan(ExecutionPlan& plan, const Circuit& circuit);
 

@@ -43,11 +43,11 @@ nearEqual(const Complex& a, const Complex& b)
 
 /**
  * True if local qubit j (0 = MSB of the local index) is a 1-control of the
- * k-qubit matrix W: the bit-j=0 subspace is identity and fully decoupled
- * from the bit-j=1 subspace.
+ * k-qubit matrix W (row-major): the bit-j=0 subspace is identity and fully
+ * decoupled from the bit-j=1 subspace.
  */
 bool
-isControlQubit(const std::vector<Complex>& w, std::size_t k, std::size_t j)
+isControlQubit(const Complex* w, std::size_t k, std::size_t j)
 {
     const std::size_t d = std::size_t{1} << k;
     const std::size_t pos = k - 1 - j;
@@ -68,9 +68,14 @@ isControlQubit(const std::vector<Complex>& w, std::size_t k, std::size_t j)
     return true;
 }
 
-/** The bit-j=1 quadrant of W: the residual operator behind a control. */
-std::vector<Complex>
-stripControl(const std::vector<Complex>& w, std::size_t k, std::size_t j)
+/**
+ * Writes the bit-j=1 quadrant of W, the residual operator behind a
+ * control, to `sub`, which may be `w` itself: entry (r, c) of the quadrant
+ * is read from an index no smaller than r * d/2 + c, so no entry of W is
+ * overwritten before it is read.
+ */
+void
+stripControl(const Complex* w, std::size_t k, std::size_t j, Complex* sub)
 {
     const std::size_t d = std::size_t{1} << k;
     const std::size_t d2 = d / 2;
@@ -79,11 +84,9 @@ stripControl(const std::vector<Complex>& w, std::size_t k, std::size_t j)
         const std::size_t low = x & ((std::size_t{1} << pos) - 1);
         return ((x >> pos) << (pos + 1)) | (std::size_t{1} << pos) | low;
     };
-    std::vector<Complex> sub(d2 * d2);
     for (std::size_t r = 0; r < d2; ++r)
         for (std::size_t c = 0; c < d2; ++c)
             sub[r * d2 + c] = w[insertOne(r) * d + insertOne(c)];
-    return sub;
 }
 
 /**
@@ -141,7 +144,7 @@ GateKernel::className() const
 }
 
 GateKernel
-compileKernel(const Matrix& m, const std::vector<std::uint32_t>& bits)
+compileKernel(Matrix m, const std::vector<std::uint32_t>& bits)
 {
     if (bits.empty() || bits.size() > 4)
         throw std::invalid_argument("compileKernel: arity must be 1..4");
@@ -152,48 +155,54 @@ compileKernel(const Matrix& m, const std::vector<std::uint32_t>& bits)
 
     GateKernel k;
     k.arity = static_cast<std::uint8_t>(a);
-    k.full = m;
+    k.full = std::move(m);
     for (std::size_t i = 0; i < a; ++i)
         k.fullBits[i] = bits[i];
 
-    // Working copy of the matrix and the bit positions still attached to it.
-    std::vector<Complex> w(dim * dim);
-    for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t c = 0; c < dim; ++c)
-            w[r * dim + c] = m(r, c);
-    std::vector<std::uint32_t> left(bits);
+    // The residual operator, row-major: the matrix itself until a control
+    // is stripped, then the stripped quadrant in `sub` (at most 8 x 8), and
+    // the bit positions still attached to it.
+    std::array<Complex, 64> sub;
+    const Complex* w = &k.full(0, 0);
+    std::array<std::uint32_t, 4> left{};
+    std::size_t t = a;
+    std::copy(bits.begin(), bits.end(), left.begin());
 
     // Greedy control stripping: each pass may expose further controls
     // (CCX sheds both controls one at a time).
     bool stripped = true;
-    while (stripped && !left.empty()) {
+    while (stripped && t > 0) {
         stripped = false;
-        for (std::size_t j = 0; j < left.size(); ++j) {
-            if (!isControlQubit(w, left.size(), j))
+        for (std::size_t j = 0; j < t; ++j) {
+            if (!isControlQubit(w, t, j))
                 continue;
             k.ctrlMask |= std::uint64_t{1} << left[j];
-            w = stripControl(w, left.size(), j);
-            left.erase(left.begin() + static_cast<std::ptrdiff_t>(j));
+            stripControl(w, t, j, sub.data());
+            w = sub.data();
+            std::copy(left.begin() + static_cast<std::ptrdiff_t>(j + 1),
+                      left.begin() + static_cast<std::ptrdiff_t>(t),
+                      left.begin() + static_cast<std::ptrdiff_t>(j));
+            --t;
             stripped = true;
             break;
         }
     }
 
-    const std::size_t t = left.size();
     const std::size_t td = std::size_t{1} << t;
     k.targets = static_cast<std::uint8_t>(t);
     for (std::size_t i = 0; i < t; ++i)
         k.targetBits[i] = left[i];
 
     // Occupied bit positions (controls + targets), ascending, for expansion.
-    std::vector<std::uint32_t> occ(left);
+    std::size_t occCount = t;
+    std::copy(left.begin(), left.begin() + static_cast<std::ptrdiff_t>(t),
+              k.occupied.begin());
     for (std::uint32_t b = 0; b < 64; ++b)
         if (k.ctrlMask & (std::uint64_t{1} << b))
-            occ.push_back(b);
-    std::sort(occ.begin(), occ.end());
-    k.occupiedCount = static_cast<std::uint8_t>(occ.size());
-    for (std::size_t i = 0; i < occ.size(); ++i)
-        k.occupied[i] = occ[i];
+            k.occupied[occCount++] = b;
+    std::sort(k.occupied.begin(),
+              k.occupied.begin() + static_cast<std::ptrdiff_t>(occCount));
+    k.occupiedCount = static_cast<std::uint8_t>(occCount);
 
     // Classify the residual operator, cheapest class first.
     bool isDiag = true;

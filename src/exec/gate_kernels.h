@@ -26,7 +26,7 @@ struct DiagFactor {
  * A gate, Kraus operator or Liouville superoperator compiled for dense
  * amplitude-array execution — or a diagonal run of gates (Op::DiagRun).
  *
- * The matrix is inspected once per plan or rebind — not per application —
+ * The matrix is inspected once per plan — not per application —
  * and lowered to the cheapest kernel class that reproduces it:
  *
  *   - control qubits are stripped greedily: a qubit whose |0> subspace is
@@ -95,11 +95,9 @@ struct GateKernel {
  * positions (local MSB first) and builds the specialized kernel. Matrices
  * need not be unitary — Kraus operators and channel superoperators classify
  * too (damping E0 is Diag, a phase-flip superoperator is Diag). Execution
- * plans classify every kernel with this on each plan and each rebind, so a
- * new parameter value always gets the class a fresh plan would give it.
+ * plans classify every kernel with this.
  */
-GateKernel compileKernel(const Matrix& m,
-                         const std::vector<std::uint32_t>& bits);
+GateKernel compileKernel(Matrix m, const std::vector<std::uint32_t>& bits);
 
 /**
  * Lowers a run of diagonal gates to one DiagRun kernel: a single sweep

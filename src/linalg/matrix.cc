@@ -133,7 +133,21 @@ Matrix::isUnitary(double eps) const
 {
     if (rows_ != cols_)
         return false;
-    return ((*this) * adjoint()).approxEqual(identity(rows_), eps);
+    // Entry (i, j) of this * adjoint(), summed as operator* sums it, and
+    // compared with the identity's, without building either matrix.
+    for (std::size_t i = 0; i < rows_; ++i) {
+        for (std::size_t j = 0; j < rows_; ++j) {
+            Complex p{};
+            for (std::size_t k = 0; k < cols_; ++k) {
+                const Complex a = (*this)(i, k);
+                if (a != Complex{})
+                    p += a * std::conj((*this)(j, k));
+            }
+            if (!qkc::approxEqual(p, Complex(i == j ? 1.0 : 0.0, 0.0), eps))
+                return false;
+        }
+    }
+    return true;
 }
 
 } // namespace qkc

@@ -15,8 +15,8 @@ namespace qkc {
 /**
  * The planned-level state-vector engine — our stand-in for Google's qsim
  * baseline (paper Section 4.1). Circuit-level callers open a session
- * (makeBackend("sv")->open(circuit), vqa/simulator_api.h), which plans the
- * circuit once with planCircuit and runs every task through this class.
+ * (makeBackend("sv")->open(circuit), vqa/simulator_api.h), which plans
+ * each binding with planCircuit and runs every task through this class.
  *
  * An execution plan (greedy gate fusion + per-gate kernel classification)
  * drives amplitude sweeps on the shared thread pool per the engine's
@@ -45,9 +45,8 @@ class StateVectorSimulator {
     void setExecPolicy(const ExecPolicy& policy) { policy_ = policy; }
 
     /**
-     * Runs a pre-built ideal plan (no channels). Backend sessions plan a
-     * circuit structure once and re-execute it across parameter binds.
-     * Throws std::invalid_argument for a plan planCircuit did not build.
+     * Runs a pre-built ideal plan (no channels). Throws
+     * std::invalid_argument for a plan planCircuit did not build.
      */
     StateVector simulatePlanned(const ExecutionPlan& plan) const;
 

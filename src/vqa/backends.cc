@@ -111,8 +111,8 @@ exactExpectation(const PauliSum& observable, std::size_t n, const Diag& diag,
 
 /**
  * One planned circuit and one 2^n state per session. The first task
- * allocates the state; a bind only marks it stale, and the next task
- * re-runs the plan into the same buffer. Ideal tasks read the amplitudes
+ * allocates the state; a bind plans the new circuit and marks the state
+ * stale, and the next task runs the plan into the same buffer. Ideal tasks read the amplitudes
  * directly: Sample reads them once for its chunk sums, Probabilities fills
  * its payload from them, and every term of an Expectation shares one
  * pass (exactExpectation). No other 2^n vector is built.
@@ -129,27 +129,25 @@ class SvSession final : public Session {
   protected:
     std::unique_ptr<Session> cloneForBatch() const override
     {
-        // The sv batch strategy: copy the compiled ExecutionPlan into the
-        // lane (the greedy fusion pass is *not* re-run) and let each lane
-        // rebind it per binding.
-        return std::unique_ptr<SvSession>(new SvSession(*this));
+        // The sv batch strategy: a fresh session per lane, which plans
+        // each of its bindings as this session does.
+        return std::make_unique<SvSession>(entry_, circuit_, options_);
     }
 
     void trimBatchLane() override
     {
-        // Keep the plan (cheap, and the point of the lane); drop the 2^n
-        // state the last binding left behind.
+        // Drop the 2^n state the last binding left behind.
         state_.reset();
         stateCurrent_ = false;
     }
-    bool doBind(const Circuit& circuit, bool sameStructure) override
+
+    bool doBind(const Circuit& circuit, bool) override
     {
         stateCurrent_ = false; // the buffer stays for the next run
-        // Same structure: replay the fusion recipe and lower every op again
-        // (tryRebindPlan); planReuses certifies the skipped greedy pass, not
-        // skipped classification.
-        if (sameStructure && tryRebindPlan(plan_, circuit))
-            return true;
+        // Every bind plans afresh. The old plan goes first, so the new one
+        // reuses its memory (a bind that throws leaves no plan, and the
+        // next task throws too).
+        plan_ = ExecutionPlan{};
         plan_ = planCircuit(circuit, policy_);
         return false;
     }
@@ -224,13 +222,6 @@ class SvSession final : public Session {
     }
 
   private:
-    /** Batch-lane clone: copies the compiled plan instead of re-planning. */
-    SvSession(const SvSession& parent)
-        : Session(parent.entry_, parent.circuit_, parent.options_),
-          policy_(parent.policy_), sim_(parent.policy_), plan_(parent.plan_)
-    {
-    }
-
     void ensureState()
     {
         if (stateCurrent_)
@@ -273,17 +264,13 @@ class DmSession final : public Session {
     // small kernels) for sweeps that the dense kernels already
     // parallelize internally via the shared pool, so a batched dm task
     // gains little from lane fan-out. runBatch therefore binds and runs on
-    // this session in batch order — still one plan, rebound per binding.
+    // this session in batch order, one fresh plan per binding.
 
-    bool doBind(const Circuit& circuit, bool sameStructure) override
+    bool doBind(const Circuit& circuit, bool) override
     {
         probs_.reset();
-        // Same structure: replay the recorded fusion recipe on the new
-        // values and lower every wire run and gate again (tryRebindDmPlan).
-        // planReuses certifies the skipped greedy pass; the kernels are
-        // classified afresh, as a new plan's would be.
-        if (sameStructure && tryRebindDmPlan(plan_, circuit))
-            return true;
+        // Every bind plans afresh, the old plan first (see SvSession).
+        plan_ = DmExecutionPlan{};
         plan_ = planCircuitDm(circuit, policy_);
         return false;
     }
@@ -942,8 +929,8 @@ backendRegistry()
          "noise is present",
          "sample; expectation (exact when ideal, sampled under noise); "
          "amplitudes (ideal); probabilities (ideal)",
-         "parallel lanes (threads option): each lane clones the compiled "
-         "ExecutionPlan and rebinds it per binding",
+         "parallel lanes (threads option): each lane is a fresh session "
+         "that plans each of its bindings",
          openSession<SvSession>},
         {"densitymatrix",
          {"dm"},

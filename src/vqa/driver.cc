@@ -82,8 +82,9 @@ runLoop(std::size_t numParams,
             c = c.withNoiseAfterEachGate(options.noiseKind,
                                          options.noiseStrength);
         // One session per circuit structure: the first evaluation pays the
-        // plan/compile, every later one only rebinds parameter values. The
-        // bind/open is backend work too, so it counts toward sampleSeconds
+        // plan/compile, every later one rebinds the session (kc refreshes
+        // its leaves; sv and dm plan afresh). The bind/open is backend
+        // work too, so it counts toward sampleSeconds
         // alongside the task time the Result metadata reports.
         const std::uint64_t t0 = obs::nowNs();
         if (!session)

@@ -81,15 +81,16 @@ struct VqaResult {
     /**
      * Total wall time inside the backend: per-task seconds from the Result
      * metadata plus the open/bind work (plan or compile on the first
-     * evaluation, parameter refresh on every later one).
+     * evaluation, a bind on every later one).
      */
     double sampleSeconds = 0.0;
     /**
      * Session reuse metadata after the run: a backend with full variational
-     * reuse shows planBuilds == 1 and planReuses == circuitEvaluations - 1
-     * (one structure compilation, every later evaluation rebinds
-     * parameters) — the paper's Section 3.2 property, now measurable on
-     * every backend.
+     * reuse (kc, tn, dd) shows planBuilds == 1 and planReuses ==
+     * circuitEvaluations - 1 (one structure compilation, every later
+     * evaluation rebinds parameters) — the paper's Section 3.2 property.
+     * sv and dm plan every evaluation afresh: planBuilds ==
+     * circuitEvaluations, planReuses == 0.
      */
     std::size_t planBuilds = 0;
     std::size_t planReuses = 0;

@@ -313,8 +313,7 @@ Session::rotatedSession(const PauliString& pauli,
     // Key on the rotation pattern: the X/Y factors determine the appended
     // basis-change gates (H for X, Sdg-then-H for Y); Z and I add nothing.
     // Terms sharing the pattern share one sub-session, and parameter
-    // rebinds of the base circuit flow through Session::bind — the cached
-    // sub-plan is refreshed, never rebuilt.
+    // rebinds of the base circuit flow through Session::bind.
     std::string key(circuit_.numQubits(), 'I');
     for (std::size_t q = 0; q < pauli.numQubits(); ++q) {
         const char p = pauli.pauli(q);

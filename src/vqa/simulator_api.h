@@ -201,18 +201,17 @@ struct ResultMeta {
     /**
      * Structure compilations this session has performed so far: execution
      * plans (fusion + kernel classification) for sv/dm, diagram builds for
-     * dd, contraction plannings for tn, AC compilations for kc. A
-     * variational sweep over one circuit structure must show this stuck at
-     * 1 while planReuses grows — the paper's Section 3.2 reuse property,
-     * asserted by the session tests.
+     * dd, contraction plannings for tn, AC compilations for kc. On kc, tn
+     * and dd a variational sweep over one circuit structure shows this
+     * stuck at 1 while planReuses grows — the paper's Section 3.2 reuse
+     * property, asserted by the session tests. sv and dm plan every
+     * binding afresh, so there it is 1 + the number of binds.
      */
     std::size_t planBuilds = 0;
 
     /**
-     * Parameter binds served by the cached structure. On sv/dm this
-     * certifies that the greedy fusion pass was skipped (its recipe is
-     * replayed) while every kernel was lowered again, not that
-     * classification was skipped.
+     * Parameter binds served by the cached structure (kc, tn, dd); always
+     * 0 on sv and dm, which re-plan on every bind.
      */
     std::size_t planReuses = 0;
 
@@ -284,12 +283,12 @@ class Session {
 
     /**
      * Rebinds the session to `circuit`. Same structure (gate kinds and
-     * wires; only parameters/values differ): the cached structure is reused
-     * and planReuses increments — sv/dm replay the fusion recipe and lower
-     * every kernel again, kc refreshes its AC leaves. Different structure
-     * on the same qubit count: the session transparently re-plans
-     * (planBuilds increments). A different qubit count throws
-     * std::invalid_argument.
+     * wires; only parameters/values differ): a backend with a cached
+     * structure reuses it and planReuses increments — kc refreshes its AC
+     * leaves, tn keeps its contraction plans, dd its package. sv and dm
+     * plan every binding afresh (planBuilds increments), as every backend
+     * does on a different structure with the same qubit count. A
+     * different qubit count throws std::invalid_argument.
      */
     void bind(const Circuit& circuit);
 
@@ -299,11 +298,10 @@ class Session {
     /**
      * Runs one task against every binding and returns the results in batch
      * order — the unit of execution for a parameter-shift gradient or a
-     * simplex sweep. The circuit structure is planned once (the session's
-     * cached plan) and the bindings fan out across the exec thread pool in
+     * simplex sweep. The bindings fan out across the exec thread pool in
      * laneCount(options.threads, bindings) contiguous blocks: each worker
-     * lane drives its own clone of the per-structure state
-     * (cloneForBatch) and every binding draws from its own RNG stream,
+     * lane drives its own session (cloneForBatch) and every binding draws
+     * from its own RNG stream,
      * seeded from `rng` in batch order before any parallel work. Payloads
      * are therefore bit-identical for every thread count, and match a
      * sequential bind/run loop driven from the same per-binding seeds.
@@ -349,10 +347,10 @@ class Session {
      * Backend hook for bind: refresh values for a same-structure circuit
      * (sameStructure == true) or rebuild for a new structure. Returns true
      * when the cached structure was reused; false when a full rebuild
-     * happened (structure change, or a parameter crossed a structural
-     * boundary such as a fused product becoming the identity). The public
-     * wrapper maintains the planBuilds/planReuses counters from the return
-     * value.
+     * happened (a structure change, a refresh the backend refused, or a
+     * backend that always rebuilds: sv and dm plan every binding afresh).
+     * The public wrapper maintains the planBuilds/planReuses counters from
+     * the return value.
      */
     virtual bool doBind(const Circuit& circuit, bool sameStructure) = 0;
 
@@ -373,10 +371,9 @@ class Session {
         const std::vector<std::size_t>& qubits, ResultMeta& meta);
 
     /**
-     * Batch fan-out hook: a fresh session sharing this one's options whose
-     * per-structure state was *cloned* (not re-planned) wherever the
-     * representation allows it. Returning nullptr (the default) serializes
-     * runBatch on the session itself — the documented strategy for backends
+     * Batch fan-out hook: a fresh session on this one's circuit and
+     * options, one per worker lane. Returning nullptr (the default)
+     * serializes runBatch on the session itself — the strategy for backends
      * whose cache is too large or too entangled to clone (dm: a second 4^n
      * plan per lane buys little when the superoperator sweeps already
      * parallelize internally; tn: the sampler's per-prefix contraction

@@ -15,19 +15,6 @@
 namespace qkc {
 namespace {
 
-/** Every source op index a group references, in no particular order. */
-std::vector<std::size_t>
-groupSources(const FusionRecipe::Group& g)
-{
-    std::vector<std::size_t> all = g.sources;
-    all.insert(all.end(), g.gateIndices.begin(), g.gateIndices.end());
-    for (const auto& stage : g.pendingHigh)
-        all.insert(all.end(), stage.begin(), stage.end());
-    for (const auto& stage : g.pendingLow)
-        all.insert(all.end(), stage.begin(), stage.end());
-    return all;
-}
-
 /** h(0); channel on the OTHER wire; h(0) — the cross-boundary bait. */
 Circuit
 baitCircuit()
@@ -56,24 +43,28 @@ TEST(FusionBoundaryTest, NoGroupSpansAChannel)
     c.h(0).t(1).zz(0, 1, 0.4);
     c.append(NoiseChannel::phaseFlip(0, 0.01));
     c.s(1).cnot(0, 1).h(0);
-    const std::size_t channelIdx = 3;
 
-    const FusionRecipe recipe = planFusion(c);
-    for (const auto& g : recipe.groups) {
-        if (g.kind == FusionRecipe::Group::Kind::Channel)
-            continue;
-        const auto sources = groupSources(g);
-        ASSERT_FALSE(sources.empty());
-        bool before = true;
-        bool after = true;
-        for (std::size_t s : sources) {
-            EXPECT_NE(s, channelIdx);
-            before = before && s < channelIdx;
-            after = after && s > channelIdx;
-        }
-        EXPECT_TRUE(before || after)
-            << "group fuses ops from both sides of the channel";
-    }
+    // Each fused gate is the product of source gates from one side of the
+    // channel only: ZZ (H (x) T) before it; CNOT (I (x) S), then H, after.
+    const Circuit fused = fuseGates(c);
+    ASSERT_EQ(fused.size(), 4u);
+    const auto& ops = fused.operations();
+    const auto source = [&c](std::size_t i) {
+        return std::get<Gate>(c.operations()[i]).unitary();
+    };
+    const auto expectGate = [&ops](std::size_t i,
+                                   std::vector<std::size_t> wires,
+                                   const Matrix& u) {
+        const Gate* g = std::get_if<Gate>(&ops[i]);
+        ASSERT_NE(g, nullptr) << "op " << i;
+        EXPECT_EQ(g->qubits(), wires) << "op " << i;
+        EXPECT_TRUE(g->unitary().approxEqual(u, 1e-12)) << "op " << i;
+    };
+    expectGate(0, {0, 1}, source(2) * source(0).kron(source(1)));
+    ASSERT_TRUE(std::holds_alternative<NoiseChannel>(ops[1]));
+    EXPECT_EQ(operandsOf(ops[1]), (std::vector<std::size_t>{0}));
+    expectGate(2, {0, 1}, source(5) * Matrix::identity(2).kron(source(4)));
+    expectGate(3, {0}, source(6));
 }
 
 } // namespace

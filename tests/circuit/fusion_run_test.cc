@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "statevector/statevector_simulator.h"
@@ -18,8 +20,6 @@
 
 namespace qkc {
 namespace {
-
-using Kind = FusionRecipe::Group::Kind;
 
 void
 expectSameState(const Circuit& a, const Circuit& b, double tol = 1e-12)
@@ -34,22 +34,70 @@ expectSameState(const Circuit& a, const Circuit& b, double tol = 1e-12)
             << "index " << i;
 }
 
-std::vector<Kind>
-kindsOf(const FusionRecipe& recipe)
+/** One fusion pass: the fused circuit, its stats and its diagonal runs. */
+struct Fused {
+    Circuit circuit{1};
+    FusionStats stats;
+    std::vector<OpSpan> runs;
+};
+
+Fused
+fuse(const Circuit& c)
 {
-    std::vector<Kind> kinds;
-    for (const auto& g : recipe.groups)
-        kinds.push_back(g.kind);
-    return kinds;
+    Fused f;
+    f.circuit = fuseGates(c, &f.stats, &f.runs);
+    return f;
+}
+
+/**
+ * One label per emitted group of `f`, in order: "run" for a diagonal run,
+ * the gate's name otherwise — "fused" (a 1q product), "kron" (two wires'
+ * 1q products), "fused2q" (a 2q chain or fold) or a verbatim gate's own.
+ */
+std::vector<std::string>
+groupsOf(const Fused& f)
+{
+    std::vector<std::string> groups;
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < f.circuit.size(); ++i) {
+        if (run < f.runs.size() && f.runs[run].begin == i) {
+            groups.push_back("run");
+            i = f.runs[run++].end - 1;
+            continue;
+        }
+        const Gate* g = std::get_if<Gate>(&f.circuit.operations()[i]);
+        groups.push_back(g ? g->name() : "channel");
+    }
+    return groups;
 }
 
 std::size_t
-countKind(const FusionRecipe& recipe, Kind kind)
+countGroups(const Fused& f, const std::string& label)
 {
-    std::size_t count = 0;
-    for (const auto& g : recipe.groups)
-        count += g.kind == kind;
-    return count;
+    const auto groups = groupsOf(f);
+    return static_cast<std::size_t>(
+        std::count(groups.begin(), groups.end(), label));
+}
+
+/** The wires of the fused op at `i`. */
+std::vector<std::size_t>
+wiresOf(const Fused& f, std::size_t i)
+{
+    return operandsOf(f.circuit.operations()[i]);
+}
+
+/** The run's gates are source ops [first, first + run length), verbatim. */
+void
+expectRunOf(const Fused& f, const OpSpan& run, const Circuit& c,
+            std::size_t first)
+{
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+        const Gate& fused = std::get<Gate>(f.circuit.operations()[i]);
+        const Gate& source =
+            std::get<Gate>(c.operations()[first + i - run.begin]);
+        EXPECT_EQ(fused.name(), source.name()) << "op " << i;
+        EXPECT_EQ(fused.qubits(), source.qubits()) << "op " << i;
+    }
 }
 
 Circuit
@@ -66,35 +114,27 @@ TEST(FusionRunTest, VqeIsingLayerIsOneRun)
     Rng rng(4);
     const VqeIsing vqe(3, 3, 1, rng);
     const Circuit c = vqe.circuit({0.7, -0.4});
-    const FusionRecipe recipe = planFusion(c);
-    ASSERT_EQ(recipe.stats.diagonalRuns, 1u);
-    std::vector<std::size_t> expected;
-    for (std::size_t i = 9; i < 9 + 12 + 9; ++i)
-        expected.push_back(i);
-    for (const auto& g : recipe.groups) {
-        if (g.kind == Kind::DiagonalRun) {
-            EXPECT_EQ(g.sources, expected);
-        }
-    }
-    expectSameState(c, fuseGates(c));
+    const Fused f = fuse(c);
+    ASSERT_EQ(f.stats.diagonalRuns, 1u);
+    ASSERT_EQ(f.runs.size(), 1u);
+    EXPECT_EQ(f.runs[0].end - f.runs[0].begin, 12u + 9u);
+    expectRunOf(f, f.runs[0], c, 9);
+    expectSameState(c, f.circuit);
 }
 
 TEST(FusionRunTest, FlushesAheadOfARunAndAtTheEndGoOutInPairs)
 {
     // 6 qubits, p = 1: three H pairs, the run of 9 ZZ, three Rx pairs.
     const Circuit c = qaoa(6, 1, 11, {0.6, -0.3});
-    const FusionRecipe recipe = planFusion(c);
-    EXPECT_EQ(kindsOf(recipe),
-              (std::vector<Kind>{Kind::Kron1q, Kind::Kron1q, Kind::Kron1q,
-                                 Kind::DiagonalRun, Kind::Kron1q,
-                                 Kind::Kron1q, Kind::Kron1q}));
-    EXPECT_EQ(recipe.stats.kronPairs, 6u);
-    EXPECT_EQ(recipe.groups[0].qubits, (std::vector<std::size_t>{0, 1}));
-    EXPECT_EQ(recipe.groups[2].qubits, (std::vector<std::size_t>{4, 5}));
-    FusionStats stats;
-    const Circuit fused = fuseGates(c, &stats);
-    EXPECT_EQ(stats.gatesOut, 3u + 9u + 3u);
-    expectSameState(c, fused);
+    const Fused f = fuse(c);
+    EXPECT_EQ(groupsOf(f),
+              (std::vector<std::string>{"kron", "kron", "kron", "run",
+                                        "kron", "kron", "kron"}));
+    EXPECT_EQ(f.stats.kronPairs, 6u);
+    EXPECT_EQ(wiresOf(f, 0), (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(wiresOf(f, 2), (std::vector<std::size_t>{4, 5}));
+    EXPECT_EQ(f.stats.gatesOut, 3u + 9u + 3u);
+    expectSameState(c, f.circuit);
 }
 
 TEST(FusionRunTest, RunIsABarrierOnItsOwnWiresOnly)
@@ -103,16 +143,17 @@ TEST(FusionRunTest, RunIsABarrierOnItsOwnWiresOnly)
     // an odd count ahead of the run leaves one product on its own.
     Circuit c(4);
     c.h(3).h(0).h(1).rx(2, 0.3).zz(0, 1, 0.4).cz(1, 2).t(2);
-    const FusionRecipe recipe = planFusion(c);
-    ASSERT_EQ(kindsOf(recipe),
-              (std::vector<Kind>{Kind::Kron1q, Kind::Fused1q,
-                                 Kind::DiagonalRun, Kind::Fused1q}));
-    EXPECT_EQ(recipe.groups[0].qubits, (std::vector<std::size_t>{0, 1}));
-    EXPECT_EQ(recipe.groups[1].qubits, (std::vector<std::size_t>{2}));
-    EXPECT_EQ(recipe.groups[2].sources,
-              (std::vector<std::size_t>{4, 5, 6}));
-    EXPECT_EQ(recipe.groups[3].qubits, (std::vector<std::size_t>{3}));
-    expectSameState(c, fuseGates(c));
+    const Fused f = fuse(c);
+    ASSERT_EQ(groupsOf(f),
+              (std::vector<std::string>{"kron", "fused", "run", "fused"}));
+    EXPECT_EQ(wiresOf(f, 0), (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(wiresOf(f, 1), (std::vector<std::size_t>{2}));
+    ASSERT_EQ(f.runs.size(), 1u);
+    EXPECT_EQ(f.runs[0].begin, 2u);
+    EXPECT_EQ(f.runs[0].end, 5u);
+    expectRunOf(f, f.runs[0], c, 4);
+    EXPECT_EQ(wiresOf(f, 5), (std::vector<std::size_t>{3}));
+    expectSameState(c, f.circuit);
 }
 
 TEST(FusionRunTest, WithoutARunNothingIsPaired)
@@ -122,60 +163,31 @@ TEST(FusionRunTest, WithoutARunNothingIsPaired)
     Circuit c(4);
     c.h(0).h(1).h(2).h(3).t(0).zz(0, 1, 0.3).s(1).cnot(2, 3);
     c.rx(0, 0.2).rx(1, 0.4).rx(2, 0.6).rx(3, 0.8);
-    const FusionRecipe recipe = planFusion(c);
-    EXPECT_EQ(recipe.stats.diagonalRuns, 0u);
-    EXPECT_EQ(countKind(recipe, Kind::Kron1q), 0u);
-    EXPECT_EQ(countKind(recipe, Kind::Fused1q), 4u);
-    expectSameState(c, fuseGates(c));
-}
-
-TEST(FusionRunTest, RecipeReplaysRunsAndPairsOnNewAngles)
-{
-    const Circuit a = qaoa(8, 2, 5, {0.4, -0.6, 1.1, 0.2});
-    const Circuit b = qaoa(8, 2, 5, {-0.9, 0.35, 0.15, -1.3});
-    const FusionRecipe recipe = planFusion(a);
-    EXPECT_EQ(recipe.stats.diagonalRuns, 2u);
-    const auto viaRecipe = materializeFusion(recipe, b);
-    ASSERT_TRUE(viaRecipe.has_value());
-    EXPECT_EQ(viaRecipe->size(), fuseGates(b).size());
-    expectSameState(b, *viaRecipe);
-
-    // beta = 0 makes every mixer Rx the identity: the paired products
-    // cross the drop boundary, so the recipe refuses.
-    EXPECT_FALSE(
-        materializeFusion(recipe, qaoa(8, 2, 5, {0.4, 0.0, 1.1, 0.2}))
-            .has_value());
-
-    // A run gate on other wires is another structure.
-    Circuit c(4);
-    c.h(0).h(1).zz(0, 1, 0.3).zz(1, 2, 0.5).rx(0, 0.2);
-    Circuit moved(4);
-    moved.h(0).h(1).zz(0, 1, 0.3).zz(1, 3, 0.5).rx(0, 0.2);
-    EXPECT_FALSE(materializeFusion(planFusion(c), moved).has_value());
-    // ... and so is a non-diagonal gate in a run's slot.
-    Circuit swapped(4);
-    swapped.h(0).h(1).zz(0, 1, 0.3).cnot(1, 2).rx(0, 0.2);
-    EXPECT_FALSE(materializeFusion(planFusion(c), swapped).has_value());
+    const Fused f = fuse(c);
+    EXPECT_EQ(f.stats.diagonalRuns, 0u);
+    EXPECT_TRUE(f.runs.empty());
+    EXPECT_EQ(countGroups(f, "kron"), 0u);
+    EXPECT_EQ(countGroups(f, "fused"), 4u);
+    expectSameState(c, f.circuit);
 }
 
 TEST(FusionRunTest, XOrYIsNotFoldedIntoCnotOrCz)
 {
     Circuit c(5);
     c.x(0).cnot(0, 1);
-    const FusionRecipe recipe = planFusion(c);
-    EXPECT_EQ(kindsOf(recipe),
-              (std::vector<Kind>{Kind::Fused1q, Kind::Passthrough}));
-    EXPECT_EQ(recipe.stats.foldedInto2q, 0u);
-    expectSameState(c, fuseGates(c));
+    const Fused f = fuse(c);
+    EXPECT_EQ(groupsOf(f), (std::vector<std::string>{"fused", "CNOT"}));
+    EXPECT_EQ(f.stats.foldedInto2q, 0u);
+    expectSameState(c, f.circuit);
 
     // Y on the target of a CZ, next to an H that still folds.
     Circuit d(3);
     d.h(0).y(1).y(1).x(1).cz(0, 1);
-    const FusionRecipe dRecipe = planFusion(d);
-    EXPECT_EQ(kindsOf(dRecipe),
-              (std::vector<Kind>{Kind::Fused1q, Kind::Fused2q}));
-    EXPECT_EQ(dRecipe.stats.foldedInto2q, 1u);
-    expectSameState(d, fuseGates(d));
+    const Fused fd = fuse(d);
+    EXPECT_EQ(groupsOf(fd), (std::vector<std::string>{"fused", "fused2q"}));
+    EXPECT_EQ(wiresOf(fd, 0), (std::vector<std::size_t>{1}));
+    EXPECT_EQ(fd.stats.foldedInto2q, 1u);
+    expectSameState(d, fd.circuit);
 
     // An X between two CNOTs on one pair ends the chain.
     Circuit e(3);

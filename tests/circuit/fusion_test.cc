@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "circuit/noise.h"
-#include "densitymatrix/densitymatrix_simulator.h"
 #include "statevector/statevector_simulator.h"
 #include "testing/oracles.h"
 #include "testing/session_runs.h"
@@ -30,27 +29,6 @@ expectSameState(const Circuit& a, const Circuit& b, double tol = 1e-10)
     for (std::uint64_t i = 0; i < sa.dimension(); ++i)
         ASSERT_TRUE(approxEqual(sa.amplitude(i), sb.amplitude(i), tol))
             << "index " << i;
-}
-
-/**
- * Neither dense engine rebinds a fused plan of `a` onto `b`, and a fresh
- * plan of `b` on either engine fuses exactly as fuseGates does and keeps the
- * raw circuit's state.
- */
-void
-expectRebindRefused(const Circuit& a, const Circuit& b)
-{
-    const ExecPolicy policy; // fuseGates defaults to true
-    ExecutionPlan plan = planCircuit(a, policy);
-    EXPECT_FALSE(tryRebindPlan(plan, b));
-    DmExecutionPlan dmPlan = planCircuitDm(a, policy);
-    EXPECT_FALSE(tryRebindDmPlan(dmPlan, b));
-
-    for (const Circuit& fresh :
-         {planCircuit(b, policy).circuit, planCircuitDm(b, policy).circuit}) {
-        EXPECT_EQ(fresh.gateCount(), fuseGates(b).gateCount());
-        expectSameState(b, fresh);
-    }
 }
 
 TEST(FusionTest, MergesAdjacent1qGatesOnOneWire)
@@ -149,26 +127,6 @@ TEST(FusionTest, ChainSpansDisjointInterleavedOps)
     expectSameState(c, fused);
 }
 
-TEST(FusionTest, ChainRecipeReplaysNewParameters)
-{
-    // An entangler-ladder chain planned once must replay on new angles.
-    Circuit a(2);
-    a.zz(0, 1, 0.3).rx(0, 0.5).zz(0, 1, 0.9);
-    Circuit b(2);
-    b.zz(0, 1, 1.4).rx(0, -0.6).zz(0, 1, 0.1);
-    const FusionRecipe recipe = planFusion(a);
-    EXPECT_EQ(recipe.stats.merged2q, 1u);
-    auto viaRecipe = materializeFusion(recipe, b);
-    ASSERT_TRUE(viaRecipe.has_value());
-    expectSameState(b, *viaRecipe);
-
-    // Replaying onto parameters whose chain product is the identity must
-    // refuse (drop boundary crossed), same as the 1q case.
-    Circuit ident(2);
-    ident.zz(0, 1, 0.8).rx(0, 0.0).zz(0, 1, -0.8);
-    EXPECT_FALSE(materializeFusion(recipe, ident).has_value());
-}
-
 TEST(FusionTest, NoiseChannelsAreBarriers)
 {
     Circuit c(1);
@@ -239,67 +197,6 @@ TEST(FusionTest, RandomizedCircuitsFusedEqualsUnfused)
         EXPECT_LE(fused.gateCount(), c.gateCount());
         expectSameState(c, fused);
     }
-}
-
-TEST(FusionTest, RecipeMaterializesNewParameters)
-{
-    // Plan once, replay on a same-structure circuit with different angles:
-    // the result must equal fusing the new circuit from scratch.
-    Circuit a(3);
-    a.h(0).rz(0, 0.3).cnot(0, 1).rx(1, 0.7).rz(2, 1.1).zz(1, 2, 0.5).h(2);
-    Circuit b(3);
-    b.h(0).rz(0, 1.9).cnot(0, 1).rx(1, -0.2).rz(2, 0.4).zz(1, 2, 2.2).h(2);
-
-    const FusionRecipe recipe = planFusion(a);
-    auto viaRecipe = materializeFusion(recipe, b);
-    ASSERT_TRUE(viaRecipe.has_value());
-    const Circuit direct = fuseGates(b);
-    ASSERT_EQ(viaRecipe->size(), direct.size());
-    expectSameState(b, *viaRecipe);
-}
-
-TEST(FusionTest, RecipeDetectsIdentityBoundaryCrossing)
-{
-    // H;H fuses to the identity and is dropped at plan time. Replaying the
-    // recipe on H;T (same structure, different values) crosses the drop
-    // boundary and must refuse rather than silently drop the product.
-    Circuit a(1);
-    a.h(0).h(0);
-    Circuit b(1);
-    b.h(0).t(0);
-
-    const FusionRecipe recipe = planFusion(a);
-    EXPECT_EQ(recipe.stats.droppedIdentity, 1u);
-    EXPECT_FALSE(materializeFusion(recipe, b).has_value());
-
-    // And the reverse: a kept product that becomes the identity.
-    const FusionRecipe keepRecipe = planFusion(b);
-    EXPECT_FALSE(materializeFusion(keepRecipe, a).has_value());
-}
-
-TEST(FusionTest, RecipeRefusesTrailingOps)
-{
-    // The recipe must cover the whole circuit: replaying it on a circuit
-    // with extra trailing ops must refuse, not silently drop them.
-    Circuit a(2);
-    a.h(0).cnot(0, 1);
-    Circuit b = a;
-    b.x(1);
-    const FusionRecipe recipe = planFusion(a);
-    EXPECT_FALSE(materializeFusion(recipe, b).has_value());
-    expectRebindRefused(a, b);
-}
-
-TEST(FusionTest, RecipeRefusesWireMismatch)
-{
-    // Same op kinds and arities but different operand wires: replaying the
-    // recipe must refuse, not emit a fused gate on the recorded wires.
-    Circuit a(2);
-    a.rz(0, 0.3).rz(0, 0.4).cnot(0, 1);
-    Circuit b(2);
-    b.rz(1, 0.3).rz(1, 0.4).cnot(0, 1);
-    EXPECT_FALSE(materializeFusion(planFusion(a), b).has_value());
-    expectRebindRefused(a, b);
 }
 
 TEST(FusionTest, SimulatorFusionPolicyMatchesExplicitFusion)

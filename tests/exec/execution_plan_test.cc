@@ -1,9 +1,8 @@
 /**
  * The dense execution plan's structural contracts: the compiled kernel
- * stream does not depend on the thread count, tryRebindPlan refuses a
- * structure change, the benchmark's PathOptions forwarders return the
- * two-argument plans unchanged, and neither engine runs or rebinds a plan
- * the other engine lowered.
+ * stream does not depend on the thread count, the benchmark's PathOptions
+ * forwarders return the two-argument plans unchanged, and neither engine
+ * runs a plan the other engine lowered.
  */
 #include "exec/execution_plan.h"
 
@@ -59,18 +58,6 @@ TEST(ExecutionPlanTest, KernelStreamIsThreadCountInvariant)
     expectSameKernelStream(planCircuit(c, one), planCircuit(c, four));
 }
 
-TEST(ExecutionPlanTest, RebindRefusesStructureChange)
-{
-    ExecPolicy policy;
-    ExecutionPlan plan = planCircuit(frozenPrefixCircuit(0.3), policy);
-    ASSERT_TRUE(tryRebindPlan(plan, frozenPrefixCircuit(0.9)));
-
-    Circuit other(3);
-    other.h(0).h(1).h(2).cnot(0, 1).cnot(1, 2);
-    other.rx(0, 0.3).rz(1, 0.4).rz(2, 0.5); // rz -> rx at one position
-    EXPECT_FALSE(tryRebindPlan(plan, other));
-}
-
 TEST(ExecutionPlanTest, PathOptionsForwardersReturnThePlainPlans)
 {
     Circuit c = frozenPrefixCircuit(0.3);
@@ -111,7 +98,6 @@ TEST(ExecutionPlanTest, DensityMatrixSimulatorRefusesStateVectorPlan)
     ExecutionPlan plan = planCircuit(c, policy);
     const DensityMatrixSimulator sim(policy);
     EXPECT_THROW(sim.simulatePlanned(plan), std::invalid_argument);
-    EXPECT_FALSE(tryRebindDmPlan(plan, c));
 }
 
 TEST(ExecutionPlanTest, StateVectorSimulatorRefusesDensityMatrixPlan)
@@ -123,7 +109,6 @@ TEST(ExecutionPlanTest, StateVectorSimulatorRefusesDensityMatrixPlan)
     EXPECT_THROW(sim.simulatePlanned(plan), std::invalid_argument);
     Rng rng(5);
     EXPECT_THROW(sim.sampleNoisyPlanned(plan, 4, rng), std::invalid_argument);
-    EXPECT_FALSE(tryRebindPlan(plan, c));
 }
 
 } // namespace

@@ -62,9 +62,10 @@ expectSameKernel(const GateKernel& a, const GateKernel& b,
 }
 
 /**
- * `rebound` (a plan after tryRebindPlan/tryRebindDmPlan) holds the kernel
- * stream of `fresh` (a new plan of the same circuit): the same planned ops
- * with the same source ops and kernel counts, and bit-identical kernels.
+ * `rebound` (a plan after a tryRebindPlan/tryRebindDmPlan shim) holds the
+ * kernel stream of `fresh` (a new plan of the same circuit): the same
+ * planned ops with the same source ops and kernel counts, and
+ * bit-identical kernels.
  */
 inline void
 expectSamePlan(const ExecutionPlan& rebound, const ExecutionPlan& fresh)

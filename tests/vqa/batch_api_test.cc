@@ -219,13 +219,13 @@ TEST(RunBatchTest, SvBatchCountsOneReusePerBinding)
     auto session = makeBackend("sv:threads=4")->open(b.front());
     Rng rng(1);
     const auto results = session->runBatch(b, Sample{16}, rng);
-    // The structure was planned once — at open — and every binding in the
-    // batch rebound it, whichever lane it ran on.
-    EXPECT_EQ(session->planBuilds(), 1u);
-    EXPECT_EQ(session->planReuses(), b.size());
+    // One plan at open, then one per binding in the batch, whichever lane
+    // it ran on.
+    EXPECT_EQ(session->planBuilds(), 1u + b.size());
+    EXPECT_EQ(session->planReuses(), 0u);
     for (const Result& r : results) {
-        EXPECT_EQ(r.meta.planBuilds, 1u);
-        EXPECT_EQ(r.meta.planReuses, b.size());
+        EXPECT_EQ(r.meta.planBuilds, 1u + b.size());
+        EXPECT_EQ(r.meta.planReuses, 0u);
     }
     // The session is left bound to the last binding, like a plain loop.
     EXPECT_TRUE(sameStructure(session->circuit(), b.back()));
@@ -239,10 +239,10 @@ TEST(RunBatchTest, SerializedBackendsStillCountReuses)
     auto session = makeBackend("dm")->open(b.front());
     Rng rng(1);
     session->runBatch(b, Sample{8}, rng);
-    // dm serializes the batch (documented in cloneForBatch) but its plan —
-    // now a real superoperator plan — rebinds per binding.
-    EXPECT_EQ(session->planBuilds(), 1u);
-    EXPECT_EQ(session->planReuses(), b.size());
+    // dm serializes the batch (documented in cloneForBatch) and plans
+    // each binding afresh, counted once per binding.
+    EXPECT_EQ(session->planBuilds(), 1u + b.size());
+    EXPECT_EQ(session->planReuses(), 0u);
 }
 
 TEST(RunBatchTest, TaskExceptionSurfacesCleanlyFromParallelBatch)
@@ -433,12 +433,12 @@ TEST(GradientTest, BatchedStartsDriveTheOptimizer)
     StateVectorBackend backend;
     const VqaResult result = runQaoaMaxCut(problem, backend, options);
     // The six batched start evaluations count as circuit evaluations and
-    // land in the same session's reuse metadata. (The session opens on the
-    // first start binding and the batch still rebinds it, so reuses equals
-    // the evaluation count here, not count - 1.)
+    // land in the same session's metadata. (The session opens on the
+    // first start binding and the batch still binds it, so sv's plan count
+    // is the evaluation count + 1.)
     EXPECT_GT(result.circuitEvaluations, 6u);
-    EXPECT_EQ(result.planBuilds, 1u);
-    EXPECT_EQ(result.planReuses, result.circuitEvaluations);
+    EXPECT_EQ(result.planBuilds, result.circuitEvaluations + 1);
+    EXPECT_EQ(result.planReuses, 0u);
     EXPECT_LT(result.bestObjective, 0.0); // found some cut
 }
 

@@ -45,15 +45,14 @@ TEST(VqaDriverTest, KcSessionCompilesOnce)
 
 TEST(VqaDriverTest, StateVectorSessionPlansOnce)
 {
-    // The redesign generalizes the reuse story beyond kc: the sv session
-    // runs the greedy fusion pass once per structure and every later
-    // evaluation rebinds its plan.
+    // The run keeps one sv session, which plans every evaluation afresh;
+    // runQaoaMaxCut's metadata counts each plan.
     Rng rng(7);
     auto problem = QaoaMaxCut::randomRegular(6, 3, 1, rng);
     StateVectorBackend backend;
     auto result = runQaoaMaxCut(problem, backend, smallRun(9));
-    EXPECT_EQ(result.planBuilds, 1u);
-    EXPECT_EQ(result.planReuses, result.circuitEvaluations - 1);
+    EXPECT_EQ(result.planBuilds, result.circuitEvaluations);
+    EXPECT_EQ(result.planReuses, 0u);
 }
 
 TEST(VqaDriverTest, StateVectorAndKcFindSimilarOptima)
