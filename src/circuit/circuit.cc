@@ -62,27 +62,12 @@ Circuit::extend(const Circuit& other)
 Circuit
 Circuit::withNoiseAfterEachGate(NoiseKind kind, double p) const
 {
-    auto makeChannel = [&](std::size_t q) {
-        switch (kind) {
-          case NoiseKind::BitFlip: return NoiseChannel::bitFlip(q, p);
-          case NoiseKind::PhaseFlip: return NoiseChannel::phaseFlip(q, p);
-          case NoiseKind::Depolarizing: return NoiseChannel::depolarizing(q, p);
-          case NoiseKind::AmplitudeDamping:
-            return NoiseChannel::amplitudeDamping(q, p);
-          case NoiseKind::PhaseDamping:
-            return NoiseChannel::phaseDamping(q, p);
-          default:
-            throw std::invalid_argument(
-                "withNoiseAfterEachGate: kind needs explicit parameters");
-        }
-    };
-
     Circuit noisy(numQubits_);
     for (const auto& op : ops_) {
         noisy.ops_.push_back(op);
         if (const Gate* g = std::get_if<Gate>(&op)) {
             for (std::size_t q : g->qubits())
-                noisy.append(makeChannel(q));
+                noisy.append(NoiseChannel::make(kind, {q}, {p}));
         }
     }
     return noisy;

@@ -87,6 +87,8 @@ class Circuit {
      * Inserts `channel` after every existing gate on that gate's qubits —
      * the paper's noisy-circuit construction ("0.5% symmetric depolarizing
      * after each gate"). Returns a new circuit; the original is untouched.
+     * Takes the one-qubit kinds with one parameter; others throw
+     * std::invalid_argument (NoiseChannel::make).
      */
     Circuit withNoiseAfterEachGate(NoiseKind kind, double p) const;
 

@@ -55,16 +55,7 @@ diagonalRunEnds(const Circuit& circuit)
 bool
 isPermOrDiagonal2q(const Gate& g)
 {
-    switch (g.kind()) {
-      case GateKind::CNOT:
-      case GateKind::CZ:
-      case GateKind::CRz:
-      case GateKind::CPhase:
-      case GateKind::ZZ:
-        return true;
-      default:
-        return false;
-    }
+    return g.arity() == 2 && (g.isDiagonal() || g.kind() == GateKind::CNOT);
 }
 
 } // namespace

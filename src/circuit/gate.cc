@@ -1,7 +1,8 @@
 #include "circuit/gate.h"
 
-#include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <iterator>
 #include <stdexcept>
 
 namespace qkc {
@@ -45,32 +46,23 @@ controlled(const Matrix& u)
     return m;
 }
 
+constexpr bool
+tableInEnumOrder()
+{
+    for (std::size_t i = 0; i < std::size(kGateInfo); ++i)
+        if (static_cast<std::size_t>(kGateInfo[i].kind) != i)
+            return false;
+    return std::size(kGateInfo) ==
+           static_cast<std::size_t>(GateKind::Custom2Q) + 1;
+}
+static_assert(tableInEnumOrder(), "kGateInfo: one row per GateKind, in order");
+
 } // namespace
 
 Gate::Gate(GateKind kind, std::vector<std::size_t> qubits, double param)
     : kind_(kind), qubits_(std::move(qubits)), param_(param)
 {
-    std::size_t expected;
-    switch (kind_) {
-      case GateKind::CNOT:
-      case GateKind::CZ:
-      case GateKind::SWAP:
-      case GateKind::CRz:
-      case GateKind::CPhase:
-      case GateKind::ZZ:
-      case GateKind::Custom2Q:
-        expected = 2;
-        break;
-      case GateKind::CCX:
-      case GateKind::CCZ:
-      case GateKind::CSWAP:
-        expected = 3;
-        break;
-      default:
-        expected = 1;
-        break;
-    }
-    if (qubits_.size() != expected)
+    if (qubits_.size() != gateInfo(kind_).arity)
         throw std::invalid_argument("Gate: wrong qubit count for kind");
     for (std::size_t i = 0; i < qubits_.size(); ++i)
         for (std::size_t j = i + 1; j < qubits_.size(); ++j)
@@ -95,44 +87,6 @@ Gate::custom(std::vector<std::size_t> qubits, Matrix unitary, std::string label)
     g.custom_ = std::move(unitary);
     g.label_ = std::move(label);
     return g;
-}
-
-bool
-Gate::isParameterized() const
-{
-    switch (kind_) {
-      case GateKind::Rx:
-      case GateKind::Ry:
-      case GateKind::Rz:
-      case GateKind::PhaseZ:
-      case GateKind::CRz:
-      case GateKind::CPhase:
-      case GateKind::ZZ:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Gate::isDiagonal() const
-{
-    switch (kind_) {
-      case GateKind::Z:
-      case GateKind::S:
-      case GateKind::Sdg:
-      case GateKind::T:
-      case GateKind::Tdg:
-      case GateKind::Rz:
-      case GateKind::PhaseZ:
-      case GateKind::CZ:
-      case GateKind::CRz:
-      case GateKind::CPhase:
-      case GateKind::ZZ:
-        return true;
-      default:
-        return false;
-    }
 }
 
 Matrix
@@ -212,39 +166,14 @@ Gate::unitary() const
 std::string
 Gate::name() const
 {
-    auto withParam = [&](const char* base) {
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), "%s(%.3f)", base, param_);
-        return std::string(buf);
-    };
-    switch (kind_) {
-      case GateKind::I: return "I";
-      case GateKind::X: return "X";
-      case GateKind::Y: return "Y";
-      case GateKind::Z: return "Z";
-      case GateKind::H: return "H";
-      case GateKind::S: return "S";
-      case GateKind::Sdg: return "Sdg";
-      case GateKind::T: return "T";
-      case GateKind::Tdg: return "Tdg";
-      case GateKind::Rx: return withParam("Rx");
-      case GateKind::Ry: return withParam("Ry");
-      case GateKind::Rz: return withParam("Rz");
-      case GateKind::PhaseZ: return withParam("P");
-      case GateKind::CNOT: return "CNOT";
-      case GateKind::CZ: return "CZ";
-      case GateKind::SWAP: return "SWAP";
-      case GateKind::CRz: return withParam("CRz");
-      case GateKind::CPhase: return withParam("CP");
-      case GateKind::ZZ: return withParam("ZZ");
-      case GateKind::CCX: return "CCX";
-      case GateKind::CCZ: return "CCZ";
-      case GateKind::CSWAP: return "CSWAP";
-      case GateKind::Custom1Q:
-      case GateKind::Custom2Q:
-        return label_.empty() ? "U" : label_;
-    }
-    return "?";
+    const GateInfo& info = gateInfo(kind_);
+    if (kind_ == GateKind::Custom1Q || kind_ == GateKind::Custom2Q)
+        return label_.empty() ? info.name : label_;
+    if (!info.parameterized)
+        return info.name;
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%s(%.3f)", info.name, param_);
+    return buf;
 }
 
 } // namespace qkc

@@ -44,6 +44,54 @@ enum class GateKind {
 };
 
 /**
+ * The facts of one gate kind that do not depend on its angle. `qasm` is the
+ * qelib1 spelling, or null for the kinds QASM 2.0 cannot spell directly
+ * (CCZ is written as h+ccx+h; custom unitaries are rejected).
+ */
+struct GateInfo {
+    GateKind kind;
+    const char* name;     ///< display mnemonic, e.g. "CNOT", "Rz"
+    const char* qasm;     ///< e.g. "cx", "rz"; null if none
+    std::size_t arity;
+    bool parameterized;   ///< takes a rotation angle
+    bool diagonal;        ///< diagonal unitary at every angle
+};
+
+/** One row per GateKind, in enum order. */
+inline constexpr GateInfo kGateInfo[] = {
+    {GateKind::I, "I", "id", 1, false, false},
+    {GateKind::X, "X", "x", 1, false, false},
+    {GateKind::Y, "Y", "y", 1, false, false},
+    {GateKind::Z, "Z", "z", 1, false, true},
+    {GateKind::H, "H", "h", 1, false, false},
+    {GateKind::S, "S", "s", 1, false, true},
+    {GateKind::Sdg, "Sdg", "sdg", 1, false, true},
+    {GateKind::T, "T", "t", 1, false, true},
+    {GateKind::Tdg, "Tdg", "tdg", 1, false, true},
+    {GateKind::Rx, "Rx", "rx", 1, true, false},
+    {GateKind::Ry, "Ry", "ry", 1, true, false},
+    {GateKind::Rz, "Rz", "rz", 1, true, true},
+    {GateKind::PhaseZ, "P", "u1", 1, true, true},
+    {GateKind::CNOT, "CNOT", "cx", 2, false, false},
+    {GateKind::CZ, "CZ", "cz", 2, false, true},
+    {GateKind::SWAP, "SWAP", "swap", 2, false, false},
+    {GateKind::CRz, "CRz", "crz", 2, true, true},
+    {GateKind::CPhase, "CP", "cu1", 2, true, true},
+    {GateKind::ZZ, "ZZ", "rzz", 2, true, true},
+    {GateKind::CCX, "CCX", "ccx", 3, false, false},
+    {GateKind::CCZ, "CCZ", nullptr, 3, false, false},
+    {GateKind::CSWAP, "CSWAP", "cswap", 3, false, false},
+    {GateKind::Custom1Q, "U", nullptr, 1, false, false},
+    {GateKind::Custom2Q, "U", nullptr, 2, false, false},
+};
+
+constexpr const GateInfo&
+gateInfo(GateKind kind)
+{
+    return kGateInfo[static_cast<std::size_t>(kind)];
+}
+
+/**
  * A quantum gate instance: a kind, the qubits it acts on (qubits[0] is the
  * most significant bit of the gate's local basis index; controls precede
  * targets), an optional rotation angle, and, for Custom*, an explicit
@@ -70,14 +118,14 @@ class Gate {
     void setParam(double param) { param_ = param; }
 
     /** True for Rx/Ry/Rz/PhaseZ/CRz/CPhase/ZZ. */
-    bool isParameterized() const;
+    bool isParameterized() const { return gateInfo(kind_).parameterized; }
 
     /**
      * True for the kinds whose unitary is diagonal at every angle:
      * Z/S/Sdg/T/Tdg/Rz/PhaseZ and the two-qubit CZ/CRz/CPhase/ZZ. Decided
      * by kind alone, so fusion's diagonal runs are structural.
      */
-    bool isDiagonal() const;
+    bool isDiagonal() const { return gateInfo(kind_).diagonal; }
 
     /** The full 2^arity x 2^arity unitary in the gate's local basis. */
     Matrix unitary() const;

@@ -1,8 +1,10 @@
 #include "circuit/noise.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 
 namespace qkc {
@@ -29,155 +31,158 @@ pauliZ()
     return Matrix{{1.0, 0.0}, {0.0, -1.0}};
 }
 
-void
-checkProbability(double p, const char* what)
+/** The Kraus operators of `kind` at `a` (counts and ranges checked). */
+std::vector<Matrix>
+krausOf(NoiseKind kind, const std::vector<double>& a)
 {
-    if (p < 0.0 || p > 1.0)
-        throw std::invalid_argument(std::string(what) +
-                                    ": probability out of [0, 1]");
+    const Matrix id = Matrix::identity(2);
+    switch (kind) {
+      case NoiseKind::BitFlip:
+        return {id * std::sqrt(1.0 - a[0]), pauliX() * std::sqrt(a[0])};
+      case NoiseKind::PhaseFlip:
+        return {id * std::sqrt(1.0 - a[0]), pauliZ() * std::sqrt(a[0])};
+      case NoiseKind::Depolarizing:
+        return {id * std::sqrt(1.0 - a[0]), pauliX() * std::sqrt(a[0] / 3.0),
+                pauliY() * std::sqrt(a[0] / 3.0),
+                pauliZ() * std::sqrt(a[0] / 3.0)};
+      case NoiseKind::AsymmetricDepolarizing: {
+        const double p0 = 1.0 - a[0] - a[1] - a[2];
+        if (p0 < 0.0)
+            throw std::invalid_argument("adepolarizing: pX+pY+pZ > 1");
+        return {id * std::sqrt(p0), pauliX() * std::sqrt(a[0]),
+                pauliY() * std::sqrt(a[1]), pauliZ() * std::sqrt(a[2])};
+      }
+      case NoiseKind::AmplitudeDamping:
+        return {Matrix{{1.0, 0.0}, {0.0, std::sqrt(1.0 - a[0])}},
+                Matrix{{0.0, std::sqrt(a[0])}, {0.0, 0.0}}};
+      case NoiseKind::PhaseDamping:
+        return {Matrix{{1.0, 0.0}, {0.0, std::sqrt(1.0 - a[0])}},
+                Matrix{{0.0, 0.0}, {0.0, std::sqrt(a[0])}}};
+      case NoiseKind::GeneralizedAmplitudeDamping: {
+        const double gamma = a[0], sp = std::sqrt(a[1]),
+                     sq = std::sqrt(1.0 - a[1]);
+        return {Matrix{{1.0, 0.0}, {0.0, std::sqrt(1.0 - gamma)}} * sp,
+                Matrix{{0.0, std::sqrt(gamma)}, {0.0, 0.0}} * sp,
+                Matrix{{std::sqrt(1.0 - gamma), 0.0}, {0.0, 1.0}} * sq,
+                Matrix{{0.0, 0.0}, {std::sqrt(gamma), 0.0}} * sq};
+      }
+      case NoiseKind::TwoQubitDepolarizing: {
+        const Matrix paulis[4] = {id, pauliX(), pauliY(), pauliZ()};
+        std::vector<Matrix> kraus;
+        kraus.reserve(16);
+        kraus.push_back(Matrix::identity(4) * std::sqrt(1.0 - a[0]));
+        for (int i = 1; i < 16; ++i)
+            kraus.push_back(paulis[i / 4].kron(paulis[i % 4]) *
+                            std::sqrt(a[0] / 15.0));
+        return kraus;
+      }
+    }
+    throw std::logic_error("NoiseChannel: unknown kind");
 }
 
-std::string
-fmt(const char* base, double a)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s(%.4g)", base, a);
-    return buf;
-}
-
+#ifndef NDEBUG
 /** Verifies the completeness relation sum_k E_k^dagger E_k == I. */
-void
-checkCompleteness(const std::vector<Matrix>& kraus)
+bool
+isComplete(const std::vector<Matrix>& kraus)
 {
-    assert(!kraus.empty());
     Matrix acc = Matrix::zero(kraus[0].cols(), kraus[0].cols());
     for (const Matrix& e : kraus)
         acc = acc + e.adjoint() * e;
-    assert(acc.approxEqual(Matrix::identity(acc.rows()), 1e-8));
-    (void)acc;
+    return acc.approxEqual(Matrix::identity(acc.rows()), 1e-8);
 }
+#endif
+
+constexpr bool
+tableInEnumOrder()
+{
+    for (std::size_t i = 0; i < std::size(kNoiseInfo); ++i)
+        if (static_cast<std::size_t>(kNoiseInfo[i].kind) != i ||
+            kNoiseInfo[i].params > NoiseParams{}.values.size())
+            return false;
+    return std::size(kNoiseInfo) ==
+           static_cast<std::size_t>(NoiseKind::TwoQubitDepolarizing) + 1;
+}
+static_assert(tableInEnumOrder(),
+              "kNoiseInfo: one row per NoiseKind, in order, params fit");
 
 } // namespace
 
-NoiseChannel::NoiseChannel(NoiseKind kind, std::vector<std::size_t> qubits,
-                           std::vector<Matrix> kraus, std::string label)
-    : kind_(kind), qubits_(std::move(qubits)), kraus_(std::move(kraus)),
-      label_(std::move(label))
+NoiseChannel
+NoiseChannel::make(NoiseKind kind, const std::vector<std::size_t>& qubits,
+                   const std::vector<double>& params)
 {
-    checkCompleteness(kraus_);
+    const NoiseInfo& info = noiseInfo(kind);
+    if (qubits.size() != info.qubits || params.size() != info.params)
+        throw std::invalid_argument(
+            std::string(info.tag) + " takes " + std::to_string(info.qubits) +
+            " qubit(s) and " + std::to_string(info.params) +
+            " parameter(s)");
+    if (qubits.size() == 2 && qubits[0] == qubits[1])
+        throw std::invalid_argument(std::string(info.tag) +
+                                    ": distinct qubits");
+    for (double p : params)
+        if (!(p >= 0.0 && p <= 1.0))
+            throw std::invalid_argument(std::string(info.tag) +
+                                        ": probability out of [0, 1]");
+    NoiseChannel ch;
+    ch.kind_ = kind;
+    ch.qubits_ = qubits;
+    ch.kraus_ = krausOf(kind, params);
+    std::copy(params.begin(), params.end(), ch.params_.values.begin());
+    ch.params_.count = params.size();
+    assert(isComplete(ch.kraus_));
+    return ch;
 }
 
 NoiseChannel
 NoiseChannel::bitFlip(std::size_t qubit, double p)
 {
-    checkProbability(p, "bitFlip");
-    std::vector<Matrix> kraus{Matrix::identity(2) * std::sqrt(1.0 - p),
-                              pauliX() * std::sqrt(p)};
-    return NoiseChannel(NoiseKind::BitFlip, {qubit}, std::move(kraus),
-                        fmt("BitFlip", p));
+    return make(NoiseKind::BitFlip, {qubit}, {p});
 }
 
 NoiseChannel
 NoiseChannel::phaseFlip(std::size_t qubit, double p)
 {
-    checkProbability(p, "phaseFlip");
-    std::vector<Matrix> kraus{Matrix::identity(2) * std::sqrt(1.0 - p),
-                              pauliZ() * std::sqrt(p)};
-    return NoiseChannel(NoiseKind::PhaseFlip, {qubit}, std::move(kraus),
-                        fmt("PhaseFlip", p));
+    return make(NoiseKind::PhaseFlip, {qubit}, {p});
 }
 
 NoiseChannel
 NoiseChannel::depolarizing(std::size_t qubit, double p)
 {
-    checkProbability(p, "depolarizing");
-    std::vector<Matrix> kraus{Matrix::identity(2) * std::sqrt(1.0 - p),
-                              pauliX() * std::sqrt(p / 3.0),
-                              pauliY() * std::sqrt(p / 3.0),
-                              pauliZ() * std::sqrt(p / 3.0)};
-    return NoiseChannel(NoiseKind::Depolarizing, {qubit}, std::move(kraus),
-                        fmt("Depol", p));
+    return make(NoiseKind::Depolarizing, {qubit}, {p});
 }
 
 NoiseChannel
 NoiseChannel::asymmetricDepolarizing(std::size_t qubit, double pX, double pY,
                                      double pZ)
 {
-    checkProbability(pX, "asymmetricDepolarizing pX");
-    checkProbability(pY, "asymmetricDepolarizing pY");
-    checkProbability(pZ, "asymmetricDepolarizing pZ");
-    double p0 = 1.0 - pX - pY - pZ;
-    if (p0 < 0.0)
-        throw std::invalid_argument("asymmetricDepolarizing: pX+pY+pZ > 1");
-    std::vector<Matrix> kraus{Matrix::identity(2) * std::sqrt(p0),
-                              pauliX() * std::sqrt(pX),
-                              pauliY() * std::sqrt(pY),
-                              pauliZ() * std::sqrt(pZ)};
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "ADepol(%.4g,%.4g,%.4g)", pX, pY, pZ);
-    return NoiseChannel(NoiseKind::AsymmetricDepolarizing, {qubit},
-                        std::move(kraus), buf);
+    return make(NoiseKind::AsymmetricDepolarizing, {qubit}, {pX, pY, pZ});
 }
 
 NoiseChannel
 NoiseChannel::amplitudeDamping(std::size_t qubit, double gamma)
 {
-    checkProbability(gamma, "amplitudeDamping");
-    Matrix e0{{1.0, 0.0}, {0.0, std::sqrt(1.0 - gamma)}};
-    Matrix e1{{0.0, std::sqrt(gamma)}, {0.0, 0.0}};
-    return NoiseChannel(NoiseKind::AmplitudeDamping, {qubit}, {e0, e1},
-                        fmt("AmpDamp", gamma));
+    return make(NoiseKind::AmplitudeDamping, {qubit}, {gamma});
 }
 
 NoiseChannel
 NoiseChannel::phaseDamping(std::size_t qubit, double gamma)
 {
-    checkProbability(gamma, "phaseDamping");
-    Matrix e0{{1.0, 0.0}, {0.0, std::sqrt(1.0 - gamma)}};
-    Matrix e1{{0.0, 0.0}, {0.0, std::sqrt(gamma)}};
-    return NoiseChannel(NoiseKind::PhaseDamping, {qubit}, {e0, e1},
-                        fmt("PhaseDamp", gamma));
+    return make(NoiseKind::PhaseDamping, {qubit}, {gamma});
 }
 
 NoiseChannel
 NoiseChannel::generalizedAmplitudeDamping(std::size_t qubit, double gamma,
                                           double p)
 {
-    checkProbability(gamma, "generalizedAmplitudeDamping gamma");
-    checkProbability(p, "generalizedAmplitudeDamping p");
-    double sp = std::sqrt(p);
-    double sq = std::sqrt(1.0 - p);
-    Matrix e0 = Matrix{{1.0, 0.0}, {0.0, std::sqrt(1.0 - gamma)}} * sp;
-    Matrix e1 = Matrix{{0.0, std::sqrt(gamma)}, {0.0, 0.0}} * sp;
-    Matrix e2 = Matrix{{std::sqrt(1.0 - gamma), 0.0}, {0.0, 1.0}} * sq;
-    Matrix e3 = Matrix{{0.0, 0.0}, {std::sqrt(gamma), 0.0}} * sq;
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "GAD(%.4g,%.4g)", gamma, p);
-    return NoiseChannel(NoiseKind::GeneralizedAmplitudeDamping, {qubit},
-                        {e0, e1, e2, e3}, buf);
+    return make(NoiseKind::GeneralizedAmplitudeDamping, {qubit}, {gamma, p});
 }
 
 NoiseChannel
 NoiseChannel::twoQubitDepolarizing(std::size_t qubitA, std::size_t qubitB,
                                    double p)
 {
-    checkProbability(p, "twoQubitDepolarizing");
-    if (qubitA == qubitB)
-        throw std::invalid_argument("twoQubitDepolarizing: distinct qubits");
-    const Matrix paulis[4] = {Matrix::identity(2), pauliX(), pauliY(),
-                              pauliZ()};
-    std::vector<Matrix> kraus;
-    kraus.reserve(16);
-    kraus.push_back(Matrix::identity(4) * std::sqrt(1.0 - p));
-    for (int a = 0; a < 4; ++a) {
-        for (int b = 0; b < 4; ++b) {
-            if (a == 0 && b == 0)
-                continue;
-            kraus.push_back(paulis[a].kron(paulis[b]) * std::sqrt(p / 15.0));
-        }
-    }
-    return NoiseChannel(NoiseKind::TwoQubitDepolarizing, {qubitA, qubitB},
-                        std::move(kraus), fmt("Depol2Q", p));
+    return make(NoiseKind::TwoQubitDepolarizing, {qubitA, qubitB}, {p});
 }
 
 bool
@@ -197,7 +202,14 @@ NoiseChannel::isMixture() const
 std::string
 NoiseChannel::name() const
 {
-    return label_;
+    std::string s = noiseInfo(kind_).name;
+    char buf[32];
+    for (std::size_t i = 0; i < params_.size(); ++i) {
+        std::snprintf(buf, sizeof(buf), "%.4g", params_[i]);
+        s += (i ? "," : "(");
+        s += buf;
+    }
+    return s + ")";
 }
 
 } // namespace qkc

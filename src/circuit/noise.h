@@ -1,6 +1,7 @@
 #ifndef QKC_CIRCUIT_NOISE_H
 #define QKC_CIRCUIT_NOISE_H
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -32,6 +33,44 @@ enum class NoiseKind {
     TwoQubitDepolarizing,         ///< correlated: each non-II Pauli pair p/15
 };
 
+/** The facts of one noise kind that do not depend on its parameters. */
+struct NoiseInfo {
+    NoiseKind kind;
+    const char* tag;    ///< QASM comment tag, e.g. "depolarizing"
+    const char* name;   ///< display prefix, e.g. "Depol"
+    std::size_t qubits;
+    std::size_t params; ///< scalar parameters, in the factory's order
+};
+
+/** One row per NoiseKind, in enum order. */
+inline constexpr NoiseInfo kNoiseInfo[] = {
+    {NoiseKind::BitFlip, "bitflip", "BitFlip", 1, 1},
+    {NoiseKind::PhaseFlip, "phaseflip", "PhaseFlip", 1, 1},
+    {NoiseKind::Depolarizing, "depolarizing", "Depol", 1, 1},
+    {NoiseKind::AsymmetricDepolarizing, "adepolarizing", "ADepol", 1, 3},
+    {NoiseKind::AmplitudeDamping, "ampdamp", "AmpDamp", 1, 1},
+    {NoiseKind::PhaseDamping, "phasedamp", "PhaseDamp", 1, 1},
+    {NoiseKind::GeneralizedAmplitudeDamping, "gad", "GAD", 1, 2},
+    {NoiseKind::TwoQubitDepolarizing, "depol2q", "Depol2Q", 2, 1},
+};
+
+constexpr const NoiseInfo&
+noiseInfo(NoiseKind kind)
+{
+    return kNoiseInfo[static_cast<std::size_t>(kind)];
+}
+
+/** A channel's scalar parameters, held inline (at most three). */
+struct NoiseParams {
+    std::array<double, 3> values{};
+    std::size_t count = 0;
+
+    std::size_t size() const { return count; }
+    double operator[](std::size_t i) const { return values[i]; }
+    const double* begin() const { return values.data(); }
+    const double* end() const { return values.data() + count; }
+};
+
 /**
  * A noise operation attached to one or two qubits at one point in the
  * circuit, defined by its Kraus operator decomposition.
@@ -58,6 +97,17 @@ class NoiseChannel {
     static NoiseChannel twoQubitDepolarizing(std::size_t qubitA,
                                              std::size_t qubitB, double p);
 
+    /**
+     * The channel of `kind` on `qubits` with `params`, in the order the
+     * named factory above takes them; the named factories call this.
+     * Throws std::invalid_argument when the counts differ from
+     * noiseInfo(kind), a parameter lies outside [0, 1], the two qubits
+     * coincide, or pX+pY+pZ > 1.
+     */
+    static NoiseChannel make(NoiseKind kind,
+                             const std::vector<std::size_t>& qubits,
+                             const std::vector<double>& params);
+
     NoiseKind kind() const { return kind_; }
 
     /** The operand qubits (size 1 or 2). */
@@ -66,6 +116,9 @@ class NoiseChannel {
 
     /** The single operand of a one-qubit channel. */
     std::size_t qubit() const { return qubits_.front(); }
+
+    /** The parameters the channel was built from (see make). */
+    const NoiseParams& params() const { return params_; }
 
     /** Kraus operators E_k with sum_k E_k^dagger E_k = I. */
     const std::vector<Matrix>& krausOperators() const { return kraus_; }
@@ -77,17 +130,16 @@ class NoiseChannel {
      */
     bool isMixture() const;
 
-    /** Human-readable label, e.g. "Depol(0.005)". */
+    /** The kind's display name and its parameters, e.g. "Depol(0.005)". */
     std::string name() const;
 
   private:
-    NoiseChannel(NoiseKind kind, std::vector<std::size_t> qubits,
-                 std::vector<Matrix> kraus, std::string label);
+    NoiseChannel() = default;
 
-    NoiseKind kind_;
+    NoiseKind kind_ = NoiseKind::BitFlip;
     std::vector<std::size_t> qubits_;
     std::vector<Matrix> kraus_;
-    std::string label_;
+    NoiseParams params_;
 };
 
 } // namespace qkc

@@ -3,118 +3,19 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <istream>
-#include <map>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace qkc {
 
 namespace {
-
-const char*
-noiseKindTag(NoiseKind kind)
-{
-    switch (kind) {
-      case NoiseKind::BitFlip: return "bitflip";
-      case NoiseKind::PhaseFlip: return "phaseflip";
-      case NoiseKind::Depolarizing: return "depolarizing";
-      case NoiseKind::AsymmetricDepolarizing: return "adepolarizing";
-      case NoiseKind::AmplitudeDamping: return "ampdamp";
-      case NoiseKind::PhaseDamping: return "phasedamp";
-      case NoiseKind::GeneralizedAmplitudeDamping: return "gad";
-      case NoiseKind::TwoQubitDepolarizing: return "depol2q";
-    }
-    return "?";
-}
-
-/**
- * Reconstructs the scalar parameters of a channel from its Kraus operators
- * (they were built from closed-form matrices, so the entries are exact).
- */
-std::vector<double>
-noiseParams(const NoiseChannel& ch)
-{
-    const auto& k = ch.krausOperators();
-    switch (ch.kind()) {
-      case NoiseKind::BitFlip:
-      case NoiseKind::PhaseFlip: {
-        // E1 = sqrt(p) * Pauli: any nonzero entry has magnitude sqrt(p).
-        double s = 0.0;
-        for (std::size_t r = 0; r < 2; ++r)
-            for (std::size_t c = 0; c < 2; ++c)
-                s = std::max(s, std::abs(k[1](r, c)));
-        return {s * s};
-      }
-      case NoiseKind::Depolarizing: {
-        double sx = 0.0;
-        for (std::size_t r = 0; r < 2; ++r)
-            for (std::size_t c = 0; c < 2; ++c)
-                sx = std::max(sx, std::abs(k[1](r, c)));
-        return {3.0 * sx * sx};
-      }
-      case NoiseKind::AsymmetricDepolarizing: {
-        auto maxAbs = [](const Matrix& m) {
-            double s = 0.0;
-            for (std::size_t r = 0; r < 2; ++r)
-                for (std::size_t c = 0; c < 2; ++c)
-                    s = std::max(s, std::abs(m(r, c)));
-            return s;
-        };
-        double px = maxAbs(k[1]), py = maxAbs(k[2]), pz = maxAbs(k[3]);
-        return {px * px, py * py, pz * pz};
-      }
-      case NoiseKind::AmplitudeDamping:
-      case NoiseKind::PhaseDamping: {
-        double sg = std::abs(k[1](k[0].rows() - 1, 1));
-        if (ch.kind() == NoiseKind::AmplitudeDamping)
-            sg = std::abs(k[1](0, 1));
-        return {sg * sg};
-      }
-      case NoiseKind::GeneralizedAmplitudeDamping: {
-        // E0 = sqrt(p) diag(1, sqrt(1-g)); E1 = sqrt(p) offdiag(sqrt(g)).
-        double sp = std::abs(k[0](0, 0));
-        double p = sp * sp;
-        double sg = std::abs(k[1](0, 1)) / sp;
-        return {sg * sg, p};
-      }
-      case NoiseKind::TwoQubitDepolarizing: {
-        double s0 = std::abs(k[0](0, 0));
-        return {1.0 - s0 * s0};
-      }
-    }
-    return {};
-}
-
-NoiseChannel
-makeChannel(const std::string& tag, const std::vector<std::size_t>& qubits,
-            const std::vector<double>& params)
-{
-    std::size_t qubit = qubits.front();
-    if (tag == "depol2q")
-        return NoiseChannel::twoQubitDepolarizing(qubits.at(0), qubits.at(1),
-                                                  params.at(0));
-    if (tag == "bitflip")
-        return NoiseChannel::bitFlip(qubit, params.at(0));
-    if (tag == "phaseflip")
-        return NoiseChannel::phaseFlip(qubit, params.at(0));
-    if (tag == "depolarizing")
-        return NoiseChannel::depolarizing(qubit, params.at(0));
-    if (tag == "adepolarizing")
-        return NoiseChannel::asymmetricDepolarizing(qubit, params.at(0),
-                                                    params.at(1),
-                                                    params.at(2));
-    if (tag == "ampdamp")
-        return NoiseChannel::amplitudeDamping(qubit, params.at(0));
-    if (tag == "phasedamp")
-        return NoiseChannel::phaseDamping(qubit, params.at(0));
-    if (tag == "gad")
-        return NoiseChannel::generalizedAmplitudeDamping(qubit, params.at(0),
-                                                         params.at(1));
-    throw std::invalid_argument("parseQasm: unknown noise tag " + tag);
-}
 
 /** Minimal arithmetic evaluator for QASM angle expressions. */
 class AngleParser {
@@ -129,9 +30,9 @@ class AngleParser {
         double v = expr();
         skipWs();
         if (pos_ != text_.size())
-            throw std::invalid_argument("parseQasm: bad angle: " + text_);
+            throw std::invalid_argument("bad angle: " + text_);
         if (!std::isfinite(v))
-            throw std::invalid_argument("parseQasm: non-finite angle: " +
+            throw std::invalid_argument("non-finite angle: " +
                                         text_);
         return v;
     }
@@ -162,7 +63,7 @@ class AngleParser {
         {
             if (++parser.depth_ > parser.maxDepth_)
                 throw std::invalid_argument(
-                    "parseQasm: angle expression nested too deeply: " +
+                    "angle expression nested too deeply: " +
                     parser.text_);
         }
         ~DepthGuard() { --parser.depth_; }
@@ -206,7 +107,7 @@ class AngleParser {
             DepthGuard guard(*this);
             double v = expr();
             if (!consume(')'))
-                throw std::invalid_argument("parseQasm: missing ')'");
+                throw std::invalid_argument("missing ')'");
             return v;
         }
         if (text_.compare(pos_, 2, "pi") == 0) {
@@ -221,15 +122,15 @@ class AngleParser {
                  (text_[end - 1] == 'e' || text_[end - 1] == 'E'))))
             ++end;
         if (end == pos_)
-            throw std::invalid_argument("parseQasm: bad angle: " + text_);
+            throw std::invalid_argument("bad angle: " + text_);
         double v = 0.0;
         try {
             v = std::stod(text_.substr(pos_, end - pos_));
         } catch (const std::exception&) {
             // stoull/stod throw out_of_range on e.g. "1e99999" — fold it
             // into the parser's own error currency.
-            throw std::invalid_argument("parseQasm: angle literal out of "
-                                        "range: " + text_);
+            throw std::invalid_argument("angle literal out of range: " +
+                                        text_);
         }
         pos_ = end;
         return v;
@@ -251,14 +152,74 @@ parseIndex(const std::string& token, const char* what)
 {
     if (token.empty() ||
         token.find_first_not_of("0123456789") != std::string::npos)
-        throw QasmParseError(std::string("parseQasm: bad ") + what + ": \"" +
-                             token + "\"");
+        throw std::invalid_argument(std::string("bad ") + what + " \"" +
+                                    token + "\"");
     try {
         return std::stoul(token);
     } catch (const std::exception&) {
-        throw QasmParseError(std::string("parseQasm: ") + what +
-                             " out of range: \"" + token + "\"");
+        throw std::invalid_argument(std::string(what) + " out of range: \"" +
+                                    token + "\"");
     }
+}
+
+/** A finite decimal number with nothing else in the token. */
+double
+parseNumber(const std::string& token)
+{
+    char* end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    if (token.empty() || *end != '\0' || !std::isfinite(v))
+        throw std::invalid_argument("bad noise parameter \"" + token + "\"");
+    return v;
+}
+
+/** The gate a qelib1 name spells, or null. */
+const GateInfo*
+findGate(const std::string& name)
+{
+    static constexpr std::pair<const char*, GateKind> kAliases[] = {
+        {"p", GateKind::PhaseZ}, {"cp", GateKind::CPhase}, {"CX", GateKind::CNOT}};
+    for (const GateInfo& info : kGateInfo)
+        if (info.qasm && name == info.qasm)
+            return &info;
+    for (const auto& [alias, kind] : kAliases)
+        if (name == alias)
+            return &gateInfo(kind);
+    return nullptr;
+}
+
+/**
+ * The channel of `// qkc.noise <tag> <qubits…> <params…>`, given the text
+ * after the marker; NoiseChannel::make checks the counts.
+ */
+NoiseChannel
+parseNoise(const std::string& args)
+{
+    std::istringstream ns(args);
+    std::string tag;
+    ns >> tag;
+    const NoiseInfo* info = std::find_if(
+        std::begin(kNoiseInfo), std::end(kNoiseInfo),
+        [&tag](const NoiseInfo& row) { return tag == row.tag; });
+    if (info == std::end(kNoiseInfo))
+        throw std::invalid_argument("unknown noise tag \"" + tag + "\"");
+    std::vector<std::size_t> qubits;
+    std::vector<double> params;
+    for (std::string token; ns >> token;) {
+        if (qubits.size() < info->qubits)
+            qubits.push_back(parseIndex(token, "noise qubit"));
+        else
+            params.push_back(parseNumber(token));
+    }
+    return NoiseChannel::make(info->kind, qubits, params);
+}
+
+std::string
+trim(const std::string& s)
+{
+    auto b = s.find_first_not_of(" \t\r");
+    auto e = s.find_last_not_of(" \t\r");
+    return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
 }
 
 } // namespace
@@ -271,78 +232,40 @@ writeQasm(const Circuit& circuit, std::ostream& os)
     os << "qreg q[" << circuit.numQubits() << "];\n";
     os << "creg c[" << circuit.numQubits() << "];\n";
 
-    auto q = [](std::size_t i) {
-        std::ostringstream s;
-        s << "q[" << i << "]";
-        return s.str();
-    };
-
+    char number[32];
     for (const auto& op : circuit.operations()) {
         if (const NoiseChannel* ch = std::get_if<NoiseChannel>(&op)) {
-            os << "// qkc.noise " << noiseKindTag(ch->kind());
+            os << "// qkc.noise " << noiseInfo(ch->kind()).tag;
             for (std::size_t qi : ch->qubits())
                 os << " " << qi;
-            for (double p : noiseParams(*ch))
-                os << " " << p;
+            for (double p : ch->params()) {
+                std::snprintf(number, sizeof(number), "%.17g", p);
+                os << " " << number;
+            }
             os << "\n";
             continue;
         }
         const Gate& g = std::get<Gate>(op);
+        const GateInfo& info = gateInfo(g.kind());
         const auto& qs = g.qubits();
-        char angle[64];
-        std::snprintf(angle, sizeof(angle), "%.17g", g.param());
-        switch (g.kind()) {
-          case GateKind::I: os << "id " << q(qs[0]); break;
-          case GateKind::X: os << "x " << q(qs[0]); break;
-          case GateKind::Y: os << "y " << q(qs[0]); break;
-          case GateKind::Z: os << "z " << q(qs[0]); break;
-          case GateKind::H: os << "h " << q(qs[0]); break;
-          case GateKind::S: os << "s " << q(qs[0]); break;
-          case GateKind::Sdg: os << "sdg " << q(qs[0]); break;
-          case GateKind::T: os << "t " << q(qs[0]); break;
-          case GateKind::Tdg: os << "tdg " << q(qs[0]); break;
-          case GateKind::Rx: os << "rx(" << angle << ") " << q(qs[0]); break;
-          case GateKind::Ry: os << "ry(" << angle << ") " << q(qs[0]); break;
-          case GateKind::Rz: os << "rz(" << angle << ") " << q(qs[0]); break;
-          case GateKind::PhaseZ:
-            os << "u1(" << angle << ") " << q(qs[0]);
-            break;
-          case GateKind::CNOT:
-            os << "cx " << q(qs[0]) << "," << q(qs[1]);
-            break;
-          case GateKind::CZ:
-            os << "cz " << q(qs[0]) << "," << q(qs[1]);
-            break;
-          case GateKind::SWAP:
-            os << "swap " << q(qs[0]) << "," << q(qs[1]);
-            break;
-          case GateKind::CRz:
-            os << "crz(" << angle << ") " << q(qs[0]) << "," << q(qs[1]);
-            break;
-          case GateKind::CPhase:
-            os << "cu1(" << angle << ") " << q(qs[0]) << "," << q(qs[1]);
-            break;
-          case GateKind::ZZ:
-            os << "rzz(" << angle << ") " << q(qs[0]) << "," << q(qs[1]);
-            break;
-          case GateKind::CCX:
-            os << "ccx " << q(qs[0]) << "," << q(qs[1]) << "," << q(qs[2]);
-            break;
-          case GateKind::CCZ:
+        if (g.kind() == GateKind::CCZ) {
             // qelib1 has no ccz; conjugate a Toffoli with Hadamards.
-            os << "h " << q(qs[2]) << ";\n";
-            os << "ccx " << q(qs[0]) << "," << q(qs[1]) << "," << q(qs[2])
-               << ";\n";
-            os << "h " << q(qs[2]);
-            break;
-          case GateKind::CSWAP:
-            os << "cswap " << q(qs[0]) << "," << q(qs[1]) << "," << q(qs[2]);
-            break;
-          case GateKind::Custom1Q:
-          case GateKind::Custom2Q:
+            os << "h q[" << qs[2] << "];\n";
+            os << "ccx q[" << qs[0] << "],q[" << qs[1] << "],q[" << qs[2]
+               << "];\n";
+            os << "h q[" << qs[2] << "];\n";
+            continue;
+        }
+        if (!info.qasm)
             throw std::invalid_argument(
                 "writeQasm: custom unitaries have no QASM 2.0 spelling");
+        os << info.qasm;
+        if (info.parameterized) {
+            std::snprintf(number, sizeof(number), "%.17g", g.param());
+            os << "(" << number << ")";
         }
+        for (std::size_t i = 0; i < qs.size(); ++i)
+            os << (i ? ",q[" : " q[") << qs[i] << "]";
         os << ";\n";
     }
 }
@@ -376,86 +299,58 @@ parseQasm(const std::string& text, const QasmLimits& limits)
         throw QasmParseError(
             "parseQasm: program exceeds the " +
             std::to_string(limits.maxBytes) + "-byte limit");
-    // Pre-scan: find the qreg size so the Circuit can be constructed.
     std::unique_ptr<Circuit> circuit;
     std::string qregName;
 
-    // Split into statements, keeping // qkc.noise comment lines.
+    // Split into statements. A `// qkc.noise` comment is kept whole, as
+    // written, so errors can quote it; no other statement starts "//".
     std::istringstream lines(text);
     std::string line;
     std::vector<std::string> statements;
     while (std::getline(lines, line)) {
-        auto comment = line.find("//");
-        if (comment != std::string::npos) {
-            std::string c = line.substr(comment + 2);
-            std::istringstream cs(c);
-            std::string tag;
-            cs >> tag;
-            if (tag == "qkc.noise")
-                statements.push_back("@noise" + c.substr(c.find(tag) + tag.size()));
-            line = line.substr(0, comment);
-        }
+        const auto comment = line.find("//");
+        const std::string code = line.substr(0, comment);
         std::size_t start = 0;
-        for (std::size_t i = 0; i < line.size(); ++i) {
-            if (line[i] == ';') {
-                statements.push_back(line.substr(start, i - start));
+        for (std::size_t i = 0; i < code.size(); ++i) {
+            if (code[i] == ';') {
+                statements.push_back(trim(code.substr(start, i - start)));
                 start = i + 1;
             }
         }
-        std::string rest = line.substr(start);
-        if (rest.find_first_not_of(" \t\r") != std::string::npos)
+        std::string rest = trim(code.substr(start));
+        if (!rest.empty())
             statements.push_back(rest);
+        if (comment != std::string::npos) {
+            std::istringstream cs(line.substr(comment + 2));
+            std::string tag;
+            if (cs >> tag && tag == "qkc.noise")
+                statements.push_back(trim(line.substr(comment)));
+        }
     }
-
-    auto trim = [](std::string s) {
-        auto b = s.find_first_not_of(" \t\r");
-        auto e = s.find_last_not_of(" \t\r");
-        return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
-    };
 
     // Caps and exception discipline for untrusted input: every statement
     // is processed under a catch-all that rewraps whatever the IR
-    // constructors throw (std::out_of_range from an operand check, a
-    // probability validation, a missing channel parameter) into a
-    // QasmParseError naming the statement — the parser's only failure mode.
-    const auto guardOpCount = [&limits](const Circuit& c) {
-        if (c.size() >= limits.maxOperations)
+    // constructors and the helpers above throw (an operand check, a
+    // probability validation, a wrong channel arity) into a QasmParseError
+    // quoting the statement — the parser's only failure mode.
+    const auto append = [&](auto op) {
+        if (!circuit)
+            throw std::invalid_argument("operation before qreg");
+        if (circuit->size() >= limits.maxOperations)
             throw QasmParseError(
                 "parseQasm: program exceeds the " +
                 std::to_string(limits.maxOperations) + "-operation limit");
+        circuit->append(std::move(op));
     };
 
-    for (std::string stmtRaw : statements) {
-        std::string stmt = trim(stmtRaw);
+    for (const std::string& stmt : statements) {
         if (stmt.empty())
             continue;
         try {
 
-        if (stmt.rfind("@noise", 0) == 0) {
-            std::istringstream ns(stmt.substr(6));
-            std::string tag;
-            ns >> tag;
-            std::size_t numQubits = tag == "depol2q" ? 2 : 1;
-            std::vector<std::size_t> qubits(numQubits);
-            for (std::size_t& q : qubits)
-                ns >> q;
-            if (ns.fail())
-                throw QasmParseError("parseQasm: bad noise qubits: " + stmt);
-            std::vector<double> params;
-            double p;
-            while (ns >> p) {
-                if (!std::isfinite(p))
-                    throw QasmParseError(
-                        "parseQasm: non-finite noise parameter: " + stmt);
-                params.push_back(p);
-            }
-            if (!ns.eof())
-                throw QasmParseError("parseQasm: bad noise parameters: " +
-                                     stmt);
-            if (!circuit)
-                throw QasmParseError("parseQasm: noise before qreg");
-            guardOpCount(*circuit);
-            circuit->append(makeChannel(tag, qubits, params));
+        if (stmt.rfind("//", 0) == 0) {
+            const std::string marker = "qkc.noise";
+            append(parseNoise(stmt.substr(stmt.find(marker) + marker.size())));
             continue;
         }
         if (stmt.rfind("OPENQASM", 0) == 0 || stmt.rfind("include", 0) == 0 ||
@@ -467,9 +362,9 @@ parseQasm(const std::string& text, const QasmLimits& limits)
             auto rb = stmt.find(']');
             if (lb == std::string::npos || rb == std::string::npos ||
                 rb < lb)
-                throw QasmParseError("parseQasm: bad qreg: " + stmt);
+                throw std::invalid_argument("bad qreg");
             if (circuit)
-                throw QasmParseError("parseQasm: multiple qregs");
+                throw std::invalid_argument("multiple qregs");
             qregName = trim(stmt.substr(4, lb - 4));
             const std::size_t n = parseIndex(
                 trim(stmt.substr(lb + 1, rb - lb - 1)), "qreg size");
@@ -477,13 +372,12 @@ parseQasm(const std::string& text, const QasmLimits& limits)
             continue;
         }
 
-        // Gate application: name[(params)] operand[,operand...]
-        if (!circuit)
-            throw std::invalid_argument("parseQasm: gate before qreg");
+        // Gate application: name[(angle)] operand[,operand...]
         std::string name, argText, operandText;
         auto paren = stmt.find('(');
         auto space = stmt.find_first_of(" \t");
-        if (paren != std::string::npos && paren < space) {
+        const bool hasAngle = paren != std::string::npos && paren < space;
+        if (hasAngle) {
             name = trim(stmt.substr(0, paren));
             // Match the closing paren by depth (angles may nest parens).
             std::size_t close = std::string::npos;
@@ -497,19 +391,25 @@ parseQasm(const std::string& text, const QasmLimits& limits)
                 }
             }
             if (close == std::string::npos)
-                throw std::invalid_argument("parseQasm: missing ')'");
+                throw std::invalid_argument("missing ')'");
             argText = stmt.substr(paren + 1, close - paren - 1);
             operandText = trim(stmt.substr(close + 1));
         } else {
             if (space == std::string::npos)
-                throw std::invalid_argument("parseQasm: bad statement: " + stmt);
+                throw std::invalid_argument("bad statement");
             name = trim(stmt.substr(0, space));
             operandText = trim(stmt.substr(space + 1));
         }
 
-        double theta = 0.0;
-        if (!argText.empty())
-            theta = AngleParser(argText, limits.maxAngleDepth).parse();
+        const GateInfo* info = findGate(name);
+        if (!info)
+            throw std::invalid_argument("unsupported gate " + name);
+        if (info->parameterized != hasAngle)
+            throw std::invalid_argument(
+                name + (hasAngle ? " takes no angle" : " needs an angle"));
+        const double theta =
+            hasAngle ? AngleParser(argText, limits.maxAngleDepth).parse()
+                     : 0.0;
 
         std::vector<std::size_t> qubits;
         std::istringstream ops(operandText);
@@ -520,35 +420,15 @@ parseQasm(const std::string& text, const QasmLimits& limits)
             auto rb = operand.find(']');
             if (lb == std::string::npos || rb == std::string::npos ||
                 rb < lb)
-                throw QasmParseError(
-                    "parseQasm: whole-register operations unsupported: " +
-                    operand);
+                throw std::invalid_argument(
+                    "whole-register operations unsupported: " + operand);
             std::string reg = trim(operand.substr(0, lb));
             if (reg != qregName)
-                throw QasmParseError("parseQasm: unknown register " + reg);
+                throw std::invalid_argument("unknown register " + reg);
             qubits.push_back(parseIndex(
                 trim(operand.substr(lb + 1, rb - lb - 1)), "qubit index"));
         }
-
-        static const std::map<std::string, GateKind> kKinds{
-            {"id", GateKind::I},     {"x", GateKind::X},
-            {"y", GateKind::Y},      {"z", GateKind::Z},
-            {"h", GateKind::H},      {"s", GateKind::S},
-            {"sdg", GateKind::Sdg},  {"t", GateKind::T},
-            {"tdg", GateKind::Tdg},  {"rx", GateKind::Rx},
-            {"ry", GateKind::Ry},    {"rz", GateKind::Rz},
-            {"u1", GateKind::PhaseZ},{"p", GateKind::PhaseZ},
-            {"cx", GateKind::CNOT},  {"CX", GateKind::CNOT},
-            {"cz", GateKind::CZ},    {"swap", GateKind::SWAP},
-            {"crz", GateKind::CRz},  {"cu1", GateKind::CPhase},
-            {"cp", GateKind::CPhase},{"rzz", GateKind::ZZ},
-            {"ccx", GateKind::CCX},  {"cswap", GateKind::CSWAP},
-        };
-        auto it = kKinds.find(name);
-        if (it == kKinds.end())
-            throw QasmParseError("parseQasm: unsupported gate " + name);
-        guardOpCount(*circuit);
-        circuit->append(Gate(it->second, qubits, theta));
+        append(Gate(info->kind, qubits, theta));
 
         } catch (const QasmParseError&) {
             throw;

@@ -15,11 +15,19 @@ namespace qkc {
  * other toolchains (Qiskit, Cirq's exporter, staq, ...) can be fed into the
  * knowledge-compilation pipeline and vice versa.
  *
- * Supported gate vocabulary on export: id, x, y, z, h, s, sdg, t, tdg,
- * rx, ry, rz, u1, cx, cz, swap, crz, cu1, rzz, ccx, ccz (as h+ccx+h),
- * cswap. Custom-unitary gates have no QASM 2.0 spelling and are rejected.
- * Noise channels are emitted as structured comments (`// qkc.noise ...`)
- * and round-trip through our own reader; foreign readers ignore them.
+ * Gate vocabulary (kGateInfo's `qasm` column): id, x, y, z, h, s, sdg, t,
+ * tdg, rx, ry, rz, u1, cx, cz, swap, crz, cu1, rzz, ccx, cswap; the reader
+ * also takes the aliases p, cp and CX. CCZ is written as h+ccx+h. Custom
+ * unitaries have no QASM 2.0 spelling and are rejected.
+ *
+ * Noise channels are structured comments, one per line:
+ * `// qkc.noise <tag> <qubits…> <params…>`, with the tags and counts of
+ * kNoiseInfo: bitflip, phaseflip, depolarizing, ampdamp, phasedamp (1
+ * qubit, 1 parameter); adepolarizing (1 qubit; pX pY pZ); gad (1 qubit;
+ * gamma p); depol2q (2 qubits, 1 parameter). The writer prints
+ * NoiseChannel::params() with 17 significant digits, so a channel reads
+ * back with the same parameter and Kraus bits. Foreign readers ignore
+ * the comments.
  */
 
 /** Serializes `circuit` as OpenQASM 2.0. */
@@ -59,8 +67,10 @@ struct QasmLimits {
 
 /**
  * Parses an OpenQASM 2.0 program. Requirements: a single qreg, the
- * `qelib1.inc` vocabulary listed above, numeric angle expressions made of
- * literals, `pi`, unary minus, `*` and `/` (e.g. `-3*pi/4`). `measure`,
+ * `qelib1.inc` vocabulary listed above, an angle on exactly the
+ * parameterized gates, numeric angle expressions made of literals, `pi`,
+ * unary minus, `*` and `/` (e.g. `-3*pi/4`), and noise comments with
+ * their kind's qubit and parameter counts. `measure`,
  * `barrier`, and creg declarations are accepted and ignored (measurement is
  * implicit at the end of our circuits).
  *

@@ -1,5 +1,6 @@
 #include "exec/execution_plan.h"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -136,12 +137,39 @@ planCircuit(const Circuit& circuit, const ExecPolicy& policy,
     return planCircuit(circuit, policy);
 }
 
+namespace {
+
+/**
+ * The structural fields of one op, in a fixed order: the variant index,
+ * then a gate's kind and wires, or a channel's wires and Kraus count.
+ * sameStructure compares these and structureHash digests them, so the two
+ * cannot drift apart. Fills `out` and returns the field count, at most
+ * six (a gate has at most three wires).
+ */
+std::size_t
+structureFields(const Operation& op, std::uint64_t (&out)[8])
+{
+    std::size_t n = 0;
+    out[n++] = op.index();
+    const Gate* g = std::get_if<Gate>(&op);
+    if (g)
+        out[n++] = static_cast<std::uint64_t>(g->kind());
+    const auto& wires = operandsOf(op);
+    out[n++] = wires.size();
+    for (std::size_t q : wires)
+        out[n++] = q;
+    if (!g)
+        out[n++] = std::get<NoiseChannel>(op).krausOperators().size();
+    return n;
+}
+
+} // namespace
+
 std::uint64_t
 structureHash(const Circuit& circuit)
 {
-    // FNV-1a over the sameStructure fields, in the order that function
-    // visits them; any edit there must be mirrored here (and vice versa) or
-    // the cache-key invariant in the header comment breaks.
+    // FNV-1a over the qubit count, the op count and every op's
+    // structureFields.
     std::uint64_t h = 1469598103934665603ull;
     const auto mix = [&h](std::uint64_t v) {
         for (int i = 0; i < 8; ++i) {
@@ -151,20 +179,11 @@ structureHash(const Circuit& circuit)
     };
     mix(circuit.numQubits());
     mix(circuit.size());
+    std::uint64_t fields[8];
     for (const Operation& op : circuit.operations()) {
-        mix(op.index());
-        if (const Gate* g = std::get_if<Gate>(&op)) {
-            mix(static_cast<std::uint64_t>(g->kind()));
-            mix(g->qubits().size());
-            for (std::size_t q : g->qubits())
-                mix(q);
-        } else {
-            const auto& ch = std::get<NoiseChannel>(op);
-            mix(ch.qubits().size());
-            for (std::size_t q : ch.qubits())
-                mix(q);
-            mix(ch.krausOperators().size());
-        }
+        const std::size_t n = structureFields(op, fields);
+        for (std::size_t i = 0; i < n; ++i)
+            mix(fields[i]);
     }
     return h;
 }
@@ -174,22 +193,12 @@ sameStructure(const Circuit& a, const Circuit& b)
 {
     if (a.numQubits() != b.numQubits() || a.size() != b.size())
         return false;
+    std::uint64_t fa[8], fb[8];
     for (std::size_t i = 0; i < a.size(); ++i) {
-        const Operation& oa = a.operations()[i];
-        const Operation& ob = b.operations()[i];
-        if (oa.index() != ob.index())
+        const std::size_t n = structureFields(a.operations()[i], fa);
+        if (structureFields(b.operations()[i], fb) != n ||
+            !std::equal(fa, fa + n, fb))
             return false;
-        if (const Gate* ga = std::get_if<Gate>(&oa)) {
-            const Gate& gb = std::get<Gate>(ob);
-            if (ga->kind() != gb.kind() || ga->qubits() != gb.qubits())
-                return false;
-        } else {
-            const auto& ca = std::get<NoiseChannel>(oa);
-            const auto& cb = std::get<NoiseChannel>(ob);
-            if (ca.qubits() != cb.qubits() ||
-                ca.krausOperators().size() != cb.krausOperators().size())
-                return false;
-        }
     }
     return true;
 }

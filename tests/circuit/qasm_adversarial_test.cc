@@ -119,6 +119,60 @@ TEST(QasmAdversarialTest, MalformedNoiseComments)
     EXPECT_EQ(ok.noiseCount(), 1u);
 }
 
+TEST(QasmAdversarialTest, AnglesMustMatchTheGate)
+{
+    expectRejected(program("rx q[0];"));            // angle missing
+    expectRejected(program("rx() q[0];"));          // angle empty
+    expectRejected(program("crz q[0],q[1];"));      // angle missing
+    expectRejected(program("h(0.5) q[0];"));        // angle on a fixed gate
+    expectRejected(program("h() q[0];"));           // empty angle list too
+    expectRejected(program("cx(pi) q[0],q[1];"));   // angle on a fixed gate
+
+    Circuit ok = parseQasm(program("rx(0.5) q[0];\nh q[1];"));
+    EXPECT_EQ(ok.gateCount(), 2u);
+}
+
+TEST(QasmAdversarialTest, NoiseCountsMustMatchTheKind)
+{
+    expectRejected(program("// qkc.noise bitflip 0 0.1 0.2"));     // extra p
+    expectRejected(program("// qkc.noise adepolarizing 0 0.1 0.1")); // 2 of 3
+    expectRejected(program("// qkc.noise gad 0 0.1"));             // 1 of 2
+    expectRejected(program("// qkc.noise depol2q 0 1 2 0.1"));     // 3 qubits
+    expectRejected(program("// qkc.noise bitflip 0 1 0.1"));       // 2 qubits
+    expectRejected(program("// qkc.noise bitflip -1 0.1"));        // bad qubit
+    expectRejected(program("// qkc.noise bitflip 0 0.1x"));        // bad p
+    expectRejected(program("// qkc.noise bitflip 0 nan"));         // non-finite
+
+    Circuit ok = parseQasm(program("// qkc.noise depol2q 0 1 0.1\n"
+                                   "// qkc.noise gad 2 0.1 0.4"));
+    EXPECT_EQ(ok.noiseCount(), 2u);
+}
+
+TEST(QasmAdversarialTest, ErrorsQuoteTheStatementAsWritten)
+{
+    const char* statements[] = {
+        "rx q[0]",
+        "h(0.5) q[0]",
+        "// qkc.noise bitflip 0 0.1 0.2",
+        "// qkc.noise bitflip 0",
+        "// qkc.noise adepolarizing 0 0.1",
+        "// qkc.noise wormhole 0 0.1",
+    };
+    for (const char* stmt : statements) {
+        try {
+            parseQasm(program(std::string(stmt) + "\n"));
+            ADD_FAILURE() << "accepted: " << stmt;
+        } catch (const QasmParseError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::string("\"") + stmt + "\""),
+                      std::string::npos)
+                << what;
+            EXPECT_EQ(what.find("@noise"), std::string::npos) << what;
+            EXPECT_EQ(what.find("_M_"), std::string::npos) << what;
+        }
+    }
+}
+
 TEST(QasmAdversarialTest, ByteLimitIsEnforced)
 {
     QasmLimits tight;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "algorithms/algorithms.h"
 #include "testing/algorithm_circuits.h"
@@ -131,6 +133,17 @@ TEST(QasmTest, RejectsUnsupportedConstructs)
     EXPECT_THROW(toQasm(custom), std::invalid_argument);
 }
 
+TEST(QasmTest, TrailingNoiseCommentFollowsTheStatementsBeforeIt)
+{
+    Circuit c = parseQasm("OPENQASM 2.0;\nqreg q[2];\n"
+                          "h q[0]; cx q[0],q[1]; // qkc.noise depol2q 0 1 0.1\n");
+    ASSERT_EQ(c.size(), 3u);
+    EXPECT_EQ(std::get<Gate>(c.operations()[0]).kind(), GateKind::H);
+    EXPECT_EQ(std::get<Gate>(c.operations()[1]).kind(), GateKind::CNOT);
+    EXPECT_EQ(std::get<NoiseChannel>(c.operations()[2]).kind(),
+              NoiseKind::TwoQubitDepolarizing);
+}
+
 TEST(QasmTest, CczBecomesHadamardConjugatedToffoli)
 {
     Circuit c(3);
@@ -139,6 +152,90 @@ TEST(QasmTest, CczBecomesHadamardConjugatedToffoli)
     EXPECT_EQ(qasm.find("ccz"), std::string::npos);
     EXPECT_NE(qasm.find("ccx"), std::string::npos);
     expectRoundTrip(c);
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool
+sameBits(const Matrix& a, const Matrix& b)
+{
+    if (a.rows() != b.rows() || a.cols() != b.cols())
+        return false;
+    for (std::size_t r = 0; r < a.rows(); ++r)
+        for (std::size_t c = 0; c < a.cols(); ++c)
+            if (!sameBits(a(r, c).real(), b(r, c).real()) ||
+                !sameBits(a(r, c).imag(), b(r, c).imag()))
+                return false;
+    return true;
+}
+
+// Every kind QASM spells directly comes back as itself: same kind, wires
+// and angle bits, so the same unitary bits. (CCZ is spelled h+ccx+h; see
+// CczBecomesHadamardConjugatedToffoli.)
+TEST(QasmTest, RoundTripKeepsEveryGateKindBitForBit)
+{
+    Rng rng(3301);
+    for (const GateInfo& info : kGateInfo) {
+        if (!info.qasm)
+            continue;
+        std::vector<std::size_t> wires{2, 0, 1};
+        wires.resize(info.arity);
+        for (int trial = 0; trial < 4; ++trial) {
+            const double theta =
+                info.parameterized ? rng.uniform(-2 * M_PI, 2 * M_PI) : 0.0;
+            const Gate gate(info.kind, wires, theta);
+            Circuit c(3);
+            c.append(gate);
+            const Circuit back = parseQasm(toQasm(c));
+            ASSERT_EQ(back.size(), 1u) << info.name;
+            const Gate& g = std::get<Gate>(back.operations()[0]);
+            EXPECT_EQ(g.kind(), info.kind) << info.name;
+            EXPECT_EQ(g.qubits(), wires) << info.name;
+            EXPECT_TRUE(sameBits(g.param(), theta)) << info.name;
+            EXPECT_TRUE(sameBits(g.unitary(), gate.unitary())) << info.name;
+        }
+    }
+}
+
+// Every channel kind on a probability grid comes back with the same kind,
+// wires and parameter bits, so the same Kraus bits. Parameters printed at
+// fewer than 17 digits, or rebuilt from Kraus entries, fail at
+// p = 0.123456789 and on every asymmetric-depolarizing point.
+TEST(QasmTest, RoundTripKeepsEveryNoiseKindBitForBit)
+{
+    const double grid[] = {0.0,  0.001,       0.005, 0.01, 0.05,
+                           0.1,  0.123456789, 0.25,  0.3,  0.5};
+    for (const NoiseInfo& info : kNoiseInfo) {
+        for (double p : grid) {
+            // p, p/2, p/3: distinct values, and pX+pY+pZ <= 1 on the grid.
+            std::vector<double> params;
+            for (std::size_t i = 0; i < info.params; ++i)
+                params.push_back(p / static_cast<double>(i + 1));
+            std::vector<std::size_t> wires{1, 0};
+            wires.resize(info.qubits);
+            const NoiseChannel ch = NoiseChannel::make(info.kind, wires, params);
+            Circuit c(2);
+            c.append(ch);
+            const Circuit back = parseQasm(toQasm(c));
+            ASSERT_EQ(back.size(), 1u) << info.tag << " " << p;
+            const auto& got = std::get<NoiseChannel>(back.operations()[0]);
+            EXPECT_EQ(got.kind(), info.kind);
+            EXPECT_EQ(got.qubits(), wires);
+            ASSERT_EQ(got.params().size(), params.size());
+            for (std::size_t i = 0; i < params.size(); ++i)
+                EXPECT_TRUE(sameBits(got.params()[i], params[i]))
+                    << info.tag << " " << p;
+            const auto& want = ch.krausOperators();
+            ASSERT_EQ(got.krausOperators().size(), want.size());
+            for (std::size_t k = 0; k < want.size(); ++k)
+                EXPECT_TRUE(sameBits(got.krausOperators()[k], want[k]))
+                    << info.tag << " " << p << " E" << k;
+        }
+    }
 }
 
 TEST(QasmTest, ParsedCircuitRunsOnKcPipeline)
