@@ -18,9 +18,18 @@
  * which only the gather sweep serves; X then CNOT on the top bit pair as
  * two blocked sweeps against their product's one gather sweep; and one
  * 24-qubit QAOA cost layer as one diagonal-run sweep against its per-gate
- * kernels.
+ * kernels. The last rows sweep the ideal_sv plan's longest low-bit stretch
+ * kernel by kernel and as block runs, and fail the driver unless both end
+ * in the same bytes.
  */
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <cmath>
+#include <fstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "ac/gibbs_sampler.h"
 #include "ac/kc_simulator.h"
@@ -593,6 +602,124 @@ runCostLayerRows(std::size_t n)
     }
 }
 
+/** FNV-1a over the state's bytes. */
+std::uint64_t
+stateHash(const StateVector& sv)
+{
+    const auto* p = reinterpret_cast<const unsigned char*>(sv.data());
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::size_t i = 0; i < sv.dimension() * sizeof(Complex); ++i)
+        h = (h ^ p[i]) * 1099511628211ull;
+    return h;
+}
+
+/** The CPU model line of /proc/cpuinfo, or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("model name", 0) == 0) {
+            const std::size_t colon = line.find(':');
+            if (colon != std::string::npos && colon + 2 <= line.size())
+                return line.substr(colon + 2);
+        }
+    return "unknown";
+}
+
+/**
+ * The longest low-bit stretch of the ideal_sv plan (24-qubit QAOA p=2 on a
+ * 3-regular graph, 4 threads) two ways: one applyKernel sweep per kernel,
+ * and applyKernels, which sweeps it block by block. GB/s counts a read and
+ * a write of every amplitude per kernel for both. Both ways start from the
+ * same state and must end in the same bytes; a mismatch fails the driver.
+ */
+void
+runBlockRunRows()
+{
+    constexpr std::size_t n = 24;
+    Rng rng(1001);
+    const QaoaMaxCut problem = QaoaMaxCut::randomRegular(n, 3, 2, rng);
+    ExecPolicy policy;
+    policy.threads = 4;
+    const ExecutionPlan plan =
+        planCircuit(problem.circuit({-0.55, 0.3, -0.5, 0.35}), policy);
+    std::vector<const GateKernel*> stretch, current;
+    for (const PlannedOp& op : plan.ops) {
+        if (!insideBlockRun(op.kernels[0])) {
+            current.clear();
+            continue;
+        }
+        current.push_back(&op.kernels[0]);
+        if (current.size() > stretch.size())
+            stretch = current;
+    }
+
+    StateVector sv(n, policy);
+    auto prepare = [&] {
+        Complex* a = sv.data();
+        const double scale = 1.0 / std::sqrt(static_cast<double>(sv.dimension()));
+        parallelFor(policy, sv.dimension(), [&](std::uint64_t b, std::uint64_t e) {
+            for (std::uint64_t i = b; i < e; ++i)
+                a[i] = Complex(std::cos(0.001 * static_cast<double>(i)),
+                               std::sin(0.003 * static_cast<double>(i))) *
+                       scale;
+        });
+    };
+    auto perKernel = [&] {
+        for (const GateKernel* k : stretch)
+            applyKernel(*k, sv.data(), sv.dimension(), policy);
+    };
+    auto blockRuns = [&] {
+        applyKernels(stretch, sv.data(), sv.dimension(), policy);
+    };
+    prepare();
+    perKernel();
+    const std::uint64_t loopHash = stateHash(sv);
+    prepare();
+    blockRuns();
+    if (stateHash(sv) != loopHash)
+        throw std::runtime_error(
+            "block_runs: block runs and the per-kernel loop differ");
+
+    const double loopSec = bestSeconds(perKernel, 5);
+    const double blockSec = bestSeconds(blockRuns, 5);
+    const char* level = simdLevelName(policy.resolvedSimd());
+    const double amps = static_cast<double>(sv.dimension());
+    const long l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
+    std::printf("# block runs: %zu low-bit kernels of the ideal_sv plan, "
+                "%zu qubits, threads=%zu, block 2^%u\n",
+                stretch.size(), n, policy.resolvedThreads(), kBlockRunBits);
+    const struct {
+        const char* mode;
+        double sec;
+    } rows[] = {{"per_kernel", loopSec}, {"block_runs", blockSec}};
+    for (const auto& r : rows) {
+        const double gbps = static_cast<double>(stretch.size()) * 32.0 *
+                            amps / r.sec / 1e9;
+        std::printf("stretch %-10s %-7s %8.3f ns/amp %7.1f GB/s  x%.2f\n",
+                    r.mode, level, r.sec / amps * 1e9, gbps, loopSec / r.sec);
+        bench::JsonRow("micro_kernels")
+            .field("kernel", "block_runs")
+            .field("qubits", n)
+            .field("kernels", stretch.size())
+            .field("block_bits", static_cast<std::size_t>(kBlockRunBits))
+            .field("threads", policy.resolvedThreads())
+            .field("simd", level)
+            .field("cpu", cpuModel())
+            .field("hw_threads",
+                   static_cast<std::size_t>(std::thread::hardware_concurrency()))
+            .field("l2_bytes", static_cast<std::size_t>(l2 > 0 ? l2 : 0))
+            .field("mode", r.mode)
+            .field("sec_per_apply", r.sec)
+            .field("ns_per_amp", r.sec / amps * 1e9)
+            .field("gbps", gbps)
+            .field("speedup_vs_per_kernel", loopSec / r.sec)
+            .field("bit_identical", true);
+    }
+}
+
 } // namespace
 
 int
@@ -607,6 +734,7 @@ driverMain(int argc, char** argv)
     runLowBitRows(22, runBlockedComparison(22));
     runFlipBeforeCnotRows(22);
     runCostLayerRows(24);
+    runBlockRunRows();
     return 0;
 }
 

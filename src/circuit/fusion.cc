@@ -96,7 +96,8 @@ fuseGates(const Circuit& circuit, FusionStats* stats,
         if (isIdentity(p.product))
             ++st.droppedIdentity;
         else
-            slots.emplace_back(Gate::custom({q}, std::move(p.product), "fused"));
+            slots.emplace_back(
+                Gate::product({q}, std::move(p.product), "fused"));
         p = Pending{};
     };
 
@@ -117,7 +118,7 @@ fuseGates(const Circuit& circuit, FusionStats* stats,
         for (; k + 1 < kept.size(); k += 2) {
             const std::size_t a = kept[k];
             const std::size_t b = kept[k + 1];
-            slots.emplace_back(Gate::custom(
+            slots.emplace_back(Gate::product(
                 {a, b}, pending[a].product.kron(pending[b].product), "kron"));
             pending[a] = Pending{};
             pending[b] = Pending{};
@@ -166,8 +167,8 @@ fuseGates(const Circuit& circuit, FusionStats* stats,
         else if (isIdentity(ch.product))
             ++st.droppedIdentity;
         else
-            slots[ch.slot] = Gate::custom({ch.a, ch.b}, std::move(ch.product),
-                                          "fused2q");
+            slots[ch.slot] = Gate::product({ch.a, ch.b},
+                                           std::move(ch.product), "fused2q");
         chainOn[ch.a] = -1;
         chainOn[ch.b] = -1;
     };

@@ -1,5 +1,6 @@
 #include "circuit/gate.h"
 
+#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
@@ -75,6 +76,13 @@ Gate::custom(std::vector<std::size_t> qubits, Matrix unitary, std::string label)
 {
     if (!unitary.isUnitary(1e-6))
         throw std::invalid_argument("Gate::custom: matrix is not unitary");
+    return product(std::move(qubits), std::move(unitary), std::move(label));
+}
+
+Gate
+Gate::product(std::vector<std::size_t> qubits, Matrix unitary,
+              std::string label)
+{
     GateKind kind;
     if (qubits.size() == 1 && unitary.rows() == 2) {
         kind = GateKind::Custom1Q;
@@ -83,6 +91,7 @@ Gate::custom(std::vector<std::size_t> qubits, Matrix unitary, std::string label)
     } else {
         throw std::invalid_argument("Gate::custom: size mismatch");
     }
+    assert(unitary.isUnitary(1e-6));
     Gate g(kind, std::move(qubits));
     g.custom_ = std::move(unitary);
     g.label_ = std::move(label);

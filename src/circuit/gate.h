@@ -105,6 +105,13 @@ class Gate {
     static Gate custom(std::vector<std::size_t> qubits, Matrix unitary,
                        std::string label = "U");
 
+    /**
+     * custom() for a product of gates, unitary by construction (fusion's
+     * output): the unitarity check is a debug-build assertion only.
+     */
+    static Gate product(std::vector<std::size_t> qubits, Matrix unitary,
+                        std::string label);
+
     GateKind kind() const { return kind_; }
     const std::vector<std::size_t>& qubits() const { return qubits_; }
     std::size_t arity() const { return qubits_.size(); }

@@ -187,6 +187,13 @@ DensityMatrix::apply(const GateKernel& k)
     applyKernel(k, data_.data(), flatDim, policy_);
 }
 
+void
+DensityMatrix::apply(const std::vector<const GateKernel*>& kernels)
+{
+    const std::uint64_t flatDim = static_cast<std::uint64_t>(dim_) * dim_;
+    applyKernels(kernels, data_.data(), flatDim, policy_);
+}
+
 Complex
 DensityMatrix::trace() const
 {

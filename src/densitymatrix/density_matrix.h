@@ -76,6 +76,9 @@ class DensityMatrix {
     /** One sweep of a kernel compiled on rho's flat 2n-bit index. */
     void apply(const GateKernel& k);
 
+    /** Such kernels in order, as one applyKernels call (block runs). */
+    void apply(const std::vector<const GateKernel*>& kernels);
+
     /**
      * Lowers the ops at `run` in `circuit` — one multi-qubit op, or a run
      * of one-qubit gates and channels on one wire, first-applied first —

@@ -134,9 +134,11 @@ DensityMatrixSimulator::simulatePlanned(const DmExecutionPlan& plan,
             "simulatePlanned: density matrix / plan qubit count mismatch");
     rho.reset();
     rho.setExecPolicy(policy_);
+    std::vector<const GateKernel*> kernels;
     for (const PlannedOp& op : plan.ops)
         for (const GateKernel& k : op.kernels)
-            rho.apply(k);
+            kernels.push_back(&k);
+    rho.apply(kernels);
 }
 
 } // namespace qkc

@@ -590,11 +590,11 @@ localState(const DiagFactor& f, std::uint64_t i)
 /**
  * The DiagRun sweep (see compileDiagRun): per block of 2^k amplitudes,
  * table = preScale * (high factors) expanded by doubling over the mixed
- * factors' per-bit diagonals, times the shared low table; then one pass
- * amp *= table. Every product is taken in factor order, then bit order,
- * whichever lane builds the table, and the `ops` primitives share one
- * arithmetic, so the result is bit-identical for every thread count and
- * simd level.
+ * factors' per-bit diagonals; then one pass amp *= table * low, the
+ * shared low table folded into the amplitude multiply. Every product is
+ * taken in factor order, then bit order, whichever lane builds the table,
+ * and the `ops` primitives share one arithmetic, so the result is
+ * bit-identical for every thread count and simd level.
  */
 void
 diagRunSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
@@ -670,78 +670,164 @@ diagRunSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
                     hasBit[x.lowBit] = true;
                 }
             }
+            // Each doubling step writes both halves in one pass; the low
+            // table joins in the amplitude pass, as amp * (table * low).
             table[0] = scale;
             for (unsigned bit = 0; bit < kb; ++bit) {
                 const std::uint64_t half = std::uint64_t{1} << bit;
-                std::copy(table.data(), table.data() + half,
-                          table.data() + half);
-                if (hasBit[bit]) {
-                    ops.scale(table.data(), half, bitDiag[bit][0]);
-                    ops.scale(table.data() + half, half, bitDiag[bit][1]);
-                }
+                if (hasBit[bit])
+                    ops.split2(table.data(), table.data() + half, half,
+                               bitDiag[bit][0], bitDiag[bit][1]);
+                else
+                    std::copy(table.data(), table.data() + half,
+                              table.data() + half);
             }
-            if (!lowTable.empty())
-                ops.mul(table.data(), lowTable.data(), block);
-            ops.mul(amps + base, table.data(), block);
+            if (lowTable.empty())
+                ops.mul(amps + base, table.data(), block);
+            else
+                ops.mul2(amps + base, table.data(), lowTable.data(), block);
         }
     });
 }
 
+/**
+ * Counts one application of `k` (not re-classified by a scale): its class
+ * and, for Diag/Perm/Generic, the sweep path sweepKernel takes.
+ */
+void
+countApplication(const GateKernel& k)
+{
+    static obs::Counter blockedSweeps("exec.kernel.blockedSweeps");
+    static obs::Counter gatherSweeps("exec.kernel.gatherSweeps");
+    kernelClassCounter(k.op).add();
+    switch (k.op) {
+      case GateKernel::Op::Diag:
+      case GateKernel::Op::Perm:
+      case GateKernel::Op::Generic:
+        (canBlockSweep(k) ? blockedSweeps : gatherSweeps).add();
+        return;
+      default:
+        return;
+    }
+}
+
+/**
+ * One sweep of `k` over amps[0..dim), uncounted. A scaled Identity or
+ * controlled kernel must be re-classified first (see applyKernel).
+ */
+void
+sweepKernel(const GateKernel& k, Complex* amps, std::uint64_t dim,
+            const ExecPolicy& policy, const Complex& preScale,
+            const KernelRunOps& ops)
+{
+    switch (k.op) {
+      case GateKernel::Op::Identity:
+        return;
+      case GateKernel::Op::DiagRun:
+        diagRunSweep(k, amps, dim, policy, preScale, ops);
+        return;
+      case GateKernel::Op::GlobalPhase: {
+        const Complex s = k.scalar * preScale;
+        parallelFor(policy, dim, [&](std::uint64_t b, std::uint64_t e) {
+            ops.scale(amps + b, e - b, s);
+        });
+        return;
+      }
+      default:
+        // Path choice is a function of kernel structure only (class,
+        // residual width, run length) — never of the simd level or thread
+        // count — so a given kernel always takes the same path and
+        // payloads stay bit-identical across dispatch levels.
+        if (canBlockSweep(k))
+            blockedSweep(k, amps, dim, policy, preScale, ops);
+        else
+            gatherSweep(k, amps, dim, policy, preScale);
+    }
+}
+
 } // namespace
+
+bool
+insideBlockRun(const GateKernel& k)
+{
+    if (k.op == GateKernel::Op::DiagRun) {
+        for (const DiagFactor& f : k.factors)
+            if (f.bits[0] >= kBlockRunBits ||
+                (f.arity == 2 && f.bits[1] >= kBlockRunBits))
+                return false;
+        return true;
+    }
+    return k.occupiedCount == 0 ||
+           k.occupied[k.occupiedCount - 1] < kBlockRunBits;
+}
 
 void
 applyKernel(const GateKernel& k, Complex* amps, std::uint64_t dim,
             const ExecPolicy& policy, const Complex& preScale)
 {
-    // Counts invocations by class as classified here; the scaled
-    // re-classification path below recurses, so its final class is counted
-    // once more under the class that actually swept the state.
-    kernelClassCounter(k.op).add();
-
     const bool scaled = preScale != Complex{1.0, 0.0};
-
-    if (!scaled && k.op == GateKernel::Op::Identity)
-        return;
 
     // Scaling breaks the control structure (s*E is no longer identity on
     // the non-control subspace), so re-classify the scaled full matrix —
     // it lands in an uncontrolled specialized class (e.g. damping E0
-    // becomes a plain Diag) and stays a single pass.
+    // becomes a plain Diag) and stays a single pass. The recursion counts
+    // the class that actually swept the state once more.
     if (scaled && (k.ctrlMask != 0 || k.op == GateKernel::Op::Identity)) {
+        kernelClassCounter(k.op).add();
         std::vector<std::uint32_t> bits(k.fullBits.begin(),
                                         k.fullBits.begin() + k.arity);
         applyKernel(compileKernel(k.full * preScale, bits), amps, dim, policy);
         return;
     }
 
+    countApplication(k);
+    if (k.op == GateKernel::Op::Identity)
+        return;
     const KernelRunOps& ops = kernelRunOps(policy.resolvedSimd());
     recordSimdLevel(ops.level);
+    sweepKernel(k, amps, dim, policy, preScale, ops);
+}
 
-    if (k.op == GateKernel::Op::DiagRun) {
-        diagRunSweep(k, amps, dim, policy, preScale, ops);
-        return;
-    }
+void
+applyKernels(const std::vector<const GateKernel*>& kernels, Complex* amps,
+             std::uint64_t dim, const ExecPolicy& policy)
+{
+    static obs::Counter blockRuns("exec.kernel.blockRuns");
+    const std::uint64_t blocks = dim >> kBlockRunBits;
+    const std::size_t n = kernels.size();
+    std::size_t i = 0;
+    while (i < n) {
+        std::size_t end = i;
+        if (blocks >= kBlockRunMinBlocks)
+            while (end < n && insideBlockRun(*kernels[end]))
+                ++end;
+        if (end - i < 2) {
+            applyKernel(*kernels[i++], amps, dim, policy);
+            continue;
+        }
 
-    if (k.op == GateKernel::Op::GlobalPhase) {
-        const Complex s = k.scalar * preScale;
-        parallelFor(policy, dim, [&](std::uint64_t b, std::uint64_t e) {
-            ops.scale(amps + b, e - b, s);
+        blockRuns.add();
+        for (std::size_t s = i; s < end; ++s)
+            countApplication(*kernels[s]);
+        const KernelRunOps& ops = kernelRunOps(policy.resolvedSimd());
+        recordSimdLevel(ops.level);
+        // Blocks fan out in the per-block idiom of diagRunSweep; inside a
+        // block every kernel sweeps serially, with the arithmetic (and the
+        // path) its whole-array sweep would use.
+        ExecPolicy perBlock = policy;
+        perBlock.grain =
+            std::max<std::uint64_t>(1, policy.grain >> kBlockRunBits);
+        perBlock.serialThreshold = policy.serialThreshold >> kBlockRunBits;
+        ExecPolicy inBlock = policy;
+        inBlock.threads = 1;
+        const std::uint64_t block = std::uint64_t{1} << kBlockRunBits;
+        parallelFor(perBlock, blocks, [&](std::uint64_t b0, std::uint64_t b1) {
+            for (std::uint64_t b = b0; b < b1; ++b)
+                for (std::size_t s = i; s < end; ++s)
+                    sweepKernel(*kernels[s], amps + (b << kBlockRunBits),
+                                block, inBlock, Complex{1.0, 0.0}, ops);
         });
-        return;
-    }
-
-    // Path choice is a function of kernel structure only (class, residual
-    // width, run length) — never of the simd level or thread count — so a
-    // given kernel always takes the same path and payloads stay
-    // bit-identical across dispatch levels.
-    static obs::Counter blockedSweeps("exec.kernel.blockedSweeps");
-    static obs::Counter gatherSweeps("exec.kernel.gatherSweeps");
-    if (canBlockSweep(k)) {
-        blockedSweeps.add();
-        blockedSweep(k, amps, dim, policy, preScale, ops);
-    } else {
-        gatherSweeps.add();
-        gatherSweep(k, amps, dim, policy, preScale);
+        i = end;
     }
 }
 

@@ -125,6 +125,43 @@ void applyKernel(const GateKernel& k, Complex* amps, std::uint64_t dim,
                  const Complex& preScale = Complex{1.0, 0.0});
 
 /**
+ * Block width of applyKernels' block runs: 2^16 amplitudes, 1 MiB, half of
+ * a 2 MiB L2, so a block stays cached while a stretch of kernels sweeps
+ * it. Widths 2^14..2^17 sweep a stretch equally fast; the widest that fits
+ * takes the most kernels into stretches.
+ */
+constexpr unsigned kBlockRunBits = 16;
+
+/**
+ * Fewest blocks an array must hold before applyKernels forms a block run:
+ * fewer would leave pool threads idle, so smaller states keep one sweep
+ * per kernel.
+ */
+constexpr std::uint64_t kBlockRunMinBlocks = 4;
+
+/**
+ * True if every bit `k` occupies (targets and controls; a DiagRun's factor
+ * bits) lies below kBlockRunBits: the kernels applyKernels may sweep block
+ * by block.
+ */
+bool insideBlockRun(const GateKernel& k);
+
+/**
+ * Applies `kernels` in order to `amps[0..dim)`, bit-identical to calling
+ * applyKernel on each. A maximal stretch of two or more consecutive
+ * kernels whose occupied bits (targets and controls; a DiagRun's factor
+ * bits) all lie below kBlockRunBits is a *block run*: the array's
+ * 2^kBlockRunBits-amplitude blocks are spread over the pool, and each
+ * block runs the stretch's kernels in order on one thread through the
+ * per-kernel sweeps, so the stretch costs one pass over memory instead of
+ * one per kernel. Block runs form only when the array holds at least
+ * kBlockRunMinBlocks blocks. The exec.kernel.* class counters count each
+ * kernel once; exec.kernel.blockRuns counts the stretches.
+ */
+void applyKernels(const std::vector<const GateKernel*>& kernels,
+                  Complex* amps, std::uint64_t dim, const ExecPolicy& policy);
+
+/**
  * The gather-only sweep: applyKernel without the cache-blocked/simd run
  * path — one index-gather per residual group, scalar arithmetic, same
  * classification and deterministic chunking. This is the PR 7 execution

@@ -57,6 +57,16 @@ struct KernelRunOps {
 
     /** a[i] *= b[i] (the DiagRun table sweep); a and b do not overlap. */
     void (*mul)(Complex* a, const Complex* b, std::uint64_t n);
+
+    /** a[i] *= b[i] * c[i], the product b*c taken first (the DiagRun
+     *  sweep with its low table folded in); no two arrays overlap. */
+    void (*mul2)(Complex* a, const Complex* b, const Complex* c,
+                 std::uint64_t n);
+
+    /** (a0[i], a1[i]) <- (a0[i] * d0, a0[i] * d1): one doubling step of
+     *  the DiagRun table; a0 and a1 do not overlap. */
+    void (*split2)(Complex* a0, Complex* a1, std::uint64_t n,
+                   const Complex& d0, const Complex& d1);
 };
 
 /**

@@ -206,6 +206,40 @@ mulAvx2(Complex* a, const Complex* b, std::uint64_t n)
         scalarRunOps().mul(a + i, b + i, n - i);
 }
 
+void
+mul2Avx2(Complex* a, const Complex* b, const Complex* c, std::uint64_t n)
+{
+    double* pa = reinterpret_cast<double*>(a);
+    const double* pb = reinterpret_cast<const double*>(b);
+    const double* pc = reinterpret_cast<const double*>(c);
+    std::uint64_t i = 0;
+    for (; i + 2 <= n; i += 2, pa += 4, pb += 4, pc += 4) {
+        const __m256d bc =
+            cmulvv(_mm256_loadu_pd(pb), _mm256_loadu_pd(pc));
+        _mm256_storeu_pd(pa, cmulvv(_mm256_loadu_pd(pa), bc));
+    }
+    if (i < n)
+        scalarRunOps().mul2(a + i, b + i, c + i, n - i);
+}
+
+void
+split2Avx2(Complex* a0, Complex* a1, std::uint64_t n, const Complex& d0,
+           const Complex& d1)
+{
+    const BConst c0 = broadcast(d0);
+    const BConst c1 = broadcast(d1);
+    double* p0 = reinterpret_cast<double*>(a0);
+    double* p1 = reinterpret_cast<double*>(a1);
+    std::uint64_t i = 0;
+    for (; i + 2 <= n; i += 2, p0 += 4, p1 += 4) {
+        const __m256d x = _mm256_loadu_pd(p0);
+        _mm256_storeu_pd(p0, cmulv(x, c0));
+        _mm256_storeu_pd(p1, cmulv(x, c1));
+    }
+    if (i < n)
+        scalarRunOps().split2(a0 + i, a1 + i, n - i, d0, d1);
+}
+
 } // namespace
 
 const KernelRunOps*
@@ -214,6 +248,7 @@ avx2RunOps()
     static const KernelRunOps ops = {
         SimdLevel::Avx2, scaleAvx2, diag2Avx2, diag4Avx2,
         swap2Avx2,       mat2Avx2,  mat4Avx2,  mulAvx2,
+        mul2Avx2,        split2Avx2,
     };
     return &ops;
 }

@@ -105,6 +105,24 @@ mulScalar(Complex* a, const Complex* b, std::uint64_t n)
         a[i] = cmul(a[i], b[i]);
 }
 
+void
+mul2Scalar(Complex* a, const Complex* b, const Complex* c, std::uint64_t n)
+{
+    for (std::uint64_t i = 0; i < n; ++i)
+        a[i] = cmul(a[i], cmul(b[i], c[i]));
+}
+
+void
+split2Scalar(Complex* a0, Complex* a1, std::uint64_t n, const Complex& d0,
+             const Complex& d1)
+{
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const Complex x = a0[i];
+        a0[i] = cmul(x, d0);
+        a1[i] = cmul(x, d1);
+    }
+}
+
 } // namespace
 
 const KernelRunOps&
@@ -113,6 +131,7 @@ scalarRunOps()
     static const KernelRunOps ops = {
         SimdLevel::Scalar, scaleScalar, diag2Scalar, diag4Scalar,
         swap2Scalar,       mat2Scalar,  mat4Scalar,  mulScalar,
+        mul2Scalar,        split2Scalar,
     };
     return ops;
 }

@@ -113,14 +113,17 @@ void
 StateVectorSimulator::runIdeal(const ExecutionPlan& plan,
                                StateVector& state) const
 {
+    std::vector<const GateKernel*> kernels;
+    kernels.reserve(plan.ops.size());
     for (const auto& op : plan.ops) {
         if (op.isChannel) {
             throw std::invalid_argument(
                 "StateVectorSimulator::simulatePlanned: plan has channels; "
                 "use sampleNoisyPlanned");
         }
-        state.apply(op.kernels[0]);
+        kernels.push_back(&op.kernels[0]);
     }
+    applyKernels(kernels, state.data(), state.dimension(), state.execPolicy());
 }
 
 StateVector
