@@ -28,11 +28,11 @@ namespace qkc {
  * than 2^n, which is why this backend shines on the same workloads as
  * knowledge compilation.
  *
- * sampleNoisySeeded runs Monte-Carlo trajectories exactly like the
- * state-vector engine: each trajectory picks one Kraus operator per
- * channel with the Born probability ||E_k psi||^2 (free to read off the DD
- * root weight) and renormalizes, which is exact in distribution for
- * mixtures and general channels alike.
+ * sampleNoisySeeded runs Monte-Carlo trajectories like the state-vector
+ * engine: each trajectory picks one Kraus operator per channel with the
+ * Born probability ||E_k psi||^2 (free to read off the DD root weight),
+ * exact in distribution for mixtures and general channels alike. Unlike
+ * that engine it renormalizes after every pick, through the root weight.
  */
 class DdSimulator {
   public:

@@ -389,11 +389,13 @@ canBlockSweep(const GateKernel& k)
 /**
  * The legacy gather sweep: one expandBase + index-gather per residual
  * group. Handles every class and shape; the blocked path above it only
- * replaces the Diag/Perm/Generic shapes with a run primitive.
+ * replaces the Diag/Perm/Generic shapes with a run primitive. Like every
+ * sweep, it copies the kernel's constants to locals first, so the
+ * compiler need not reload them after each amplitude store.
  */
 void
 gatherSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
-            const ExecPolicy& policy, const Complex& preScale)
+            const ExecPolicy& policy)
 {
     const unsigned t = k.targets;
     const unsigned td = 1u << t;
@@ -406,7 +408,7 @@ gatherSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
       case GateKernel::Op::Diag: {
         std::array<Complex, 16> d;
         for (unsigned l = 0; l < td; ++l)
-            d[l] = k.diag[l] * preScale;
+            d[l] = k.diag[l];
         parallelFor(policy, nFree, [&](std::uint64_t b, std::uint64_t e) {
             for (std::uint64_t j = b; j < e; ++j) {
                 const std::uint64_t base =
@@ -423,7 +425,7 @@ gatherSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
       case GateKernel::Op::Perm: {
         std::array<Complex, 16> pw;
         for (unsigned l = 0; l < td; ++l)
-            pw[l] = k.permW[l] * preScale;
+            pw[l] = k.permW[l];
         parallelFor(policy, nFree, [&](std::uint64_t b, std::uint64_t e) {
             for (std::uint64_t j = b; j < e; ++j) {
                 const std::uint64_t base =
@@ -444,7 +446,7 @@ gatherSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
         std::array<Complex, 256> rm;
         for (unsigned r = 0; r < td; ++r)
             for (unsigned c = 0; c < td; ++c)
-                rm[r * td + c] = k.reduced(r, c) * preScale;
+                rm[r * td + c] = k.reduced(r, c);
         parallelFor(policy, nFree, [&](std::uint64_t b, std::uint64_t e) {
             for (std::uint64_t j = b; j < e; ++j) {
                 const std::uint64_t base =
@@ -485,8 +487,7 @@ gatherSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
  */
 void
 blockedSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
-             const ExecPolicy& policy, const Complex& preScale,
-             const KernelRunOps& ops)
+             const ExecPolicy& policy, const KernelRunOps& ops)
 {
     const unsigned t = k.targets;
     const std::uint64_t nFree = dim >> k.occupiedCount;
@@ -504,15 +505,15 @@ blockedSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
         if (t == 0) {
             // Fully-controlled phase (CZ, CCZ, ...): the residual is the
             // 1x1 matrix diag[0], one stream per run.
-            const Complex d0 = k.diag[0] * preScale;
+            const Complex d0 = k.diag[0];
             parallelFor(policy, nFree, [&](std::uint64_t b, std::uint64_t e) {
                 forEachRun(k, b, e, [&](std::uint64_t base, std::uint64_t n) {
                     ops.scale(amps + base, n, d0);
                 });
             });
         } else if (t == 1) {
-            const Complex d0 = k.diag[0] * preScale;
-            const Complex d1 = k.diag[1] * preScale;
+            const Complex d0 = k.diag[0];
+            const Complex d1 = k.diag[1];
             parallelFor(policy, nFree, [&](std::uint64_t b, std::uint64_t e) {
                 forEachRun(k, b, e, [&](std::uint64_t base, std::uint64_t n) {
                     ops.diag2(amps + base, amps + base + offs[1], n, d0, d1);
@@ -521,7 +522,7 @@ blockedSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
         } else {
             Complex d[4];
             for (unsigned l = 0; l < 4; ++l)
-                d[l] = k.diag[l] * preScale;
+                d[l] = k.diag[l];
             parallelFor(policy, nFree, [&](std::uint64_t b, std::uint64_t e) {
                 forEachRun(k, b, e, [&](std::uint64_t base, std::uint64_t n) {
                     ops.diag4(amps + base, amps + base + offs[1],
@@ -534,8 +535,8 @@ blockedSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
       }
       case GateKernel::Op::Perm: {
         // A 1-target non-diagonal perm is necessarily the swap pattern.
-        const Complex w0 = k.permW[0] * preScale;
-        const Complex w1 = k.permW[1] * preScale;
+        const Complex w0 = k.permW[0];
+        const Complex w1 = k.permW[1];
         parallelFor(policy, nFree, [&](std::uint64_t b, std::uint64_t e) {
             forEachRun(k, b, e, [&](std::uint64_t base, std::uint64_t n) {
                 ops.swap2(amps + base, amps + base + offs[1], n, w0, w1);
@@ -547,7 +548,7 @@ blockedSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
         if (t == 1) {
             Complex m[4];
             for (unsigned e2 = 0; e2 < 4; ++e2)
-                m[e2] = k.reduced(e2 / 2, e2 % 2) * preScale;
+                m[e2] = k.reduced(e2 / 2, e2 % 2);
             parallelFor(policy, nFree, [&](std::uint64_t b, std::uint64_t e) {
                 forEachRun(k, b, e, [&](std::uint64_t base, std::uint64_t n) {
                     ops.mat2(amps + base, amps + base + offs[1], n, m);
@@ -556,7 +557,7 @@ blockedSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
         } else {
             Complex m[16];
             for (unsigned e2 = 0; e2 < 16; ++e2)
-                m[e2] = k.reduced(e2 / 4, e2 % 4) * preScale;
+                m[e2] = k.reduced(e2 / 4, e2 % 4);
             parallelFor(policy, nFree, [&](std::uint64_t b, std::uint64_t e) {
                 forEachRun(k, b, e, [&](std::uint64_t base, std::uint64_t n) {
                     ops.mat4(amps + base, amps + base + offs[1],
@@ -589,7 +590,7 @@ localState(const DiagFactor& f, std::uint64_t i)
 
 /**
  * The DiagRun sweep (see compileDiagRun): per block of 2^k amplitudes,
- * table = preScale * (high factors) expanded by doubling over the mixed
+ * table = the high factors' product expanded by doubling over the mixed
  * factors' per-bit diagonals; then one pass amp *= table * low, the
  * shared low table folded into the amplitude multiply. Every product is
  * taken in factor order, then bit order, whichever lane builds the table,
@@ -598,8 +599,7 @@ localState(const DiagFactor& f, std::uint64_t i)
  */
 void
 diagRunSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
-             const ExecPolicy& policy, const Complex& preScale,
-             const KernelRunOps& ops)
+             const ExecPolicy& policy, const KernelRunOps& ops)
 {
     unsigned m = 0;
     while ((std::uint64_t{1} << m) < dim)
@@ -652,7 +652,7 @@ diagRunSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
         std::array<bool, kDiagRunTableBits> hasBit{};
         for (std::uint64_t b = b0; b < b1; ++b) {
             const std::uint64_t base = b << kb;
-            Complex scale = preScale;
+            Complex scale{1.0, 0.0};
             for (const DiagFactor* f : high)
                 scale = cmul(scale, f->diag[localState(*f, base)]);
             hasBit.fill(false);
@@ -691,8 +691,8 @@ diagRunSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
 }
 
 /**
- * Counts one application of `k` (not re-classified by a scale): its class
- * and, for Diag/Perm/Generic, the sweep path sweepKernel takes.
+ * Counts one application of `k`: its class and, for Diag/Perm/Generic,
+ * the sweep path sweepKernel takes.
  */
 void
 countApplication(const GateKernel& k)
@@ -711,23 +711,19 @@ countApplication(const GateKernel& k)
     }
 }
 
-/**
- * One sweep of `k` over amps[0..dim), uncounted. A scaled Identity or
- * controlled kernel must be re-classified first (see applyKernel).
- */
+/** One sweep of `k` over amps[0..dim), uncounted. */
 void
 sweepKernel(const GateKernel& k, Complex* amps, std::uint64_t dim,
-            const ExecPolicy& policy, const Complex& preScale,
-            const KernelRunOps& ops)
+            const ExecPolicy& policy, const KernelRunOps& ops)
 {
     switch (k.op) {
       case GateKernel::Op::Identity:
         return;
       case GateKernel::Op::DiagRun:
-        diagRunSweep(k, amps, dim, policy, preScale, ops);
+        diagRunSweep(k, amps, dim, policy, ops);
         return;
       case GateKernel::Op::GlobalPhase: {
-        const Complex s = k.scalar * preScale;
+        const Complex s = k.scalar;
         parallelFor(policy, dim, [&](std::uint64_t b, std::uint64_t e) {
             ops.scale(amps + b, e - b, s);
         });
@@ -739,9 +735,9 @@ sweepKernel(const GateKernel& k, Complex* amps, std::uint64_t dim,
         // count — so a given kernel always takes the same path and
         // payloads stay bit-identical across dispatch levels.
         if (canBlockSweep(k))
-            blockedSweep(k, amps, dim, policy, preScale, ops);
+            blockedSweep(k, amps, dim, policy, ops);
         else
-            gatherSweep(k, amps, dim, policy, preScale);
+            gatherSweep(k, amps, dim, policy);
     }
 }
 
@@ -763,29 +759,14 @@ insideBlockRun(const GateKernel& k)
 
 void
 applyKernel(const GateKernel& k, Complex* amps, std::uint64_t dim,
-            const ExecPolicy& policy, const Complex& preScale)
+            const ExecPolicy& policy)
 {
-    const bool scaled = preScale != Complex{1.0, 0.0};
-
-    // Scaling breaks the control structure (s*E is no longer identity on
-    // the non-control subspace), so re-classify the scaled full matrix —
-    // it lands in an uncontrolled specialized class (e.g. damping E0
-    // becomes a plain Diag) and stays a single pass. The recursion counts
-    // the class that actually swept the state once more.
-    if (scaled && (k.ctrlMask != 0 || k.op == GateKernel::Op::Identity)) {
-        kernelClassCounter(k.op).add();
-        std::vector<std::uint32_t> bits(k.fullBits.begin(),
-                                        k.fullBits.begin() + k.arity);
-        applyKernel(compileKernel(k.full * preScale, bits), amps, dim, policy);
-        return;
-    }
-
     countApplication(k);
     if (k.op == GateKernel::Op::Identity)
         return;
     const KernelRunOps& ops = kernelRunOps(policy.resolvedSimd());
     recordSimdLevel(ops.level);
-    sweepKernel(k, amps, dim, policy, preScale, ops);
+    sweepKernel(k, amps, dim, policy, ops);
 }
 
 void
@@ -825,7 +806,7 @@ applyKernels(const std::vector<const GateKernel*>& kernels, Complex* amps,
             for (std::uint64_t b = b0; b < b1; ++b)
                 for (std::size_t s = i; s < end; ++s)
                     sweepKernel(*kernels[s], amps + (b << kBlockRunBits),
-                                block, inBlock, Complex{1.0, 0.0}, ops);
+                                block, inBlock, ops);
         });
         i = end;
     }
@@ -833,27 +814,17 @@ applyKernels(const std::vector<const GateKernel*>& kernels, Complex* amps,
 
 void
 applyKernelUnblocked(const GateKernel& k, Complex* amps, std::uint64_t dim,
-                     const ExecPolicy& policy, const Complex& preScale)
+                     const ExecPolicy& policy)
 {
     if (k.op == GateKernel::Op::DiagRun) {
-        diagRunSweep(k, amps, dim, policy, preScale, scalarRunOps());
+        diagRunSweep(k, amps, dim, policy, scalarRunOps());
         return;
     }
-    const bool scaled = preScale != Complex{1.0, 0.0};
-
-    if (!scaled && k.op == GateKernel::Op::Identity)
+    if (k.op == GateKernel::Op::Identity)
         return;
-
-    if (scaled && (k.ctrlMask != 0 || k.op == GateKernel::Op::Identity)) {
-        std::vector<std::uint32_t> bits(k.fullBits.begin(),
-                                        k.fullBits.begin() + k.arity);
-        applyKernelUnblocked(compileKernel(k.full * preScale, bits), amps,
-                             dim, policy);
-        return;
-    }
 
     if (k.op == GateKernel::Op::GlobalPhase) {
-        const Complex s = k.scalar * preScale;
+        const Complex s = k.scalar;
         parallelFor(policy, dim, [&](std::uint64_t b, std::uint64_t e) {
             for (std::uint64_t i = b; i < e; ++i)
                 amps[i] = cmul(amps[i], s);
@@ -861,7 +832,7 @@ applyKernelUnblocked(const GateKernel& k, Complex* amps, std::uint64_t dim,
         return;
     }
 
-    gatherSweep(k, amps, dim, policy, preScale);
+    gatherSweep(k, amps, dim, policy);
 }
 
 double

@@ -115,14 +115,11 @@ GateKernel compileKernel(Matrix m, const std::vector<std::uint32_t>& bits);
 GateKernel compileDiagRun(std::vector<DiagFactor> factors);
 
 /**
- * Applies the kernel in place to `amps[0..dim)`, parallelized per `policy`
- * with deterministic chunking. `preScale` is folded into the kernel's
- * constants before the sweep — the trajectory simulator passes 1/sqrt(w) so
- * Born-normalizing a Kraus pick costs no extra pass over the state.
+ * Applies the kernel, exactly as compiled, in place to `amps[0..dim)`,
+ * parallelized per `policy` with deterministic chunking.
  */
 void applyKernel(const GateKernel& k, Complex* amps, std::uint64_t dim,
-                 const ExecPolicy& policy,
-                 const Complex& preScale = Complex{1.0, 0.0});
+                 const ExecPolicy& policy);
 
 /**
  * Block width of applyKernels' block runs: 2^16 amplitudes, 1 MiB, half of
@@ -164,14 +161,13 @@ void applyKernels(const std::vector<const GateKernel*>& kernels,
 /**
  * The gather-only sweep: applyKernel without the cache-blocked/simd run
  * path — one index-gather per residual group, scalar arithmetic, same
- * classification and deterministic chunking. This is the PR 7 execution
- * shape, kept callable as the blocked-vs-unblocked bench baseline (and as
- * the internal fallback for shapes with no run primitive). A DiagRun
- * kernel has one sweep only, the table sweep.
+ * classification and deterministic chunking. It is the blocked-vs-unblocked
+ * bench baseline and a test reference; applyKernel's own fallback for
+ * shapes with no run primitive is the same gather sweep. A DiagRun kernel
+ * has one sweep only, the table sweep.
  */
 void applyKernelUnblocked(const GateKernel& k, Complex* amps,
-                          std::uint64_t dim, const ExecPolicy& policy,
-                          const Complex& preScale = Complex{1.0, 0.0});
+                          std::uint64_t dim, const ExecPolicy& policy);
 
 /**
  * Returns ||K psi||^2 without modifying the state: the squared norm the

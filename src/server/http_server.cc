@@ -1,5 +1,6 @@
 #include "server/http_server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -8,6 +9,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <strings.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -62,32 +64,34 @@ sendAll(int fd, const std::string& data)
     return true;
 }
 
-/** ASCII case-insensitive prefix match for header names. */
+/** Sends an error response and closes the connection. */
+void
+refuse(int fd, int status, const char* code, const std::string& message)
+{
+    sendAll(fd, renderResponse(errorResult(status, code, message), false));
+    ::close(fd);
+}
+
+/** True if the header line's name is `name`, ignoring ASCII case. */
 bool
 headerIs(const std::string& line, const char* name)
 {
-    std::size_t i = 0;
-    for (; name[i]; ++i) {
-        if (i >= line.size())
-            return false;
-        const char a = line[i];
-        const char b = name[i];
-        const char la = (a >= 'A' && a <= 'Z') ? char(a - 'A' + 'a') : a;
-        const char lb = (b >= 'A' && b <= 'Z') ? char(b - 'A' + 'a') : b;
-        if (la != lb)
-            return false;
-    }
-    return i < line.size() && line[i] == ':';
+    const std::size_t n = std::strlen(name);
+    return line.size() > n && line[n] == ':' &&
+           ::strncasecmp(line.c_str(), name, n) == 0;
 }
 
+/** The value after the colon, optional whitespace trimmed on both sides. */
 std::string
 headerValue(const std::string& line)
 {
-    const std::size_t colon = line.find(':');
-    std::size_t start = colon + 1;
-    while (start < line.size() && (line[start] == ' ' || line[start] == '\t'))
+    std::size_t start = line.find(':') + 1;
+    std::size_t end = line.size();
+    while (start < end && (line[start] == ' ' || line[start] == '\t'))
         ++start;
-    return line.substr(start);
+    while (end > start && (line[end - 1] == ' ' || line[end - 1] == '\t'))
+        --end;
+    return line.substr(start, end - start);
 }
 
 } // namespace
@@ -203,12 +207,7 @@ HttpServer::serveConnection(int fd)
         std::size_t headerEnd;
         while ((headerEnd = buf.find("\r\n\r\n")) == std::string::npos) {
             if (buf.size() > kMaxHeaderBytes) {
-                sendAll(fd, renderResponse(
-                                {413, "{\"error\":{\"code\":\"too_large\","
-                                      "\"message\":\"headers exceed the "
-                                      "limit\"}}"},
-                                false));
-                ::close(fd);
+                refuse(fd, 413, "too_large", "headers exceed the limit");
                 return;
             }
             const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
@@ -238,18 +237,17 @@ HttpServer::serveConnection(int fd)
             sp1 == std::string::npos ? std::string::npos
                                      : requestLine.find(' ', sp1 + 1);
         if (sp1 == std::string::npos || sp2 == std::string::npos) {
-            sendAll(fd, renderResponse(
-                            {400, "{\"error\":{\"code\":\"bad_request\","
-                                  "\"message\":\"malformed request line\"}}"},
-                            false));
-            ::close(fd);
+            refuse(fd, 400, "bad_request", "malformed request line");
             return;
         }
         const std::string method = requestLine.substr(0, sp1);
         const std::string path = requestLine.substr(sp1 + 1, sp2 - sp1 - 1);
 
         // -- Headers we care about ------------------------------------------
-        std::size_t contentLength = 0;
+        // A Content-Length is digits only, and repeats must be equal;
+        // anything else leaves the body's framing unknown.
+        std::string lengthText;
+        bool badLength = false;
         bool keepAlive = true;
         std::size_t pos = lineEnd == std::string::npos ? head.size()
                                                        : lineEnd + 2;
@@ -260,21 +258,28 @@ HttpServer::serveConnection(int fd)
             const std::string line = head.substr(pos, eol - pos);
             pos = eol + 2;
             if (headerIs(line, "Content-Length")) {
-                try {
-                    contentLength = std::stoul(headerValue(line));
-                } catch (const std::exception&) {
-                    contentLength = kMaxBodyBytes + 1;
-                }
-            } else if (headerIs(line, "Connection")) {
-                keepAlive = headerValue(line) != "close";
+                const std::string value = headerValue(line);
+                const bool digits =
+                    !value.empty() &&
+                    value.find_first_not_of("0123456789") == std::string::npos;
+                if (!digits || (!lengthText.empty() && value != lengthText))
+                    badLength = true;
+                lengthText = value;
+            } else if (headerIs(line, "Connection") &&
+                       ::strcasecmp(headerValue(line).c_str(), "close") == 0) {
+                keepAlive = false;
             }
         }
+        if (badLength) {
+            refuse(fd, 400, "bad_request", "malformed Content-Length");
+            return;
+        }
+        std::size_t contentLength = 0; // saturates past the limit
+        for (const char c : lengthText)
+            contentLength = std::min<std::size_t>(
+                contentLength * 10 + std::size_t(c - '0'), kMaxBodyBytes + 1);
         if (contentLength > kMaxBodyBytes) {
-            sendAll(fd, renderResponse(
-                            {413, "{\"error\":{\"code\":\"too_large\","
-                                  "\"message\":\"body exceeds the limit\"}}"},
-                            false));
-            ::close(fd);
+            refuse(fd, 413, "too_large", "body exceeds the limit");
             return;
         }
 

@@ -1,6 +1,7 @@
 #include "server/server_core.h"
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -72,20 +73,6 @@ histCoalesceWidth()
     return h;
 }
 
-HttpResult
-errorResult(int status, const char* code, const std::string& message,
-            const std::string& field = {})
-{
-    Json err = Json::object();
-    err.set("code", code);
-    err.set("message", message);
-    if (!field.empty())
-        err.set("field", field);
-    Json body = Json::object();
-    body.set("error", std::move(err));
-    return {status, body.dump()};
-}
-
 /** RAII slot in the bounded in-flight set; admitted() false means 429. */
 class InflightGuard {
   public:
@@ -117,7 +104,7 @@ class InflightGuard {
 // ---------------------------------------------------------------------------
 
 struct ParsedRequest {
-    std::string specString;
+    std::string specString; ///< canonicalSpec(spec): the cache key
     BackendSpec spec;
     std::string taskName;
     Task task;
@@ -125,6 +112,28 @@ struct ParsedRequest {
     std::vector<std::uint64_t> seeds;
     std::string taskSig;
 };
+
+/**
+ * The cache key of a parsed spec: the registry name, then every option key
+ * the registry lists for it, in registry order, with its value
+ * ("statevector:threads=0,fuse=1"). Spellings that parse alike ("sv",
+ * "statevector", "sv:fuse=1") share one key, so one session.
+ */
+std::string
+canonicalSpec(const BackendSpec& spec)
+{
+    const BackendOptions& o = spec.options;
+    const std::map<std::string, std::size_t> values = {
+        {"threads", o.threads}, {"fuse", o.fuse},  {"burnin", o.burnIn},
+        {"thin", o.thin},       {"gcthreshold", o.gcThreshold}};
+    std::string out = spec.name;
+    char sep = ':';
+    for (const std::string& key : backendInfo(spec.name).optionKeys) {
+        out += sep + key + "=" + std::to_string(values.at(key));
+        sep = ',';
+    }
+    return out;
+}
 
 std::size_t
 asCount(const Json& v, const char* what)
@@ -190,8 +199,8 @@ parseRequest(const Json& doc, const ServerConfig& config)
     const Json* backend = doc.find("backend");
     if (!backend)
         throw JsonError("json: missing required field \"backend\"");
-    req.specString = backend->asString();
-    req.spec = parseBackendSpec(req.specString);
+    req.spec = parseBackendSpec(backend->asString());
+    req.specString = canonicalSpec(req.spec);
 
     const Json* qasm = doc.find("qasm");
     if (!qasm)
@@ -327,6 +336,20 @@ renderResult(const Result& r, const std::string& taskName)
 }
 
 } // namespace
+
+HttpResult
+errorResult(int status, const char* code, const std::string& message,
+            const std::string& field)
+{
+    Json err = Json::object();
+    err.set("code", code);
+    err.set("message", message);
+    if (!field.empty())
+        err.set("field", field);
+    Json body = Json::object();
+    body.set("error", std::move(err));
+    return {status, body.dump()};
+}
 
 // ---------------------------------------------------------------------------
 // ServerCore

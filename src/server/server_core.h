@@ -69,6 +69,11 @@ struct HttpResult {
     std::string body; ///< always a JSON document
 };
 
+/** `status` with {"error": {"code", "message"[, "field" if non-empty]}}. */
+HttpResult errorResult(int status, const char* code,
+                       const std::string& message,
+                       const std::string& field = {});
+
 /**
  * The transport-independent request handler: JSON bodies in, JSON bodies
  * out, every socket concern left to HttpServer. Thread-safe — the HTTP

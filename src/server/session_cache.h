@@ -27,7 +27,8 @@ struct Waiter; // one queued request; defined in server_core.cc
  * so session work happens outside the lock.
  */
 struct CacheEntry {
-    std::string specString;      ///< canonical backend spec, e.g. "sv:fuse=1"
+    /// canonical backend spec, e.g. "statevector:threads=0,fuse=1"
+    std::string specString;
     std::uint64_t structure = 0; ///< structureHash of the circuit
 
     std::mutex mu;

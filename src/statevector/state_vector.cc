@@ -53,9 +53,9 @@ StateVector::applyTwoQubit(const Matrix& m, std::size_t q0, std::size_t q1)
 }
 
 void
-StateVector::apply(const GateKernel& kernel, const Complex& preScale)
+StateVector::apply(const GateKernel& kernel)
 {
-    applyKernel(kernel, amps_.data(), amps_.size(), policy_, preScale);
+    applyKernel(kernel, amps_.data(), amps_.size(), policy_);
 }
 
 double

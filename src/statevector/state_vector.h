@@ -66,13 +66,8 @@ class StateVector {
     /** Applies a 4x4 matrix to (q0=high bit, q1=low bit of the local index). */
     void applyTwoQubit(const Matrix& m, std::size_t q0, std::size_t q1);
 
-    /**
-     * Applies a pre-compiled kernel, optionally pre-scaled: the trajectory
-     * simulator passes 1/sqrt(w) so Born renormalization after a Kraus pick
-     * costs no extra pass over the state.
-     */
-    void apply(const GateKernel& kernel,
-               const Complex& preScale = Complex{1.0, 0.0});
+    /** Applies a pre-compiled kernel exactly as compiled. */
+    void apply(const GateKernel& kernel);
 
     /** ||K psi||^2 without modifying the state (Born weights of Kraus picks). */
     double normAfter(const GateKernel& kernel) const;

@@ -1,7 +1,6 @@
 #include "statevector/statevector_simulator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -160,19 +159,17 @@ StateVectorSimulator::runTrajectory(const ExecutionPlan& plan, Rng& rng,
             sv.apply(op.kernels[0]);
             continue;
         }
-        // Born-rule Kraus selection: p_k = ||E_k psi||^2, computed by a
-        // read-only norm kernel (no state copies). The 1/sqrt(w) that used
-        // to be a separate normalize() pass is folded into the selected
-        // operator's application.
+        // Born-rule Kraus selection: p_k = ||E_k psi||^2 / ||psi||^2, the
+        // weights computed by a read-only norm kernel (no state copies).
+        // categorical scales its draw by the weights' total, so the state
+        // stays unnormalized until it nears underflow.
         weights.resize(op.kernels.size());
         for (std::size_t k = 0; k < op.kernels.size(); ++k)
             weights[k] = sv.normAfter(op.kernels[k]);
         const std::size_t pick = rng.categorical(weights);
-        if (weights[pick] > 0.0)
-            sv.apply(op.kernels[pick],
-                     Complex{1.0 / std::sqrt(weights[pick]), 0.0});
-        else
-            sv.apply(op.kernels[pick]);
+        sv.apply(op.kernels[pick]);
+        if (weights[pick] < 1e-100) // the new squared norm
+            sv.normalize();
     }
 }
 

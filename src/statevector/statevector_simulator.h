@@ -29,9 +29,11 @@ namespace qkc {
  *
  * Noisy plans use Monte-Carlo trajectories: each trajectory picks one
  * Kraus operator per channel with the Born probability — computed by a
- * read-only norm kernel, no state copies — and folds the 1/sqrt(w)
- * renormalization into the selected operator's application. Trajectories
- * are independent, so sampleNoisyPlanned fans them out over worker lanes
+ * read-only norm kernel, no state copies — and applies it as compiled.
+ * The state stays unnormalized (every draw scales by the weights' total)
+ * until its squared norm falls below 1e-100, when one normalize() pass
+ * keeps a long trajectory from underflowing. Trajectories are
+ * independent, so sampleNoisyPlanned fans them out over worker lanes
  * on per-trajectory RNG streams seeded from the caller's generator;
  * results land in trajectory order, making the output independent of the
  * thread count.
@@ -62,7 +64,7 @@ class StateVectorSimulator {
      * Draws one outcome per noisy trajectory (the qsim-style noisy sampling
      * cost model: every sample pays a full re-simulation). Gates apply
      * exactly; every channel chooses a Kraus operator k with probability
-     * ||E_k psi||^2, applies it, and renormalizes. Trajectories run in
+     * ||E_k psi||^2 / ||psi||^2 and applies it. Trajectories run in
      * parallel when the policy allows; the sample vector is identical for
      * every thread count.
      */

@@ -179,7 +179,7 @@ TEST(ChannelSuperoperatorTest, IdentityChannelRebindsToNonZeroStrength)
     expectSameRho(sim.simulatePlanned(plan), sim.simulatePlanned(fresh));
 }
 
-TEST(ChannelSuperoperatorTest, SessionReusesPlanWhenIdentityChannelRebinds)
+TEST(ChannelSuperoperatorTest, SessionReplansWhenIdentityChannelRebinds)
 {
     DensityMatrixBackend backend;
     auto session = backend.open(noisyCircuit(0.0));

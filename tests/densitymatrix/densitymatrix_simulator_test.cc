@@ -103,7 +103,7 @@ TEST(DmExecutionPlanTest, PlannedExecutionIntoHeldMatrixResetsIt)
     EXPECT_THROW(sim.simulatePlanned(plan, wrongSize), std::invalid_argument);
 }
 
-TEST(DmExecutionPlanTest, RebindRefreshesValuesWithoutReclassification)
+TEST(DmExecutionPlanTest, RebindShimMatchesAFreshPlan)
 {
     // The benchmark's rebind shim plans the new binding afresh: executing
     // the rebound plan is bit-identical to planning from scratch.

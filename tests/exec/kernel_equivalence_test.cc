@@ -220,36 +220,6 @@ TEST(KernelEquivalenceTest, KrausOperatorsMatchReference)
     }
 }
 
-TEST(KernelEquivalenceTest, PreScaleFoldsIntoOnePass)
-{
-    const std::size_t n = 5;
-    const std::uint64_t dim = std::uint64_t{1} << n;
-    const auto damping = NoiseChannel::amplitudeDamping(2, 0.37);
-    for (const Matrix& e : damping.krausOperators()) {
-        const GateKernel kernel = compileKernel(e, bitsFor({2}, n));
-        auto scaled = randomState(n, 42);
-        auto twoPass = scaled;
-
-        const double w =
-            normAfterKernel(kernel, scaled.data(), dim, ExecPolicy{});
-        const Complex s{1.0 / std::sqrt(w), 0.0};
-        applyKernel(kernel, scaled.data(), dim, ExecPolicy{}, s);
-
-        applyKernel(kernel, twoPass.data(), dim, ExecPolicy{});
-        for (auto& a : twoPass)
-            a *= s;
-
-        for (std::uint64_t idx = 0; idx < dim; ++idx)
-            ASSERT_TRUE(approxEqual(scaled[idx], twoPass[idx], kTol));
-
-        // And the hoisted application really lands on a unit-norm state.
-        double norm = 0.0;
-        for (const auto& a : scaled)
-            norm += norm2(a);
-        EXPECT_NEAR(norm, 1.0, 1e-9);
-    }
-}
-
 TEST(KernelEquivalenceTest, NormAfterMatchesApplyThenNorm)
 {
     const std::size_t n = 6;

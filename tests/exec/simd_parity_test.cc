@@ -274,9 +274,9 @@ TEST(SimdParityTest, RandomizedCircuitsAreBitIdenticalEndToEnd)
 
 TEST(SimdParityTest, BlockedSweepMatchesGatherSweepBitwise)
 {
-    // The cache-blocked run sweep and the PR 7 gather-only sweep evaluate
-    // the same arithmetic in the same association — bitwise equal at every
-    // level, including a pre-scale.
+    // The cache-blocked run sweep and the gather-only sweep evaluate the
+    // same arithmetic in the same association — bitwise equal at every
+    // level.
     const std::size_t n = 8;
     std::uint64_t seed = 7000;
     const std::vector<Gate> gates = {
@@ -287,7 +287,6 @@ TEST(SimdParityTest, BlockedSweepMatchesGatherSweepBitwise)
         Gate(GateKind::CNOT, {1, 6}),
         Gate(GateKind::CZ, {2, 7}),
     };
-    const Complex preScale{0.8, -0.15};
     for (const Gate& g : gates) {
         SCOPED_TRACE(g.name());
         const GateKernel kernel = kernelFor(g, n);
@@ -296,10 +295,9 @@ TEST(SimdParityTest, BlockedSweepMatchesGatherSweepBitwise)
         for (SimdLevel level : testing::simdLevels()) {
             AmpVector blocked = input;
             AmpVector gathered = input;
-            applyKernel(kernel, blocked.data(), dim, policyFor(level, 1),
-                        preScale);
+            applyKernel(kernel, blocked.data(), dim, policyFor(level, 1));
             applyKernelUnblocked(kernel, gathered.data(), dim,
-                                 policyFor(level, 1), preScale);
+                                 policyFor(level, 1));
             for (std::uint64_t i = 0; i < dim; ++i) {
                 ASSERT_EQ(blocked[i].real(), gathered[i].real())
                     << g.name() << " simd=" << simdLevelName(level)

@@ -9,6 +9,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "server/http_client.h"
@@ -46,7 +47,12 @@ class RawConnection {
             0) {
             ::close(fd_);
             fd_ = -1;
+            return;
         }
+        // A response that never comes fails the test instead of hanging it.
+        timeval tv{};
+        tv.tv_sec = 10;
+        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     }
     ~RawConnection()
     {
@@ -189,6 +195,50 @@ TEST(HttpServerTest, MalformedRequestLineIsRefused)
     ASSERT_TRUE(conn.ok());
     conn.send("NONSENSE\r\n\r\n");
     EXPECT_NE(conn.readResponse().find("400"), std::string::npos);
+}
+
+TEST(HttpServerTest, MalformedContentLengthIsRefused)
+{
+    // Only a digits-only Content-Length frames a body, and a repeat must
+    // repeat it exactly; the rest would leave the body's end unknown.
+    ServerCore core;
+    HttpServer http(core, 0);
+    for (const char* lengths :
+         {"Content-Length: 0x\r\n", "Content-Length: +5\r\n",
+          "Content-Length: -1\r\n", "Content-Length:\r\n",
+          "Content-Length: 0\r\nContent-Length: 2\r\n"}) {
+        SCOPED_TRACE(lengths);
+        RawConnection conn(http.port());
+        ASSERT_TRUE(conn.ok());
+        conn.send(std::string("GET /v1/healthz HTTP/1.1\r\nHost: x\r\n") +
+                  lengths + "\r\n");
+        const std::string response = conn.readResponse();
+        EXPECT_NE(response.find("400 Bad Request"), std::string::npos);
+        EXPECT_NE(response.find("bad_request"), std::string::npos);
+        EXPECT_NE(response.find("Connection: close"), std::string::npos);
+    }
+
+    RawConnection conn(http.port());
+    ASSERT_TRUE(conn.ok());
+    conn.send("GET /v1/healthz HTTP/1.1\r\nContent-Length: 0 \r\n"
+              "Content-Length:\t0\r\n\r\n");
+    EXPECT_NE(conn.readResponse().find("200 OK"), std::string::npos);
+}
+
+TEST(HttpServerTest, ConnectionCloseIsCaseAndBlankInsensitive)
+{
+    ServerCore core;
+    HttpServer http(core, 0);
+    for (const char* value : {"Close", "close ", "CLOSE"}) {
+        SCOPED_TRACE(value);
+        RawConnection conn(http.port());
+        ASSERT_TRUE(conn.ok());
+        conn.send(std::string("GET /v1/healthz HTTP/1.1\r\nConnection: ") +
+                  value + "\r\n\r\n");
+        const std::string response = conn.readResponse();
+        EXPECT_NE(response.find("200 OK"), std::string::npos);
+        EXPECT_NE(response.find("Connection: close"), std::string::npos);
+    }
 }
 
 TEST(HttpServerTest, ConcurrentClientsAllSucceed)

@@ -74,6 +74,32 @@ TEST(ServerCoreTest, RunSampleEndToEnd)
               doc.find("results")->at(0).find("samples")->dump());
 }
 
+TEST(ServerCoreTest, SpellingsOfOneSpecShareASession)
+{
+    // "sv", "statevector" and "sv:fuse=1" (the default made explicit)
+    // parse to one spec, so they share one cache entry and one session.
+    ServerCore core;
+    const auto body = [](const char* backend) {
+        return std::string("{\"backend\":\"") + backend + "\",\"qasm\":\"" +
+               kBellQasm + "\",\"shots\":16,\"seed\":7}";
+    };
+    const HttpResult r = core.handle("POST", "/v1/run", body("sv"));
+    ASSERT_EQ(r.status, 200) << r.body;
+    const Json doc = parse(r);
+    EXPECT_FALSE(doc.find("cacheHit")->asBool());
+    for (const char* spelling : {"statevector", "sv:fuse=1"}) {
+        SCOPED_TRACE(spelling);
+        const HttpResult r2 = core.handle("POST", "/v1/run", body(spelling));
+        ASSERT_EQ(r2.status, 200) << r2.body;
+        const Json doc2 = parse(r2);
+        EXPECT_TRUE(doc2.find("cacheHit")->asBool());
+        EXPECT_EQ(doc2.find("results")->at(0).find("samples")->dump(),
+                  doc.find("results")->at(0).find("samples")->dump());
+    }
+    const Json stats = parse(core.handle("GET", "/v1/stats", ""));
+    EXPECT_EQ(stats.find("cache")->find("size")->asUInt64(), 1u);
+}
+
 TEST(ServerCoreTest, TasksRoundTrip)
 {
     ServerCore core;

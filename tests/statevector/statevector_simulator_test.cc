@@ -71,6 +71,27 @@ TEST(StateVectorSimulatorTest, ThrowingTrajectoryReachesTheCaller)
     EXPECT_EQ(testing::samplesOf("sv:threads=4", c, 64, rng).size(), 64u);
 }
 
+TEST(StateVectorSimulatorTest, LongTrajectoriesStayNormalizable)
+{
+    // A trajectory applies each Kraus pick unnormalized; the 5000
+    // depolarizing picks here would shrink the squared norm far below the
+    // smallest double (each keeps 0.7 or 0.1 of it) unless the state is
+    // renormalized before it underflows.
+    Circuit layers(3);
+    for (int l = 0; l < 1000; ++l)
+        layers.h(0).cnot(0, 1).cnot(1, 2);
+    const Circuit c =
+        layers.withNoiseAfterEachGate(NoiseKind::Depolarizing, 0.3);
+    ASSERT_EQ(c.size(), 8000u);
+
+    Rng rng(17);
+    const std::vector<std::uint64_t> samples =
+        testing::samplesOf("sv", c, 50, rng);
+    ASSERT_EQ(samples.size(), 50u);
+    testing::expectChiSquarePasses(samples, testing::probabilitiesOf("dm", c),
+                                   "long depolarizing trajectory");
+}
+
 TEST(StateVectorSimulatorTest, ExhaustiveNoisyDistributionBell)
 {
     // The paper's noisy Bell example keeps outcome probabilities 1/2, 1/2

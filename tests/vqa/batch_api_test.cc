@@ -211,7 +211,7 @@ TEST(RunBatchTest, ProbabilitiesMatchSequentialLoop)
 // Metadata: batched binds keep the Section 3.2 counters honest
 // ---------------------------------------------------------------------------
 
-TEST(RunBatchTest, SvBatchCountsOneReusePerBinding)
+TEST(RunBatchTest, SvBatchCountsOnePlanPerBinding)
 {
     ThreadGuard guard;
     setDefaultThreads(4);
@@ -231,7 +231,7 @@ TEST(RunBatchTest, SvBatchCountsOneReusePerBinding)
     EXPECT_TRUE(sameStructure(session->circuit(), b.back()));
 }
 
-TEST(RunBatchTest, SerializedBackendsStillCountReuses)
+TEST(RunBatchTest, SerializedDmBatchCountsOnePlanPerBinding)
 {
     ThreadGuard guard;
     setDefaultThreads(4);

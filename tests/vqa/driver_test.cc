@@ -43,7 +43,7 @@ TEST(VqaDriverTest, KcSessionCompilesOnce)
     EXPECT_GT(result.circuitEvaluations, 10u);
 }
 
-TEST(VqaDriverTest, StateVectorSessionPlansOnce)
+TEST(VqaDriverTest, StateVectorSessionPlansOncePerEvaluation)
 {
     // The run keeps one sv session, which plans every evaluation afresh;
     // runQaoaMaxCut's metadata counts each plan.

@@ -115,7 +115,7 @@ TEST(BackendSpecTest, ThreadsZeroIsTheMachineDefault)
 // Session reuse metadata
 // ---------------------------------------------------------------------------
 
-TEST(SessionTest, SvBindReusesThePlan)
+TEST(SessionTest, SvPlansEveryBindAfresh)
 {
     Rng graphRng(3);
     auto problem = QaoaMaxCut::randomRegular(6, 3, 2, graphRng);
@@ -134,7 +134,7 @@ TEST(SessionTest, SvBindReusesThePlan)
     EXPECT_EQ(session->planReuses(), 0u);
 }
 
-TEST(SessionTest, QaoaP2NelderMeadPlansExactlyOnce)
+TEST(SessionTest, QaoaP2NelderMeadPlansOncePerEvaluation)
 {
     // A QAOA p=2 Nelder-Mead run on sv plans every evaluation afresh,
     // and the Result metadata counts each plan.
